@@ -18,7 +18,7 @@ from .bnb import BnBConfig
 from .errors import CertboundError, ParseError
 from .expr import compile_expr, free_vars, parse, simplify
 from .intervals import Box
-from .model import ModelDef, grad_sq_norm, load_model, model_to_text, reduced_domain
+from .model import ModelDef, load_model, model_to_text, reduced_domain
 from .models import (
     GeneratorConfig,
     MovingObjectConfig,
@@ -49,7 +49,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_model: bool) -> None:
     parser.add_argument("--eps-om", type=float, default=1e-7, help="minimum splittable box width")
     parser.add_argument("--segments", type=int, default=10, help="slabs per interval bound evaluation")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size for independent subproblems")
     parser.add_argument("--no-timing", action="store_true", help="omit wall times (byte-identical reports)")
     parser.set_defaults(_needs_model=needs_model)
 
@@ -125,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_bounds_arg(text: str) -> list[tuple[str, float, float]]:
     out = []
+    seen: set[str] = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -138,7 +138,19 @@ def _parse_bounds_arg(text: str) -> list[tuple[str, float, float]]:
         parts = spec[1:-1].split(",")
         if len(parts) != 2:
             raise _ModelError(f"bad bounds entry {chunk!r}; expected two endpoints")
-        out.append((name.strip(), float(parts[0]), float(parts[1])))
+        try:
+            lo, hi = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise _ModelError(f"bad bounds entry {chunk!r}; {exc}") from exc
+        name = name.strip()
+        if name in seen:
+            raise _ModelError(f"duplicate bounds for {name!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _ModelError(f"bad bounds entry {chunk!r}; endpoints must be finite")
+        if lo > hi:
+            raise _ModelError(f"bad bounds entry {chunk!r}; lower endpoint above upper")
+        seen.add(name)
+        out.append((name, lo, hi))
     if not out:
         raise _ModelError("empty bounds specification")
     return out
@@ -182,12 +194,22 @@ def _config_echo(args) -> dict:
         "eps_h": args.eps_h,
         "eps_om": args.eps_om,
         "segments": args.segments,
-        "workers": args.workers,
     }
 
 
 def _ms(seconds: float) -> float:
     return seconds * 1000.0
+
+
+def _stats_fields(eps_optimal: bool, stats: params.RunStats, gap: float | None = None) -> dict:
+    """The row fields that every constant computed by the same runs shares."""
+    return dict(
+        gap=gap,
+        eps_optimal=eps_optimal,
+        subproblems=stats.runs,
+        evals=stats.evals,
+        wall_time_ms=_ms(stats.wall_time),
+    )
 
 
 def _report(args, fingerprint: str, rows: list[ConstantRow], label: str = "") -> RunReport:
@@ -200,21 +222,16 @@ def _report(args, fingerprint: str, rows: list[ConstantRow], label: str = "") ->
     )
 
 
+def _lipschitz_row(args, model: ModelDef) -> ConstantRow:
+    fn = params.lipschitz_case1 if args.case == 1 else params.lipschitz_case2
+    r = fn(model, _cfg(args))
+    fields = _stats_fields(r.eps_optimal, r.stats, r.gap)
+    return ConstantRow(f"gamma_l{args.case}", r.gamma, lower=r.lower, **fields)
+
+
 def _cmd_lipschitz(args) -> list[RunReport]:
     model, fp = _load_model(args)
-    fn = params.lipschitz_case1 if args.case == 1 else params.lipschitz_case2
-    r = fn(model, _cfg(args), workers=args.workers)
-    row = ConstantRow(
-        name=f"gamma_l{args.case}",
-        value=r.gamma,
-        lower=r.lower,
-        gap=r.gap,
-        eps_optimal=r.eps_optimal,
-        subproblems=r.stats.runs,
-        evals=r.stats.evals,
-        wall_time_ms=_ms(r.stats.wall_time),
-    )
-    return [_report(args, fp, [row])]
+    return [_report(args, fp, [_lipschitz_row(args, model)])]
 
 
 def _cmd_osl(args) -> list[RunReport]:
@@ -224,14 +241,8 @@ def _cmd_osl(args) -> list[RunReport]:
         "gershgorin": params.osl_gershgorin,
         "zeta": params.osl_zeta,
     }[args.estimator]
-    r = estimator(model, _cfg(args), workers=args.workers)
-    shared = dict(
-        gap=r.gap,
-        eps_optimal=r.eps_optimal,
-        subproblems=r.stats.runs,
-        evals=r.stats.evals,
-        wall_time_ms=_ms(r.stats.wall_time),
-    )
+    r = estimator(model, _cfg(args))
+    shared = _stats_fields(r.eps_optimal, r.stats, r.gap)
     rows = [
         ConstantRow("gamma_s", r.gamma_s, lower=r.gamma_s_witness, **shared),
         ConstantRow("gamma_lower", r.lower_gamma, lower=r.lower_gamma_witness, **shared),
@@ -247,15 +258,9 @@ def _cmd_qib(args) -> list[RunReport]:
         eps1=args.eps1,
         eps2=args.eps2,
         osl_estimator=args.estimator,
-        workers=args.workers,
         distributed=args.distributed,
     )
-    shared = dict(
-        eps_optimal=r.eps_optimal,
-        subproblems=r.stats.runs,
-        evals=r.stats.evals,
-        wall_time_ms=_ms(r.stats.wall_time),
-    )
+    shared = _stats_fields(r.eps_optimal, r.stats)
     rows = [
         ConstantRow("gamma_q1", r.gamma_q1, **shared),
         ConstantRow("gamma_q2", r.gamma_q2, **shared),
@@ -268,13 +273,8 @@ def _cmd_qib(args) -> list[RunReport]:
 
 def _cmd_qb(args) -> list[RunReport]:
     model, fp = _load_model(args)
-    r = params.qb(model, _cfg(args), workers=args.workers)
-    shared = dict(
-        eps_optimal=r.eps_optimal,
-        subproblems=r.stats.runs,
-        evals=r.stats.evals,
-        wall_time_ms=_ms(r.stats.wall_time),
-    )
+    r = params.qb(model, _cfg(args))
+    shared = _stats_fields(r.eps_optimal, r.stats)
     rows = [
         ConstantRow(f"Gamma_{j + 1}{j + 1}", value, lower=wit, **shared)
         for j, (value, wit) in enumerate(zip(r.diag, r.diag_witness))
@@ -284,60 +284,35 @@ def _cmd_qb(args) -> list[RunReport]:
 
 def _cmd_jacobian(args) -> list[RunReport]:
     model, fp = _load_model(args)
-    r = params.jacobian_bounds(model, _cfg(args), workers=args.workers)
-    shared = dict(
-        eps_optimal=r.eps_optimal,
-        subproblems=r.stats.runs,
-        evals=r.stats.evals,
-        wall_time_ms=_ms(r.stats.wall_time),
-    )
+    r = params.jacobian_bounds(model, _cfg(args))
     rows = []
     for i in range(1, model.g + 1):
         for j in range(1, model.n + 1):
             iv = r.entry(i, j)
             if iv.lo == 0.0 and iv.hi == 0.0:
                 continue  # identically-zero derivative, no run
-            rows.append(
-                ConstantRow(
-                    f"df{i}/dx{j}",
-                    value=iv.hi,
-                    lower=iv.lo,
-                    gap=iv.width,
-                    **shared,
-                )
-            )
+            fields = _stats_fields(r.eps_optimal, r.stats, iv.width)
+            rows.append(ConstantRow(f"df{i}/dx{j}", iv.hi, lower=iv.lo, **fields))
     return [_report(args, fp, rows)]
 
 
 def _cmd_maximize(args) -> list[RunReport]:
-    from .bnb import maximize
-
     bounds = _parse_bounds_arg(args.bounds)
-    domain = Box.from_bounds(bounds)
     try:
         expression = simplify(parse(args.expr))
     except ParseError as exc:
         raise _ModelError(f"bad --expr: {exc}") from exc
-    unknown = free_vars(expression) - set(domain.labels)
+    used = free_vars(expression)
+    unknown = used - {name for name, _, _ in bounds}
     if unknown:
         raise _ModelError(f"--bounds missing variables {sorted(unknown)}")
-    program = compile_expr(expression, domain.labels)
-    res = maximize(
-        program.eval_point,
-        lambda b: program.eval_interval(b.dims),
-        domain,
-        _cfg(args),
-    )
-    row = ConstantRow(
-        name="max",
-        value=res.upper,
-        lower=res.lower,
-        gap=res.gap,
-        eps_optimal=res.eps_optimal,
-        subproblems=1,
-        evals=res.stats.evals,
-        wall_time_ms=_ms(res.stats.wall_time),
-    )
+    # Search only the variables the expression uses: an unused one would be
+    # bisected without tightening anything.  A constant keeps the full box.
+    domain = Box.from_bounds([b for b in bounds if b[0] in used] or bounds)
+    stats = params.RunStats()
+    res = stats.absorb(params._maximize_over(expression, domain, _cfg(args)))
+    fields = _stats_fields(res.eps_optimal, stats, res.gap)
+    row = ConstantRow("max", res.upper, lower=res.lower, **fields)
     fp = _fingerprint(f"{args.expr}|{args.bounds}".encode())
     return [_report(args, fp, [row])]
 
@@ -348,11 +323,7 @@ def _cmd_baseline(args) -> list[RunReport]:
         rep = baselines.jacobian_norm_sampled(model, count=args.count)
         value = rep.best_value
     else:
-        total = None
-        for i in range(1, model.g + 1):
-            term = grad_sq_norm(model, i)
-            total = term if total is None else total + term
-        objective = simplify(total)
+        objective = params.lipschitz_objective(model)
         domain = reduced_domain(model, objective)
         program = compile_expr(objective, domain.labels)
         rep = baselines.sample_max(
@@ -376,22 +347,10 @@ def _cmd_traffic_table(args) -> list[RunReport]:
     if not section_counts:
         raise _ModelError("--sections is empty")
     reports = []
-    fn = params.lipschitz_case1 if args.case == 1 else params.lipschitz_case2
     for s in section_counts:
         model, _ = build_traffic(TrafficConfig(sections=s))
         fp = _fingerprint(model_to_text(model).encode())
-        r = fn(model, _cfg(args), workers=args.workers)
-        row = ConstantRow(
-            name=f"gamma_l{args.case}",
-            value=r.gamma,
-            lower=r.lower,
-            gap=r.gap,
-            eps_optimal=r.eps_optimal,
-            subproblems=r.stats.runs,
-            evals=r.stats.evals,
-            wall_time_ms=_ms(r.stats.wall_time),
-        )
-        reports.append(_report(args, fp, [row], label=str(model.n)))
+        reports.append(_report(args, fp, [_lipschitz_row(args, model)], label=str(model.n)))
     return reports
 
 

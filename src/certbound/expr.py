@@ -13,10 +13,12 @@ behind the user's back; tighter manual forms yield tighter bounds.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -120,6 +122,14 @@ def as_expr(x) -> Expr:
 
 def sqr(e: Expr) -> Expr:
     return Unary(SQR, as_expr(e))
+
+
+def expr_sum(terms: Iterable[Expr]) -> Expr | None:
+    """Left-associative sum ``((t1 + t2) + t3) + ...`` of ``terms``, or
+    ``None`` when there are none.  The association order is part of the
+    written form, so it fixes the enclosures."""
+    terms = list(terms)
+    return functools.reduce(operator.add, terms) if terms else None
 
 
 def free_vars(e: Expr) -> frozenset[str]:

@@ -36,6 +36,7 @@ from .expr import (
     SQR,
     as_expr,
     differentiate,
+    expr_sum,
     free_vars,
     is_zero,
     parse,
@@ -133,13 +134,8 @@ def grad_sq_norm(model: ModelDef, i: int) -> Expr:
     the sum over state variables of the squared partial derivatives."""
     if not 1 <= i <= model.g:
         raise DimensionMismatch(f"component index {i} outside 1..{model.g}")
-    total: Expr | None = None
-    for name in model.state_names:
-        d = differentiate(model.f[i - 1], name)
-        if is_zero(d):
-            continue
-        term = Unary(SQR, d)
-        total = term if total is None else total + term
+    derivatives = (differentiate(model.f[i - 1], name) for name in model.state_names)
+    total = expr_sum(Unary(SQR, d) for d in derivatives if not is_zero(d))
     return simplify(total) if total is not None else as_expr(0.0)
 
 

@@ -15,18 +15,15 @@ model's partial derivatives:
   certified maximum of the squared gradient norms of the mixed components.
 * Quadratic boundedness: one certified maximization per diagonal entry.
 
-Independent per-row/per-entry problems may run on a bounded worker pool;
-assembly reduces over indexed slots, so results do not depend on completion
-order.
+The independent per-entry/per-row problems run one after another in a fixed
+order, so results and run statistics are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
@@ -43,6 +40,7 @@ from .expr import (
     compile_expr,
     differentiate,
     eval_real,
+    expr_sum,
     is_zero,
     simplify,
     sqr,
@@ -65,11 +63,13 @@ class RunStats:
     evals: int = 0
     wall_time: float = 0.0
 
-    def absorb(self, result: BnBResult) -> None:
+    def absorb(self, result: BnBResult) -> BnBResult:
+        """Count ``result`` in and return it."""
         self.runs += 1
         self.splits += result.stats.splits
         self.evals += result.stats.evals
         self.wall_time += result.stats.wall_time
+        return result
 
     def merge(self, other: "RunStats") -> None:
         self.runs += other.runs
@@ -151,22 +151,15 @@ def _expr_objective(e: Expr, domain: Box):
     return program.eval_point, lambda box: program.eval_interval(box.dims)
 
 
-def _run_all(tasks: Sequence[Callable[[], BnBResult]], workers: int | None):
-    """Execute independent optimizations; results returned in task order."""
-    if not tasks:
-        return []
-    limit = min(len(tasks), workers or os.cpu_count() or 1)
-    if limit <= 1 or len(tasks) == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=limit) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+def _maximize_over(e: Expr, domain: Box, cfg: BnBConfig) -> BnBResult:
+    """Certified maximum sandwich of ``e`` over ``domain``; every variable of
+    ``e`` must be a label of the box."""
+    h, hI = _expr_objective(e, domain)
+    return maximize(h, hI, domain, cfg)
 
 
 def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    domain = reduced_domain(model, e)
-    h, hI = _expr_objective(e, domain)
-    return maximize(h, hI, domain, cfg)
+    return _maximize_over(e, reduced_domain(model, e), cfg)
 
 
 def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
@@ -191,38 +184,27 @@ def _const_result(value: float) -> BnBResult:
 # ---------------------------------------------------------------------------
 
 
-def jacobian_bounds(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> JacobianBounds:
+def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     """Certified enclosure of every partial derivative over the admissible
     box.  Entries whose derivative is identically zero are [0, 0] with no
     optimization run; all other entries maximize/minimize over the box
     reduced to the variables the derivative actually uses."""
-    derivatives: list[list[Expr]] = [
-        [differentiate(fi, name) for name in model.state_names] for fi in model.f
-    ]
-    jobs: list[tuple[int, int]] = []
-    tasks: list[Callable[[], BnBResult]] = []
-    for i, row in enumerate(derivatives):
-        for j, d in enumerate(row):
-            if is_zero(d):
-                continue
-            jobs.append((i, j))
-            tasks.append(lambda d=d: _maximize_expr(d, model, cfg))
-            tasks.append(lambda d=d: _minimize_expr(d, model, cfg))
-    results = _run_all(tasks, workers)
     stats = RunStats()
     eps_optimal = True
     entries = [
         [Interval(0.0, 0.0) for _ in range(model.n)] for _ in range(model.g)
     ]
-    for idx, (i, j) in enumerate(jobs):
-        hi_run = results[2 * idx]
-        lo_run = results[2 * idx + 1]
-        stats.absorb(hi_run)
-        stats.absorb(lo_run)
-        eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal
-        entries[i][j] = Interval(lo_run.lower, hi_run.upper)
+    for i, fi in enumerate(model.f):
+        for j, name in enumerate(model.state_names):
+            d = differentiate(fi, name)
+            if is_zero(d):
+                continue
+            hi_run = _maximize_expr(d, model, cfg)
+            lo_run = _minimize_expr(d, model, cfg)
+            stats.absorb(hi_run)
+            stats.absorb(lo_run)
+            eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal
+            entries[i][j] = Interval(lo_run.lower, hi_run.upper)
     return JacobianBounds(
         entries=tuple(tuple(row) for row in entries),
         eps_optimal=eps_optimal,
@@ -235,20 +217,21 @@ def jacobian_bounds(
 # ---------------------------------------------------------------------------
 
 
-def lipschitz_case1(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> LipschitzResult:
+def lipschitz_objective(model: ModelDef) -> Expr:
+    """The summed squared gradient norms of all components: the objective
+    of case 1 and of the sampled Lipschitz baseline.  ``0`` when no
+    component depends on a state."""
+    terms = (grad_sq_norm(model, i) for i in range(1, model.g + 1))
+    total = expr_sum(t for t in terms if not is_zero(t))
+    return simplify(total) if total is not None else Const(0.0)
+
+
+def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     """One joint maximization of the summed squared gradient norms; the
     constant is the square root of the certified maximum."""
-    total: Expr | None = None
-    for i in range(1, model.g + 1):
-        term = grad_sq_norm(model, i)
-        if is_zero(term):
-            continue
-        total = term if total is None else total + term
-    if total is None:
+    objective = lipschitz_objective(model)
+    if is_zero(objective):
         return LipschitzResult(0.0, 0.0, 0.0, True, 1, RunStats())
-    objective = simplify(total)
     res = _maximize_expr(objective, model, cfg)
     stats = RunStats()
     stats.absorb(res)
@@ -285,26 +268,17 @@ def _dedup_components(model: ModelDef) -> tuple[list[Expr], list[int]]:
     return uniques, counts
 
 
-def lipschitz_case2(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> LipschitzResult:
+def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     """Per-component maximizations over reduced boxes, deduplicated across
     structurally identical components and recombined with multiplicities.
     Always at least as conservative as case 1."""
-    uniques, counts = _dedup_components(model)
-    tasks = []
-    for obj in uniques:
-        if is_zero(obj):
-            tasks.append(lambda: _const_result(0.0))
-        else:
-            tasks.append(lambda obj=obj: _maximize_expr(obj, model, cfg))
-    results = _run_all(tasks, workers)
     stats = RunStats()
     upper_sum = 0.0
     lower_sum = 0.0
     worst_gap = 0.0
     eps_optimal = True
-    for res, count in zip(results, counts):
+    for obj, count in zip(*_dedup_components(model)):
+        res = _const_result(0.0) if is_zero(obj) else _maximize_expr(obj, model, cfg)
         stats.absorb(res)
         upper_sum += count * res.upper
         lower_sum += count * res.lower
@@ -337,17 +311,11 @@ def build_xi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
     for i in range(model.n):
         row: list[Expr] = []
         for j in range(model.n):
-            total: Expr | None = None
-            for k in range(model.g):
-                gik = G[i][k]
-                if gik == 0.0 or is_zero(derivatives[k][j]):
-                    continue
-                term = (
-                    derivatives[k][j]
-                    if gik == 1.0
-                    else Const(gik) * derivatives[k][j]
-                )
-                total = term if total is None else total + term
+            total = expr_sum(
+                derivatives[k][j] if G[i][k] == 1.0 else Const(G[i][k]) * derivatives[k][j]
+                for k in range(model.g)
+                if G[i][k] != 0.0 and not is_zero(derivatives[k][j])
+            )
             row.append(simplify(total) if total is not None else Const(0.0))
         rows.append(tuple(row))
     return tuple(rows)
@@ -371,20 +339,13 @@ def build_psi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def osl_frobenius(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> OSLResult:
+def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Upper bound from the maximal Frobenius norm of the G-weighted
     Jacobian; always nonnegative.  The matching lower bound is its negation
     (no eigenvalue of the symmetrization can lie below it)."""
-    xi = build_xi(model)
-    total: Expr | None = None
-    for row in xi:
-        for entry in row:
-            if is_zero(entry):
-                continue
-            term = sqr(entry)
-            total = term if total is None else total + term
+    total = expr_sum(
+        sqr(entry) for row in build_xi(model) for entry in row if not is_zero(entry)
+    )
     if total is None:
         return OSLResult(0.0, "frobenius", 0.0, 0.0, True, RunStats())
     res = _maximize_expr(simplify(total), model, cfg)
@@ -414,12 +375,9 @@ def _gershgorin_row_exprs(
     uppers: list[Expr] = []
     lowers: list[Expr] = []
     for i in range(n):
-        offdiag: Expr | None = None
-        for j in range(n):
-            if j == i or is_zero(psi[i][j]):
-                continue
-            term = Unary(ABS, psi[i][j])
-            offdiag = term if offdiag is None else offdiag + term
+        offdiag = expr_sum(
+            Unary(ABS, psi[i][j]) for j in range(n) if j != i and not is_zero(psi[i][j])
+        )
         if offdiag is None:
             uppers.append(psi[i][i])
             lowers.append(psi[i][i])
@@ -429,41 +387,37 @@ def _gershgorin_row_exprs(
     return uppers, lowers
 
 
-def osl_gershgorin(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> OSLResult:
+def osl_gershgorin(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Row-circle bound on the extremal eigenvalues of the symmetrized
     G-weighted Jacobian; one certified maximization (and minimization) per
-    row, independent and parallelizable."""
-    psi = build_psi(model)
-    uppers, lowers = _gershgorin_row_exprs(psi)
-    tasks: list[Callable[[], BnBResult]] = []
-    for e in uppers:
-        if isinstance(e, Const):
-            tasks.append(lambda v=e.value: _const_result(v))
-        else:
-            tasks.append(lambda e=e: _maximize_expr(e, model, cfg))
-    for e in lowers:
-        if isinstance(e, Const):
-            tasks.append(lambda v=e.value: _const_result(v))
-        else:
-            tasks.append(lambda e=e: _minimize_expr(e, model, cfg))
-    results = _run_all(tasks, workers)
-    n = len(uppers)
+    row."""
+    upper_exprs, lower_exprs = _gershgorin_row_exprs(build_psi(model))
     stats = RunStats()
-    for res in results:
-        stats.absorb(res)
-    gamma_s = max(res.upper for res in results[:n])
-    lower_gamma = min(res.lower for res in results[n:])
+    uppers = [stats.absorb(_row_run(e, _maximize_expr, model, cfg)) for e in upper_exprs]
+    lowers = [stats.absorb(_row_run(e, _minimize_expr, model, cfg)) for e in lower_exprs]
+    return _osl_from_rows("gershgorin", uppers, lowers, stats)
+
+
+def _row_run(e: Expr, optimize, model: ModelDef, cfg: BnBConfig) -> BnBResult:
+    """A constant row objective needs no optimization run."""
+    return _const_result(e.value) if isinstance(e, Const) else optimize(e, model, cfg)
+
+
+def _osl_from_rows(
+    estimator: str, uppers: list[BnBResult], lowers: list[BnBResult], stats: RunStats
+) -> OSLResult:
+    """Assemble a row-wise OSL bound: the largest row maximum from above,
+    the smallest row minimum from below."""
+    results = uppers + lowers
     return OSLResult(
-        gamma_s=gamma_s,
-        estimator="gershgorin",
-        lower_gamma=lower_gamma,
+        gamma_s=max(res.upper for res in uppers),
+        estimator=estimator,
+        lower_gamma=min(res.lower for res in lowers),
         gap=max(res.gap for res in results),
         eps_optimal=all(res.eps_optimal for res in results),
         stats=stats,
-        gamma_s_witness=max(res.lower for res in results[:n]),
-        lower_gamma_witness=min(res.upper for res in results[n:]),
+        gamma_s_witness=max(res.lower for res in uppers),
+        lower_gamma_witness=min(res.upper for res in lowers),
     )
 
 
@@ -471,36 +425,24 @@ def osl_gershgorin(
 # Dimension-factor eigenvalue bound
 # ---------------------------------------------------------------------------
 
-_ZETA_CACHE: dict[int, float] = {}
-
 
 def zeta(n: int) -> float:
     """Dimension-dependent factor for the row-gap eigenvalue bound: one over
     the smallest feasible pivot weight, minus one.
 
-    The pivot weight is minimized by enumerating how many of the other
+    The pivot weight is minimized by choosing how many of the other
     coordinates sit at the pivot magnitude: with k of them active the total
     absolute mass is (k + 1) times the pivot, so unit mass forces the pivot
-    down to 1/(k + 1); every coordinate can be active, giving 1/n.
+    down to 1/(k + 1).  The remaining coordinates then carry no mass, so
+    every k up to n - 1 is feasible; k = n - 1 gives the pivot 1/n and the
+    factor n - 1 (exactly, since 1 / (1/(k+1)) - 1 == k).
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidDimension(f"dimension factor needs an integer n >= 2, got {n!r}")
-    if n not in _ZETA_CACHE:
-        best_active = 0
-        for active in range(n):
-            # Remaining inactive coordinates must absorb the leftover mass
-            # with magnitudes at most the pivot; at the pinned vertex the
-            # leftover is zero, so every count is feasible.
-            leftover = 1.0 - (active + 1) / (active + 1)
-            if leftover <= (n - 1 - active) / (active + 1):
-                best_active = max(best_active, active)
-        _ZETA_CACHE[n] = float(best_active)  # 1 / (1/(k+1)) - 1 == k exactly
-    return _ZETA_CACHE[n]
+    return float(n - 1)
 
 
-def osl_zeta(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> OSLResult:
+def osl_zeta(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Row bound with the dimension factor times the largest absolute
     off-diagonal entry.  The inner maximum over a row is not a single
     expression; its interval extension is the entrywise hull of the
@@ -509,29 +451,13 @@ def osl_zeta(
         raise InvalidDimension("row-gap bound needs at least two states")
     zn = zeta(model.n)
     psi = build_psi(model)
-    n = model.n
-    tasks: list[Callable[[], BnBResult]] = []
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            tasks.append(
-                lambda i=i, sign=sign: _zeta_row_run(model, psi, i, zn, sign, cfg)
-            )
-    results = _run_all(tasks, workers)
     stats = RunStats()
-    for res in results:
-        stats.absorb(res)
-    uppers = [results[2 * i] for i in range(n)]
-    lowers = [results[2 * i + 1] for i in range(n)]
-    return OSLResult(
-        gamma_s=max(res.upper for res in uppers),
-        estimator="zeta",
-        lower_gamma=min(res.lower for res in lowers),
-        gap=max(res.gap for res in results),
-        eps_optimal=all(res.eps_optimal for res in results),
-        stats=stats,
-        gamma_s_witness=max(res.lower for res in uppers),
-        lower_gamma_witness=min(res.upper for res in lowers),
-    )
+    uppers: list[BnBResult] = []
+    lowers: list[BnBResult] = []
+    for i in range(model.n):
+        uppers.append(stats.absorb(_zeta_row_run(model, psi, i, zn, 1.0, cfg)))
+        lowers.append(stats.absorb(_zeta_row_run(model, psi, i, zn, -1.0, cfg)))
+    return _osl_from_rows("zeta", uppers, lowers, stats)
 
 
 def _zeta_row_run(
@@ -588,13 +514,11 @@ def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
     G = model.effective_G()
     out: list[Expr] = []
     for i in range(model.n):
-        total: Expr | None = None
-        for j in range(model.g):
-            gij = G[i][j]
-            if gij == 0.0:
-                continue
-            term = model.f[j] if gij == 1.0 else Const(gij) * model.f[j]
-            total = term if total is None else total + term
+        total = expr_sum(
+            model.f[j] if G[i][j] == 1.0 else Const(G[i][j]) * model.f[j]
+            for j in range(model.g)
+            if G[i][j] != 0.0
+        )
         out.append(simplify(total) if total is not None else Const(0.0))
     return tuple(out)
 
@@ -602,13 +526,8 @@ def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
 def _mixed_grad_sq_norms(model: ModelDef) -> list[Expr]:
     out: list[Expr] = []
     for xi_i in mixed_components(model):
-        total: Expr | None = None
-        for name in model.state_names:
-            d = differentiate(xi_i, name)
-            if is_zero(d):
-                continue
-            term = sqr(d)
-            total = term if total is None else total + term
+        derivatives = (differentiate(xi_i, name) for name in model.state_names)
+        total = expr_sum(sqr(d) for d in derivatives if not is_zero(d))
         out.append(simplify(total) if total is not None else Const(0.0))
     return out
 
@@ -619,7 +538,6 @@ def qib(
     eps1: float,
     eps2: float,
     osl_estimator: str = "gershgorin",
-    workers: int | None = None,
     distributed: bool = False,
 ) -> QIBResult:
     """Quadratic inner-boundedness constants for nonnegative weights
@@ -635,35 +553,28 @@ def qib(
     if osl_estimator not in _OSL_ESTIMATORS:
         raise ValueError(f"unknown OSL estimator {osl_estimator!r}")
     stats = RunStats()
-    upper_res = _OSL_ESTIMATORS[osl_estimator](model, cfg, workers)
+    upper_res = _OSL_ESTIMATORS[osl_estimator](model, cfg)
     if osl_estimator == "gershgorin":
         lower_res = upper_res
     else:
-        lower_res = osl_gershgorin(model, cfg, workers)
+        lower_res = osl_gershgorin(model, cfg)
         stats.merge(lower_res.stats)
     stats.merge(upper_res.stats)
 
     norms = _mixed_grad_sq_norms(model)
     eps_optimal = upper_res.eps_optimal and lower_res.eps_optimal
     if distributed:
-        tasks: list[Callable[[], BnBResult]] = []
-        for e in norms:
-            if is_zero(e):
-                tasks.append(lambda: _const_result(0.0))
-            else:
-                tasks.append(lambda e=e: _maximize_expr(e, model, cfg))
-        results = _run_all(tasks, workers)
+        results = [
+            _const_result(0.0) if is_zero(e) else _maximize_expr(e, model, cfg)
+            for e in norms
+        ]
         gamma_m = sum(res.upper for res in results)
         gamma_m_witness = sum(res.lower for res in results)
         for res in results:
             stats.absorb(res)
             eps_optimal = eps_optimal and res.eps_optimal
     else:
-        total: Expr | None = None
-        for e in norms:
-            if is_zero(e):
-                continue
-            total = e if total is None else total + e
+        total = expr_sum(e for e in norms if not is_zero(e))
         if total is None:
             gamma_m = gamma_m_witness = 0.0
         else:
@@ -695,13 +606,11 @@ def qib(
 _QB_ORIGIN_TOL = 1e-12
 
 
-def qb(
-    model: ModelDef, cfg: BnBConfig, workers: int | None = None
-) -> QBResult:
+def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     """Diagonal quadratic-boundedness matrix: entry j is the square root of
     the certified maximum of n times the squared derivative column j.
     Requires an input-free model whose map vanishes at the origin of a
-    domain containing it; per-column problems run independently."""
+    domain containing it; one certified maximization per column."""
     if model.m != 0:
         raise PreconditionViolated(
             "model must have no input variables", f"has {model.m}"
@@ -718,27 +627,16 @@ def qb(
             "components must vanish at the origin", f"|f(0)| = {norm0:.3e}"
         )
     scale = Const(float(model.n))
-    jobs: list[int] = []
-    tasks: list[Callable[[], BnBResult]] = []
-    for j, name in enumerate(model.state_names):
-        total: Expr | None = None
-        for fi in model.f:
-            d = differentiate(fi, name)
-            if is_zero(d):
-                continue
-            term = sqr(d)
-            total = term if total is None else total + term
-        if total is None:
-            continue
-        jobs.append(j)
-        objective = simplify(scale * total)
-        tasks.append(lambda objective=objective: _maximize_expr(objective, model, cfg))
-    results = _run_all(tasks, workers)
     diag = [0.0] * model.n
     witness = [0.0] * model.n
     stats = RunStats()
     eps_optimal = True
-    for j, res in zip(jobs, results):
+    for j, name in enumerate(model.state_names):
+        derivatives = (differentiate(fi, name) for fi in model.f)
+        total = expr_sum(sqr(d) for d in derivatives if not is_zero(d))
+        if total is None:
+            continue
+        res = _maximize_expr(simplify(scale * total), model, cfg)
         stats.absorb(res)
         eps_optimal = eps_optimal and res.eps_optimal
         diag[j] = math.sqrt(max(res.upper, 0.0))

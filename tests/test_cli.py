@@ -90,6 +90,39 @@ class TestCommands:
         )
         assert code == 3 and "missing variables" in err
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ("x=[0,1];x=[5,6]", "duplicate bounds for 'x'"),
+            ("x=[2,0]", "lower endpoint above upper"),
+            ("x=[nan,1]", "endpoints must be finite"),
+            ("x=[0,inf]", "endpoints must be finite"),
+            ("x=[0,abc]", "could not convert"),
+        ],
+    )
+    def test_maximize_invalid_bounds_are_model_errors(self, capsys, bounds, message):
+        code, out, err = run_capture(
+            capsys, ["maximize", "--expr", "x*x", "--bounds", bounds]
+        )
+        assert code == 3 and out == ""
+        assert message in err
+
+    def test_maximize_ignores_unused_variables(self, capsys):
+        argv = ["maximize", "--expr", "x*x", "--no-timing", "--bounds"]
+        _, alone, _ = run_capture(capsys, argv + ["x=[0,1]"])
+        _, with_unused, _ = run_capture(capsys, argv + ["x=[0,1];y=[5,6]"])
+        alone_row = json.loads(alone)[0]["results"][0]
+        unused_row = json.loads(with_unused)[0]["results"][0]
+        assert unused_row["evals"] == alone_row["evals"]
+        assert unused_row == alone_row
+
+    def test_maximize_constant_keeps_full_box(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["maximize", "--expr", "2", "--bounds", "x=[0,1]", "--no-timing"]
+        )
+        assert code == 0
+        assert json.loads(out)[0]["results"][0]["value"] == 2.0
+
     def test_lipschitz_case2_traffic(self, model_files, capsys):
         code, out, _ = run_capture(
             capsys,
@@ -218,7 +251,7 @@ class TestCommands:
 class TestDeterminism:
     def test_byte_identical_reports(self, model_files, capsys):
         argv = ["lipschitz", "--case", "2", "--model", model_files["traffic1"],
-                "--workers", "1", "--no-timing"]
+                "--no-timing"]
         _, out1, _ = run_capture(capsys, argv)
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2 and out1
@@ -242,7 +275,7 @@ class TestReportModule:
     def test_json_round_trip(self):
         report = RunReport(
             command="lipschitz --case 1",
-            config={"eps_h": 1e-4, "eps_om": 1e-7, "segments": 10, "workers": None},
+            config={"eps_h": 1e-4, "eps_om": 1e-7, "segments": 10},
             model_fingerprint="ab" * 32,
             results=[
                 ConstantRow("gamma_l1", 0.4579, lower=0.4578, gap=9.85e-5,

@@ -337,20 +337,6 @@ class TestQIB:
         assert r.gamma_q1 == pytest.approx(25015.0, abs=0.2)
 
 
-class TestWorkers:
-    def test_results_independent_of_pool_size(self, traffic_s1):
-        serial = lipschitz_case2(traffic_s1, CFG_COARSE, workers=1)
-        pooled = lipschitz_case2(traffic_s1, CFG_COARSE, workers=4)
-        assert serial.gamma == pooled.gamma
-        assert serial.lower == pooled.lower
-        assert serial.gap == pooled.gap
-
-    def test_jacobian_pool_matches_serial(self, moving_object_unit):
-        a = jacobian_bounds(moving_object_unit, CFG_COARSE, workers=1)
-        b = jacobian_bounds(moving_object_unit, CFG_COARSE, workers=3)
-        assert a.entries == b.entries
-
-
 class TestQIBEstimators:
     @pytest.mark.parametrize("estimator", ["frobenius", "gershgorin", "zeta"])
     def test_upper_source_selected(self, moving_object_unit, estimator):
