@@ -347,6 +347,22 @@ def maximize(
     )
 
 
+class _Negated:
+    """The interval function ``-hI``.  Where ``hI`` evaluates slabs itself
+    (see ``refined_eval``), so does this: the negated hull of the slabs is
+    the hull of the negated slabs, bit for bit, because ``min`` and ``max``
+    both keep the first of equal endpoints."""
+
+    def __init__(self, hI: IntervalFn):
+        self.hI = hI
+        eval_slabs = getattr(hI, "eval_slabs", None)
+        if eval_slabs is not None:
+            self.eval_slabs = lambda box, dim, cuts: -eval_slabs(box, dim, cuts)
+
+    def __call__(self, box: Box) -> Interval:
+        return -self.hI(box)
+
+
 def minimize(
     h: PointFn,
     hI: IntervalFn,
@@ -358,7 +374,7 @@ def minimize(
     swap the negated bounds back."""
     res = maximize(
         lambda xs: -h(xs),
-        lambda box: -hI(box),
+        _Negated(hI),
         domain,
         cfg,
         warm_start_points,

@@ -27,7 +27,8 @@ from .errors import (
     ParseError,
     UnboundVariable,
 )
-from .intervals import Box, Interval, iv_cos, iv_sin, refined_eval
+from . import intervals
+from .intervals import Box, Interval, refined_eval
 
 # ---------------------------------------------------------------------------
 # AST
@@ -570,148 +571,295 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 # ---------------------------------------------------------------------------
+#
+# A Program flattens the tree into ops in postfix order, one op per tree node,
+# and generates straight-line Python from them: one statement per op, with
+# constants and variables read in place by the ops that use them.  The
+# interval kernel works on float endpoint pairs and calls the ``pair_*``
+# functions of ``intervals`` (``l2, h2 = pair_mul(l0, h0, l1, h1)``); the
+# point kernel uses plain float arithmetic.  A kernel is a tuple of chunk
+# functions of at most ``_CHUNK`` statements each, because compiling one huge
+# function takes memory out of proportion to its size.  Each chunk appends
+# to the list ``o`` the values that a later chunk (or a tail) reads back, and
+# the result.  Chunks are cached by their source text, and constants are
+# passed in, so programs of one shape share their compiled chunks.
+#
+# Slab hoisting: ``eval_slabs`` runs the whole interval kernel on the first
+# slab only.  For the other slabs it runs a "tail": the ops that depend on
+# the sliced variable, reading the values of all other ops from the first
+# slab's list ``t``.  Those ops see exactly the inputs they would see in a
+# full evaluation of that slab, so the hull is the one slab-by-slab
+# evaluation gives, bit for bit, and no op that depends on the sliced
+# variable ever sees the unsliced box.
 
-_OP_CONST = 0
-_OP_LOAD = 1
-_OP_ADD = 2
-_OP_SUB = 3
-_OP_MUL = 4
-_OP_DIV = 5
-_OP_NEG = 6
-_OP_ABS = 7
-_OP_SQR = 8
-_OP_SQRT = 9
-_OP_EXP = 10
-_OP_SIN = 11
-_OP_COS = 12
-_OP_POW = 13
+_CONST, _LOAD, _POW = "const", "load", "pow"
+_CHUNK = 128
 
-_UNARY_CODE = {
-    NEG: _OP_NEG,
-    ABS: _OP_ABS,
-    SQR: _OP_SQR,
-    SQRT: _OP_SQRT,
-    EXP: _OP_EXP,
-    SIN: _OP_SIN,
-    COS: _OP_COS,
+# Right-hand side of each op's statement; ``{0}``... are the operands'
+# endpoints (pair kernel) or values (point kernel), ``{arg}`` the op's
+# argument.  ``pair_point`` rejects a non-finite constant.
+_PAIR_RHS = {
+    _CONST: "pair_point(c[{arg}])",
+    _LOAD: "d[{arg}].lo, d[{arg}].hi",
+    NEG: "-{1}, -{0}",
+    ADD: "pair_add({0}, {1}, {2}, {3})",
+    SUB: "pair_sub({0}, {1}, {2}, {3})",
+    MUL: "pair_mul({0}, {1}, {2}, {3})",
+    DIV: "pair_div({0}, {1}, {2}, {3})",
+    ABS: "pair_abs({0}, {1})",
+    SQR: "pair_sqr({0}, {1})",
+    SQRT: "pair_sqrt({0}, {1})",
+    EXP: "pair_exp({0}, {1})",
+    SIN: "pair_sin({0}, {1}, g)",
+    COS: "pair_cos({0}, {1}, g)",
+    _POW: "pair_pow({0}, {1}, {arg})",
 }
-_BINARY_CODE = {ADD: _OP_ADD, SUB: _OP_SUB, MUL: _OP_MUL, DIV: _OP_DIV}
+_POINT_RHS = {
+    _CONST: "c[{arg}]",
+    _LOAD: "d[{arg}]",
+    NEG: "-{0}",
+    ADD: "{0} + {1}",
+    SUB: "{0} - {1}",
+    MUL: "{0} * {1}",
+    DIV: "{0} / {1}",
+    ABS: "abs({0})",
+    SQR: "{0} * {0}",
+    SQRT: "sqrt({0})",
+    EXP: "exp({0})",
+    SIN: "sin({0})",
+    COS: "cos({0})",
+    _POW: "{0} ** {arg}",
+}
+_KERNEL_GLOBALS = {
+    name: value for name, value in vars(intervals).items() if name.startswith("pair_")
+}
+_KERNEL_GLOBALS.update(sqrt=math.sqrt, exp=math.exp, sin=math.sin, cos=math.cos)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_chunk(source: str):
+    """The function defined by ``source``.  Programs of the same shape
+    generate the same source, so they share one compiled chunk."""
+    scope: dict[str, object] = {}
+    exec(compile(source, "<certbound kernel>", "exec"), _KERNEL_GLOBALS, scope)
+    return scope["chunk"]
+
+
+def _postfix(expr: Expr, slots: Mapping[str, int]):
+    """Ops ``(kind, arg, operands)`` in postfix order, the constants they
+    index and, per op, the bit set of variable slots it depends on.  The
+    walk keeps its own stack, so deep trees need no recursion."""
+    ops: list[tuple[str, object, tuple[int, ...]]] = []
+    constants: list[float] = []
+    deps: list[int] = []
+    done: list[int] = []  # op index of each finished subtree, innermost last
+    todo: list[tuple[Expr, bool]] = [(expr, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if isinstance(node, Const):
+            ops.append((_CONST, len(constants), ()))
+            constants.append(node.value)
+            deps.append(0)
+        elif isinstance(node, Var):
+            ops.append((_LOAD, slots[node.name], ()))
+            deps.append(1 << slots[node.name])
+        else:
+            if isinstance(node, Binary):
+                kids: tuple[Expr, ...] = (node.left, node.right)
+            else:
+                kids = (node.arg,) if isinstance(node, Unary) else (node.base,)
+            if not expanded:
+                todo.append((node, True))
+                todo.extend((kid, False) for kid in reversed(kids))
+                continue
+            operands = tuple(done[-len(kids):])
+            del done[-len(kids):]
+            if isinstance(node, PowInt):
+                ops.append((_POW, node.exponent, operands))
+            else:
+                ops.append((node.op, None, operands))
+            mask = 0
+            for j in operands:
+                mask |= deps[j]
+            deps.append(mask)
+        done.append(len(ops) - 1)
+    return tuple(ops), tuple(constants), tuple(deps)
+
+
+def _statements(code, constants, ops: Sequence[int], pair: bool) -> list[int]:
+    """The ops of ``ops`` that get a statement of their own.  A constant or
+    load is read in place by the op that uses it, unless it is the result,
+    or a non-finite constant, which the interval kernel must reject in its
+    turn."""
+    last = ops[-1]
+    return [
+        i
+        for i in ops
+        if code[i][0] not in (_CONST, _LOAD)
+        or i == last
+        or (pair and code[i][0] == _CONST and not math.isfinite(constants[code[i][1]]))
+    ]
+
+
+def _chunk_source(
+    code, run: Sequence[int], start: int, slot: Mapping[int, int],
+    t_slot: Mapping[int, int], pair: bool,
+) -> str:
+    """Source of the chunk that evaluates ``run[start:start + _CHUNK]``.
+
+    The chunk appends to ``o`` the ops of ``run`` that have a ``slot``
+    there.  An operand from outside the chunk is read from ``o`` or, when a
+    tail does not re-run it, from the first slab's values ``t`` at
+    ``t_slot``; constants and loads are read in place."""
+    chunk = run[start:start + _CHUNK]
+    local = {op: p for p, op in enumerate(chunk)}
+
+    def ref(j: int) -> list[str]:
+        kind, arg, _ = code[j]
+        if kind == _CONST:
+            return [f"c[{arg}]"] * (2 if pair else 1)
+        if kind == _LOAD:
+            return [f"d[{arg}].lo", f"d[{arg}].hi"] if pair else [f"d[{arg}]"]
+        p = local.get(j)
+        if p is not None:
+            return [f"l{p}", f"h{p}"] if pair else [f"v{p}"]
+        where, k = ("o", slot[j]) if j in slot else ("t", t_slot[j])
+        return [f"{where}[{2 * k}]", f"{where}[{2 * k + 1}]"] if pair else [f"{where}[{k}]"]
+
+    lines = []
+    for p, op in enumerate(chunk):
+        kind, arg, operands = code[op]
+        args = [part for j in operands for part in ref(j)]
+        rhs = (_PAIR_RHS if pair else _POINT_RHS)[kind].format(*args, arg=arg)
+        lines.append((f"l{p}, h{p} = " if pair else f"v{p} = ") + rhs)
+    kept = [p for p, op in enumerate(chunk) if op in slot]
+    if kept:
+        values = ", ".join(f"l{p}, h{p}" if pair else f"v{p}" for p in kept)
+        lines.append(f"o += ({values},)")
+    head = "def chunk(d, c, t, o, g):" if pair else "def chunk(d, c, o):"
+    return head + "\n    " + "\n    ".join(lines) + "\n"
+
+
+def _slots(code, run: Sequence[int], keep: Iterable[int]) -> dict[int, int]:
+    """Where each op of ``run`` that must outlive its chunk is stored in
+    ``o``: the ops in ``keep``, the ops a later chunk reads, and the last
+    op, whose value is the result; in run order."""
+    chunk_of = {op: m // _CHUNK for m, op in enumerate(run)}
+    stored = set(keep)
+    stored.add(run[-1])
+    for op in run:
+        for j in code[op][2]:
+            if chunk_of.get(j, chunk_of[op]) != chunk_of[op]:
+                stored.add(j)
+    return {op: k for k, op in enumerate(op for op in run if op in stored)}
 
 
 class Program:
-    """Postfix-compiled expression for repeated point/interval evaluation."""
+    """Expression compiled to straight-line kernels for repeated point and
+    interval evaluation.
 
-    __slots__ = ("code", "var_order", "expr")
+    ``code`` holds the ops in postfix order, one per tree node.  Calling the
+    program on a box gives its enclosure there, so a program is itself an
+    interval function for ``intervals.refined_eval``; ``degree`` is the
+    series degree of sin and cos.
+    """
 
-    def __init__(self, expr: Expr, var_order: Sequence[str]):
+    __slots__ = ("code", "var_order", "expr", "degree", "_constants", "_deps", "_kernels")
+
+    def __init__(self, expr: Expr, var_order: Sequence[str], degree: int = 4):
         slots = {name: i for i, name in enumerate(var_order)}
         missing = free_vars(expr) - slots.keys()
         if missing:
             raise UnboundVariable(f"unbound variables: {sorted(missing)}")
-        code: list[tuple[int, object]] = []
-        self._emit(expr, slots, code)
-        self.code = tuple(code)
+        self.code, self._constants, self._deps = _postfix(expr, slots)
         self.var_order = tuple(var_order)
         self.expr = expr
+        self.degree = degree
+        self._kernels: dict[tuple[int | None, bool], tuple] = {}
 
-    def _emit(self, e: Expr, slots: dict[str, int], code: list) -> None:
-        if isinstance(e, Const):
-            code.append((_OP_CONST, e.value))
-        elif isinstance(e, Var):
-            code.append((_OP_LOAD, slots[e.name]))
-        elif isinstance(e, Unary):
-            self._emit(e.arg, slots, code)
-            code.append((_UNARY_CODE[e.op], None))
-        elif isinstance(e, PowInt):
-            self._emit(e.base, slots, code)
-            code.append((_OP_POW, e.exponent))
-        else:
-            assert isinstance(e, Binary)
-            self._emit(e.left, slots, code)
-            self._emit(e.right, slots, code)
-            code.append((_BINARY_CODE[e.op], None))
+    def _slab_slots(self) -> dict[int, int]:
+        """Layout of the whole interval kernel's ``o``: besides what it
+        needs itself, it keeps every value some tail reads, i.e. of each op
+        whose consumer depends on a variable it does not depend on."""
+        deps = self._deps
+        read = [
+            j
+            for i, (_, _, operands) in enumerate(self.code)
+            for j in operands
+            if deps[i] & ~deps[j]
+        ]
+        run = _statements(self.code, self._constants, range(len(self.code)), True)
+        return _slots(self.code, run, read)
+
+    def _kernel(self, dim: int | None, pair: bool) -> tuple:
+        """Chunks of the whole program (``dim`` None) or of the tail of the
+        ops that depend on variable slot ``dim``; compiled on first use."""
+        key = (dim, pair)
+        chunks = self._kernels.get(key)
+        if chunks is None:
+            t_slot: dict[int, int] = {}
+            if dim is None:
+                run = _statements(self.code, self._constants, range(len(self.code)), pair)
+                slot = self._slab_slots() if pair else _slots(self.code, run, ())
+            else:
+                ops = [i for i, mask in enumerate(self._deps) if mask >> dim & 1]
+                run = _statements(self.code, self._constants, ops, pair) if ops else []
+                slot = _slots(self.code, run, ()) if run else {}
+                t_slot = self._slab_slots()
+            chunks = self._kernels[key] = tuple(
+                _compile_chunk(_chunk_source(self.code, run, start, slot, t_slot, pair))
+                for start in range(0, len(run), _CHUNK)
+            )
+        return chunks
 
     def eval_point(self, values: Sequence[float]) -> float:
-        stack: list[float] = []
-        push = stack.append
+        chunks = self._kernel(None, False)
+        o: list[float] = []
         try:
-            for op, arg in self.code:
-                if op == _OP_CONST:
-                    push(arg)  # type: ignore[arg-type]
-                elif op == _OP_LOAD:
-                    push(values[arg])  # type: ignore[index]
-                elif op == _OP_ADD:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] + b
-                elif op == _OP_SUB:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] - b
-                elif op == _OP_MUL:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] * b
-                elif op == _OP_DIV:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] / b
-                elif op == _OP_NEG:
-                    stack[-1] = -stack[-1]
-                elif op == _OP_ABS:
-                    stack[-1] = abs(stack[-1])
-                elif op == _OP_SQR:
-                    stack[-1] = stack[-1] * stack[-1]
-                elif op == _OP_SQRT:
-                    stack[-1] = math.sqrt(stack[-1])
-                elif op == _OP_EXP:
-                    stack[-1] = math.exp(stack[-1])
-                elif op == _OP_SIN:
-                    stack[-1] = math.sin(stack[-1])
-                elif op == _OP_COS:
-                    stack[-1] = math.cos(stack[-1])
-                else:  # _OP_POW
-                    stack[-1] = stack[-1] ** arg  # type: ignore[operator]
+            for chunk in chunks:
+                chunk(values, self._constants, o)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
-        return stack[0]
+        return o[-1]
 
-    def eval_interval(self, dims: Sequence[Interval], degree: int = 4) -> Interval:
-        stack: list[Interval] = []
-        push = stack.append
+    def eval_interval(self, dims: Sequence[Interval]) -> Interval:
+        chunks = self._kernel(None, True)
+        o: list[float] = []
         try:
-            for op, arg in self.code:
-                if op == _OP_CONST:
-                    push(Interval(arg, arg))  # type: ignore[arg-type]
-                elif op == _OP_LOAD:
-                    push(dims[arg])  # type: ignore[index]
-                elif op == _OP_ADD:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] + b
-                elif op == _OP_SUB:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] - b
-                elif op == _OP_MUL:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] * b
-                elif op == _OP_DIV:
-                    b = stack.pop()
-                    stack[-1] = stack[-1] / b
-                elif op == _OP_NEG:
-                    stack[-1] = -stack[-1]
-                elif op == _OP_ABS:
-                    stack[-1] = stack[-1].abs()
-                elif op == _OP_SQR:
-                    stack[-1] = stack[-1].sqr()
-                elif op == _OP_SQRT:
-                    stack[-1] = stack[-1].sqrt()
-                elif op == _OP_EXP:
-                    stack[-1] = stack[-1].exp()
-                elif op == _OP_SIN:
-                    stack[-1] = iv_sin(stack[-1], degree)
-                elif op == _OP_COS:
-                    stack[-1] = iv_cos(stack[-1], degree)
-                else:  # _OP_POW
-                    stack[-1] = stack[-1].pow_int(arg)  # type: ignore[arg-type]
+            for chunk in chunks:
+                chunk(dims, self._constants, o, o, self.degree)
         except OverflowError as exc:
             raise EvaluationError(f"interval evaluation overflow: {exc}") from exc
-        return stack[0]
+        return Interval(o[-2], o[-1])
+
+    def __call__(self, box: Box) -> Interval:
+        return self.eval_interval(box.dims)
+
+    def eval_slabs(self, box: Box, dim: int, cuts: Sequence[float]) -> Interval:
+        """Hull of the enclosures on the slabs ``cuts[k] <= x_dim <=
+        cuts[k + 1]`` of ``box``, the first slab evaluated whole and the
+        others through the tail of ``dim``."""
+        chunks = self._kernel(None, True)
+        tail = self._kernel(dim, True)
+        c, g = self._constants, self.degree
+        dims = list(box.dims)
+        dims[dim] = Interval(cuts[0], cuts[1])
+        t: list[float] = []
+        try:
+            for chunk in chunks:
+                chunk(dims, c, t, t, g)
+            lo, hi = t[-2], t[-1]
+            if tail:
+                for left, right in zip(cuts[1:], cuts[2:]):
+                    dims[dim] = Interval(left, right)
+                    o: list[float] = []
+                    for chunk in tail:
+                        chunk(dims, c, t, o, g)
+                    lo = min(lo, o[-2])
+                    hi = max(hi, o[-1])
+        except OverflowError as exc:
+            raise EvaluationError(f"interval evaluation overflow: {exc}") from exc
+        return Interval(lo, hi)
 
 
 def compile_expr(e: Expr, var_order: Sequence[str]) -> Program:
@@ -736,9 +884,7 @@ def eval_interval(
     missing = free_vars(e) - env.keys()
     if missing:
         raise UnboundVariable(f"box does not cover {sorted(missing)}")
-    program = Program(e, box.labels)
+    program = Program(e, box.labels, degree)
     if segments <= 1:
-        return program.eval_interval(box.dims, degree)
-    return refined_eval(
-        lambda b: program.eval_interval(b.dims, degree), box, segments
-    )
+        return program(box)
+    return refined_eval(program, box, segments)

@@ -6,6 +6,10 @@ set: each primitive that may round widens its endpoints outward by one unit
 in the last place (two for transcendental library calls), so soundness never
 depends on a settable rounding mode.
 
+Every operation is defined once, on plain float endpoint pairs (the
+``pair_*`` functions); the :class:`Interval` methods wrap them, and the
+compiled kernels of ``expr.Program`` call them directly.
+
 The trigonometric extensions ``iv_sin`` / ``iv_cos`` bracket sin and cos by
 truncated Maclaurin partial sums whose tails are sign-controlled on
 ``[-pi, pi]``; arguments outside the handled subdomains fall back to the
@@ -26,14 +30,15 @@ from typing import Callable, Sequence
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
 
 _INF = math.inf
+_nextafter = math.nextafter
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return _nextafter(x, -_INF)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return _nextafter(x, _INF)
 
 
 # Two-sided enclosure of pi at native precision.  math.pi is the nearest
@@ -41,6 +46,228 @@ def _up(x: float) -> float:
 # which side it lies on.
 PI_LO = _down(math.pi)
 PI_HI = _up(math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Float-pair operations
+# ---------------------------------------------------------------------------
+#
+# Each ``pair_*`` function takes and returns interval endpoints as plain
+# floats.  They are the one definition of every operation's rounding: the
+# ``Interval`` methods below and the compiled kernels of ``expr.Program``
+# both call them.  A result that ``Interval(lo, hi)`` would reject raises
+# the same ``IntervalError`` here.  The hottest ones call ``math.nextafter``
+# directly instead of through ``_down``/``_up``.
+
+
+def _invalid(lo: float, hi: float) -> IntervalError:
+    """The error ``Interval(lo, hi)`` raises for endpoints it rejects."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return IntervalError(f"non-finite endpoint in [{lo}, {hi}]")
+    return IntervalError(f"inverted interval [{lo}, {hi}]")
+
+
+def pair_point(x: float) -> tuple[float, float]:
+    if -_INF < x < _INF:
+        return x, x
+    raise _invalid(x, x)
+
+
+def pair_add(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    lo = _nextafter(al + bl, -_INF)
+    hi = _nextafter(ah + bh, _INF)
+    if -_INF < lo <= hi < _INF:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def pair_sub(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    lo = _nextafter(al - bh, -_INF)
+    hi = _nextafter(ah - bl, _INF)
+    if -_INF < lo <= hi < _INF:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def pair_mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    p1 = al * bl
+    p2 = al * bh
+    p3 = ah * bl
+    p4 = ah * bh
+    lo = _nextafter(min(p1, p2, p3, p4), -_INF)
+    hi = _nextafter(max(p1, p2, p3, p4), _INF)
+    if -_INF < lo <= hi < _INF:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def pair_div(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    if bl <= 0.0 <= bh:
+        raise DivisionByZeroInterval(f"divisor [{bl!r}, {bh!r}] contains zero")
+    q1 = al / bl
+    q2 = al / bh
+    q3 = ah / bl
+    q4 = ah / bh
+    lo = _nextafter(min(q1, q2, q3, q4), -_INF)
+    hi = _nextafter(max(q1, q2, q3, q4), _INF)
+    if -_INF < lo <= hi < _INF:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def pair_sqr(lo: float, hi: float) -> tuple[float, float]:
+    a, b = abs(lo), abs(hi)
+    if a > b:
+        a, b = b, a
+    rhi = _nextafter(b * b, _INF)
+    if lo <= 0.0 <= hi:
+        rlo = 0.0
+    else:
+        rlo = max(0.0, _nextafter(a * a, -_INF))
+    if -_INF < rlo <= rhi < _INF:
+        return rlo, rhi
+    raise _invalid(rlo, rhi)
+
+
+def pair_abs(lo: float, hi: float) -> tuple[float, float]:
+    if lo <= 0.0 <= hi:
+        return 0.0, max(-lo, hi)
+    if hi < 0.0:
+        return -hi, -lo
+    return lo, hi
+
+
+def pair_pow(lo: float, hi: float, k: int) -> tuple[float, float]:
+    """Integer power ``k >= 1``; ``OverflowError`` propagates from ``**``."""
+    if k == 1:
+        return lo, hi
+    if k == 2:
+        return pair_sqr(lo, hi)
+    if k % 2 == 1:
+        rlo = _down(_down(lo**k))
+        rhi = _up(_up(hi**k))
+    else:
+        a, b = abs(lo), abs(hi)
+        if a > b:
+            a, b = b, a
+        rhi = _up(_up(b**k))
+        rlo = 0.0 if lo <= 0.0 <= hi else max(0.0, _down(_down(a**k)))
+    if -_INF < rlo <= rhi < _INF:
+        return rlo, rhi
+    raise _invalid(rlo, rhi)
+
+
+def pair_sqrt(lo: float, hi: float) -> tuple[float, float]:
+    if lo < 0.0:
+        raise DomainError(f"sqrt of interval [{lo!r}, {hi!r}] with negative part")
+    return max(0.0, _down(math.sqrt(lo))), _up(math.sqrt(hi))
+
+
+def pair_exp(lo: float, hi: float) -> tuple[float, float]:
+    """``OverflowError`` propagates from ``math.exp``."""
+    rlo = max(0.0, _down(_down(math.exp(lo))))
+    rhi = _up(_up(math.exp(hi)))
+    if -_INF < rlo <= rhi < _INF:
+        return rlo, rhi
+    raise _invalid(rlo, rhi)
+
+
+# ---------------------------------------------------------------------------
+# sin / cos extensions via bracketing Maclaurin partial sums
+# ---------------------------------------------------------------------------
+
+
+def _series_bounds(
+    x: float, first: float, step: Callable[[int], int], m: int
+) -> tuple[float, float]:
+    """Hull of the partial sums ``S_m`` and ``S_{m+1}`` of the alternating
+    series whose term ``k`` is ``-(term_{k-1} * x^2) / step(k)``, starting
+    from ``first``; every operation is outward rounded."""
+    x2l, x2h = pair_sqr(x, x)
+    tl = th = sl = sh = first
+    bounds = []
+    for k in range(1, m + 2):
+        denom = float(step(k))
+        pl, ph = pair_mul(tl, th, x2l, x2h)
+        tl, th = pair_div(-ph, -pl, denom, denom)
+        sl, sh = pair_add(sl, sh, tl, th)
+        if k >= m:
+            bounds.append((sl, sh))
+    (ml, mh), (nl, nh) = bounds
+    return min(ml, nl), max(mh, nh)
+
+
+def _sin_series_bounds(x: float, degree: int) -> tuple[float, float]:
+    """Bounds for sin(x) valid on |x| <= PI_HI, from partial sums of the
+    Maclaurin series.  The tail after the first kept term is alternating with
+    decreasing magnitude on this range, so consecutive partial sums bracket
+    the true value."""
+    if x < 0.0:
+        lo, hi = _sin_series_bounds(-x, degree)
+        return -hi, -lo
+    m = max(1, (degree - 1) // 2)  # index of last kept series term
+    return _series_bounds(x, x, lambda k: 2 * k * (2 * k + 1), m)
+
+
+def _cos_series_bounds(x: float, degree: int) -> tuple[float, float]:
+    """Bounds for cos(x) valid on |x| <= PI_HI; see ``_sin_series_bounds``."""
+    x = abs(x)
+    m = max(1, degree // 2)
+    return _series_bounds(x, 1.0, lambda k: (2 * k - 1) * (2 * k), m)
+
+
+def _clamp_unit(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = max(lo, -1.0), min(hi, 1.0)
+    if -_INF < lo <= hi < _INF:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def pair_sin(lo: float, hi: float, degree: int = 4) -> tuple[float, float]:
+    """Interval extension of sin from the piecewise monotonicity case table.
+
+    Handled subdomains: the increasing lobe ``[-pi/2, pi/2]``, the decreasing
+    lobe ``[pi/2, pi]``, the peak-spanning half period ``[0, pi]`` and its
+    mirrored negative counterpart.  Anything else returns ``[-1, 1]``.
+    """
+    if degree < 1:
+        raise DomainError(f"series degree must be >= 1, got {degree}")
+    half_lo = PI_LO / 2  # exact: division by two
+    half_hi = PI_HI / 2
+    if -half_lo <= lo and hi <= half_lo:
+        return _clamp_unit(_sin_series_bounds(lo, degree)[0], _sin_series_bounds(hi, degree)[1])
+    if half_hi <= lo and hi <= PI_LO:
+        return _clamp_unit(_sin_series_bounds(hi, degree)[0], _sin_series_bounds(lo, degree)[1])
+    if 0.0 <= lo and hi <= PI_LO:
+        return _clamp_unit(
+            min(_sin_series_bounds(lo, degree)[0], _sin_series_bounds(hi, degree)[0]), 1.0
+        )
+    if -PI_LO <= lo and hi <= 0.0:
+        nlo, nhi = pair_sin(-hi, -lo, degree)
+        return -nhi, -nlo
+    return -1.0, 1.0
+
+
+def pair_cos(lo: float, hi: float, degree: int = 4) -> tuple[float, float]:
+    """Interval extension of cos; same case-table construction as
+    ``pair_sin``."""
+    if degree < 1:
+        raise DomainError(f"series degree must be >= 1, got {degree}")
+    half_lo = PI_LO / 2
+    if 0.0 <= lo and hi <= PI_LO:
+        return _clamp_unit(_cos_series_bounds(hi, degree)[0], _cos_series_bounds(lo, degree)[1])
+    if -PI_LO <= lo and hi <= 0.0:
+        return pair_cos(-hi, -lo, degree)
+    if -half_lo <= lo and hi <= half_lo:
+        return _clamp_unit(
+            min(_cos_series_bounds(lo, degree)[0], _cos_series_bounds(hi, degree)[0]), 1.0
+        )
+    return -1.0, 1.0
+
+
+# ---------------------------------------------------------------------------
+# Intervals
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,10 +278,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise IntervalError(f"non-finite endpoint in [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise IntervalError(f"inverted interval [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
+            raise _invalid(self.lo, self.hi)
 
     @classmethod
     def point(cls, x: float) -> "Interval":
@@ -83,178 +308,51 @@ class Interval:
     # -- arithmetic (outward rounded) ------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return Interval(*pair_add(self.lo, self.hi, other.lo, other.hi))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        return Interval(*pair_sub(self.lo, self.hi, other.lo, other.hi))
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        p1 = self.lo * other.lo
-        p2 = self.lo * other.hi
-        p3 = self.hi * other.lo
-        p4 = self.hi * other.hi
-        return Interval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
+        return Interval(*pair_mul(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise DivisionByZeroInterval(f"divisor {other} contains zero")
-        q1 = self.lo / other.lo
-        q2 = self.lo / other.hi
-        q3 = self.hi / other.lo
-        q4 = self.hi / other.hi
-        return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
+        return Interval(*pair_div(self.lo, self.hi, other.lo, other.hi))
 
     # -- elementary functions --------------------------------------------
 
     def sqr(self) -> "Interval":
-        a, b = abs(self.lo), abs(self.hi)
-        if a > b:
-            a, b = b, a
-        hi = _up(b * b)
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, hi)
-        return Interval(max(0.0, _down(a * a)), hi)
+        return Interval(*pair_sqr(self.lo, self.hi))
 
     def abs(self) -> "Interval":
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, max(-self.lo, self.hi))
-        if self.hi < 0.0:
-            return Interval(-self.hi, -self.lo)
-        return self
+        return Interval(*pair_abs(self.lo, self.hi))
 
     def pow_int(self, k: int) -> "Interval":
         if not isinstance(k, int) or k < 1:
             raise DomainError(f"integer power requires k >= 1, got {k!r}")
-        if k == 1:
-            return self
-        if k == 2:
-            return self.sqr()
-        if k % 2 == 1:
-            return Interval(_down(_down(self.lo**k)), _up(_up(self.hi**k)))
-        a, b = abs(self.lo), abs(self.hi)
-        if a > b:
-            a, b = b, a
-        hi = _up(_up(b**k))
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, hi)
-        return Interval(max(0.0, _down(_down(a**k))), hi)
+        return Interval(*pair_pow(self.lo, self.hi, k))
 
     def sqrt(self) -> "Interval":
-        if self.lo < 0.0:
-            raise DomainError(f"sqrt of interval {self} with negative part")
-        return Interval(max(0.0, _down(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
+        return Interval(*pair_sqrt(self.lo, self.hi))
 
     def exp(self) -> "Interval":
-        return Interval(
-            max(0.0, _down(_down(math.exp(self.lo)))), _up(_up(math.exp(self.hi)))
-        )
+        return Interval(*pair_exp(self.lo, self.hi))
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-# ---------------------------------------------------------------------------
-# sin / cos extensions via bracketing Maclaurin partial sums
-# ---------------------------------------------------------------------------
-
-
-def _sin_series_bounds(x: float, degree: int) -> tuple[float, float]:
-    """Bounds for sin(x) valid on |x| <= PI_HI, from partial sums of the
-    Maclaurin series.  The tail after the first kept term is alternating with
-    decreasing magnitude on this range, so consecutive partial sums bracket
-    the true value."""
-    if x < 0.0:
-        lo, hi = _sin_series_bounds(-x, degree)
-        return -hi, -lo
-    m = max(1, (degree - 1) // 2)  # index of last kept series term
-    xi = Interval.point(x)
-    x2 = xi.sqr()
-    signed_term = xi
-    s = xi  # S_0
-    partial_m = partial_m1 = None
-    for k in range(1, m + 2):
-        denom = Interval.point(float(2 * k * (2 * k + 1)))
-        signed_term = -(signed_term * x2) / denom
-        s = s + signed_term
-        if k == m:
-            partial_m = s
-        elif k == m + 1:
-            partial_m1 = s
-    assert partial_m is not None and partial_m1 is not None
-    lo = min(partial_m.lo, partial_m1.lo)
-    hi = max(partial_m.hi, partial_m1.hi)
-    return lo, hi
-
-
-def _cos_series_bounds(x: float, degree: int) -> tuple[float, float]:
-    """Bounds for cos(x) valid on |x| <= PI_HI; see ``_sin_series_bounds``."""
-    x = abs(x)
-    m = max(1, degree // 2)
-    x2 = Interval.point(x).sqr()
-    signed_term = Interval.point(1.0)
-    s = signed_term  # S_0
-    partial_m = partial_m1 = None
-    for k in range(1, m + 2):
-        denom = Interval.point(float((2 * k - 1) * (2 * k)))
-        signed_term = -(signed_term * x2) / denom
-        s = s + signed_term
-        if k == m:
-            partial_m = s
-        elif k == m + 1:
-            partial_m1 = s
-    assert partial_m is not None and partial_m1 is not None
-    lo = min(partial_m.lo, partial_m1.lo)
-    hi = max(partial_m.hi, partial_m1.hi)
-    return lo, hi
-
-
-def _clamp_unit(lo: float, hi: float) -> Interval:
-    return Interval(max(lo, -1.0), min(hi, 1.0))
-
-
 def iv_sin(a: Interval, degree: int = 4) -> Interval:
-    """Interval extension of sin from the piecewise monotonicity case table.
-
-    Handled subdomains: the increasing lobe ``[-pi/2, pi/2]``, the decreasing
-    lobe ``[pi/2, pi]``, the peak-spanning half period ``[0, pi]`` and its
-    mirrored negative counterpart.  Anything else returns ``[-1, 1]``.
-    """
-    if degree < 1:
-        raise DomainError(f"series degree must be >= 1, got {degree}")
-    lo, hi = a.lo, a.hi
-    half_lo = PI_LO / 2  # exact: division by two
-    half_hi = PI_HI / 2
-    if -half_lo <= lo and hi <= half_lo:
-        return _clamp_unit(_sin_series_bounds(lo, degree)[0], _sin_series_bounds(hi, degree)[1])
-    if half_hi <= lo and hi <= PI_LO:
-        return _clamp_unit(_sin_series_bounds(hi, degree)[0], _sin_series_bounds(lo, degree)[1])
-    if 0.0 <= lo and hi <= PI_LO:
-        return _clamp_unit(
-            min(_sin_series_bounds(lo, degree)[0], _sin_series_bounds(hi, degree)[0]), 1.0
-        )
-    if -PI_LO <= lo and hi <= 0.0:
-        return -iv_sin(Interval(-hi, -lo), degree)
-    return Interval(-1.0, 1.0)
+    """Interval extension of sin; see ``pair_sin``."""
+    return Interval(*pair_sin(a.lo, a.hi, degree))
 
 
 def iv_cos(a: Interval, degree: int = 4) -> Interval:
-    """Interval extension of cos; same case-table construction as ``iv_sin``."""
-    if degree < 1:
-        raise DomainError(f"series degree must be >= 1, got {degree}")
-    lo, hi = a.lo, a.hi
-    half_lo = PI_LO / 2
-    if 0.0 <= lo and hi <= PI_LO:
-        return _clamp_unit(_cos_series_bounds(hi, degree)[0], _cos_series_bounds(lo, degree)[1])
-    if -PI_LO <= lo and hi <= 0.0:
-        return iv_cos(Interval(-hi, -lo), degree)
-    if -half_lo <= lo and hi <= half_lo:
-        return _clamp_unit(
-            min(_cos_series_bounds(lo, degree)[0], _cos_series_bounds(hi, degree)[0]), 1.0
-        )
-    return Interval(-1.0, 1.0)
+    """Interval extension of cos; see ``pair_cos``."""
+    return Interval(*pair_cos(a.lo, a.hi, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +433,17 @@ class Box:
         return dict(zip(self.labels, self.dims))
 
 
+def slab_cuts(iv: Interval, segments: int) -> list[float]:
+    """The ``segments + 1`` nondecreasing cut points that slice ``iv`` into
+    equal slabs, from ``iv.lo`` to ``iv.hi``."""
+    cuts = [iv.lo]
+    for k in range(1, segments):
+        c = iv.lo + iv.width * (k / segments)
+        cuts.append(min(max(c, cuts[-1]), iv.hi))
+    cuts.append(iv.hi)
+    return cuts
+
+
 def refined_eval(
     fn: Callable[[Box], Interval], box: Box, segments: int
 ) -> Interval:
@@ -343,6 +452,10 @@ def refined_eval(
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
+
+    When ``fn`` has an ``eval_slabs(box, dim, cuts)`` method (a compiled
+    ``expr.Program`` has), the slab loop is left to it: it must return the
+    hull below bit for bit, evaluating the slabs in order.
     """
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
@@ -350,11 +463,10 @@ def refined_eval(
     iv = box.dims[dim]
     if segments == 1 or iv.width <= 0.0:
         return fn(box)
-    cuts = [iv.lo]
-    for k in range(1, segments):
-        c = iv.lo + iv.width * (k / segments)
-        cuts.append(min(max(c, cuts[-1]), iv.hi))
-    cuts.append(iv.hi)
+    cuts = slab_cuts(iv, segments)
+    eval_slabs = getattr(fn, "eval_slabs", None)
+    if eval_slabs is not None:
+        return eval_slabs(box, dim, cuts)
     result: Interval | None = None
     for left, right in zip(cuts, cuts[1:]):
         slab = fn(box.replace_dim(dim, Interval(left, right)))

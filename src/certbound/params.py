@@ -148,7 +148,7 @@ class QBResult:
 
 def _expr_objective(e: Expr, domain: Box):
     program = compile_expr(e, domain.labels)
-    return program.eval_point, lambda box: program.eval_interval(box.dims)
+    return program.eval_point, program
 
 
 def _maximize_over(e: Expr, domain: Box, cfg: BnBConfig) -> BnBResult:

@@ -1,0 +1,341 @@
+"""The compiled kernels of ``expr.Program`` against a reference evaluator.
+
+The reference composes ``Interval`` methods and ``iv_sin``/``iv_cos`` node by
+node over the tree, and slices boxes slab by slab.  The kernels must agree
+with it exactly: the same endpoints by ``repr`` (signed zeros count), and the
+same exception class and message where evaluation fails.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import random
+
+import pytest
+
+from certbound import expr as expr_module
+from certbound.bnb import BnBConfig, maximize, minimize
+from certbound.errors import DivisionByZeroInterval, EvaluationError, IntervalError
+from certbound.expr import (
+    ABS,
+    COS,
+    EXP,
+    NEG,
+    SIN,
+    SQR,
+    SQRT,
+    Binary,
+    Const,
+    Expr,
+    PowInt,
+    Program,
+    Unary,
+    Var,
+    eval_interval,
+    expr_sum,
+    parse,
+    simplify,
+)
+from certbound.intervals import Box, Interval, iv_cos, iv_sin, refined_eval, slab_cuts
+from certbound.model import reduced_domain
+from certbound.params import _mixed_grad_sq_norms, lipschitz_objective
+
+NAMES = ("x0", "x1", "x2", "x3")
+UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
+BINARY = ("+", "-", "*", "/")
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators
+# ---------------------------------------------------------------------------
+
+
+def _ref_node(e: Expr, env: dict[str, Interval], degree: int) -> Interval:
+    if isinstance(e, Const):
+        return Interval(e.value, e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, PowInt):
+        return _ref_node(e.base, env, degree).pow_int(e.exponent)
+    if isinstance(e, Unary):
+        a = _ref_node(e.arg, env, degree)
+        if e.op == NEG:
+            return -a
+        if e.op == SIN:
+            return iv_sin(a, degree)
+        if e.op == COS:
+            return iv_cos(a, degree)
+        return {ABS: a.abs, SQR: a.sqr, SQRT: a.sqrt, EXP: a.exp}[e.op]()
+    left = _ref_node(e.left, env, degree)
+    right = _ref_node(e.right, env, degree)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    return left / right
+
+
+def ref_interval(e: Expr, box: Box, degree: int = 4) -> Interval:
+    try:
+        return _ref_node(e, box.env(), degree)
+    except OverflowError as exc:
+        raise EvaluationError(f"interval evaluation overflow: {exc}") from exc
+
+
+def ref_refined(e: Expr, box: Box, segments: int) -> Interval:
+    return refined_eval(lambda b: ref_interval(e, b), box, segments)
+
+
+def _ref_point_node(e: Expr, env: dict[str, float]) -> float:
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, PowInt):
+        return _ref_point_node(e.base, env) ** e.exponent
+    if isinstance(e, Unary):
+        a = _ref_point_node(e.arg, env)
+        if e.op == NEG:
+            return -a
+        if e.op == SQR:
+            return a * a
+        return {ABS: abs, SQRT: math.sqrt, EXP: math.exp, SIN: math.sin, COS: math.cos}[e.op](a)
+    left = _ref_point_node(e.left, env)
+    right = _ref_point_node(e.right, env)
+    return {"+": left + right, "-": left - right, "*": left * right}[e.op] if e.op != "/" else left / right
+
+
+def ref_point(e: Expr, names, values) -> float:
+    try:
+        return _ref_point_node(e, dict(zip(names, values)))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise EvaluationError(f"point evaluation failed: {exc}") from exc
+
+
+def outcome(fn, *args):
+    """``repr`` of the endpoints, or the exception class and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    if isinstance(result, Interval):
+        return repr(result.lo), repr(result.hi)
+    return repr(result)
+
+
+# ---------------------------------------------------------------------------
+# Random trees and boxes
+# ---------------------------------------------------------------------------
+
+
+def random_tree(rng: random.Random, depth: int) -> Expr:
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.35:
+            return Const(rng.choice([0.0, -0.0, 1.0, 2.0, 0.5, -3.0, rng.uniform(-4, 4)]))
+        return Var(rng.choice(NAMES))
+    kind = rng.random()
+    if kind < 0.45:
+        op = rng.choice(BINARY)
+        return Binary(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+    if kind < 0.9:
+        return Unary(rng.choice(UNARY), random_tree(rng, depth - 1))
+    return PowInt(random_tree(rng, depth - 1), rng.randint(1, 5))
+
+
+def random_box(rng: random.Random) -> Box:
+    bounds = []
+    for name in NAMES:
+        scale = rng.choice([0.5, 2.0, 4.0])
+        a, b = sorted(rng.uniform(-scale, scale) for _ in range(2))
+        if rng.random() < 0.15:
+            b = a
+        elif rng.random() < 0.2:
+            a, b = rng.choice([0.0, -0.0]), abs(b)
+        bounds.append((name, a, b))
+    return Box.from_bounds(bounds)
+
+
+def test_random_trees_cover_every_op():
+    rng = random.Random(0)
+    seen: set[str] = set()
+    for _ in range(200):
+        seen.update(kind for kind, _, _ in Program(random_tree(rng, 5), NAMES).code)
+    assert seen == {"const", "load", "pow", *UNARY, *BINARY}
+
+
+@pytest.fixture(params=[3, 128], ids=["chunk3", "chunk128"])
+def chunk(request, monkeypatch):
+    """Run with tiny chunks too, so every program crosses chunk boundaries."""
+    monkeypatch.setattr(expr_module, "_CHUNK", request.param)
+    return request.param
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interval_kernel_matches_reference(seed, chunk):
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(150):
+        e = random_tree(rng, rng.randint(1, 7))
+        program = Program(e, NAMES)
+        for _ in range(4):
+            box = random_box(rng)
+            expected = outcome(ref_interval, e, box)
+            assert outcome(program, box) == expected, (str(e), box)
+            failures += isinstance(expected[0], type)
+            segments = rng.choice([2, 3, 10])
+            assert outcome(refined_eval, program, box, segments) == outcome(
+                ref_refined, e, box, segments
+            ), (str(e), box, segments)
+    assert failures > 0  # the error paths were reached
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_point_kernel_matches_reference(seed, chunk):
+    rng = random.Random(100 + seed)
+    for _ in range(200):
+        e = random_tree(rng, rng.randint(1, 7))
+        program = Program(e, NAMES)
+        for _ in range(4):
+            values = [rng.choice([0.0, -0.0, rng.uniform(-4, 4)]) for _ in NAMES]
+            assert outcome(program.eval_point, values) == outcome(ref_point, e, NAMES, values)
+
+
+X = ("x",)
+
+
+def _box(lo: float, hi: float) -> Box:
+    return Box.from_bounds([("x", lo, hi)])
+
+
+@pytest.mark.parametrize(
+    "text, lo, hi, error, message",
+    [
+        ("1/x", -1.0, 1.0, "DivisionByZeroInterval", "divisor [-1.0, 1.0] contains zero"),
+        ("1/(x - 1)", 0.0, 1.0, "DivisionByZeroInterval", "divisor [-1.0000000000000002, 5e-324] contains zero"),
+        ("sqrt(x)", -1.0, 1.0, "DomainError", "sqrt of interval [-1.0, 1.0] with negative part"),
+        ("x*x*x", 1e200, 1e200, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
+        ("sqr(x)", 1e200, 1e200, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
+        ("x + x", 1e308, 1e308, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
+        ("x^3", 1e200, 1e200, "EvaluationError", "interval evaluation overflow: (34, 'Numerical result out of range')"),
+        ("exp(x)", 1000.0, 1000.0, "EvaluationError", "interval evaluation overflow: math range error"),
+    ],
+)
+def test_error_class_and_message(text, lo, hi, error, message):
+    e = parse(text)
+    expected = outcome(ref_interval, e, _box(lo, hi))
+    assert (expected[0].__name__, expected[1]) == (error, message)
+    assert outcome(Program(e, X), _box(lo, hi)) == expected
+
+
+@pytest.mark.parametrize("text", ["sin(x)", "cos(x)"])
+@pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), (2.0, 4.0), (-4.0, -2.0), (0.5, 0.5), (-3.0, 3.0)])
+def test_trig_lobes_and_fallback(text, lo, hi):
+    e = parse(text)
+    assert outcome(Program(e, X), _box(lo, hi)) == outcome(ref_interval, e, _box(lo, hi))
+
+
+def test_trig_degree_reaches_kernel():
+    e = parse("sin(x) + cos(x)")
+    box = _box(0.2, 0.9)
+    for degree in (1, 2, 7):
+        assert outcome(eval_interval, e, box, 1, degree) == outcome(ref_interval, e, box, degree)
+    assert outcome(eval_interval, e, box, 1, 0)[1] == "series degree must be >= 1, got 0"
+
+
+def test_nonfinite_constant_raises_at_evaluation():
+    program = Program(Const(math.inf) * Var("x"), X)
+    assert program.eval_point([2.0]) == math.inf
+    expected = (IntervalError, "non-finite endpoint in [inf, inf]")
+    assert outcome(ref_interval, program.expr, _box(1.0, 2.0)) == expected
+    assert outcome(program, _box(1.0, 2.0)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Slab hoisting
+# ---------------------------------------------------------------------------
+
+
+def _slab_hull(program: Program, box: Box, dim: int, cuts: list[float]) -> Interval:
+    slabs = [
+        program(box.replace_dim(dim, Interval(a, b))) for a, b in zip(cuts, cuts[1:])
+    ]
+    return functools.reduce(Interval.hull, slabs)
+
+
+def _assert_hoisting_exact(e: Expr, domain: Box, rng: random.Random) -> None:
+    program = Program(e, domain.labels)
+    boxes = [domain]
+    for _ in range(3):
+        bounds = []
+        for name, iv in zip(domain.labels, domain.dims):
+            a, b = sorted(rng.uniform(iv.lo, iv.hi) for _ in range(2))
+            bounds.append((name, a, b))
+        boxes.append(Box.from_bounds(bounds))
+    for box in boxes:
+        for dim in range(len(box)):
+            cuts = slab_cuts(box.dims[dim], 10)
+            hoisted = program.eval_slabs(box, dim, cuts)
+            assert repr(hoisted) == repr(_slab_hull(program, box, dim, cuts)), dim
+
+
+def test_hoisting_exact_on_traffic_case1(traffic_s1):
+    e = lipschitz_objective(traffic_s1)
+    _assert_hoisting_exact(e, reduced_domain(traffic_s1, e), random.Random(1))
+
+
+def test_hoisting_exact_on_moving_object_qib(moving_object):
+    e = simplify(expr_sum(_mixed_grad_sq_norms(moving_object)))
+    _assert_hoisting_exact(e, reduced_domain(moving_object, e), random.Random(2))
+
+
+def test_slabs_never_evaluate_the_whole_box():
+    # The denominator's enclosure on [0, 2] contains 0, on every tenth not.
+    e = parse("1/(x*x - 2*x + 2)")
+    box = _box(0.0, 2.0)
+    with pytest.raises(DivisionByZeroInterval):
+        eval_interval(e, box)
+    refined = eval_interval(e, box, segments=10)
+    assert refined.lo <= 0.5 and 1.0 <= refined.hi
+    assert repr(refined) == repr(ref_refined(e, box, 10))
+
+
+@pytest.mark.parametrize("optimize", [maximize, minimize])
+def test_bnb_result_same_with_and_without_hoisting(optimize):
+    e = parse("x*y + 0.5*sqr(x - 0.3) - y^3")
+    box = Box.from_bounds([("x", -1.5, 2.0), ("y", -1.0, 1.0)])
+    program = Program(e, box.labels)
+    cfg = BnBConfig(eps_h=1e-3, eps_om=1e-6, segments=10)
+    hoisted = optimize(program.eval_point, program, box, cfg)
+    plain = optimize(program.eval_point, lambda b: program(b), box, cfg)
+    assert (hoisted.lower, hoisted.upper, hoisted.lower_witness, hoisted.stats.evals) == (
+        plain.lower, plain.upper, plain.lower_witness, plain.stats.evals
+    )
+
+
+# ---------------------------------------------------------------------------
+# Deep expressions and shared compilation
+# ---------------------------------------------------------------------------
+
+
+def test_deep_sum_compiles_and_evaluates():
+    names = [f"x{i}" for i in range(5000)]
+    program = Program(expr_sum(Var(n) for n in names), names)
+    values = [1.0 + i / 7 for i in range(5000)]
+    assert program.eval_point(values) == functools.reduce(lambda a, b: a + b, values)
+    dims = [Interval(v, v + 0.5) for v in values]
+    assert repr(program.eval_interval(dims)) == repr(functools.reduce(Interval.__add__, dims))
+
+
+def test_programs_of_one_shape_share_compiled_chunks():
+    a = Program(parse("2*x*x + 1"), X)
+    b = Program(parse("3*x*x + 5"), X)
+    assert a._kernel(None, True) == b._kernel(None, True)
+    assert a.eval_interval([Interval(1.0, 1.0)]) != b.eval_interval([Interval(1.0, 1.0)])
