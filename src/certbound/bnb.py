@@ -4,7 +4,10 @@ Given a point objective ``h`` and a sound interval extension ``hI`` of it,
 the search maintains a cover: a set of boxes with pairwise disjoint
 interiors whose union still contains every maximizer not yet provably
 excluded.  Each box caches lower/upper bounds from exactly one refined
-interval evaluation.  The driver tightens the sandwich ``l <= h* <= u`` in
+interval evaluation; where that evaluation fails (a divisor or square-root
+argument enclosure that crosses its domain's edge, or a non-finite
+endpoint), the box keeps its parent's bounds, ``[-inf, +inf]`` at the root,
+and bisection goes on.  The search tightens the sandwich ``l <= h* <= u`` in
 three phases:
 
 1. repeatedly bisect the box with the greatest upper bound (drives u down),
@@ -25,7 +28,7 @@ from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import CertboundError, EvaluationError
+from .errors import CertboundError, EvaluationError, IntervalError
 from .intervals import Box, Interval, refined_eval
 
 PointFn = Callable[[Sequence[float]], float]
@@ -38,12 +41,15 @@ _INF_SENTINEL = float("inf")
 class Subproblem:
     """A cover box with cached objective bounds: lo_bound <= h <= hi_bound
     on the box.  ``order`` is the insertion counter used to break ties
-    deterministically."""
+    deterministically; ``width`` and ``dim`` are the box's width and its
+    widest dimension (``box.widest()``), computed once."""
 
     box: Box
     lo_bound: float
     hi_bound: float
     order: int
+    width: float
+    dim: int
 
 
 class Cover:
@@ -81,9 +87,11 @@ class Cover:
     def add(self, sub: Subproblem) -> None:
         # Ties break toward the wider box, then the earlier insertion.
         self._alive[sub.order] = sub
-        heappush(self._hi_heap, (-sub.hi_bound, -sub.box.width, sub.order))
-        heappush(self._lo_heap, (-sub.lo_bound, -sub.box.width, sub.order))
-        heappush(self._lo_split_heap, (-sub.lo_bound, -sub.box.width, sub.order))
+        neg_width = -sub.width
+        heappush(self._hi_heap, (-sub.hi_bound, neg_width, sub.order))
+        lo_key = (-sub.lo_bound, neg_width, sub.order)
+        heappush(self._lo_heap, lo_key)
+        heappush(self._lo_split_heap, lo_key)
 
     def remove(self, sub: Subproblem) -> None:
         self._alive.pop(sub.order, None)  # heap entries go stale
@@ -104,7 +112,7 @@ class Cover:
                 del self._alive[order]  # provably excluded
                 heappop(heap)
                 continue
-            if min_width is not None and sub.box.width <= min_width:
+            if min_width is not None and sub.width <= min_width:
                 heappop(heap)  # width never grows; drop from this index only
                 continue
             return sub
@@ -122,7 +130,7 @@ class Cover:
 
 def _selection_key(s: Subproblem, primary: float) -> tuple[float, float, float]:
     # Ties: larger box first, then earlier insertion.
-    return (primary, s.box.width, -s.order)
+    return (primary, s.width, -s.order)
 
 
 @dataclass
@@ -171,18 +179,36 @@ class BnBResult:
 
 
 class _Bounder:
-    """Evaluates cached subproblem bounds; counts evaluations."""
+    """Evaluates cached subproblem bounds; counts evaluations.
+
+    The bounds of a box split from ``parent`` are intersected with the
+    parent's: those stay valid on the half (its range is a subset), so the
+    child's bounds stay sound and u is monotone even when slab refinement
+    picks a different dimension than the parent's.  An enclosure that
+    fails with an ``IntervalError`` counts as ``[-inf, +inf]``, so the box
+    keeps its parent's bounds; ``failure`` holds the last such error."""
 
     def __init__(self, hI: IntervalFn, segments: int, stats: BnBStats):
         self.hI = hI
         self.segments = segments
         self.stats = stats
         self.counter = itertools.count()
+        self.failure: IntervalError | None = None
 
-    def __call__(self, box: Box) -> Subproblem:
+    def __call__(self, box: Box, parent: Subproblem | None = None) -> Subproblem:
         self.stats.evals += 1
-        iv = refined_eval(self.hI, box, self.segments)
-        return Subproblem(box, iv.lo, iv.hi, next(self.counter))
+        dim, width = box.widest()
+        try:
+            iv = refined_eval(self.hI, box, self.segments, dim)
+        except IntervalError as exc:
+            self.failure = exc
+            lo, hi = -_INF_SENTINEL, _INF_SENTINEL
+        else:
+            lo, hi = iv.lo, iv.hi
+        if parent is not None:
+            lo = max(lo, parent.lo_bound)
+            hi = min(hi, parent.hi_bound)
+        return Subproblem(box, lo, hi, next(self.counter), width, dim)
 
 
 def opt_bnb_step(
@@ -190,26 +216,15 @@ def opt_bnb_step(
     chosen: Subproblem,
     l: float,
     h: PointFn,
-    bound: Callable[[Box], Subproblem],
+    bound: Callable[[Box, Subproblem], Subproblem],
 ) -> tuple[Subproblem, float, float, tuple[float, ...] | None]:
     """One bisection step: split ``chosen`` at the midpoint of its widest
     dimension, raise l from the midpoint of the best-lower-bound box, prune,
     and return the new incumbent (greatest upper bound), l, u and the point
     that improved l (if any)."""
     cover.remove(chosen)
-    for half in chosen.box.split(chosen.box.widest_dim()):
-        child = bound(half)
-        # The parent's bounds stay valid on the half (its range is a subset),
-        # so intersecting keeps child bounds sound and makes u monotone even
-        # when slab refinement picks a different dimension than the parent's.
-        cover.add(
-            Subproblem(
-                child.box,
-                max(child.lo_bound, chosen.lo_bound),
-                min(child.hi_bound, chosen.hi_bound),
-                child.order,
-            )
-        )
+    for half in chosen.box.split(chosen.dim):
+        cover.add(bound(half, chosen))
     candidate = cover.peek_max_lo()
     witness: tuple[float, ...] | None = None
     if candidate is not None:
@@ -276,7 +291,7 @@ def maximize(
         # Phase 1: shrink u by splitting the incumbent.
         while (
             u - l > cfg.eps_h
-            and incumbent.box.width > cfg.eps_om
+            and incumbent.width > cfg.eps_om
             and stats.splits < cfg.max_steps
         ):
             stats.splits += 1
@@ -285,6 +300,14 @@ def maximize(
                 witness = w
             if cfg.record_history:
                 history.append((l, u))
+        # The incumbent can no longer be split (or the step cap is hit) and
+        # a box with an infinite upper bound is never pruned: u stays
+        # infinite.
+        if u == _INF_SENTINEL:
+            raise EvaluationError(
+                "unbounded enclosure: the objective's interval enclosure "
+                f"fails on a box of width {incumbent.width!r}: {bound.failure}"
+            )
 
         # Phase 2: raise l by splitting the best-lower-bound splittable box.
         while u - l > cfg.eps_h and stats.splits < cfg.max_steps:

@@ -246,7 +246,10 @@ def provably_nonnegative(e: Expr) -> bool:
 
 
 def differentiate(e: Expr, v: str) -> Expr:
-    """Symbolic partial derivative with respect to variable ``v``."""
+    """Symbolic partial derivative with respect to variable ``v``; exactly
+    ``0`` when ``v`` does not occur in ``e``."""
+    if v not in free_vars(e):
+        return ZERO
     return simplify(_diff(e, v))
 
 
@@ -278,6 +281,8 @@ def _diff(e: Expr, v: str) -> Expr:
         if e.op == ABS:
             if provably_nonnegative(e.arg):
                 return da
+            if v not in free_vars(e.arg):
+                return ZERO
             raise NonDifferentiable(
                 f"cannot differentiate abs({to_text(e.arg)}): sign not certified"
             )

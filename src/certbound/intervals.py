@@ -389,9 +389,14 @@ class Box:
     def width(self) -> float:
         return max(iv.width for iv in self.dims)
 
-    def widest_dim(self) -> int:
+    def widest(self) -> tuple[int, float]:
+        """The first dimension of greatest width, and that width."""
         widths = [iv.width for iv in self.dims]
-        return widths.index(max(widths))
+        width = max(widths)
+        return widths.index(width), width
+
+    def widest_dim(self) -> int:
+        return self.widest()[0]
 
     def midpoint(self) -> tuple[float, ...]:
         return tuple(iv.midpoint for iv in self.dims)
@@ -445,10 +450,11 @@ def slab_cuts(iv: Interval, segments: int) -> list[float]:
 
 
 def refined_eval(
-    fn: Callable[[Box], Interval], box: Box, segments: int
+    fn: Callable[[Box], Interval], box: Box, segments: int, dim: int | None = None
 ) -> Interval:
     """Evaluate ``fn`` on ``box`` after slicing its widest dimension into
-    ``segments`` equal slabs; return the hull of the slab enclosures.
+    ``segments`` equal slabs; return the hull of the slab enclosures.  A
+    caller that knows ``box.widest_dim()`` already may pass it as ``dim``.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
@@ -459,7 +465,8 @@ def refined_eval(
     """
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
-    dim = box.widest_dim()
+    if dim is None:
+        dim = box.widest_dim()
     iv = box.dims[dim]
     if segments == 1 or iv.width <= 0.0:
         return fn(box)

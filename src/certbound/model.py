@@ -26,8 +26,9 @@ Constants are substituted while expressions are parsed.  ``[inputs]``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, MissingBounds, ParseError
 from .expr import (
@@ -46,6 +47,7 @@ from .expr import (
 from .intervals import Box, Interval
 
 Matrix = tuple[tuple[float, ...], ...]
+Partials = tuple[tuple[int, Expr], ...]  # see state_partials
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,13 @@ class ModelDef:
                     f"G must be {self.n}x{self.g}, got "
                     f"{len(self.G)}x{len(self.G[0]) if self.G else 0}"
                 )
+
+    @functools.cached_property
+    def state_jacobian(self) -> tuple[Partials, ...]:
+        """Sparse state Jacobian, built on first use: for each component,
+        its partial derivatives by the states that are not identically zero
+        (see ``state_partials``)."""
+        return tuple(state_partials(fi, self.state_names) for fi in self.f)
 
     @property
     def n(self) -> int:
@@ -129,13 +138,25 @@ class ModelDef:
         )
 
 
+def state_partials(e: Expr, state_names: Sequence[str]) -> Partials:
+    """The partial derivatives of ``e`` that are not ``is_zero``, as
+    ``(j, de/dx_j)`` in the order of ``state_names``.  Only the states that
+    occur in ``e`` are differentiated by: any other partial is exactly 0."""
+    present = free_vars(e)
+    partials = (
+        (j, differentiate(e, name))
+        for j, name in enumerate(state_names)
+        if name in present
+    )
+    return tuple((j, d) for j, d in partials if not is_zero(d))
+
+
 def grad_sq_norm(model: ModelDef, i: int) -> Expr:
     """Squared 2-norm of the state gradient of component ``i`` (1-based):
     the sum over state variables of the squared partial derivatives."""
     if not 1 <= i <= model.g:
         raise DimensionMismatch(f"component index {i} outside 1..{model.g}")
-    derivatives = (differentiate(model.f[i - 1], name) for name in model.state_names)
-    total = expr_sum(Unary(SQR, d) for d in derivatives if not is_zero(d))
+    total = expr_sum(Unary(SQR, d) for _, d in model.state_jacobian[i - 1])
     return simplify(total) if total is not None else as_expr(0.0)
 
 

@@ -38,7 +38,6 @@ from .expr import (
     Program,
     Unary,
     compile_expr,
-    differentiate,
     eval_real,
     expr_sum,
     is_zero,
@@ -47,7 +46,7 @@ from .expr import (
     structural_key_with_vars,
 )
 from .intervals import Box, Interval
-from .model import ModelDef, grad_sq_norm, reduced_domain
+from .model import ModelDef, grad_sq_norm, reduced_domain, state_partials
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -168,6 +167,12 @@ def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
     return minimize(h, hI, domain, cfg)
 
 
+def _sum_or_zero(terms: list[Expr]) -> Expr:
+    """The simplified ``expr_sum`` of ``terms``; ``0`` when there are none."""
+    total = expr_sum(terms)
+    return simplify(total) if total is not None else Const(0.0)
+
+
 def _const_result(value: float) -> BnBResult:
     return BnBResult(
         lower=value,
@@ -194,11 +199,8 @@ def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     entries = [
         [Interval(0.0, 0.0) for _ in range(model.n)] for _ in range(model.g)
     ]
-    for i, fi in enumerate(model.f):
-        for j, name in enumerate(model.state_names):
-            d = differentiate(fi, name)
-            if is_zero(d):
-                continue
+    for i, partials in enumerate(model.state_jacobian):
+        for j, d in partials:
             hi_run = _maximize_expr(d, model, cfg)
             lo_run = _minimize_expr(d, model, cfg)
             stats.absorb(hi_run)
@@ -222,8 +224,7 @@ def lipschitz_objective(model: ModelDef) -> Expr:
     of case 1 and of the sampled Lipschitz baseline.  ``0`` when no
     component depends on a state."""
     terms = (grad_sq_norm(model, i) for i in range(1, model.g + 1))
-    total = expr_sum(t for t in terms if not is_zero(t))
-    return simplify(total) if total is not None else Const(0.0)
+    return _sum_or_zero([t for t in terms if not is_zero(t)])
 
 
 def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
@@ -302,22 +303,14 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
 def build_xi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
     """n-by-n matrix of expressions: row i, column j holds the G-weighted sum
     of the partial derivatives of the components with respect to state j."""
-    G = model.effective_G()
-    columns = model.state_names
-    derivatives = [
-        [differentiate(fk, name) for name in columns] for fk in model.f
-    ]
     rows: list[tuple[Expr, ...]] = []
-    for i in range(model.n):
-        row: list[Expr] = []
-        for j in range(model.n):
-            total = expr_sum(
-                derivatives[k][j] if G[i][k] == 1.0 else Const(G[i][k]) * derivatives[k][j]
-                for k in range(model.g)
-                if G[i][k] != 0.0 and not is_zero(derivatives[k][j])
-            )
-            row.append(simplify(total) if total is not None else Const(0.0))
-        rows.append(tuple(row))
+    for weights in model.effective_G():
+        terms: list[list[Expr]] = [[] for _ in range(model.n)]
+        for weight, partials in zip(weights, model.state_jacobian):
+            if weight != 0.0:
+                for j, d in partials:
+                    terms[j].append(d if weight == 1.0 else Const(weight) * d)
+        rows.append(tuple(_sum_or_zero(column) for column in terms))
     return tuple(rows)
 
 
@@ -511,25 +504,21 @@ _OSL_ESTIMATORS = {
 
 def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
     """The G-weighted component functions (one per state)."""
-    G = model.effective_G()
-    out: list[Expr] = []
-    for i in range(model.n):
-        total = expr_sum(
-            model.f[j] if G[i][j] == 1.0 else Const(G[i][j]) * model.f[j]
-            for j in range(model.g)
-            if G[i][j] != 0.0
-        )
-        out.append(simplify(total) if total is not None else Const(0.0))
-    return tuple(out)
+    return tuple(
+        _sum_or_zero([
+            fj if weight == 1.0 else Const(weight) * fj
+            for weight, fj in zip(row, model.f)
+            if weight != 0.0
+        ])
+        for row in model.effective_G()
+    )
 
 
 def _mixed_grad_sq_norms(model: ModelDef) -> list[Expr]:
-    out: list[Expr] = []
-    for xi_i in mixed_components(model):
-        derivatives = (differentiate(xi_i, name) for name in model.state_names)
-        total = expr_sum(sqr(d) for d in derivatives if not is_zero(d))
-        out.append(simplify(total) if total is not None else Const(0.0))
-    return out
+    return [
+        _sum_or_zero([sqr(d) for _, d in state_partials(xi_i, model.state_names)])
+        for xi_i in mixed_components(model)
+    ]
 
 
 def qib(
@@ -631,12 +620,14 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     witness = [0.0] * model.n
     stats = RunStats()
     eps_optimal = True
-    for j, name in enumerate(model.state_names):
-        derivatives = (differentiate(fi, name) for fi in model.f)
-        total = expr_sum(sqr(d) for d in derivatives if not is_zero(d))
-        if total is None:
+    columns: list[list[Expr]] = [[] for _ in range(model.n)]
+    for partials in model.state_jacobian:
+        for j, d in partials:
+            columns[j].append(sqr(d))
+    for j, terms in enumerate(columns):
+        if not terms:
             continue
-        res = _maximize_expr(simplify(scale * total), model, cfg)
+        res = _maximize_expr(simplify(scale * expr_sum(terms)), model, cfg)
         stats.absorb(res)
         eps_optimal = eps_optimal and res.eps_optimal
         diag[j] = math.sqrt(max(res.upper, 0.0))

@@ -85,6 +85,26 @@ class TestMaximize:
         assert partial is not None and not partial.eps_optimal
 
 
+    def test_enclosure_failure_keeps_parent_bounds(self):
+        h, hI, box = expr_objective("1/(x*x - 2*x + 2)", [("x", 0.0, 2.0)])
+        stats = BnBStats()
+        bound = _Bounder(hI, 1, stats)
+        root = bound(box)
+        assert (root.lo_bound, root.hi_bound) == (-math.inf, math.inf)
+        assert "contains zero" in str(bound.failure)
+        cover = Cover([root])
+        opt_bnb_step(cover, root, -math.inf, h, bound)
+        assert stats.evals == 3
+        res = maximize(h, hI, box, BnBConfig(eps_h=1e-9, eps_om=1e-12, segments=1))
+        assert res.lower <= 1.0 <= res.upper and res.eps_optimal
+
+    def test_subproblem_caches_width_and_widest_dim(self):
+        _, hI, _ = expr_objective("x + y", [("x", 0.0, 1.0), ("y", 0.0, 1.0)])
+        box = Box.from_bounds([("x", 0.0, 1.0), ("y", -2.0, 2.0)])
+        sub = _Bounder(hI, 4, BnBStats())(box)
+        assert (sub.width, sub.dim) == (4.0, 1)
+
+
 class TestMinimize:
     def test_min_square(self):
         h, hI, box = expr_objective("x^2", [("x", -1.0, 2.0)])

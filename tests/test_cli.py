@@ -116,6 +116,29 @@ class TestCommands:
         assert unused_row["evals"] == alone_row["evals"]
         assert unused_row == alone_row
 
+    def test_maximize_past_a_zero_divisor_enclosure(self, capsys):
+        # On [0, 2] the denominator's enclosure contains 0, yet its true
+        # range is [1, 2]: bisection gets past the artifact.
+        code, out, err = run_capture(
+            capsys,
+            ["maximize", "--expr", "1/(x*x - 2*x + 2)", "--bounds", "x=[0,2]",
+             "--segments", "1", "--no-timing"],
+        )
+        assert code == 0, err
+        row = json.loads(out)[0]["results"][0]
+        assert row["lower"] <= 1.0 <= row["value"]
+        assert row["eps_optimal"] is True
+
+    def test_maximize_unbounded_enclosure_is_a_compute_error(self, capsys):
+        # sqrt((x - 1)^2) written so that every box around x = 1 encloses a
+        # negative radicand.
+        code, out, err = run_capture(
+            capsys,
+            ["maximize", "--expr", "sqrt(x*x - 2*x + 1)", "--bounds", "x=[0,2]"],
+        )
+        assert code == 4 and out == ""
+        assert "unbounded enclosure" in err and "negative part" in err
+
     def test_maximize_constant_keeps_full_box(self, capsys):
         code, out, _ = run_capture(
             capsys, ["maximize", "--expr", "2", "--bounds", "x=[0,1]", "--no-timing"]

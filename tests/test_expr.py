@@ -89,6 +89,16 @@ class TestDifferentiate:
     def test_unrelated_variable(self):
         assert differentiate(parse("x1^2"), "x2") == Const(0.0)
 
+    @pytest.mark.parametrize("text", ["abs(x1 - x2)", "x1/(1 + x2^2)"])
+    def test_absent_variable_is_exactly_zero(self, text):
+        # Neither a kink nor a quotient-rule residue such as 0/sqr(...).
+        assert differentiate(parse(text), "x3") == Const(0.0)
+
+    def test_abs_free_of_the_variable_is_constant(self):
+        d = differentiate(parse("x3*abs(x1 - x2)"), "x3")
+        assert eval_real(d, {"x1": 1.0, "x2": 3.0, "x3": 5.0}) == 2.0
+        assert differentiate(parse("x3 + abs(x1 - x2)"), "x3") == Const(1.0)
+
     def test_cubic_radial(self):
         d = differentiate(parse("-x1*(x1^2 + x2^2)"), "x1")
         for x1, x2 in ((1.0, 2.0), (-0.5, 0.3), (2.0, -2.0)):

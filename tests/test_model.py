@@ -5,6 +5,7 @@ import pytest
 from certbound import (
     Interval,
     ModelDef,
+    differentiate,
     eval_real,
     grad_sq_norm,
     model_to_text,
@@ -17,6 +18,7 @@ from certbound.errors import (
     MissingBounds,
     ParseError,
 )
+from certbound.expr import is_zero
 
 DELTA = 31.3 / (500.0 * 0.053)
 
@@ -114,6 +116,27 @@ class TestModelDef:
         omega = m.omega()
         assert omega.labels == ("x1", "x2", "u1")
         assert omega.dims[2] == Interval(-1, 1)
+
+
+class TestStateJacobian:
+    @pytest.mark.parametrize("name", ["traffic_s1", "moving_object", "generator"])
+    def test_table_holds_exactly_the_nonzero_partials(self, name, request):
+        m = request.getfixturevalue(name)
+        assert len(m.state_jacobian) == m.g
+        for fi, partials in zip(m.f, m.state_jacobian):
+            dense = [(j, differentiate(fi, x)) for j, x in enumerate(m.state_names)]
+            assert partials == tuple((j, d) for j, d in dense if not is_zero(d))
+
+    def test_built_once(self, traffic_s1):
+        assert traffic_s1.state_jacobian is traffic_s1.state_jacobian
+
+    def test_quotient_has_no_entry_for_an_absent_state(self):
+        m = ModelDef(
+            state_names=("x1", "x2", "x3"),
+            state_bounds=(Interval(0, 1),) * 3,
+            f=(parse("x1/(1 + x2^2)"),),
+        )
+        assert [j for j, _ in m.state_jacobian[0]] == [0, 1]
 
 
 class TestGradSqNorm:

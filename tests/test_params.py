@@ -111,6 +111,15 @@ class TestJacobianBounds:
         )
         assert jb.stats.runs == 2 * nonzero  # one max and one min per entry
 
+    def test_absent_state_of_a_quotient_is_exactly_zero(self):
+        m = small_model(
+            ["x1/(1 + x2^2)"], [("x1", 0, 1), ("x2", 0, 1), ("x3", 0, 1)]
+        )
+        jb = jacobian_bounds(m, CFG)
+        entry = jb.entry(1, 3)
+        assert (repr(entry.lo), repr(entry.hi)) == ("0.0", "0.0")
+        assert jb.stats.runs == 4  # x1 and x2 only
+
     def test_moving_object_entry(self, moving_object):
         jb = jacobian_bounds(moving_object, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1))
         iv = jb.entry(1, 1)  # range of -3*x1^2 - x2^2 over [-5, 5]^2
