@@ -5,8 +5,8 @@ the search maintains a cover: a set of boxes with pairwise disjoint
 interiors whose union still contains every maximizer not yet provably
 excluded.  Each box caches lower/upper bounds from exactly one refined
 interval evaluation; where that evaluation fails (a divisor or square-root
-argument enclosure that crosses its domain's edge, or a non-finite
-endpoint), the box keeps its parent's bounds, ``[-inf, +inf]`` at the root,
+argument enclosure that crosses its domain's edge, a non-finite endpoint,
+or an overflow), the box keeps its parent's bounds, ``[-inf, +inf]`` at the root,
 and bisection goes on.  The search tightens the sandwich ``l <= h* <= u`` in
 three phases:
 
@@ -133,7 +133,7 @@ def _selection_key(s: Subproblem, primary: float) -> tuple[float, float, float]:
     return (primary, s.width, -s.order)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BnBConfig:
     """Optimizer knobs.
 

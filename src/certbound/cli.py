@@ -14,7 +14,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import baselines, params
-from .bnb import BnBConfig
+from .bnb import BnBConfig, maximize
 from .errors import CertboundError, ParseError
 from .expr import compile_expr, free_vars, parse, simplify
 from .intervals import Box
@@ -65,17 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_model=True)
 
     p = sub.add_parser("osl", help="one-sided Lipschitz constant")
-    p.add_argument(
-        "--estimator", choices=("frobenius", "gershgorin", "zeta"), default="gershgorin"
-    )
+    p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
     _add_common(p, needs_model=True)
 
     p = sub.add_parser("qib", help="quadratic inner-boundedness constants")
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
-    p.add_argument(
-        "--estimator", choices=("frobenius", "gershgorin", "zeta"), default="gershgorin"
-    )
+    p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
     p.add_argument("--distributed", action="store_true")
     _add_common(p, needs_model=True)
 
@@ -236,12 +232,7 @@ def _cmd_lipschitz(args) -> list[RunReport]:
 
 def _cmd_osl(args) -> list[RunReport]:
     model, fp = _load_model(args)
-    estimator = {
-        "frobenius": params.osl_frobenius,
-        "gershgorin": params.osl_gershgorin,
-        "zeta": params.osl_zeta,
-    }[args.estimator]
-    r = estimator(model, _cfg(args))
+    r = params.OSL_ESTIMATORS[args.estimator](model, _cfg(args))
     shared = _stats_fields(r.eps_optimal, r.stats, r.gap)
     rows = [
         ConstantRow("gamma_s", r.gamma_s, lower=r.gamma_s_witness, **shared),
@@ -310,7 +301,7 @@ def _cmd_maximize(args) -> list[RunReport]:
     # bisected without tightening anything.  A constant keeps the full box.
     domain = Box.from_bounds([b for b in bounds if b[0] in used] or bounds)
     stats = params.RunStats()
-    res = stats.absorb(params._maximize_over(expression, domain, _cfg(args)))
+    res = stats.absorb(params._optimize_over(maximize, expression, domain, _cfg(args)))
     fields = _stats_fields(res.eps_optimal, stats, res.gap)
     row = ConstantRow("max", res.upper, lower=res.lower, **fields)
     fp = _fingerprint(f"{args.expr}|{args.bounds}".encode())

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     DomainError,
     EvaluationError,
+    IntervalError,
     NonDifferentiable,
     ParseError,
     UnboundVariable,
@@ -35,9 +36,9 @@ from .intervals import Box, Interval, refined_eval
 # ---------------------------------------------------------------------------
 
 NEG, ABS, SQR, SQRT, SIN, COS, EXP = "neg", "abs", "sqr", "sqrt", "sin", "cos", "exp"
-ADD, SUB, MUL, DIV = "+", "-", "*", "/"
+ADD, SUB, MUL, DIV, MAX = "+", "-", "*", "/", "max"
 
-_FUNCTIONS = ("abs", "cos", "exp", "sin", "sqr", "sqrt")
+_FUNCTIONS = ("abs", "cos", "exp", "max", "sin", "sqr", "sqrt")
 
 
 class Expr:
@@ -287,6 +288,10 @@ def _diff(e: Expr, v: str) -> Expr:
                 f"cannot differentiate abs({to_text(e.arg)}): sign not certified"
             )
     assert isinstance(e, Binary)
+    if e.op == MAX:
+        if v not in free_vars(e):
+            return ZERO
+        raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
     dl = _diff(e.left, v)
     dr = _diff(e.right, v)
     if e.op == ADD:
@@ -309,7 +314,7 @@ def _diff(e: Expr, v: str) -> Expr:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^(),]))"
 )
 
 
@@ -417,8 +422,13 @@ class _Parser:
                     raise ParseError(f"unknown function {value!r}", offset, _FUNCTIONS)
                 self.advance()
                 arg = self.sum_expr()
+                if value == MAX:
+                    self.expect_op(",")
+                    e: Expr = Binary(MAX, arg, self.sum_expr())
+                else:
+                    e = Unary(value, arg)
                 self.expect_op(")")
-                return Unary(value, arg)
+                return e
             if value in self.constants:
                 return Const(float(self.constants[value]))
             return Var(value)
@@ -447,6 +457,8 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
+        if e.op == MAX:
+            return _PREC_ATOM
         return _PREC_ADD if e.op in (ADD, SUB) else _PREC_MUL
     if isinstance(e, Unary):
         return _PREC_NEG if e.op == NEG else _PREC_ATOM
@@ -476,6 +488,8 @@ def to_text(e: Expr) -> str:
             return "-" + _wrap(e.arg, _PREC_NEG + 1)
         return f"{e.op}({to_text(e.arg)})"
     assert isinstance(e, Binary)
+    if e.op == MAX:
+        return f"max({to_text(e.left)}, {to_text(e.right)})"
     # Right operands always take parens at equal precedence so the printed
     # form reparses to the identical tree (the parser is left-associative).
     if e.op in (ADD, SUB):
@@ -486,6 +500,9 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Structural keys (dedup of per-nonlinearity subproblems)
 # ---------------------------------------------------------------------------
+
+
+_BINARY_NAMES = {ADD: "add", SUB: "sub", MUL: "mul", DIV: "div", MAX: "max"}
 
 
 def _flatten(e: Expr, op: str) -> list[Expr]:
@@ -515,10 +532,9 @@ def _canon_serialize(e: Expr, names: dict[str, str], ranks: dict[str, str]) -> s
             key=lambda p: (_shape(p), _canon_serialize(p, {}, {}), _ranked(p, ranks))
         )
         body = ",".join(_canon_serialize(p, names, ranks) for p in parts)
-        return f"{'add' if e.op == ADD else 'mul'}({body})"
-    name = "sub" if e.op == SUB else "div"
+        return f"{_BINARY_NAMES[e.op]}({body})"
     return (
-        f"{name}({_canon_serialize(e.left, names, ranks)},"
+        f"{_BINARY_NAMES[e.op]}({_canon_serialize(e.left, names, ranks)},"
         f"{_canon_serialize(e.right, names, ranks)})"
     )
 
@@ -536,9 +552,8 @@ def _ranked(e: Expr, ranks: dict[str, str]) -> str:
     assert isinstance(e, Binary)
     if e.op in (ADD, MUL):
         parts = sorted(_ranked(p, ranks) for p in _flatten(e, e.op))
-        return f"{'add' if e.op == ADD else 'mul'}({','.join(parts)})"
-    name = "sub" if e.op == SUB else "div"
-    return f"{name}({_ranked(e.left, ranks)},{_ranked(e.right, ranks)})"
+        return f"{_BINARY_NAMES[e.op]}({','.join(parts)})"
+    return f"{_BINARY_NAMES[e.op]}({_ranked(e.left, ranks)},{_ranked(e.right, ranks)})"
 
 
 def _shape(e: Expr) -> str:
@@ -611,6 +626,7 @@ _PAIR_RHS = {
     SUB: "pair_sub({0}, {1}, {2}, {3})",
     MUL: "pair_mul({0}, {1}, {2}, {3})",
     DIV: "pair_div({0}, {1}, {2}, {3})",
+    MAX: "pair_max({0}, {1}, {2}, {3})",
     ABS: "pair_abs({0}, {1})",
     SQR: "pair_sqr({0}, {1})",
     SQRT: "pair_sqrt({0}, {1})",
@@ -627,6 +643,7 @@ _POINT_RHS = {
     SUB: "{0} - {1}",
     MUL: "{0} * {1}",
     DIV: "{0} / {1}",
+    MAX: "max({0}, {1})",
     ABS: "abs({0})",
     SQR: "{0} * {0}",
     SQRT: "sqrt({0})",
@@ -834,7 +851,7 @@ class Program:
             for chunk in chunks:
                 chunk(dims, self._constants, o, o, self.degree)
         except OverflowError as exc:
-            raise EvaluationError(f"interval evaluation overflow: {exc}") from exc
+            raise IntervalError(f"interval evaluation overflow: {exc}") from exc
         return Interval(o[-2], o[-1])
 
     def __call__(self, box: Box) -> Interval:
@@ -863,7 +880,7 @@ class Program:
                     lo = min(lo, o[-2])
                     hi = max(hi, o[-1])
         except OverflowError as exc:
-            raise EvaluationError(f"interval evaluation overflow: {exc}") from exc
+            raise IntervalError(f"interval evaluation overflow: {exc}") from exc
         return Interval(lo, hi)
 
 

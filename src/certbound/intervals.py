@@ -137,6 +137,11 @@ def pair_abs(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
+def pair_max(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    """Pointwise maximum; exact, so no rounding."""
+    return max(al, bl), max(ah, bh)
+
+
 def pair_pow(lo: float, hi: float, k: int) -> tuple[float, float]:
     """Integer power ``k >= 1``; ``OverflowError`` propagates from ``**``."""
     if k == 1:

@@ -21,9 +21,9 @@ order, so results and run statistics are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
@@ -33,9 +33,10 @@ from .errors import (
 )
 from .expr import (
     ABS,
+    MAX,
+    Binary,
     Const,
     Expr,
-    Program,
     Unary,
     compile_expr,
     eval_real,
@@ -145,26 +146,28 @@ class QBResult:
 # ---------------------------------------------------------------------------
 
 
-def _expr_objective(e: Expr, domain: Box):
+def _optimize_over(optimize, e: Expr, domain: Box, cfg: BnBConfig) -> BnBResult:
+    """``optimize`` (``maximize`` or ``minimize``) of ``e`` over ``domain``;
+    every variable of ``e`` must be a label of the box."""
     program = compile_expr(e, domain.labels)
-    return program.eval_point, program
+    return optimize(program.eval_point, program, domain, cfg)
 
 
-def _maximize_over(e: Expr, domain: Box, cfg: BnBConfig) -> BnBResult:
-    """Certified maximum sandwich of ``e`` over ``domain``; every variable of
-    ``e`` must be a label of the box."""
-    h, hI = _expr_objective(e, domain)
-    return maximize(h, hI, domain, cfg)
+def _optimize_expr(optimize, e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
+    """``optimize`` (``maximize`` or ``minimize``) of ``e`` over the model's
+    box reduced to the variables of ``e``.  A constant ``c`` needs no
+    evaluation: its result is ``[c, c]``."""
+    if isinstance(e, Const):
+        return _const_result(e.value)
+    return _optimize_over(optimize, e, reduced_domain(model, e), cfg)
 
 
 def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    return _maximize_over(e, reduced_domain(model, e), cfg)
+    return _optimize_expr(maximize, e, model, cfg)
 
 
 def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    domain = reduced_domain(model, e)
-    h, hI = _expr_objective(e, domain)
-    return minimize(h, hI, domain, cfg)
+    return _optimize_expr(minimize, e, model, cfg)
 
 
 def _sum_or_zero(terms: list[Expr]) -> Expr:
@@ -192,8 +195,9 @@ def _const_result(value: float) -> BnBResult:
 def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     """Certified enclosure of every partial derivative over the admissible
     box.  Entries whose derivative is identically zero are [0, 0] with no
-    optimization run; all other entries maximize/minimize over the box
-    reduced to the variables the derivative actually uses."""
+    optimization run, a constant derivative ``c`` gives [c, c]; all other
+    entries maximize/minimize over the box reduced to the variables the
+    derivative actually uses."""
     stats = RunStats()
     eps_optimal = True
     entries = [
@@ -279,8 +283,7 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     worst_gap = 0.0
     eps_optimal = True
     for obj, count in zip(*_dedup_components(model)):
-        res = _const_result(0.0) if is_zero(obj) else _maximize_expr(obj, model, cfg)
-        stats.absorb(res)
+        res = stats.absorb(_maximize_expr(obj, model, cfg))
         upper_sum += count * res.upper
         lower_sum += count * res.lower
         worst_gap = max(worst_gap, res.gap)
@@ -358,49 +361,48 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     )
 
 
+def _row_exprs(psi: tuple[tuple[Expr, ...], ...], spread) -> tuple[list[Expr], list[Expr]]:
+    """Upper and lower row objectives: ``spread(diagonal, offdiag)`` of the
+    absolute nonzero off-diagonal entries of each row, in column order; the
+    diagonal alone for a row without any.  The absolute values wrap
+    already-differentiated entries, so nothing here is ever differentiated
+    again."""
+    uppers: list[Expr] = []
+    lowers: list[Expr] = []
+    for i, row in enumerate(psi):
+        offdiag = [Unary(ABS, e) for j, e in enumerate(row) if j != i and not is_zero(e)]
+        upper, lower = spread(row[i], offdiag) if offdiag else (row[i], row[i])
+        uppers.append(upper)
+        lowers.append(lower)
+    return uppers, lowers
+
+
 def _gershgorin_row_exprs(
     psi: tuple[tuple[Expr, ...], ...]
 ) -> tuple[list[Expr], list[Expr]]:
     """Row objectives: diagonal plus (upper) / minus (lower) the absolute
-    off-diagonal row sum.  The absolute values wrap already-differentiated
-    entries, so nothing here is ever differentiated again."""
-    n = len(psi)
-    uppers: list[Expr] = []
-    lowers: list[Expr] = []
-    for i in range(n):
-        offdiag = expr_sum(
-            Unary(ABS, psi[i][j]) for j in range(n) if j != i and not is_zero(psi[i][j])
-        )
-        if offdiag is None:
-            uppers.append(psi[i][i])
-            lowers.append(psi[i][i])
-        else:
-            uppers.append(simplify(psi[i][i] + offdiag))
-            lowers.append(simplify(psi[i][i] - offdiag))
-    return uppers, lowers
+    off-diagonal row sum."""
 
+    def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
+        total = expr_sum(offdiag)
+        return simplify(diag + total), simplify(diag - total)
 
-def osl_gershgorin(model: ModelDef, cfg: BnBConfig) -> OSLResult:
-    """Row-circle bound on the extremal eigenvalues of the symmetrized
-    G-weighted Jacobian; one certified maximization (and minimization) per
-    row."""
-    upper_exprs, lower_exprs = _gershgorin_row_exprs(build_psi(model))
-    stats = RunStats()
-    uppers = [stats.absorb(_row_run(e, _maximize_expr, model, cfg)) for e in upper_exprs]
-    lowers = [stats.absorb(_row_run(e, _minimize_expr, model, cfg)) for e in lower_exprs]
-    return _osl_from_rows("gershgorin", uppers, lowers, stats)
-
-
-def _row_run(e: Expr, optimize, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    """A constant row objective needs no optimization run."""
-    return _const_result(e.value) if isinstance(e, Const) else optimize(e, model, cfg)
+    return _row_exprs(psi, spread)
 
 
 def _osl_from_rows(
-    estimator: str, uppers: list[BnBResult], lowers: list[BnBResult], stats: RunStats
+    estimator: str,
+    model: ModelDef,
+    cfg: BnBConfig,
+    upper_exprs: list[Expr],
+    lower_exprs: list[Expr],
 ) -> OSLResult:
-    """Assemble a row-wise OSL bound: the largest row maximum from above,
-    the smallest row minimum from below."""
+    """A row-wise OSL bound: one certified maximization per upper row and
+    one minimization per lower row; the largest row maximum bounds from
+    above, the smallest row minimum from below."""
+    stats = RunStats()
+    uppers = [stats.absorb(_maximize_expr(e, model, cfg)) for e in upper_exprs]
+    lowers = [stats.absorb(_minimize_expr(e, model, cfg)) for e in lower_exprs]
     results = uppers + lowers
     return OSLResult(
         gamma_s=max(res.upper for res in uppers),
@@ -412,6 +414,12 @@ def _osl_from_rows(
         gamma_s_witness=max(res.lower for res in uppers),
         lower_gamma_witness=min(res.upper for res in lowers),
     )
+
+
+def osl_gershgorin(model: ModelDef, cfg: BnBConfig) -> OSLResult:
+    """Row-circle bound on the extremal eigenvalues of the symmetrized
+    G-weighted Jacobian."""
+    return _osl_from_rows("gershgorin", model, cfg, *_gershgorin_row_exprs(build_psi(model)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,67 +443,36 @@ def zeta(n: int) -> float:
     return float(n - 1)
 
 
+def _zeta_row_exprs(
+    psi: tuple[tuple[Expr, ...], ...], zn: float
+) -> tuple[list[Expr], list[Expr]]:
+    """Row objectives ``(+-zn) * max(max(|psi_ij1|, |psi_ij2|), ...) +
+    psi_ii``, the maximum folded left over the row's nonzero off-diagonal
+    entries.  Built without ``simplify``: a factor ``1.0`` (n = 2) or a
+    ``0.0`` diagonal still takes its outward-rounded operation, as
+    written."""
+
+    def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
+        gap = functools.reduce(lambda a, b: Binary(MAX, a, b), offdiag)
+        return Const(zn) * gap + diag, Const(-zn) * gap + diag
+
+    return _row_exprs(psi, spread)
+
+
 def osl_zeta(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Row bound with the dimension factor times the largest absolute
-    off-diagonal entry.  The inner maximum over a row is not a single
-    expression; its interval extension is the entrywise hull of the
-    off-diagonal absolute enclosures."""
+    off-diagonal entry."""
     if model.n < 2:
         raise InvalidDimension("row-gap bound needs at least two states")
     zn = zeta(model.n)
-    psi = build_psi(model)
-    stats = RunStats()
-    uppers: list[BnBResult] = []
-    lowers: list[BnBResult] = []
-    for i in range(model.n):
-        uppers.append(stats.absorb(_zeta_row_run(model, psi, i, zn, 1.0, cfg)))
-        lowers.append(stats.absorb(_zeta_row_run(model, psi, i, zn, -1.0, cfg)))
-    return _osl_from_rows("zeta", uppers, lowers, stats)
-
-
-def _zeta_row_run(
-    model: ModelDef,
-    psi: tuple[tuple[Expr, ...], ...],
-    i: int,
-    zn: float,
-    sign: float,
-    cfg: BnBConfig,
-) -> BnBResult:
-    n = len(psi)
-    row_exprs = [psi[i][i]] + [psi[i][j] for j in range(n) if j != i]
-    domain = reduced_domain(model, row_exprs)
-    diag = compile_expr(psi[i][i], domain.labels)
-    # Identically-zero entries never decide a maximum of absolute values, so
-    # only the nonzero off-diagonal entries need programs.
-    offdiag: list[Program] = [
-        compile_expr(psi[i][j], domain.labels)
-        for j in range(n)
-        if j != i and not is_zero(psi[i][j])
-    ]
-
-    def h(xs: Sequence[float]) -> float:
-        gap = max((abs(p.eval_point(xs)) for p in offdiag), default=0.0)
-        return diag.eval_point(xs) + sign * zn * gap
-
-    def hI(box: Box) -> Interval:
-        # Extension of a pointwise max: componentwise max of the enclosures.
-        hull = Interval(0.0, 0.0)
-        for p in offdiag:
-            iv = p.eval_interval(box.dims).abs()
-            hull = Interval(max(hull.lo, iv.lo), max(hull.hi, iv.hi))
-        scaled = Interval.point(sign * zn) * hull
-        return diag.eval_interval(box.dims) + scaled
-
-    if sign > 0:
-        return maximize(h, hI, domain, cfg)
-    return minimize(h, hI, domain, cfg)
+    return _osl_from_rows("zeta", model, cfg, *_zeta_row_exprs(build_psi(model), zn))
 
 
 # ---------------------------------------------------------------------------
 # Quadratic inner-boundedness
 # ---------------------------------------------------------------------------
 
-_OSL_ESTIMATORS = {
+OSL_ESTIMATORS = {
     "frobenius": osl_frobenius,
     "gershgorin": osl_gershgorin,
     "zeta": osl_zeta,
@@ -539,10 +516,10 @@ def qib(
     """
     if eps1 < 0.0 or eps2 < 0.0:
         raise PreconditionViolated("eps1, eps2 >= 0", f"got {eps1}, {eps2}")
-    if osl_estimator not in _OSL_ESTIMATORS:
+    if osl_estimator not in OSL_ESTIMATORS:
         raise ValueError(f"unknown OSL estimator {osl_estimator!r}")
     stats = RunStats()
-    upper_res = _OSL_ESTIMATORS[osl_estimator](model, cfg)
+    upper_res = OSL_ESTIMATORS[osl_estimator](model, cfg)
     if osl_estimator == "gershgorin":
         lower_res = upper_res
     else:
@@ -553,10 +530,7 @@ def qib(
     norms = _mixed_grad_sq_norms(model)
     eps_optimal = upper_res.eps_optimal and lower_res.eps_optimal
     if distributed:
-        results = [
-            _const_result(0.0) if is_zero(e) else _maximize_expr(e, model, cfg)
-            for e in norms
-        ]
+        results = [_maximize_expr(e, model, cfg) for e in norms]
         gamma_m = sum(res.upper for res in results)
         gamma_m_witness = sum(res.lower for res in results)
         for res in results:

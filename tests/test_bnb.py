@@ -1,5 +1,6 @@
 """Branch-and-bound engine: sandwich, monotonicity, pruning, termination."""
 
+import dataclasses
 import math
 import random
 
@@ -61,6 +62,12 @@ class TestMaximize:
         assert res.stats.splits <= 5 + 1
         assert not res.eps_optimal
         assert res.lower <= 0.25 <= res.upper
+
+    def test_config_is_frozen(self):
+        cfg = BnBConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.segments = 0
+        assert cfg.segments == 10
 
     def test_constant_objective_immediate(self):
         h, hI, box = expr_objective("7.5", [("x", 0.0, 1.0)])

@@ -129,6 +129,18 @@ class TestCommands:
         assert row["lower"] <= 1.0 <= row["value"]
         assert row["eps_optimal"] is True
 
+    def test_maximize_past_an_overflowing_enclosure(self, capsys):
+        # exp overflows on the enclosure of the root box, yet the true
+        # maximum, at x = 0.5 and x = 1.5, is exp(200).
+        code, out, err = run_capture(
+            capsys,
+            ["maximize", "--expr", "exp(800*(x*x - 2*x) + 800)", "--bounds", "x=[0.5,1.5]",
+             "--segments", "1", "--no-timing"],
+        )
+        assert code == 0, err
+        row = json.loads(out)[0]["results"][0]
+        assert row["lower"] <= math.exp(200) <= row["value"]
+
     def test_maximize_unbounded_enclosure_is_a_compute_error(self, capsys):
         # sqrt((x - 1)^2) written so that every box around x = 1 encloses a
         # negative radicand.

@@ -78,6 +78,16 @@ class TestParse:
     def test_scientific_literals(self):
         assert eval_real(parse("1.5e-3 + x"), {"x": 0.0}) == pytest.approx(0.0015)
 
+    def test_max_of_two(self):
+        e = parse("max(x1, 2*x2)")
+        assert e == Binary("max", Var("x1"), Binary("*", Const(2.0), Var("x2")))
+        assert eval_real(e, {"x1": 1.0, "x2": 3.0}) == 6.0
+
+    @pytest.mark.parametrize("text", ["max(x1)", "max(x1, x2, x3)", "max()", "abs(x1, x2)", "x1, x2"])
+    def test_max_takes_exactly_two_arguments(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
 
 class TestDifferentiate:
     def test_difference_of_squares(self):
@@ -113,6 +123,12 @@ class TestDifferentiate:
     def test_abs_of_nonnegative_ok(self):
         d = differentiate(parse("abs(x1^2)"), "x1")
         assert eval_real(d, {"x1": 3.0}) == pytest.approx(6.0)
+
+    def test_max_is_not_differentiated(self):
+        with pytest.raises(NonDifferentiable):
+            differentiate(parse("x1 + max(x1, x2)"), "x2")
+        assert differentiate(parse("max(x1, x2)"), "x3") == Const(0.0)
+        assert differentiate(parse("x3*max(x1, x2)"), "x3") == parse("max(x1, x2)")
 
     def test_quotient_rule(self):
         d = differentiate(parse("x1/(1 + x2^2)"), "x2")
@@ -232,6 +248,10 @@ class TestStructuralKey:
         b = parse("x2*x1 + x1*x1")
         assert structural_key(a) == structural_key(b)
 
+    def test_max_is_not_a_quotient(self):
+        assert structural_key(parse("max(x,y)")) != structural_key(parse("x/y"))
+        assert structural_key(parse("max(x,y)")) == structural_key(parse("max(u,v)"))
+
     def test_constants_matter(self):
         assert structural_key(parse("2*x1^2")) != structural_key(parse("3*x1^2"))
 
@@ -249,6 +269,7 @@ class TestPrintRoundTrip:
             "-(x1 + x2)^2",
             "x1/(x2/x3)",
             "sqrt(x1 + 4)",
+            "max(x1, -x2)^2 - 3*max(max(abs(x1), x2/x3), 0.5)",
         ],
     )
     def test_named_cases(self, text):

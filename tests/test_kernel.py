@@ -21,6 +21,7 @@ from certbound.expr import (
     ABS,
     COS,
     EXP,
+    MAX,
     NEG,
     SIN,
     SQR,
@@ -39,11 +40,17 @@ from certbound.expr import (
 )
 from certbound.intervals import Box, Interval, iv_cos, iv_sin, refined_eval, slab_cuts
 from certbound.model import reduced_domain
-from certbound.params import _mixed_grad_sq_norms, lipschitz_objective
+from certbound.params import (
+    _mixed_grad_sq_norms,
+    _zeta_row_exprs,
+    build_psi,
+    lipschitz_objective,
+    zeta,
+)
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
-BINARY = ("+", "-", "*", "/")
+BINARY = ("+", "-", "*", "/", MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +82,8 @@ def _ref_node(e: Expr, env: dict[str, Interval], degree: int) -> Interval:
         return left - right
     if e.op == "*":
         return left * right
+    if e.op == MAX:
+        return Interval(max(left.lo, right.lo), max(left.hi, right.hi))
     return left / right
 
 
@@ -82,7 +91,7 @@ def ref_interval(e: Expr, box: Box, degree: int = 4) -> Interval:
     try:
         return _ref_node(e, box.env(), degree)
     except OverflowError as exc:
-        raise EvaluationError(f"interval evaluation overflow: {exc}") from exc
+        raise IntervalError(f"interval evaluation overflow: {exc}") from exc
 
 
 def ref_refined(e: Expr, box: Box, segments: int) -> Interval:
@@ -105,7 +114,9 @@ def _ref_point_node(e: Expr, env: dict[str, float]) -> float:
         return {ABS: abs, SQRT: math.sqrt, EXP: math.exp, SIN: math.sin, COS: math.cos}[e.op](a)
     left = _ref_point_node(e.left, env)
     right = _ref_point_node(e.right, env)
-    return {"+": left + right, "-": left - right, "*": left * right}[e.op] if e.op != "/" else left / right
+    if e.op == "/":
+        return left / right
+    return {"+": left + right, "-": left - right, "*": left * right, MAX: max(left, right)}[e.op]
 
 
 def ref_point(e: Expr, names, values) -> float:
@@ -224,8 +235,8 @@ def _box(lo: float, hi: float) -> Box:
         ("x*x*x", 1e200, 1e200, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
         ("sqr(x)", 1e200, 1e200, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
         ("x + x", 1e308, 1e308, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
-        ("x^3", 1e200, 1e200, "EvaluationError", "interval evaluation overflow: (34, 'Numerical result out of range')"),
-        ("exp(x)", 1000.0, 1000.0, "EvaluationError", "interval evaluation overflow: math range error"),
+        ("x^3", 1e200, 1e200, "IntervalError", "interval evaluation overflow: (34, 'Numerical result out of range')"),
+        ("exp(x)", 1000.0, 1000.0, "IntervalError", "interval evaluation overflow: math range error"),
     ],
 )
 def test_error_class_and_message(text, lo, hi, error, message):
@@ -294,6 +305,15 @@ def test_hoisting_exact_on_traffic_case1(traffic_s1):
 def test_hoisting_exact_on_moving_object_qib(moving_object):
     e = simplify(expr_sum(_mixed_grad_sq_norms(moving_object)))
     _assert_hoisting_exact(e, reduced_domain(moving_object, e), random.Random(2))
+
+
+@pytest.mark.parametrize("model_name", ["moving_object", "generator"])
+def test_hoisting_exact_on_zeta_rows(model_name, request):
+    model = request.getfixturevalue(model_name)
+    uppers, lowers = _zeta_row_exprs(build_psi(model), zeta(model.n))
+    rng = random.Random(3)
+    for e in uppers + lowers:
+        _assert_hoisting_exact(e, reduced_domain(model, e), rng)
 
 
 def test_slabs_never_evaluate_the_whole_box():

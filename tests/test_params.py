@@ -12,6 +12,7 @@ from certbound import (
     eval_real,
     parse,
     qib_to_lipschitz,
+    to_text,
     zeta,
 )
 from certbound.errors import (
@@ -20,6 +21,7 @@ from certbound.errors import (
     PreconditionViolated,
 )
 from certbound.params import (
+    _zeta_row_exprs,
     build_psi,
     build_xi,
     jacobian_bounds,
@@ -119,6 +121,17 @@ class TestJacobianBounds:
         entry = jb.entry(1, 3)
         assert (repr(entry.lo), repr(entry.hi)) == ("0.0", "0.0")
         assert jb.stats.runs == 4  # x1 and x2 only
+
+    def test_constant_entries_skip_their_runs(self):
+        bounds = [("x1", -1, 2), ("x2", 0, 1)]
+        linear = jacobian_bounds(small_model(["3*x1 - x2", "x1*x2"], bounds), CFG)
+        alone = jacobian_bounds(small_model(["x1*x2"], bounds), CFG)
+        assert [(repr(linear.entry(1, j).lo), repr(linear.entry(1, j).hi)) for j in (1, 2)] == [
+            ("3.0", "3.0"), ("-1.0", "-1.0")
+        ]
+        assert linear.entry(2, 1) == alone.entry(1, 1)
+        assert linear.stats.evals == alone.stats.evals  # no evaluation for [c, c]
+        assert linear.stats.runs == alone.stats.runs + 4
 
     def test_moving_object_entry(self, moving_object):
         jb = jacobian_bounds(moving_object, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1))
@@ -302,6 +315,22 @@ class TestOSL:
         sampled_hi, sampled_lo = osl_extremal_eigen_sampled(traffic_s1, count=300)
         assert z.gamma_s >= sampled_hi - 1e-9
         assert z.lower_gamma <= sampled_lo + 1e-9
+
+    def test_zeta_rows_are_built_as_written(self):
+        m = small_model(["x2", "x1"], [("x1", -1, 1), ("x2", -1, 1)])
+        uppers, lowers = _zeta_row_exprs(build_psi(m), zeta(m.n))
+        # The factor 1.0 and the 0.0 diagonal stay: each rounds as written.
+        assert [to_text(e) for e in uppers] == ["1.0*abs(1.0) + 0.0"] * 2
+        assert [to_text(e) for e in lowers] == ["-1.0*abs(1.0) + 0.0"] * 2
+
+    def test_zeta_row_folds_max_over_nonzero_entries(self):
+        m = small_model(["x2*x3", "x1", "x1"], [("x1", -1, 1), ("x2", -1, 1), ("x3", -1, 1)])
+        uppers, _ = _zeta_row_exprs(build_psi(m), zeta(m.n))
+        assert [to_text(e) for e in uppers] == [
+            "2.0*max(abs(0.5*(x3 + 1.0)), abs(0.5*(x2 + 1.0))) + 0.0",
+            "2.0*abs(0.5*(1.0 + x3)) + 0.0",  # psi_12 is 0
+            "2.0*abs(0.5*(1.0 + x2)) + 0.0",
+        ]
 
     def test_zeta_needs_two_states(self):
         m = small_model(["x1^2"], [("x1", -1, 1)])
