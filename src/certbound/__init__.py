@@ -1,57 +1,19 @@
 """certbound: certified bounding constants for nonlinear dynamic systems.
 
-Validated interval arithmetic, a derivative-free interval branch-and-bound
-global maximizer, and certified parameterizations (Jacobian bounds,
-Lipschitz, one-sided Lipschitz, quadratic inner-boundedness, quadratic
-boundedness) for models given as expression vectors over a box domain.
+A model (loaded from its text format) goes in; certified Jacobian bounds,
+Lipschitz, one-sided Lipschitz, quadratic inner-boundedness and quadratic
+boundedness constants come out, each from a certified global maximization.
+This package exports that pipeline only.  Everything else is imported from
+its own module: ``certbound.bnb`` (the optimizer), ``certbound.expr``
+(expressions), ``certbound.intervals`` (intervals and boxes),
+``certbound.models`` (built-in models), ``certbound.baselines`` (sampled
+estimates) and ``certbound.errors`` (the exception hierarchy).
 """
 
-from .bnb import BnBConfig, BnBResult, Cover, Subproblem, maximize, minimize
-from .errors import (
-    CertboundError,
-    DegenerateSplit,
-    DimensionMismatch,
-    DivisionByZeroInterval,
-    DomainError,
-    EvaluationError,
-    InvalidDimension,
-    MissingBounds,
-    NecessaryConditionViolated,
-    NonDifferentiable,
-    ParseError,
-    PreconditionViolated,
-    UnboundVariable,
-)
-from .expr import (
-    Expr,
-    Program,
-    compile_expr,
-    differentiate,
-    eval_interval,
-    eval_real,
-    free_vars,
-    parse,
-    simplify,
-    structural_key,
-    to_text,
-)
-from .intervals import Box, Interval, iv_cos, iv_sin, refined_eval
-from .model import (
-    ModelDef,
-    grad_sq_norm,
-    load_model,
-    model_to_text,
-    parse_model_text,
-    reduced_domain,
-)
+from .bnb import BnBConfig
+from .errors import CertboundError
+from .model import ModelDef, load_model, parse_model_text
 from .params import (
-    JacobianBounds,
-    LipschitzResult,
-    OSLResult,
-    QBResult,
-    QIBResult,
-    build_psi,
-    build_xi,
     jacobian_bounds,
     lipschitz_case1,
     lipschitz_case2,
@@ -61,87 +23,23 @@ from .params import (
     qb,
     qib,
     qib_to_lipschitz,
-    zeta,
-)
-from .baselines import SampleReport, halton, jacobian_norm_sampled, sample_max
-from .models import (
-    GeneratorConfig,
-    MovingObjectConfig,
-    TrafficConfig,
-    build_generator,
-    build_moving_object,
-    build_traffic,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BnBConfig",
-    "BnBResult",
-    "Box",
     "CertboundError",
-    "Cover",
-    "DegenerateSplit",
-    "DimensionMismatch",
-    "DivisionByZeroInterval",
-    "DomainError",
-    "EvaluationError",
-    "Expr",
-    "GeneratorConfig",
-    "Interval",
-    "InvalidDimension",
-    "JacobianBounds",
-    "LipschitzResult",
-    "MissingBounds",
     "ModelDef",
-    "MovingObjectConfig",
-    "NecessaryConditionViolated",
-    "NonDifferentiable",
-    "OSLResult",
-    "ParseError",
-    "PreconditionViolated",
-    "Program",
-    "QBResult",
-    "QIBResult",
-    "SampleReport",
-    "Subproblem",
-    "TrafficConfig",
-    "UnboundVariable",
-    "build_generator",
-    "build_moving_object",
-    "build_psi",
-    "build_traffic",
-    "build_xi",
-    "compile_expr",
-    "differentiate",
-    "eval_interval",
-    "eval_real",
-    "free_vars",
-    "grad_sq_norm",
-    "halton",
-    "iv_cos",
-    "iv_sin",
     "jacobian_bounds",
-    "jacobian_norm_sampled",
     "lipschitz_case1",
     "lipschitz_case2",
     "load_model",
-    "maximize",
-    "minimize",
-    "model_to_text",
     "osl_frobenius",
     "osl_gershgorin",
     "osl_zeta",
-    "parse",
     "parse_model_text",
     "qb",
     "qib",
     "qib_to_lipschitz",
-    "reduced_domain",
-    "refined_eval",
-    "sample_max",
-    "simplify",
-    "structural_key",
-    "to_text",
-    "zeta",
 ]

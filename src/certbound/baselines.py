@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .eigen import induced_two_norm
 from .errors import DomainError
-from .expr import compile_expr
+from .expr import Program
 from .intervals import Box
 from .model import ModelDef
 
@@ -163,50 +163,26 @@ def sample_max(
     return SampleReport(best, best_point, seen, method)
 
 
-def _jacobian_at(
-    model: ModelDef, labels: Sequence[str]
-) -> Callable[[Sequence[float]], list[list[float]]]:
-    """The state Jacobian as a function of a point over ``labels``; an
-    entry absent from ``model.state_jacobian`` is 0.0 and has no program."""
-    rows = [
-        [(j, compile_expr(d, labels)) for j, d in partials]
-        for partials in model.state_jacobian
-    ]
-
-    def matrix(point: Sequence[float]) -> list[list[float]]:
-        out = [[0.0] * model.n for _ in rows]
-        for values, row in zip(out, rows):
-            for j, program in row:
-                values[j] = program.eval_point(point)
-        return out
-
-    return matrix
-
-
-def jacobian_norm_at(model: ModelDef, point: Sequence[float]) -> float:
-    """Induced 2-norm of the state Jacobian of the component vector at one
-    point (states first, inputs after, in declaration order)."""
-    return induced_two_norm(_jacobian_at(model, model.omega().labels)(point))
-
-
 def jacobian_norm_sampled(
     model: ModelDef, domain: Box | None = None, count: int = 1000
 ) -> SampleReport:
     """Maximum sampled induced 2-norm of the state Jacobian: the classical
     point-sampled reference estimate of the Lipschitz constant.  Not
     certified; it under-approximates whenever the sample misses the true
-    maximizer."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    maximizer.  An entry absent from ``model.state_jacobian`` is 0.0 and
+    has no program."""
     if domain is None:
         domain = model.omega()
-    jacobian = _jacobian_at(model, domain.labels)
-    best = -math.inf
-    best_point = domain.midpoint()
-    seen = 0
-    for point in halton_points_in_box(domain, count):
-        value = induced_two_norm(jacobian(point))
-        seen += 1
-        if value > best:
-            best, best_point = value, point
-    return SampleReport(best, best_point, seen, "halton")
+    rows = [
+        [(j, Program(d, domain.labels)) for j, d in partials]
+        for partials in model.state_jacobian
+    ]
+
+    def norm(point: Sequence[float]) -> float:
+        matrix = [[0.0] * model.n for _ in rows]
+        for values, row in zip(matrix, rows):
+            for j, program in row:
+                values[j] = program.eval_point(point)
+        return induced_two_norm(matrix)
+
+    return sample_max(norm, domain, count)

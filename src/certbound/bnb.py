@@ -23,6 +23,7 @@ cannot contain a maximizer.  On return ``h*`` lies in ``[lower, upper]`` and
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
@@ -77,12 +78,6 @@ class Cover:
         return [
             s for s in self._alive.values() if s.hi_bound >= self._watermark
         ]
-
-    def __len__(self) -> int:
-        return len(self.subproblems)
-
-    def __iter__(self):
-        return iter(self.subproblems)
 
     def add(self, sub: Subproblem) -> None:
         # Ties break toward the wider box, then the earlier insertion.
@@ -150,8 +145,8 @@ class BnBConfig:
     record_history: bool = False
 
     def __post_init__(self) -> None:
-        if self.eps_h <= 0 or self.eps_om <= 0:
-            raise ValueError("eps_h and eps_om must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.eps_h, self.eps_om)):
+            raise ValueError("eps_h and eps_om must be finite and positive")
         if self.segments < 1 or self.max_steps < 1:
             raise ValueError("segments and max_steps must be >= 1")
 

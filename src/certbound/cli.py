@@ -8,6 +8,7 @@ standard error only.  Exit codes: 0 success, 2 usage error, 3 model error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -16,9 +17,9 @@ from typing import Callable, Sequence
 from . import baselines, params
 from .bnb import BnBConfig, maximize
 from .errors import CertboundError, ParseError
-from .expr import compile_expr, free_vars, parse, simplify
-from .intervals import Box
-from .model import ModelDef, load_model, model_to_text, reduced_domain
+from .expr import Program, free_vars, parse, simplify
+from .intervals import Box, Interval
+from .model import ModelDef, load_model, model_to_text, parse_interval, reduced_domain
 from .models import (
     GeneratorConfig,
     MovingObjectConfig,
@@ -43,14 +44,13 @@ def _fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_model: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="model definition file", default=None)
     parser.add_argument("--eps-h", type=float, default=1e-4, help="objective gap tolerance")
     parser.add_argument("--eps-om", type=float, default=1e-7, help="minimum splittable box width")
     parser.add_argument("--segments", type=int, default=10, help="slabs per interval bound evaluation")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--no-timing", action="store_true", help="omit wall times (byte-identical reports)")
-    parser.set_defaults(_needs_model=needs_model)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,29 +62,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lipschitz", help="certified Lipschitz constant")
     p.add_argument("--case", type=int, choices=(1, 2), default=1)
-    _add_common(p, needs_model=True)
+    _add_common(p)
 
     p = sub.add_parser("osl", help="one-sided Lipschitz constant")
     p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
-    _add_common(p, needs_model=True)
+    _add_common(p)
 
     p = sub.add_parser("qib", help="quadratic inner-boundedness constants")
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
     p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
     p.add_argument("--distributed", action="store_true")
-    _add_common(p, needs_model=True)
+    _add_common(p)
 
     p = sub.add_parser("qb", help="quadratic-boundedness matrix")
-    _add_common(p, needs_model=True)
+    _add_common(p)
 
     p = sub.add_parser("jacobian", help="certified partial-derivative bounds")
-    _add_common(p, needs_model=True)
+    _add_common(p)
 
     p = sub.add_parser("maximize", help="certified maximum of an expression")
     p.add_argument("--expr", required=True)
     p.add_argument("--bounds", required=True, help='e.g. "x=[0,1];y=[-1,2]"')
-    _add_common(p, needs_model=False)
+    _add_common(p)
 
     p = sub.add_parser("baseline", help="point-sampled under-approximations")
     p.add_argument(
@@ -96,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective", choices=("lipschitz", "jacobian-norm"), default="lipschitz"
     )
-    _add_common(p, needs_model=True)
+    _add_common(p)
 
     p = sub.add_parser("traffic-table", help="traffic-network regression rows")
     p.add_argument("--sections", required=True, help="comma-separated section counts")
     p.add_argument("--case", type=int, choices=(1, 2), default=1)
-    _add_common(p, needs_model=False)
+    _add_common(p)
 
     p = sub.add_parser("make-model", help="emit a built-in model file")
     p.add_argument("kind", choices=("traffic", "moving-object", "generator"))
@@ -113,58 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphas", default=None, help="generator: six comma-separated constants"
     )
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.set_defaults(_needs_model=False)
 
     return parser
 
 
-def _parse_bounds_arg(text: str) -> list[tuple[str, float, float]]:
-    out = []
-    seen: set[str] = set()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise _ModelError(f"bad bounds entry {chunk!r}; expected name=[lo,hi]")
-        name, spec = chunk.split("=", 1)
-        spec = spec.strip()
-        if not (spec.startswith("[") and spec.endswith("]")):
-            raise _ModelError(f"bad bounds entry {chunk!r}; expected name=[lo,hi]")
-        parts = spec[1:-1].split(",")
-        if len(parts) != 2:
-            raise _ModelError(f"bad bounds entry {chunk!r}; expected two endpoints")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise _ModelError(f"bad bounds entry {chunk!r}; {exc}") from exc
-        name = name.strip()
-        if name in seen:
-            raise _ModelError(f"duplicate bounds for {name!r}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise _ModelError(f"bad bounds entry {chunk!r}; endpoints must be finite")
-        if lo > hi:
-            raise _ModelError(f"bad bounds entry {chunk!r}; lower endpoint above upper")
-        seen.add(name)
-        out.append((name, lo, hi))
-    if not out:
-        raise _ModelError("empty bounds specification")
-    return out
+@contextlib.contextmanager
+def _model_errors(what: str):
+    """Report a ``CertboundError`` or ``ValueError`` raised inside the block
+    as a model error (exit 3) prefixed by ``what``."""
+    try:
+        yield
+    except (CertboundError, ValueError) as exc:
+        raise _ModelError(f"{what}: {exc}") from exc
 
 
-def _parse_interval_list(text: str, what: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("[") and chunk.endswith("]")):
-            raise _ModelError(f"bad {what} entry {chunk!r}")
-        parts = chunk[1:-1].split(",")
-        if len(parts) != 2:
-            raise _ModelError(f"bad {what} entry {chunk!r}")
-        out.append((float(parts[0]), float(parts[1])))
-    return tuple(out)
+def _intervals(text: str) -> tuple[tuple[float, float], ...]:
+    """The endpoints of ``[lo, hi]`` entries separated by ``;``."""
+    ivs = [parse_interval(chunk) for chunk in text.split(";") if chunk.strip()]
+    return tuple((iv.lo, iv.hi) for iv in ivs)
 
 
 def _load_model(args) -> tuple[ModelDef, str]:
@@ -173,28 +139,15 @@ def _load_model(args) -> tuple[ModelDef, str]:
     try:
         with open(args.model, "rb") as fh:
             data = fh.read()
-        model = load_model(args.model)
+        with _model_errors(f"invalid model {args.model}"):
+            model = load_model(args.model)
     except OSError as exc:
         raise _ModelError(f"cannot read model: {exc}") from exc
-    except (CertboundError, ValueError) as exc:
-        raise _ModelError(f"invalid model {args.model}: {exc}") from exc
     return model, _fingerprint(data)
 
 
 def _cfg(args) -> BnBConfig:
     return BnBConfig(eps_h=args.eps_h, eps_om=args.eps_om, segments=args.segments)
-
-
-def _config_echo(args) -> dict:
-    return {
-        "eps_h": args.eps_h,
-        "eps_om": args.eps_om,
-        "segments": args.segments,
-    }
-
-
-def _ms(seconds: float) -> float:
-    return seconds * 1000.0
 
 
 def _stats_fields(eps_optimal: bool, stats: params.RunStats, gap: float | None = None) -> dict:
@@ -204,14 +157,14 @@ def _stats_fields(eps_optimal: bool, stats: params.RunStats, gap: float | None =
         eps_optimal=eps_optimal,
         subproblems=stats.runs,
         evals=stats.evals,
-        wall_time_ms=_ms(stats.wall_time),
+        wall_time_ms=stats.wall_time * 1000.0,
     )
 
 
 def _report(args, fingerprint: str, rows: list[ConstantRow], label: str = "") -> RunReport:
     return RunReport(
         command=" ".join(args._argv),
-        config=_config_echo(args),
+        config={"eps_h": args.eps_h, "eps_om": args.eps_om, "segments": args.segments},
         model_fingerprint=fingerprint,
         results=rows,
         label=label,
@@ -287,19 +240,34 @@ def _cmd_jacobian(args) -> list[RunReport]:
     return [_report(args, fp, rows)]
 
 
+def _bounds_box(text: str) -> Box:
+    """The box written as ``name=[lo,hi]`` entries separated by ``;``."""
+    bounds: dict[str, Interval] = {}
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
+        name, _, spec = chunk.partition("=")
+        name = name.strip()
+        if name in bounds:
+            raise _ModelError(f"duplicate bounds for {name!r}")
+        with _model_errors(f"bad bounds entry {chunk!r}"):
+            bounds[name] = parse_interval(spec)
+    if not bounds:
+        raise _ModelError("empty bounds specification")
+    return Box(tuple(bounds.values()), tuple(bounds))
+
+
 def _cmd_maximize(args) -> list[RunReport]:
-    bounds = _parse_bounds_arg(args.bounds)
+    box = _bounds_box(args.bounds)
     try:
         expression = simplify(parse(args.expr))
     except ParseError as exc:
         raise _ModelError(f"bad --expr: {exc}") from exc
     used = free_vars(expression)
-    unknown = used - {name for name, _, _ in bounds}
+    unknown = used - set(box.labels)
     if unknown:
         raise _ModelError(f"--bounds missing variables {sorted(unknown)}")
     # Search only the variables the expression uses: an unused one would be
     # bisected without tightening anything.  A constant keeps the full box.
-    domain = Box.from_bounds([b for b in bounds if b[0] in used] or bounds)
+    domain = box.restrict(used)
     stats = params.RunStats()
     res = stats.absorb(params._optimize_over(maximize, expression, domain, _cfg(args)))
     fields = _stats_fields(res.eps_optimal, stats, res.gap)
@@ -316,7 +284,7 @@ def _cmd_baseline(args) -> list[RunReport]:
     else:
         objective = params.lipschitz_objective(model)
         domain = reduced_domain(model, objective)
-        program = compile_expr(objective, domain.labels)
+        program = Program(objective, domain.labels)
         rep = baselines.sample_max(
             program.eval_point, domain, args.count, method=args.method
         )
@@ -331,47 +299,48 @@ def _cmd_baseline(args) -> list[RunReport]:
 
 
 def _cmd_traffic_table(args) -> list[RunReport]:
-    try:
+    with _model_errors("bad --sections"):
         section_counts = [int(tok) for tok in args.sections.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _ModelError(f"bad --sections: {exc}") from exc
     if not section_counts:
         raise _ModelError("--sections is empty")
     reports = []
     for s in section_counts:
-        model, _ = build_traffic(TrafficConfig(sections=s))
+        with _model_errors("invalid model parameters"):
+            model, _ = build_traffic(TrafficConfig(sections=s))
         fp = _fingerprint(model_to_text(model).encode())
         reports.append(_report(args, fp, [_lipschitz_row(args, model)], label=str(model.n)))
     return reports
 
 
-def _cmd_make_model(args) -> int:
+def _built_model(args) -> ModelDef:
     if args.kind == "traffic":
-        model, _ = build_traffic(TrafficConfig(sections=args.sections))
-    elif args.kind == "moving-object":
-        model = build_moving_object(MovingObjectConfig(r=args.radius))
-    else:
-        if not args.state_bounds or not args.input_bounds:
-            raise _ModelError(
-                "generator needs --state-bounds and --input-bounds"
-            )
-        alphas = (1.0,) * 6
-        if args.alphas:
-            alphas = tuple(float(tok) for tok in args.alphas.split(","))
-            if len(alphas) != 6:
-                raise _ModelError("--alphas needs six comma-separated values")
-        model = build_generator(
-            GeneratorConfig(
-                alpha1=alphas[0],
-                alpha3=alphas[1],
-                alpha4=alphas[2],
-                alpha6=alphas[3],
-                alpha8=alphas[4],
-                alpha10=alphas[5],
-                state_bounds=_parse_interval_list(args.state_bounds, "state bound"),
-                input_bounds=_parse_interval_list(args.input_bounds, "input bound"),
-            )
+        return build_traffic(TrafficConfig(sections=args.sections))[0]
+    if args.kind == "moving-object":
+        return build_moving_object(MovingObjectConfig(r=args.radius))
+    if not args.state_bounds or not args.input_bounds:
+        raise ValueError("generator needs --state-bounds and --input-bounds")
+    alphas = (1.0,) * 6
+    if args.alphas:
+        alphas = tuple(float(tok) for tok in args.alphas.split(","))
+        if len(alphas) != 6:
+            raise ValueError("--alphas needs six comma-separated values")
+    return build_generator(
+        GeneratorConfig(
+            alpha1=alphas[0],
+            alpha3=alphas[1],
+            alpha4=alphas[2],
+            alpha6=alphas[3],
+            alpha8=alphas[4],
+            alpha10=alphas[5],
+            state_bounds=_intervals(args.state_bounds),
+            input_bounds=_intervals(args.input_bounds),
         )
+    )
+
+
+def _cmd_make_model(args) -> int:
+    with _model_errors("invalid model parameters"):
+        model = _built_model(args)
     text = model_to_text(model)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -66,10 +66,6 @@ def lambda_max(a: MatrixLike) -> float:
     return jacobi_eigenvalues(a)[-1]
 
 
-def lambda_min(a: MatrixLike) -> float:
-    return jacobi_eigenvalues(a)[0]
-
-
 def induced_two_norm(a: MatrixLike) -> float:
     """Largest singular value of a (possibly rectangular) matrix, via the
     symmetric eigenproblem on A*A^T."""
@@ -82,23 +78,3 @@ def induced_two_norm(a: MatrixLike) -> float:
     top = lambda_max(gram)
     return math.sqrt(max(top, 0.0))
 
-
-def gershgorin_upper(a: MatrixLike) -> float:
-    """Upper bound for the largest eigenvalue of a symmetric matrix: the
-    max over rows of diagonal plus absolute off-diagonal row sum."""
-    n = _check_square(a)
-    return max(
-        a[i][i] + sum(abs(a[i][j]) for j in range(n) if j != i) for i in range(n)
-    )
-
-
-def row_gap_upper(a: MatrixLike, zeta: float) -> float:
-    """Upper bound for the largest eigenvalue using the dimension-dependent
-    factor ``zeta`` times the largest absolute off-diagonal row entry."""
-    n = _check_square(a)
-    if n < 2:
-        raise DimensionMismatch("bound needs dimension >= 2")
-    return max(
-        a[i][i] + zeta * max(abs(a[i][j]) for j in range(n) if j != i)
-        for i in range(n)
-    )

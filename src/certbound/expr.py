@@ -134,6 +134,12 @@ def expr_sum(terms: Iterable[Expr]) -> Expr | None:
     return functools.reduce(operator.add, terms) if terms else None
 
 
+def sum_or_zero(terms: Iterable[Expr]) -> Expr:
+    """The simplified ``expr_sum`` of ``terms``; ``0`` when there are none."""
+    total = expr_sum(terms)
+    return simplify(total) if total is not None else ZERO
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     out: set[str] = set()
     stack = [e]
@@ -882,10 +888,6 @@ class Program:
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
         return Interval(lo, hi)
-
-
-def compile_expr(e: Expr, var_order: Sequence[str]) -> Program:
-    return Program(e, var_order)
 
 
 def eval_real(e: Expr, point: Mapping[str, float]) -> float:

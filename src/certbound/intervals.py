@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
 
@@ -298,9 +298,6 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
@@ -390,10 +387,6 @@ class Box:
     def __len__(self) -> int:
         return len(self.dims)
 
-    @property
-    def width(self) -> float:
-        return max(iv.width for iv in self.dims)
-
     def widest(self) -> tuple[int, float]:
         """The first dimension of greatest width, and that width."""
         widths = [iv.width for iv in self.dims]
@@ -438,6 +431,14 @@ class Box:
             self.replace_dim(dim, Interval(iv.lo, point)),
             self.replace_dim(dim, Interval(point, iv.hi)),
         )
+
+    def restrict(self, names: Collection[str]) -> "Box":
+        """The box over the labels in ``names``, in this box's order; the
+        whole box when no label is in ``names``."""
+        keep = [k for k, label in enumerate(self.labels) if label in names]
+        if not keep:
+            return self
+        return Box(tuple(self.dims[k] for k in keep), tuple(self.labels[k] for k in keep))
 
     def env(self) -> dict[str, Interval]:
         return dict(zip(self.labels, self.dims))

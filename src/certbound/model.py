@@ -27,21 +27,20 @@ Constants are substituted while expressions are parsed.  ``[inputs]``,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, MissingBounds, ParseError
 from .expr import (
     Expr,
-    Unary,
-    SQR,
-    as_expr,
     differentiate,
-    expr_sum,
     free_vars,
     is_zero,
     parse,
     simplify,
+    sqr,
+    sum_or_zero,
     to_text,
 )
 from .intervals import Box, Interval
@@ -112,9 +111,6 @@ class ModelDef:
             self.state_names + self.input_names,
         )
 
-    def state_box(self) -> Box:
-        return Box(self.state_bounds, self.state_names)
-
     def bound_of(self, name: str) -> Interval:
         for names, bounds in (
             (self.state_names, self.state_bounds),
@@ -156,8 +152,7 @@ def grad_sq_norm(model: ModelDef, i: int) -> Expr:
     the sum over state variables of the squared partial derivatives."""
     if not 1 <= i <= model.g:
         raise DimensionMismatch(f"component index {i} outside 1..{model.g}")
-    total = expr_sum(Unary(SQR, d) for _, d in model.state_jacobian[i - 1])
-    return simplify(total) if total is not None else as_expr(0.0)
+    return sum_or_zero(sqr(d) for _, d in model.state_jacobian[i - 1])
 
 
 def reduced_domain(model: ModelDef, exprs: Expr | Iterable[Expr]) -> Box:
@@ -169,19 +164,7 @@ def reduced_domain(model: ModelDef, exprs: Expr | Iterable[Expr]) -> Box:
     used: set[str] = set()
     for e in exprs:
         used |= free_vars(e)
-    names: list[str] = []
-    bounds: list[Interval] = []
-    for group_names, group_bounds in (
-        (model.state_names, model.state_bounds),
-        (model.input_names, model.input_bounds),
-    ):
-        for name, bound in zip(group_names, group_bounds):
-            if name in used:
-                names.append(name)
-                bounds.append(bound)
-    if not names:
-        return model.omega()
-    return Box(tuple(bounds), tuple(names))
+    return model.omega().restrict(used)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +269,23 @@ def _parse_float(token: str, lineno: int) -> float:
 
 def _parse_bound_line(line: str, lineno: int) -> tuple[str, Interval]:
     name, value = _split_assignment(line, lineno)
-    value = value.strip()
-    if not (value.startswith("[") and value.endswith("]")):
-        raise ParseError(f"expected 'name = [lo, hi]' on line {lineno}", 0, ("[",))
-    parts = value[1:-1].split(",")
-    if len(parts) != 2:
-        raise ParseError(f"expected two bounds on line {lineno}", 0)
-    lo = _parse_float(parts[0].strip(), lineno)
-    hi = _parse_float(parts[1].strip(), lineno)
-    return name, Interval(lo, hi)
+    try:
+        return name, parse_interval(value)
+    except ValueError as exc:
+        raise ParseError(f"{exc} on line {lineno}", 0) from None
+
+
+def parse_interval(text: str) -> Interval:
+    """The interval written ``[lo, hi]``.  Raises ``ValueError`` when the
+    text has another form, an endpoint is not a finite number, or
+    ``lo > hi``."""
+    text = text.strip()
+    parts = text[1:-1].split(",")
+    if not (text.startswith("[") and text.endswith("]")) or len(parts) != 2:
+        raise ValueError(f"expected [lo, hi], got {text!r}")
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"endpoints must be finite in {text!r}")
+    if lo > hi:
+        raise ValueError(f"lower endpoint above upper in {text!r}")
+    return Interval(lo, hi)

@@ -22,6 +22,7 @@ a section is this library's convention.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -180,8 +181,8 @@ class MovingObjectConfig:
     r: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise MissingBounds("moving-object radius must be positive")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise MissingBounds("moving-object radius must be finite and positive")
 
 
 def build_moving_object(cfg: MovingObjectConfig = MovingObjectConfig()) -> ModelDef:

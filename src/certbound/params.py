@@ -38,13 +38,14 @@ from .expr import (
     Const,
     Expr,
     Unary,
-    compile_expr,
+    Program,
     eval_real,
     expr_sum,
     is_zero,
     simplify,
     sqr,
     structural_key_with_vars,
+    sum_or_zero,
 )
 from .intervals import Box, Interval
 from .model import ModelDef, grad_sq_norm, reduced_domain, state_partials
@@ -149,7 +150,7 @@ class QBResult:
 def _optimize_over(optimize, e: Expr, domain: Box, cfg: BnBConfig) -> BnBResult:
     """``optimize`` (``maximize`` or ``minimize``) of ``e`` over ``domain``;
     every variable of ``e`` must be a label of the box."""
-    program = compile_expr(e, domain.labels)
+    program = Program(e, domain.labels)
     return optimize(program.eval_point, program, domain, cfg)
 
 
@@ -168,12 +169,6 @@ def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
 
 def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
     return _optimize_expr(minimize, e, model, cfg)
-
-
-def _sum_or_zero(terms: list[Expr]) -> Expr:
-    """The simplified ``expr_sum`` of ``terms``; ``0`` when there are none."""
-    total = expr_sum(terms)
-    return simplify(total) if total is not None else Const(0.0)
 
 
 def _const_result(value: float) -> BnBResult:
@@ -228,7 +223,7 @@ def lipschitz_objective(model: ModelDef) -> Expr:
     of case 1 and of the sampled Lipschitz baseline.  ``0`` when no
     component depends on a state."""
     terms = (grad_sq_norm(model, i) for i in range(1, model.g + 1))
-    return _sum_or_zero([t for t in terms if not is_zero(t)])
+    return sum_or_zero([t for t in terms if not is_zero(t)])
 
 
 def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
@@ -313,7 +308,7 @@ def build_xi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
             if weight != 0.0:
                 for j, d in partials:
                     terms[j].append(d if weight == 1.0 else Const(weight) * d)
-        rows.append(tuple(_sum_or_zero(column) for column in terms))
+        rows.append(tuple(sum_or_zero(column) for column in terms))
     return tuple(rows)
 
 
@@ -482,7 +477,7 @@ OSL_ESTIMATORS = {
 def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
     """The G-weighted component functions (one per state)."""
     return tuple(
-        _sum_or_zero([
+        sum_or_zero([
             fj if weight == 1.0 else Const(weight) * fj
             for weight, fj in zip(row, model.f)
             if weight != 0.0
@@ -493,7 +488,7 @@ def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
 
 def _mixed_grad_sq_norms(model: ModelDef) -> list[Expr]:
     return [
-        _sum_or_zero([sqr(d) for _, d in state_partials(xi_i, model.state_names)])
+        sum_or_zero([sqr(d) for _, d in state_partials(xi_i, model.state_names)])
         for xi_i in mixed_components(model)
     ]
 
@@ -514,7 +509,7 @@ def qib(
     ``distributed=True`` bounds that maximum by the sum of per-component
     maxima (cheaper, more conservative).
     """
-    if eps1 < 0.0 or eps2 < 0.0:
+    if not (eps1 >= 0.0 and eps2 >= 0.0):
         raise PreconditionViolated("eps1, eps2 >= 0", f"got {eps1}, {eps2}")
     if osl_estimator not in OSL_ESTIMATORS:
         raise ValueError(f"unknown OSL estimator {osl_estimator!r}")
@@ -630,26 +625,3 @@ def qib_to_lipschitz(gamma_q1: float, gamma_q2: float) -> float:
         )
     return math.sqrt(radicand)
 
-
-def osl_extremal_eigen_sampled(
-    model: ModelDef, count: int = 1000
-) -> tuple[float, float]:
-    """Sampled (non-certified) extremal eigenvalues of the symmetrized
-    G-weighted Jacobian over the admissible box: a diagnostic for how tight
-    the certified one-sided bounds are."""
-    from .baselines import halton_points_in_box
-    from .eigen import jacobi_eigenvalues
-
-    psi = build_psi(model)
-    domain = model.omega()
-    programs = [
-        [compile_expr(entry, domain.labels) for entry in row] for row in psi
-    ]
-    hi = -math.inf
-    lo = math.inf
-    for point in halton_points_in_box(domain, count):
-        matrix = [[p.eval_point(point) for p in row] for row in programs]
-        eigs = jacobi_eigenvalues(matrix)
-        lo = min(lo, eigs[0])
-        hi = max(hi, eigs[-1])
-    return hi, lo

@@ -8,14 +8,11 @@ from decimal import Decimal, getcontext
 
 import pytest
 
-from certbound import (
-    Box,
-    Interval,
-    ModelDef,
-    parse,
-    simplify,
-)
-from certbound.expr import Const, Expr, PowInt, Var
+from certbound import ModelDef
+from certbound.baselines import halton_points_in_box
+from certbound.eigen import jacobi_eigenvalues
+from certbound.expr import Const, Expr, PowInt, Program, Var, parse, simplify
+from certbound.intervals import Box, Interval
 from certbound.models import (
     GeneratorConfig,
     MovingObjectConfig,
@@ -24,6 +21,7 @@ from certbound.models import (
     build_moving_object,
     build_traffic,
 )
+from certbound.params import build_psi
 
 # ---------------------------------------------------------------------------
 # Corpus models
@@ -183,8 +181,6 @@ def dense_max(
 ) -> float:
     """Sampled maximum over a grid plus quasi-random points plus any extras;
     a lower bound on the true maximum by construction."""
-    from certbound.baselines import halton_points_in_box
-
     dim = len(box)
     per_dim = {1: 400, 2: 60, 3: 18, 4: 10}.get(dim, 6)
     best = -math.inf
@@ -212,3 +208,38 @@ def dense_max(
         if point and box.contains(point):
             best = max(best, h(point))
     return best
+
+
+def gershgorin_upper(a) -> float:
+    """Upper bound for the largest eigenvalue of a symmetric matrix: the
+    max over rows of diagonal plus absolute off-diagonal row sum."""
+    n = len(a)
+    return max(
+        a[i][i] + sum(abs(a[i][j]) for j in range(n) if j != i) for i in range(n)
+    )
+
+
+def row_gap_upper(a, zeta: float) -> float:
+    """Upper bound for the largest eigenvalue of a symmetric matrix of
+    dimension >= 2, using the dimension-dependent factor ``zeta`` times the
+    largest absolute off-diagonal row entry."""
+    n = len(a)
+    return max(
+        a[i][i] + zeta * max(abs(a[i][j]) for j in range(n) if j != i)
+        for i in range(n)
+    )
+
+
+def osl_extremal_eigen_sampled(model: ModelDef, count: int = 1000) -> tuple[float, float]:
+    """Sampled (non-certified) extremal eigenvalues of the symmetrized
+    G-weighted Jacobian over the admissible box: a lower bound on the
+    largest eigenvalue and an upper bound on the smallest."""
+    domain = model.omega()
+    programs = [[Program(entry, domain.labels) for entry in row] for row in build_psi(model)]
+    hi = -math.inf
+    lo = math.inf
+    for point in halton_points_in_box(domain, count):
+        eigs = jacobi_eigenvalues([[p.eval_point(point) for p in row] for row in programs])
+        lo = min(lo, eigs[0])
+        hi = max(hi, eigs[-1])
+    return hi, lo

@@ -11,22 +11,13 @@ import random
 
 import pytest
 
-from certbound import (
-    BnBConfig,
-    Box,
-    Interval,
-    compile_expr,
-    free_vars,
-    grad_sq_norm,
-    iv_cos,
-    iv_sin,
-    maximize,
-    zeta,
-)
+from certbound import BnBConfig
 from certbound.baselines import sample_max
-from certbound.eigen import gershgorin_upper, jacobi_eigenvalues, row_gap_upper
-from certbound.expr import simplify
-from certbound.model import ModelDef, reduced_domain
+from certbound.bnb import maximize
+from certbound.eigen import jacobi_eigenvalues
+from certbound.expr import Program, free_vars, simplify
+from certbound.intervals import Box, Interval, iv_cos, iv_sin
+from certbound.model import ModelDef, grad_sq_norm, reduced_domain
 from certbound.params import (
     jacobian_bounds,
     lipschitz_case1,
@@ -35,14 +26,17 @@ from certbound.params import (
     osl_gershgorin,
     qb,
     qib,
+    zeta,
 )
 from conftest import (
     corpus_expressions,
     dec_cos,
     dec_sin,
     dense_max,
+    gershgorin_upper,
     random_points,
     random_polynomial,
+    row_gap_upper,
 )
 from test_params import zeta_oracle
 
@@ -83,7 +77,7 @@ def case1_objective(model: ModelDef):
         total = term if total is None else total + term
     objective = simplify(total)
     domain = reduced_domain(model, objective)
-    return compile_expr(objective, domain.labels), domain
+    return Program(objective, domain.labels), domain
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator):
             lo = rng.uniform(-2.0, 0.5)
             bounds.append((name, lo, lo + rng.uniform(0.5, 2.5)))
         domain = Box.from_bounds(bounds)
-        program = compile_expr(e, domain.labels)
+        program = Program(e, domain.labels)
         cfg = BnBConfig(
             eps_h=1e-5, eps_om=1e-9, segments=2, max_steps=15000,
             record_history=True,
@@ -208,7 +202,7 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator):
         _sandwich_check(program, domain, cfg)
         count += 1
 
-    from certbound import parse
+    from certbound.expr import parse
 
     for text, bounds, eps in (
         ("x*(1 - x)", [("x", 0.0, 1.0)], 1e-7),
@@ -217,7 +211,7 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator):
         ("abs(x - 0.25) + 0.1*y", [("x", -1.0, 1.0), ("y", 0.0, 1.0)], 1e-6),
     ):
         domain = Box.from_bounds(bounds)
-        program = compile_expr(simplify(parse(text)), domain.labels)
+        program = Program(simplify(parse(text)), domain.labels)
         cfg = BnBConfig(eps_h=eps, eps_om=1e-10, segments=1, max_steps=20000,
                         record_history=True)
         _sandwich_check(program, domain, cfg)
@@ -240,7 +234,7 @@ def test_criterion_07_enclosure_suite(traffic_s1, moving_object, generator):
     )
     checked = 0
     for index, (e, box) in enumerate(cases):
-        program = compile_expr(e, box.labels)
+        program = Program(e, box.labels)
         for point in random_points(box, 10_000, seed=7000 + index):
             value = program.eval_point(point)
             iv = program.eval_interval([Interval(x, x) for x in point])
@@ -296,7 +290,7 @@ def _le(lhs: float, rhs: float) -> bool:
 
 def _model_harness(model: ModelDef, seed: int, pairs: int = 10_000):
     domain = model.omega()
-    programs = [compile_expr(fi, domain.labels) for fi in model.f]
+    programs = [Program(fi, domain.labels) for fi in model.f]
     G = model.effective_G() if model.g == model.n or model.G is not None else None
     rng = random.Random(seed)
     n = model.n
@@ -351,8 +345,8 @@ def _check_qib(samples, G, r):
 
 
 def _check_qb(model, diag, seed):
-    domain = model.state_box()
-    programs = [compile_expr(fi, domain.labels) for fi in model.f]
+    domain = model.omega()
+    programs = [Program(fi, domain.labels) for fi in model.f]
     for point in random_points(domain, 10_000, seed=seed):
         fx = [p.eval_point(point) for p in programs]
         lhs = sum(v * v for v in fx)
@@ -361,13 +355,13 @@ def _check_qb(model, diag, seed):
 
 
 def _check_jacobian(model, jb, seed):
-    from certbound import differentiate
+    from certbound.expr import differentiate
 
     domain = model.omega()
     for i in range(1, model.g + 1):
         for j, name in enumerate(model.state_names, start=1):
             d = differentiate(model.f[i - 1], name)
-            program = compile_expr(d, domain.labels)
+            program = Program(d, domain.labels)
             iv = jb.entry(i, j)
             for point in random_points(domain, 300, seed=seed + 31 * i + j):
                 value = program.eval_point(point)

@@ -2,23 +2,17 @@
 
 import pytest
 
-from certbound import (
-    BnBConfig,
-    Box,
-    compile_expr,
-    grad_sq_norm,
-    maximize,
-    parse,
-    simplify,
-)
+from certbound import BnBConfig, ModelDef
 from certbound.baselines import (
     halton,
-    jacobian_norm_at,
     jacobian_norm_sampled,
     sample_max,
 )
+from certbound.bnb import maximize
 from certbound.errors import DomainError
-from certbound.model import reduced_domain
+from certbound.expr import Program, parse, simplify
+from certbound.intervals import Box, Interval
+from certbound.model import grad_sq_norm, reduced_domain
 from certbound.params import lipschitz_case1
 
 
@@ -98,7 +92,7 @@ class TestUnderApproximation:
     def test_never_exceeds_certified_upper(self, text, bounds, eps_h, method):
         e = simplify(parse(text))
         box = Box.from_bounds(bounds)
-        program = compile_expr(e, box.labels)
+        program = Program(e, box.labels)
         rep = sample_max(program.eval_point, box, 800, method=method)
         res = maximize(
             program.eval_point,
@@ -109,10 +103,14 @@ class TestUnderApproximation:
         assert rep.best_value <= res.upper + 1e-9
 
 
+def jacobian_norm_at(model, point):
+    """The sampled norm on the zero-width box at ``point``: its one sample."""
+    at = Box(tuple(Interval(x, x) for x in point), model.omega().labels)
+    return jacobian_norm_sampled(model, at, count=1).best_value
+
+
 class TestJacobianNorm:
     def test_constant_jacobian_shift(self):
-        from certbound import Interval, ModelDef
-
         m = ModelDef(
             state_names=("x1", "x2"),
             state_bounds=(Interval(-1, 1), Interval(-1, 1)),
@@ -144,7 +142,7 @@ class TestWarmStartIntegration:
             total = term if total is None else total + term
         objective = simplify(total)
         domain = reduced_domain(traffic_s1, objective)
-        program = compile_expr(objective, domain.labels)
+        program = Program(objective, domain.labels)
         rep = sample_max(program.eval_point, domain, 200, method="halton")
         res = maximize(
             program.eval_point,

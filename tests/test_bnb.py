@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from certbound import Box, BnBConfig, Interval, compile_expr, maximize, minimize, parse
-from certbound.bnb import Cover, opt_bnb_step, _Bounder, BnBStats
+from certbound import BnBConfig
+from certbound.bnb import Cover, opt_bnb_step, _Bounder, BnBStats, maximize, minimize
 from certbound.errors import DegenerateSplit, EvaluationError
+from certbound.expr import Program, parse
+from certbound.intervals import Box, Interval
 from conftest import dense_max, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
@@ -18,7 +20,7 @@ RHO_C = 0.0265
 def expr_objective(text, bounds, constants=None):
     e = parse(text, constants)
     box = Box.from_bounds(bounds)
-    program = compile_expr(e, box.labels)
+    program = Program(e, box.labels)
     return program.eval_point, lambda b: program.eval_interval(b.dims), box
 
 
@@ -63,6 +65,13 @@ class TestMaximize:
         assert not res.eps_optimal
         assert res.lower <= 0.25 <= res.upper
 
+    @pytest.mark.parametrize(
+        "tolerance", [{"eps_h": math.nan}, {"eps_om": math.inf}, {"eps_h": 0.0}, {"eps_om": -1.0}]
+    )
+    def test_config_rejects_bad_tolerances(self, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BnBConfig(**tolerance)
+
     def test_config_is_frozen(self):
         cfg = BnBConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -81,7 +90,7 @@ class TestMaximize:
             return xs[0]
 
         def hI(box):
-            if box.width < 0.5:
+            if box.widest()[1] < 0.5:
                 raise ZeroDivisionError("synthetic failure")
             return Interval(box.dims[0].lo, box.dims[0].hi)
 
@@ -165,7 +174,7 @@ class TestStep:
         for _ in range(40):
             chosen, l, u, _ = opt_bnb_step(cover, chosen, l, h, bound)
             assert all(s.hi_bound >= l for s in cover.subproblems)
-            if chosen.box.width <= 1e-9:
+            if chosen.box.widest()[1] <= 1e-9:
                 break
 
     def test_degenerate_split_raises(self):
@@ -181,7 +190,7 @@ class TestStep:
 class TestProperties:
     @pytest.mark.parametrize("seed", range(12))
     def test_sandwich_and_monotonicity_random_polynomials(self, seed):
-        from certbound import free_vars
+        from certbound.expr import free_vars
 
         rng = random.Random(1000 + seed)
         dim = rng.randint(1, 3)
@@ -195,7 +204,7 @@ class TestProperties:
             lo = rng.uniform(-2.0, 0.5)
             bounds.append((name, lo, lo + rng.uniform(0.5, 2.5)))
         box = Box.from_bounds(bounds)
-        program = compile_expr(e, box.labels)
+        program = Program(e, box.labels)
         cfg = BnBConfig(
             eps_h=1e-6, eps_om=1e-9, segments=2, max_steps=20000, record_history=True
         )
@@ -214,7 +223,7 @@ class TestProperties:
         )
         res = maximize(h, hI, box, BnBConfig(eps_h=1e-7, eps_om=1e-9, segments=1))
         argmax = (0.5, 1.0)
-        assert any(s.box.contains(argmax) for s in res.final_cover)
+        assert any(s.box.contains(argmax) for s in res.final_cover.subproblems)
 
     def test_termination_with_coarse_eps_om(self):
         # eps_om large: no box is ever splittable twice, yet the run halts

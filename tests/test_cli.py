@@ -65,6 +65,35 @@ class TestExitCodes:
         assert code == 4
         assert "precondition" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["make-model", "traffic", "--sections", "0"],
+            ["make-model", "moving-object", "--radius", "0"],
+            ["make-model", "moving-object", "--radius", "nan"],
+            ["make-model", "moving-object", "--radius", "inf"],
+            ["traffic-table", "--sections", "0"],
+            ["make-model", "generator", "--state-bounds", "[1,0];[0,1];[0,1];[0,1]",
+             "--input-bounds", "[0,1];[0,1];[0,1];[0,1]"],
+            ["make-model", "generator", "--state-bounds", "[a,1];[0,1];[0,1];[0,1]",
+             "--input-bounds", "[0,1];[0,1];[0,1];[0,1]"],
+            ["make-model", "generator", "--state-bounds", "[0,1];[0,1];[0,1];[0,1]",
+             "--input-bounds", "[0,1];[0,1];[0,1];[0,1]", "--alphas", "a,1,1,1,1,1"],
+        ],
+    )
+    def test_bad_model_parameters_are_model_errors(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert "invalid model parameters" in err
+
+    @pytest.mark.parametrize("flag, value", [("--eps-h", "nan"), ("--eps-om", "inf")])
+    def test_non_finite_tolerance_is_a_usage_error(self, model_files, capsys, flag, value):
+        code, out, err = run_capture(
+            capsys, ["lipschitz", "--model", model_files["traffic1"], flag, value]
+        )
+        assert code == 2 and out == ""
+        assert "finite and positive" in err
+
     def test_diagnostics_never_on_stdout(self, capsys):
         code, out, err = run_capture(capsys, ["osl", "--model", "/nope.nds"])
         assert out == "" and err != ""
@@ -277,7 +306,7 @@ class TestCommands:
              "--output", str(out_path)]
         )
         assert code == 0
-        from certbound import load_model
+        from certbound.model import load_model
 
         model = load_model(str(out_path))
         assert model.n == 4 and model.m == 4

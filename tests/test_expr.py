@@ -4,10 +4,18 @@ import random
 
 import pytest
 
-from certbound import (
-    Box,
-    Interval,
-    compile_expr,
+from certbound.errors import (
+    NonDifferentiable,
+    ParseError,
+    UnboundVariable,
+)
+from certbound.expr import (
+    Binary,
+    Const,
+    PowInt,
+    Program,
+    Unary,
+    Var,
     differentiate,
     eval_interval,
     eval_real,
@@ -17,12 +25,7 @@ from certbound import (
     structural_key,
     to_text,
 )
-from certbound.errors import (
-    NonDifferentiable,
-    ParseError,
-    UnboundVariable,
-)
-from certbound.expr import Binary, Const, PowInt, Unary, Var
+from certbound.intervals import Box, Interval
 from conftest import corpus_expressions, random_points, random_polynomial
 
 
@@ -142,8 +145,8 @@ class TestDifferentiate:
             derivs = [differentiate(e, name) for name in names]
         except NonDifferentiable:
             pytest.skip("expression has an uncertified kink")
-        program = compile_expr(e, box.labels)
-        deriv_programs = [compile_expr(d, box.labels) for d in derivs]
+        program = Program(e, box.labels)
+        deriv_programs = [Program(d, box.labels) for d in derivs]
         slots = {name: box.labels.index(name) for name in names}
         step = 1e-6
         checked = 0
@@ -221,7 +224,7 @@ class TestEval:
 
     def test_program_point_speed_path(self):
         e = simplify(parse("x1^2 + 2*x1*x2 + x2^2"))
-        program = compile_expr(e, ("x1", "x2"))
+        program = Program(e, ("x1", "x2"))
         assert program.eval_point((1.0, 2.0)) == pytest.approx(9.0)
         iv = program.eval_interval((Interval(0, 1), Interval(0, 1)))
         assert iv.lo <= 0.0 and iv.hi >= 4.0

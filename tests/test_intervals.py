@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from certbound import Box, Interval, iv_cos, iv_sin, refined_eval
+from certbound.intervals import Box, Interval, iv_cos, iv_sin, refined_eval
 from certbound.errors import (
     DegenerateSplit,
     DivisionByZeroInterval,
@@ -182,8 +182,17 @@ class TestBox:
 
     def test_width_is_max_dim(self):
         b = Box.from_bounds([("x", 0, 4), ("y", 0, 1)])
-        assert b.width == 4.0
+        assert b.widest()[1] == 4.0
         assert b.widest_dim() == 0
+
+    def test_restrict_keeps_box_order(self):
+        b = Box.from_bounds([("x", 0, 4), ("y", 0, 1), ("z", 2, 3)])
+        r = b.restrict({"z", "x", "w"})
+        assert r.labels == ("x", "z") and r.dims == (b.dims[0], b.dims[2])
+
+    def test_restrict_to_nothing_keeps_whole_box(self):
+        b = Box.from_bounds([("x", 0, 4), ("y", 0, 1)])
+        assert b.restrict(()) == b
 
     def test_degenerate_split(self):
         b = Box.from_bounds([("x", 1, 1)])

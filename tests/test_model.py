@@ -2,23 +2,15 @@
 
 import pytest
 
-from certbound import (
-    Interval,
-    ModelDef,
-    differentiate,
-    eval_real,
-    grad_sq_norm,
-    model_to_text,
-    parse,
-    parse_model_text,
-    reduced_domain,
-)
+from certbound import ModelDef, parse_model_text
 from certbound.errors import (
     DimensionMismatch,
     MissingBounds,
     ParseError,
 )
-from certbound.expr import is_zero
+from certbound.expr import differentiate, eval_real, is_zero, parse
+from certbound.intervals import Interval
+from certbound.model import grad_sq_norm, model_to_text, reduced_domain
 
 DELTA = 31.3 / (500.0 * 0.053)
 
@@ -68,6 +60,21 @@ class TestTextFormat:
     def test_bad_bound_line(self):
         with pytest.raises(ParseError):
             parse_model_text("[states]\nx1 = 0, 1\n[f]\nf1 = x1\n")
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("[1, 0]", "lower endpoint above upper"),
+            ("[0, inf]", "endpoints must be finite"),
+            ("[nan, 1]", "endpoints must be finite"),
+            ("[0, x]", "could not convert"),
+            ("[0, 1, 2]", "expected [lo, hi]"),
+        ],
+    )
+    def test_invalid_bound_names_its_line(self, bound, message):
+        with pytest.raises(ParseError, match="on line 3") as info:
+            parse_model_text(f"[states]\nx1 = [0, 1]\nx2 = {bound}\n[f]\nf1 = x1\n")
+        assert message in str(info.value)
 
     def test_content_before_section(self):
         with pytest.raises(ParseError):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from certbound import BnBConfig, differentiate, eval_real, free_vars
+from certbound import BnBConfig
 from certbound.errors import MissingBounds
+from certbound.expr import differentiate, eval_real, free_vars
 from certbound.models import (
     GeneratorConfig,
     MovingObjectConfig,

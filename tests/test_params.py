@@ -5,21 +5,14 @@ import random
 
 import pytest
 
-from certbound import (
-    BnBConfig,
-    Interval,
-    ModelDef,
-    eval_real,
-    parse,
-    qib_to_lipschitz,
-    to_text,
-    zeta,
-)
+from certbound import BnBConfig, ModelDef, qib_to_lipschitz
 from certbound.errors import (
     InvalidDimension,
     NecessaryConditionViolated,
     PreconditionViolated,
 )
+from certbound.expr import eval_real, parse, to_text
+from certbound.intervals import Interval
 from certbound.params import (
     _zeta_row_exprs,
     build_psi,
@@ -32,7 +25,9 @@ from certbound.params import (
     osl_zeta,
     qb,
     qib,
+    zeta,
 )
+from conftest import osl_extremal_eigen_sampled
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -140,7 +135,7 @@ class TestJacobianBounds:
         assert iv.hi == pytest.approx(0.0, abs=1e-3)
 
     def test_sampled_derivatives_enclosed(self, moving_object):
-        from certbound import differentiate
+        from certbound.expr import differentiate
 
         jb = jacobian_bounds(moving_object, CFG_COARSE)
         rng = random.Random(3)
@@ -308,8 +303,6 @@ class TestOSL:
         # The tied inner maximum makes the whole boundary face optimal, so
         # run coarse; the certified value must still dominate the sampled
         # extremal eigenvalue.
-        from certbound.params import osl_extremal_eigen_sampled
-
         cfg = BnBConfig(eps_h=5e-3, eps_om=1e-6, segments=1, max_steps=20000)
         z = osl_zeta(traffic_s1, cfg)
         sampled_hi, sampled_lo = osl_extremal_eigen_sampled(traffic_s1, count=300)
@@ -359,6 +352,11 @@ class TestQIB:
     def test_negative_weights_rejected(self, moving_object_unit):
         with pytest.raises(PreconditionViolated):
             qib(moving_object_unit, CFG_COARSE, eps1=-1.0, eps2=0.0)
+
+    @pytest.mark.parametrize("eps1, eps2", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_nan_weights_rejected(self, moving_object_unit, eps1, eps2):
+        with pytest.raises(PreconditionViolated):
+            qib(moving_object_unit, CFG_COARSE, eps1=eps1, eps2=eps2)
 
     def test_distributed_at_least_joint(self, moving_object_unit):
         joint = qib(moving_object_unit, CFG_COARSE, eps1=0.0, eps2=0.0)

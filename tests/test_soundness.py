@@ -11,13 +11,9 @@ import random
 
 import pytest
 
-from certbound import (
-    BnBConfig,
-    Interval,
-    ModelDef,
-    compile_expr,
-    differentiate,
-)
+from certbound import BnBConfig, ModelDef
+from certbound.expr import Program, differentiate
+from certbound.intervals import Interval
 from certbound.params import (
     jacobian_bounds,
     lipschitz_case1,
@@ -59,9 +55,9 @@ def test_certified_constants_dominate_samples(seed):
     if model is None:
         pytest.skip("degenerate random model")
     omega = model.omega()
-    programs = [compile_expr(fi, omega.labels) for fi in model.f]
+    programs = [Program(fi, omega.labels) for fi in model.f]
     deriv_programs = [
-        [compile_expr(differentiate(fi, name), omega.labels) for name in model.state_names]
+        [Program(differentiate(fi, name), omega.labels) for name in model.state_names]
         for fi in model.f
     ]
 
