@@ -1,13 +1,16 @@
-"""Derivative-free interval branch-and-bound for global maximization.
+"""Interval branch-and-bound for global maximization.
 
 Given a point objective ``h`` and a sound interval extension ``hI`` of it,
 the search maintains a cover: a set of boxes with pairwise disjoint
-interiors whose union still contains every maximizer not yet provably
-excluded.  Each box caches lower/upper bounds from exactly one refined
-interval evaluation; where that evaluation fails (a divisor or square-root
-argument enclosure that crosses its domain's edge, a non-finite endpoint,
-or an overflow), the box keeps its parent's bounds, ``[-inf, +inf]`` at the root,
-and bisection goes on.  The search tightens the sandwich ``l <= h* <= u`` in
+interiors whose union still contains a maximizer.  Each box caches
+lower/upper bounds from exactly one refined interval evaluation; where that
+evaluation fails (a divisor or square-root argument enclosure that crosses
+its domain's edge, a non-finite endpoint, or an overflow), the box keeps its
+parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
+``hI`` also encloses the gradient (``hI.gradient()``), each box is first
+collapsed to the face where its maximum lies along every dimension of fixed
+derivative sign, and its bounds are tightened by the centred form (see
+``_first_order``).  The search tightens the sandwich ``l <= h* <= u`` in
 three phases:
 
 1. repeatedly bisect the box with the greatest upper bound (drives u down),
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertboundError, EvaluationError, IntervalError
-from .intervals import Box, Interval, refined_eval
+from .intervals import Box, Interval, pair_add, pair_mul, pair_sub, refined_eval
 
 PointFn = Callable[[Sequence[float]], float]
 IntervalFn = Callable[[Box], Interval]
@@ -173,8 +176,51 @@ class BnBResult:
         return self.upper - self.lower
 
 
+def _first_order(
+    hI: IntervalFn, gradient: Sequence[IntervalFn], box: Box
+) -> tuple[Box, float, float]:
+    """First-order reduction of ``box`` for maximization, from the
+    enclosures ``G_k`` of the partial derivatives on it.
+
+    Monotonicity test (Hansen & Walster 2004): where ``G_k >= 0`` the
+    maximum of h over the box is reached on the face ``x_k = hi``, where
+    ``G_k <= 0`` on ``x_k = lo``; every such dimension collapses to that
+    face.  Centred form (Ratschek & Rokne 1988): on the face, with centre
+    ``c``, ``h`` lies in ``h([c]) + sum_k G_k * (X_k - c_k)`` by the mean
+    value theorem, ``h([c])`` being the interval enclosure at ``c``.
+
+    Returns the face and that centred enclosure of h on it.  Raises
+    ``IntervalError`` when a partial derivative or the centre does not
+    enclose."""
+    grads = [g(box) for g in gradient]
+    dims = list(box.dims)
+    for k, g in enumerate(grads):
+        if g.lo >= 0.0:
+            dims[k] = Interval(dims[k].hi, dims[k].hi)
+        elif g.hi <= 0.0:
+            dims[k] = Interval(dims[k].lo, dims[k].lo)
+    face = Box(tuple(dims), box.labels)
+    centre = face.midpoint()
+    mid = hI(Box(tuple(Interval(c, c) for c in centre), box.labels))
+    lo, hi = mid.lo, mid.hi
+    for g, iv, c in zip(grads, dims, centre):
+        if iv.lo < iv.hi:
+            dl, dh = pair_sub(iv.lo, iv.hi, c, c)
+            tl, th = pair_mul(g.lo, g.hi, dl, dh)
+            lo, hi = pair_add(lo, hi, tl, th)
+    return face, lo, hi
+
+
 class _Bounder:
     """Evaluates cached subproblem bounds; counts evaluations.
+
+    Where ``hI`` has a ``gradient()`` that is not ``None`` (a compiled
+    ``expr.Program`` of a differentiable expression has), each box is first
+    reduced by ``_first_order``: the subproblem keeps the face instead of
+    the box, and its bounds are the natural enclosure on the face
+    intersected with the centred form.  A gradient or centre enclosure that
+    fails skips this step for that box.  Either way each box costs one
+    refined interval evaluation, and ``evals`` counts one per box.
 
     The bounds of a box split from ``parent`` are intersected with the
     parent's: those stay valid on the half (its range is a subset), so the
@@ -189,17 +235,25 @@ class _Bounder:
         self.stats = stats
         self.counter = itertools.count()
         self.failure: IntervalError | None = None
+        gradient = getattr(hI, "gradient", None)
+        self.gradient = gradient() if gradient is not None else None
 
     def __call__(self, box: Box, parent: Subproblem | None = None) -> Subproblem:
         self.stats.evals += 1
+        lo, hi = -_INF_SENTINEL, _INF_SENTINEL
+        if self.gradient is not None:
+            try:
+                box, lo, hi = _first_order(self.hI, self.gradient, box)
+            except IntervalError:
+                pass
         dim, width = box.widest()
         try:
             iv = refined_eval(self.hI, box, self.segments, dim)
         except IntervalError as exc:
             self.failure = exc
-            lo, hi = -_INF_SENTINEL, _INF_SENTINEL
         else:
-            lo, hi = iv.lo, iv.hi
+            lo = max(lo, iv.lo)
+            hi = min(hi, iv.hi)
         if parent is not None:
             lo = max(lo, parent.lo_bound)
             hi = min(hi, parent.hi_bound)
@@ -379,6 +433,11 @@ class _Negated:
 
     def __call__(self, box: Box) -> Interval:
         return -self.hI(box)
+
+    def gradient(self) -> tuple["_Negated", ...] | None:
+        """The negated gradient of ``hI``; ``None`` where it has none."""
+        grads = getattr(self.hI, "gradient", lambda: None)()
+        return None if grads is None else tuple(_Negated(g) for g in grads)
 
 
 def minimize(

@@ -277,6 +277,8 @@ def _cmd_maximize(args) -> list[RunReport]:
 
 
 def _cmd_baseline(args) -> list[RunReport]:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     model, fp = _load_model(args)
     if args.objective == "jacobian-norm":
         rep = baselines.jacobian_norm_sampled(model, count=args.count)

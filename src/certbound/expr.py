@@ -140,6 +140,16 @@ def sum_or_zero(terms: Iterable[Expr]) -> Expr:
     return simplify(total) if total is not None else ZERO
 
 
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, PowInt):
+        return (e.base,)
+    return ()
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     out: set[str] = set()
     stack = [e]
@@ -147,13 +157,8 @@ def free_vars(e: Expr) -> frozenset[str]:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, Unary):
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, PowInt):
-            stack.append(node.base)
+        else:
+            stack.extend(_children(node))
     return frozenset(out)
 
 
@@ -254,25 +259,64 @@ def provably_nonnegative(e: Expr) -> bool:
 
 def differentiate(e: Expr, v: str) -> Expr:
     """Symbolic partial derivative with respect to variable ``v``; exactly
-    ``0`` when ``v`` does not occur in ``e``."""
-    if v not in free_vars(e):
+    ``0`` for every subtree in which ``v`` does not occur, so no debris such
+    as ``0/sqrt(y)`` is left behind."""
+    has_v = _subtrees_with(e, v)
+    if id(e) not in has_v:
         return ZERO
-    return simplify(_diff(e, v))
+    return simplify(_diff(e, v, has_v))
 
 
-def _diff(e: Expr, v: str) -> Expr:
-    if isinstance(e, Const):
+def _subtrees_with(e: Expr, v: str) -> set[int]:
+    """The ids of the nodes of ``e`` whose subtree contains ``Var(v)``, from
+    one bottom-up pass that visits a shared node once.  A ``None`` on the
+    stack marks that the node below it has its children done."""
+    out: set[int] = set()
+    done: set[int] = set()
+    stack: list[Expr | None] = [e]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if node is None:
+            node = pop()
+            kind = type(node)
+            if kind is Binary:
+                hit = id(node.left) in out or id(node.right) in out
+            else:
+                hit = id(node.arg if kind is Unary else node.base) in out
+            key = id(node)
+            done.add(key)
+            if hit:
+                out.add(key)
+            continue
+        kind = type(node)
+        if kind is Var:
+            if node.name == v:
+                out.add(id(node))
+        elif kind is not Const and id(node) not in done:
+            push(node)
+            push(None)
+            if kind is Binary:
+                push(node.right)
+                push(node.left)
+            else:
+                push(node.arg if kind is Unary else node.base)
+    return out
+
+
+def _diff(e: Expr, v: str, has_v: set[int]) -> Expr:
+    if id(e) not in has_v:
         return ZERO
     if isinstance(e, Var):
-        return ONE if e.name == v else ZERO
+        return ONE
     if isinstance(e, PowInt):
-        db = _diff(e.base, v)
+        db = _diff(e.base, v, has_v)
         if e.exponent == 1:
             return db
         inner = e.base if e.exponent == 2 else PowInt(e.base, e.exponent - 1)
         return Binary(MUL, Binary(MUL, Const(float(e.exponent)), inner), db)
     if isinstance(e, Unary):
-        da = _diff(e.arg, v)
+        da = _diff(e.arg, v, has_v)
         if e.op == NEG:
             return Unary(NEG, da)
         if e.op == SQR:
@@ -288,18 +332,14 @@ def _diff(e: Expr, v: str) -> Expr:
         if e.op == ABS:
             if provably_nonnegative(e.arg):
                 return da
-            if v not in free_vars(e.arg):
-                return ZERO
             raise NonDifferentiable(
                 f"cannot differentiate abs({to_text(e.arg)}): sign not certified"
             )
     assert isinstance(e, Binary)
     if e.op == MAX:
-        if v not in free_vars(e):
-            return ZERO
         raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
-    dl = _diff(e.left, v)
-    dr = _diff(e.right, v)
+    dl = _diff(e.left, v, has_v)
+    dr = _diff(e.right, v, has_v)
     if e.op == ADD:
         return Binary(ADD, dl, dr)
     if e.op == SUB:
@@ -620,6 +660,7 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
 _CHUNK = 128
+_UNBUILT = object()  # a gradient not built yet
 
 # Right-hand side of each op's statement; ``{0}``... are the operands'
 # endpoints (pair kernel) or values (point kernel), ``{arg}`` the op's
@@ -692,10 +733,7 @@ def _postfix(expr: Expr, slots: Mapping[str, int]):
             ops.append((_LOAD, slots[node.name], ()))
             deps.append(1 << slots[node.name])
         else:
-            if isinstance(node, Binary):
-                kids: tuple[Expr, ...] = (node.left, node.right)
-            else:
-                kids = (node.arg,) if isinstance(node, Unary) else (node.base,)
+            kids = _children(node)
             if not expanded:
                 todo.append((node, True))
                 todo.extend((kid, False) for kid in reversed(kids))
@@ -789,10 +827,14 @@ class Program:
     ``code`` holds the ops in postfix order, one per tree node.  Calling the
     program on a box gives its enclosure there, so a program is itself an
     interval function for ``intervals.refined_eval``; ``degree`` is the
-    series degree of sin and cos.
+    series degree of sin and cos.  ``gradient()`` gives the programs of the
+    partial derivatives, from which the branch-and-bound takes first-order
+    bounds.
     """
 
-    __slots__ = ("code", "var_order", "expr", "degree", "_constants", "_deps", "_kernels")
+    __slots__ = (
+        "code", "var_order", "expr", "degree", "_constants", "_deps", "_kernels", "_gradient",
+    )
 
     def __init__(self, expr: Expr, var_order: Sequence[str], degree: int = 4):
         slots = {name: i for i, name in enumerate(var_order)}
@@ -804,6 +846,22 @@ class Program:
         self.expr = expr
         self.degree = degree
         self._kernels: dict[tuple[int | None, bool], tuple] = {}
+        self._gradient: object = _UNBUILT
+
+    def gradient(self) -> tuple["Program", ...] | None:
+        """One program per variable of ``var_order``: the partial derivative
+        of the expression by that variable.  Built on first use and cached;
+        ``None`` when the expression is not differentiable (an ``abs`` of
+        uncertified sign, or a ``max``)."""
+        if self._gradient is _UNBUILT:
+            try:
+                self._gradient = tuple(
+                    Program(differentiate(self.expr, v), self.var_order, self.degree)
+                    for v in self.var_order
+                )
+            except NonDifferentiable:
+                self._gradient = None
+        return self._gradient
 
     def _slab_slots(self) -> dict[int, int]:
         """Layout of the whole interval kernel's ``o``: besides what it

@@ -6,6 +6,17 @@ set: each primitive that may round widens its endpoints outward by one unit
 in the last place (two for transcendental library calls), so soundness never
 depends on a settable rounding mode.
 
+Exact results are exempt: an endpoint of a sum or difference with an exactly
+zero operand (``x + 0``, ``x - 0``, ``0 - x``), and a zero endpoint of a
+product that only zero factors produce, is exact and is not stepped.  A
+product of nonzero factors that underflows to ``±0`` is not exact, so it
+still steps.  Without the exemption a zero partial derivative encloses as
+``[-5e-324, ...]`` and never passes a sign test.
+
+The scalar helpers ``fraction_up``/``fraction_down`` and
+``sqrt_up``/``sqrt_down`` round a single exact value to the safe side; the
+assembly of certified constants (square roots, weighted sums) uses them.
+
 Every operation is defined once, on plain float endpoint pairs (the
 ``pair_*`` functions); the :class:`Interval` methods wrap them, and the
 compiled kernels of ``expr.Program`` call them directly.
@@ -25,9 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
+
+if TYPE_CHECKING:  # importing fractions costs start-up time that only assembly needs
+    from fractions import Fraction
 
 _INF = math.inf
 _nextafter = math.nextafter
@@ -57,7 +71,8 @@ PI_HI = _up(math.pi)
 # ``Interval`` methods below and the compiled kernels of ``expr.Program``
 # both call them.  A result that ``Interval(lo, hi)`` would reject raises
 # the same ``IntervalError`` here.  The hottest ones call ``math.nextafter``
-# directly instead of through ``_down``/``_up``.
+# directly instead of through ``_down``/``_up``, and test a float operand
+# for an exact zero by its truth value (``0.0`` and ``-0.0`` are false).
 
 
 def _invalid(lo: float, hi: float) -> IntervalError:
@@ -74,16 +89,24 @@ def pair_point(x: float) -> tuple[float, float]:
 
 
 def pair_add(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
-    lo = _nextafter(al + bl, -_INF)
-    hi = _nextafter(ah + bh, _INF)
+    lo = al + bl
+    if al and bl:
+        lo = _nextafter(lo, -_INF)
+    hi = ah + bh
+    if ah and bh:
+        hi = _nextafter(hi, _INF)
     if -_INF < lo <= hi < _INF:
         return lo, hi
     raise _invalid(lo, hi)
 
 
 def pair_sub(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
-    lo = _nextafter(al - bh, -_INF)
-    hi = _nextafter(ah - bl, _INF)
+    lo = al - bh
+    if al and bh:
+        lo = _nextafter(lo, -_INF)
+    hi = ah - bl
+    if ah and bl:
+        hi = _nextafter(hi, _INF)
     if -_INF < lo <= hi < _INF:
         return lo, hi
     raise _invalid(lo, hi)
@@ -94,8 +117,21 @@ def pair_mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     p2 = al * bh
     p3 = ah * bl
     p4 = ah * bh
-    lo = _nextafter(min(p1, p2, p3, p4), -_INF)
-    hi = _nextafter(max(p1, p2, p3, p4), _INF)
+    lo = min(p1, p2, p3, p4)
+    hi = max(p1, p2, p3, p4)
+    if (lo and hi) or (
+        (al and bl and not p1) or (al and bh and not p2)
+        or (ah and bl and not p3) or (ah and bh and not p4)
+    ):
+        lo = _nextafter(lo, -_INF)
+        hi = _nextafter(hi, _INF)
+    else:
+        # No product of nonzero factors underflowed, so a zero endpoint
+        # comes from a zero factor and is exact.
+        if lo:
+            lo = _nextafter(lo, -_INF)
+        if hi:
+            hi = _nextafter(hi, _INF)
     if -_INF < lo <= hi < _INF:
         return lo, hi
     raise _invalid(lo, hi)
@@ -119,7 +155,7 @@ def pair_sqr(lo: float, hi: float) -> tuple[float, float]:
     a, b = abs(lo), abs(hi)
     if a > b:
         a, b = b, a
-    rhi = _nextafter(b * b, _INF)
+    rhi = _nextafter(b * b, _INF) if b else 0.0
     if lo <= 0.0 <= hi:
         rlo = 0.0
     else:
@@ -268,6 +304,42 @@ def pair_cos(lo: float, hi: float, degree: int = 4) -> tuple[float, float]:
             min(_cos_series_bounds(lo, degree)[0], _cos_series_bounds(hi, degree)[0]), 1.0
         )
     return -1.0, 1.0
+
+
+# ---------------------------------------------------------------------------
+# Scalars rounded to the safe side
+# ---------------------------------------------------------------------------
+
+
+def fraction_up(q: Fraction) -> float:
+    """The least float ``>= q``."""
+    x = float(q)  # correctly rounded; comparisons with a float are exact
+    return _up(x) if q > x else x
+
+
+def fraction_down(q: Fraction) -> float:
+    """The greatest float ``<= q``."""
+    x = float(q)
+    return _down(x) if q < x else x
+
+
+def _square_minus(r: float, x: float) -> int:
+    """An integer of the sign of ``r*r - x``, computed exactly."""
+    rn, rd = r.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    return rn * rn * xd - xn * rd * rd
+
+
+def sqrt_up(x: float) -> float:
+    """The least float ``>= sqrt(x)``, for finite ``x >= 0``."""
+    r = math.sqrt(x)  # correctly rounded
+    return _up(r) if _square_minus(r, x) < 0 else r
+
+
+def sqrt_down(x: float) -> float:
+    """The greatest float ``<= sqrt(x)``, for finite ``x >= 0``."""
+    r = math.sqrt(x)
+    return _down(r) if _square_minus(r, x) > 0 else r
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
@@ -33,7 +35,11 @@ from .errors import (
 )
 from .expr import (
     ABS,
+    ADD,
     MAX,
+    MUL,
+    NEG,
+    SUB,
     Binary,
     Const,
     Expr,
@@ -41,14 +47,18 @@ from .expr import (
     Program,
     eval_real,
     expr_sum,
+    free_vars,
     is_zero,
     simplify,
     sqr,
     structural_key_with_vars,
     sum_or_zero,
 )
-from .intervals import Box, Interval
+from .intervals import Box, Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
 from .model import ModelDef, grad_sq_norm, reduced_domain, state_partials
+
+if TYPE_CHECKING:  # importing fractions costs start-up time; functions import it
+    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -236,8 +246,8 @@ def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     stats = RunStats()
     stats.absorb(res)
     return LipschitzResult(
-        gamma=math.sqrt(max(res.upper, 0.0)),
-        lower=math.sqrt(max(res.lower, 0.0)),
+        gamma=sqrt_up(max(res.upper, 0.0)),
+        lower=sqrt_down(max(res.lower, 0.0)),
         gap=res.gap,
         eps_optimal=res.eps_optimal,
         case=1,
@@ -271,21 +281,24 @@ def _dedup_components(model: ModelDef) -> tuple[list[Expr], list[int]]:
 def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     """Per-component maximizations over reduced boxes, deduplicated across
     structurally identical components and recombined with multiplicities.
-    Always at least as conservative as case 1."""
+    Always at least as conservative as case 1.  The weighted sums are
+    exact; each side rounds once, to its safe side, before its root."""
+    from fractions import Fraction
+
     stats = RunStats()
-    upper_sum = 0.0
-    lower_sum = 0.0
+    upper_sum = Fraction(0)
+    lower_sum = Fraction(0)
     worst_gap = 0.0
     eps_optimal = True
     for obj, count in zip(*_dedup_components(model)):
         res = stats.absorb(_maximize_expr(obj, model, cfg))
-        upper_sum += count * res.upper
-        lower_sum += count * res.lower
+        upper_sum += count * Fraction(res.upper)
+        lower_sum += count * Fraction(res.lower)
         worst_gap = max(worst_gap, res.gap)
         eps_optimal = eps_optimal and res.eps_optimal
     return LipschitzResult(
-        gamma=math.sqrt(max(upper_sum, 0.0)),
-        lower=math.sqrt(max(lower_sum, 0.0)),
+        gamma=sqrt_up(max(fraction_up(upper_sum), 0.0)),
+        lower=sqrt_down(max(fraction_down(lower_sum), 0.0)),
         gap=worst_gap,
         eps_optimal=eps_optimal,
         case=2,
@@ -342,8 +355,8 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     res = _maximize_expr(simplify(total), model, cfg)
     stats = RunStats()
     stats.absorb(res)
-    gamma = math.sqrt(max(res.upper, 0.0))
-    achieved = math.sqrt(max(res.lower, 0.0))
+    gamma = sqrt_up(max(res.upper, 0.0))
+    achieved = sqrt_down(max(res.lower, 0.0))
     return OSLResult(
         gamma_s=gamma,
         estimator="frobenius",
@@ -438,6 +451,38 @@ def zeta(n: int) -> float:
     return float(n - 1)
 
 
+_EXACT_OPS = {
+    ADD: operator.add, SUB: operator.sub, MUL: operator.mul, MAX: max,
+    ABS: abs, NEG: operator.neg,
+}
+
+
+def _exact_value(e: Expr) -> Fraction:
+    """The exact value of a variable-free expression over ``+ - * max abs
+    neg``; ``KeyError`` for another operation, ``ValueError`` or
+    ``OverflowError`` for a non-finite constant."""
+    from fractions import Fraction
+
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Unary):
+        return _EXACT_OPS[e.op](_exact_value(e.arg))
+    assert isinstance(e, Binary)
+    return _EXACT_OPS[e.op](_exact_value(e.left), _exact_value(e.right))
+
+
+def _fold_constant(e: Expr, round_value) -> Expr:
+    """``e`` when it has a free variable; otherwise the ``Const`` of its
+    exact value rounded by ``round_value``, so that the one ``Const`` rule
+    of ``_optimize_expr`` applies to it."""
+    if free_vars(e):
+        return e
+    try:
+        return Const(round_value(_exact_value(e)))
+    except (KeyError, ValueError, OverflowError):
+        return e
+
+
 def _zeta_row_exprs(
     psi: tuple[tuple[Expr, ...], ...], zn: float
 ) -> tuple[list[Expr], list[Expr]]:
@@ -456,11 +501,18 @@ def _zeta_row_exprs(
 
 def osl_zeta(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Row bound with the dimension factor times the largest absolute
-    off-diagonal entry."""
+    off-diagonal entry.  A row without free variables folds to its exact
+    value, rounded up for an upper row and down for a lower one."""
     if model.n < 2:
         raise InvalidDimension("row-gap bound needs at least two states")
-    zn = zeta(model.n)
-    return _osl_from_rows("zeta", model, cfg, *_zeta_row_exprs(build_psi(model), zn))
+    uppers, lowers = _zeta_row_exprs(build_psi(model), zeta(model.n))
+    return _osl_from_rows(
+        "zeta",
+        model,
+        cfg,
+        [_fold_constant(e, fraction_up) for e in uppers],
+        [_fold_constant(e, fraction_down) for e in lowers],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +553,7 @@ def qib(
     osl_estimator: str = "gershgorin",
     distributed: bool = False,
 ) -> QIBResult:
-    """Quadratic inner-boundedness constants for nonnegative weights
+    """Quadratic inner-boundedness constants for finite nonnegative weights
     ``eps1``, ``eps2``: the second constant is exactly their difference, the
     first combines the one-sided bounds with the certified maximum of the
     summed squared gradient norms of the mixed components.
@@ -509,8 +561,8 @@ def qib(
     ``distributed=True`` bounds that maximum by the sum of per-component
     maxima (cheaper, more conservative).
     """
-    if not (eps1 >= 0.0 and eps2 >= 0.0):
-        raise PreconditionViolated("eps1, eps2 >= 0", f"got {eps1}, {eps2}")
+    if not (0.0 <= eps1 < math.inf and 0.0 <= eps2 < math.inf):
+        raise PreconditionViolated("eps1, eps2 finite and >= 0", f"got {eps1}, {eps2}")
     if osl_estimator not in OSL_ESTIMATORS:
         raise ValueError(f"unknown OSL estimator {osl_estimator!r}")
     stats = RunStats()
@@ -599,8 +651,8 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
         res = _maximize_expr(simplify(scale * expr_sum(terms)), model, cfg)
         stats.absorb(res)
         eps_optimal = eps_optimal and res.eps_optimal
-        diag[j] = math.sqrt(max(res.upper, 0.0))
-        witness[j] = math.sqrt(max(res.lower, 0.0))
+        diag[j] = sqrt_up(max(res.upper, 0.0))
+        witness[j] = sqrt_down(max(res.lower, 0.0))
     return QBResult(
         diag=tuple(diag),
         eps_optimal=eps_optimal,

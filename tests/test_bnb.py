@@ -121,6 +121,58 @@ class TestMaximize:
         assert (sub.width, sub.dim) == (4.0, 1)
 
 
+class TestFirstOrder:
+    """Bounds from the gradient programs of a compiled objective."""
+
+    def program_objective(self, text, bounds):
+        box = Box.from_bounds(bounds)
+        program = Program(parse(text), box.labels)
+        return program, box
+
+    def test_monotone_objective_collapses_to_the_maximizing_vertex(self):
+        program, box = self.program_objective("x + 2*y", [("x", 0.0, 1.0), ("y", -1.0, 1.0)])
+        sub = _Bounder(program, 10, BnBStats())(box)
+        assert sub.box.corner("lo") == sub.box.corner("hi") == (1.0, 1.0)
+        assert (sub.width, sub.lo_bound <= 3.0 <= sub.hi_bound) == (0.0, True)
+        res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
+        assert (res.stats.evals, res.stats.splits, res.eps_optimal) == (1, 0, True)
+        assert res.lower == 3.0 <= res.upper and res.lower_witness == (1.0, 1.0)
+
+    def test_minimize_collapses_to_the_minimizing_vertex(self):
+        program, box = self.program_objective("x + 2*y", [("x", 0.0, 1.0), ("y", -1.0, 1.0)])
+        res = minimize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
+        assert res.stats.evals == 1
+        assert res.lower <= -2.0 == res.upper and res.lower_witness == (0.0, -1.0)
+
+    def test_dead_dimension_collapses(self):
+        program, box = self.program_objective("x*(1 - x)", [("x", 0.0, 1.0), ("y", -5.0, 5.0)])
+        sub = _Bounder(program, 1, BnBStats())(box)
+        assert sub.box.dims[1] == Interval(5.0, 5.0) and sub.box.dims[0] == box.dims[0]
+
+    def test_centred_form_tightens_a_mixed_sign_box(self):
+        program, box = self.program_objective(
+            "x*y - x*x*y*y", [("x", 0.6, 0.8), ("y", 0.6, 0.8)]
+        )
+        first = _Bounder(program, 1, BnBStats())(box)
+        plain = _Bounder(lambda b: program(b), 1, BnBStats())(box)
+        assert first.box == box  # no fixed sign: nothing collapses
+        assert plain.lo_bound < first.lo_bound <= 0.25 <= first.hi_bound < plain.hi_bound
+
+    def test_failed_gradient_enclosure_skips_the_first_order_step(self):
+        program, box = self.program_objective("sqrt(x) - x", [("x", 0.0, 1.0)])
+        stats = BnBStats()
+        sub = _Bounder(program, 4, stats)(box)
+        plain = _Bounder(lambda b: program(b), 4, BnBStats())(box)
+        assert (sub.box, sub.lo_bound, sub.hi_bound) == (box, plain.lo_bound, plain.hi_bound)
+        assert stats.evals == 1
+
+    def test_objective_without_gradient_is_bounded_as_before(self):
+        program, box = self.program_objective("abs(x - 0.3)", [("x", 0.0, 1.0)])
+        assert program.gradient() is None
+        sub = _Bounder(program, 1, BnBStats())(box)
+        assert sub.box == box
+
+
 class TestMinimize:
     def test_min_square(self):
         h, hI, box = expr_objective("x^2", [("x", -1.0, 2.0)])

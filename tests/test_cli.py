@@ -94,6 +94,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("weights", [("inf", "0.1"), ("1e4", "inf")])
+    def test_infinite_qib_weight_fails_the_precondition(self, model_files, capsys, weights):
+        code, out, err = run_capture(
+            capsys,
+            ["qib", "--eps1", weights[0], "--eps2", weights[1], "--model", model_files["moving1"]],
+        )
+        assert code == 4 and out == ""
+        assert "precondition violated: eps1, eps2 finite and >= 0" in err
+
+    def test_zero_baseline_count_is_a_usage_error(self, model_files, capsys):
+        code, out, err = run_capture(
+            capsys, ["baseline", "--count", "0", "--model", model_files["moving1"]]
+        )
+        assert code == 2 and out == ""
+        assert "--count must be >= 1" in err
+
     def test_diagnostics_never_on_stdout(self, capsys):
         code, out, err = run_capture(capsys, ["osl", "--model", "/nope.nds"])
         assert out == "" and err != ""

@@ -137,6 +137,25 @@ class TestDifferentiate:
         d = differentiate(parse("x1/(1 + x2^2)"), "x2")
         assert eval_real(d, {"x1": 2.0, "x2": 1.0}) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "text, v, expected",
+        [
+            ("x1*sqrt(x2)", "x1", "sqrt(x2)"),
+            ("sqrt(x2)*x1", "x1", "sqrt(x2)"),
+            ("x1/sqrt(x2)", "x1", "sqrt(x2)/sqr(sqrt(x2))"),
+            ("x1 + sqrt(x2)/exp(x2)", "x1", "1.0"),
+            ("sin(x2)*x1 - cos(x2)", "x1", "sin(x2)"),
+        ],
+    )
+    def test_subtrees_without_the_variable_leave_no_debris(self, text, v, expected):
+        # No 0/(2*sqrt(x2)) residue that fails on every box touching x2 = 0.
+        assert to_text(differentiate(parse(text), v)) == expected
+
+    def test_shared_subtree_is_differentiated(self):
+        inner = parse("x1*x2")
+        d = differentiate(Binary("+", inner, Unary("sqr", inner)), "x1")
+        assert eval_real(d, {"x1": 3.0, "x2": 2.0}) == pytest.approx(2.0 + 2 * 6.0 * 2.0)
+
     @pytest.mark.parametrize("case", range(len(corpus_expressions())))
     def test_gradient_matches_finite_differences(self, case):
         e, box = corpus_expressions()[case]
@@ -167,6 +186,27 @@ class TestDifferentiate:
                 assert dprog.eval_point(point) == pytest.approx(fd, rel=1e-5, abs=5e-6)
             checked += 1
         assert checked >= 1000
+
+
+class TestGradient:
+    def test_one_program_per_variable(self):
+        program = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
+        grad = program.gradient()
+        assert [to_text(g.expr) for g in grad] == ["y + 2.0*x", "x", "0.0"]
+        assert all(g.var_order == ("x", "y", "z") for g in grad)
+        assert program.gradient() is grad  # built once
+
+    @pytest.mark.parametrize("text", ["abs(x - y)", "max(x, y)", "x + abs(y)"])
+    def test_not_differentiable_has_no_gradient(self, text):
+        assert Program(parse(text), ("x", "y")).gradient() is None
+
+    def test_certified_abs_is_differentiable(self):
+        grad = Program(parse("abs(sqr(x))"), ("x",)).gradient()
+        assert grad[0].eval_point([3.0]) == 6.0
+
+    def test_degree_is_passed_on(self):
+        grad = Program(parse("sin(x)"), ("x",), degree=7).gradient()
+        assert grad[0].degree == 7
 
 
 class TestEval:

@@ -2,10 +2,21 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from certbound.intervals import Box, Interval, iv_cos, iv_sin, refined_eval
+from certbound.intervals import (
+    Box,
+    Interval,
+    fraction_down,
+    fraction_up,
+    iv_cos,
+    iv_sin,
+    refined_eval,
+    sqrt_down,
+    sqrt_up,
+)
 from certbound.errors import (
     DegenerateSplit,
     DivisionByZeroInterval,
@@ -66,6 +77,93 @@ class TestArithmetic:
                 assert approx_encloses(ia * ib, x * y)
                 if b[0] > 0.1 or b[1] < -0.1:
                     assert approx_encloses(ia / ib, x / y)
+
+
+class TestExactZeros:
+    def test_zero_operand_sum_and_difference_are_exact(self):
+        assert Interval(0.0, 0.0) + Interval(1.5, 2.5) == Interval(1.5, 2.5)
+        assert Interval(1.5, 2.5) - Interval(0.0, 0.0) == Interval(1.5, 2.5)
+        assert Interval(0.0, 0.0) - Interval(1.5, 2.5) == Interval(-2.5, -1.5)
+        assert Interval(-0.0, 3.0) + Interval(0.0, 1.0) == Interval(0.0, math.nextafter(4.0, 5.0))
+
+    def test_sums_of_zeros_stay_zero(self):
+        total = Interval(0.0, 0.0)
+        for _ in range(10):
+            total = total + Interval(0.0, 0.0) - Interval(0.0, 0.0)
+        assert total == Interval(0.0, 0.0)
+
+    def test_nonzero_operands_still_step(self):
+        r = Interval(1.0, 1.0) + Interval(2.0, 2.0)
+        assert (r.lo, r.hi) == (math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0))
+        r = Interval(1.0, 1.0) - Interval(1.0, 1.0)
+        assert (r.lo, r.hi) == (-5e-324, 5e-324)
+
+    def test_zero_factor_product_is_exact(self):
+        assert Interval(0.0, 0.0) * Interval(-3.0, 7.0) == Interval(0.0, 0.0)
+        r = Interval(0.0, 2.0) * Interval(0.0, 3.0)
+        assert r.lo == 0.0 and r.hi == math.nextafter(6.0, 7.0)
+        r = Interval(-1.0, 0.0) * Interval(0.0, 1.0)
+        assert r.lo == math.nextafter(-1.0, -2.0) and r.hi == 0.0
+        assert Interval(0.0, 0.0).sqr() == Interval(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b", [((1e-200, 1e-200), (-1e-200, -1e-200)), ((1e-200, 1e-200), (1e-200, 1e-200))]
+    )
+    def test_underflowing_product_still_steps(self, a, b):
+        r = Interval(*a) * Interval(*b)
+        assert r.lo < 0.0 < r.hi
+        r = Interval(0.0, 1e-200) * Interval(*b)  # one zero factor, one underflow
+        assert r.lo < 0.0 < r.hi
+
+    def test_underflowing_square_still_steps(self):
+        r = Interval(1e-200, 1e-200).sqr()
+        assert r.lo == 0.0 and r.hi == 5e-324
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_soundness_with_zeros_and_tiny_endpoints(self, seed):
+        # Every endpoint combination of the real results lies in the
+        # enclosure, checked in exact rational arithmetic.
+        rng = random.Random(seed)
+        pool = [0.0, -0.0, 1e-200, -1e-200, 3e-170, 5e-324, 1.0, -2.5, 0.1, 7.0]
+
+        def draw() -> Interval:
+            a, b = sorted((rng.choice(pool), rng.choice(pool)))
+            return Interval(a, b)
+
+        for _ in range(3000):
+            a, b = draw(), draw()
+            for op, iv in (("+", a + b), ("-", a - b), ("*", a * b)):
+                for x in (a.lo, a.hi):
+                    for y in (b.lo, b.hi):
+                        fx, fy = Fraction(x), Fraction(y)
+                        exact = fx + fy if op == "+" else fx - fy if op == "-" else fx * fy
+                        assert Fraction(iv.lo) <= exact <= Fraction(iv.hi), (a, op, b)
+            sq = a.sqr()
+            for x in (a.lo, a.hi):
+                assert Fraction(sq.lo) <= Fraction(x) ** 2 <= Fraction(sq.hi), a
+
+
+class TestSafeScalars:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_square_roots_bracket_exactly(self, seed):
+        rng = random.Random(seed)
+        values = [0.0, 1.0, 2.0, 4.0, 0.25, 5e-324, 1e300]
+        values += [rng.uniform(0.0, 10.0) ** rng.randint(-8, 8) for _ in range(3000)]
+        for x in values:
+            up, down = sqrt_up(x), sqrt_down(x)
+            assert Fraction(down) ** 2 <= Fraction(x) <= Fraction(up) ** 2
+            # the tightest such floats
+            assert up == down or math.nextafter(down, math.inf) == up
+        assert (sqrt_up(4.0), sqrt_down(4.0)) == (2.0, 2.0)
+
+    def test_fractions_round_to_the_nearest_safe_float(self):
+        third = Fraction(1, 3)
+        assert Fraction(fraction_down(third)) < third < Fraction(fraction_up(third))
+        assert math.nextafter(fraction_down(third), 1.0) == fraction_up(third)
+        assert fraction_up(Fraction(3, 4)) == fraction_down(Fraction(3, 4)) == 0.75
+        tiny = Fraction(1, 10**400)
+        assert (fraction_down(tiny), fraction_up(tiny)) == (0.0, 5e-324)
+        assert (fraction_down(-tiny), fraction_up(-tiny)) == (-5e-324, -0.0)
 
 
 class TestElementary:

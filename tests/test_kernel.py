@@ -15,7 +15,7 @@ import random
 import pytest
 
 from certbound import expr as expr_module
-from certbound.bnb import BnBConfig, maximize, minimize
+from certbound.bnb import BnBConfig, BnBStats, _Bounder, _Negated, maximize, minimize
 from certbound.errors import DivisionByZeroInterval, EvaluationError, IntervalError
 from certbound.expr import (
     ABS,
@@ -230,7 +230,7 @@ def _box(lo: float, hi: float) -> Box:
     "text, lo, hi, error, message",
     [
         ("1/x", -1.0, 1.0, "DivisionByZeroInterval", "divisor [-1.0, 1.0] contains zero"),
-        ("1/(x - 1)", 0.0, 1.0, "DivisionByZeroInterval", "divisor [-1.0000000000000002, 5e-324] contains zero"),
+        ("1/(x - 1)", 0.0, 1.0, "DivisionByZeroInterval", "divisor [-1.0, 5e-324] contains zero"),
         ("sqrt(x)", -1.0, 1.0, "DomainError", "sqrt of interval [-1.0, 1.0] with negative part"),
         ("x*x*x", 1e200, 1e200, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
         ("sqr(x)", 1e200, 1e200, "IntervalError", "non-finite endpoint in [1.7976931348623157e+308, inf]"),
@@ -334,10 +334,75 @@ def test_bnb_result_same_with_and_without_hoisting(optimize):
     program = Program(e, box.labels)
     cfg = BnBConfig(eps_h=1e-3, eps_om=1e-6, segments=10)
     hoisted = optimize(program.eval_point, program, box, cfg)
-    plain = optimize(program.eval_point, lambda b: program(b), box, cfg)
+
+    def unhoisted(b):
+        return program(b)
+
+    unhoisted.gradient = program.gradient  # the same first-order bounds
+    plain = optimize(program.eval_point, unhoisted, box, cfg)
     assert (hoisted.lower, hoisted.upper, hoisted.lower_witness, hoisted.stats.evals) == (
         plain.lower, plain.upper, plain.lower_witness, plain.stats.evals
     )
+
+
+# ---------------------------------------------------------------------------
+# First-order bounds of the branch-and-bound
+# ---------------------------------------------------------------------------
+
+
+def _point_enclosure(program, point):
+    """The interval kernel at ``point``: it encloses the exact value there,
+    which a float evaluation may miss by its rounding.  ``None`` where the
+    objective is undefined."""
+    try:
+        return program(Box(tuple(Interval(x, x) for x in point), NAMES))
+    except IntervalError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_order_bounds_contain_sampled_values(seed):
+    # On random trees, abs and max among the ops: a subproblem's face lies
+    # in its box, its bounds enclose h on the face, and its upper bound is
+    # above h anywhere in the box (the maximum lies on the face).
+    rng = random.Random(700 + seed)
+    sampler = random.Random(seed)
+    collapsed = tightened = 0
+    for _ in range(120):
+        e = random_tree(rng, rng.randint(1, 5))
+        program = Program(e, NAMES)
+        for _ in range(3):
+            box = random_box(rng)
+            if rng.random() < 0.5:  # narrower boxes, where the centred form wins
+                box = Box(
+                    tuple(Interval(iv.lo, min(iv.hi, iv.lo + 0.3)) for iv in box.dims), NAMES
+                )
+            segments = rng.choice([1, 3])
+            for hI, sign in ((program, 1.0), (_Negated(program), -1.0)):
+                sub = _Bounder(hI, segments, BnBStats())(box)
+                assert all(
+                    b.lo <= f.lo <= f.hi <= b.hi for f, b in zip(sub.box.dims, box.dims)
+                )
+                plain = _Bounder(lambda b: hI(b), segments, BnBStats())(sub.box)
+                collapsed += sub.box != box
+                tightened += sub.lo_bound > plain.lo_bound or sub.hi_bound < plain.hi_bound
+                points = [
+                    tuple(sampler.uniform(iv.lo, iv.hi) for iv in sub.box.dims)
+                    for _ in range(20)
+                ]
+                points += [sub.box.corner("lo"), sub.box.corner("hi")]
+                for point in points:
+                    value = _point_enclosure(program, point)
+                    if value is not None:
+                        lo, hi = sorted((sign * value.lo, sign * value.hi))
+                        assert sub.lo_bound <= hi and lo <= sub.hi_bound, (str(e), box, point)
+                for _ in range(20):
+                    point = tuple(sampler.uniform(iv.lo, iv.hi) for iv in box.dims)
+                    value = _point_enclosure(program, point)
+                    if value is not None:
+                        lo = min(sign * value.lo, sign * value.hi)
+                        assert lo <= sub.hi_bound, (str(e), box, point)
+    assert collapsed > 0 and tightened > 0  # both first-order steps were taken
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from certbound.errors import (
 from certbound.expr import eval_real, parse, to_text
 from certbound.intervals import Interval
 from certbound.params import (
+    _maximize_expr,
+    _minimize_expr,
     _zeta_row_exprs,
     build_psi,
     build_xi,
@@ -127,6 +130,18 @@ class TestJacobianBounds:
         assert linear.entry(2, 1) == alone.entry(1, 1)
         assert linear.stats.evals == alone.stats.evals  # no evaluation for [c, c]
         assert linear.stats.runs == alone.stats.runs + 4
+
+    def test_product_with_sqrt_leaves_no_quotient_debris(self):
+        # d(x1*sqrt(x2))/dx1 is sqrt(x2), not sqrt(x2) + x1*(0.0/(2.0*sqrt(x2))),
+        # whose enclosure fails on every box that touches x2 = 0.
+        m = small_model(["x1*sqrt(x2)", "x2"], [("x1", 0, 1), ("x2", 0, 1)])
+        partials = dict(m.state_jacobian[0])
+        assert to_text(partials[0]) == "sqrt(x2)"
+        hi = _maximize_expr(partials[0], m, CFG)
+        lo = _minimize_expr(partials[0], m, CFG)
+        assert lo.lower <= 0.0 <= lo.upper and hi.lower <= 1.0 <= hi.upper
+        assert hi.eps_optimal and lo.eps_optimal
+        assert hi.stats.evals + lo.stats.evals < 200
 
     def test_moving_object_entry(self, moving_object):
         jb = jacobian_bounds(moving_object, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1))
@@ -309,6 +324,28 @@ class TestOSL:
         assert z.gamma_s >= sampled_hi - 1e-9
         assert z.lower_gamma <= sampled_lo + 1e-9
 
+    def test_zeta_constant_rows_fold_exactly(self):
+        m = small_model(["x2", "x1"], [("x1", -1, 1), ("x2", -1, 1)])
+        z, g = osl_zeta(m, CFG), osl_gershgorin(m, CFG)
+        assert (z.gamma_s, z.lower_gamma, z.stats.evals) == (1.0, -1.0, 0)
+        assert (z.gamma_s, z.lower_gamma) == (g.gamma_s, g.lower_gamma)
+
+    def test_zeta_constant_rows_round_outward(self):
+        # Rows 1 + 1.0*|0.1| and 1 - 1.0*|0.1|: neither sum is a float.
+        m = small_model(["x1 + 0.1*x2", "0.1*x1 + x2"], [("x1", -1, 1), ("x2", -1, 1)])
+        r = osl_zeta(m, CFG)
+        exact_hi, exact_lo = 1 + Fraction(0.1), 1 - Fraction(0.1)
+        assert r.stats.evals == 0
+        assert Fraction(r.gamma_s) > exact_hi > Fraction(math.nextafter(r.gamma_s, 0.0))
+        assert Fraction(r.lower_gamma) < exact_lo < Fraction(math.nextafter(r.lower_gamma, 2.0))
+
+    def test_abs_and_max_objectives_keep_their_evals(self, moving_object):
+        # Every zeta and Gershgorin row has an abs of uncertified sign or a
+        # max, so no first-order bound applies.
+        cfg = BnBConfig()
+        assert osl_zeta(moving_object, cfg).stats.evals == 1696
+        assert osl_gershgorin(moving_object, cfg).stats.evals == 1696
+
     def test_zeta_rows_are_built_as_written(self):
         m = small_model(["x2", "x1"], [("x1", -1, 1), ("x2", -1, 1)])
         uppers, lowers = _zeta_row_exprs(build_psi(m), zeta(m.n))
@@ -355,6 +392,11 @@ class TestQIB:
 
     @pytest.mark.parametrize("eps1, eps2", [(math.nan, 0.1), (0.1, math.nan)])
     def test_nan_weights_rejected(self, moving_object_unit, eps1, eps2):
+        with pytest.raises(PreconditionViolated):
+            qib(moving_object_unit, CFG_COARSE, eps1=eps1, eps2=eps2)
+
+    @pytest.mark.parametrize("eps1, eps2", [(math.inf, 0.1), (0.1, math.inf)])
+    def test_infinite_weights_rejected(self, moving_object_unit, eps1, eps2):
         with pytest.raises(PreconditionViolated):
             qib(moving_object_unit, CFG_COARSE, eps1=eps1, eps2=eps2)
 
@@ -437,6 +479,36 @@ class TestQB:
 # ---------------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------------
+
+
+class TestAssemblyRounding:
+    """Square roots and weighted sums after the optimizer round to the safe
+    side: the constant's square is at least the certified maximum, the
+    witness's square at most the achieved one.  The radicands here are
+    exact (constant objectives), 3 and 6, whose nearest roots square to
+    below them."""
+
+    THREE = [("x1", -1, 1), ("x2", -1, 1), ("x3", -1, 1)]
+
+    @pytest.mark.parametrize(
+        "constant, texts, radicand",
+        [
+            (lambda m: lipschitz_case1(m, CFG).gamma, ["x1 + x2 + x3"], 3),
+            (lambda m: lipschitz_case2(m, CFG).gamma, ["x1 + x2 + x3"] * 2, 6),
+            (lambda m: osl_frobenius(m, CFG).gamma_s, ["-x1", "-x2", "-x3"], 3),
+            (lambda m: qb(m, CFG).diag[0], ["x1", "x2", "x3"], 3),
+        ],
+        ids=["case1", "case2", "frobenius", "qb"],
+    )
+    def test_certified_side_rounds_up(self, constant, texts, radicand):
+        value = constant(small_model(texts, self.THREE))
+        assert Fraction(value) ** 2 >= radicand > Fraction(math.nextafter(value, 0.0)) ** 2
+        assert value > math.sqrt(radicand)  # round-to-nearest is below the root
+
+    @pytest.mark.parametrize("case", [lipschitz_case1, lipschitz_case2])
+    def test_witness_side_rounds_down(self, case):
+        r = case(small_model(["x1 + x2 + x3"], self.THREE), CFG)
+        assert Fraction(r.lower) ** 2 <= 3 < Fraction(math.nextafter(r.lower, 9.0)) ** 2
 
 
 class TestQIBToLipschitz:
