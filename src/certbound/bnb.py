@@ -7,7 +7,7 @@ lower/upper bounds from exactly one refined interval evaluation; where that
 evaluation fails (a divisor or square-root argument enclosure that crosses
 its domain's edge, a non-finite endpoint, or an overflow), the box keeps its
 parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
-``hI`` also encloses the gradient (``hI.gradient()``), each box is first
+``hI`` also encloses the gradient (``hI.gradient(box)``), each box is first
 collapsed to the face where its maximum lies along every dimension of fixed
 derivative sign, and its bounds are tightened by the centred form (see
 ``_first_order``).  The search tightens the sandwich ``l <= h* <= u`` in
@@ -37,6 +37,7 @@ from .intervals import Box, Interval, pair_add, pair_mul, pair_sub, refined_eval
 
 PointFn = Callable[[Sequence[float]], float]
 IntervalFn = Callable[[Box], Interval]
+GradientFn = Callable[[Box], Sequence[Interval]]
 
 _INF_SENTINEL = float("inf")
 
@@ -83,10 +84,14 @@ class Cover:
         ]
 
     def add(self, sub: Subproblem) -> None:
-        # Ties break toward the wider box, then the earlier insertion.
+        # Ties break toward the wider box, then the earlier insertion; but
+        # among infinite upper bounds toward the narrower box, so that phase
+        # 1 bisects one failing box down to ``eps_om``, where the run must
+        # end unbounded, instead of every failing box breadth-first.
         self._alive[sub.order] = sub
         neg_width = -sub.width
-        heappush(self._hi_heap, (-sub.hi_bound, neg_width, sub.order))
+        hi_tie = sub.width if sub.hi_bound == _INF_SENTINEL else neg_width
+        heappush(self._hi_heap, (-sub.hi_bound, hi_tie, sub.order))
         lo_key = (-sub.lo_bound, neg_width, sub.order)
         heappush(self._lo_heap, lo_key)
         heappush(self._lo_split_heap, lo_key)
@@ -177,22 +182,23 @@ class BnBResult:
 
 
 def _first_order(
-    hI: IntervalFn, gradient: Sequence[IntervalFn], box: Box
+    hI: IntervalFn, gradient: GradientFn, box: Box
 ) -> tuple[Box, float, float]:
     """First-order reduction of ``box`` for maximization, from the
-    enclosures ``G_k`` of the partial derivatives on it.
+    enclosures ``G_k = gradient(box)[k]`` of the partial derivatives on it
+    (of Clarke's generalized gradient where h has kinks).
 
     Monotonicity test (Hansen & Walster 2004): where ``G_k >= 0`` the
     maximum of h over the box is reached on the face ``x_k = hi``, where
     ``G_k <= 0`` on ``x_k = lo``; every such dimension collapses to that
     face.  Centred form (Ratschek & Rokne 1988): on the face, with centre
     ``c``, ``h`` lies in ``h([c]) + sum_k G_k * (X_k - c_k)`` by the mean
-    value theorem, ``h([c])`` being the interval enclosure at ``c``.
+    value theorem (Lebourg's, for a locally Lipschitz h), ``h([c])`` being
+    the interval enclosure at ``c``.
 
     Returns the face and that centred enclosure of h on it.  Raises
-    ``IntervalError`` when a partial derivative or the centre does not
-    enclose."""
-    grads = [g(box) for g in gradient]
+    ``IntervalError`` when the gradient or the centre does not enclose."""
+    grads = gradient(box)
     dims = list(box.dims)
     for k, g in enumerate(grads):
         if g.lo >= 0.0:
@@ -214,13 +220,13 @@ def _first_order(
 class _Bounder:
     """Evaluates cached subproblem bounds; counts evaluations.
 
-    Where ``hI`` has a ``gradient()`` that is not ``None`` (a compiled
-    ``expr.Program`` of a differentiable expression has), each box is first
-    reduced by ``_first_order``: the subproblem keeps the face instead of
-    the box, and its bounds are the natural enclosure on the face
-    intersected with the centred form.  A gradient or centre enclosure that
-    fails skips this step for that box.  Either way each box costs one
-    refined interval evaluation, and ``evals`` counts one per box.
+    Where ``hI`` has a ``gradient(box)`` (a compiled ``expr.Program``
+    has), each box is first reduced by ``_first_order``: the subproblem
+    keeps the face instead of the box, and its bounds are the natural
+    enclosure on the face intersected with the centred form.  A gradient or
+    centre enclosure that fails skips this step for that box.  Either way
+    each box costs one refined interval evaluation, and ``evals`` counts
+    one per box.
 
     The bounds of a box split from ``parent`` are intersected with the
     parent's: those stay valid on the half (its range is a subset), so the
@@ -235,8 +241,7 @@ class _Bounder:
         self.stats = stats
         self.counter = itertools.count()
         self.failure: IntervalError | None = None
-        gradient = getattr(hI, "gradient", None)
-        self.gradient = gradient() if gradient is not None else None
+        self.gradient: GradientFn | None = getattr(hI, "gradient", None)
 
     def __call__(self, box: Box, parent: Subproblem | None = None) -> Subproblem:
         self.stats.evals += 1
@@ -423,21 +428,20 @@ class _Negated:
     """The interval function ``-hI``.  Where ``hI`` evaluates slabs itself
     (see ``refined_eval``), so does this: the negated hull of the slabs is
     the hull of the negated slabs, bit for bit, because ``min`` and ``max``
-    both keep the first of equal endpoints."""
+    both keep the first of equal endpoints.  Where ``hI`` encloses its
+    gradient, this encloses the negated one."""
 
     def __init__(self, hI: IntervalFn):
         self.hI = hI
         eval_slabs = getattr(hI, "eval_slabs", None)
         if eval_slabs is not None:
             self.eval_slabs = lambda box, dim, cuts: -eval_slabs(box, dim, cuts)
+        gradient = getattr(hI, "gradient", None)
+        if gradient is not None:
+            self.gradient = lambda box: tuple(-g for g in gradient(box))
 
     def __call__(self, box: Box) -> Interval:
         return -self.hI(box)
-
-    def gradient(self) -> tuple["_Negated", ...] | None:
-        """The negated gradient of ``hI``; ``None`` where it has none."""
-        grads = getattr(self.hI, "gradient", lambda: None)()
-        return None if grads is None else tuple(_Negated(g) for g in grads)
 
 
 def minimize(

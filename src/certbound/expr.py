@@ -151,13 +151,17 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
+    """The variable names of ``e``; a node that several parents share is
+    walked once."""
     out: set[str] = set()
+    walked: set[int] = set()
     stack = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        else:
+        elif id(node) not in walked:
+            walked.add(id(node))
             stack.extend(_children(node))
     return frozenset(out)
 
@@ -638,17 +642,18 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 #
-# A Program flattens the tree into ops in postfix order, one op per tree node,
-# and generates straight-line Python from them: one statement per op, with
-# constants and variables read in place by the ops that use them.  The
-# interval kernel works on float endpoint pairs and calls the ``pair_*``
-# functions of ``intervals`` (``l2, h2 = pair_mul(l0, h0, l1, h1)``); the
-# point kernel uses plain float arithmetic.  A kernel is a tuple of chunk
-# functions of at most ``_CHUNK`` statements each, because compiling one huge
-# function takes memory out of proportion to its size.  Each chunk appends
-# to the list ``o`` the values that a later chunk (or a tail) reads back, and
-# the result.  Chunks are cached by their source text, and constants are
-# passed in, so programs of one shape share their compiled chunks.
+# A Program numbers the values of the tree into ops in postfix order (see
+# ``_postfix``) and generates straight-line Python from them: one statement
+# per op, with constants and variables read in place by the ops that use
+# them.  The interval kernel works on float endpoint pairs and calls the
+# ``pair_*`` functions of ``intervals`` (``l2, h2 = pair_mul(l0, h0, l1,
+# h1)``); the point kernel uses plain float arithmetic.  A kernel is a tuple
+# of chunk functions of at most ``_CHUNK`` statements each, because
+# compiling one huge function takes memory out of proportion to its size.
+# Each chunk appends to the list ``o`` the values that a later chunk (or a
+# tail) reads back, and the results.  Chunks are cached by their source
+# text, and constants are passed in, so programs of one shape share their
+# compiled chunks.
 #
 # Slab hoisting: ``eval_slabs`` runs the whole interval kernel on the first
 # slab only.  For the other slabs it runs a "tail": the ops that depend on
@@ -657,10 +662,20 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 # full evaluation of that slab, so the hull is the one slab-by-slab
 # evaluation gives, bit for bit, and no op that depends on the sliced
 # variable ever sees the unsliced box.
+#
+# Gradient: the adjoint kernel encloses every partial derivative on a box in
+# one forward and one reverse pass over the ops (Griewank & Walther,
+# *Evaluating Derivatives*, 2008), so its cost is that of a few evaluations
+# whatever the number of variables.  The forward pass is the whole interval
+# kernel; the reverse pass (``_reverse_statements``) reads the op values it
+# needs from the forward pass's ``o``, as a tail does.
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
 _CHUNK = 128
-_UNBUILT = object()  # a gradient not built yet
+_REVERSE = "reverse"  # the kernel key of the reverse pass
+# Operands given as source text: the adjoints known to be exactly 1 or -1,
+# and an exact zero.
+_ONE, _MINUS_ONE, _ZERO_PAIR = ("1.0", "1.0"), ("-1.0", "-1.0"), ("0.0", "0.0")
 
 # Right-hand side of each op's statement; ``{0}``... are the operands'
 # endpoints (pair kernel) or values (point kernel), ``{arg}`` the op's
@@ -716,48 +731,68 @@ def _compile_chunk(source: str):
 
 def _postfix(expr: Expr, slots: Mapping[str, int]):
     """Ops ``(kind, arg, operands)`` in postfix order, the constants they
-    index and, per op, the bit set of variable slots it depends on.  The
-    walk keeps its own stack, so deep trees need no recursion."""
+    index and, per op, the bit set of variable slots it depends on.
+
+    Values are numbered: equal constants (by ``repr``, so ``0.0`` and
+    ``-0.0`` stay apart) are one op, so are ops of equal ``(kind, arg,
+    operands)``, and a node that several parents share is walked once.  An
+    op computes what each of its occurrences in the tree would, so the
+    numbering changes no result.  The walk keeps its own stack, so deep
+    trees need no recursion."""
     ops: list[tuple[str, object, tuple[int, ...]]] = []
     constants: list[float] = []
     deps: list[int] = []
+    number: dict[object, int] = {}  # value key -> op index
+    walked: dict[int, int] = {}  # id of a walked node -> op index
     done: list[int] = []  # op index of each finished subtree, innermost last
     todo: list[tuple[Expr, bool]] = [(expr, False)]
     while todo:
         node, expanded = todo.pop()
-        if isinstance(node, Const):
-            ops.append((_CONST, len(constants), ()))
-            constants.append(node.value)
-            deps.append(0)
-        elif isinstance(node, Var):
-            ops.append((_LOAD, slots[node.name], ()))
-            deps.append(1 << slots[node.name])
-        else:
-            kids = _children(node)
-            if not expanded:
-                todo.append((node, True))
-                todo.extend((kid, False) for kid in reversed(kids))
-                continue
-            operands = tuple(done[-len(kids):])
-            del done[-len(kids):]
-            if isinstance(node, PowInt):
-                ops.append((_POW, node.exponent, operands))
+        index = walked.get(id(node))
+        if index is None:
+            if isinstance(node, Const):
+                key: object = repr(node.value)
+                op: tuple[str, object, tuple[int, ...]] = (_CONST, len(constants), ())
+            elif isinstance(node, Var):
+                key = op = (_LOAD, slots[node.name], ())
             else:
-                ops.append((node.op, None, operands))
-            mask = 0
-            for j in operands:
-                mask |= deps[j]
-            deps.append(mask)
-        done.append(len(ops) - 1)
+                kids = _children(node)
+                if not expanded:
+                    todo.append((node, True))
+                    todo.extend((kid, False) for kid in reversed(kids))
+                    continue
+                operands = tuple(done[-len(kids):])
+                del done[-len(kids):]
+                if isinstance(node, PowInt):
+                    key = op = (_POW, node.exponent, operands)
+                else:
+                    key = op = (node.op, None, operands)
+            index = number.get(key)
+            if index is None:
+                index = number[key] = len(ops)
+                ops.append(op)
+                kind, arg, operands = op
+                if kind == _CONST:
+                    constants.append(node.value)
+                    deps.append(0)
+                elif kind == _LOAD:
+                    deps.append(1 << arg)
+                else:
+                    mask = 0
+                    for j in operands:
+                        mask |= deps[j]
+                    deps.append(mask)
+            walked[id(node)] = index
+        done.append(index)
     return tuple(ops), tuple(constants), tuple(deps)
 
 
-def _statements(code, constants, ops: Sequence[int], pair: bool) -> list[int]:
+def _statements(code, constants, ops: Iterable[int], pair: bool) -> list[int]:
     """The ops of ``ops`` that get a statement of their own.  A constant or
     load is read in place by the op that uses it, unless it is the result,
     or a non-finite constant, which the interval kernel must reject in its
     turn."""
-    last = ops[-1]
+    last = len(code) - 1
     return [
         i
         for i in ops
@@ -767,73 +802,209 @@ def _statements(code, constants, ops: Sequence[int], pair: bool) -> list[int]:
     ]
 
 
-def _chunk_source(
-    code, run: Sequence[int], start: int, slot: Mapping[int, int],
-    t_slot: Mapping[int, int], pair: bool,
-) -> str:
-    """Source of the chunk that evaluates ``run[start:start + _CHUNK]``.
-
-    The chunk appends to ``o`` the ops of ``run`` that have a ``slot``
-    there.  An operand from outside the chunk is read from ``o`` or, when a
-    tail does not re-run it, from the first slab's values ``t`` at
-    ``t_slot``; constants and loads are read in place."""
-    chunk = run[start:start + _CHUNK]
-    local = {op: p for p, op in enumerate(chunk)}
-
-    def ref(j: int) -> list[str]:
-        kind, arg, _ = code[j]
-        if kind == _CONST:
-            return [f"c[{arg}]"] * (2 if pair else 1)
-        if kind == _LOAD:
-            return [f"d[{arg}].lo", f"d[{arg}].hi"] if pair else [f"d[{arg}]"]
-        p = local.get(j)
-        if p is not None:
-            return [f"l{p}", f"h{p}"] if pair else [f"v{p}"]
-        where, k = ("o", slot[j]) if j in slot else ("t", t_slot[j])
-        return [f"{where}[{2 * k}]", f"{where}[{2 * k + 1}]"] if pair else [f"{where}[{k}]"]
-
-    lines = []
-    for p, op in enumerate(chunk):
-        kind, arg, operands = code[op]
-        args = [part for j in operands for part in ref(j)]
-        rhs = (_PAIR_RHS if pair else _POINT_RHS)[kind].format(*args, arg=arg)
-        lines.append((f"l{p}, h{p} = " if pair else f"v{p} = ") + rhs)
-    kept = [p for p, op in enumerate(chunk) if op in slot]
-    if kept:
-        values = ", ".join(f"l{p}, h{p}" if pair else f"v{p}" for p in kept)
-        lines.append(f"o += ({values},)")
-    head = "def chunk(d, c, t, o, g):" if pair else "def chunk(d, c, o):"
-    return head + "\n    " + "\n    ".join(lines) + "\n"
+def _in_place(code, j: int, pair: bool) -> tuple[str, ...]:
+    """Source text of the value of constant or load ``j``."""
+    kind, arg, _ = code[j]
+    if kind == _CONST:
+        return (f"c[{arg}]",) * (2 if pair else 1)
+    return (f"d[{arg}].lo", f"d[{arg}].hi") if pair else (f"d[{arg}]",)
 
 
-def _slots(code, run: Sequence[int], keep: Iterable[int]) -> dict[int, int]:
-    """Where each op of ``run`` that must outlive its chunk is stored in
-    ``o``: the ops in ``keep``, the ops a later chunk reads, and the last
-    op, whose value is the result; in run order."""
-    chunk_of = {op: m // _CHUNK for m, op in enumerate(run)}
+def _op_statements(code, run: Sequence[int], pair: bool, outside=None) -> list:
+    """The statements (see ``_chunk_sources``) of the ops of ``run``.  An
+    operand is the statement of its op in ``run``, a constant or load read
+    in place, or else the source text ``outside(j)`` of the value of op
+    ``j``."""
+    position = {op: i for i, op in enumerate(run)}
+    table = _PAIR_RHS if pair else _POINT_RHS
+
+    def ref(j: int):
+        i = position.get(j)
+        if i is not None:
+            return i
+        if code[j][0] in (_CONST, _LOAD):
+            return _in_place(code, j, pair)
+        return outside(j)
+
+    return [
+        (table[kind], arg, tuple(ref(j) for j in operands))
+        for kind, arg, operands in (code[op] for op in run)
+    ]
+
+
+def _layout(stmts, keep: Iterable[int], outputs=()) -> dict[int, int]:
+    """Where each statement that must outlive its chunk is stored in ``o``:
+    those in ``keep`` and those that a later chunk reads, or that
+    ``outputs`` reads at the end of the last chunk; in statement order."""
     stored = set(keep)
-    stored.add(run[-1])
-    for op in run:
-        for j in code[op][2]:
-            if chunk_of.get(j, chunk_of[op]) != chunk_of[op]:
-                stored.add(j)
-    return {op: k for k, op in enumerate(op for op in run if op in stored)}
+    for i, (_, _, operands) in enumerate(stmts):
+        stored.update(j for j in operands if type(j) is int and j // _CHUNK != i // _CHUNK)
+    last = (len(stmts) - 1) // _CHUNK
+    stored.update(j for j in outputs if type(j) is int and j // _CHUNK != last)
+    return {j: k for k, j in enumerate(sorted(stored))}
+
+
+def _chunk_sources(stmts, slot: Mapping[int, int], pair: bool, outputs=()) -> list[str]:
+    """Sources of the chunks that run ``stmts``, ``_CHUNK`` at a time.
+
+    A statement ``(template, arg, operands)`` assigns
+    ``template.format(*parts, arg=arg)``, where ``parts`` are the endpoints
+    (pair kernel) or values (point kernel) of its operands.  An operand is
+    the index of an earlier statement, read from the chunk's locals or, when
+    an earlier chunk computed it, from ``o`` at its ``slot``; or the tuple
+    of the source text of its parts.  Each chunk appends to ``o`` the values
+    of its statements that have a slot, and the last chunk then appends
+    ``outputs``, operands of the same kinds."""
+    width = 2 if pair else 1
+    head = "def chunk(d, c, t, o, g):" if pair else "def chunk(d, c, o):"
+    sources = []
+    for start in range(0, len(stmts), _CHUNK) or range(1 if outputs else 0):
+        stop = min(start + _CHUNK, len(stmts))
+
+        def ref(j) -> tuple[str, ...]:
+            if type(j) is not int:
+                return j
+            if j >= start:
+                return (f"l{j - start}", f"h{j - start}") if pair else (f"v{j - start}",)
+            k = width * slot[j]
+            return tuple(f"o[{k + m}]" for m in range(width))
+
+        lines = []
+        for i in range(start, stop):
+            template, arg, operands = stmts[i]
+            parts = [part for j in operands for part in ref(j)]
+            lines.append(" = ".join((", ".join(ref(i)), template.format(*parts, arg=arg))))
+        values = [part for i in range(start, stop) if i in slot for part in ref(i)]
+        if stop == len(stmts):
+            values += [part for j in outputs for part in ref(j)]
+        if values:
+            lines.append(f"o += ({', '.join(values)},)")
+        sources.append(head + "\n    " + "\n    ".join(lines) + "\n")
+    return sources
+
+
+def _reverse_statements(code, deps, n: int):
+    """Statements of the reverse pass of the adjoint kernel (see
+    ``_chunk_sources``), its outputs (the enclosures, on the box, of the
+    partial derivatives by the ``n`` variable slots) and the ops whose
+    values it reads.  An operand ``-1 - j`` stands for the value of op
+    ``j``, which the whole interval kernel computes on the same box.
+
+    The pass visits the ops that depend on a variable from the result down.
+    Each sends its adjoint (the enclosure of the derivative of the result
+    by the op's value) times its local partial derivatives to its operands,
+    and an op's adjoint is the sum of what it receives.  At a kink the local
+    partial derivative is Clarke's generalized one, enclosed by
+    ``pair_abs_adjoint`` and ``pair_max_adjoint``.  An adjoint known to be
+    exactly 1 or -1 is kept as text, so multiplying by it costs neither a
+    statement nor a rounding, and equal statements are emitted once."""
+    rev: list = []
+    emitted: dict[tuple, int] = {}
+    read: set[int] = set()
+    root = len(code) - 1
+    adjoint: dict[int, object] = {root: _ONE} if deps[root] else {}
+
+    def value(j: int) -> int:
+        read.add(j)
+        return -1 - j
+
+    def emit(template: str, *operands, arg=None) -> int:
+        """The statement ``(template, arg, operands)``: a new one unless
+        an equal one is there already."""
+        stmt = (template, arg, operands)
+        index = emitted.get(stmt)
+        if index is None:
+            index = emitted[stmt] = len(rev)
+            rev.append(stmt)
+        return index
+
+    def neg(x):
+        if x is _ONE or x is _MINUS_ONE:
+            return _MINUS_ONE if x is _ONE else _ONE
+        if type(x) is int and x >= 0 and rev[x][0] == _PAIR_RHS[NEG]:
+            return rev[x][2][0]  # -(-y) is y
+        return emit(_PAIR_RHS[NEG], x)
+
+    def times(x, y):
+        if x is _ONE or x is _MINUS_ONE:
+            return y if x is _ONE else neg(y)
+        return emit(_PAIR_RHS[MUL], x, y)
+
+    def scaled(k: float, x):
+        return emit("pair_mul({arg}, {arg}, {0}, {1})", x, arg=k)
+
+    ops = {op: i for i, op in enumerate(code)}
+
+    def apply(kind: str, j: int, arg=None):
+        """The value of ``kind`` applied to op ``j``'s: an op's if there is
+        one (``sin(x)`` next to ``cos(x)``), else a new statement."""
+        i = ops.get((kind, arg, (j,)))
+        return value(i) if i is not None else emit(_PAIR_RHS[kind], value(j), arg=arg)
+
+    def send(j: int, x) -> None:
+        adjoint[j] = emit(_PAIR_RHS[ADD], adjoint[j], x) if j in adjoint else x
+
+    for i in range(root, -1, -1):
+        g = adjoint.get(i)
+        if g is None:
+            continue
+        kind, arg, operands = code[i]
+        a, b = (operands + (None, None))[:2]
+        if kind in (ADD, SUB):
+            if deps[a]:
+                send(a, g)
+            if deps[b]:
+                send(b, g if kind == ADD else neg(g))
+        elif kind == MUL:
+            if deps[a]:
+                send(a, times(g, value(b)))
+            if deps[b]:
+                send(b, times(g, value(a)))
+        elif kind == DIV:
+            if deps[a]:
+                send(a, emit(_PAIR_RHS[DIV], g, value(b)))
+            if deps[b]:
+                send(b, neg(emit(_PAIR_RHS[DIV], times(g, value(i)), value(b))))
+        elif kind == MAX:
+            share = "pair_max_adjoint({0}, {1}, {2}, {3}, {4}, {5})"
+            if deps[a]:
+                send(a, emit(share, value(a), value(b), g))
+            if deps[b]:
+                send(b, emit(share, value(b), value(a), g))
+        elif kind == NEG or (kind == _POW and arg == 1):
+            send(a, neg(g) if kind == NEG else g)
+        elif kind == SQR or kind == _POW and arg == 2:
+            send(a, times(g, scaled(2.0, value(a))))
+        elif kind == _POW:
+            send(a, times(g, scaled(float(arg), apply(_POW, a, arg - 1))))
+        elif kind == SQRT:
+            send(a, emit(_PAIR_RHS[DIV], g, scaled(2.0, value(i))))
+        elif kind == EXP:
+            send(a, times(g, value(i)))
+        elif kind == SIN:
+            send(a, times(g, apply(COS, a)))
+        elif kind == COS:
+            send(a, neg(times(g, apply(SIN, a))))
+        elif kind == ABS:
+            send(a, emit("pair_abs_adjoint({0}, {1}, {2}, {3})", value(a), g))
+    loads = {arg: i for i, (kind, arg, _) in enumerate(code) if kind == _LOAD}
+    return rev, [adjoint.get(loads.get(k), _ZERO_PAIR) for k in range(n)], read
 
 
 class Program:
     """Expression compiled to straight-line kernels for repeated point and
     interval evaluation.
 
-    ``code`` holds the ops in postfix order, one per tree node.  Calling the
-    program on a box gives its enclosure there, so a program is itself an
-    interval function for ``intervals.refined_eval``; ``degree`` is the
-    series degree of sin and cos.  ``gradient()`` gives the programs of the
-    partial derivatives, from which the branch-and-bound takes first-order
-    bounds.
+    ``code`` holds the numbered ops in postfix order (see ``_postfix``).
+    Calling the program on a box gives its enclosure there, so a program is
+    itself an interval function for ``intervals.refined_eval``; ``degree``
+    is the series degree of sin and cos.  ``gradient(box)`` encloses the
+    partial derivatives on a box, from which the branch-and-bound takes
+    first-order bounds.
     """
 
     __slots__ = (
-        "code", "var_order", "expr", "degree", "_constants", "_deps", "_kernels", "_gradient",
+        "code", "var_order", "expr", "degree", "_constants", "_deps", "_kernels", "_reverse",
     )
 
     def __init__(self, expr: Expr, var_order: Sequence[str], degree: int = 4):
@@ -845,57 +1016,97 @@ class Program:
         self.var_order = tuple(var_order)
         self.expr = expr
         self.degree = degree
-        self._kernels: dict[tuple[int | None, bool], tuple] = {}
-        self._gradient: object = _UNBUILT
+        self._kernels: dict[tuple[int | str | None, bool], tuple] = {}
+        self._reverse: tuple | None = None
 
-    def gradient(self) -> tuple["Program", ...] | None:
-        """One program per variable of ``var_order``: the partial derivative
-        of the expression by that variable.  Built on first use and cached;
-        ``None`` when the expression is not differentiable (an ``abs`` of
-        uncertified sign, or a ``max``)."""
-        if self._gradient is _UNBUILT:
-            try:
-                self._gradient = tuple(
-                    Program(differentiate(self.expr, v), self.var_order, self.degree)
-                    for v in self.var_order
-                )
-            except NonDifferentiable:
-                self._gradient = None
-        return self._gradient
+    def gradient(self, box: Box) -> tuple[Interval, ...]:
+        """Enclosures of the partial derivatives on ``box``, one per
+        variable of ``var_order``, from one pass of the adjoint kernel: the
+        whole interval kernel, then the reverse pass.  At a kink of ``abs``
+        or ``max`` they enclose Clarke's generalized gradient, so the mean
+        value theorem holds with them in Lebourg's form.  A variable the
+        expression does not contain gets exactly ``[0, 0]``.  Raises
+        ``IntervalError`` where an enclosure fails."""
+        dims, c, g = box.dims, self._constants, self.degree
+        t: list[float] = []
+        o: list[float] = []
+        try:
+            for chunk in self._kernel(None, True):
+                chunk(dims, c, t, t, g)
+            for chunk in self._kernel(_REVERSE, True):
+                chunk(dims, c, t, o, g)
+        except OverflowError as exc:
+            raise IntervalError(f"interval evaluation overflow: {exc}") from exc
+        ends = o[len(o) - 2 * len(self.var_order):]
+        return tuple(map(Interval, ends[::2], ends[1::2]))
 
-    def _slab_slots(self) -> dict[int, int]:
-        """Layout of the whole interval kernel's ``o``: besides what it
-        needs itself, it keeps every value some tail reads, i.e. of each op
-        whose consumer depends on a variable it does not depend on."""
-        deps = self._deps
-        read = [
-            j
-            for i, (_, _, operands) in enumerate(self.code)
-            for j in operands
-            if deps[i] & ~deps[j]
-        ]
-        run = _statements(self.code, self._constants, range(len(self.code)), True)
-        return _slots(self.code, run, read)
+    def _reverse_plan(self) -> tuple:
+        """``_reverse_statements`` of the program, built once."""
+        if self._reverse is None:
+            self._reverse = _reverse_statements(self.code, self._deps, len(self.var_order))
+        return self._reverse
 
-    def _kernel(self, dim: int | None, pair: bool) -> tuple:
-        """Chunks of the whole program (``dim`` None) or of the tail of the
-        ops that depend on variable slot ``dim``; compiled on first use."""
+    def _whole(self, pair: bool):
+        """The ops of the whole kernel that get a statement, their
+        statements, and the layout of its ``o``.  Besides what it needs
+        itself, the interval kernel keeps every value that a tail or the
+        reverse pass reads: of each op whose consumer depends on a variable
+        it does not depend on, and each op in the reads of
+        ``_reverse_plan``."""
+        code, deps = self.code, self._deps
+        run = _statements(code, self._constants, range(len(code)), pair)
+        keep = {len(run) - 1}
+        if pair:
+            position = {op: i for i, op in enumerate(run)}
+            read = {
+                j
+                for i, (_, _, operands) in enumerate(code)
+                for j in operands
+                if deps[i] & ~deps[j]
+            }
+            read.update(self._reverse_plan()[2])
+            keep.update(position[j] for j in read if j in position)
+        stmts = _op_statements(code, run, pair)
+        return run, stmts, _layout(stmts, keep)
+
+    def _kernel(self, dim: int | str | None, pair: bool) -> tuple:
+        """Chunks of the whole program (``dim`` None), of the tail of the
+        ops that depend on variable slot ``dim``, or (``dim`` is
+        ``_REVERSE``) of the reverse pass; compiled on first use.  A tail
+        and the reverse pass read the values of the other ops from the
+        whole interval kernel's ``o``, passed to them as ``t``."""
         key = (dim, pair)
         chunks = self._kernels.get(key)
         if chunks is None:
-            t_slot: dict[int, int] = {}
-            if dim is None:
-                run = _statements(self.code, self._constants, range(len(self.code)), pair)
-                slot = self._slab_slots() if pair else _slots(self.code, run, ())
-            else:
-                ops = [i for i, mask in enumerate(self._deps) if mask >> dim & 1]
-                run = _statements(self.code, self._constants, ops, pair) if ops else []
-                slot = _slots(self.code, run, ()) if run else {}
-                t_slot = self._slab_slots()
-            chunks = self._kernels[key] = tuple(
-                _compile_chunk(_chunk_source(self.code, run, start, slot, t_slot, pair))
-                for start in range(0, len(run), _CHUNK)
-            )
+            run, stmts, slot = self._whole(pair)
+            outputs: list = []
+            if dim is not None:
+                t_slot = {op: slot[i] for i, op in enumerate(run) if i in slot}
+
+                def outside(j: int) -> tuple[str, str]:
+                    return f"t[{2 * t_slot[j]}]", f"t[{2 * t_slot[j] + 1}]"
+
+                if dim == _REVERSE:
+                    rev, outputs, _ = self._reverse_plan()
+
+                    def place(x):
+                        if type(x) is not int or x >= 0:
+                            return x
+                        j = -1 - x
+                        if self.code[j][0] in (_CONST, _LOAD):
+                            return _in_place(self.code, j, True)
+                        return outside(j)
+
+                    stmts = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
+                    outputs = [place(x) for x in outputs]
+                    slot = _layout(stmts, (), outputs)
+                else:
+                    ops = [i for i, mask in enumerate(self._deps) if mask >> dim & 1]
+                    run = _statements(self.code, self._constants, ops, True)
+                    stmts = _op_statements(self.code, run, True, outside)
+                    slot = _layout(stmts, {len(run) - 1} if run else ())
+            sources = _chunk_sources(stmts, slot, pair, outputs)
+            chunks = self._kernels[key] = tuple(map(_compile_chunk, sources))
         return chunks
 
     def eval_point(self, values: Sequence[float]) -> float:

@@ -34,6 +34,7 @@ hulling the slab enclosures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
@@ -178,6 +179,37 @@ def pair_max(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     return max(al, bl), max(ah, bh)
 
 
+def pair_abs_adjoint(al: float, ah: float, gl: float, gh: float) -> tuple[float, float]:
+    """The adjoint ``G`` of ``|a|`` times the derivative of ``|.|`` at
+    ``a``, on a box where ``a`` lies in ``[al, ah]``: ``G`` where ``a >= 0``
+    (``|a| = a`` on the whole box), ``-G`` where ``a <= 0``, and else
+    ``G*[-1, 1]``, which encloses Clarke's generalized gradient ``[-1, 1]``
+    of ``|.|`` at 0.  Exact, so no rounding."""
+    if al >= 0.0:
+        return gl, gh
+    if ah <= 0.0:
+        return -gh, -gl
+    m = max(-gl, gh)
+    return -m, m
+
+
+def pair_max_adjoint(
+    al: float, ah: float, bl: float, bh: float, gl: float, gh: float
+) -> tuple[float, float]:
+    """The share of the adjoint ``G`` of ``max(a, b)`` that goes to ``a``,
+    on a box where ``a`` lies in ``[al, ah]`` and ``b`` in ``[bl, bh]``:
+    all of it where ``a >= b`` (``max(a, b) = a`` on the whole box), none
+    where ``b >= a``, and else ``G*[0, 1]``.  With the same rule for ``b``
+    (operands swapped) the shares enclose Clarke's generalized gradient,
+    the hull of the gradients of ``a`` and ``b``.  Where ``a`` and ``b``
+    are one point, both get ``G*[0, 1]``.  Exact, so no rounding."""
+    if al >= bh and ah > bl:
+        return gl, gh
+    if bl >= ah and bh > al:
+        return 0.0, 0.0
+    return min(gl, 0.0), max(gh, 0.0)
+
+
 def pair_pow(lo: float, hi: float, k: int) -> tuple[float, float]:
     """Integer power ``k >= 1``; ``OverflowError`` propagates from ``**``."""
     if k == 1:
@@ -238,6 +270,13 @@ def _series_bounds(
     return min(ml, nl), max(mh, nh)
 
 
+# The series bounds are cached: a branch-and-bound evaluates sin and cos at
+# the same box endpoints again and again (the gradient on the box, the
+# slabs of its face).  ``0.0`` and ``-0.0`` share an entry; their bounds are
+# the same.
+
+
+@functools.lru_cache(maxsize=1024)
 def _sin_series_bounds(x: float, degree: int) -> tuple[float, float]:
     """Bounds for sin(x) valid on |x| <= PI_HI, from partial sums of the
     Maclaurin series.  The tail after the first kept term is alternating with
@@ -250,6 +289,7 @@ def _sin_series_bounds(x: float, degree: int) -> tuple[float, float]:
     return _series_bounds(x, x, lambda k: 2 * k * (2 * k + 1), m)
 
 
+@functools.lru_cache(maxsize=1024)
 def _cos_series_bounds(x: float, degree: int) -> tuple[float, float]:
     """Bounds for cos(x) valid on |x| <= PI_HI; see ``_sin_series_bounds``."""
     x = abs(x)

@@ -181,6 +181,18 @@ def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
     return _optimize_expr(minimize, e, model, cfg)
 
 
+def _extrema(e: Expr, model: ModelDef, cfg: BnBConfig) -> tuple[BnBResult, BnBResult]:
+    """The ``maximize`` and the ``minimize`` run of ``_optimize_expr``,
+    both on one compiled program, so its kernels are built once."""
+    if isinstance(e, Const):
+        res = _const_result(e.value)
+        return res, res
+    domain = reduced_domain(model, e)
+    program = Program(e, domain.labels)
+    hi_run = maximize(program.eval_point, program, domain, cfg)
+    return hi_run, minimize(program.eval_point, program, domain, cfg)
+
+
 def _const_result(value: float) -> BnBResult:
     return BnBResult(
         lower=value,
@@ -210,8 +222,7 @@ def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     ]
     for i, partials in enumerate(model.state_jacobian):
         for j, d in partials:
-            hi_run = _maximize_expr(d, model, cfg)
-            lo_run = _minimize_expr(d, model, cfg)
+            hi_run, lo_run = _extrema(d, model, cfg)
             stats.absorb(hi_run)
             stats.absorb(lo_run)
             eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal
@@ -559,8 +570,11 @@ def qib(
     summed squared gradient norms of the mixed components.
 
     ``distributed=True`` bounds that maximum by the sum of per-component
-    maxima (cheaper, more conservative).
+    maxima (cheaper, more conservative).  ``gamma_q1``, that sum and its
+    witness are rounded to the safe side of their exact values.
     """
+    from fractions import Fraction
+
     if not (0.0 <= eps1 < math.inf and 0.0 <= eps2 < math.inf):
         raise PreconditionViolated("eps1, eps2 finite and >= 0", f"got {eps1}, {eps2}")
     if osl_estimator not in OSL_ESTIMATORS:
@@ -578,8 +592,8 @@ def qib(
     eps_optimal = upper_res.eps_optimal and lower_res.eps_optimal
     if distributed:
         results = [_maximize_expr(e, model, cfg) for e in norms]
-        gamma_m = sum(res.upper for res in results)
-        gamma_m_witness = sum(res.lower for res in results)
+        gamma_m = fraction_up(sum(map(Fraction, (res.upper for res in results))))
+        gamma_m_witness = fraction_down(sum(map(Fraction, (res.lower for res in results))))
         for res in results:
             stats.absorb(res)
             eps_optimal = eps_optimal and res.eps_optimal
@@ -595,8 +609,9 @@ def qib(
             gamma_m_witness = res.lower
     gamma_bar = upper_res.gamma_s
     gamma_low = lower_res.lower_gamma
+    exact_q1 = Fraction(eps1) * Fraction(gamma_bar) - Fraction(eps2) * Fraction(gamma_low)
     return QIBResult(
-        gamma_q1=eps1 * gamma_bar - eps2 * gamma_low + gamma_m,
+        gamma_q1=fraction_up(exact_q1 + Fraction(gamma_m)),
         gamma_q2=eps2 - eps1,
         eps1=eps1,
         eps2=eps2,
@@ -667,13 +682,16 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
 
 
 def qib_to_lipschitz(gamma_q1: float, gamma_q2: float) -> float:
-    """Lipschitz constant implied by a pair of inner-boundedness constants.
-    The radicand being negative certifies that no such function exists."""
-    radicand = 2.0 * gamma_q1 + abs(gamma_q2) ** 2
-    if radicand < 0.0:
+    """Lipschitz constant implied by a pair of inner-boundedness constants,
+    the square root of ``2*gamma_q1 + gamma_q2^2`` rounded up.  The radicand
+    being negative certifies that no such function exists."""
+    from fractions import Fraction
+
+    radicand = 2 * Fraction(gamma_q1) + Fraction(gamma_q2) ** 2
+    if radicand < 0:
         raise NecessaryConditionViolated(
-            f"2*{gamma_q1} + |{gamma_q2}|^2 = {radicand} < 0: "
+            f"2*{gamma_q1} + |{gamma_q2}|^2 = {float(radicand)} < 0: "
             "no inner-bounded function admits these constants"
         )
-    return math.sqrt(radicand)
+    return sqrt_up(fraction_up(radicand))
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from certbound import BnBConfig
-from certbound.bnb import Cover, opt_bnb_step, _Bounder, BnBStats, maximize, minimize
+from certbound.bnb import Cover, Subproblem, opt_bnb_step, _Bounder, BnBStats, maximize, minimize
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
 from certbound.intervals import Box, Interval
@@ -167,10 +167,21 @@ class TestFirstOrder:
         assert stats.evals == 1
 
     def test_objective_without_gradient_is_bounded_as_before(self):
+        # An interval function without a ``gradient`` gets zero-order bounds.
+        program, box = self.program_objective("x*(1 - x)", [("x", 0.6, 1.0)])
+        sub = _Bounder(lambda b: program(b), 1, BnBStats())(box)
+        assert (sub.box, sub.lo_bound, sub.hi_bound) == (box, program(box).lo, program(box).hi)
+        assert _Bounder(program, 1, BnBStats())(box).box != box  # decreasing: collapses
+
+    def test_kinked_objective_gets_first_order_bounds(self):
         program, box = self.program_objective("abs(x - 0.3)", [("x", 0.0, 1.0)])
-        assert program.gradient() is None
-        sub = _Bounder(program, 1, BnBStats())(box)
-        assert sub.box == box
+        assert program.gradient(box) == (Interval(-1.0, 1.0),)
+        assert _Bounder(program, 1, BnBStats())(box).box == box  # straddles the kink
+        half = Box.from_bounds([("x", 0.5, 1.0)])
+        sub = _Bounder(program, 1, BnBStats())(half)
+        assert sub.box.dims[0] == Interval(1.0, 1.0) and sub.lo_bound <= 0.7 <= sub.hi_bound
+        res = minimize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
+        assert res.lower <= 0.0 <= res.upper and res.stats.evals < 200
 
 
 class TestMinimize:
@@ -228,6 +239,31 @@ class TestStep:
             assert all(s.hi_bound >= l for s in cover.subproblems)
             if chosen.box.widest()[1] <= 1e-9:
                 break
+
+    def test_upper_bound_ties_break_by_width(self):
+        def sub(hi, width, order):
+            box = Box.from_bounds([("x", 0.0, width)])
+            return Subproblem(box, -math.inf, hi, order, width, 0)
+
+        # Finite ties go to the wider box, infinite ones to the narrower.
+        assert Cover([sub(1.0, 1.0, 0), sub(1.0, 2.0, 1)]).peek_max_hi().order == 1
+        assert Cover([sub(math.inf, 2.0, 0), sub(math.inf, 1.0, 1)]).peek_max_hi().order == 1
+        assert Cover([sub(math.inf, 1.0, 0), sub(math.inf, 1.0, 1)]).peek_max_hi().order == 0
+
+    def test_unbounded_edge_ends_at_eps_om(self):
+        # sqrt(x)/y is unbounded on every box touching y = 0: phase 1 follows
+        # one of them down to eps_om and stops there, instead of bisecting
+        # all of them breadth-first (~1/eps_om boxes along the edge).
+        h, hI, box = expr_objective("sqrt(x)/y", [("x", 0.0, 1.0), ("y", 0.0, 1.0)])
+        boxes = []
+
+        def counted(b):
+            boxes.append(b)
+            return hI(b)
+
+        with pytest.raises(EvaluationError, match="unbounded enclosure"):
+            maximize(h, counted, box, BnBConfig(eps_om=1e-7, segments=1, max_steps=2000))
+        assert len(boxes) < 200
 
     def test_degenerate_split_raises(self):
         h, hI, _ = expr_objective("x", [("x", 1.0, 1.0)])

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import certbound
 from certbound.cli import run
 from certbound.report import ConstantRow, RunReport, ReportFieldError, emit_table
 
@@ -54,6 +58,20 @@ class TestExitCodes:
         bad.write_text("[states]\nx1 = [0, 1]\n[f]\nf1 = sin(x1\n")
         code, out, err = run_capture(capsys, ["lipschitz", "--model", str(bad)])
         assert code == 3 and out == ""
+
+    def test_unbounded_jacobian_entry_ends_fast(self, tmp_path):
+        # df1/dx2 = x1/(2*sqrt(x2)) is unbounded on every box touching
+        # x2 = 0; the run must end with exit 4 instead of bisecting that
+        # edge breadth-first down to eps_om.
+        model = tmp_path / "sqrt_edge.nds"
+        model.write_text("[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = x1*sqrt(x2)\nf2 = x2\n")
+        src = os.path.dirname(os.path.dirname(certbound.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "certbound.cli", "jacobian", "--model", str(model)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "unbounded enclosure" in proc.stderr
 
     def test_computation_error(self, tmp_path, capsys):
         # quadratic boundedness requires an input-free model

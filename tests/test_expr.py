@@ -5,6 +5,8 @@ import random
 import pytest
 
 from certbound.errors import (
+    DivisionByZeroInterval,
+    DomainError,
     NonDifferentiable,
     ParseError,
     UnboundVariable,
@@ -25,7 +27,7 @@ from certbound.expr import (
     structural_key,
     to_text,
 )
-from certbound.intervals import Box, Interval
+from certbound.intervals import Box, Interval, iv_cos
 from conftest import corpus_expressions, random_points, random_polynomial
 
 
@@ -189,24 +191,82 @@ class TestDifferentiate:
 
 
 class TestGradient:
-    def test_one_program_per_variable(self):
-        program = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
-        grad = program.gradient()
-        assert [to_text(g.expr) for g in grad] == ["y + 2.0*x", "x", "0.0"]
-        assert all(g.var_order == ("x", "y", "z") for g in grad)
-        assert program.gradient() is grad  # built once
+    """``Program.gradient(box)``: every partial derivative's enclosure from
+    one pass of the adjoint kernel."""
 
-    @pytest.mark.parametrize("text", ["abs(x - y)", "max(x, y)", "x + abs(y)"])
-    def test_not_differentiable_has_no_gradient(self, text):
-        assert Program(parse(text), ("x", "y")).gradient() is None
+    BOX = Box.from_bounds([("x", 0.5, 1.0), ("y", 1.0, 2.0), ("z", -1.0, 1.0)])
+
+    def test_one_enclosure_per_variable(self):
+        program = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
+        gx, gy, gz = program.gradient(self.BOX)
+        assert gx.lo <= 2.0 and 4.0 <= gx.hi and gx.width < 2.0 + 1e-14  # y + 2x
+        assert (gy, gz) == (Interval(0.5, 1.0), Interval(0.0, 0.0))  # x, exactly 0
+        plan = program._reverse
+        assert program.gradient(self.BOX) == (gx, gy, gz)
+        assert program._reverse is plan  # built once
+
+    @pytest.mark.parametrize(
+        "text, bounds, expected",
+        [
+            ("abs(x - y)", [(0.5, 1.0), (1.5, 2.0)], [(-1.0, -1.0), (1.0, 1.0)]),
+            ("abs(x - y)", [(0.0, 2.0), (1.0, 2.0)], [(-1.0, 1.0), (-1.0, 1.0)]),
+            ("max(x, y)", [(0.5, 1.0), (1.0, 2.0)], [(0.0, 0.0), (1.0, 1.0)]),
+            ("max(x, y)", [(0.0, 2.0), (1.0, 2.0)], [(0.0, 1.0), (0.0, 1.0)]),
+            ("max(x, y)", [(1.0, 1.0), (1.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)]),
+            ("x + abs(y)", [(0.0, 1.0), (-1.0, 1.0)], [(1.0, 1.0), (-1.0, 1.0)]),
+            ("x + abs(y)", [(0.0, 1.0), (0.0, 1.0)], [(1.0, 1.0), (1.0, 1.0)]),
+        ],
+        ids=[
+            "abs-below", "abs-straddles", "max-below", "max-overlaps", "max-tie",
+            "x+abs-straddles", "x+abs-above",
+        ],
+    )
+    def test_kinks_have_generalized_gradients(self, text, bounds, expected):
+        # A kink's one-sided derivatives, hulled where the box straddles it;
+        # where the sign of abs's argument or the larger of max's operands
+        # is fixed on the box, the derivative of that piece.
+        box = Box.from_bounds([(name, lo, hi) for name, (lo, hi) in zip("xy", bounds)])
+        grads = Program(parse(text), ("x", "y")).gradient(box)
+        assert [(g.lo, g.hi) for g in grads] == expected
 
     def test_certified_abs_is_differentiable(self):
-        grad = Program(parse("abs(sqr(x))"), ("x",)).gradient()
-        assert grad[0].eval_point([3.0]) == 6.0
+        grad = Program(parse("abs(sqr(x))"), ("x",)).gradient(Box.from_bounds([("x", 3.0, 3.0)]))
+        assert grad[0].lo <= 6.0 <= grad[0].hi and grad[0].width < 1e-14
+        grad = Program(parse("abs(sqr(x))"), ("x",)).gradient(Box.from_bounds([("x", -1.0, 2.0)]))
+        assert grad[0].lo >= -2.0 - 1e-14 and grad[0].hi <= 4.0 + 1e-14  # 2x, not 2x*[-1, 1]
 
     def test_degree_is_passed_on(self):
-        grad = Program(parse("sin(x)"), ("x",), degree=7).gradient()
-        assert grad[0].degree == 7
+        box = Box.from_bounds([("x", 0.2, 0.9)])
+        grad = Program(parse("sin(x)"), ("x",), degree=7).gradient(box)
+        assert grad == (iv_cos(box.dims[0], 7),)
+
+    def test_failed_enclosure_raises(self):
+        program = Program(parse("sqrt(x) + y"), ("x", "y"))
+        with pytest.raises(DivisionByZeroInterval):
+            program.gradient(Box.from_bounds([("x", 0.0, 1.0), ("y", 0.0, 1.0)]))
+        with pytest.raises(DomainError):
+            program.gradient(Box.from_bounds([("x", -1.0, 1.0), ("y", 0.0, 1.0)]))
+
+
+class TestValueNumbering:
+    def test_equal_values_are_one_op(self):
+        # sin(x) and the constant 2.0 each occur twice in the tree.
+        program = Program(parse("2.0*sin(x) + cos(x)*sin(x) - 2.0"), ("x",))
+        kinds = [kind for kind, _, _ in program.code]
+        assert (kinds.count("sin"), kinds.count("const"), kinds.count("load")) == (1, 1, 1)
+        assert len(program.code) == len(set(program.code))
+
+    def test_signed_zeros_stay_apart(self):
+        program = Program(Binary("+", Const(0.0), Const(-0.0)), ("x",))
+        assert [kind for kind, _, _ in program.code] == ["const", "const", "+"]
+
+    def test_shared_node_is_walked_once(self):
+        e = Var("x")
+        for _ in range(200):  # 2**200 paths through the tree, 201 nodes
+            e = Binary("+", e, e)
+        program = Program(e, ("x",))
+        assert len(program.code) == 201
+        assert program.eval_point([1.0]) == 2.0**200
 
 
 class TestEval:

@@ -16,7 +16,12 @@ import pytest
 
 from certbound import expr as expr_module
 from certbound.bnb import BnBConfig, BnBStats, _Bounder, _Negated, maximize, minimize
-from certbound.errors import DivisionByZeroInterval, EvaluationError, IntervalError
+from certbound.errors import (
+    DivisionByZeroInterval,
+    EvaluationError,
+    IntervalError,
+    NonDifferentiable,
+)
 from certbound.expr import (
     ABS,
     COS,
@@ -33,8 +38,10 @@ from certbound.expr import (
     Program,
     Unary,
     Var,
+    differentiate,
     eval_interval,
     expr_sum,
+    free_vars,
     parse,
     simplify,
 )
@@ -142,18 +149,43 @@ def outcome(fn, *args):
 # ---------------------------------------------------------------------------
 
 
-def random_tree(rng: random.Random, depth: int) -> Expr:
+def _copy(e: Expr) -> Expr:
+    """An equal tree that shares no node with ``e``."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, PowInt):
+        return PowInt(_copy(e.base), e.exponent)
+    if isinstance(e, Unary):
+        return Unary(e.op, _copy(e.arg))
+    return Binary(e.op, _copy(e.left), _copy(e.right))
+
+
+def random_tree(rng: random.Random, depth: int, pool: list[Expr] | None = None) -> Expr:
+    """A random tree.  With a ``pool`` (the subtrees drawn so far), a
+    subtree is now and then one drawn before, as the same node or as an
+    equal copy, so that value numbering merges it."""
+    if pool and rng.random() < 0.15:
+        e = rng.choice(pool)
+        return e if rng.random() < 0.5 else _copy(e)
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.35:
-            return Const(rng.choice([0.0, -0.0, 1.0, 2.0, 0.5, -3.0, rng.uniform(-4, 4)]))
-        return Var(rng.choice(NAMES))
-    kind = rng.random()
-    if kind < 0.45:
-        op = rng.choice(BINARY)
-        return Binary(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-    if kind < 0.9:
-        return Unary(rng.choice(UNARY), random_tree(rng, depth - 1))
-    return PowInt(random_tree(rng, depth - 1), rng.randint(1, 5))
+            e: Expr = Const(rng.choice([0.0, -0.0, 1.0, 2.0, 0.5, -3.0, rng.uniform(-4, 4)]))
+        else:
+            e = Var(rng.choice(NAMES))
+    else:
+        kind = rng.random()
+        if kind < 0.45:
+            op = rng.choice(BINARY)
+            e = Binary(op, random_tree(rng, depth - 1, pool), random_tree(rng, depth - 1, pool))
+        elif kind < 0.9:
+            e = Unary(rng.choice(UNARY), random_tree(rng, depth - 1, pool))
+        else:
+            e = PowInt(random_tree(rng, depth - 1, pool), rng.randint(1, 5))
+    if pool is not None:
+        pool.append(e)
+    return e
 
 
 def random_box(rng: random.Random) -> Box:
@@ -172,9 +204,22 @@ def random_box(rng: random.Random) -> Box:
 def test_random_trees_cover_every_op():
     rng = random.Random(0)
     seen: set[str] = set()
+    merged = 0
     for _ in range(200):
-        seen.update(kind for kind, _, _ in Program(random_tree(rng, 5), NAMES).code)
+        e = random_tree(rng, 5, [])
+        program = Program(e, NAMES)
+        seen.update(kind for kind, _, _ in program.code)
+        merged += len(program.code) < _node_count(e)
     assert seen == {"const", "load", "pow", *UNARY, *BINARY}
+    assert merged > 50  # value numbering merged ops in many trees
+
+
+def _node_count(e: Expr) -> int:
+    """Nodes of ``e`` counted as a tree: a shared node once per parent."""
+    kids = (e.left, e.right) if isinstance(e, Binary) else (
+        (e.arg,) if isinstance(e, Unary) else (e.base,) if isinstance(e, PowInt) else ()
+    )
+    return 1 + sum(map(_node_count, kids))
 
 
 @pytest.fixture(params=[3, 128], ids=["chunk3", "chunk128"])
@@ -194,7 +239,7 @@ def test_interval_kernel_matches_reference(seed, chunk):
     rng = random.Random(seed)
     failures = 0
     for _ in range(150):
-        e = random_tree(rng, rng.randint(1, 7))
+        e = random_tree(rng, rng.randint(1, 7), [])
         program = Program(e, NAMES)
         for _ in range(4):
             box = random_box(rng)
@@ -212,7 +257,7 @@ def test_interval_kernel_matches_reference(seed, chunk):
 def test_point_kernel_matches_reference(seed, chunk):
     rng = random.Random(100 + seed)
     for _ in range(200):
-        e = random_tree(rng, rng.randint(1, 7))
+        e = random_tree(rng, rng.randint(1, 7), [])
         program = Program(e, NAMES)
         for _ in range(4):
             values = [rng.choice([0.0, -0.0, rng.uniform(-4, 4)]) for _ in NAMES]
@@ -403,6 +448,70 @@ def test_first_order_bounds_contain_sampled_values(seed):
                         lo = min(sign * value.lo, sign * value.hi)
                         assert lo <= sub.hi_bound, (str(e), box, point)
     assert collapsed > 0 and tightened > 0  # both first-order steps were taken
+
+
+def _quotient(program, point, other, k):
+    """An enclosure of the difference quotient of the program's expression
+    between ``point`` and ``other``, which differ in coordinate ``k`` only;
+    ``None`` where the expression is undefined at either."""
+    a, b = _point_enclosure(program, point), _point_enclosure(program, other)
+    if a is None or b is None:
+        return None
+    try:
+        return (b - a) / (Interval.point(other[k]) - Interval.point(point[k]))
+    except IntervalError:  # the step rounds to an interval around 0
+        return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_encloses_partials_and_difference_quotients(seed, chunk):
+    # On random trees with repeated subtrees, abs and max among the ops, the
+    # adjoint enclosure of each partial derivative on a box, of h and of -h,
+    # meets the enclosure of the symbolic partial at points of the box where
+    # ``differentiate`` succeeds.  Where it fails (a kink), it meets the
+    # difference quotients between points of the box: by Lebourg's mean
+    # value theorem each is a component of a generalized gradient there.
+    rng = random.Random(900 + seed)
+    sampler = random.Random(seed)
+    symbolic = quotients = 0
+    for _ in range(100):
+        e = random_tree(rng, rng.randint(1, 5), [])
+        program = Program(e, NAMES)
+        try:
+            partials = [Program(differentiate(e, v), NAMES) for v in NAMES]
+        except NonDifferentiable:
+            partials = None
+        for _ in range(3):
+            box = random_box(rng)
+            if rng.random() < 0.5:
+                box = Box(
+                    tuple(Interval(iv.lo, min(iv.hi, iv.lo + 0.3)) for iv in box.dims), NAMES
+                )
+            for hI, sign in ((program, 1.0), (_Negated(program), -1.0)):
+                try:
+                    grads = hI.gradient(box)
+                except IntervalError:
+                    continue
+                for k, name in enumerate(NAMES):
+                    if name not in free_vars(e):
+                        assert (grads[k].lo, grads[k].hi) == (0.0, 0.0)
+                for _ in range(8):
+                    point = tuple(sampler.uniform(iv.lo, iv.hi) for iv in box.dims)
+                    for k, g in enumerate(grads):
+                        if partials is not None:
+                            enclosure = _point_enclosure(partials[k], point)
+                            symbolic += enclosure is not None
+                        else:
+                            other = list(point)
+                            other[k] = sampler.choice([box.dims[k].lo, box.dims[k].hi])
+                            enclosure = None
+                            if other[k] != point[k]:
+                                enclosure = _quotient(program, point, other, k)
+                            quotients += enclosure is not None
+                        if enclosure is not None:
+                            lo, hi = sorted((sign * enclosure.lo, sign * enclosure.hi))
+                            assert g.lo <= hi and lo <= g.hi, (str(e), box, point, k)
+    assert symbolic > 1000 and quotients > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from certbound.errors import (
 )
 from certbound.expr import eval_real, parse, to_text
 from certbound.intervals import Interval
+from certbound import params
 from certbound.params import (
     _maximize_expr,
+    _mixed_grad_sq_norms,
     _minimize_expr,
     _zeta_row_exprs,
     build_psi,
@@ -142,6 +144,22 @@ class TestJacobianBounds:
         assert lo.lower <= 0.0 <= lo.upper and hi.lower <= 1.0 <= hi.upper
         assert hi.eps_optimal and lo.eps_optimal
         assert hi.stats.evals + lo.stats.evals < 200
+
+    def test_one_program_per_entry(self, monkeypatch):
+        # The max and the min run of an entry share its compiled program.
+        programs = []
+
+        class Counted(params.Program):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                programs.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(params, "Program", Counted)
+        m = small_model(["x1*x2 + sqr(x1)", "x2*x2*x1"], [("x1", -1, 2), ("x2", 0, 1)])
+        jb = jacobian_bounds(m, CFG)
+        assert jb.stats.runs == 8 and len(programs) == 4
 
     def test_moving_object_entry(self, moving_object):
         jb = jacobian_bounds(moving_object, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1))
@@ -341,10 +359,11 @@ class TestOSL:
 
     def test_abs_and_max_objectives_keep_their_evals(self, moving_object):
         # Every zeta and Gershgorin row has an abs of uncertified sign or a
-        # max, so no first-order bound applies.
+        # max; their generalized gradients give first-order bounds (1,696
+        # evaluations each with zero-order bounds only).
         cfg = BnBConfig()
-        assert osl_zeta(moving_object, cfg).stats.evals == 1696
-        assert osl_gershgorin(moving_object, cfg).stats.evals == 1696
+        assert osl_zeta(moving_object, cfg).stats.evals == 672
+        assert osl_gershgorin(moving_object, cfg).stats.evals == 672
 
     def test_zeta_rows_are_built_as_written(self):
         m = small_model(["x2", "x1"], [("x1", -1, 1), ("x2", -1, 1)])
@@ -510,6 +529,29 @@ class TestAssemblyRounding:
         r = case(small_model(["x1 + x2 + x3"], self.THREE), CFG)
         assert Fraction(r.lower) ** 2 <= 3 < Fraction(math.nextafter(r.lower, 9.0)) ** 2
 
+    # Constant objectives: the rows' squared norms are 0.1 and 0.53, and
+    # the OSL bounds 0.6 and -0.7; none of the sums below is a float.
+    LINEAR = (["0.1*x1 + 0.3*x2", "0.7*x1 - 0.2*x2"], [("x1", -1, 1), ("x2", -1, 1)])
+
+    def test_qib_gamma_q1_rounds_up(self):
+        r = qib(small_model(*self.LINEAR), CFG, eps1=1.0, eps2=0.1)
+        exact = (
+            Fraction(r.osl_upper) - Fraction(0.1) * Fraction(r.osl_lower) + Fraction(r.gamma_m)
+        )
+        assert Fraction(r.gamma_q1) >= exact > Fraction(math.nextafter(r.gamma_q1, 0.0))
+        assert r.gamma_q1 > 1.0 * r.osl_upper - 0.1 * r.osl_lower + r.gamma_m  # nearest is below
+
+    def test_distributed_qib_sum_rounds_outward(self):
+        m = small_model(*self.LINEAR)
+        r = qib(m, CFG, eps1=0.0, eps2=0.0, distributed=True)
+        runs = [_maximize_expr(e, m, CFG) for e in _mixed_grad_sq_norms(m)]
+        upper = sum(Fraction(res.upper) for res in runs)
+        lower = sum(Fraction(res.lower) for res in runs)
+        assert Fraction(r.gamma_m) >= upper > Fraction(math.nextafter(r.gamma_m, 0.0))
+        assert Fraction(r.gamma_m_witness) <= lower
+        assert lower < Fraction(math.nextafter(r.gamma_m_witness, 1.0))
+        assert r.gamma_m > sum(res.upper for res in runs)  # nearest is below
+
 
 class TestQIBToLipschitz:
     def test_simple(self):
@@ -522,3 +564,10 @@ class TestQIBToLipschitz:
     def test_infeasible_pair(self):
         with pytest.raises(NecessaryConditionViolated):
             qib_to_lipschitz(-1.0, 1.0)
+
+    def test_rounds_up(self):
+        value = qib_to_lipschitz(1.5, 0.0)  # the root of exactly 3
+        assert Fraction(value) ** 2 >= 3 > Fraction(math.nextafter(value, 0.0)) ** 2
+        assert value > math.sqrt(3.0)
+        value = qib_to_lipschitz(0.1, -0.3)  # a radicand that is no float
+        assert Fraction(value) ** 2 >= 2 * Fraction(0.1) + Fraction(0.3) ** 2
