@@ -225,8 +225,9 @@ class _Bounder:
     keeps the face instead of the box, and its bounds are the natural
     enclosure on the face intersected with the centred form.  A gradient or
     centre enclosure that fails skips this step for that box.  Either way
-    each box costs one refined interval evaluation, and ``evals`` counts
-    one per box.
+    each box costs one refined interval evaluation (``refined_eval``: one
+    evaluation of ``hI`` per slab of the widest dimension), and ``evals``
+    counts one per box.
 
     The bounds of a box split from ``parent`` are intersected with the
     parent's: those stay valid on the half (its range is a subset), so the
@@ -425,17 +426,11 @@ def maximize(
 
 
 class _Negated:
-    """The interval function ``-hI``.  Where ``hI`` evaluates slabs itself
-    (see ``refined_eval``), so does this: the negated hull of the slabs is
-    the hull of the negated slabs, bit for bit, because ``min`` and ``max``
-    both keep the first of equal endpoints.  Where ``hI`` encloses its
-    gradient, this encloses the negated one."""
+    """The interval function ``-hI``.  Where ``hI`` encloses its gradient,
+    this encloses the negated one."""
 
     def __init__(self, hI: IntervalFn):
         self.hI = hI
-        eval_slabs = getattr(hI, "eval_slabs", None)
-        if eval_slabs is not None:
-            self.eval_slabs = lambda box, dim, cuts: -eval_slabs(box, dim, cuts)
         gradient = getattr(hI, "gradient", None)
         if gradient is not None:
             self.gradient = lambda box: tuple(-g for g in gradient(box))

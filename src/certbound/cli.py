@@ -230,13 +230,13 @@ def _cmd_jacobian(args) -> list[RunReport]:
     model, fp = _load_model(args)
     r = params.jacobian_bounds(model, _cfg(args))
     rows = []
-    for i in range(1, model.g + 1):
-        for j in range(1, model.n + 1):
-            iv = r.entry(i, j)
-            if iv.lo == 0.0 and iv.hi == 0.0:
-                continue  # identically-zero derivative, no run
+    # One row per entry of the sparse Jacobian; an identically-zero
+    # derivative has no entry and no run.
+    for i, partials in enumerate(model.state_jacobian, start=1):
+        for j, _ in partials:
+            iv = r.entry(i, j + 1)
             fields = _stats_fields(r.eps_optimal, r.stats, iv.width)
-            rows.append(ConstantRow(f"df{i}/dx{j}", iv.hi, lower=iv.lo, **fields))
+            rows.append(ConstantRow(f"df{i}/dx{j + 1}", iv.hi, lower=iv.lo, **fields))
     return [_report(args, fp, rows)]
 
 

@@ -650,25 +650,17 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 # h1)``); the point kernel uses plain float arithmetic.  A kernel is a tuple
 # of chunk functions of at most ``_CHUNK`` statements each, because
 # compiling one huge function takes memory out of proportion to its size.
-# Each chunk appends to the list ``o`` the values that a later chunk (or a
-# tail) reads back, and the results.  Chunks are cached by their source
-# text, and constants are passed in, so programs of one shape share their
-# compiled chunks.
-#
-# Slab hoisting: ``eval_slabs`` runs the whole interval kernel on the first
-# slab only.  For the other slabs it runs a "tail": the ops that depend on
-# the sliced variable, reading the values of all other ops from the first
-# slab's list ``t``.  Those ops see exactly the inputs they would see in a
-# full evaluation of that slab, so the hull is the one slab-by-slab
-# evaluation gives, bit for bit, and no op that depends on the sliced
-# variable ever sees the unsliced box.
+# Each chunk appends to the list ``o`` the values that a later chunk (or the
+# reverse pass) reads back, and the results.  Chunks are cached by their
+# source text, and constants are passed in, so programs of one shape share
+# their compiled chunks.
 #
 # Gradient: the adjoint kernel encloses every partial derivative on a box in
 # one forward and one reverse pass over the ops (Griewank & Walther,
 # *Evaluating Derivatives*, 2008), so its cost is that of a few evaluations
 # whatever the number of variables.  The forward pass is the whole interval
 # kernel; the reverse pass (``_reverse_statements``) reads the op values it
-# needs from the forward pass's ``o``, as a tail does.
+# needs from the forward pass's ``o``, passed to it as ``t``.
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
 _CHUNK = 128
@@ -693,8 +685,8 @@ _PAIR_RHS = {
     SQR: "pair_sqr({0}, {1})",
     SQRT: "pair_sqrt({0}, {1})",
     EXP: "pair_exp({0}, {1})",
-    SIN: "pair_sin({0}, {1}, g)",
-    COS: "pair_cos({0}, {1}, g)",
+    SIN: "pair_sin({0}, {1})",
+    COS: "pair_cos({0}, {1})",
     _POW: "pair_pow({0}, {1}, {arg})",
 }
 _POINT_RHS = {
@@ -731,7 +723,7 @@ def _compile_chunk(source: str):
 
 def _postfix(expr: Expr, slots: Mapping[str, int]):
     """Ops ``(kind, arg, operands)`` in postfix order, the constants they
-    index and, per op, the bit set of variable slots it depends on.
+    index and, per op, whether it depends on a variable.
 
     Values are numbered: equal constants (by ``repr``, so ``0.0`` and
     ``-0.0`` stay apart) are one op, so are ops of equal ``(kind, arg,
@@ -741,7 +733,7 @@ def _postfix(expr: Expr, slots: Mapping[str, int]):
     trees need no recursion."""
     ops: list[tuple[str, object, tuple[int, ...]]] = []
     constants: list[float] = []
-    deps: list[int] = []
+    varying: list[bool] = []
     number: dict[object, int] = {}  # value key -> op index
     walked: dict[int, int] = {}  # id of a walked node -> op index
     done: list[int] = []  # op index of each finished subtree, innermost last
@@ -771,31 +763,24 @@ def _postfix(expr: Expr, slots: Mapping[str, int]):
             if index is None:
                 index = number[key] = len(ops)
                 ops.append(op)
-                kind, arg, operands = op
+                kind, _, operands = op
                 if kind == _CONST:
                     constants.append(node.value)
-                    deps.append(0)
-                elif kind == _LOAD:
-                    deps.append(1 << arg)
-                else:
-                    mask = 0
-                    for j in operands:
-                        mask |= deps[j]
-                    deps.append(mask)
+                varying.append(kind == _LOAD or any(varying[j] for j in operands))
             walked[id(node)] = index
         done.append(index)
-    return tuple(ops), tuple(constants), tuple(deps)
+    return tuple(ops), tuple(constants), tuple(varying)
 
 
-def _statements(code, constants, ops: Iterable[int], pair: bool) -> list[int]:
-    """The ops of ``ops`` that get a statement of their own.  A constant or
-    load is read in place by the op that uses it, unless it is the result,
-    or a non-finite constant, which the interval kernel must reject in its
+def _statements(code, constants, pair: bool) -> list[int]:
+    """The ops that get a statement of their own.  A constant or load is
+    read in place by the op that uses it, unless it is the result, or a
+    non-finite constant, which the interval kernel must reject in its
     turn."""
     last = len(code) - 1
     return [
         i
-        for i in ops
+        for i in range(len(code))
         if code[i][0] not in (_CONST, _LOAD)
         or i == last
         or (pair and code[i][0] == _CONST and not math.isfinite(constants[code[i][1]]))
@@ -810,21 +795,16 @@ def _in_place(code, j: int, pair: bool) -> tuple[str, ...]:
     return (f"d[{arg}].lo", f"d[{arg}].hi") if pair else (f"d[{arg}]",)
 
 
-def _op_statements(code, run: Sequence[int], pair: bool, outside=None) -> list:
+def _op_statements(code, run: Sequence[int], pair: bool) -> list:
     """The statements (see ``_chunk_sources``) of the ops of ``run``.  An
-    operand is the statement of its op in ``run``, a constant or load read
-    in place, or else the source text ``outside(j)`` of the value of op
-    ``j``."""
+    operand is the statement of its op in ``run``, or else a constant or
+    load read in place."""
     position = {op: i for i, op in enumerate(run)}
     table = _PAIR_RHS if pair else _POINT_RHS
 
     def ref(j: int):
         i = position.get(j)
-        if i is not None:
-            return i
-        if code[j][0] in (_CONST, _LOAD):
-            return _in_place(code, j, pair)
-        return outside(j)
+        return i if i is not None else _in_place(code, j, pair)
 
     return [
         (table[kind], arg, tuple(ref(j) for j in operands))
@@ -856,7 +836,7 @@ def _chunk_sources(stmts, slot: Mapping[int, int], pair: bool, outputs=()) -> li
     of its statements that have a slot, and the last chunk then appends
     ``outputs``, operands of the same kinds."""
     width = 2 if pair else 1
-    head = "def chunk(d, c, t, o, g):" if pair else "def chunk(d, c, o):"
+    head = "def chunk(d, c, t, o):" if pair else "def chunk(d, c, o):"
     sources = []
     for start in range(0, len(stmts), _CHUNK) or range(1 if outputs else 0):
         stop = min(start + _CHUNK, len(stmts))
@@ -883,7 +863,7 @@ def _chunk_sources(stmts, slot: Mapping[int, int], pair: bool, outputs=()) -> li
     return sources
 
 
-def _reverse_statements(code, deps, n: int):
+def _reverse_statements(code, varying, n: int):
     """Statements of the reverse pass of the adjoint kernel (see
     ``_chunk_sources``), its outputs (the enclosures, on the box, of the
     partial derivatives by the ``n`` variable slots) and the ops whose
@@ -902,7 +882,7 @@ def _reverse_statements(code, deps, n: int):
     emitted: dict[tuple, int] = {}
     read: set[int] = set()
     root = len(code) - 1
-    adjoint: dict[int, object] = {root: _ONE} if deps[root] else {}
+    adjoint: dict[int, object] = {root: _ONE} if varying[root] else {}
 
     def value(j: int) -> int:
         read.add(j)
@@ -951,25 +931,25 @@ def _reverse_statements(code, deps, n: int):
         kind, arg, operands = code[i]
         a, b = (operands + (None, None))[:2]
         if kind in (ADD, SUB):
-            if deps[a]:
+            if varying[a]:
                 send(a, g)
-            if deps[b]:
+            if varying[b]:
                 send(b, g if kind == ADD else neg(g))
         elif kind == MUL:
-            if deps[a]:
+            if varying[a]:
                 send(a, times(g, value(b)))
-            if deps[b]:
+            if varying[b]:
                 send(b, times(g, value(a)))
         elif kind == DIV:
-            if deps[a]:
+            if varying[a]:
                 send(a, emit(_PAIR_RHS[DIV], g, value(b)))
-            if deps[b]:
+            if varying[b]:
                 send(b, neg(emit(_PAIR_RHS[DIV], times(g, value(i)), value(b))))
         elif kind == MAX:
             share = "pair_max_adjoint({0}, {1}, {2}, {3}, {4}, {5})"
-            if deps[a]:
+            if varying[a]:
                 send(a, emit(share, value(a), value(b), g))
-            if deps[b]:
+            if varying[b]:
                 send(b, emit(share, value(b), value(a), g))
         elif kind == NEG or (kind == _POW and arg == 1):
             send(a, neg(g) if kind == NEG else g)
@@ -997,26 +977,22 @@ class Program:
 
     ``code`` holds the numbered ops in postfix order (see ``_postfix``).
     Calling the program on a box gives its enclosure there, so a program is
-    itself an interval function for ``intervals.refined_eval``; ``degree``
-    is the series degree of sin and cos.  ``gradient(box)`` encloses the
-    partial derivatives on a box, from which the branch-and-bound takes
-    first-order bounds.
+    itself an interval function for ``intervals.refined_eval``.
+    ``gradient(box)`` encloses the partial derivatives on a box, from which
+    the branch-and-bound takes first-order bounds.
     """
 
-    __slots__ = (
-        "code", "var_order", "expr", "degree", "_constants", "_deps", "_kernels", "_reverse",
-    )
+    __slots__ = ("code", "var_order", "expr", "_constants", "_varying", "_kernels", "_reverse")
 
-    def __init__(self, expr: Expr, var_order: Sequence[str], degree: int = 4):
+    def __init__(self, expr: Expr, var_order: Sequence[str]):
         slots = {name: i for i, name in enumerate(var_order)}
         missing = free_vars(expr) - slots.keys()
         if missing:
             raise UnboundVariable(f"unbound variables: {sorted(missing)}")
-        self.code, self._constants, self._deps = _postfix(expr, slots)
+        self.code, self._constants, self._varying = _postfix(expr, slots)
         self.var_order = tuple(var_order)
         self.expr = expr
-        self.degree = degree
-        self._kernels: dict[tuple[int | str | None, bool], tuple] = {}
+        self._kernels: dict[tuple[bool, bool], tuple] = {}
         self._reverse: tuple | None = None
 
     def gradient(self, box: Box) -> tuple[Interval, ...]:
@@ -1027,14 +1003,14 @@ class Program:
         value theorem holds with them in Lebourg's form.  A variable the
         expression does not contain gets exactly ``[0, 0]``.  Raises
         ``IntervalError`` where an enclosure fails."""
-        dims, c, g = box.dims, self._constants, self.degree
+        dims, c = box.dims, self._constants
         t: list[float] = []
         o: list[float] = []
         try:
-            for chunk in self._kernel(None, True):
-                chunk(dims, c, t, t, g)
-            for chunk in self._kernel(_REVERSE, True):
-                chunk(dims, c, t, o, g)
+            for chunk in self._kernel(True):
+                chunk(dims, c, t, t)
+            for chunk in self._kernel(True, reverse=True):
+                chunk(dims, c, t, o)
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
         ends = o[len(o) - 2 * len(self.var_order):]
@@ -1043,74 +1019,54 @@ class Program:
     def _reverse_plan(self) -> tuple:
         """``_reverse_statements`` of the program, built once."""
         if self._reverse is None:
-            self._reverse = _reverse_statements(self.code, self._deps, len(self.var_order))
+            self._reverse = _reverse_statements(self.code, self._varying, len(self.var_order))
         return self._reverse
 
     def _whole(self, pair: bool):
         """The ops of the whole kernel that get a statement, their
         statements, and the layout of its ``o``.  Besides what it needs
-        itself, the interval kernel keeps every value that a tail or the
-        reverse pass reads: of each op whose consumer depends on a variable
-        it does not depend on, and each op in the reads of
-        ``_reverse_plan``."""
-        code, deps = self.code, self._deps
-        run = _statements(code, self._constants, range(len(code)), pair)
+        itself, the interval kernel keeps every value that the reverse pass
+        reads (see ``_reverse_plan``)."""
+        code = self.code
+        run = _statements(code, self._constants, pair)
         keep = {len(run) - 1}
         if pair:
             position = {op: i for i, op in enumerate(run)}
-            read = {
-                j
-                for i, (_, _, operands) in enumerate(code)
-                for j in operands
-                if deps[i] & ~deps[j]
-            }
-            read.update(self._reverse_plan()[2])
-            keep.update(position[j] for j in read if j in position)
+            keep.update(position[j] for j in self._reverse_plan()[2] if j in position)
         stmts = _op_statements(code, run, pair)
         return run, stmts, _layout(stmts, keep)
 
-    def _kernel(self, dim: int | str | None, pair: bool) -> tuple:
-        """Chunks of the whole program (``dim`` None), of the tail of the
-        ops that depend on variable slot ``dim``, or (``dim`` is
-        ``_REVERSE``) of the reverse pass; compiled on first use.  A tail
-        and the reverse pass read the values of the other ops from the
-        whole interval kernel's ``o``, passed to them as ``t``."""
-        key = (dim, pair)
+    def _kernel(self, pair: bool, reverse: bool = False) -> tuple:
+        """Chunks of the whole point or interval kernel, or of the reverse
+        pass, which reads the values of the ops from the whole interval
+        kernel's ``o``, passed to it as ``t``; compiled on first use."""
+        key = (pair, reverse)
         chunks = self._kernels.get(key)
         if chunks is None:
             run, stmts, slot = self._whole(pair)
             outputs: list = []
-            if dim is not None:
+            if reverse:
                 t_slot = {op: slot[i] for i, op in enumerate(run) if i in slot}
+                rev, outputs, _ = self._reverse_plan()
 
-                def outside(j: int) -> tuple[str, str]:
-                    return f"t[{2 * t_slot[j]}]", f"t[{2 * t_slot[j] + 1}]"
+                def place(x):
+                    if type(x) is not int or x >= 0:
+                        return x
+                    j = -1 - x
+                    if self.code[j][0] in (_CONST, _LOAD):
+                        return _in_place(self.code, j, True)
+                    k = 2 * t_slot[j]
+                    return f"t[{k}]", f"t[{k + 1}]"
 
-                if dim == _REVERSE:
-                    rev, outputs, _ = self._reverse_plan()
-
-                    def place(x):
-                        if type(x) is not int or x >= 0:
-                            return x
-                        j = -1 - x
-                        if self.code[j][0] in (_CONST, _LOAD):
-                            return _in_place(self.code, j, True)
-                        return outside(j)
-
-                    stmts = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
-                    outputs = [place(x) for x in outputs]
-                    slot = _layout(stmts, (), outputs)
-                else:
-                    ops = [i for i, mask in enumerate(self._deps) if mask >> dim & 1]
-                    run = _statements(self.code, self._constants, ops, True)
-                    stmts = _op_statements(self.code, run, True, outside)
-                    slot = _layout(stmts, {len(run) - 1} if run else ())
+                stmts = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
+                outputs = [place(x) for x in outputs]
+                slot = _layout(stmts, (), outputs)
             sources = _chunk_sources(stmts, slot, pair, outputs)
             chunks = self._kernels[key] = tuple(map(_compile_chunk, sources))
         return chunks
 
     def eval_point(self, values: Sequence[float]) -> float:
-        chunks = self._kernel(None, False)
+        chunks = self._kernel(False)
         o: list[float] = []
         try:
             for chunk in chunks:
@@ -1120,43 +1076,17 @@ class Program:
         return o[-1]
 
     def eval_interval(self, dims: Sequence[Interval]) -> Interval:
-        chunks = self._kernel(None, True)
+        chunks = self._kernel(True)
         o: list[float] = []
         try:
             for chunk in chunks:
-                chunk(dims, self._constants, o, o, self.degree)
+                chunk(dims, self._constants, o, o)
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
         return Interval(o[-2], o[-1])
 
     def __call__(self, box: Box) -> Interval:
         return self.eval_interval(box.dims)
-
-    def eval_slabs(self, box: Box, dim: int, cuts: Sequence[float]) -> Interval:
-        """Hull of the enclosures on the slabs ``cuts[k] <= x_dim <=
-        cuts[k + 1]`` of ``box``, the first slab evaluated whole and the
-        others through the tail of ``dim``."""
-        chunks = self._kernel(None, True)
-        tail = self._kernel(dim, True)
-        c, g = self._constants, self.degree
-        dims = list(box.dims)
-        dims[dim] = Interval(cuts[0], cuts[1])
-        t: list[float] = []
-        try:
-            for chunk in chunks:
-                chunk(dims, c, t, t, g)
-            lo, hi = t[-2], t[-1]
-            if tail:
-                for left, right in zip(cuts[1:], cuts[2:]):
-                    dims[dim] = Interval(left, right)
-                    o: list[float] = []
-                    for chunk in tail:
-                        chunk(dims, c, t, o, g)
-                    lo = min(lo, o[-2])
-                    hi = max(hi, o[-1])
-        except OverflowError as exc:
-            raise IntervalError(f"interval evaluation overflow: {exc}") from exc
-        return Interval(lo, hi)
 
 
 def eval_real(e: Expr, point: Mapping[str, float]) -> float:
@@ -1168,16 +1098,14 @@ def eval_real(e: Expr, point: Mapping[str, float]) -> float:
     return Program(e, order).eval_point([float(point[v]) for v in order])
 
 
-def eval_interval(
-    e: Expr, box: Box, segments: int = 1, degree: int = 4
-) -> Interval:
+def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
     """Sound interval extension over ``box``; with ``segments > 1`` the widest
     dimension is sliced and the slab enclosures hulled."""
     env = box.env()
     missing = free_vars(e) - env.keys()
     if missing:
         raise UnboundVariable(f"box does not cover {sorted(missing)}")
-    program = Program(e, box.labels, degree)
+    program = Program(e, box.labels)
     if segments <= 1:
         return program(box)
     return refined_eval(program, box, segments)

@@ -22,14 +22,15 @@ Every operation is defined once, on plain float endpoint pairs (the
 compiled kernels of ``expr.Program`` call them directly.
 
 The trigonometric extensions ``iv_sin`` / ``iv_cos`` bracket sin and cos by
-truncated Maclaurin partial sums whose tails are sign-controlled on
-``[-pi, pi]``; arguments outside the handled subdomains fall back to the
-trivial enclosure ``[-1, 1]``, so both functions are total.
+truncated Maclaurin partial sums of the fixed degree ``SERIES_DEGREE``,
+whose tails are sign-controlled on ``[-pi, pi]``; arguments outside the
+handled subdomains fall back to the trivial enclosure ``[-1, 1]``, so both
+functions are total.
 
 A :class:`Box` is a product of intervals, one per named variable; it is the
 search-space object bisected by the optimizer.  ``refined_eval`` sharpens an
-interval objective by slicing the widest dimension into equal slabs and
-hulling the slab enclosures.
+interval objective by slicing the widest dimension into equal slabs,
+evaluating the objective on each slab and hulling the slab enclosures.
 """
 
 from __future__ import annotations
@@ -249,6 +250,8 @@ def pair_exp(lo: float, hi: float) -> tuple[float, float]:
 # sin / cos extensions via bracketing Maclaurin partial sums
 # ---------------------------------------------------------------------------
 
+SERIES_DEGREE = 4  # the degree of the partial sums that bound sin and cos
+
 
 def _series_bounds(
     x: float, first: float, step: Callable[[int], int], m: int
@@ -277,23 +280,23 @@ def _series_bounds(
 
 
 @functools.lru_cache(maxsize=1024)
-def _sin_series_bounds(x: float, degree: int) -> tuple[float, float]:
+def _sin_series_bounds(x: float) -> tuple[float, float]:
     """Bounds for sin(x) valid on |x| <= PI_HI, from partial sums of the
     Maclaurin series.  The tail after the first kept term is alternating with
     decreasing magnitude on this range, so consecutive partial sums bracket
     the true value."""
     if x < 0.0:
-        lo, hi = _sin_series_bounds(-x, degree)
+        lo, hi = _sin_series_bounds(-x)
         return -hi, -lo
-    m = max(1, (degree - 1) // 2)  # index of last kept series term
+    m = max(1, (SERIES_DEGREE - 1) // 2)  # index of last kept series term
     return _series_bounds(x, x, lambda k: 2 * k * (2 * k + 1), m)
 
 
 @functools.lru_cache(maxsize=1024)
-def _cos_series_bounds(x: float, degree: int) -> tuple[float, float]:
+def _cos_series_bounds(x: float) -> tuple[float, float]:
     """Bounds for cos(x) valid on |x| <= PI_HI; see ``_sin_series_bounds``."""
     x = abs(x)
-    m = max(1, degree // 2)
+    m = max(1, SERIES_DEGREE // 2)
     return _series_bounds(x, 1.0, lambda k: (2 * k - 1) * (2 * k), m)
 
 
@@ -304,44 +307,40 @@ def _clamp_unit(lo: float, hi: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_sin(lo: float, hi: float, degree: int = 4) -> tuple[float, float]:
+def pair_sin(lo: float, hi: float) -> tuple[float, float]:
     """Interval extension of sin from the piecewise monotonicity case table.
 
     Handled subdomains: the increasing lobe ``[-pi/2, pi/2]``, the decreasing
     lobe ``[pi/2, pi]``, the peak-spanning half period ``[0, pi]`` and its
     mirrored negative counterpart.  Anything else returns ``[-1, 1]``.
     """
-    if degree < 1:
-        raise DomainError(f"series degree must be >= 1, got {degree}")
     half_lo = PI_LO / 2  # exact: division by two
     half_hi = PI_HI / 2
     if -half_lo <= lo and hi <= half_lo:
-        return _clamp_unit(_sin_series_bounds(lo, degree)[0], _sin_series_bounds(hi, degree)[1])
+        return _clamp_unit(_sin_series_bounds(lo)[0], _sin_series_bounds(hi)[1])
     if half_hi <= lo and hi <= PI_LO:
-        return _clamp_unit(_sin_series_bounds(hi, degree)[0], _sin_series_bounds(lo, degree)[1])
+        return _clamp_unit(_sin_series_bounds(hi)[0], _sin_series_bounds(lo)[1])
     if 0.0 <= lo and hi <= PI_LO:
         return _clamp_unit(
-            min(_sin_series_bounds(lo, degree)[0], _sin_series_bounds(hi, degree)[0]), 1.0
+            min(_sin_series_bounds(lo)[0], _sin_series_bounds(hi)[0]), 1.0
         )
     if -PI_LO <= lo and hi <= 0.0:
-        nlo, nhi = pair_sin(-hi, -lo, degree)
+        nlo, nhi = pair_sin(-hi, -lo)
         return -nhi, -nlo
     return -1.0, 1.0
 
 
-def pair_cos(lo: float, hi: float, degree: int = 4) -> tuple[float, float]:
+def pair_cos(lo: float, hi: float) -> tuple[float, float]:
     """Interval extension of cos; same case-table construction as
     ``pair_sin``."""
-    if degree < 1:
-        raise DomainError(f"series degree must be >= 1, got {degree}")
     half_lo = PI_LO / 2
     if 0.0 <= lo and hi <= PI_LO:
-        return _clamp_unit(_cos_series_bounds(hi, degree)[0], _cos_series_bounds(lo, degree)[1])
+        return _clamp_unit(_cos_series_bounds(hi)[0], _cos_series_bounds(lo)[1])
     if -PI_LO <= lo and hi <= 0.0:
-        return pair_cos(-hi, -lo, degree)
+        return pair_cos(-hi, -lo)
     if -half_lo <= lo and hi <= half_lo:
         return _clamp_unit(
-            min(_cos_series_bounds(lo, degree)[0], _cos_series_bounds(hi, degree)[0]), 1.0
+            min(_cos_series_bounds(lo)[0], _cos_series_bounds(hi)[0]), 1.0
         )
     return -1.0, 1.0
 
@@ -416,9 +415,6 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- arithmetic (outward rounded) ------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
@@ -459,14 +455,14 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-def iv_sin(a: Interval, degree: int = 4) -> Interval:
+def iv_sin(a: Interval) -> Interval:
     """Interval extension of sin; see ``pair_sin``."""
-    return Interval(*pair_sin(a.lo, a.hi, degree))
+    return Interval(*pair_sin(a.lo, a.hi))
 
 
-def iv_cos(a: Interval, degree: int = 4) -> Interval:
+def iv_cos(a: Interval) -> Interval:
     """Interval extension of cos; see ``pair_cos``."""
-    return Interval(*pair_cos(a.lo, a.hi, degree))
+    return Interval(*pair_cos(a.lo, a.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +569,10 @@ def refined_eval(
     """Evaluate ``fn`` on ``box`` after slicing its widest dimension into
     ``segments`` equal slabs; return the hull of the slab enclosures.  A
     caller that knows ``box.widest_dim()`` already may pass it as ``dim``.
+    Each slab is one evaluation of ``fn``.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
-
-    When ``fn`` has an ``eval_slabs(box, dim, cuts)`` method (a compiled
-    ``expr.Program`` has), the slab loop is left to it: it must return the
-    hull below bit for bit, evaluating the slabs in order.
     """
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
@@ -589,12 +582,9 @@ def refined_eval(
     if segments == 1 or iv.width <= 0.0:
         return fn(box)
     cuts = slab_cuts(iv, segments)
-    eval_slabs = getattr(fn, "eval_slabs", None)
-    if eval_slabs is not None:
-        return eval_slabs(box, dim, cuts)
-    result: Interval | None = None
+    lo, hi = _INF, -_INF
     for left, right in zip(cuts, cuts[1:]):
         slab = fn(box.replace_dim(dim, Interval(left, right)))
-        result = slab if result is None else result.hull(slab)
-    assert result is not None
-    return result
+        lo = min(lo, slab.lo)
+        hi = max(hi, slab.hi)
+    return Interval(lo, hi)

@@ -646,8 +646,8 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
                 "domain must contain the origin", f"{name} in {iv}"
             )
     origin = {name: 0.0 for name in model.state_names}
-    norm0 = math.sqrt(sum(eval_real(fi, origin) ** 2 for fi in model.f))
-    if norm0 > _QB_ORIGIN_TOL:
+    norm0 = math.hypot(*(eval_real(fi, origin) for fi in model.f))
+    if not norm0 <= _QB_ORIGIN_TOL:  # NaN fails too
         raise PreconditionViolated(
             "components must vanish at the origin", f"|f(0)| = {norm0:.3e}"
         )

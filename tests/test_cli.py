@@ -83,6 +83,14 @@ class TestExitCodes:
         assert code == 4
         assert "precondition" in err
 
+    def test_huge_origin_value_fails_the_qb_precondition(self, tmp_path, capsys):
+        # |f(0)| = 1e200: its square overflows, its norm does not.
+        model = tmp_path / "far_origin.nds"
+        model.write_text("[states]\nx1 = [-1, 1]\n[f]\nf1 = x1 + 1e200\n")
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
+        assert code == 4 and out == ""
+        assert "components must vanish at the origin" in err and "1.000e+200" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -279,6 +287,21 @@ class TestCommands:
         rows = {r["name"]: r for r in json.loads(out)[0]["results"]}
         assert rows["df1/dx1"]["lower"] == pytest.approx(-4.0, abs=1e-3)
         assert rows["df1/dx1"]["value"] == pytest.approx(0.0, abs=1e-3)
+
+    def test_jacobian_row_per_nonzero_derivative(self, tmp_path, capsys):
+        # df1/dx1 = x2 is not identically zero, though its enclosure on
+        # x2 = [0, 0] is exactly [0, 0]: it is computed and gets a row.
+        model = tmp_path / "zero_entry.nds"
+        model.write_text("[states]\nx1 = [0, 1]\nx2 = [0, 0]\n[f]\nf1 = x1*x2\nf2 = x2 + x1\n")
+        code, out, _ = run_capture(capsys, ["jacobian", "--model", str(model), "--no-timing"])
+        assert code == 0
+        rows = {r["name"]: (r["lower"], r["value"]) for r in json.loads(out)[0]["results"]}
+        assert rows == {
+            "df1/dx1": (0.0, 0.0),
+            "df1/dx2": (0.0, 1.0),
+            "df2/dx1": (1.0, 1.0),
+            "df2/dx2": (1.0, 1.0),
+        }
 
     def test_baseline_under_approximates(self, model_files, capsys):
         code, out, _ = run_capture(

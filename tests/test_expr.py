@@ -27,7 +27,7 @@ from certbound.expr import (
     structural_key,
     to_text,
 )
-from certbound.intervals import Box, Interval, iv_cos
+from certbound.intervals import Box, Interval
 from conftest import corpus_expressions, random_points, random_polynomial
 
 
@@ -234,11 +234,6 @@ class TestGradient:
         assert grad[0].lo <= 6.0 <= grad[0].hi and grad[0].width < 1e-14
         grad = Program(parse("abs(sqr(x))"), ("x",)).gradient(Box.from_bounds([("x", -1.0, 2.0)]))
         assert grad[0].lo >= -2.0 - 1e-14 and grad[0].hi <= 4.0 + 1e-14  # 2x, not 2x*[-1, 1]
-
-    def test_degree_is_passed_on(self):
-        box = Box.from_bounds([("x", 0.2, 0.9)])
-        grad = Program(parse("sin(x)"), ("x",), degree=7).gradient(box)
-        assert grad == (iv_cos(box.dims[0], 7),)
 
     def test_failed_enclosure_raises(self):
         program = Program(parse("sqrt(x) + y"), ("x", "y"))

@@ -217,25 +217,25 @@ class TestElementary:
 
 class TestTrig:
     def test_sin_degenerate_zero(self):
-        r = iv_sin(Interval(0, 0), 4)
+        r = iv_sin(Interval(0, 0))
         assert r.width <= 1e-12 and approx_encloses(r, 0.0)
 
     def test_cos_fallback(self):
-        assert iv_cos(Interval(-10, 10), 4) == Interval(-1, 1)
+        assert iv_cos(Interval(-10, 10)) == Interval(-1, 1)
 
     def test_sin_half(self):
-        r = iv_sin(Interval(0.5, 0.5), 4)
+        r = iv_sin(Interval(0.5, 0.5))
         assert approx_encloses(r, float(dec_sin(0.5)))
 
-    @pytest.mark.parametrize("degree", [1, 2, 4, 6, 9])
-    def test_trig_point_enclosure_against_series(self, degree):
-        rng = random.Random(degree)
+    @pytest.mark.parametrize("seed", [1, 2, 4, 6, 9])
+    def test_trig_point_enclosure_against_series(self, seed):
+        rng = random.Random(seed)
         args = [rng.uniform(-7, 7) for _ in range(120)] + [
             0.0, 1.5, -1.5, math.pi / 2, -math.pi / 2, 3.14, -3.14, 4.5, -6.0
         ]
         for x in args:
-            s = iv_sin(Interval.point(x), degree)
-            c = iv_cos(Interval.point(x), degree)
+            s = iv_sin(Interval.point(x))
+            c = iv_cos(Interval.point(x))
             assert s.lo <= float(dec_sin(x)) <= s.hi, x
             assert c.lo <= float(dec_cos(x)) <= c.hi, x
 
@@ -256,10 +256,6 @@ class TestTrig:
             for f in (iv_sin, iv_cos):
                 r = f(Interval(lo, hi))
                 assert -1.0 <= r.lo <= r.hi <= 1.0
-
-    def test_degree_validation(self):
-        with pytest.raises(DomainError):
-            iv_sin(Interval(0, 1), 0)
 
 
 class TestBox:
