@@ -689,6 +689,8 @@ _PAIR_RHS = {
     COS: "pair_cos({0}, {1})",
     _POW: "pair_pow({0}, {1}, {arg})",
 }
+# ``pair_mul`` with the point operand first or second, as ``pair_scale``.
+_SCALE_RHS = ("pair_scale({0}, {2}, {3})", "pair_scale({2}, {0}, {1})")
 _POINT_RHS = {
     _CONST: "c[{arg}]",
     _LOAD: "d[{arg}]",
@@ -812,6 +814,23 @@ def _op_statements(code, run: Sequence[int], pair: bool) -> list:
     ]
 
 
+def _scale_points(stmts) -> list:
+    """``stmts`` of the interval kernel, with each ``pair_mul`` by a point
+    read in place (both parts the same text: a constant, which is finite)
+    as ``pair_scale``, which gives the same bits from two products instead
+    of four."""
+    scaled = []
+    for stmt in stmts:
+        template, arg, operands = stmt
+        if template == _PAIR_RHS[MUL]:
+            for side, x in enumerate(operands):
+                if type(x) is tuple and x[0] == x[1]:
+                    stmt = (_SCALE_RHS[side], arg, operands)
+                    break
+        scaled.append(stmt)
+    return scaled
+
+
 def _layout(stmts, keep: Iterable[int], outputs=()) -> dict[int, int]:
     """Where each statement that must outlive its chunk is stored in ``o``:
     those in ``keep`` and those that a later chunk reads, or that
@@ -911,7 +930,7 @@ def _reverse_statements(code, varying, n: int):
         return emit(_PAIR_RHS[MUL], x, y)
 
     def scaled(k: float, x):
-        return emit("pair_mul({arg}, {arg}, {0}, {1})", x, arg=k)
+        return emit("pair_scale({arg}, {0}, {1})", x, arg=k)
 
     ops = {op: i for i, op in enumerate(code)}
 
@@ -1061,6 +1080,8 @@ class Program:
                 stmts = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
                 outputs = [place(x) for x in outputs]
                 slot = _layout(stmts, (), outputs)
+            if pair:
+                stmts = _scale_points(stmts)
             sources = _chunk_sources(stmts, slot, pair, outputs)
             chunks = self._kernels[key] = tuple(map(_compile_chunk, sources))
         return chunks

@@ -19,7 +19,15 @@ assembly of certified constants (square roots, weighted sums) uses them.
 
 Every operation is defined once, on plain float endpoint pairs (the
 ``pair_*`` functions); the :class:`Interval` methods wrap them, and the
-compiled kernels of ``expr.Program`` call them directly.
+compiled kernels of ``expr.Program`` call them directly.  ``pair_scale`` is
+the one specialised product: ``pair_mul`` by a finite point, bit for bit,
+from two products instead of four; a test pins the two together.
+
+The hot functions pick the least and greatest candidate endpoint by
+comparison chains instead of the builtin ``min``/``max``, under CPython's
+own tie rule: keep the first of equal values, replace only on a strict
+``<`` (least) or ``>`` (greatest).  So signed zeros and NaN come out as the
+builtins give them.
 
 The trigonometric extensions ``iv_sin`` / ``iv_cos`` bracket sin and cos by
 truncated Maclaurin partial sums of the fixed degree ``SERIES_DEGREE``,
@@ -119,8 +127,20 @@ def pair_mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     p2 = al * bh
     p3 = ah * bl
     p4 = ah * bh
-    lo = min(p1, p2, p3, p4)
-    hi = max(p1, p2, p3, p4)
+    if p2 < p1:
+        lo, hi = p2, p1
+    elif p2 > p1:
+        lo, hi = p1, p2
+    else:
+        lo = hi = p1
+    if p3 < lo:
+        lo = p3
+    elif p3 > hi:
+        hi = p3
+    if p4 < lo:
+        lo = p4
+    elif p4 > hi:
+        hi = p4
     if (lo and hi) or (
         (al and bl and not p1) or (al and bh and not p2)
         or (ah and bl and not p3) or (ah and bh and not p4)
@@ -139,6 +159,30 @@ def pair_mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
+def pair_scale(k: float, lo: float, hi: float) -> tuple[float, float]:
+    """``pair_mul(k, k, lo, hi)`` for a finite point ``k``, bit for bit, from
+    two products instead of four (the other two repeat them)."""
+    p1 = k * lo
+    p2 = k * hi
+    if p2 < p1:
+        rlo, rhi = p2, p1
+    elif p2 > p1:
+        rlo, rhi = p1, p2
+    else:
+        rlo = rhi = p1
+    if (rlo and rhi) or (k and ((lo and not p1) or (hi and not p2))):
+        rlo = _nextafter(rlo, -_INF)
+        rhi = _nextafter(rhi, _INF)
+    else:
+        if rlo:
+            rlo = _nextafter(rlo, -_INF)
+        if rhi:
+            rhi = _nextafter(rhi, _INF)
+    if -_INF < rlo <= rhi < _INF:
+        return rlo, rhi
+    raise _invalid(rlo, rhi)
+
+
 def pair_div(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     if bl <= 0.0 <= bh:
         raise DivisionByZeroInterval(f"divisor [{bl!r}, {bh!r}] contains zero")
@@ -146,8 +190,22 @@ def pair_div(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     q2 = al / bh
     q3 = ah / bl
     q4 = ah / bh
-    lo = _nextafter(min(q1, q2, q3, q4), -_INF)
-    hi = _nextafter(max(q1, q2, q3, q4), _INF)
+    if q2 < q1:
+        lo, hi = q2, q1
+    elif q2 > q1:
+        lo, hi = q1, q2
+    else:
+        lo = hi = q1
+    if q3 < lo:
+        lo = q3
+    elif q3 > hi:
+        hi = q3
+    if q4 < lo:
+        lo = q4
+    elif q4 > hi:
+        hi = q4
+    lo = _nextafter(lo, -_INF)
+    hi = _nextafter(hi, _INF)
     if -_INF < lo <= hi < _INF:
         return lo, hi
     raise _invalid(lo, hi)
@@ -161,7 +219,9 @@ def pair_sqr(lo: float, hi: float) -> tuple[float, float]:
     if lo <= 0.0 <= hi:
         rlo = 0.0
     else:
-        rlo = max(0.0, _nextafter(a * a, -_INF))
+        rlo = _nextafter(a * a, -_INF)
+        if not rlo > 0.0:
+            rlo = 0.0
     if -_INF < rlo <= rhi < _INF:
         return rlo, rhi
     raise _invalid(rlo, rhi)
@@ -394,7 +454,7 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
+        if not -_INF < self.lo <= self.hi < _INF:
             raise _invalid(self.lo, self.hi)
 
     @classmethod
@@ -407,7 +467,10 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        m = 0.5 * (self.lo + self.hi)
+        if -_INF < m < _INF:
+            return m
+        return 0.5 * self.lo + 0.5 * self.hi  # lo + hi overflows
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -554,12 +617,22 @@ class Box:
 
 def slab_cuts(iv: Interval, segments: int) -> list[float]:
     """The ``segments + 1`` nondecreasing cut points that slice ``iv`` into
-    equal slabs, from ``iv.lo`` to ``iv.hi``."""
-    cuts = [iv.lo]
+    equal slabs, from ``iv.lo`` to ``iv.hi``.  Where the width overflows,
+    each cut is the weighted mean of the endpoints instead."""
+    lo, hi = iv.lo, iv.hi
+    width = hi - lo
+    c = lo
+    cuts = [lo]
     for k in range(1, segments):
-        c = iv.lo + iv.width * (k / segments)
-        cuts.append(min(max(c, cuts[-1]), iv.hi))
-    cuts.append(iv.hi)
+        t = k / segments
+        prev = c
+        c = lo + width * t if width < _INF else (1.0 - t) * lo + t * hi
+        if prev > c:
+            c = prev
+        if hi < c:
+            c = hi
+        cuts.append(c)
+    cuts.append(hi)
     return cuts
 
 
@@ -585,6 +658,8 @@ def refined_eval(
     lo, hi = _INF, -_INF
     for left, right in zip(cuts, cuts[1:]):
         slab = fn(box.replace_dim(dim, Interval(left, right)))
-        lo = min(lo, slab.lo)
-        hi = max(hi, slab.hi)
+        if slab.lo < lo:
+            lo = slab.lo
+        if slab.hi > hi:
+            hi = slab.hi
     return Interval(lo, hi)

@@ -222,6 +222,23 @@ class TestCommands:
         assert code == 4 and out == ""
         assert "unbounded enclosure" in err and "negative part" in err
 
+    @pytest.mark.parametrize(
+        "expr, bounds, value",
+        [
+            ("x", "x=[-1e308,1e308]", 1e308),
+            ("-x", "x=[1e308,1.7e308]", -1e308),
+            ("abs(x)", "x=[-1e308,1e308]", 1e308),
+        ],
+    )
+    def test_maximize_where_lo_plus_hi_overflows(self, capsys, expr, bounds, value):
+        # Midpoints and slab cuts of these boxes stay inside them.
+        code, out, err = run_capture(
+            capsys, ["maximize", f"--expr={expr}", "--bounds", bounds, "--no-timing"]
+        )
+        assert code == 0, err
+        row = json.loads(out)[0]["results"][0]
+        assert row["value"] == row["lower"] == value and row["eps_optimal"] is True
+
     def test_maximize_constant_keeps_full_box(self, capsys):
         code, out, _ = run_capture(
             capsys, ["maximize", "--expr", "2", "--bounds", "x=[0,1]", "--no-timing"]

@@ -1,5 +1,6 @@
 """Interval arithmetic: soundness, elementary functions, boxes, refinement."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,17 @@ import pytest
 from certbound.intervals import (
     Box,
     Interval,
+    _invalid,
     fraction_down,
     fraction_up,
     iv_cos,
     iv_sin,
+    pair_div,
+    pair_mul,
+    pair_scale,
+    pair_sqr,
     refined_eval,
+    slab_cuts,
     sqrt_down,
     sqrt_up,
 )
@@ -143,6 +150,84 @@ class TestExactZeros:
                 assert Fraction(sq.lo) <= Fraction(x) ** 2 <= Fraction(sq.hi), a
 
 
+# The formulas of ``pair_mul``, ``pair_div`` and ``pair_sqr`` with builtin
+# ``min``/``max``, which keep the first of equal values.  The comparison
+# chains that replace them must give the same bits: signed zeros included.
+
+
+def _ref_mul(al, ah, bl, bh):
+    p1, p2, p3, p4 = al * bl, al * bh, ah * bl, ah * bh
+    lo, hi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+    if (lo and hi) or (
+        (al and bl and not p1) or (al and bh and not p2)
+        or (ah and bl and not p3) or (ah and bh and not p4)
+    ):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    else:
+        if lo:
+            lo = math.nextafter(lo, -math.inf)
+        if hi:
+            hi = math.nextafter(hi, math.inf)
+    if -math.inf < lo <= hi < math.inf:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def _ref_div(al, ah, bl, bh):
+    if bl <= 0.0 <= bh:
+        raise DivisionByZeroInterval(f"divisor [{bl!r}, {bh!r}] contains zero")
+    q = (al / bl, al / bh, ah / bl, ah / bh)
+    lo, hi = math.nextafter(min(q), -math.inf), math.nextafter(max(q), math.inf)
+    if -math.inf < lo <= hi < math.inf:
+        return lo, hi
+    raise _invalid(lo, hi)
+
+
+def _ref_sqr(lo, hi):
+    a, b = sorted((abs(lo), abs(hi)))
+    rhi = math.nextafter(b * b, math.inf) if b else 0.0
+    rlo = 0.0 if lo <= 0.0 <= hi else max(0.0, math.nextafter(a * a, -math.inf))
+    if -math.inf < rlo <= rhi < math.inf:
+        return rlo, rhi
+    raise _invalid(rlo, rhi)
+
+
+def _outcome(fn, *args):
+    """The result by ``repr``, or the error by class and message."""
+    try:
+        return repr(fn(*args))
+    except (IntervalError, ZeroDivisionError) as exc:  # the latter for inverted divisors
+        return type(exc), str(exc)
+
+
+_SPECIAL = [s * x for x in (0.0, 5e-324, 1e-200, 1.0, 1e300, 1.7e308) for s in (1.0, -1.0)]
+_PAIRS = list(itertools.product(_SPECIAL, repeat=2))  # inverted pairs too
+
+
+class TestTieRule:
+    def test_mul_and_div_match_builtin_min_max(self):
+        for (al, ah), (bl, bh) in itertools.product(_PAIRS, repeat=2):
+            args = (al, ah, bl, bh)
+            assert _outcome(pair_mul, *args) == _outcome(_ref_mul, *args), args
+            assert _outcome(pair_div, *args) == _outcome(_ref_div, *args), args
+
+    def test_sqr_matches_builtin_max(self):
+        for lo, hi in _PAIRS:
+            assert _outcome(pair_sqr, lo, hi) == _outcome(_ref_sqr, lo, hi), (lo, hi)
+
+    def test_scale_is_mul_by_a_point_on_either_side(self):
+        for k in _SPECIAL:
+            for lo, hi in _PAIRS:
+                scaled = _outcome(pair_scale, k, lo, hi)
+                assert scaled == _outcome(pair_mul, k, k, lo, hi), (k, lo, hi)
+                assert scaled == _outcome(pair_mul, lo, hi, k, k), (k, lo, hi)
+
+    def test_signed_zero_ties_keep_the_first_product(self):
+        # 0*-1 = -0.0 comes first and ties with 0*1 = 0.0 for both min and max.
+        assert repr(pair_mul(0.0, 0.0, -1.0, 1.0)) == "(-0.0, -0.0)"
+        assert repr(pair_scale(0.0, -1.0, 1.0)) == "(-0.0, -0.0)"
+
+
 class TestSafeScalars:
     @pytest.mark.parametrize("seed", range(3))
     def test_square_roots_bracket_exactly(self, seed):
@@ -263,6 +348,18 @@ class TestBox:
         b = Box.from_bounds([("x", 1, 3), ("y", 0, 2)])
         assert b.midpoint() == (2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi, mid",
+        [(1e308, 1.7e308, 1.35e308), (-1.7e308, -1e308, -1.35e308), (1e308, 1e308, 1e308)],
+    )
+    def test_midpoint_where_the_sum_overflows(self, lo, hi, mid):
+        assert Interval(lo, hi).midpoint == mid
+
+    def test_split_where_the_sum_overflows(self):
+        left, right = Box.from_bounds([("x", 1e308, 1.7e308)]).split(0)
+        assert left.dims[0] == Interval(1e308, 1.35e308)
+        assert right.dims[0] == Interval(1.35e308, 1.7e308)
+
     def test_split(self):
         b = Box.from_bounds([("x", 0, 4), ("y", 0, 1)])
         left, right = b.split(0, 2.0)
@@ -329,6 +426,23 @@ class TestRefinedEval:
         b = Box.from_bounds([("x", 0.3, 0.3)])
         for k in (1, 4, 10):
             assert refined_eval(self._parabola, b, k).width <= 1e-12
+
+    def test_cuts_are_the_equal_slab_formula(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            lo = rng.uniform(-5, 5)
+            iv = Interval(lo, lo + rng.uniform(0.0, 3))
+            for segments in (1, 2, 3, 10):
+                cuts = [iv.lo]
+                for k in range(1, segments):
+                    cuts.append(min(max(iv.lo + iv.width * (k / segments), cuts[-1]), iv.hi))
+                assert slab_cuts(iv, segments) == cuts + [iv.hi]
+
+    def test_cuts_where_the_width_overflows(self):
+        cuts = slab_cuts(Interval(-1e308, 1.7e308), 4)
+        assert cuts[0] == -1e308 and cuts[-1] == 1.7e308
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert cuts[2] == pytest.approx(0.35e308)
 
     def test_segments_validation(self):
         with pytest.raises(DomainError):

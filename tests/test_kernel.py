@@ -457,3 +457,26 @@ def test_programs_of_one_shape_share_compiled_chunks():
     b = Program(parse("3*x*x + 5"), X)
     assert a._kernel(True) == b._kernel(True)
     assert a.eval_interval([Interval(1.0, 1.0)]) != b.eval_interval([Interval(1.0, 1.0)])
+
+
+def _pair_calls(program: Program, reverse: bool) -> set[str]:
+    """The ``pair_*`` functions that the interval kernel (or its reverse pass) calls."""
+    return {
+        name
+        for chunk in program._kernel(True, reverse)
+        for name in chunk.__code__.co_names
+        if name.startswith("pair_")
+    }
+
+
+@pytest.mark.parametrize(
+    "text, reverse", [("3.0*x", False), ("x*3.0", False), ("sqr(x)", True), ("x^3", True)]
+)
+def test_constant_factors_use_pair_scale(text, reverse):
+    calls = _pair_calls(Program(parse(text), X), reverse)
+    assert "pair_scale" in calls and "pair_mul" not in calls
+
+
+def test_product_of_variables_uses_pair_mul():
+    calls = _pair_calls(Program(parse("x*y"), ("x", "y")), False)
+    assert "pair_mul" in calls and "pair_scale" not in calls
