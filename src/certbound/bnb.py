@@ -57,6 +57,14 @@ class Subproblem:
     dim: int
 
 
+def _splittable(sub: Subproblem, eps_om: float) -> bool:
+    """Whether ``sub``'s box may be bisected: its widest dimension is wider
+    than ``eps_om`` and its midpoint, where ``Box.split`` cuts, lies
+    strictly inside (two adjacent floats have no float between them)."""
+    iv = sub.box.dims[sub.dim]
+    return sub.width > eps_om and iv.lo < iv.midpoint < iv.hi
+
+
 class Cover:
     """The optimizer's work set: boxes not yet provably excluded.
 
@@ -104,7 +112,7 @@ class Cover:
         if l > self._watermark:
             self._watermark = l
 
-    def _peek(self, heap: list, min_width: float | None) -> Subproblem | None:
+    def _peek(self, heap: list, eps_om: float | None) -> Subproblem | None:
         while heap:
             _, _, order = heap[0]
             sub = self._alive.get(order)
@@ -115,8 +123,8 @@ class Cover:
                 del self._alive[order]  # provably excluded
                 heappop(heap)
                 continue
-            if min_width is not None and sub.width <= min_width:
-                heappop(heap)  # width never grows; drop from this index only
+            if eps_om is not None and not _splittable(sub, eps_om):
+                heappop(heap)  # boxes never grow; drop from this index only
                 continue
             return sub
         return None
@@ -346,7 +354,7 @@ def maximize(
         # Phase 1: shrink u by splitting the incumbent.
         while (
             u - l > cfg.eps_h
-            and incumbent.width > cfg.eps_om
+            and _splittable(incumbent, cfg.eps_om)
             and stats.splits < cfg.max_steps
         ):
             stats.splits += 1

@@ -29,7 +29,7 @@ from .errors import (
     UnboundVariable,
 )
 from . import intervals
-from .intervals import Box, Interval, refined_eval
+from .intervals import Box, Interval
 
 # ---------------------------------------------------------------------------
 # AST
@@ -548,97 +548,6 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural keys (dedup of per-nonlinearity subproblems)
-# ---------------------------------------------------------------------------
-
-
-_BINARY_NAMES = {ADD: "add", SUB: "sub", MUL: "mul", DIV: "div", MAX: "max"}
-
-
-def _flatten(e: Expr, op: str) -> list[Expr]:
-    if isinstance(e, Binary) and e.op == op:
-        return _flatten(e.left, op) + _flatten(e.right, op)
-    return [e]
-
-
-def _canon_serialize(e: Expr, names: dict[str, str], ranks: dict[str, str]) -> str:
-    """Serialize with variables renamed by first appearance.  Commutative
-    chains are sorted by (shape, locally renamed form, current global
-    naming); the last component lets an outer fixpoint refine tie-breaks."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        if e.name not in names:
-            names[e.name] = f"v{len(names)}"
-        return names[e.name]
-    if isinstance(e, PowInt):
-        return f"pow[{e.exponent}]({_canon_serialize(e.base, names, ranks)})"
-    if isinstance(e, Unary):
-        return f"{e.op}({_canon_serialize(e.arg, names, ranks)})"
-    assert isinstance(e, Binary)
-    if e.op in (ADD, MUL):
-        parts = _flatten(e, e.op)
-        parts.sort(
-            key=lambda p: (_shape(p), _canon_serialize(p, {}, {}), _ranked(p, ranks))
-        )
-        body = ",".join(_canon_serialize(p, names, ranks) for p in parts)
-        return f"{_BINARY_NAMES[e.op]}({body})"
-    return (
-        f"{_BINARY_NAMES[e.op]}({_canon_serialize(e.left, names, ranks)},"
-        f"{_canon_serialize(e.right, names, ranks)})"
-    )
-
-
-def _ranked(e: Expr, ranks: dict[str, str]) -> str:
-    """Serialization under a fixed prior naming (unknown names neutral)."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return ranks.get(e.name, "~")
-    if isinstance(e, PowInt):
-        return f"pow[{e.exponent}]({_ranked(e.base, ranks)})"
-    if isinstance(e, Unary):
-        return f"{e.op}({_ranked(e.arg, ranks)})"
-    assert isinstance(e, Binary)
-    if e.op in (ADD, MUL):
-        parts = sorted(_ranked(p, ranks) for p in _flatten(e, e.op))
-        return f"{_BINARY_NAMES[e.op]}({','.join(parts)})"
-    return f"{_BINARY_NAMES[e.op]}({_ranked(e.left, ranks)},{_ranked(e.right, ranks)})"
-
-
-def _shape(e: Expr) -> str:
-    return _ranked(e, {})
-
-
-def _canonicalize(e: Expr) -> tuple[str, dict[str, str]]:
-    # Fixpoint over the naming: ties among same-shaped chain operands are
-    # re-broken with the naming of the previous pass until stable.
-    names: dict[str, str] = {}
-    key = ""
-    for _ in range(4):
-        fresh: dict[str, str] = {}
-        new_key = _canon_serialize(e, fresh, names)
-        if new_key == key:
-            break
-        key = new_key
-        names = fresh
-    return key, names
-
-
-def structural_key(e: Expr) -> str:
-    """Canonical string: invariant under consistent variable renaming and
-    reassociation (flattening) of commutative chains."""
-    return _canonicalize(e)[0]
-
-
-def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
-    """Key plus the original variable names in canonical (first-appearance)
-    order, so callers can compare the per-variable domains of two matches."""
-    key, names = _canonicalize(e)
-    return key, tuple(names)
-
-
-# ---------------------------------------------------------------------------
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 #
@@ -651,9 +560,13 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 # of chunk functions of at most ``_CHUNK`` statements each, because
 # compiling one huge function takes memory out of proportion to its size.
 # Each chunk appends to the list ``o`` the values that a later chunk (or the
-# reverse pass) reads back, and the results.  Chunks are cached by their
-# source text, and constants are passed in, so programs of one shape share
-# their compiled chunks.
+# reverse pass) reads back, and the results.
+#
+# Kernels are cached by program shape (see ``_shape_kernels``): the ops,
+# the constants that are not finite and the number of variable slots.
+# Constant values are not part of the source: they are passed in at call
+# time, so programs that differ only in their constants, such as the
+# hundreds of Jacobian entries of one model, share one generated kernel.
 #
 # Gradient: the adjoint kernel encloses every partial derivative on a box in
 # one forward and one reverse pass over the ops (Griewank & Walther,
@@ -664,7 +577,7 @@ def structural_key_with_vars(e: Expr) -> tuple[str, tuple[str, ...]]:
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
 _CHUNK = 128
-_REVERSE = "reverse"  # the kernel key of the reverse pass
+_PLAN = "plan"  # the key of a shape's reverse plan among its kernels
 # Operands given as source text: the adjoints known to be exactly 1 or -1,
 # and an exact zero.
 _ONE, _MINUS_ONE, _ZERO_PAIR = ("1.0", "1.0"), ("-1.0", "-1.0"), ("0.0", "0.0")
@@ -714,18 +627,18 @@ _KERNEL_GLOBALS = {
 _KERNEL_GLOBALS.update(sqrt=math.sqrt, exp=math.exp, sin=math.sin, cos=math.cos)
 
 
-@functools.lru_cache(maxsize=256)
 def _compile_chunk(source: str):
-    """The function defined by ``source``.  Programs of the same shape
-    generate the same source, so they share one compiled chunk."""
+    """The function defined by ``source``."""
     scope: dict[str, object] = {}
     exec(compile(source, "<certbound kernel>", "exec"), _KERNEL_GLOBALS, scope)
     return scope["chunk"]
 
 
-def _postfix(expr: Expr, slots: Mapping[str, int]):
+def _postfix(expr: Expr, slots: dict[str, int]):
     """Ops ``(kind, arg, operands)`` in postfix order, the constants they
-    index and, per op, whether it depends on a variable.
+    index and, per op, whether it depends on a variable.  A variable
+    missing from ``slots`` gets the next free slot, so an empty ``slots``
+    numbers the variables by first occurrence.
 
     Values are numbered: equal constants (by ``repr``, so ``0.0`` and
     ``-0.0`` stay apart) are one op, so are ops of equal ``(kind, arg,
@@ -748,7 +661,7 @@ def _postfix(expr: Expr, slots: Mapping[str, int]):
                 key: object = repr(node.value)
                 op: tuple[str, object, tuple[int, ...]] = (_CONST, len(constants), ())
             elif isinstance(node, Var):
-                key = op = (_LOAD, slots[node.name], ())
+                key = op = (_LOAD, slots.setdefault(node.name, len(slots)), ())
             else:
                 kids = _children(node)
                 if not expanded:
@@ -772,6 +685,35 @@ def _postfix(expr: Expr, slots: Mapping[str, int]):
             walked[id(node)] = index
         done.append(index)
     return tuple(ops), tuple(constants), tuple(varying)
+
+
+def structural_key_with_vars(e: Expr) -> tuple[tuple, tuple[str, ...]]:
+    """A key that two expressions share exactly when their numbered ops
+    (``_postfix``) are equal, with the variables slotted by first occurrence
+    and the constants compared by ``repr``; and the variable names in slot
+    order, so that callers can compare the per-slot domains of two matches.
+    Equal keys mean the same function up to renaming the variables.
+    Operand order counts: ``x + y`` and ``y + x`` get different keys."""
+    names: dict[str, int] = {}
+    code, constants, _ = _postfix(e, names)
+    return (code, tuple(map(repr, constants))), tuple(names)
+
+
+def structural_key(e: Expr) -> tuple:
+    """The key of ``structural_key_with_vars``, without the names."""
+    return structural_key_with_vars(e)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> dict:
+    """The kernels that every program of one shape shares: its ops
+    ``code``, the indices of its non-finite constants (the only property of
+    the constants that the generated source depends on, see
+    ``_statements``) and its number ``n`` of variable slots (the reverse
+    pass has one output per slot).  Each kernel is stored under ``(pair,
+    reverse)`` and the reverse plan under ``_PLAN``, generated on first
+    use; the 256 most recent shapes are kept."""
+    return {}
 
 
 def _statements(code, constants, pair: bool) -> list[int]:
@@ -1001,7 +943,7 @@ class Program:
     the branch-and-bound takes first-order bounds.
     """
 
-    __slots__ = ("code", "var_order", "expr", "_constants", "_varying", "_kernels", "_reverse")
+    __slots__ = ("code", "var_order", "expr", "_constants", "_varying", "_kernels")
 
     def __init__(self, expr: Expr, var_order: Sequence[str]):
         slots = {name: i for i, name in enumerate(var_order)}
@@ -1011,8 +953,7 @@ class Program:
         self.code, self._constants, self._varying = _postfix(expr, slots)
         self.var_order = tuple(var_order)
         self.expr = expr
-        self._kernels: dict[tuple[bool, bool], tuple] = {}
-        self._reverse: tuple | None = None
+        self._kernels: dict | None = None  # its shape's, from ``_shape_kernels``
 
     def gradient(self, box: Box) -> tuple[Interval, ...]:
         """Enclosures of the partial derivatives on ``box``, one per
@@ -1036,10 +977,12 @@ class Program:
         return tuple(map(Interval, ends[::2], ends[1::2]))
 
     def _reverse_plan(self) -> tuple:
-        """``_reverse_statements`` of the program, built once."""
-        if self._reverse is None:
-            self._reverse = _reverse_statements(self.code, self._varying, len(self.var_order))
-        return self._reverse
+        """``_reverse_statements`` of the program, built once per shape."""
+        plan = self._kernels.get(_PLAN)
+        if plan is None:
+            plan = _reverse_statements(self.code, self._varying, len(self.var_order))
+            self._kernels[_PLAN] = plan
+        return plan
 
     def _whole(self, pair: bool):
         """The ops of the whole kernel that get a statement, their
@@ -1058,9 +1001,15 @@ class Program:
     def _kernel(self, pair: bool, reverse: bool = False) -> tuple:
         """Chunks of the whole point or interval kernel, or of the reverse
         pass, which reads the values of the ops from the whole interval
-        kernel's ``o``, passed to it as ``t``; compiled on first use."""
+        kernel's ``o``, passed to it as ``t``; generated and compiled on
+        first use by a program of the same shape."""
+        kernels = self._kernels
+        if kernels is None:
+            nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
+            kernels = _shape_kernels(self.code, nonfinite, len(self.var_order))
+            self._kernels = kernels
         key = (pair, reverse)
-        chunks = self._kernels.get(key)
+        chunks = kernels.get(key)
         if chunks is None:
             run, stmts, slot = self._whole(pair)
             outputs: list = []
@@ -1083,7 +1032,7 @@ class Program:
             if pair:
                 stmts = _scale_points(stmts)
             sources = _chunk_sources(stmts, slot, pair, outputs)
-            chunks = self._kernels[key] = tuple(map(_compile_chunk, sources))
+            chunks = kernels[key] = tuple(map(_compile_chunk, sources))
         return chunks
 
     def eval_point(self, values: Sequence[float]) -> float:
@@ -1118,15 +1067,3 @@ def eval_real(e: Expr, point: Mapping[str, float]) -> float:
         raise UnboundVariable(f"missing values for {missing}")
     return Program(e, order).eval_point([float(point[v]) for v in order])
 
-
-def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
-    """Sound interval extension over ``box``; with ``segments > 1`` the widest
-    dimension is sliced and the slab enclosures hulled."""
-    env = box.env()
-    missing = free_vars(e) - env.keys()
-    if missing:
-        raise UnboundVariable(f"box does not cover {sorted(missing)}")
-    program = Program(e, box.labels)
-    if segments <= 1:
-        return program(box)
-    return refined_eval(program, box, segments)

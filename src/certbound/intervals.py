@@ -475,9 +475,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     # -- arithmetic (outward rounded) ------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
@@ -502,11 +499,6 @@ class Interval:
 
     def abs(self) -> "Interval":
         return Interval(*pair_abs(self.lo, self.hi))
-
-    def pow_int(self, k: int) -> "Interval":
-        if not isinstance(k, int) or k < 1:
-            raise DomainError(f"integer power requires k >= 1, got {k!r}")
-        return Interval(*pair_pow(self.lo, self.hi, k))
 
     def sqrt(self) -> "Interval":
         return Interval(*pair_sqrt(self.lo, self.hi))
@@ -610,9 +602,6 @@ class Box:
         if not keep:
             return self
         return Box(tuple(self.dims[k] for k in keep), tuple(self.labels[k] for k in keep))
-
-    def env(self) -> dict[str, Interval]:
-        return dict(zip(self.labels, self.dims))
 
 
 def slab_cuts(iv: Interval, segments: int) -> list[float]:

@@ -268,18 +268,17 @@ def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
 
 def _dedup_components(model: ModelDef) -> tuple[list[Expr], list[int]]:
     """Group the per-component squared gradient norms by structural identity
-    (same expression up to variable renaming AND same per-variable bounds);
-    returns unique objectives with multiplicities."""
+    (``structural_key_with_vars``: the same numbered ops up to variable
+    renaming, AND the same bounds per variable slot); returns unique
+    objectives with multiplicities.  Components that differ only in the
+    operand order of a sum or product are not merged; each is maximized."""
     uniques: list[Expr] = []
     counts: list[int] = []
     seen: dict[object, int] = {}
     for i in range(1, model.g + 1):
         obj = grad_sq_norm(model, i)
         key, names = structural_key_with_vars(obj)
-        signature = (
-            key,
-            tuple((model.bound_of(v).lo, model.bound_of(v).hi) for v in names),
-        )
+        signature = (key, tuple(model.bound_of(v) for v in names))
         if signature in seen:
             counts[seen[signature]] += 1
         else:

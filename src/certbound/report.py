@@ -66,17 +66,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        rows = [ConstantRow(**row) for row in data.get("results", [])]
-        return cls(
-            command=data["command"],
-            config=dict(data["config"]),
-            model_fingerprint=data["model_fingerprint"],
-            results=rows,
-            label=data.get("label", ""),
-        )
-
 
 def to_json(reports: Sequence[RunReport]) -> str:
     """Always an array, one object per report, keys sorted."""

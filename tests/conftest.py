@@ -12,7 +12,7 @@ from certbound import ModelDef
 from certbound.baselines import halton_points_in_box
 from certbound.eigen import jacobi_eigenvalues
 from certbound.expr import Const, Expr, PowInt, Program, Var, parse, simplify
-from certbound.intervals import Box, Interval
+from certbound.intervals import Box, Interval, refined_eval
 from certbound.models import (
     GeneratorConfig,
     MovingObjectConfig,
@@ -22,6 +22,7 @@ from certbound.models import (
     build_traffic,
 )
 from certbound.params import build_psi
+from certbound.report import ConstantRow, RunReport
 
 # ---------------------------------------------------------------------------
 # Corpus models
@@ -111,6 +112,33 @@ def model_component_expressions(*models: ModelDef) -> list[tuple[Expr, Box]]:
         for component in model.f:
             out.append((component, domain))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Evaluation and report helpers
+# ---------------------------------------------------------------------------
+
+
+def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
+    """Interval extension of ``e`` over ``box``, its variables named by the
+    box's labels; with ``segments > 1`` the widest dimension is sliced and
+    the slab enclosures hulled."""
+    return refined_eval(Program(e, box.labels), box, segments)
+
+
+def encloses(outer: Interval, inner: Interval) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def report_from_dict(data: dict) -> RunReport:
+    """The ``RunReport`` whose ``to_dict()`` is ``data``."""
+    return RunReport(
+        command=data["command"],
+        config=dict(data["config"]),
+        model_fingerprint=data["model_fingerprint"],
+        results=[ConstantRow(**row) for row in data.get("results", [])],
+        label=data.get("label", ""),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import certbound
 from certbound.cli import run
 from certbound.report import ConstantRow, RunReport, ReportFieldError, emit_table
+from conftest import report_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,17 @@ class TestCommands:
         row = json.loads(out)[0]["results"][0]
         assert row["value"] == row["lower"] == value and row["eps_optimal"] is True
 
+    def test_maximize_stops_at_boxes_of_adjacent_floats(self, capsys):
+        # Every enclosure near |x| = 1e308 overflows, so phase 1 bisects down
+        # to boxes of two adjacent floats, ~1e292 wide, far above eps_om.
+        # Such a box has no split point: the run must end unbounded, not
+        # fail on the split.
+        code, out, err = run_capture(
+            capsys, ["maximize", "--expr=-sqr(x)", "--bounds", "x=[-1e308,1e308]"]
+        )
+        assert code == 4 and out == ""
+        assert "unbounded enclosure" in err and "not strictly inside" not in err
+
     def test_maximize_constant_keeps_full_box(self, capsys):
         code, out, _ = run_capture(
             capsys, ["maximize", "--expr", "2", "--bounds", "x=[0,1]", "--no-timing"]
@@ -424,7 +436,7 @@ class TestReportModule:
         )
         payload = json.loads(emit_table([report], "json"))
         assert isinstance(payload, list)
-        recovered = RunReport.from_dict(payload[0])
+        recovered = report_from_dict(payload[0])
         assert recovered == report
 
     def test_nan_rejected(self):

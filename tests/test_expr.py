@@ -1,9 +1,12 @@
 """Expression layer: parser, derivatives, evaluation, structural keys."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from certbound import BnBConfig, ModelDef, lipschitz_case2
+from certbound import expr as expr_module
 from certbound.errors import (
     DivisionByZeroInterval,
     DomainError,
@@ -19,7 +22,6 @@ from certbound.expr import (
     Unary,
     Var,
     differentiate,
-    eval_interval,
     eval_real,
     free_vars,
     parse,
@@ -28,7 +30,13 @@ from certbound.expr import (
     to_text,
 )
 from certbound.intervals import Box, Interval
-from conftest import corpus_expressions, random_points, random_polynomial
+from conftest import (
+    corpus_expressions,
+    encloses,
+    eval_interval,
+    random_points,
+    random_polynomial,
+)
 
 
 DELTA = 31.3 / (500.0 * 0.053)
@@ -196,14 +204,20 @@ class TestGradient:
 
     BOX = Box.from_bounds([("x", 0.5, 1.0), ("y", 1.0, 2.0), ("z", -1.0, 1.0)])
 
-    def test_one_enclosure_per_variable(self):
+    def test_one_enclosure_per_variable(self, monkeypatch):
+        plans = []
+        build = expr_module._reverse_statements
+        monkeypatch.setattr(
+            expr_module, "_reverse_statements", lambda *args: plans.append(args) or build(*args)
+        )
+        expr_module._shape_kernels.cache_clear()
         program = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
         gx, gy, gz = program.gradient(self.BOX)
         assert gx.lo <= 2.0 and 4.0 <= gx.hi and gx.width < 2.0 + 1e-14  # y + 2x
         assert (gy, gz) == (Interval(0.5, 1.0), Interval(0.0, 0.0))  # x, exactly 0
-        plan = program._reverse
-        assert program.gradient(self.BOX) == (gx, gy, gz)
-        assert program._reverse is plan  # built once
+        again = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
+        assert program.gradient(self.BOX) == again.gradient(self.BOX) == (gx, gy, gz)
+        assert len(plans) == 1  # built once, for both programs, by the shared cache
 
     @pytest.mark.parametrize(
         "text, bounds, expected",
@@ -314,7 +328,7 @@ class TestEval:
         box = Box.from_bounds([("x1", 0, 1)])
         plain = eval_interval(e, box, segments=1)
         fine = eval_interval(e, box, segments=10)
-        assert plain.encloses(fine)
+        assert encloses(plain, fine)
         assert fine.hi >= 0.25
 
     def test_program_point_speed_path(self):
@@ -334,9 +348,31 @@ class TestStructuralKey:
     def test_different_structure(self):
         assert structural_key(parse("x1^2")) != structural_key(parse("x1^2 + x2^2"))
 
+    @staticmethod
+    def _case2(texts):
+        """``lipschitz_case2`` on ``f = texts`` over ``[-1, 1]^2``, where
+        both components have the squared gradient norm ``(2*x1 + x2)^2 +
+        x1^2`` (maximum 10, at ``x1 = x2 = 1``), written differently."""
+        model = ModelDef(
+            state_names=("x1", "x2"),
+            state_bounds=(Interval(-1.0, 1.0),) * 2,
+            f=tuple(map(parse, texts)),
+        )
+        return lipschitz_case2(model, BnBConfig(eps_h=1e-6, eps_om=1e-9, segments=1))
+
+    def _assert_both_run_soundly(self, texts):
+        r = self._case2(texts)
+        assert r.stats.runs == 2  # not merged, so each component is maximized
+        assert Fraction(r.lower) ** 2 <= 20 <= Fraction(r.gamma) ** 2
+
     def test_commutativity(self):
+        # The key is the numbered ops: operand order counts, unless the swap
+        # is a renaming of the variables.  So case 2 does not merge the
+        # components below, and maximizes each.
         assert structural_key(parse("x1 + x2")) == structural_key(parse("x2 + x1"))
-        assert structural_key(parse("x1*x2*x3")) == structural_key(parse("x3*x1*x2"))
+        assert structural_key(parse("x1 + 2")) != structural_key(parse("2 + x1"))
+        assert structural_key(parse("x1*x1*x2")) != structural_key(parse("x2*x1*x1"))
+        self._assert_both_run_soundly(["x1*x2 + sqr(x1)", "sqr(x1) + x2*x1"])
 
     def test_coincidence_pattern_distinguished(self):
         assert structural_key(parse("x1*x1 + x2")) != structural_key(parse("x1*x2 + x3"))
@@ -344,7 +380,9 @@ class TestStructuralKey:
     def test_operand_order_with_mixed_patterns(self):
         a = parse("x1*x1 + x1*x2")
         b = parse("x2*x1 + x1*x1")
-        assert structural_key(a) == structural_key(b)
+        assert structural_key(a) != structural_key(b)
+        assert structural_key(a) == structural_key(parse("x5*x5 + x5*x4"))
+        self._assert_both_run_soundly(["x1*x1 + x1*x2", "x2*x1 + x1*x1"])
 
     def test_max_is_not_a_quotient(self):
         assert structural_key(parse("max(x,y)")) != structural_key(parse("x/y"))

@@ -17,6 +17,7 @@ from certbound.intervals import (
     iv_sin,
     pair_div,
     pair_mul,
+    pair_pow,
     pair_scale,
     pair_sqr,
     refined_eval,
@@ -29,8 +30,10 @@ from certbound.errors import (
     DivisionByZeroInterval,
     DomainError,
     IntervalError,
+    ParseError,
 )
-from conftest import dec_cos, dec_sin
+from certbound.expr import PowInt, Var, parse
+from conftest import dec_cos, dec_sin, encloses
 
 
 def approx_encloses(iv: Interval, value: float, slack: float = 0.0) -> bool:
@@ -262,16 +265,19 @@ class TestElementary:
         assert Interval(-3, -1).abs() == Interval(1, 3)
 
     def test_pow_int_monotone_odd(self):
-        r = Interval(2, 3).pow_int(3)
+        r = Interval(*pair_pow(2.0, 3.0, 3))
         assert r.lo == pytest.approx(8.0) and r.hi == pytest.approx(27.0)
 
     def test_pow_int_even_zero_crossing(self):
-        r = Interval(-2, 1).pow_int(4)
+        r = Interval(*pair_pow(-2.0, 1.0, 4))
         assert r.lo == 0.0 and r.hi == pytest.approx(16.0)
 
     def test_pow_int_invalid(self):
+        # Exponents below 1 never reach ``pair_pow``: the tree rejects them.
         with pytest.raises(DomainError):
-            Interval(1, 2).pow_int(0)
+            PowInt(Var("x"), 0)
+        with pytest.raises(ParseError):
+            parse("x^0")
 
     def test_sqrt_domain(self):
         with pytest.raises(DomainError):
@@ -418,7 +424,7 @@ class TestRefinedEval:
         b = Box.from_bounds([("x", 0, 1)])
         plain = refined_eval(self._parabola, b, 1)
         refined = refined_eval(self._parabola, b, 10)
-        assert plain.encloses(refined)
+        assert encloses(plain, refined)
         assert refined.hi >= 0.25  # still encloses the true maximum
         assert refined.hi <= 0.31  # and is much tighter than the plain hull
 
@@ -462,7 +468,7 @@ class TestRefinedEval:
             )
             plain = refined_eval(fn, b, 1)
             for segments in (2, 5, 10):
-                assert plain.encloses(refined_eval(fn, b, segments))
+                assert encloses(plain, refined_eval(fn, b, segments))
 
     def test_inclusion_isotonicity(self):
         def fn(box: Box) -> Interval:
@@ -477,4 +483,4 @@ class TestRefinedEval:
             inner_hi = rng.uniform(inner_lo, hi)
             outer = fn(Box.from_bounds([("x", lo, hi)]))
             inner = fn(Box.from_bounds([("x", inner_lo, inner_hi)]))
-            assert outer.encloses(inner)
+            assert encloses(outer, inner)

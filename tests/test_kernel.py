@@ -43,7 +43,7 @@ from certbound.expr import (
     free_vars,
     parse,
 )
-from certbound.intervals import Box, Interval, iv_cos, iv_sin, refined_eval
+from certbound.intervals import Box, Interval, iv_cos, iv_sin, pair_pow, refined_eval
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
@@ -61,7 +61,8 @@ def _ref_node(e: Expr, env: dict[str, Interval]) -> Interval:
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, PowInt):
-        return _ref_node(e.base, env).pow_int(e.exponent)
+        base = _ref_node(e.base, env)
+        return Interval(*pair_pow(base.lo, base.hi, e.exponent))
     if isinstance(e, Unary):
         a = _ref_node(e.arg, env)
         if e.op == NEG:
@@ -86,7 +87,7 @@ def _ref_node(e: Expr, env: dict[str, Interval]) -> Interval:
 
 def ref_interval(e: Expr, box: Box) -> Interval:
     try:
-        return _ref_node(e, box.env())
+        return _ref_node(e, dict(zip(box.labels, box.dims)))
     except OverflowError as exc:
         raise IntervalError(f"interval evaluation overflow: {exc}") from exc
 
@@ -214,9 +215,13 @@ def _node_count(e: Expr) -> int:
 
 @pytest.fixture(params=[3, 128], ids=["chunk3", "chunk128"])
 def chunk(request, monkeypatch):
-    """Run with tiny chunks too, so every program crosses chunk boundaries."""
+    """Run with tiny chunks too, so every program crosses chunk boundaries.
+    The kernels are generated afresh at each chunk size and dropped after
+    the test, so no other test runs a kernel of tiny chunks."""
     monkeypatch.setattr(expr_module, "_CHUNK", request.param)
-    return request.param
+    expr_module._shape_kernels.cache_clear()
+    yield request.param
+    expr_module._shape_kernels.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +457,74 @@ def test_deep_sum_compiles_and_evaluates():
     assert repr(program.eval_interval(dims)) == repr(functools.reduce(Interval.__add__, dims))
 
 
+# ---------------------------------------------------------------------------
+# The kernel cache: one generated kernel per program shape
+# ---------------------------------------------------------------------------
+
+KINDS = [(False, False), (True, False), (True, True)]  # point, interval, reverse
+
+
 def test_programs_of_one_shape_share_compiled_chunks():
     a = Program(parse("2*x*x + 1"), X)
     b = Program(parse("3*x*x + 5"), X)
-    assert a._kernel(True) == b._kernel(True)
+    assert a.code == b.code
+    for pair, reverse in KINDS:
+        assert a._kernel(pair, reverse) is b._kernel(pair, reverse)
     assert a.eval_interval([Interval(1.0, 1.0)]) != b.eval_interval([Interval(1.0, 1.0)])
+    assert a.eval_point([1.0]) == 3.0 and b.eval_point([1.0]) == 8.0
+
+
+@pytest.mark.parametrize("finite_first", [True, False], ids=["finite-first", "inf-first"])
+def test_a_nonfinite_constant_makes_another_shape(finite_first):
+    # The inf must get a statement of its own, where pair_point rejects it;
+    # a finite constant is read in place.
+    expr_module._shape_kernels.cache_clear()
+    finite = Program(Const(2.0) * Var("x"), X)
+    infinite = Program(Const(math.inf) * Var("x"), X)
+    assert finite.code == infinite.code
+    box = _box(1.0, 2.0)
+    first = [finite, infinite] if finite_first else [infinite, finite]
+    results = {id(program): outcome(program, box) for program in first}
+    assert results[id(infinite)] == (IntervalError, "non-finite endpoint in [inf, inf]")
+    assert results[id(finite)] == outcome(ref_interval, finite.expr, box)
+    for pair, reverse in KINDS:
+        assert finite._kernel(pair, reverse) is not infinite._kernel(pair, reverse)
+
+
+def test_an_extra_variable_slot_makes_another_shape():
+    # The reverse pass has one output per slot, so the same ops over a
+    # longer ``var_order`` need a longer gradient.
+    expr_module._shape_kernels.cache_clear()
+    short = Program(parse("x*x"), X)
+    wide = Program(parse("x*x"), ("x", "y"))
+    assert short.code == wide.code
+    (gx,) = short.gradient(_box(1.0, 2.0))
+    grads = wide.gradient(Box.from_bounds([("x", 1.0, 2.0), ("y", -1.0, 1.0)]))
+    assert len(grads) == 2 and grads[0] == gx
+    assert repr(grads[1]) == "[0.0, 0.0]"
+    assert len(short.gradient(_box(1.0, 2.0))) == 1
+
+
+def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
+    from certbound.cli import run
+
+    compiled = []
+    compile_chunk = expr_module._compile_chunk
+    monkeypatch.setattr(
+        expr_module, "_compile_chunk", lambda source: compiled.append(source) or compile_chunk(source)
+    )
+    model = str(tmp_path / "traffic_s5.nds")
+    assert run(["make-model", "traffic", "--sections", "5", "--output", model]) == 0
+    for job in (["jacobian"], ["qb"], ["lipschitz", "--case", "2"]):
+        expr_module._shape_kernels.cache_clear()
+        printed, chunks = [], []
+        for _ in ("cold", "warm"):
+            assert run([*job, "--model", model, "--format", "json", "--no-timing"]) == 0
+            printed.append(capsys.readouterr().out)
+            chunks.append(len(compiled))
+        assert printed[0] == printed[1] and printed[0].startswith("[")
+        assert chunks[0] > 0 and chunks[1] == chunks[0]  # the warm run compiles nothing
+        compiled.clear()
 
 
 def _pair_calls(program: Program, reverse: bool) -> set[str]:
