@@ -2,8 +2,7 @@
 
 These samplers find good feasible points, never certificates: every value
 they report is a lower bound on the true maximum, so a certified upper bound
-from the optimizer must always dominate them.  They double as warm-start
-point sources for the optimizer's lower bound.
+from the optimizer must always dominate them.
 
 Everything here is deterministic: fixed quasi-random sequences, no
 wall-clock seeding.

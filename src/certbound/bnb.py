@@ -20,7 +20,9 @@ three phases:
 
 A box is discarded as soon as its upper bound falls below l; such a box
 cannot contain a maximizer.  On return ``h*`` lies in ``[lower, upper]`` and
-``eps_optimal`` records whether the gap closed below ``eps_h``.
+``eps_optimal`` records whether the gap closed below ``eps_h``.  A run whose
+objective cannot be evaluated or bounded raises ``EvaluationError`` and
+returns no sandwich at all.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import itertools
 import math
 import time
 from heapq import heappop, heappush
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertboundError, EvaluationError, IntervalError
@@ -158,7 +160,6 @@ class BnBConfig:
     eps_om: float = 1e-7
     segments: int = 10
     max_steps: int = 10_000_000
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(x) and x > 0 for x in (self.eps_h, self.eps_om)):
@@ -182,7 +183,6 @@ class BnBResult:
     final_cover: Cover
     stats: BnBStats
     lower_witness: tuple[float, ...]
-    history: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def gap(self) -> float:
@@ -305,18 +305,11 @@ def opt_bnb_step(
     return incumbent, l, incumbent.hi_bound, witness
 
 
-def maximize(
-    h: PointFn,
-    hI: IntervalFn,
-    domain: Box,
-    cfg: BnBConfig,
-    warm_start_points: Iterable[Sequence[float]] | None = None,
-) -> BnBResult:
+def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResult:
     """Certified global maximum sandwich of ``h`` over ``domain``.
 
     ``hI`` must be a valid interval extension of ``h`` on the domain (the
-    expression layer provides this).  ``warm_start_points`` may seed the
-    lower bound with extra point evaluations before the first bisection.
+    expression layer provides this).
 
     The domain should contain only dimensions the objective depends on:
     a dead dimension is still bisected (it can be the widest), which
@@ -326,9 +319,6 @@ def maximize(
     stats = BnBStats()
     start = time.perf_counter()
     bound = _Bounder(hI, cfg.segments, stats)
-    history: list[tuple[float, float]] = []
-    l = -_INF_SENTINEL
-    u = _INF_SENTINEL
     cover = Cover()
     try:
         root = bound(domain)
@@ -336,11 +326,6 @@ def maximize(
         mid = domain.midpoint()
         l = h(mid)
         witness = tuple(mid)
-        for point in warm_start_points or ():
-            value = h(point)
-            if value > l:
-                l = value
-                witness = tuple(point)
         cover.prune(l)
         incumbent = cover.peek_max_hi()
         if incumbent is None:
@@ -348,8 +333,6 @@ def maximize(
                 "cover emptied: interval extension inconsistent with point objective"
             )
         u = incumbent.hi_bound
-        if cfg.record_history:
-            history.append((l, u))
 
         # Phase 1: shrink u by splitting the incumbent.
         while (
@@ -361,8 +344,6 @@ def maximize(
             incumbent, l, u, w = opt_bnb_step(cover, incumbent, l, h, bound)
             if w is not None:
                 witness = w
-            if cfg.record_history:
-                history.append((l, u))
         # The incumbent can no longer be split (or the step cap is hit) and
         # a box with an infinite upper bound is never pruned: u stays
         # infinite.
@@ -381,8 +362,6 @@ def maximize(
             incumbent, l, u, w = opt_bnb_step(cover, chosen, l, h, bound)
             if w is not None:
                 witness = w
-            if cfg.record_history:
-                history.append((l, u))
 
         # Phase 3: corner evaluations, most promising boxes first.
         if u - l > cfg.eps_h:
@@ -399,27 +378,12 @@ def maximize(
                         l = value
                         witness = corner
                 cover.prune(l)
-                if cfg.record_history:
-                    history.append((l, u))
                 if u - l <= cfg.eps_h:
                     break
+    except EvaluationError:
+        raise
     except (CertboundError, ArithmeticError) as exc:
-        stats.wall_time = time.perf_counter() - start
-        partial = None
-        if l > -_INF_SENTINEL and u < _INF_SENTINEL:
-            partial = BnBResult(
-                lower=l,
-                upper=u,
-                eps_optimal=False,
-                final_cover=cover,
-                stats=stats,
-                lower_witness=(),
-                history=history,
-            )
-        if isinstance(exc, EvaluationError) and exc.partial is None:
-            exc.partial = partial
-            raise
-        raise EvaluationError(f"objective evaluation failed: {exc}", partial) from exc
+        raise EvaluationError(f"objective evaluation failed: {exc}") from exc
 
     stats.wall_time = time.perf_counter() - start
     return BnBResult(
@@ -429,7 +393,6 @@ def maximize(
         final_cover=cover,
         stats=stats,
         lower_witness=witness,
-        history=history,
     )
 
 
@@ -447,22 +410,10 @@ class _Negated:
         return -self.hI(box)
 
 
-def minimize(
-    h: PointFn,
-    hI: IntervalFn,
-    domain: Box,
-    cfg: BnBConfig,
-    warm_start_points: Iterable[Sequence[float]] | None = None,
-) -> BnBResult:
+def minimize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResult:
     """Certified global minimum sandwich: maximize the negated objective and
     swap the negated bounds back."""
-    res = maximize(
-        lambda xs: -h(xs),
-        _Negated(hI),
-        domain,
-        cfg,
-        warm_start_points,
-    )
+    res = maximize(lambda xs: -h(xs), _Negated(hI), domain, cfg)
     return BnBResult(
         lower=-res.upper,
         upper=-res.lower,
@@ -470,5 +421,4 @@ def minimize(
         final_cover=res.final_cover,
         stats=res.stats,
         lower_witness=res.lower_witness,
-        history=[(-hu, -hl) for (hl, hu) in res.history],
     )

@@ -14,6 +14,9 @@ from .errors import DimensionMismatch
 
 MatrixLike = Sequence[Sequence[float]]
 
+_TOL = 1e-14  # off-diagonal mass, relative to the matrix scale, that ends the sweeps
+_MAX_SWEEPS = 100
+
 
 def _check_square(a: MatrixLike) -> int:
     n = len(a)
@@ -22,21 +25,19 @@ def _check_square(a: MatrixLike) -> int:
     return n
 
 
-def jacobi_eigenvalues(
-    a: MatrixLike, tol: float = 1e-14, max_sweeps: int = 100
-) -> list[float]:
+def jacobi_eigenvalues(a: MatrixLike) -> list[float]:
     """Eigenvalues of a symmetric matrix, ascending.
 
     Cyclic-by-row Jacobi: zero each off-diagonal entry in turn with a Givens
-    rotation until the off-diagonal Frobenius mass falls below ``tol`` times
-    the matrix scale.
+    rotation until the off-diagonal Frobenius mass falls below ``_TOL`` times
+    the matrix scale, or after ``_MAX_SWEEPS`` sweeps.
     """
     n = _check_square(a)
     m = [list(map(float, row)) for row in a]
     scale = max(1.0, max(abs(x) for row in m for x in row))
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = math.sqrt(sum(m[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off <= tol * scale:
+        if off <= _TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -73,12 +73,5 @@ class NecessaryConditionViolated(CertboundError):
 
 
 class EvaluationError(CertboundError):
-    """Objective evaluation failed during optimization.
-
-    Carries the partial optimization result (if any) in ``partial``; the
-    partial sandwich must be treated as invalid.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Objective evaluation failed during optimization, or its enclosure
+    stayed unbounded.  The run is abandoned: no sandwich is returned."""

@@ -196,7 +196,10 @@ def simplify(e: Expr) -> Expr:
         if e.exponent == 1:
             return base
         if isinstance(base, Const):
-            return Const(base.value**e.exponent)
+            try:
+                return Const(base.value**e.exponent)
+            except OverflowError:
+                pass  # no float holds the power: leave it for evaluation
         return PowInt(base, e.exponent)
     assert isinstance(e, Binary)
     left = simplify(e.left)

@@ -579,13 +579,14 @@ class Box:
         dims[index] = iv
         return Box(tuple(dims), self.labels)
 
-    def split(self, dim: int, at: float | None = None) -> tuple["Box", "Box"]:
-        """Bisect along ``dim``; the halves cover the box with disjoint
-        interiors.  Splitting a zero-width dimension is an error."""
+    def split(self, dim: int) -> tuple["Box", "Box"]:
+        """Bisect along ``dim`` at its midpoint; the halves cover the box
+        with disjoint interiors.  Splitting a zero-width dimension, or one
+        of two adjacent floats (no float strictly inside), is an error."""
         iv = self.dims[dim]
         if iv.width <= 0.0:
             raise DegenerateSplit(f"dimension {dim} of {self} has zero width")
-        point = iv.midpoint if at is None else at
+        point = iv.midpoint
         if not (iv.lo < point < iv.hi):
             raise DegenerateSplit(
                 f"split point {point} not strictly inside {iv} (dimension {dim})"

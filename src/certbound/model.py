@@ -262,9 +262,12 @@ def _split_assignment(line: str, lineno: int) -> tuple[str, str]:
 
 def _parse_float(token: str, lineno: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad number {token!r} on line {lineno}", 0) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {token!r} on line {lineno}", 0)
+    return value
 
 
 def _parse_bound_line(line: str, lineno: int) -> tuple[str, Interval]:

@@ -144,13 +144,6 @@ class QBResult:
     stats: RunStats
     diag_witness: tuple[float, ...] = ()
 
-    def matrix(self) -> tuple[tuple[float, ...], ...]:
-        n = len(self.diag)
-        return tuple(
-            tuple(self.diag[i] if i == j else 0.0 for j in range(n))
-            for i in range(n)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Shared plumbing

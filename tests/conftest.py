@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 
 import pytest
 
 from certbound import ModelDef
 from certbound.baselines import halton_points_in_box
+from certbound.bnb import Cover
 from certbound.eigen import jacobi_eigenvalues
 from certbound.expr import Const, Expr, PowInt, Program, Var, parse, simplify
 from certbound.intervals import Box, Interval, refined_eval
@@ -271,3 +273,51 @@ def osl_extremal_eigen_sampled(model: ModelDef, count: int = 1000) -> tuple[floa
         lo = min(lo, eigs[0])
         hi = max(hi, eigs[-1])
     return hi, lo
+
+
+# ---------------------------------------------------------------------------
+# The sandwich of a BnB run as it tightens
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SandwichTrace:
+    """The bounds of ``bnb.maximize`` runs in the order they are reached.
+    ``lows`` holds every ``l`` the run prunes the cover with: at the root,
+    after each bisection step and after each phase-3 box.  ``highs`` holds
+    every ``u``, the upper bound of the box ``Cover.peek_max_hi`` returns:
+    at the root and after each step."""
+
+    lows: list[float] = field(default_factory=list)
+    highs: list[float] = field(default_factory=list)
+
+    def assert_tightens(self) -> None:
+        """l never decreased and u never increased; then forget the run."""
+        assert self.lows and self.highs, "no bounds observed"
+        for l0, l1 in zip(self.lows, self.lows[1:]):
+            assert l1 >= l0 - 1e-12, "lower bound decreased"
+        for u0, u1 in zip(self.highs, self.highs[1:]):
+            assert u1 <= u0 + 1e-12, "upper bound increased"
+        self.lows.clear()
+        self.highs.clear()
+
+
+@pytest.fixture
+def sandwich_trace(monkeypatch) -> SandwichTrace:
+    """Observe ``Cover.prune`` and ``Cover.peek_max_hi`` for the test."""
+    trace = SandwichTrace()
+    prune, peek_max_hi = Cover.prune, Cover.peek_max_hi
+
+    def observed_prune(self, l):
+        trace.lows.append(l)
+        prune(self, l)
+
+    def observed_peek_max_hi(self):
+        sub = peek_max_hi(self)
+        if sub is not None:
+            trace.highs.append(sub.hi_bound)
+        return sub
+
+    monkeypatch.setattr(Cover, "prune", observed_prune)
+    monkeypatch.setattr(Cover, "peek_max_hi", observed_peek_max_hi)
+    return trace

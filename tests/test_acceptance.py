@@ -154,7 +154,7 @@ def test_criterion_05_zeta_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _sandwich_check(program, domain, cfg):
+def _sandwich_check(program, domain, cfg, trace):
     res = maximize(
         program.eval_point,
         lambda b: program.eval_interval(b.dims),
@@ -163,14 +163,11 @@ def _sandwich_check(program, domain, cfg):
     )
     sampled = dense_max(program.eval_point, domain, [tuple(res.lower_witness)])
     assert res.lower - 1e-9 <= sampled <= res.upper + 1e-9
-    assert res.history, "history must be recorded"
-    for (l0, u0), (l1, u1) in zip(res.history, res.history[1:]):
-        assert u1 <= u0 + 1e-12, "upper bound increased"
-        assert l1 >= l0 - 1e-12, "lower bound decreased"
+    trace.assert_tightens()
     return res
 
 
-def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator):
+def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator, sandwich_trace):
     count = 0
     rng = random.Random(4242)
     while count < 16:
@@ -185,21 +182,18 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator):
             bounds.append((name, lo, lo + rng.uniform(0.5, 2.5)))
         domain = Box.from_bounds(bounds)
         program = Program(e, domain.labels)
-        cfg = BnBConfig(
-            eps_h=1e-5, eps_om=1e-9, segments=2, max_steps=15000,
-            record_history=True,
-        )
-        _sandwich_check(program, domain, cfg)
+        cfg = BnBConfig(eps_h=1e-5, eps_om=1e-9, segments=2, max_steps=15000)
+        _sandwich_check(program, domain, cfg, sandwich_trace)
         count += 1
 
     corpus = [
-        (traffic_s1, BnBConfig(eps_h=1e-4, eps_om=1e-7, segments=10, record_history=True)),
-        (moving_object_unit, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1, record_history=True)),
-        (generator, BnBConfig(eps_h=10.0, eps_om=1e-3, segments=2, max_steps=400, record_history=True)),
+        (traffic_s1, BnBConfig(eps_h=1e-4, eps_om=1e-7, segments=10)),
+        (moving_object_unit, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1)),
+        (generator, BnBConfig(eps_h=10.0, eps_om=1e-3, segments=2, max_steps=400)),
     ]
     for model, cfg in corpus:
         program, domain = case1_objective(model)
-        _sandwich_check(program, domain, cfg)
+        _sandwich_check(program, domain, cfg, sandwich_trace)
         count += 1
 
     from certbound.expr import parse
@@ -212,9 +206,8 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator):
     ):
         domain = Box.from_bounds(bounds)
         program = Program(simplify(parse(text)), domain.labels)
-        cfg = BnBConfig(eps_h=eps, eps_om=1e-10, segments=1, max_steps=20000,
-                        record_history=True)
-        _sandwich_check(program, domain, cfg)
+        cfg = BnBConfig(eps_h=eps, eps_om=1e-10, segments=1, max_steps=20000)
+        _sandwich_check(program, domain, cfg, sandwich_trace)
         count += 1
 
     assert count >= 20

@@ -1,10 +1,13 @@
 """The top-level package exports the documented pipeline, and the README's
 Python quick start runs."""
 
+import dataclasses
+import inspect
 import pathlib
 import re
 
 import certbound
+from certbound import bnb
 from certbound.cli import run
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -31,3 +34,13 @@ def test_readme_python_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(snippet, {})
     gamma, lower, eps_optimal = capsys.readouterr().out.split()
     assert 0.0 < float(lower) <= float(gamma) and eps_optimal == "True"
+
+
+def test_optimizer_options_are_the_documented_ones():
+    # Every BnBConfig field is a documented option, and the optimizer entry
+    # points take exactly (h, hI, domain, cfg).
+    row = re.search(r"^\| `BnBConfig` \|(.*)\|$", readme_section("Python API"), re.M).group(1)
+    documented = re.findall(r"`(\w+)`", row)
+    assert [f.name for f in dataclasses.fields(certbound.BnBConfig)] == documented
+    for fn in (bnb.maximize, bnb.minimize):
+        assert list(inspect.signature(fn).parameters) == ["h", "hI", "domain", "cfg"]

@@ -102,6 +102,23 @@ class TestUnderApproximation:
         )
         assert rep.best_value <= res.upper + 1e-9
 
+    def test_halton_below_certified_traffic_case1(self, traffic_s1):
+        total = None
+        for i in range(1, traffic_s1.g + 1):
+            term = grad_sq_norm(traffic_s1, i)
+            total = term if total is None else total + term
+        objective = simplify(total)
+        domain = reduced_domain(traffic_s1, objective)
+        program = Program(objective, domain.labels)
+        rep = sample_max(program.eval_point, domain, 200, method="halton")
+        res = maximize(
+            program.eval_point,
+            lambda b: program.eval_interval(b.dims),
+            domain,
+            BnBConfig(eps_h=1e-4, eps_om=1e-7, segments=1),
+        )
+        assert rep.best_value <= res.upper + 1e-9
+
 
 def jacobian_norm_at(model, point):
     """The sampled norm on the zero-width box at ``point``: its one sample."""
@@ -133,23 +150,3 @@ class TestJacobianNorm:
         b = jacobian_norm_sampled(moving_object_unit, count=100)
         assert a == b
 
-
-class TestWarmStartIntegration:
-    def test_baseline_point_feeds_optimizer(self, traffic_s1):
-        total = None
-        for i in range(1, traffic_s1.g + 1):
-            term = grad_sq_norm(traffic_s1, i)
-            total = term if total is None else total + term
-        objective = simplify(total)
-        domain = reduced_domain(traffic_s1, objective)
-        program = Program(objective, domain.labels)
-        rep = sample_max(program.eval_point, domain, 200, method="halton")
-        res = maximize(
-            program.eval_point,
-            lambda b: program.eval_interval(b.dims),
-            domain,
-            BnBConfig(eps_h=1e-4, eps_om=1e-7, segments=1),
-            warm_start_points=[rep.best_point],
-        )
-        assert res.lower >= rep.best_value - 1e-12
-        assert rep.best_value <= res.upper + 1e-9

@@ -51,12 +51,6 @@ class TestMaximize:
         assert res.upper == pytest.approx(0.25, abs=1e-4)
         assert box.contains(res.lower_witness)
 
-    def test_warm_start_points_raise_l(self):
-        h, hI, box = expr_objective("x", [("x", 0.0, 4.0)])
-        cfg = BnBConfig(eps_h=1e-3, eps_om=1e-9, segments=1, max_steps=1)
-        res = maximize(h, hI, box, cfg, warm_start_points=[(3.9999,)])
-        assert res.lower >= 3.9999
-
     def test_max_steps_cap(self):
         h, hI, box = expr_objective("x*(1 - x)", [("x", 0.0, 1.0)])
         cfg = BnBConfig(eps_h=1e-12, eps_om=1e-15, segments=1, max_steps=5)
@@ -95,11 +89,8 @@ class TestMaximize:
             return Interval(box.dims[0].lo, box.dims[0].hi)
 
         box = Box.from_bounds([("x", 0.0, 4.0)])
-        with pytest.raises(EvaluationError) as err:
+        with pytest.raises(EvaluationError, match="objective evaluation failed: synthetic failure"):
             maximize(h, hI, box, BnBConfig(eps_h=1e-9, eps_om=1e-12, segments=1))
-        partial = err.value.partial
-        assert partial is not None and not partial.eps_optimal
-
 
     def test_enclosure_failure_keeps_parent_bounds(self):
         h, hI, box = expr_objective("1/(x*x - 2*x + 2)", [("x", 0.0, 2.0)])
@@ -277,7 +268,7 @@ class TestStep:
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(12))
-    def test_sandwich_and_monotonicity_random_polynomials(self, seed):
+    def test_sandwich_and_monotonicity_random_polynomials(self, seed, sandwich_trace):
         from certbound.expr import free_vars
 
         rng = random.Random(1000 + seed)
@@ -293,17 +284,13 @@ class TestProperties:
             bounds.append((name, lo, lo + rng.uniform(0.5, 2.5)))
         box = Box.from_bounds(bounds)
         program = Program(e, box.labels)
-        cfg = BnBConfig(
-            eps_h=1e-6, eps_om=1e-9, segments=2, max_steps=20000, record_history=True
-        )
+        cfg = BnBConfig(eps_h=1e-6, eps_om=1e-9, segments=2, max_steps=20000)
         res = maximize(
             program.eval_point, lambda b: program.eval_interval(b.dims), box, cfg
         )
         sampled = dense_max(program.eval_point, box, [tuple(res.lower_witness)])
         assert res.lower - 1e-9 <= sampled <= res.upper + 1e-9
-        for (l0, u0), (l1, u1) in zip(res.history, res.history[1:]):
-            assert u1 <= u0 + 1e-12
-            assert l1 >= l0 - 1e-12
+        sandwich_trace.assert_tightens()
 
     def test_maximizer_retained_in_cover(self):
         h, hI, box = expr_objective(
@@ -320,8 +307,3 @@ class TestProperties:
         res = maximize(h, hI, box, cfg)
         assert res.lower <= 1.0 <= res.upper
         assert res.stats.splits < 100
-
-    def test_history_disabled_by_default(self):
-        h, hI, box = expr_objective("x^2", [("x", -1, 1)])
-        res = maximize(h, hI, box, BnBConfig(eps_h=1e-4, eps_om=1e-8, segments=1))
-        assert res.history == []

@@ -74,6 +74,28 @@ class TestExitCodes:
         assert proc.returncode == 4 and proc.stdout == ""
         assert "unbounded enclosure" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "expr", ["1e200^2*x", "(1e200^2)^2", "x*1e999", "exp(1000)+x", "1/(x-x)", "x^400"]
+    )
+    def test_overflow_and_division_end_in_one_message(self, expr):
+        # A power of a constant that no float holds is left unfolded, so it
+        # fails at evaluation like the other overflows: exit 4, one line.
+        src = os.path.dirname(os.path.dirname(certbound.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "certbound.cli", "maximize", "--expr", expr, "--bounds", "x=[0,10]"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 4 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("certbound:")
+
+    def test_overflowing_constant_power_in_a_model(self, tmp_path, capsys):
+        model = tmp_path / "huge.nds"
+        model.write_text("[states]\nx1 = [0, 1]\n[f]\nf1 = 1e200^2*x1\n")
+        code, out, err = run_capture(capsys, ["lipschitz", "--model", str(model)])
+        assert code == 4 and out == ""
+        assert err.startswith("certbound: ") and "evaluation failed" in err
+
     def test_computation_error(self, tmp_path, capsys):
         # quadratic boundedness requires an input-free model
         model = tmp_path / "with_input.nds"

@@ -439,6 +439,9 @@ class TestSimplify:
         assert simplify(parse("2*3 + 1")) == Const(7.0)
         assert simplify(parse("(2 + 1)^2")) == Const(9.0)
 
+    def test_power_without_a_float_is_not_folded(self):
+        assert simplify(parse("1e200^2")) == PowInt(Const(1e200), 2)
+
     def test_no_reassociation(self):
         # conservative: does not collect like terms
         e = simplify(parse("x + x"))

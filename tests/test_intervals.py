@@ -368,7 +368,7 @@ class TestBox:
 
     def test_split(self):
         b = Box.from_bounds([("x", 0, 4), ("y", 0, 1)])
-        left, right = b.split(0, 2.0)
+        left, right = b.split(0)
         assert left.dims[0] == Interval(0, 2) and right.dims[0] == Interval(2, 4)
         assert left.dims[1] == right.dims[1] == Interval(0, 1)
 
@@ -395,8 +395,8 @@ class TestBox:
         b = Box.from_bounds([("x", 1, 1)])
         with pytest.raises(DegenerateSplit):
             b.split(0)
-        with pytest.raises(DegenerateSplit):
-            Box.from_bounds([("x", 0, 1)]).split(0, 1.0)
+        with pytest.raises(DegenerateSplit, match="not strictly inside"):
+            Box.from_bounds([("x", 1.0, math.nextafter(1.0, 2.0))]).split(0)
 
     def test_corners(self):
         b = Box.from_bounds([("x", 0, 4), ("y", -1, 1)])

@@ -76,6 +76,17 @@ class TestTextFormat:
             parse_model_text(f"[states]\nx1 = [0, 1]\nx2 = {bound}\n[f]\nf1 = x1\n")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_names_its_line(self, value):
+        with pytest.raises(ParseError, match=f"non-finite number '{value}' on line 2"):
+            parse_model_text(f"[constants]\na = {value}\n[states]\nx1 = [0, 1]\n[f]\nf1 = a*x1^2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_G_entry_names_its_line(self, value):
+        text = f"[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = -x1\nf2 = -x2\n[G]\n1 {value}\n0 1\n"
+        with pytest.raises(ParseError, match=f"non-finite number '{value}' on line 8"):
+            parse_model_text(text)
+
     def test_content_before_section(self):
         with pytest.raises(ParseError):
             parse_model_text("x1 = [0, 1]\n")
