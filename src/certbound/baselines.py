@@ -11,13 +11,12 @@ wall-clock seeding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .eigen import induced_two_norm
 from .errors import DomainError
 from .expr import Program
-from .intervals import Box
+from .intervals import Box, Frozen
 from .model import ModelDef
 
 PointFn = Callable[[Sequence[float]], float]
@@ -25,12 +24,17 @@ PointFn = Callable[[Sequence[float]], float]
 _CORNER_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    best_value: float
-    best_point: tuple[float, ...]
-    samples: int
-    method: str
+class SampleReport(Frozen):
+    __slots__ = ("best_value", "best_point", "samples", "method")
+
+    def __init__(
+        self, best_value: float, best_point: tuple[float, ...], samples: int, method: str
+    ) -> None:
+        store = object.__setattr__
+        store(self, "best_value", best_value)
+        store(self, "best_point", best_point)
+        store(self, "samples", samples)
+        store(self, "method", method)
 
 
 def _primes(count: int) -> list[int]:

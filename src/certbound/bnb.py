@@ -31,11 +31,10 @@ import itertools
 import math
 import time
 from heapq import heappop, heappush
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertboundError, EvaluationError, IntervalError
-from .intervals import Box, Interval, pair_add, pair_mul, pair_sub, refined_eval
+from .intervals import Box, Frozen, Interval, pair_add, pair_mul, pair_sub, refined_eval
 
 PointFn = Callable[[Sequence[float]], float]
 IntervalFn = Callable[[Box], Interval]
@@ -44,19 +43,24 @@ GradientFn = Callable[[Box], Sequence[Interval]]
 _INF_SENTINEL = float("inf")
 
 
-@dataclass(frozen=True, slots=True)
-class Subproblem:
+class Subproblem(Frozen):
     """A cover box with cached objective bounds: lo_bound <= h <= hi_bound
     on the box.  ``order`` is the insertion counter used to break ties
     deterministically; ``width`` and ``dim`` are the box's width and its
     widest dimension (``box.widest()``), computed once."""
 
-    box: Box
-    lo_bound: float
-    hi_bound: float
-    order: int
-    width: float
-    dim: int
+    __slots__ = ("box", "lo_bound", "hi_bound", "order", "width", "dim")
+
+    def __init__(
+        self, box: Box, lo_bound: float, hi_bound: float, order: int, width: float, dim: int
+    ) -> None:
+        store = object.__setattr__
+        store(self, "box", box)
+        store(self, "lo_bound", lo_bound)
+        store(self, "hi_bound", hi_bound)
+        store(self, "order", order)
+        store(self, "width", width)
+        store(self, "dim", dim)
 
 
 def _splittable(sub: Subproblem, eps_om: float) -> bool:
@@ -146,8 +150,7 @@ def _selection_key(s: Subproblem, primary: float) -> tuple[float, float, float]:
     return (primary, s.width, -s.order)
 
 
-@dataclass(frozen=True)
-class BnBConfig:
+class BnBConfig(Frozen):
     """Optimizer knobs.
 
     eps_h: target width of the objective sandwich.
@@ -156,33 +159,45 @@ class BnBConfig:
     max_steps: hard cap on bisections (safety valve, not part of the method).
     """
 
-    eps_h: float = 1e-4
-    eps_om: float = 1e-7
-    segments: int = 10
-    max_steps: int = 10_000_000
+    __slots__ = ("eps_h", "eps_om", "segments", "max_steps")
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x > 0 for x in (self.eps_h, self.eps_om)):
+    def __init__(
+        self, eps_h: float = 1e-4, eps_om: float = 1e-7, segments: int = 10,
+        max_steps: int = 10_000_000,
+    ) -> None:
+        if not all(math.isfinite(x) and x > 0 for x in (eps_h, eps_om)):
             raise ValueError("eps_h and eps_om must be finite and positive")
-        if self.segments < 1 or self.max_steps < 1:
+        if segments < 1 or max_steps < 1:
             raise ValueError("segments and max_steps must be >= 1")
+        store = object.__setattr__
+        store(self, "eps_h", eps_h)
+        store(self, "eps_om", eps_om)
+        store(self, "segments", segments)
+        store(self, "max_steps", max_steps)
 
 
-@dataclass
 class BnBStats:
-    splits: int = 0
-    evals: int = 0
-    wall_time: float = 0.0
+    __slots__ = ("splits", "evals", "wall_time")
+
+    def __init__(self) -> None:
+        self.splits = 0
+        self.evals = 0
+        self.wall_time = 0.0
 
 
-@dataclass
 class BnBResult:
-    lower: float
-    upper: float
-    eps_optimal: bool
-    final_cover: Cover
-    stats: BnBStats
-    lower_witness: tuple[float, ...]
+    __slots__ = ("lower", "upper", "eps_optimal", "final_cover", "stats", "lower_witness")
+
+    def __init__(
+        self, lower: float, upper: float, eps_optimal: bool, final_cover: Cover,
+        stats: BnBStats, lower_witness: tuple[float, ...],
+    ) -> None:
+        self.lower = lower
+        self.upper = upper
+        self.eps_optimal = eps_optimal
+        self.final_cover = final_cover
+        self.stats = stats
+        self.lower_witness = lower_witness
 
     @property
     def gap(self) -> float:

@@ -17,7 +17,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     UnboundVariable,
 )
 from . import intervals
-from .intervals import Box, Interval
+from .intervals import Box, Frozen, Interval
 
 # ---------------------------------------------------------------------------
 # AST
@@ -41,8 +40,10 @@ ADD, SUB, MUL, DIV, MAX = "+", "-", "*", "/", "max"
 _FUNCTIONS = ("abs", "cos", "exp", "max", "sin", "sqr", "sqrt")
 
 
-class Expr:
-    """Base class; construction helpers allow ``x * y + 2`` style assembly."""
+class Expr(Frozen):
+    """Base class of the immutable nodes; construction helpers allow
+    ``x * y + 2`` style assembly.  Nodes are equal when their fields are,
+    so ``simplify`` can tell ``x * x`` from ``x * y``."""
 
     __slots__ = ()
 
@@ -77,37 +78,45 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True, eq=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True, eq=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True, eq=True)
 class Unary(Expr):
-    op: str
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True, eq=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True, eq=True)
 class PowInt(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise DomainError(f"integer exponent must be >= 1, got {self.exponent!r}")
+    def __init__(self, base: Expr, exponent: int) -> None:
+        if not isinstance(exponent, int) or exponent < 1:
+            raise DomainError(f"integer exponent must be >= 1, got {exponent!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 ZERO = Const(0.0)

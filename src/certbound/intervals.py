@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
@@ -446,20 +445,47 @@ def sqrt_down(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Frozen:
+    """Base of the immutable value classes.  A subclass stores each of its
+    fields (its ``__slots__``) once, in ``__init__``, through
+    ``object.__setattr__``, past the guards that make any later assignment
+    or deletion raise.  Two values are equal, with equal hashes, when they
+    are of one class and their fields are equal.  Copies and pickles call
+    the class again with the fields, which ``__init__`` takes in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._fields())
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Interval(Frozen):
     """Closed real interval with finite endpoints, ``lo <= hi``."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not -_INF < self.lo <= self.hi < _INF:
-            raise _invalid(self.lo, self.hi)
-
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
+    def __init__(self, lo: float, hi: float) -> None:
+        if not -_INF < lo <= hi < _INF:
+            raise _invalid(lo, hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -525,20 +551,21 @@ def iv_cos(a: Interval) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
+class Box(Frozen):
     """Product of intervals, one per named variable."""
 
-    dims: tuple[Interval, ...]
-    labels: tuple[str, ...]
+    __slots__ = ("dims", "labels")
 
-    def __post_init__(self) -> None:
-        if not self.dims:
+    def __init__(self, dims: tuple[Interval, ...], labels: tuple[str, ...]) -> None:
+        if not dims:
             raise IntervalError("box must have at least one dimension")
-        if len(self.dims) != len(self.labels):
-            raise IntervalError(
-                f"{len(self.dims)} dimensions but {len(self.labels)} labels"
-            )
+        if len(dims) != len(labels):
+            raise IntervalError(f"{len(dims)} dimensions but {len(labels)} labels")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "labels", labels)
+
+    def __repr__(self) -> str:
+        return f"Box(dims={self.dims!r}, labels={self.labels!r})"
 
     @classmethod
     def from_bounds(cls, bounds: Sequence[tuple[str, float, float]]) -> "Box":
@@ -568,11 +595,6 @@ class Box:
         if which == "hi":
             return tuple(iv.hi for iv in self.dims)
         raise ValueError(f"corner must be 'lo' or 'hi', got {which!r}")
-
-    def contains(self, point: Sequence[float]) -> bool:
-        return len(point) == len(self.dims) and all(
-            iv.contains(x) for iv, x in zip(self.dims, point)
-        )
 
     def replace_dim(self, index: int, iv: Interval) -> "Box":
         dims = list(self.dims)

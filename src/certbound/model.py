@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, MissingBounds, ParseError
@@ -43,47 +42,55 @@ from .expr import (
     sum_or_zero,
     to_text,
 )
-from .intervals import Box, Interval
+from .intervals import Box, Frozen, Interval
 
 Matrix = tuple[tuple[float, ...], ...]
 Partials = tuple[tuple[int, Expr], ...]  # see state_partials
 
 
-@dataclass(frozen=True)
-class ModelDef:
-    """A nonlinear system: bounded variables plus component expressions."""
+class ModelDef(Frozen):
+    """A nonlinear system: bounded variables plus component expressions.
+    Not slotted: ``state_jacobian`` caches in the instance ``__dict__``."""
 
-    state_names: tuple[str, ...]
-    state_bounds: tuple[Interval, ...]
-    f: tuple[Expr, ...]
-    input_names: tuple[str, ...] = ()
-    input_bounds: tuple[Interval, ...] = ()
-    G: Matrix | None = None
-
-    def __post_init__(self) -> None:
-        if not self.state_names:
+    def __init__(
+        self, state_names: tuple[str, ...], state_bounds: tuple[Interval, ...],
+        f: tuple[Expr, ...], input_names: tuple[str, ...] = (),
+        input_bounds: tuple[Interval, ...] = (), G: Matrix | None = None,
+    ) -> None:
+        if not state_names:
             raise MissingBounds("model needs at least one state variable")
-        if len(self.state_names) != len(self.state_bounds):
+        if len(state_names) != len(state_bounds):
             raise MissingBounds("every state variable needs a bound")
-        if len(self.input_names) != len(self.input_bounds):
+        if len(input_names) != len(input_bounds):
             raise MissingBounds("every input variable needs a bound")
-        declared = set(self.state_names) | set(self.input_names)
-        if len(declared) != len(self.state_names) + len(self.input_names):
+        declared = set(state_names) | set(input_names)
+        if len(declared) != len(state_names) + len(input_names):
             raise DimensionMismatch("duplicate variable names")
-        if not self.f:
+        if not f:
             raise DimensionMismatch("model needs at least one component")
-        for i, e in enumerate(self.f):
+        for i, e in enumerate(f):
             extra = free_vars(e) - declared
             if extra:
                 raise DimensionMismatch(
                     f"component {i + 1} uses undeclared variables {sorted(extra)}"
                 )
-        if self.G is not None:
-            if len(self.G) != self.n or any(len(row) != self.g for row in self.G):
+        if G is not None:
+            n, g = len(state_names), len(f)
+            if len(G) != n or any(len(row) != g for row in G):
                 raise DimensionMismatch(
-                    f"G must be {self.n}x{self.g}, got "
-                    f"{len(self.G)}x{len(self.G[0]) if self.G else 0}"
+                    f"G must be {n}x{g}, got {len(G)}x{len(G[0]) if G else 0}"
                 )
+        store = object.__setattr__
+        store(self, "state_names", state_names)
+        store(self, "state_bounds", state_bounds)
+        store(self, "f", f)
+        store(self, "input_names", input_names)
+        store(self, "input_bounds", input_bounds)
+        store(self, "G", G)
+
+    def _fields(self) -> tuple:
+        return (self.state_names, self.state_bounds, self.f,
+                self.input_names, self.input_bounds, self.G)
 
     @functools.cached_property
     def state_jacobian(self) -> tuple[Partials, ...]:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import MissingBounds
 from .expr import Const, Expr, Var, simplify, sqr, parse
-from .intervals import Interval
+from .intervals import Frozen, Interval
 from .model import ModelDef
 
 
@@ -37,13 +36,23 @@ from .model import ModelDef
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrafficConfig:
-    sections: int = 5
-    v_f: float = 31.3  # free-flow speed, m/s
-    rho_m: float = 0.053  # maximum density, vehicles/m
-    seg_len: float = 500.0  # segment length, m
-    alpha: float = 0.5  # ramp splitting ratio
+class TrafficConfig(Frozen):
+    """Free-flow speed ``v_f`` (m/s), maximum density ``rho_m``
+    (vehicles/m), segment length ``seg_len`` (m) and ramp splitting ratio
+    ``alpha``."""
+
+    __slots__ = ("sections", "v_f", "rho_m", "seg_len", "alpha")
+
+    def __init__(
+        self, sections: int = 5, v_f: float = 31.3, rho_m: float = 0.053,
+        seg_len: float = 500.0, alpha: float = 0.5,
+    ) -> None:
+        store = object.__setattr__
+        store(self, "sections", sections)
+        store(self, "v_f", v_f)
+        store(self, "rho_m", rho_m)
+        store(self, "seg_len", seg_len)
+        store(self, "alpha", alpha)
 
     @property
     def delta(self) -> float:
@@ -106,8 +115,7 @@ def build_traffic(cfg: TrafficConfig = TrafficConfig()) -> tuple[ModelDef, dict[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Frozen):
     """Machine constants and operating-region bounds.
 
     The constants default to 1.0 so the structure can be exercised without a
@@ -115,14 +123,26 @@ class GeneratorConfig:
     machine parameters and bounds; a warning flags the placeholders.
     """
 
-    alpha1: float = 1.0
-    alpha3: float = 1.0
-    alpha4: float = 1.0
-    alpha6: float = 1.0
-    alpha8: float = 1.0
-    alpha10: float = 1.0
-    state_bounds: tuple[tuple[float, float], ...] | None = None
-    input_bounds: tuple[tuple[float, float], ...] | None = None
+    __slots__ = (
+        "alpha1", "alpha3", "alpha4", "alpha6", "alpha8", "alpha10",
+        "state_bounds", "input_bounds",
+    )
+
+    def __init__(
+        self, alpha1: float = 1.0, alpha3: float = 1.0, alpha4: float = 1.0,
+        alpha6: float = 1.0, alpha8: float = 1.0, alpha10: float = 1.0,
+        state_bounds: tuple[tuple[float, float], ...] | None = None,
+        input_bounds: tuple[tuple[float, float], ...] | None = None,
+    ) -> None:
+        store = object.__setattr__
+        store(self, "alpha1", alpha1)
+        store(self, "alpha3", alpha3)
+        store(self, "alpha4", alpha4)
+        store(self, "alpha6", alpha6)
+        store(self, "alpha8", alpha8)
+        store(self, "alpha10", alpha10)
+        store(self, "state_bounds", state_bounds)
+        store(self, "input_bounds", input_bounds)
 
 
 _GENERATOR_F = (
@@ -176,13 +196,13 @@ def build_generator(cfg: GeneratorConfig) -> ModelDef:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MovingObjectConfig:
-    r: float = 5.0
+class MovingObjectConfig(Frozen):
+    __slots__ = ("r",)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0.0):
+    def __init__(self, r: float = 5.0) -> None:
+        if not (math.isfinite(r) and r > 0.0):
             raise MissingBounds("moving-object radius must be finite and positive")
+        object.__setattr__(self, "r", r)
 
 
 def build_moving_object(cfg: MovingObjectConfig = MovingObjectConfig()) -> ModelDef:

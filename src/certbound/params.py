@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
@@ -65,14 +64,16 @@ if TYPE_CHECKING:  # importing fractions costs start-up time; functions import i
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RunStats:
     """Aggregate over the certified runs behind one constant."""
 
-    runs: int = 0
-    splits: int = 0
-    evals: int = 0
-    wall_time: float = 0.0
+    __slots__ = ("runs", "splits", "evals", "wall_time")
+
+    def __init__(self) -> None:
+        self.runs = 0
+        self.splits = 0
+        self.evals = 0
+        self.wall_time = 0.0
 
     def absorb(self, result: BnBResult) -> BnBResult:
         """Count ``result`` in and return it."""
@@ -89,60 +90,93 @@ class RunStats:
         self.wall_time += other.wall_time
 
 
-@dataclass
 class JacobianBounds:
-    entries: tuple[tuple[Interval, ...], ...]  # g rows, n columns
-    eps_optimal: bool
-    stats: RunStats
+    __slots__ = ("entries", "eps_optimal", "stats")
+
+    def __init__(
+        self, entries: tuple[tuple[Interval, ...], ...], eps_optimal: bool, stats: RunStats
+    ) -> None:
+        self.entries = entries  # g rows, n columns
+        self.eps_optimal = eps_optimal
+        self.stats = stats
 
     def entry(self, i: int, j: int) -> Interval:
         return self.entries[i - 1][j - 1]
 
 
-@dataclass
 class LipschitzResult:
-    gamma: float
-    lower: float
-    gap: float
-    eps_optimal: bool
-    case: int
-    stats: RunStats
+    __slots__ = ("gamma", "lower", "gap", "eps_optimal", "case", "stats")
+
+    def __init__(
+        self, gamma: float, lower: float, gap: float, eps_optimal: bool, case: int, stats: RunStats
+    ) -> None:
+        self.gamma = gamma
+        self.lower = lower
+        self.gap = gap
+        self.eps_optimal = eps_optimal
+        self.case = case
+        self.stats = stats
 
 
-@dataclass
 class OSLResult:
-    gamma_s: float
-    estimator: str
-    lower_gamma: float
-    gap: float
-    eps_optimal: bool
-    stats: RunStats
-    # Achieved (point-witness) sides of the two sandwiches; the certified
-    # sides are gamma_s (from above) and lower_gamma (from below).
-    gamma_s_witness: float = 0.0
-    lower_gamma_witness: float = 0.0
+    """The achieved (point-witness) sides of the two sandwiches are
+    ``gamma_s_witness`` and ``lower_gamma_witness``; the certified sides are
+    ``gamma_s`` (from above) and ``lower_gamma`` (from below)."""
+
+    __slots__ = (
+        "gamma_s", "estimator", "lower_gamma", "gap", "eps_optimal", "stats",
+        "gamma_s_witness", "lower_gamma_witness",
+    )
+
+    def __init__(
+        self, gamma_s: float, estimator: str, lower_gamma: float, gap: float,
+        eps_optimal: bool, stats: RunStats, gamma_s_witness: float = 0.0,
+        lower_gamma_witness: float = 0.0,
+    ) -> None:
+        self.gamma_s = gamma_s
+        self.estimator = estimator
+        self.lower_gamma = lower_gamma
+        self.gap = gap
+        self.eps_optimal = eps_optimal
+        self.stats = stats
+        self.gamma_s_witness = gamma_s_witness
+        self.lower_gamma_witness = lower_gamma_witness
 
 
-@dataclass
 class QIBResult:
-    gamma_q1: float
-    gamma_q2: float
-    eps1: float
-    eps2: float
-    gamma_m: float
-    osl_upper: float
-    osl_lower: float
-    eps_optimal: bool
-    stats: RunStats
-    gamma_m_witness: float = 0.0
+    __slots__ = (
+        "gamma_q1", "gamma_q2", "eps1", "eps2", "gamma_m", "osl_upper", "osl_lower",
+        "eps_optimal", "stats", "gamma_m_witness",
+    )
+
+    def __init__(
+        self, gamma_q1: float, gamma_q2: float, eps1: float, eps2: float, gamma_m: float,
+        osl_upper: float, osl_lower: float, eps_optimal: bool, stats: RunStats,
+        gamma_m_witness: float = 0.0,
+    ) -> None:
+        self.gamma_q1 = gamma_q1
+        self.gamma_q2 = gamma_q2
+        self.eps1 = eps1
+        self.eps2 = eps2
+        self.gamma_m = gamma_m
+        self.osl_upper = osl_upper
+        self.osl_lower = osl_lower
+        self.eps_optimal = eps_optimal
+        self.stats = stats
+        self.gamma_m_witness = gamma_m_witness
 
 
-@dataclass
 class QBResult:
-    diag: tuple[float, ...]
-    eps_optimal: bool
-    stats: RunStats
-    diag_witness: tuple[float, ...] = ()
+    __slots__ = ("diag", "eps_optimal", "stats", "diag_witness")
+
+    def __init__(
+        self, diag: tuple[float, ...], eps_optimal: bool, stats: RunStats,
+        diag_witness: tuple[float, ...] = (),
+    ) -> None:
+        self.diag = diag
+        self.eps_optimal = eps_optimal
+        self.stats = stats
+        self.diag_witness = diag_witness
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import CertboundError
@@ -22,7 +21,6 @@ class ReportFieldError(CertboundError):
     """A report field is NaN or infinite; the run must abort instead."""
 
 
-@dataclass
 class ConstantRow:
     """One certified (or sampled) quantity.
 
@@ -32,23 +30,37 @@ class ConstantRow:
     ``gap`` is the width of the underlying sandwich.
     """
 
-    name: str
-    value: float
-    lower: float | None = None
-    gap: float | None = None
-    eps_optimal: bool | None = None
-    subproblems: int | None = None
-    evals: int | None = None
-    wall_time_ms: float | None = None
+    __slots__ = (
+        "name", "value", "lower", "gap", "eps_optimal", "subproblems", "evals", "wall_time_ms",
+    )
+
+    def __init__(
+        self, name: str, value: float, lower: float | None = None, gap: float | None = None,
+        eps_optimal: bool | None = None, subproblems: int | None = None,
+        evals: int | None = None, wall_time_ms: float | None = None,
+    ) -> None:
+        self.name = name
+        self.value = value
+        self.lower = lower
+        self.gap = gap
+        self.eps_optimal = eps_optimal
+        self.subproblems = subproblems
+        self.evals = evals
+        self.wall_time_ms = wall_time_ms
 
 
-@dataclass
 class RunReport:
-    command: str
-    config: dict
-    model_fingerprint: str
-    results: list[ConstantRow] = field(default_factory=list)
-    label: str = ""
+    __slots__ = ("command", "config", "model_fingerprint", "results", "label")
+
+    def __init__(
+        self, command: str, config: dict, model_fingerprint: str, results: list[ConstantRow],
+        label: str = "",
+    ) -> None:
+        self.command = command
+        self.config = config
+        self.model_fingerprint = model_fingerprint
+        self.results = results
+        self.label = label
 
     def validate(self) -> None:
         for row in self.results:
@@ -64,7 +76,11 @@ class RunReport:
             row.wall_time_ms = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["results"] = [
+            {name: getattr(row, name) for name in row.__slots__} for row in self.results
+        ]
+        return out
 
 
 def to_json(reports: Sequence[RunReport]) -> str:

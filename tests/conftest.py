@@ -132,6 +132,17 @@ def encloses(outer: Interval, inner: Interval) -> bool:
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
+def point_interval(x: float) -> Interval:
+    """The degenerate interval ``[x, x]``."""
+    return Interval(x, x)
+
+
+def box_contains(box: Box, point) -> bool:
+    return len(point) == len(box.dims) and all(
+        iv.contains(x) for iv, x in zip(box.dims, point)
+    )
+
+
 def report_from_dict(data: dict) -> RunReport:
     """The ``RunReport`` whose ``to_dict()`` is ``data``."""
     return RunReport(
@@ -235,7 +246,7 @@ def dense_max(
     for point in halton_points_in_box(box, 2000):
         best = max(best, h(point))
     for point in extra_points or ():
-        if point and box.contains(point):
+        if point and box_contains(box, point):
             best = max(best, h(point))
     return best
 

@@ -34,6 +34,7 @@ from conftest import (
     dec_sin,
     dense_max,
     gershgorin_upper,
+    point_interval,
     random_points,
     random_polynomial,
     row_gap_upper,
@@ -238,8 +239,8 @@ def test_criterion_07_enclosure_suite(traffic_s1, moving_object, generator):
     args = [rng.uniform(-10.0, 10.0) for _ in range(1000)]
     assert sum(1 for x in args if abs(x) > math.pi) > 100
     for x in args:
-        s = iv_sin(Interval.point(x))
-        c = iv_cos(Interval.point(x))
+        s = iv_sin(point_interval(x))
+        c = iv_cos(point_interval(x))
         assert s.lo <= float(dec_sin(x)) <= s.hi
         assert c.lo <= float(dec_cos(x)) <= c.hi
     verdict(7, f"{checked} point enclosures plus 1000 trig reference values")

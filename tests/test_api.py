@@ -1,7 +1,6 @@
 """The top-level package exports the documented pipeline, and the README's
 Python quick start runs."""
 
-import dataclasses
 import inspect
 import pathlib
 import re
@@ -41,6 +40,6 @@ def test_optimizer_options_are_the_documented_ones():
     # points take exactly (h, hI, domain, cfg).
     row = re.search(r"^\| `BnBConfig` \|(.*)\|$", readme_section("Python API"), re.M).group(1)
     documented = re.findall(r"`(\w+)`", row)
-    assert [f.name for f in dataclasses.fields(certbound.BnBConfig)] == documented
+    assert list(inspect.signature(certbound.BnBConfig).parameters) == documented
     for fn in (bnb.maximize, bnb.minimize):
         assert list(inspect.signature(fn).parameters) == ["h", "hI", "domain", "cfg"]

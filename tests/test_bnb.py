@@ -1,6 +1,5 @@
 """Branch-and-bound engine: sandwich, monotonicity, pruning, termination."""
 
-import dataclasses
 import math
 import random
 
@@ -11,7 +10,7 @@ from certbound.bnb import Cover, Subproblem, opt_bnb_step, _Bounder, BnBStats, m
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
 from certbound.intervals import Box, Interval
-from conftest import dense_max, random_polynomial
+from conftest import box_contains, dense_max, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -49,7 +48,7 @@ class TestMaximize:
         assert res.lower <= res.upper
         assert res.eps_optimal == (res.upper - res.lower <= cfg.eps_h)
         assert res.upper == pytest.approx(0.25, abs=1e-4)
-        assert box.contains(res.lower_witness)
+        assert box_contains(box, res.lower_witness)
 
     def test_max_steps_cap(self):
         h, hI, box = expr_objective("x*(1 - x)", [("x", 0.0, 1.0)])
@@ -68,7 +67,7 @@ class TestMaximize:
 
     def test_config_is_frozen(self):
         cfg = BnBConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             cfg.segments = 0
         assert cfg.segments == 10
 
@@ -298,7 +297,7 @@ class TestProperties:
         )
         res = maximize(h, hI, box, BnBConfig(eps_h=1e-7, eps_om=1e-9, segments=1))
         argmax = (0.5, 1.0)
-        assert any(s.box.contains(argmax) for s in res.final_cover.subproblems)
+        assert any(box_contains(s.box, argmax) for s in res.final_cover.subproblems)
 
     def test_termination_with_coarse_eps_om(self):
         # eps_om large: no box is ever splittable twice, yet the run halts

@@ -459,7 +459,7 @@ class TestReportModule:
         payload = json.loads(emit_table([report], "json"))
         assert isinstance(payload, list)
         recovered = report_from_dict(payload[0])
-        assert recovered == report
+        assert recovered.to_dict() == report.to_dict()
 
     def test_nan_rejected(self):
         report = RunReport(

@@ -33,7 +33,7 @@ from certbound.errors import (
     ParseError,
 )
 from certbound.expr import PowInt, Var, parse
-from conftest import dec_cos, dec_sin, encloses
+from conftest import dec_cos, dec_sin, encloses, point_interval
 
 
 def approx_encloses(iv: Interval, value: float, slack: float = 0.0) -> bool:
@@ -295,7 +295,7 @@ class TestElementary:
         for _ in range(300):
             x = rng.uniform(-8, 8)
             y = rng.uniform(-8, 8)
-            ix, iy = Interval.point(x), Interval.point(y)
+            ix, iy = point_interval(x), point_interval(y)
             for value, iv in (
                 (x + y, ix + iy),
                 (x - y, ix - iy),
@@ -325,8 +325,8 @@ class TestTrig:
             0.0, 1.5, -1.5, math.pi / 2, -math.pi / 2, 3.14, -3.14, 4.5, -6.0
         ]
         for x in args:
-            s = iv_sin(Interval.point(x))
-            c = iv_cos(Interval.point(x))
+            s = iv_sin(point_interval(x))
+            c = iv_cos(point_interval(x))
             assert s.lo <= float(dec_sin(x)) <= s.hi, x
             assert c.lo <= float(dec_cos(x)) <= c.hi, x
 

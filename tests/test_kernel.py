@@ -44,6 +44,7 @@ from certbound.expr import (
     parse,
 )
 from certbound.intervals import Box, Interval, iv_cos, iv_sin, pair_pow, refined_eval
+from conftest import point_interval
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
@@ -387,7 +388,7 @@ def _quotient(program, point, other, k):
     if a is None or b is None:
         return None
     try:
-        return (b - a) / (Interval.point(other[k]) - Interval.point(point[k]))
+        return (b - a) / (point_interval(other[k]) - point_interval(point[k]))
     except IntervalError:  # the step rounds to an interval around 0
         return None
 
