@@ -21,8 +21,6 @@ from .model import ModelDef
 
 PointFn = Callable[[Sequence[float]], float]
 
-_CORNER_CAP = 2**20
-
 
 class SampleReport(Frozen):
     __slots__ = ("best_value", "best_point", "samples", "method")
@@ -78,10 +76,10 @@ def halton_points_in_box(box: Box, count: int) -> Iterator[tuple[float, ...]]:
         yield _map_into(box, unit)
 
 
-def _corner_points(box: Box) -> Iterator[tuple[float, ...]]:
-    dim = len(box)
-    total = min(2**dim, _CORNER_CAP)
-    for mask in range(total):
+def _corner_points(box: Box, count: int) -> Iterator[tuple[float, ...]]:
+    """The first ``count`` vertices of ``box``, in mask order: bit ``k`` of
+    the mask picks the upper end of dimension ``k``."""
+    for mask in range(min(2 ** len(box), count)):
         yield tuple(
             iv.hi if (mask >> k) & 1 else iv.lo
             for k, iv in enumerate(box.dims)
@@ -128,17 +126,17 @@ def sample_max(
 ) -> SampleReport:
     """Best objective value over a deterministic point set.
 
-    Methods: ``halton`` (quasi-random), ``corners`` (vertex enumeration,
-    capped), ``midpoint`` (the box center), ``multistart_local``
-    (pattern search from 32 quasi-random starts within ``count``
-    evaluations in total).
+    Methods: ``halton`` (quasi-random), ``corners`` (the first ``count``
+    vertices, see ``_corner_points``), ``midpoint`` (the box center),
+    ``multistart_local`` (pattern search from 32 quasi-random starts,
+    ``count // 32`` evaluations each, at least one).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if method == "halton":
         points = halton_points_in_box(domain, count)
     elif method == "corners":
-        points = _corner_points(domain)
+        points = _corner_points(domain, count)
     elif method == "midpoint":
         points = iter([domain.midpoint()])
     elif method == "multistart_local":
@@ -167,7 +165,7 @@ def sample_max(
 
 
 def jacobian_norm_sampled(
-    model: ModelDef, domain: Box | None = None, count: int = 1000
+    model: ModelDef, domain: Box | None = None, count: int = 1000, method: str = "halton"
 ) -> SampleReport:
     """Maximum sampled induced 2-norm of the state Jacobian: the classical
     point-sampled reference estimate of the Lipschitz constant.  Not
@@ -188,4 +186,4 @@ def jacobian_norm_sampled(
                 values[j] = program.eval_point(point)
         return induced_two_norm(matrix)
 
-    return sample_max(norm, domain, count)
+    return sample_max(norm, domain, count, method)

@@ -246,6 +246,8 @@ def _bounds_box(text: str) -> Box:
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         name, _, spec = chunk.partition("=")
         name = name.strip()
+        if not name.isidentifier():
+            raise _ModelError(f"bad bounds entry {chunk!r}: {name!r} is not a variable name")
         if name in bounds:
             raise _ModelError(f"duplicate bounds for {name!r}")
         with _model_errors(f"bad bounds entry {chunk!r}"):
@@ -281,7 +283,7 @@ def _cmd_baseline(args) -> list[RunReport]:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     model, fp = _load_model(args)
     if args.objective == "jacobian-norm":
-        rep = baselines.jacobian_norm_sampled(model, count=args.count)
+        rep = baselines.jacobian_norm_sampled(model, count=args.count, method=args.method)
         value = rep.best_value
     else:
         objective = params.lipschitz_objective(model)

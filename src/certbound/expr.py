@@ -6,7 +6,9 @@ point evaluation (floats), interval evaluation (sound enclosures via
 its interval extension always come from one source.
 
 Simplification is deliberately conservative: constant folding, 0/1
-identities and ``x*x -> sqr(x)`` only.  Interval enclosure width depends on
+identities and ``x*x -> sqr(x)`` only.  A constant folds only to a finite
+float: a folded overflow or NaN would be taken as exact and bound nothing,
+so such a node is left for evaluation, which rejects it.  Interval enclosure width depends on
 the written form of an expression, so we never reassociate or collect terms
 behind the user's back; tighter manual forms yield tighter bounds.
 """
@@ -190,14 +192,14 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, Unary):
         arg = simplify(e.arg)
         if e.op == NEG:
-            if isinstance(arg, Const):
+            if isinstance(arg, Const) and math.isfinite(arg.value):
                 return Const(-arg.value)
             if isinstance(arg, Unary) and arg.op == NEG:
                 return arg.arg
         elif isinstance(arg, Const):
-            if e.op == SQR:
+            if e.op == SQR and math.isfinite(arg.value * arg.value):
                 return Const(arg.value * arg.value)
-            if e.op == ABS:
+            if e.op == ABS and math.isfinite(arg.value):
                 return Const(abs(arg.value))
         return Unary(e.op, arg)
     if isinstance(e, PowInt):
@@ -208,7 +210,7 @@ def simplify(e: Expr) -> Expr:
             try:
                 return Const(base.value**e.exponent)
             except OverflowError:
-                pass  # no float holds the power: leave it for evaluation
+                pass  # no float holds the power
         return PowInt(base, e.exponent)
     assert isinstance(e, Binary)
     left = simplify(e.left)
@@ -220,14 +222,14 @@ def simplify(e: Expr) -> Expr:
             return right
         if rc == 0.0:
             return left
-        if lc is not None and rc is not None:
+        if lc is not None and rc is not None and math.isfinite(lc + rc):
             return Const(lc + rc)
     elif e.op == SUB:
         if rc == 0.0:
             return left
         if lc == 0.0:
             return simplify(Unary(NEG, right))
-        if lc is not None and rc is not None:
+        if lc is not None and rc is not None and math.isfinite(lc - rc):
             return Const(lc - rc)
     elif e.op == MUL:
         if lc == 0.0 or rc == 0.0:
@@ -236,14 +238,14 @@ def simplify(e: Expr) -> Expr:
             return right
         if rc == 1.0:
             return left
-        if lc is not None and rc is not None:
+        if lc is not None and rc is not None and math.isfinite(lc * rc):
             return Const(lc * rc)
         if left == right:
             return Unary(SQR, left)
     elif e.op == DIV:
         if rc == 1.0:
             return left
-        if lc is not None and rc is not None and rc != 0.0:
+        if lc is not None and rc is not None and rc != 0.0 and math.isfinite(lc / rc):
             return Const(lc / rc)
     return Binary(e.op, left, right)
 
@@ -568,11 +570,8 @@ def to_text(e: Expr) -> str:
 # per op, with constants and variables read in place by the ops that use
 # them.  The interval kernel works on float endpoint pairs and calls the
 # ``pair_*`` functions of ``intervals`` (``l2, h2 = pair_mul(l0, h0, l1,
-# h1)``); the point kernel uses plain float arithmetic.  A kernel is a tuple
-# of chunk functions of at most ``_CHUNK`` statements each, because
-# compiling one huge function takes memory out of proportion to its size.
-# Each chunk appends to the list ``o`` the values that a later chunk (or the
-# reverse pass) reads back, and the results.
+# h1)``); the point kernel uses plain float arithmetic.  Each kernel is one
+# compiled function.
 #
 # Kernels are cached by program shape (see ``_shape_kernels``): the ops,
 # the constants that are not finite and the number of variable slots.
@@ -584,12 +583,11 @@ def to_text(e: Expr) -> str:
 # one forward and one reverse pass over the ops (Griewank & Walther,
 # *Evaluating Derivatives*, 2008), so its cost is that of a few evaluations
 # whatever the number of variables.  The forward pass is the whole interval
-# kernel; the reverse pass (``_reverse_statements``) reads the op values it
-# needs from the forward pass's ``o``, passed to it as ``t``.
+# kernel, which returns the result's endpoints followed by the values that
+# the reverse pass (``_reverse_statements``) reads; the reverse pass takes
+# them as parameters under the same local names.
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
-_CHUNK = 128
-_PLAN = "plan"  # the key of a shape's reverse plan among its kernels
 # Operands given as source text: the adjoints known to be exactly 1 or -1,
 # and an exact zero.
 _ONE, _MINUS_ONE, _ZERO_PAIR = ("1.0", "1.0"), ("-1.0", "-1.0"), ("0.0", "0.0")
@@ -639,11 +637,11 @@ _KERNEL_GLOBALS = {
 _KERNEL_GLOBALS.update(sqrt=math.sqrt, exp=math.exp, sin=math.sin, cos=math.cos)
 
 
-def _compile_chunk(source: str):
-    """The function defined by ``source``."""
+def _compile(source: str):
+    """The function ``kernel`` that ``source`` defines."""
     scope: dict[str, object] = {}
     exec(compile(source, "<certbound kernel>", "exec"), _KERNEL_GLOBALS, scope)
-    return scope["chunk"]
+    return scope["kernel"]
 
 
 def _postfix(expr: Expr, slots: dict[str, int]):
@@ -722,9 +720,9 @@ def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> dict:
     ``code``, the indices of its non-finite constants (the only property of
     the constants that the generated source depends on, see
     ``_statements``) and its number ``n`` of variable slots (the reverse
-    pass has one output per slot).  Each kernel is stored under ``(pair,
-    reverse)`` and the reverse plan under ``_PLAN``, generated on first
-    use; the 256 most recent shapes are kept."""
+    pass has one output per slot).  The point kernel is stored under
+    ``False``, the interval kernel and its reverse pass under ``True``,
+    each generated on first use; the 256 most recent shapes are kept."""
     return {}
 
 
@@ -751,23 +749,6 @@ def _in_place(code, j: int, pair: bool) -> tuple[str, ...]:
     return (f"d[{arg}].lo", f"d[{arg}].hi") if pair else (f"d[{arg}]",)
 
 
-def _op_statements(code, run: Sequence[int], pair: bool) -> list:
-    """The statements (see ``_chunk_sources``) of the ops of ``run``.  An
-    operand is the statement of its op in ``run``, or else a constant or
-    load read in place."""
-    position = {op: i for i, op in enumerate(run)}
-    table = _PAIR_RHS if pair else _POINT_RHS
-
-    def ref(j: int):
-        i = position.get(j)
-        return i if i is not None else _in_place(code, j, pair)
-
-    return [
-        (table[kind], arg, tuple(ref(j) for j in operands))
-        for kind, arg, operands in (code[op] for op in run)
-    ]
-
-
 def _scale_points(stmts) -> list:
     """``stmts`` of the interval kernel, with each ``pair_mul`` by a point
     read in place (both parts the same text: a constant, which is finite)
@@ -785,60 +766,36 @@ def _scale_points(stmts) -> list:
     return scaled
 
 
-def _layout(stmts, keep: Iterable[int], outputs=()) -> dict[int, int]:
-    """Where each statement that must outlive its chunk is stored in ``o``:
-    those in ``keep`` and those that a later chunk reads, or that
-    ``outputs`` reads at the end of the last chunk; in statement order."""
-    stored = set(keep)
-    for i, (_, _, operands) in enumerate(stmts):
-        stored.update(j for j in operands if type(j) is int and j // _CHUNK != i // _CHUNK)
-    last = (len(stmts) - 1) // _CHUNK
-    stored.update(j for j in outputs if type(j) is int and j // _CHUNK != last)
-    return {j: k for k, j in enumerate(sorted(stored))}
+def _names(i: int, pair: bool) -> tuple[str, ...]:
+    """The local names of statement ``i``'s value."""
+    return (f"l{i}", f"h{i}") if pair else (f"v{i}",)
 
 
-def _chunk_sources(stmts, slot: Mapping[int, int], pair: bool, outputs=()) -> list[str]:
-    """Sources of the chunks that run ``stmts``, ``_CHUNK`` at a time.
+def _source(params: str, stmts, outputs, pair: bool, first: int = 0) -> str:
+    """Source of ``def kernel(params)``, which runs ``stmts`` and returns
+    the parts of ``outputs``.
 
     A statement ``(template, arg, operands)`` assigns
-    ``template.format(*parts, arg=arg)``, where ``parts`` are the endpoints
-    (pair kernel) or values (point kernel) of its operands.  An operand is
-    the index of an earlier statement, read from the chunk's locals or, when
-    an earlier chunk computed it, from ``o`` at its ``slot``; or the tuple
-    of the source text of its parts.  Each chunk appends to ``o`` the values
-    of its statements that have a slot, and the last chunk then appends
-    ``outputs``, operands of the same kinds."""
-    width = 2 if pair else 1
-    head = "def chunk(d, c, t, o):" if pair else "def chunk(d, c, o):"
-    sources = []
-    for start in range(0, len(stmts), _CHUNK) or range(1 if outputs else 0):
-        stop = min(start + _CHUNK, len(stmts))
+    ``template.format(*parts, arg=arg)`` to its names (``_names(first +
+    i)`` for the ``i``-th), where ``parts`` are the endpoints (pair kernel)
+    or values (point kernel) of its operands.  An operand, like an output,
+    is the index of an earlier statement or the tuple of the source text of
+    its parts."""
 
-        def ref(j) -> tuple[str, ...]:
-            if type(j) is not int:
-                return j
-            if j >= start:
-                return (f"l{j - start}", f"h{j - start}") if pair else (f"v{j - start}",)
-            k = width * slot[j]
-            return tuple(f"o[{k + m}]" for m in range(width))
+    def ref(j) -> tuple[str, ...]:
+        return _names(first + j, pair) if type(j) is int else j
 
-        lines = []
-        for i in range(start, stop):
-            template, arg, operands = stmts[i]
-            parts = [part for j in operands for part in ref(j)]
-            lines.append(" = ".join((", ".join(ref(i)), template.format(*parts, arg=arg))))
-        values = [part for i in range(start, stop) if i in slot for part in ref(i)]
-        if stop == len(stmts):
-            values += [part for j in outputs for part in ref(j)]
-        if values:
-            lines.append(f"o += ({', '.join(values)},)")
-        sources.append(head + "\n    " + "\n    ".join(lines) + "\n")
-    return sources
+    lines = [
+        " = ".join((", ".join(ref(i)), template.format(*(p for j in ops for p in ref(j)), arg=arg)))
+        for i, (template, arg, ops) in enumerate(stmts)
+    ]
+    lines.append("return " + (", ".join(p for j in outputs for p in ref(j)) or "()"))
+    return f"def kernel({params}):\n    " + "\n    ".join(lines) + "\n"
 
 
 def _reverse_statements(code, varying, n: int):
     """Statements of the reverse pass of the adjoint kernel (see
-    ``_chunk_sources``), its outputs (the enclosures, on the box, of the
+    ``_source``), its outputs (the enclosures, on the box, of the
     partial derivatives by the ``n`` variable slots) and the ops whose
     values it reads.  An operand ``-1 - j`` stands for the value of op
     ``j``, which the whole interval kernel computes on the same box.
@@ -975,97 +932,78 @@ class Program:
         value theorem holds with them in Lebourg's form.  A variable the
         expression does not contain gets exactly ``[0, 0]``.  Raises
         ``IntervalError`` where an enclosure fails."""
+        forward, reverse = self._kernel(True)
         dims, c = box.dims, self._constants
-        t: list[float] = []
-        o: list[float] = []
         try:
-            for chunk in self._kernel(True):
-                chunk(dims, c, t, t)
-            for chunk in self._kernel(True, reverse=True):
-                chunk(dims, c, t, o)
+            ends = reverse(dims, c, *forward(dims, c))
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
-        ends = o[len(o) - 2 * len(self.var_order):]
         return tuple(map(Interval, ends[::2], ends[1::2]))
 
-    def _reverse_plan(self) -> tuple:
-        """``_reverse_statements`` of the program, built once per shape."""
-        plan = self._kernels.get(_PLAN)
-        if plan is None:
-            plan = _reverse_statements(self.code, self._varying, len(self.var_order))
-            self._kernels[_PLAN] = plan
-        return plan
-
-    def _whole(self, pair: bool):
-        """The ops of the whole kernel that get a statement, their
-        statements, and the layout of its ``o``.  Besides what it needs
-        itself, the interval kernel keeps every value that the reverse pass
-        reads (see ``_reverse_plan``)."""
-        code = self.code
-        run = _statements(code, self._constants, pair)
-        keep = {len(run) - 1}
-        if pair:
-            position = {op: i for i, op in enumerate(run)}
-            keep.update(position[j] for j in self._reverse_plan()[2] if j in position)
-        stmts = _op_statements(code, run, pair)
-        return run, stmts, _layout(stmts, keep)
-
-    def _kernel(self, pair: bool, reverse: bool = False) -> tuple:
-        """Chunks of the whole point or interval kernel, or of the reverse
-        pass, which reads the values of the ops from the whole interval
-        kernel's ``o``, passed to it as ``t``; generated and compiled on
-        first use by a program of the same shape."""
+    def _kernel(self, pair: bool):
+        """The point kernel, or the interval kernel and its reverse pass;
+        generated and compiled on first use by a program of the same
+        shape."""
         kernels = self._kernels
         if kernels is None:
             nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
             kernels = _shape_kernels(self.code, nonfinite, len(self.var_order))
             self._kernels = kernels
-        key = (pair, reverse)
-        chunks = kernels.get(key)
-        if chunks is None:
-            run, stmts, slot = self._whole(pair)
-            outputs: list = []
-            if reverse:
-                t_slot = {op: slot[i] for i, op in enumerate(run) if i in slot}
-                rev, outputs, _ = self._reverse_plan()
+        kernel = kernels.get(pair)
+        if kernel is None:
+            kernel = kernels[pair] = self._generate(pair)
+        return kernel
 
-                def place(x):
-                    if type(x) is not int or x >= 0:
-                        return x
-                    j = -1 - x
-                    if self.code[j][0] in (_CONST, _LOAD):
-                        return _in_place(self.code, j, True)
-                    k = 2 * t_slot[j]
-                    return f"t[{k}]", f"t[{k + 1}]"
+    def _generate(self, pair: bool):
+        """Compile the point kernel, or the interval kernel and its reverse
+        pass.  An operand is read from the names of its op's statement, or
+        else in place, as a constant or load."""
+        code = self.code
+        run = _statements(code, self._constants, pair)
+        position = {op: i for i, op in enumerate(run)}
 
-                stmts = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
-                outputs = [place(x) for x in outputs]
-                slot = _layout(stmts, (), outputs)
-            if pair:
-                stmts = _scale_points(stmts)
-            sources = _chunk_sources(stmts, slot, pair, outputs)
-            chunks = kernels[key] = tuple(map(_compile_chunk, sources))
-        return chunks
+        def ref(j: int) -> tuple[str, ...]:
+            i = position.get(j)
+            return _names(i, pair) if i is not None else _in_place(code, j, pair)
+
+        table = _PAIR_RHS if pair else _POINT_RHS
+        stmts = [
+            (table[kind], arg, tuple(map(ref, operands)))
+            for kind, arg, operands in (code[op] for op in run)
+        ]
+        root = len(stmts) - 1
+        if not pair:
+            return _compile(_source("d, c", stmts, [root], False))
+        rev, grads, read = _reverse_statements(code, self._varying, len(self.var_order))
+        # The result's endpoints, then each other statement that the reverse
+        # pass reads; a name listed twice would be a duplicate parameter.
+        kept = [root, *sorted({position[j] for j in read if j in position} - {root})]
+
+        def place(x):
+            """A reverse-pass operand as ``_source`` takes it: op ``j``'s
+            value (``-1 - j``) is read as the interval kernel reads it."""
+            return ref(-1 - x) if type(x) is int and x < 0 else x
+
+        rev = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
+        params = ", ".join(["d", "c", *(p for i in kept for p in _names(i, True))])
+        forward = _source("d, c", _scale_points(stmts), kept, True)
+        reverse = _source(params, _scale_points(rev), map(place, grads), True, len(stmts))
+        return _compile(forward), _compile(reverse)
 
     def eval_point(self, values: Sequence[float]) -> float:
-        chunks = self._kernel(False)
-        o: list[float] = []
+        kernel = self._kernel(False)
         try:
-            for chunk in chunks:
-                chunk(values, self._constants, o)
+            return kernel(values, self._constants)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
-        return o[-1]
 
     def eval_interval(self, dims: Sequence[Interval]) -> Interval:
-        chunks = self._kernel(True)
-        o: list[float] = []
+        kernel = self._kernel(True)[0]
         try:
-            for chunk in chunks:
-                chunk(dims, self._constants, o, o)
+            ends = kernel(dims, self._constants)
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
-        return Interval(o[-2], o[-1])
+        return Interval(ends[0], ends[1])
 
     def __call__(self, box: Box) -> Interval:
         return self.eval_interval(box.dims)

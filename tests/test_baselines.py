@@ -67,13 +67,15 @@ class TestSampleMax:
         with pytest.raises(DomainError):
             sample_max(lambda p: 0.0, Box.from_bounds([("x", 0, 1)]), 5, method="sobol")
 
-    def test_corner_cap_large_dimension(self, monkeypatch):
-        import certbound.baselines as mod
-
-        monkeypatch.setattr(mod, "_CORNER_CAP", 2**6)
-        box = Box.from_bounds([(f"x{i}", 0, 1) for i in range(10)])
-        rep = sample_max(lambda p: sum(p), box, 10, method="corners")
-        assert rep.samples == 2**6  # enumeration stops at the cap
+    def test_corner_cap_large_dimension(self):
+        # ``count`` caps the enumeration, whatever the number of corners.
+        box = Box.from_bounds([(f"x{i}", 0, 1) for i in range(40)])
+        seen = []
+        rep = sample_max(lambda p: seen.append(p) or sum(p), box, 10, method="corners")
+        assert rep.samples == len(seen) == 10
+        # Mask order: corner m has x_k at its upper end where bit k of m is set.
+        assert seen[5] == (1, 0, 1) + (0,) * 37
+        assert rep.best_value == 3  # corner 7: x0, x1 and x2 at 1
 
 
 class TestUnderApproximation:

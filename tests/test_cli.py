@@ -75,11 +75,17 @@ class TestExitCodes:
         assert "unbounded enclosure" in proc.stderr
 
     @pytest.mark.parametrize(
-        "expr", ["1e200^2*x", "(1e200^2)^2", "x*1e999", "exp(1000)+x", "1/(x-x)", "x^400"]
+        "expr",
+        [
+            "1e200^2*x", "(1e200^2)^2", "x*1e999", "exp(1000)+x", "1/(x-x)", "x^400",
+            "1/sqr(1e200)", "1/(1e200*1e200) + 0*x",
+        ],
     )
     def test_overflow_and_division_end_in_one_message(self, expr):
-        # A power of a constant that no float holds is left unfolded, so it
-        # fails at evaluation like the other overflows: exit 4, one line.
+        # A constant expression that no float holds (a power, a square, a
+        # product) is left unfolded, so it fails at evaluation like the other
+        # overflows: exit 4, one line.  Folded to inf, ``1/inf`` would print
+        # a maximum of 0, below the true 1e-400.
         src = os.path.dirname(os.path.dirname(certbound.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "certbound.cli", "maximize", "--expr", expr, "--bounds", "x=[0,10]"],
@@ -192,6 +198,8 @@ class TestCommands:
             ("x=[nan,1]", "endpoints must be finite"),
             ("x=[0,inf]", "endpoints must be finite"),
             ("x=[0,abc]", "could not convert"),
+            ("x=[0,1];=[0,2]", "'' is not a variable name"),
+            ("1x=[0,1]", "'1x' is not a variable name"),
         ],
     )
     def test_maximize_invalid_bounds_are_model_errors(self, capsys, bounds, message):
@@ -376,6 +384,20 @@ class TestCommands:
         row = json.loads(out)[0]["results"][0]
         assert row["name"] == "jacobian-norm_halton"
         assert 0.0 < row["value"] <= math.sqrt(40.0) + 1e-9
+
+    @pytest.mark.parametrize("objective", ["lipschitz", "jacobian-norm"])
+    def test_baseline_honours_method_and_count(self, tmp_path, capsys, objective):
+        # Traffic s5 has more than 2**20 corners: enumeration stops at --count.
+        model = str(tmp_path / "traffic_s5.nds")
+        assert run(["make-model", "traffic", "--sections", "5", "--output", model]) == 0
+        capsys.readouterr()
+        code, out, _ = run_capture(
+            capsys,
+            ["baseline", "--objective", objective, "--method", "corners", "--count", "5",
+             "--model", model, "--no-timing"],
+        )
+        row = json.loads(out)[0]["results"][0]
+        assert (code, row["name"], row["evals"]) == (0, f"{objective}_corners", 5)
 
     def test_traffic_table_rows(self, capsys):
         code, out, _ = run_capture(

@@ -438,9 +438,18 @@ class TestSimplify:
     def test_constant_folding(self):
         assert simplify(parse("2*3 + 1")) == Const(7.0)
         assert simplify(parse("(2 + 1)^2")) == Const(9.0)
+        assert simplify(parse("abs(-1e200)")) == Const(1e200)
+        assert simplify(parse("-(1e200*1e100)")) == Const(-1e300)
 
     def test_power_without_a_float_is_not_folded(self):
         assert simplify(parse("1e200^2")) == PowInt(Const(1e200), 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["sqr(1e200)", "1e200*1e200 - 1e200*1e200", "1e308 + 1e308", "1e300/1e-300", "-(1e200*1e200)"],
+    )
+    def test_no_fold_to_a_non_finite_float(self, text):
+        assert not isinstance(simplify(parse(text)), Const)
 
     def test_no_reassociation(self):
         # conservative: does not collect like terms

@@ -25,6 +25,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_r
 # Fixture models, written with ``make-model`` into a scratch directory.
 MODELS = {
     "traffic1": ["make-model", "traffic", "--sections", "1"],
+    "traffic5": ["make-model", "traffic", "--sections", "5"],
     "moving1": ["make-model", "moving-object", "--radius", "1.0"],
     "generator": [
         "make-model", "generator",
@@ -40,6 +41,8 @@ LOOSE = ["--eps-h", "10", "--eps-om", "1e-3", "--segments", "2"]
 # Case name -> argv; "{name}" stands for the path of fixture model ``name``.
 CASES = {
     "lipschitz-case1": ["lipschitz", "--case", "1", "--model", "{traffic1}", *COARSE],
+    # The longest kernels of the cases: 243 interval and 213 reverse statements.
+    "lipschitz-case1-s5": ["lipschitz", "--case", "1", "--model", "{traffic5}"],
     "lipschitz-case2": ["lipschitz", "--case", "2", "--model", "{traffic1}", *COARSE],
     "traffic-table-case2": ["traffic-table", "--sections", "1", "--case", "2", *COARSE],
     "jacobian": ["jacobian", "--model", "{moving1}", *COARSE],

@@ -214,24 +214,13 @@ def _node_count(e: Expr) -> int:
     return 1 + sum(map(_node_count, kids))
 
 
-@pytest.fixture(params=[3, 128], ids=["chunk3", "chunk128"])
-def chunk(request, monkeypatch):
-    """Run with tiny chunks too, so every program crosses chunk boundaries.
-    The kernels are generated afresh at each chunk size and dropped after
-    the test, so no other test runs a kernel of tiny chunks."""
-    monkeypatch.setattr(expr_module, "_CHUNK", request.param)
-    expr_module._shape_kernels.cache_clear()
-    yield request.param
-    expr_module._shape_kernels.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # Differential tests
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_interval_kernel_matches_reference(seed, chunk):
+def test_interval_kernel_matches_reference(seed):
     rng = random.Random(seed)
     failures = 0
     for _ in range(150):
@@ -256,7 +245,7 @@ def test_interval_kernel_matches_reference(seed, chunk):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_point_kernel_matches_reference(seed, chunk):
+def test_point_kernel_matches_reference(seed):
     rng = random.Random(100 + seed)
     for _ in range(200):
         e = random_tree(rng, rng.randint(1, 7), [])
@@ -394,7 +383,7 @@ def _quotient(program, point, other, k):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_gradient_encloses_partials_and_difference_quotients(seed, chunk):
+def test_gradient_encloses_partials_and_difference_quotients(seed):
     # On random trees with repeated subtrees, abs and max among the ops, the
     # adjoint enclosure of each partial derivative on a box, of h and of -h,
     # meets the enclosure of the symbolic partial at points of the box where
@@ -462,15 +451,12 @@ def test_deep_sum_compiles_and_evaluates():
 # The kernel cache: one generated kernel per program shape
 # ---------------------------------------------------------------------------
 
-KINDS = [(False, False), (True, False), (True, True)]  # point, interval, reverse
-
-
-def test_programs_of_one_shape_share_compiled_chunks():
+def test_programs_of_one_shape_share_compiled_kernels():
     a = Program(parse("2*x*x + 1"), X)
     b = Program(parse("3*x*x + 5"), X)
     assert a.code == b.code
-    for pair, reverse in KINDS:
-        assert a._kernel(pair, reverse) is b._kernel(pair, reverse)
+    for pair in (False, True):
+        assert a._kernel(pair) is b._kernel(pair)
     assert a.eval_interval([Interval(1.0, 1.0)]) != b.eval_interval([Interval(1.0, 1.0)])
     assert a.eval_point([1.0]) == 3.0 and b.eval_point([1.0]) == 8.0
 
@@ -488,8 +474,8 @@ def test_a_nonfinite_constant_makes_another_shape(finite_first):
     results = {id(program): outcome(program, box) for program in first}
     assert results[id(infinite)] == (IntervalError, "non-finite endpoint in [inf, inf]")
     assert results[id(finite)] == outcome(ref_interval, finite.expr, box)
-    for pair, reverse in KINDS:
-        assert finite._kernel(pair, reverse) is not infinite._kernel(pair, reverse)
+    for pair in (False, True):
+        assert finite._kernel(pair) is not infinite._kernel(pair)
 
 
 def test_an_extra_variable_slot_makes_another_shape():
@@ -506,36 +492,80 @@ def test_an_extra_variable_slot_makes_another_shape():
     assert len(short.gradient(_box(1.0, 2.0))) == 1
 
 
+def _count_compiles(monkeypatch) -> list[str]:
+    """The sources that ``expr`` compiles from now on, in order."""
+    compiled: list[str] = []
+    compile_source = expr_module._compile
+    monkeypatch.setattr(
+        expr_module, "_compile", lambda source: compiled.append(source) or compile_source(source)
+    )
+    return compiled
+
+
+def test_each_kernel_is_one_function(monkeypatch):
+    # The case-1 objective of traffic s5 (461 ops) has the longest kernels of
+    # the benchmark: 243 interval and 213 reverse statements.
+    from certbound.bnb import BnBConfig
+    from certbound.models import TrafficConfig, build_traffic
+    from certbound.params import lipschitz_case1
+
+    model, _ = build_traffic(TrafficConfig(sections=5))
+    expr_module._shape_kernels.cache_clear()
+    compiled = _count_compiles(monkeypatch)
+    lipschitz_case1(model, BnBConfig())
+    assert sorted(source.count("\n") for source in compiled) == [215, 245, 245]
+
+
+ONE = Interval(1.0, 1.0)
+ZERO = Interval(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "text, reference",
+    [
+        # The reverse pass reads the result's own value: the interval kernel
+        # returns it once, and the reverse pass takes it as one parameter.
+        ("exp(x)", lambda x, y: (x.exp(), ZERO)),
+        ("sqrt(x)", lambda x, y: (ONE / (Interval(2.0, 2.0) * x.sqrt()), ZERO)),
+        ("x/y", lambda x, y: (ONE / y, -((x / y) / y))),
+        # No statement of the reverse pass: its outputs are source text.
+        ("x", lambda x, y: (ONE, ZERO)),
+        ("2.5", lambda x, y: (ZERO, ZERO)),
+    ],
+)
+def test_gradient_hand_off_matches_reference(text, reference):
+    expr_module._shape_kernels.cache_clear()
+    program = Program(parse(text), ("x", "y"))
+    forward, _ = program._kernel(True)
+    for x, y in [((0.5, 2.0), (1.0, 3.0)), ((1.0, 1.0), (-4.0, -0.25)), ((0.25, 9.0), (2.0, 2.0))]:
+        box = Box.from_bounds([("x", *x), ("y", *y)])
+        assert len(forward(box.dims, program._constants)) == 2  # no value besides the result
+        expected = reference(*box.dims)
+        assert list(map(repr, program.gradient(box))) == list(map(repr, expected)), box
+
+
 def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
     from certbound.cli import run
 
-    compiled = []
-    compile_chunk = expr_module._compile_chunk
-    monkeypatch.setattr(
-        expr_module, "_compile_chunk", lambda source: compiled.append(source) or compile_chunk(source)
-    )
+    compiled = _count_compiles(monkeypatch)
     model = str(tmp_path / "traffic_s5.nds")
     assert run(["make-model", "traffic", "--sections", "5", "--output", model]) == 0
     for job in (["jacobian"], ["qb"], ["lipschitz", "--case", "2"]):
         expr_module._shape_kernels.cache_clear()
-        printed, chunks = [], []
+        printed, counts = [], []
         for _ in ("cold", "warm"):
             assert run([*job, "--model", model, "--format", "json", "--no-timing"]) == 0
             printed.append(capsys.readouterr().out)
-            chunks.append(len(compiled))
+            counts.append(len(compiled))
         assert printed[0] == printed[1] and printed[0].startswith("[")
-        assert chunks[0] > 0 and chunks[1] == chunks[0]  # the warm run compiles nothing
+        assert counts[0] > 0 and counts[1] == counts[0]  # the warm run compiles nothing
         compiled.clear()
 
 
 def _pair_calls(program: Program, reverse: bool) -> set[str]:
     """The ``pair_*`` functions that the interval kernel (or its reverse pass) calls."""
-    return {
-        name
-        for chunk in program._kernel(True, reverse)
-        for name in chunk.__code__.co_names
-        if name.startswith("pair_")
-    }
+    kernel = program._kernel(True)[reverse]
+    return {name for name in kernel.__code__.co_names if name.startswith("pair_")}
 
 
 @pytest.mark.parametrize(
