@@ -86,50 +86,14 @@ def _corner_points(box: Box, count: int) -> Iterator[tuple[float, ...]]:
         )
 
 
-def _pattern_search(
-    h: PointFn, box: Box, start: Sequence[float], budget: int
-) -> tuple[float, tuple[float, ...], int]:
-    """Derivative-free coordinate descent (ascent): probe +-step along each
-    axis, halve the step on failure."""
-    point = list(start)
-    best = h(point)
-    used = 1
-    steps = [max(iv.width, 0.0) / 4.0 for iv in box.dims]
-    while used < budget and any(s > 1e-12 for s in steps):
-        improved = False
-        for k, iv in enumerate(box.dims):
-            if steps[k] <= 0.0:
-                continue
-            for direction in (1.0, -1.0):
-                if used >= budget:
-                    break
-                trial = point[k] + direction * steps[k]
-                trial = min(max(trial, iv.lo), iv.hi)
-                if trial == point[k]:
-                    continue
-                candidate = point[:]
-                candidate[k] = trial
-                value = h(candidate)
-                used += 1
-                if value > best:
-                    best = value
-                    point = candidate
-                    improved = True
-                    break
-        if not improved:
-            steps = [s * 0.5 for s in steps]
-    return best, tuple(point), used
-
-
 def sample_max(
     h: PointFn, domain: Box, count: int, method: str = "halton"
 ) -> SampleReport:
     """Best objective value over a deterministic point set.
 
-    Methods: ``halton`` (quasi-random), ``corners`` (the first ``count``
-    vertices, see ``_corner_points``), ``midpoint`` (the box center),
-    ``multistart_local`` (pattern search from 32 quasi-random starts,
-    ``count // 32`` evaluations each, at least one).
+    Methods: ``halton`` (the first ``count`` points of the quasi-random
+    sequence) and ``corners`` (the first ``count`` vertices, see
+    ``_corner_points``).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -137,20 +101,6 @@ def sample_max(
         points = halton_points_in_box(domain, count)
     elif method == "corners":
         points = _corner_points(domain, count)
-    elif method == "midpoint":
-        points = iter([domain.midpoint()])
-    elif method == "multistart_local":
-        starts = list(halton_points_in_box(domain, 32))
-        per_start = max(1, count // len(starts))
-        best = -math.inf
-        best_point: tuple[float, ...] = domain.midpoint()
-        used_total = 0
-        for start in starts:
-            value, point, used = _pattern_search(h, domain, start, per_start)
-            used_total += used
-            if value > best:
-                best, best_point = value, point
-        return SampleReport(best, best_point, used_total, method)
     else:
         raise DomainError(f"unknown sampling method {method!r}")
     best = -math.inf

@@ -1,17 +1,18 @@
 """Interval branch-and-bound for global maximization.
 
-Given a point objective ``h`` and a sound interval extension ``hI`` of it,
-the search maintains a cover: a set of boxes with pairwise disjoint
+Given a point objective ``h`` and a sound interval extension ``hI`` of it
+(a function from a list of ``(lo, hi)`` pairs, one per dimension, to a
+pair), the search maintains a cover: a set of boxes with pairwise disjoint
 interiors whose union still contains a maximizer.  Each box caches
 lower/upper bounds from exactly one refined interval evaluation; where that
 evaluation fails (a divisor or square-root argument enclosure that crosses
 its domain's edge, a non-finite endpoint, or an overflow), the box keeps its
 parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
-``hI`` also encloses the gradient (``hI.gradient(box)``), each box is first
-collapsed to the face where its maximum lies along every dimension of fixed
-derivative sign, and its bounds are tightened by the centred form (see
-``_first_order``).  The search tightens the sandwich ``l <= h* <= u`` in
-three phases:
+``hI`` also encloses the gradient (``hI.gradient(dims)``, a tuple of
+pairs), each box is first collapsed to the face where its maximum lies
+along every dimension of fixed derivative sign, and its bounds are
+tightened by the centred form (see ``_first_order``).  The search tightens
+the sandwich ``l <= h* <= u`` in three phases:
 
 1. repeatedly bisect the box with the greatest upper bound (drives u down),
 2. once that box is no longer splittable, bisect splittable boxes with the
@@ -37,8 +38,8 @@ from .errors import CertboundError, EvaluationError, IntervalError
 from .intervals import Box, Frozen, Interval, pair_add, pair_mul, pair_sub, refined_eval
 
 PointFn = Callable[[Sequence[float]], float]
-IntervalFn = Callable[[Box], Interval]
-GradientFn = Callable[[Box], Sequence[Interval]]
+IntervalFn = Callable[[Sequence[tuple[float, float]]], tuple[float, float]]
+GradientFn = Callable[[Sequence[tuple[float, float]]], Sequence[tuple[float, float]]]
 
 _INF_SENTINEL = float("inf")
 
@@ -208,8 +209,9 @@ def _first_order(
     hI: IntervalFn, gradient: GradientFn, box: Box
 ) -> tuple[Box, float, float]:
     """First-order reduction of ``box`` for maximization, from the
-    enclosures ``G_k = gradient(box)[k]`` of the partial derivatives on it
-    (of Clarke's generalized gradient where h has kinks).
+    enclosures ``G_k`` of the partial derivatives on it (of Clarke's
+    generalized gradient where h has kinks), which ``gradient`` gives as
+    pairs.
 
     Monotonicity test (Hansen & Walster 2004): where ``G_k >= 0`` the
     maximum of h over the box is reached on the face ``x_k = hi``, where
@@ -221,29 +223,26 @@ def _first_order(
 
     Returns the face and that centred enclosure of h on it.  Raises
     ``IntervalError`` when the gradient or the centre does not enclose."""
-    grads = gradient(box)
+    grads = gradient([(iv.lo, iv.hi) for iv in box.dims])
     dims = list(box.dims)
-    for k, g in enumerate(grads):
-        if g.lo >= 0.0:
+    for k, (gl, gh) in enumerate(grads):
+        if gl >= 0.0:
             dims[k] = Interval(dims[k].hi, dims[k].hi)
-        elif g.hi <= 0.0:
+        elif gh <= 0.0:
             dims[k] = Interval(dims[k].lo, dims[k].lo)
     face = Box(tuple(dims), box.labels)
     centre = face.midpoint()
-    mid = hI(Box(tuple(Interval(c, c) for c in centre), box.labels))
-    lo, hi = mid.lo, mid.hi
+    bound = hI([(c, c) for c in centre])
     for g, iv, c in zip(grads, dims, centre):
         if iv.lo < iv.hi:
-            dl, dh = pair_sub(iv.lo, iv.hi, c, c)
-            tl, th = pair_mul(g.lo, g.hi, dl, dh)
-            lo, hi = pair_add(lo, hi, tl, th)
-    return face, lo, hi
+            bound = pair_add(bound, pair_mul(g, pair_sub((iv.lo, iv.hi), (c, c))))
+    return face, bound[0], bound[1]
 
 
 class _Bounder:
     """Evaluates cached subproblem bounds; counts evaluations.
 
-    Where ``hI`` has a ``gradient(box)`` (a compiled ``expr.Program``
+    Where ``hI`` has a ``gradient(dims)`` (a compiled ``expr.Program``
     has), each box is first reduced by ``_first_order``: the subproblem
     keeps the face instead of the box, and its bounds are the natural
     enclosure on the face intersected with the centred form.  A gradient or
@@ -419,10 +418,11 @@ class _Negated:
         self.hI = hI
         gradient = getattr(hI, "gradient", None)
         if gradient is not None:
-            self.gradient = lambda box: tuple(-g for g in gradient(box))
+            self.gradient = lambda dims: tuple((-gh, -gl) for gl, gh in gradient(dims))
 
-    def __call__(self, box: Box) -> Interval:
-        return -self.hI(box)
+    def __call__(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
+        lo, hi = self.hI(dims)
+        return -hi, -lo
 
 
 def minimize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResult:

@@ -87,11 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("baseline", help="point-sampled under-approximations")
-    p.add_argument(
-        "--method",
-        choices=("halton", "corners", "midpoint", "multistart_local"),
-        default="halton",
-    )
+    p.add_argument("--method", choices=("halton", "corners"), default="halton")
     p.add_argument("--count", type=int, default=10000)
     p.add_argument(
         "--objective", choices=("lipschitz", "jacobian-norm"), default="lipschitz"

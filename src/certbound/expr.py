@@ -30,7 +30,7 @@ from .errors import (
     UnboundVariable,
 )
 from . import intervals
-from .intervals import Box, Frozen, Interval
+from .intervals import Frozen
 
 # ---------------------------------------------------------------------------
 # AST
@@ -568,10 +568,10 @@ def to_text(e: Expr) -> str:
 # A Program numbers the values of the tree into ops in postfix order (see
 # ``_postfix``) and generates straight-line Python from them: one statement
 # per op, with constants and variables read in place by the ops that use
-# them.  The interval kernel works on float endpoint pairs and calls the
-# ``pair_*`` functions of ``intervals`` (``l2, h2 = pair_mul(l0, h0, l1,
-# h1)``); the point kernel uses plain float arithmetic.  Each kernel is one
-# compiled function.
+# them.  The interval kernel works on ``(lo, hi)`` pairs and calls the
+# ``pair_*`` functions of ``intervals`` (``v2 = pair_mul(v0, v1)``); the
+# point kernel uses plain float arithmetic.  Each statement binds one name,
+# and each kernel is one compiled function.
 #
 # Kernels are cached by program shape (see ``_shape_kernels``): the ops,
 # the constants that are not finite and the number of variable slots.
@@ -583,37 +583,35 @@ def to_text(e: Expr) -> str:
 # one forward and one reverse pass over the ops (Griewank & Walther,
 # *Evaluating Derivatives*, 2008), so its cost is that of a few evaluations
 # whatever the number of variables.  The forward pass is the whole interval
-# kernel, which returns the result's endpoints followed by the values that
-# the reverse pass (``_reverse_statements``) reads; the reverse pass takes
-# them as parameters under the same local names.
+# kernel, which returns the result followed by the values that the reverse
+# pass (``_reverse_statements``) reads; the reverse pass takes them as
+# parameters under the same local names.
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
 # Operands given as source text: the adjoints known to be exactly 1 or -1,
 # and an exact zero.
-_ONE, _MINUS_ONE, _ZERO_PAIR = ("1.0", "1.0"), ("-1.0", "-1.0"), ("0.0", "0.0")
+_ONE, _MINUS_ONE, _ZERO_PAIR = "(1.0, 1.0)", "(-1.0, -1.0)", "(0.0, 0.0)"
 
-# Right-hand side of each op's statement; ``{0}``... are the operands'
-# endpoints (pair kernel) or values (point kernel), ``{arg}`` the op's
-# argument.  ``pair_point`` rejects a non-finite constant.
+# Right-hand side of each op's statement; ``{0}``, ``{1}`` are the
+# operands' pairs (pair kernel) or values (point kernel), ``{arg}`` the
+# op's argument.  ``pair_point`` rejects a non-finite constant.
 _PAIR_RHS = {
     _CONST: "pair_point(c[{arg}])",
-    _LOAD: "d[{arg}].lo, d[{arg}].hi",
-    NEG: "-{1}, -{0}",
-    ADD: "pair_add({0}, {1}, {2}, {3})",
-    SUB: "pair_sub({0}, {1}, {2}, {3})",
-    MUL: "pair_mul({0}, {1}, {2}, {3})",
-    DIV: "pair_div({0}, {1}, {2}, {3})",
-    MAX: "pair_max({0}, {1}, {2}, {3})",
-    ABS: "pair_abs({0}, {1})",
-    SQR: "pair_sqr({0}, {1})",
-    SQRT: "pair_sqrt({0}, {1})",
-    EXP: "pair_exp({0}, {1})",
-    SIN: "pair_sin({0}, {1})",
-    COS: "pair_cos({0}, {1})",
-    _POW: "pair_pow({0}, {1}, {arg})",
+    _LOAD: "d[{arg}]",
+    NEG: "(-{0}[1], -{0}[0])",
+    ADD: "pair_add({0}, {1})",
+    SUB: "pair_sub({0}, {1})",
+    MUL: "pair_mul({0}, {1})",
+    DIV: "pair_div({0}, {1})",
+    MAX: "pair_max({0}, {1})",
+    ABS: "pair_abs({0})",
+    SQR: "pair_sqr({0})",
+    SQRT: "pair_sqrt({0})",
+    EXP: "pair_exp({0})",
+    SIN: "pair_sin({0})",
+    COS: "pair_cos({0})",
+    _POW: "pair_pow({0}, {arg})",
 }
-# ``pair_mul`` with the point operand first or second, as ``pair_scale``.
-_SCALE_RHS = ("pair_scale({0}, {2}, {3})", "pair_scale({2}, {0}, {1})")
 _POINT_RHS = {
     _CONST: "c[{arg}]",
     _LOAD: "d[{arg}]",
@@ -741,55 +739,40 @@ def _statements(code, constants, pair: bool) -> list[int]:
     ]
 
 
-def _in_place(code, j: int, pair: bool) -> tuple[str, ...]:
-    """Source text of the value of constant or load ``j``."""
-    kind, arg, _ = code[j]
-    if kind == _CONST:
-        return (f"c[{arg}]",) * (2 if pair else 1)
-    return (f"d[{arg}].lo", f"d[{arg}].hi") if pair else (f"d[{arg}]",)
-
-
 def _scale_points(stmts) -> list:
-    """``stmts`` of the interval kernel, with each ``pair_mul`` by a point
-    read in place (both parts the same text: a constant, which is finite)
-    as ``pair_scale``, which gives the same bits from two products instead
+    """``stmts`` of the interval kernel, with each ``pair_mul`` by a
+    constant read in place (``p[k]``, which is finite) as ``pair_scale`` of
+    its value ``c[k]``, which gives the same bits from two products instead
     of four."""
     scaled = []
     for stmt in stmts:
         template, arg, operands = stmt
         if template == _PAIR_RHS[MUL]:
             for side, x in enumerate(operands):
-                if type(x) is tuple and x[0] == x[1]:
-                    stmt = (_SCALE_RHS[side], arg, operands)
+                if type(x) is str and x.startswith("p["):
+                    stmt = ("pair_scale({0}, {1})", arg, ("c" + x[1:], operands[1 - side]))
                     break
         scaled.append(stmt)
     return scaled
 
 
-def _names(i: int, pair: bool) -> tuple[str, ...]:
-    """The local names of statement ``i``'s value."""
-    return (f"l{i}", f"h{i}") if pair else (f"v{i}",)
-
-
-def _source(params: str, stmts, outputs, pair: bool, first: int = 0) -> str:
+def _source(params: str, stmts, outputs, first: int = 0) -> str:
     """Source of ``def kernel(params)``, which runs ``stmts`` and returns
-    the parts of ``outputs``.
+    the tuple of ``outputs``.
 
     A statement ``(template, arg, operands)`` assigns
-    ``template.format(*parts, arg=arg)`` to its names (``_names(first +
-    i)`` for the ``i``-th), where ``parts`` are the endpoints (pair kernel)
-    or values (point kernel) of its operands.  An operand, like an output,
-    is the index of an earlier statement or the tuple of the source text of
-    its parts."""
+    ``template.format(*operands, arg=arg)`` to its name (``v{first + i}``
+    for the ``i``-th).  An operand, like an output, is the index of an
+    earlier statement or source text."""
 
-    def ref(j) -> tuple[str, ...]:
-        return _names(first + j, pair) if type(j) is int else j
+    def ref(j) -> str:
+        return f"v{first + j}" if type(j) is int else j
 
     lines = [
-        " = ".join((", ".join(ref(i)), template.format(*(p for j in ops for p in ref(j)), arg=arg)))
+        f"v{first + i} = " + template.format(*map(ref, ops), arg=arg)
         for i, (template, arg, ops) in enumerate(stmts)
     ]
-    lines.append("return " + (", ".join(p for j in outputs for p in ref(j)) or "()"))
+    lines.append("return (" + "".join(ref(j) + ", " for j in outputs) + ")")
     return f"def kernel({params}):\n    " + "\n    ".join(lines) + "\n"
 
 
@@ -841,7 +824,7 @@ def _reverse_statements(code, varying, n: int):
         return emit(_PAIR_RHS[MUL], x, y)
 
     def scaled(k: float, x):
-        return emit("pair_scale({arg}, {0}, {1})", x, arg=k)
+        return emit("pair_scale({arg}, {0})", x, arg=k)
 
     ops = {op: i for i, op in enumerate(code)}
 
@@ -876,7 +859,7 @@ def _reverse_statements(code, varying, n: int):
             if varying[b]:
                 send(b, neg(emit(_PAIR_RHS[DIV], times(g, value(i)), value(b))))
         elif kind == MAX:
-            share = "pair_max_adjoint({0}, {1}, {2}, {3}, {4}, {5})"
+            share = "pair_max_adjoint({0}, {1}, {2})"
             if varying[a]:
                 send(a, emit(share, value(a), value(b), g))
             if varying[b]:
@@ -896,7 +879,7 @@ def _reverse_statements(code, varying, n: int):
         elif kind == COS:
             send(a, neg(times(g, apply(SIN, a))))
         elif kind == ABS:
-            send(a, emit("pair_abs_adjoint({0}, {1}, {2}, {3})", value(a), g))
+            send(a, emit("pair_abs_adjoint({0}, {1})", value(a), g))
     loads = {arg: i for i, (kind, arg, _) in enumerate(code) if kind == _LOAD}
     return rev, [adjoint.get(loads.get(k), _ZERO_PAIR) for k in range(n)], read
 
@@ -906,13 +889,14 @@ class Program:
     interval evaluation.
 
     ``code`` holds the numbered ops in postfix order (see ``_postfix``).
-    Calling the program on a box gives its enclosure there, so a program is
+    Calling the program on a list of ``(lo, hi)`` pairs, one per variable
+    of ``var_order``, gives its enclosure there as a pair, so a program is
     itself an interval function for ``intervals.refined_eval``.
-    ``gradient(box)`` encloses the partial derivatives on a box, from which
+    ``gradient(dims)`` encloses the partial derivatives there, from which
     the branch-and-bound takes first-order bounds.
     """
 
-    __slots__ = ("code", "var_order", "expr", "_constants", "_varying", "_kernels")
+    __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_varying", "_kernels")
 
     def __init__(self, expr: Expr, var_order: Sequence[str]):
         slots = {name: i for i, name in enumerate(var_order)}
@@ -920,25 +904,25 @@ class Program:
         if missing:
             raise UnboundVariable(f"unbound variables: {sorted(missing)}")
         self.code, self._constants, self._varying = _postfix(expr, slots)
+        self._pairs = tuple((x, x) for x in self._constants)
         self.var_order = tuple(var_order)
         self.expr = expr
         self._kernels: dict | None = None  # its shape's, from ``_shape_kernels``
 
-    def gradient(self, box: Box) -> tuple[Interval, ...]:
-        """Enclosures of the partial derivatives on ``box``, one per
-        variable of ``var_order``, from one pass of the adjoint kernel: the
-        whole interval kernel, then the reverse pass.  At a kink of ``abs``
-        or ``max`` they enclose Clarke's generalized gradient, so the mean
-        value theorem holds with them in Lebourg's form.  A variable the
-        expression does not contain gets exactly ``[0, 0]``.  Raises
-        ``IntervalError`` where an enclosure fails."""
+    def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+        """Enclosures of the partial derivatives on the box ``dims`` (pairs),
+        one pair per variable of ``var_order``, from one pass of the adjoint
+        kernel: the whole interval kernel, then the reverse pass.  At a kink
+        of ``abs`` or ``max`` they enclose Clarke's generalized gradient, so
+        the mean value theorem holds with them in Lebourg's form.  A
+        variable the expression does not contain gets exactly ``(0.0,
+        0.0)``.  Raises ``IntervalError`` where an enclosure fails."""
         forward, reverse = self._kernel(True)
-        dims, c = box.dims, self._constants
+        c, p = self._constants, self._pairs
         try:
-            ends = reverse(dims, c, *forward(dims, c))
+            return reverse(dims, c, p, *forward(dims, c, p))
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
-        return tuple(map(Interval, ends[::2], ends[1::2]))
 
     def _kernel(self, pair: bool):
         """The point kernel, or the interval kernel and its reverse pass;
@@ -955,16 +939,21 @@ class Program:
         return kernel
 
     def _generate(self, pair: bool):
-        """Compile the point kernel, or the interval kernel and its reverse
-        pass.  An operand is read from the names of its op's statement, or
-        else in place, as a constant or load."""
+        """Compile the point kernel ``kernel(d, c)``, or the interval kernel
+        ``kernel(d, c, p)`` and its reverse pass: ``d`` holds the variables'
+        values or pairs, ``c`` the constants and ``p`` their pairs.  An
+        operand is read from the name of its op's statement, or else in
+        place: a load from ``d``, a constant from ``p`` or ``c``."""
         code = self.code
         run = _statements(code, self._constants, pair)
         position = {op: i for i, op in enumerate(run)}
 
-        def ref(j: int) -> tuple[str, ...]:
+        def ref(j: int) -> str:
             i = position.get(j)
-            return _names(i, pair) if i is not None else _in_place(code, j, pair)
+            if i is not None:
+                return f"v{i}"
+            kind, arg, _ = code[j]
+            return f"d[{arg}]" if kind == _LOAD else f"p[{arg}]" if pair else f"c[{arg}]"
 
         table = _PAIR_RHS if pair else _POINT_RHS
         stmts = [
@@ -973,10 +962,10 @@ class Program:
         ]
         root = len(stmts) - 1
         if not pair:
-            return _compile(_source("d, c", stmts, [root], False))
+            return _compile(_source("d, c", stmts, [root]))
         rev, grads, read = _reverse_statements(code, self._varying, len(self.var_order))
-        # The result's endpoints, then each other statement that the reverse
-        # pass reads; a name listed twice would be a duplicate parameter.
+        # The result, then each other statement that the reverse pass reads;
+        # a name listed twice would be a duplicate parameter.
         kept = [root, *sorted({position[j] for j in read if j in position} - {root})]
 
         def place(x):
@@ -985,28 +974,27 @@ class Program:
             return ref(-1 - x) if type(x) is int and x < 0 else x
 
         rev = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
-        params = ", ".join(["d", "c", *(p for i in kept for p in _names(i, True))])
-        forward = _source("d, c", _scale_points(stmts), kept, True)
-        reverse = _source(params, _scale_points(rev), map(place, grads), True, len(stmts))
+        params = ", ".join(["d, c, p", *(f"v{i}" for i in kept)])
+        forward = _source("d, c, p", _scale_points(stmts), kept)
+        reverse = _source(params, _scale_points(rev), map(place, grads), len(stmts))
         return _compile(forward), _compile(reverse)
 
     def eval_point(self, values: Sequence[float]) -> float:
         kernel = self._kernel(False)
         try:
-            return kernel(values, self._constants)
+            return kernel(values, self._constants)[0]
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
 
-    def eval_interval(self, dims: Sequence[Interval]) -> Interval:
+    def eval_interval(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
         kernel = self._kernel(True)[0]
         try:
-            ends = kernel(dims, self._constants)
+            return kernel(dims, self._constants, self._pairs)[0]
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
-        return Interval(ends[0], ends[1])
 
-    def __call__(self, box: Box) -> Interval:
-        return self.eval_interval(box.dims)
+    def __call__(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
+        return self.eval_interval(dims)
 
 
 def eval_real(e: Expr, point: Mapping[str, float]) -> float:

@@ -17,7 +17,7 @@ The scalar helpers ``fraction_up``/``fraction_down`` and
 ``sqrt_up``/``sqrt_down`` round a single exact value to the safe side; the
 assembly of certified constants (square roots, weighted sums) uses them.
 
-Every operation is defined once, on plain float endpoint pairs (the
+Every operation is defined once, on ``(lo, hi)`` tuples of floats (the
 ``pair_*`` functions); the :class:`Interval` methods wrap them, and the
 compiled kernels of ``expr.Program`` call them directly.  ``pair_scale`` is
 the one specialised product: ``pair_mul`` by a finite point, bit for bit,
@@ -37,8 +37,8 @@ functions are total.
 
 A :class:`Box` is a product of intervals, one per named variable; it is the
 search-space object bisected by the optimizer.  ``refined_eval`` sharpens an
-interval objective by slicing the widest dimension into equal slabs,
-evaluating the objective on each slab and hulling the slab enclosures.
+interval function (a list of pairs in, one per dimension; a pair out) by
+slicing the widest dimension into equal slabs and hulling their enclosures.
 """
 
 from __future__ import annotations
@@ -75,11 +75,12 @@ PI_HI = _up(math.pi)
 # Float-pair operations
 # ---------------------------------------------------------------------------
 #
-# Each ``pair_*`` function takes and returns interval endpoints as plain
-# floats.  They are the one definition of every operation's rounding: the
-# ``Interval`` methods below and the compiled kernels of ``expr.Program``
-# both call them.  A result that ``Interval(lo, hi)`` would reject raises
-# the same ``IntervalError`` here.  The hottest ones call ``math.nextafter``
+# Each ``pair_*`` function takes and returns intervals as ``(lo, hi)``
+# tuples of floats (a scalar factor or exponent as a plain number).  They
+# are the one definition of every operation's rounding: the ``Interval``
+# methods below and the compiled kernels of ``expr.Program`` both call
+# them.  A result that ``Interval(lo, hi)`` would reject raises the same
+# ``IntervalError`` here.  The hottest ones call ``math.nextafter``
 # directly instead of through ``_down``/``_up``, and test a float operand
 # for an exact zero by its truth value (``0.0`` and ``-0.0`` are false).
 
@@ -97,7 +98,8 @@ def pair_point(x: float) -> tuple[float, float]:
     raise _invalid(x, x)
 
 
-def pair_add(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+def pair_add(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    (al, ah), (bl, bh) = a, b
     lo = al + bl
     if al and bl:
         lo = _nextafter(lo, -_INF)
@@ -109,7 +111,8 @@ def pair_add(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_sub(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+def pair_sub(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    (al, ah), (bl, bh) = a, b
     lo = al - bh
     if al and bh:
         lo = _nextafter(lo, -_INF)
@@ -121,7 +124,8 @@ def pair_sub(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+def pair_mul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    (al, ah), (bl, bh) = a, b
     p1 = al * bl
     p2 = al * bh
     p3 = ah * bl
@@ -158,9 +162,10 @@ def pair_mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_scale(k: float, lo: float, hi: float) -> tuple[float, float]:
-    """``pair_mul(k, k, lo, hi)`` for a finite point ``k``, bit for bit, from
+def pair_scale(k: float, a: tuple[float, float]) -> tuple[float, float]:
+    """``pair_mul((k, k), a)`` for a finite point ``k``, bit for bit, from
     two products instead of four (the other two repeat them)."""
+    lo, hi = a
     p1 = k * lo
     p2 = k * hi
     if p2 < p1:
@@ -182,7 +187,8 @@ def pair_scale(k: float, lo: float, hi: float) -> tuple[float, float]:
     raise _invalid(rlo, rhi)
 
 
-def pair_div(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+def pair_div(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    (al, ah), (bl, bh) = a, b
     if bl <= 0.0 <= bh:
         raise DivisionByZeroInterval(f"divisor [{bl!r}, {bh!r}] contains zero")
     q1 = al / bl
@@ -210,15 +216,16 @@ def pair_div(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_sqr(lo: float, hi: float) -> tuple[float, float]:
-    a, b = abs(lo), abs(hi)
-    if a > b:
-        a, b = b, a
-    rhi = _nextafter(b * b, _INF) if b else 0.0
+def pair_sqr(a: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = a
+    x, y = abs(lo), abs(hi)
+    if x > y:
+        x, y = y, x
+    rhi = _nextafter(y * y, _INF) if y else 0.0
     if lo <= 0.0 <= hi:
         rlo = 0.0
     else:
-        rlo = _nextafter(a * a, -_INF)
+        rlo = _nextafter(x * x, -_INF)
         if not rlo > 0.0:
             rlo = 0.0
     if -_INF < rlo <= rhi < _INF:
@@ -226,80 +233,82 @@ def pair_sqr(lo: float, hi: float) -> tuple[float, float]:
     raise _invalid(rlo, rhi)
 
 
-def pair_abs(lo: float, hi: float) -> tuple[float, float]:
+def pair_abs(a: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = a
     if lo <= 0.0 <= hi:
         return 0.0, max(-lo, hi)
     if hi < 0.0:
         return -hi, -lo
-    return lo, hi
+    return a
 
 
-def pair_max(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+def pair_max(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
     """Pointwise maximum; exact, so no rounding."""
-    return max(al, bl), max(ah, bh)
+    return max(a[0], b[0]), max(a[1], b[1])
 
 
-def pair_abs_adjoint(al: float, ah: float, gl: float, gh: float) -> tuple[float, float]:
-    """The adjoint ``G`` of ``|a|`` times the derivative of ``|.|`` at
-    ``a``, on a box where ``a`` lies in ``[al, ah]``: ``G`` where ``a >= 0``
-    (``|a| = a`` on the whole box), ``-G`` where ``a <= 0``, and else
-    ``G*[-1, 1]``, which encloses Clarke's generalized gradient ``[-1, 1]``
+def pair_abs_adjoint(a: tuple[float, float], g: tuple[float, float]) -> tuple[float, float]:
+    """The adjoint ``g`` of ``|x|`` times the derivative of ``|.|`` at
+    ``x``, on a box where ``x`` lies in ``a``: ``g`` where ``x >= 0``
+    (``|x| = x`` on the whole box), ``-g`` where ``x <= 0``, and else
+    ``g*[-1, 1]``, which encloses Clarke's generalized gradient ``[-1, 1]``
     of ``|.|`` at 0.  Exact, so no rounding."""
-    if al >= 0.0:
-        return gl, gh
-    if ah <= 0.0:
-        return -gh, -gl
-    m = max(-gl, gh)
+    if a[0] >= 0.0:
+        return g
+    if a[1] <= 0.0:
+        return -g[1], -g[0]
+    m = max(-g[0], g[1])
     return -m, m
 
 
 def pair_max_adjoint(
-    al: float, ah: float, bl: float, bh: float, gl: float, gh: float
+    a: tuple[float, float], b: tuple[float, float], g: tuple[float, float]
 ) -> tuple[float, float]:
-    """The share of the adjoint ``G`` of ``max(a, b)`` that goes to ``a``,
-    on a box where ``a`` lies in ``[al, ah]`` and ``b`` in ``[bl, bh]``:
-    all of it where ``a >= b`` (``max(a, b) = a`` on the whole box), none
-    where ``b >= a``, and else ``G*[0, 1]``.  With the same rule for ``b``
-    (operands swapped) the shares enclose Clarke's generalized gradient,
-    the hull of the gradients of ``a`` and ``b``.  Where ``a`` and ``b``
-    are one point, both get ``G*[0, 1]``.  Exact, so no rounding."""
-    if al >= bh and ah > bl:
-        return gl, gh
-    if bl >= ah and bh > al:
+    """The share of the adjoint ``g`` of ``max(x, y)`` that goes to ``x``,
+    on a box where ``x`` lies in ``a`` and ``y`` in ``b``: all of it where
+    ``x >= y`` (``max(x, y) = x`` on the whole box), none where ``y >= x``,
+    and else ``g*[0, 1]``.  With the same rule for ``y`` (operands swapped)
+    the shares enclose Clarke's generalized gradient, the hull of the
+    gradients of ``x`` and ``y``.  Where ``x`` and ``y`` are one point, both
+    get ``g*[0, 1]``.  Exact, so no rounding."""
+    if a[0] >= b[1] and a[1] > b[0]:
+        return g
+    if b[0] >= a[1] and b[1] > a[0]:
         return 0.0, 0.0
-    return min(gl, 0.0), max(gh, 0.0)
+    return min(g[0], 0.0), max(g[1], 0.0)
 
 
-def pair_pow(lo: float, hi: float, k: int) -> tuple[float, float]:
+def pair_pow(a: tuple[float, float], k: int) -> tuple[float, float]:
     """Integer power ``k >= 1``; ``OverflowError`` propagates from ``**``."""
     if k == 1:
-        return lo, hi
+        return a
     if k == 2:
-        return pair_sqr(lo, hi)
+        return pair_sqr(a)
+    lo, hi = a
     if k % 2 == 1:
         rlo = _down(_down(lo**k))
         rhi = _up(_up(hi**k))
     else:
-        a, b = abs(lo), abs(hi)
-        if a > b:
-            a, b = b, a
-        rhi = _up(_up(b**k))
-        rlo = 0.0 if lo <= 0.0 <= hi else max(0.0, _down(_down(a**k)))
+        x, y = abs(lo), abs(hi)
+        if x > y:
+            x, y = y, x
+        rhi = _up(_up(y**k))
+        rlo = 0.0 if lo <= 0.0 <= hi else max(0.0, _down(_down(x**k)))
     if -_INF < rlo <= rhi < _INF:
         return rlo, rhi
     raise _invalid(rlo, rhi)
 
 
-def pair_sqrt(lo: float, hi: float) -> tuple[float, float]:
-    if lo < 0.0:
-        raise DomainError(f"sqrt of interval [{lo!r}, {hi!r}] with negative part")
-    return max(0.0, _down(math.sqrt(lo))), _up(math.sqrt(hi))
+def pair_sqrt(a: tuple[float, float]) -> tuple[float, float]:
+    if a[0] < 0.0:
+        raise DomainError(f"sqrt of interval [{a[0]!r}, {a[1]!r}] with negative part")
+    return max(0.0, _down(math.sqrt(a[0]))), _up(math.sqrt(a[1]))
 
 
-def pair_exp(lo: float, hi: float) -> tuple[float, float]:
+def pair_exp(a: tuple[float, float]) -> tuple[float, float]:
     """``OverflowError`` propagates from ``math.exp``."""
-    rlo = max(0.0, _down(_down(math.exp(lo))))
-    rhi = _up(_up(math.exp(hi)))
+    rlo = max(0.0, _down(_down(math.exp(a[0]))))
+    rhi = _up(_up(math.exp(a[1])))
     if -_INF < rlo <= rhi < _INF:
         return rlo, rhi
     raise _invalid(rlo, rhi)
@@ -318,16 +327,16 @@ def _series_bounds(
     """Hull of the partial sums ``S_m`` and ``S_{m+1}`` of the alternating
     series whose term ``k`` is ``-(term_{k-1} * x^2) / step(k)``, starting
     from ``first``; every operation is outward rounded."""
-    x2l, x2h = pair_sqr(x, x)
-    tl = th = sl = sh = first
+    x2 = pair_sqr((x, x))
+    t = s = (first, first)
     bounds = []
     for k in range(1, m + 2):
         denom = float(step(k))
-        pl, ph = pair_mul(tl, th, x2l, x2h)
-        tl, th = pair_div(-ph, -pl, denom, denom)
-        sl, sh = pair_add(sl, sh, tl, th)
+        pl, ph = pair_mul(t, x2)
+        t = pair_div((-ph, -pl), (denom, denom))
+        s = pair_add(s, t)
         if k >= m:
-            bounds.append((sl, sh))
+            bounds.append(s)
     (ml, mh), (nl, nh) = bounds
     return min(ml, nl), max(mh, nh)
 
@@ -366,13 +375,14 @@ def _clamp_unit(lo: float, hi: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_sin(lo: float, hi: float) -> tuple[float, float]:
+def pair_sin(a: tuple[float, float]) -> tuple[float, float]:
     """Interval extension of sin from the piecewise monotonicity case table.
 
     Handled subdomains: the increasing lobe ``[-pi/2, pi/2]``, the decreasing
     lobe ``[pi/2, pi]``, the peak-spanning half period ``[0, pi]`` and its
     mirrored negative counterpart.  Anything else returns ``[-1, 1]``.
     """
+    lo, hi = a
     half_lo = PI_LO / 2  # exact: division by two
     half_hi = PI_HI / 2
     if -half_lo <= lo and hi <= half_lo:
@@ -384,19 +394,20 @@ def pair_sin(lo: float, hi: float) -> tuple[float, float]:
             min(_sin_series_bounds(lo)[0], _sin_series_bounds(hi)[0]), 1.0
         )
     if -PI_LO <= lo and hi <= 0.0:
-        nlo, nhi = pair_sin(-hi, -lo)
+        nlo, nhi = pair_sin((-hi, -lo))
         return -nhi, -nlo
     return -1.0, 1.0
 
 
-def pair_cos(lo: float, hi: float) -> tuple[float, float]:
+def pair_cos(a: tuple[float, float]) -> tuple[float, float]:
     """Interval extension of cos; same case-table construction as
     ``pair_sin``."""
+    lo, hi = a
     half_lo = PI_LO / 2
     if 0.0 <= lo and hi <= PI_LO:
         return _clamp_unit(_cos_series_bounds(hi)[0], _cos_series_bounds(lo)[1])
     if -PI_LO <= lo and hi <= 0.0:
-        return pair_cos(-hi, -lo)
+        return pair_cos((-hi, -lo))
     if -half_lo <= lo and hi <= half_lo:
         return _clamp_unit(
             min(_cos_series_bounds(lo)[0], _cos_series_bounds(hi)[0]), 1.0
@@ -504,33 +515,33 @@ class Interval(Frozen):
     # -- arithmetic (outward rounded) ------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_add(self.lo, self.hi, other.lo, other.hi))
+        return Interval(*pair_add((self.lo, self.hi), (other.lo, other.hi)))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_sub(self.lo, self.hi, other.lo, other.hi))
+        return Interval(*pair_sub((self.lo, self.hi), (other.lo, other.hi)))
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_mul(self.lo, self.hi, other.lo, other.hi))
+        return Interval(*pair_mul((self.lo, self.hi), (other.lo, other.hi)))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_div(self.lo, self.hi, other.lo, other.hi))
+        return Interval(*pair_div((self.lo, self.hi), (other.lo, other.hi)))
 
     # -- elementary functions --------------------------------------------
 
     def sqr(self) -> "Interval":
-        return Interval(*pair_sqr(self.lo, self.hi))
+        return Interval(*pair_sqr((self.lo, self.hi)))
 
     def abs(self) -> "Interval":
-        return Interval(*pair_abs(self.lo, self.hi))
+        return Interval(*pair_abs((self.lo, self.hi)))
 
     def sqrt(self) -> "Interval":
-        return Interval(*pair_sqrt(self.lo, self.hi))
+        return Interval(*pair_sqrt((self.lo, self.hi)))
 
     def exp(self) -> "Interval":
-        return Interval(*pair_exp(self.lo, self.hi))
+        return Interval(*pair_exp((self.lo, self.hi)))
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -538,12 +549,12 @@ class Interval(Frozen):
 
 def iv_sin(a: Interval) -> Interval:
     """Interval extension of sin; see ``pair_sin``."""
-    return Interval(*pair_sin(a.lo, a.hi))
+    return Interval(*pair_sin((a.lo, a.hi)))
 
 
 def iv_cos(a: Interval) -> Interval:
     """Interval extension of cos; see ``pair_cos``."""
-    return Interval(*pair_cos(a.lo, a.hi))
+    return Interval(*pair_cos((a.lo, a.hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +659,12 @@ def slab_cuts(iv: Interval, segments: int) -> list[float]:
     return cuts
 
 
-def refined_eval(
-    fn: Callable[[Box], Interval], box: Box, segments: int, dim: int | None = None
-) -> Interval:
-    """Evaluate ``fn`` on ``box`` after slicing its widest dimension into
-    ``segments`` equal slabs; return the hull of the slab enclosures.  A
-    caller that knows ``box.widest_dim()`` already may pass it as ``dim``.
-    Each slab is one evaluation of ``fn``.
+def refined_eval(fn: Callable, box: Box, segments: int, dim: int | None = None) -> Interval:
+    """Evaluate the interval function ``fn`` on ``box`` after slicing its
+    widest dimension into ``segments`` equal slabs; return the hull of the
+    slab enclosures.  Each slab is one evaluation of ``fn``, on one list of
+    pairs whose sliced entry is overwritten for each slab.  A caller that
+    knows ``box.widest_dim()`` already may pass it as ``dim``.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
@@ -663,15 +673,17 @@ def refined_eval(
         raise DomainError(f"segments must be >= 1, got {segments}")
     if dim is None:
         dim = box.widest_dim()
+    dims = [(iv.lo, iv.hi) for iv in box.dims]
     iv = box.dims[dim]
     if segments == 1 or iv.width <= 0.0:
-        return fn(box)
+        return Interval(*fn(dims))
     cuts = slab_cuts(iv, segments)
     lo, hi = _INF, -_INF
     for left, right in zip(cuts, cuts[1:]):
-        slab = fn(box.replace_dim(dim, Interval(left, right)))
-        if slab.lo < lo:
-            lo = slab.lo
-        if slab.hi > hi:
-            hi = slab.hi
+        dims[dim] = (left, right)
+        slo, shi = fn(dims)
+        if slo < lo:
+            lo = slo
+        if shi > hi:
+            hi = shi
     return Interval(lo, hi)

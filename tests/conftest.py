@@ -128,6 +128,12 @@ def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
     return refined_eval(Program(e, box.labels), box, segments)
 
 
+def pairs(box: Box) -> list[tuple[float, float]]:
+    """The ``(lo, hi)`` pairs of ``box``'s dimensions: the argument of an
+    interval function."""
+    return [(iv.lo, iv.hi) for iv in box.dims]
+
+
 def encloses(outer: Interval, inner: Interval) -> bool:
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 

@@ -10,7 +10,7 @@ from certbound.bnb import Cover, Subproblem, opt_bnb_step, _Bounder, BnBStats, m
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
 from certbound.intervals import Box, Interval
-from conftest import box_contains, dense_max, random_polynomial
+from conftest import box_contains, dense_max, pairs, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -20,7 +20,7 @@ def expr_objective(text, bounds, constants=None):
     e = parse(text, constants)
     box = Box.from_bounds(bounds)
     program = Program(e, box.labels)
-    return program.eval_point, lambda b: program.eval_interval(b.dims), box
+    return program.eval_point, lambda dims: program.eval_interval(dims), box
 
 
 class TestMaximize:
@@ -82,10 +82,11 @@ class TestMaximize:
         def h(xs):
             return xs[0]
 
-        def hI(box):
-            if box.widest()[1] < 0.5:
+        def hI(dims):
+            (lo, hi), = dims
+            if hi - lo < 0.5:
                 raise ZeroDivisionError("synthetic failure")
-            return Interval(box.dims[0].lo, box.dims[0].hi)
+            return lo, hi
 
         box = Box.from_bounds([("x", 0.0, 4.0)])
         with pytest.raises(EvaluationError, match="objective evaluation failed: synthetic failure"):
@@ -144,7 +145,7 @@ class TestFirstOrder:
             "x*y - x*x*y*y", [("x", 0.6, 0.8), ("y", 0.6, 0.8)]
         )
         first = _Bounder(program, 1, BnBStats())(box)
-        plain = _Bounder(lambda b: program(b), 1, BnBStats())(box)
+        plain = _Bounder(lambda dims: program(dims), 1, BnBStats())(box)
         assert first.box == box  # no fixed sign: nothing collapses
         assert plain.lo_bound < first.lo_bound <= 0.25 <= first.hi_bound < plain.hi_bound
 
@@ -152,20 +153,20 @@ class TestFirstOrder:
         program, box = self.program_objective("sqrt(x) - x", [("x", 0.0, 1.0)])
         stats = BnBStats()
         sub = _Bounder(program, 4, stats)(box)
-        plain = _Bounder(lambda b: program(b), 4, BnBStats())(box)
+        plain = _Bounder(lambda dims: program(dims), 4, BnBStats())(box)
         assert (sub.box, sub.lo_bound, sub.hi_bound) == (box, plain.lo_bound, plain.hi_bound)
         assert stats.evals == 1
 
     def test_objective_without_gradient_is_bounded_as_before(self):
         # An interval function without a ``gradient`` gets zero-order bounds.
         program, box = self.program_objective("x*(1 - x)", [("x", 0.6, 1.0)])
-        sub = _Bounder(lambda b: program(b), 1, BnBStats())(box)
-        assert (sub.box, sub.lo_bound, sub.hi_bound) == (box, program(box).lo, program(box).hi)
+        sub = _Bounder(lambda dims: program(dims), 1, BnBStats())(box)
+        assert (sub.box, sub.lo_bound, sub.hi_bound) == (box, *program(pairs(box)))
         assert _Bounder(program, 1, BnBStats())(box).box != box  # decreasing: collapses
 
     def test_kinked_objective_gets_first_order_bounds(self):
         program, box = self.program_objective("abs(x - 0.3)", [("x", 0.0, 1.0)])
-        assert program.gradient(box) == (Interval(-1.0, 1.0),)
+        assert program.gradient(pairs(box)) == ((-1.0, 1.0),)
         assert _Bounder(program, 1, BnBStats())(box).box == box  # straddles the kink
         half = Box.from_bounds([("x", 0.5, 1.0)])
         sub = _Bounder(program, 1, BnBStats())(half)
@@ -285,7 +286,7 @@ class TestProperties:
         program = Program(e, box.labels)
         cfg = BnBConfig(eps_h=1e-6, eps_om=1e-9, segments=2, max_steps=20000)
         res = maximize(
-            program.eval_point, lambda b: program.eval_interval(b.dims), box, cfg
+            program.eval_point, lambda dims: program.eval_interval(dims), box, cfg
         )
         sampled = dense_max(program.eval_point, box, [tuple(res.lower_witness)])
         assert res.lower - 1e-9 <= sampled <= res.upper + 1e-9

@@ -27,6 +27,8 @@ MODELS = {
     "traffic1": ["make-model", "traffic", "--sections", "1"],
     "traffic5": ["make-model", "traffic", "--sections", "5"],
     "moving1": ["make-model", "moving-object", "--radius", "1.0"],
+    # At the default radius 5, the same file as the benchmark's.
+    "moving5": ["make-model", "moving-object"],
     "generator": [
         "make-model", "generator",
         "--state-bounds", "[-0.6,2.2];[-1.0,1.0];[0.2,1.1];[-0.4,0.9]",
@@ -52,6 +54,10 @@ CASES = {
     "osl-zeta": ["osl", "--estimator", "zeta", "--model", "{moving1}", *COARSE],
     "osl-gershgorin-generator": ["osl", "--estimator", "gershgorin", "--model", "{generator}", *LOOSE],
     "osl-zeta-generator": ["osl", "--estimator", "zeta", "--model", "{generator}", *LOOSE],
+    # The two heaviest benchmark jobs; ``osl`` bounds a minimum too, so it
+    # also runs the negated objective.
+    "osl-zeta-moving-object": ["osl", "--estimator", "zeta", "--model", "{moving5}"],
+    "qib-moving-object": ["qib", "--eps1", "1e4", "--eps2", "0.1", "--model", "{moving5}"],
     "qib-joint": ["qib", "--eps1", "1", "--eps2", "0.1", "--model", "{moving1}", *COARSE],
     "qib-distributed": [
         "qib", "--eps1", "1", "--eps2", "0.1", "--estimator", "zeta", "--distributed",

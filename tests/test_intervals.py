@@ -154,8 +154,9 @@ class TestExactZeros:
 
 
 # The formulas of ``pair_mul``, ``pair_div`` and ``pair_sqr`` with builtin
-# ``min``/``max``, which keep the first of equal values.  The comparison
-# chains that replace them must give the same bits: signed zeros included.
+# ``min``/``max``, which keep the first of equal values, on the endpoints as
+# four (or two) floats.  The comparison chains that replace them must give
+# the same bits: signed zeros included.
 
 
 def _ref_mul(al, ah, bl, bh):
@@ -211,24 +212,25 @@ class TestTieRule:
     def test_mul_and_div_match_builtin_min_max(self):
         for (al, ah), (bl, bh) in itertools.product(_PAIRS, repeat=2):
             args = (al, ah, bl, bh)
-            assert _outcome(pair_mul, *args) == _outcome(_ref_mul, *args), args
-            assert _outcome(pair_div, *args) == _outcome(_ref_div, *args), args
+            a, b = (al, ah), (bl, bh)
+            assert _outcome(pair_mul, a, b) == _outcome(_ref_mul, *args), args
+            assert _outcome(pair_div, a, b) == _outcome(_ref_div, *args), args
 
     def test_sqr_matches_builtin_max(self):
         for lo, hi in _PAIRS:
-            assert _outcome(pair_sqr, lo, hi) == _outcome(_ref_sqr, lo, hi), (lo, hi)
+            assert _outcome(pair_sqr, (lo, hi)) == _outcome(_ref_sqr, lo, hi), (lo, hi)
 
     def test_scale_is_mul_by_a_point_on_either_side(self):
         for k in _SPECIAL:
             for lo, hi in _PAIRS:
-                scaled = _outcome(pair_scale, k, lo, hi)
-                assert scaled == _outcome(pair_mul, k, k, lo, hi), (k, lo, hi)
-                assert scaled == _outcome(pair_mul, lo, hi, k, k), (k, lo, hi)
+                scaled = _outcome(pair_scale, k, (lo, hi))
+                assert scaled == _outcome(pair_mul, (k, k), (lo, hi)), (k, lo, hi)
+                assert scaled == _outcome(pair_mul, (lo, hi), (k, k)), (k, lo, hi)
 
     def test_signed_zero_ties_keep_the_first_product(self):
         # 0*-1 = -0.0 comes first and ties with 0*1 = 0.0 for both min and max.
-        assert repr(pair_mul(0.0, 0.0, -1.0, 1.0)) == "(-0.0, -0.0)"
-        assert repr(pair_scale(0.0, -1.0, 1.0)) == "(-0.0, -0.0)"
+        assert repr(pair_mul((0.0, 0.0), (-1.0, 1.0))) == "(-0.0, -0.0)"
+        assert repr(pair_scale(0.0, (-1.0, 1.0))) == "(-0.0, -0.0)"
 
 
 class TestSafeScalars:
@@ -265,11 +267,11 @@ class TestElementary:
         assert Interval(-3, -1).abs() == Interval(1, 3)
 
     def test_pow_int_monotone_odd(self):
-        r = Interval(*pair_pow(2.0, 3.0, 3))
+        r = Interval(*pair_pow((2.0, 3.0), 3))
         assert r.lo == pytest.approx(8.0) and r.hi == pytest.approx(27.0)
 
     def test_pow_int_even_zero_crossing(self):
-        r = Interval(*pair_pow(-2.0, 1.0, 4))
+        r = Interval(*pair_pow((-2.0, 1.0), 4))
         assert r.lo == 0.0 and r.hi == pytest.approx(16.0)
 
     def test_pow_int_invalid(self):
@@ -410,10 +412,11 @@ class TestBox:
 
 class TestRefinedEval:
     @staticmethod
-    def _parabola(box: Box) -> Interval:
-        x = box.dims[0]
+    def _parabola(dims: list[tuple[float, float]]) -> tuple[float, float]:
+        x = Interval(*dims[0])
         one = Interval(1.0, 1.0)
-        return x * (one - x)
+        r = x * (one - x)
+        return r.lo, r.hi
 
     def test_single_segment_is_plain(self):
         b = Box.from_bounds([("x", 0, 1)])
@@ -457,9 +460,10 @@ class TestRefinedEval:
     def test_refinement_subset_property_random(self):
         rng = random.Random(3)
 
-        def fn(box: Box) -> Interval:
-            x, y = box.dims
-            return x * y - x.sqr() * y
+        def fn(dims: list[tuple[float, float]]) -> tuple[float, float]:
+            x, y = (Interval(*pair) for pair in dims)
+            r = x * y - x.sqr() * y
+            return r.lo, r.hi
 
         for _ in range(50):
             lo1, lo2 = rng.uniform(-2, 1), rng.uniform(-2, 1)

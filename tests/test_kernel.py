@@ -1,13 +1,15 @@
 """The compiled kernels of ``expr.Program`` against a reference evaluator.
 
 The reference composes ``Interval`` methods and ``iv_sin``/``iv_cos`` node by
-node over the tree, and slices boxes slab by slab.  The kernels must agree
-with it exactly: the same endpoints by ``repr`` (signed zeros count), and the
-same exception class and message where evaluation fails.
+node over the tree, and slices boxes slab by slab.  The kernels, which work on
+``(lo, hi)`` pairs, must agree with it exactly: the same endpoints by
+``repr`` (signed zeros count), and the same exception class and message where
+evaluation fails.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import random
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from certbound import expr as expr_module
-from certbound.bnb import BnBStats, _Bounder, _Negated
+from certbound.bnb import BnBStats, _Bounder, _first_order, _Negated
 from certbound.errors import (
     DivisionByZeroInterval,
     EvaluationError,
@@ -44,7 +46,7 @@ from certbound.expr import (
     parse,
 )
 from certbound.intervals import Box, Interval, iv_cos, iv_sin, pair_pow, refined_eval
-from conftest import point_interval
+from conftest import pairs, point_interval
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
@@ -63,7 +65,7 @@ def _ref_node(e: Expr, env: dict[str, Interval]) -> Interval:
         return env[e.name]
     if isinstance(e, PowInt):
         base = _ref_node(e.base, env)
-        return Interval(*pair_pow(base.lo, base.hi, e.exponent))
+        return Interval(*pair_pow((base.lo, base.hi), e.exponent))
     if isinstance(e, Unary):
         a = _ref_node(e.arg, env)
         if e.op == NEG:
@@ -94,7 +96,11 @@ def ref_interval(e: Expr, box: Box) -> Interval:
 
 
 def ref_refined(e: Expr, box: Box, segments: int) -> Interval:
-    return refined_eval(lambda b: ref_interval(e, b), box, segments)
+    def fn(dims):
+        iv = ref_interval(e, Box(tuple(Interval(*pair) for pair in dims), box.labels))
+        return iv.lo, iv.hi
+
+    return refined_eval(fn, box, segments)
 
 
 def _ref_point_node(e: Expr, env: dict[str, float]) -> float:
@@ -126,13 +132,16 @@ def ref_point(e: Expr, names, values) -> float:
 
 
 def outcome(fn, *args):
-    """``repr`` of the endpoints, or the exception class and message."""
+    """``repr`` of the endpoints (of an ``Interval`` or a pair), or the
+    exception class and message."""
     try:
         result = fn(*args)
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
     if isinstance(result, Interval):
-        return repr(result.lo), repr(result.hi)
+        result = result.lo, result.hi
+    if isinstance(result, tuple):
+        return tuple(map(repr, result))
     return repr(result)
 
 
@@ -229,7 +238,7 @@ def test_interval_kernel_matches_reference(seed):
         for _ in range(4):
             box = random_box(rng)
             expected = outcome(ref_interval, e, box)
-            assert outcome(program, box) == expected, (str(e), box)
+            assert outcome(program, pairs(box)) == expected, (str(e), box)
             failures += isinstance(expected[0], type)
             segments = rng.choice([2, 3, 10])
             assert outcome(refined_eval, program, box, segments) == outcome(
@@ -279,14 +288,14 @@ def test_error_class_and_message(text, lo, hi, error, message):
     e = parse(text)
     expected = outcome(ref_interval, e, _box(lo, hi))
     assert (expected[0].__name__, expected[1]) == (error, message)
-    assert outcome(Program(e, X), _box(lo, hi)) == expected
+    assert outcome(Program(e, X), pairs(_box(lo, hi))) == expected
 
 
 @pytest.mark.parametrize("text", ["sin(x)", "cos(x)"])
 @pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), (2.0, 4.0), (-4.0, -2.0), (0.5, 0.5), (-3.0, 3.0)])
 def test_trig_lobes_and_fallback(text, lo, hi):
     e = parse(text)
-    assert outcome(Program(e, X), _box(lo, hi)) == outcome(ref_interval, e, _box(lo, hi))
+    assert outcome(Program(e, X), pairs(_box(lo, hi))) == outcome(ref_interval, e, _box(lo, hi))
 
 
 def test_nonfinite_constant_raises_at_evaluation():
@@ -294,7 +303,7 @@ def test_nonfinite_constant_raises_at_evaluation():
     assert program.eval_point([2.0]) == math.inf
     expected = (IntervalError, "non-finite endpoint in [inf, inf]")
     assert outcome(ref_interval, program.expr, _box(1.0, 2.0)) == expected
-    assert outcome(program, _box(1.0, 2.0)) == expected
+    assert outcome(program, [(1.0, 2.0)]) == expected
 
 
 def test_slabs_never_evaluate_the_whole_box():
@@ -303,7 +312,7 @@ def test_slabs_never_evaluate_the_whole_box():
     box = _box(0.0, 2.0)
     program = Program(e, X)
     with pytest.raises(DivisionByZeroInterval):
-        program(box)
+        program(pairs(box))
     refined = refined_eval(program, box, 10)
     assert refined.lo <= 0.5 and 1.0 <= refined.hi
     assert repr(refined) == repr(ref_refined(e, box, 10))
@@ -315,11 +324,11 @@ def test_slabs_never_evaluate_the_whole_box():
 
 
 def _point_enclosure(program, point):
-    """The interval kernel at ``point``: it encloses the exact value there,
-    which a float evaluation may miss by its rounding.  ``None`` where the
-    objective is undefined."""
+    """The interval kernel at ``point``, as an ``Interval``: it encloses the
+    exact value there, which a float evaluation may miss by its rounding.
+    ``None`` where the objective is undefined."""
     try:
-        return program(Box(tuple(Interval(x, x) for x in point), NAMES))
+        return Interval(*program([(x, x) for x in point]))
     except IntervalError:
         return None
 
@@ -347,7 +356,7 @@ def test_first_order_bounds_contain_sampled_values(seed):
                 assert all(
                     b.lo <= f.lo <= f.hi <= b.hi for f, b in zip(sub.box.dims, box.dims)
                 )
-                plain = _Bounder(lambda b: hI(b), segments, BnBStats())(sub.box)
+                plain = _Bounder(lambda dims: hI(dims), segments, BnBStats())(sub.box)
                 collapsed += sub.box != box
                 tightened += sub.lo_bound > plain.lo_bound or sub.hi_bound < plain.hi_bound
                 points = [
@@ -408,12 +417,12 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
                 )
             for hI, sign in ((program, 1.0), (_Negated(program), -1.0)):
                 try:
-                    grads = hI.gradient(box)
+                    grads = hI.gradient(pairs(box))
                 except IntervalError:
                     continue
                 for k, name in enumerate(NAMES):
                     if name not in free_vars(e):
-                        assert (grads[k].lo, grads[k].hi) == (0.0, 0.0)
+                        assert grads[k] == (0.0, 0.0)
                 for _ in range(8):
                     point = tuple(sampler.uniform(iv.lo, iv.hi) for iv in box.dims)
                     for k, g in enumerate(grads):
@@ -429,7 +438,7 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
                             quotients += enclosure is not None
                         if enclosure is not None:
                             lo, hi = sorted((sign * enclosure.lo, sign * enclosure.hi))
-                            assert g.lo <= hi and lo <= g.hi, (str(e), box, point, k)
+                            assert g[0] <= hi and lo <= g[1], (str(e), box, point, k)
     assert symbolic > 1000 and quotients > 1000
 
 
@@ -443,8 +452,9 @@ def test_deep_sum_compiles_and_evaluates():
     program = Program(expr_sum(Var(n) for n in names), names)
     values = [1.0 + i / 7 for i in range(5000)]
     assert program.eval_point(values) == functools.reduce(lambda a, b: a + b, values)
-    dims = [Interval(v, v + 0.5) for v in values]
-    assert repr(program.eval_interval(dims)) == repr(functools.reduce(Interval.__add__, dims))
+    dims = [(v, v + 0.5) for v in values]
+    total = functools.reduce(Interval.__add__, (Interval(*pair) for pair in dims))
+    assert outcome(program.eval_interval, dims) == outcome(lambda: total)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +467,7 @@ def test_programs_of_one_shape_share_compiled_kernels():
     assert a.code == b.code
     for pair in (False, True):
         assert a._kernel(pair) is b._kernel(pair)
-    assert a.eval_interval([Interval(1.0, 1.0)]) != b.eval_interval([Interval(1.0, 1.0)])
+    assert a.eval_interval([(1.0, 1.0)]) != b.eval_interval([(1.0, 1.0)])
     assert a.eval_point([1.0]) == 3.0 and b.eval_point([1.0]) == 8.0
 
 
@@ -471,7 +481,7 @@ def test_a_nonfinite_constant_makes_another_shape(finite_first):
     assert finite.code == infinite.code
     box = _box(1.0, 2.0)
     first = [finite, infinite] if finite_first else [infinite, finite]
-    results = {id(program): outcome(program, box) for program in first}
+    results = {id(program): outcome(program, pairs(box)) for program in first}
     assert results[id(infinite)] == (IntervalError, "non-finite endpoint in [inf, inf]")
     assert results[id(finite)] == outcome(ref_interval, finite.expr, box)
     for pair in (False, True):
@@ -485,11 +495,11 @@ def test_an_extra_variable_slot_makes_another_shape():
     short = Program(parse("x*x"), X)
     wide = Program(parse("x*x"), ("x", "y"))
     assert short.code == wide.code
-    (gx,) = short.gradient(_box(1.0, 2.0))
-    grads = wide.gradient(Box.from_bounds([("x", 1.0, 2.0), ("y", -1.0, 1.0)]))
+    (gx,) = short.gradient([(1.0, 2.0)])
+    grads = wide.gradient([(1.0, 2.0), (-1.0, 1.0)])
     assert len(grads) == 2 and grads[0] == gx
-    assert repr(grads[1]) == "[0.0, 0.0]"
-    assert len(short.gradient(_box(1.0, 2.0))) == 1
+    assert repr(grads[1]) == "(0.0, 0.0)"
+    assert len(short.gradient([(1.0, 2.0)])) == 1
 
 
 def _count_compiles(monkeypatch) -> list[str]:
@@ -525,6 +535,7 @@ ZERO = Interval(0.0, 0.0)
     [
         # The reverse pass reads the result's own value: the interval kernel
         # returns it once, and the reverse pass takes it as one parameter.
+        # The reference is the ``Interval`` formulas of the derivatives.
         ("exp(x)", lambda x, y: (x.exp(), ZERO)),
         ("sqrt(x)", lambda x, y: (ONE / (Interval(2.0, 2.0) * x.sqrt()), ZERO)),
         ("x/y", lambda x, y: (ONE / y, -((x / y) / y))),
@@ -537,11 +548,11 @@ def test_gradient_hand_off_matches_reference(text, reference):
     expr_module._shape_kernels.cache_clear()
     program = Program(parse(text), ("x", "y"))
     forward, _ = program._kernel(True)
-    for x, y in [((0.5, 2.0), (1.0, 3.0)), ((1.0, 1.0), (-4.0, -0.25)), ((0.25, 9.0), (2.0, 2.0))]:
-        box = Box.from_bounds([("x", *x), ("y", *y)])
-        assert len(forward(box.dims, program._constants)) == 2  # no value besides the result
-        expected = reference(*box.dims)
-        assert list(map(repr, program.gradient(box))) == list(map(repr, expected)), box
+    for dims in [[(0.5, 2.0), (1.0, 3.0)], [(1.0, 1.0), (-4.0, -0.25)], [(0.25, 9.0), (2.0, 2.0)]]:
+        # no value besides the result
+        assert len(forward(dims, program._constants, program._pairs)) == 1
+        expected = [(g.lo, g.hi) for g in reference(*(Interval(*pair) for pair in dims))]
+        assert list(map(repr, program.gradient(dims))) == list(map(repr, expected)), dims
 
 
 def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
@@ -579,3 +590,66 @@ def test_constant_factors_use_pair_scale(text, reverse):
 def test_product_of_variables_uses_pair_mul():
     calls = _pair_calls(Program(parse("x*y"), ("x", "y")), False)
     assert "pair_mul" in calls and "pair_scale" not in calls
+
+
+# ---------------------------------------------------------------------------
+# Pairs below the box: the statement form and the objects per evaluation
+# ---------------------------------------------------------------------------
+
+
+def test_every_interval_statement_binds_one_name(monkeypatch):
+    # Each statement of an interval kernel or its reverse pass assigns one
+    # pair to one name, e.g. ``v7 = pair_mul(v3, v5)``.
+    expr_module._shape_kernels.cache_clear()
+    compiled = _count_compiles(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(60):
+        program = Program(random_tree(rng, rng.randint(1, 6), []), NAMES)
+        program._kernel(True)
+    statements = 0
+    for source in compiled:
+        (kernel,) = ast.parse(source).body
+        *body, returned = kernel.body
+        assert isinstance(returned, ast.Return)
+        for stmt in body:
+            assert isinstance(stmt, ast.Assign) and len(stmt.targets) == 1, source
+            assert isinstance(stmt.targets[0], ast.Name), ast.unparse(stmt)
+            statements += 1
+    assert statements > 300
+
+
+def _count_inits(monkeypatch, *classes) -> dict[str, int]:
+    """The number of instances of each of ``classes`` constructed from now
+    on, by class name."""
+    counts = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        init = cls.__init__
+
+        def counted(self, *args, init=init, name=cls.__name__):
+            counts[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_refined_eval_builds_no_box_and_one_interval(monkeypatch):
+    # The slabs are pairs in one list: the hull is the only object built.
+    program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
+    box = Box.from_bounds([("x", 0.0, 2.0), ("y", -1.0, 1.0)])
+    expected = repr(ref_refined(program.expr, box, 10))
+    counts = _count_inits(monkeypatch, Box, Interval)
+    refined = refined_eval(program, box, 10)
+    assert counts == {"Box": 0, "Interval": 1}
+    assert repr(refined) == expected
+
+
+def test_first_order_step_builds_only_the_face(monkeypatch):
+    # The gradient, the centre and the centred form are pairs.  Where no
+    # derivative has a fixed sign, the face is a Box of the same Intervals.
+    program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
+    box = Box.from_bounds([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
+    counts = _count_inits(monkeypatch, Box, Interval)
+    face, lo, hi = _first_order(program, program.gradient, box)
+    assert counts == {"Box": 1, "Interval": 0}
+    assert face == box and lo <= hi
