@@ -267,7 +267,8 @@ def _cmd_maximize(args) -> list[RunReport]:
     # bisected without tightening anything.  A constant keeps the full box.
     domain = box.restrict(used)
     stats = params.RunStats()
-    res = stats.absorb(params._optimize_over(maximize, expression, domain, _cfg(args)))
+    program = Program(expression, domain.labels)
+    res = stats.absorb(maximize(program.eval_point, program, domain, _cfg(args)))
     fields = _stats_fields(res.eps_optimal, stats, res.gap)
     row = ConstantRow("max", res.upper, lower=res.lower, **fields)
     fp = _fingerprint(f"{args.expr}|{args.bounds}".encode())

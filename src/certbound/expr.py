@@ -260,18 +260,11 @@ def provably_nonnegative(e: Expr) -> bool:
     if isinstance(e, Const):
         return e.value >= 0.0
     if isinstance(e, Unary):
-        if e.op in (SQR, ABS, EXP):
-            return True
-        if e.op == SQRT:
-            return True
-        return False
+        return e.op in (SQR, ABS, EXP, SQRT)
     if isinstance(e, PowInt):
         return e.exponent % 2 == 0 or provably_nonnegative(e.base)
-    if isinstance(e, Binary):
-        if e.op in (ADD, MUL):
-            return provably_nonnegative(e.left) and provably_nonnegative(e.right)
-        if e.op == DIV:
-            return provably_nonnegative(e.left) and provably_nonnegative(e.right)
+    if isinstance(e, Binary) and e.op in (ADD, MUL, DIV):
+        return provably_nonnegative(e.left) and provably_nonnegative(e.right)
     return False
 
 
@@ -279,62 +272,29 @@ def differentiate(e: Expr, v: str) -> Expr:
     """Symbolic partial derivative with respect to variable ``v``; exactly
     ``0`` for every subtree in which ``v`` does not occur, so no debris such
     as ``0/sqrt(y)`` is left behind."""
-    has_v = _subtrees_with(e, v)
-    if id(e) not in has_v:
-        return ZERO
-    return simplify(_diff(e, v, has_v))
+    d = _diff(e, v)
+    return ZERO if d is ZERO else simplify(d)
 
 
-def _subtrees_with(e: Expr, v: str) -> set[int]:
-    """The ids of the nodes of ``e`` whose subtree contains ``Var(v)``, from
-    one bottom-up pass that visits a shared node once.  A ``None`` on the
-    stack marks that the node below it has its children done."""
-    out: set[int] = set()
-    done: set[int] = set()
-    stack: list[Expr | None] = [e]
-    pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        if node is None:
-            node = pop()
-            kind = type(node)
-            if kind is Binary:
-                hit = id(node.left) in out or id(node.right) in out
-            else:
-                hit = id(node.arg if kind is Unary else node.base) in out
-            key = id(node)
-            done.add(key)
-            if hit:
-                out.add(key)
-            continue
-        kind = type(node)
-        if kind is Var:
-            if node.name == v:
-                out.add(id(node))
-        elif kind is not Const and id(node) not in done:
-            push(node)
-            push(None)
-            if kind is Binary:
-                push(node.right)
-                push(node.left)
-            else:
-                push(node.arg if kind is Unary else node.base)
-    return out
-
-
-def _diff(e: Expr, v: str, has_v: set[int]) -> Expr:
-    if id(e) not in has_v:
-        return ZERO
+def _diff(e: Expr, v: str) -> Expr:
+    """The derivative of ``e`` by ``v``, unsimplified; the object ``ZERO``
+    itself exactly when ``v`` does not occur in ``e``.  Each node decides
+    that from its operands' results, a ``max`` node from its free
+    variables."""
     if isinstance(e, Var):
-        return ONE
+        return ONE if e.name == v else ZERO
+    if isinstance(e, Const):
+        return ZERO
     if isinstance(e, PowInt):
-        db = _diff(e.base, v, has_v)
-        if e.exponent == 1:
+        db = _diff(e.base, v)
+        if db is ZERO or e.exponent == 1:
             return db
         inner = e.base if e.exponent == 2 else PowInt(e.base, e.exponent - 1)
         return Binary(MUL, Binary(MUL, Const(float(e.exponent)), inner), db)
     if isinstance(e, Unary):
-        da = _diff(e.arg, v, has_v)
+        da = _diff(e.arg, v)
+        if da is ZERO:
+            return ZERO
         if e.op == NEG:
             return Unary(NEG, da)
         if e.op == SQR:
@@ -355,9 +315,14 @@ def _diff(e: Expr, v: str, has_v: set[int]) -> Expr:
             )
     assert isinstance(e, Binary)
     if e.op == MAX:
-        raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
-    dl = _diff(e.left, v, has_v)
-    dr = _diff(e.right, v, has_v)
+        # Raised before any error of the operands: the outermost kink counts.
+        if v in free_vars(e):
+            raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
+        return ZERO
+    dl = _diff(e.left, v)
+    dr = _diff(e.right, v)
+    if dl is ZERO and dr is ZERO:
+        return ZERO
     if e.op == ADD:
         return Binary(ADD, dl, dr)
     if e.op == SUB:
@@ -900,10 +865,10 @@ class Program:
 
     def __init__(self, expr: Expr, var_order: Sequence[str]):
         slots = {name: i for i, name in enumerate(var_order)}
-        missing = free_vars(expr) - slots.keys()
-        if missing:
-            raise UnboundVariable(f"unbound variables: {sorted(missing)}")
+        bound = len(slots)
         self.code, self._constants, self._varying = _postfix(expr, slots)
+        if len(slots) > bound:  # ``_postfix`` slotted a name not in ``var_order``
+            raise UnboundVariable(f"unbound variables: {sorted(list(slots)[bound:])}")
         self._pairs = tuple((x, x) for x in self._constants)
         self.var_order = tuple(var_order)
         self.expr = expr

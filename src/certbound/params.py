@@ -53,7 +53,7 @@ from .expr import (
     structural_key_with_vars,
     sum_or_zero,
 )
-from .intervals import Box, Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
+from .intervals import Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
 from .model import ModelDef, grad_sq_norm, reduced_domain, state_partials
 
 if TYPE_CHECKING:  # importing fractions costs start-up time; functions import it
@@ -184,51 +184,30 @@ class QBResult:
 # ---------------------------------------------------------------------------
 
 
-def _optimize_over(optimize, e: Expr, domain: Box, cfg: BnBConfig) -> BnBResult:
-    """``optimize`` (``maximize`` or ``minimize``) of ``e`` over ``domain``;
-    every variable of ``e`` must be a label of the box."""
-    program = Program(e, domain.labels)
-    return optimize(program.eval_point, program, domain, cfg)
-
-
-def _optimize_expr(optimize, e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    """``optimize`` (``maximize`` or ``minimize``) of ``e`` over the model's
-    box reduced to the variables of ``e``.  A constant ``c`` needs no
-    evaluation: its result is ``[c, c]``."""
+def _optimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, *optimizers) -> list[BnBResult]:
+    """The run of each of ``optimizers`` (``maximize`` or ``minimize``) on
+    ``e`` over the model's box reduced to the variables of ``e``, all on one
+    compiled program, so its kernels are built once.  A constant ``c``
+    needs no evaluation: each result is ``[c, c]``."""
     if isinstance(e, Const):
-        return _const_result(e.value)
-    return _optimize_over(optimize, e, reduced_domain(model, e), cfg)
+        return [
+            BnBResult(
+                lower=e.value, upper=e.value, eps_optimal=True, final_cover=Cover(),
+                stats=BnBStats(), lower_witness=(),
+            )
+            for _ in optimizers
+        ]
+    domain = reduced_domain(model, e)
+    program = Program(e, domain.labels)
+    return [optimize(program.eval_point, program, domain, cfg) for optimize in optimizers]
 
 
 def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    return _optimize_expr(maximize, e, model, cfg)
+    return _optimize_expr(e, model, cfg, maximize)[0]
 
 
 def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    return _optimize_expr(minimize, e, model, cfg)
-
-
-def _extrema(e: Expr, model: ModelDef, cfg: BnBConfig) -> tuple[BnBResult, BnBResult]:
-    """The ``maximize`` and the ``minimize`` run of ``_optimize_expr``,
-    both on one compiled program, so its kernels are built once."""
-    if isinstance(e, Const):
-        res = _const_result(e.value)
-        return res, res
-    domain = reduced_domain(model, e)
-    program = Program(e, domain.labels)
-    hi_run = maximize(program.eval_point, program, domain, cfg)
-    return hi_run, minimize(program.eval_point, program, domain, cfg)
-
-
-def _const_result(value: float) -> BnBResult:
-    return BnBResult(
-        lower=value,
-        upper=value,
-        eps_optimal=True,
-        final_cover=Cover(),
-        stats=BnBStats(),
-        lower_witness=(),
-    )
+    return _optimize_expr(e, model, cfg, minimize)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +223,11 @@ def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     derivative actually uses."""
     stats = RunStats()
     eps_optimal = True
-    entries = [
-        [Interval(0.0, 0.0) for _ in range(model.n)] for _ in range(model.g)
-    ]
+    zero = Interval(0.0, 0.0)  # immutable, so every empty entry shares it
+    entries = [[zero] * model.n for _ in range(model.g)]
     for i, partials in enumerate(model.state_jacobian):
         for j, d in partials:
-            hi_run, lo_run = _extrema(d, model, cfg)
+            hi_run, lo_run = _optimize_expr(d, model, cfg, maximize, minimize)
             stats.absorb(hi_run)
             stats.absorb(lo_run)
             eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal

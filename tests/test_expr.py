@@ -142,6 +142,21 @@ class TestDifferentiate:
             differentiate(parse("x1 + max(x1, x2)"), "x2")
         assert differentiate(parse("max(x1, x2)"), "x3") == Const(0.0)
         assert differentiate(parse("x3*max(x1, x2)"), "x3") == parse("max(x1, x2)")
+        # A kink inside a max free of the variable is not differentiated either.
+        assert differentiate(parse("x3*max(x1, abs(x2))"), "x3") == parse("max(x1, abs(x2))")
+
+    @pytest.mark.parametrize(
+        "text, v, kink",
+        [
+            # The max is refused before the abs inside it is looked at.
+            ("max(abs(x1), x2)", "x1", "max(abs(x1), x2)"),
+            ("abs(max(x1, x2))", "x2", "max(x1, x2)"),
+        ],
+    )
+    def test_outermost_max_with_the_variable_is_reported(self, text, v, kink):
+        with pytest.raises(NonDifferentiable) as info:
+            differentiate(parse(text), v)
+        assert str(info.value) == f"cannot differentiate {kink}: not smooth"
 
     def test_quotient_rule(self):
         d = differentiate(parse("x1/(1 + x2^2)"), "x2")
@@ -296,6 +311,9 @@ class TestEval:
             eval_real(parse("x1 + x2"), {"x1": 1.0})
         with pytest.raises(UnboundVariable):
             eval_interval(parse("x1 + x2"), Box.from_bounds([("x1", 0, 1)]))
+        with pytest.raises(UnboundVariable) as info:
+            Program(parse("z*x + y"), ["x"])
+        assert str(info.value) == "unbound variables: ['y', 'z']"  # sorted
 
     def test_extension_agrees_on_degenerate_boxes(self):
         for e, box in corpus_expressions():

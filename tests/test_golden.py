@@ -46,6 +46,11 @@ CASES = {
     # The longest kernels of the cases: 243 interval and 213 reverse statements.
     "lipschitz-case1-s5": ["lipschitz", "--case", "1", "--model", "{traffic5}"],
     "lipschitz-case2": ["lipschitz", "--case", "2", "--model", "{traffic1}", *COARSE],
+    # The symbolic layer at default tolerances: 61 sparse Jacobian entries,
+    # 31 QB rows, and case 2's components deduplicated by structure.
+    "jacobian-s5": ["jacobian", "--model", "{traffic5}"],
+    "qb-s5": ["qb", "--model", "{traffic5}"],
+    "lipschitz-case2-s5": ["lipschitz", "--case", "2", "--model", "{traffic5}"],
     "traffic-table-case2": ["traffic-table", "--sections", "1", "--case", "2", *COARSE],
     "jacobian": ["jacobian", "--model", "{moving1}", *COARSE],
     "qb": ["qb", "--model", "{moving1}", *COARSE],

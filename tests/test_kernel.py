@@ -223,6 +223,32 @@ def _node_count(e: Expr) -> int:
     return 1 + sum(map(_node_count, kids))
 
 
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_derivative_is_exactly_zero_where_the_variable_is_absent(seed, shared):
+    # Without the variable, a tree's derivative is the constant 0.0 (not
+    # -0.0) and never a kink error, whatever abs or max it holds; with it,
+    # the derivative uses no variable the tree lacks.
+    rng = random.Random(300 + seed)
+    absent = raised = 0
+    for _ in range(150):
+        e = random_tree(rng, 5, [] if shared else None)
+        present = free_vars(e)
+        for v in NAMES:
+            try:
+                d = differentiate(e, v)
+            except NonDifferentiable:
+                assert v in present
+                raised += 1
+                continue
+            if v in present:
+                assert free_vars(d) <= present
+            else:
+                assert isinstance(d, Const) and repr(d.value) == "0.0"
+                absent += 1
+    assert absent > 50 and raised > 50
+
+
 # ---------------------------------------------------------------------------
 # Differential tests
 # ---------------------------------------------------------------------------
