@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from . import baselines, params
 from .bnb import BnBConfig, maximize
 from .errors import CertboundError, ParseError
-from .expr import Program, free_vars, parse, simplify
+from .expr import Program, free_vars, parse_simplified
 from .intervals import Box, Interval
 from .model import ModelDef, load_model, model_to_text, parse_interval, reduced_domain
 from .models import (
@@ -256,7 +256,7 @@ def _bounds_box(text: str) -> Box:
 def _cmd_maximize(args) -> list[RunReport]:
     box = _bounds_box(args.bounds)
     try:
-        expression = simplify(parse(args.expr))
+        expression = parse_simplified(args.expr)
     except ParseError as exc:
         raise _ModelError(f"bad --expr: {exc}") from exc
     used = free_vars(expression)
@@ -389,6 +389,9 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"certbound: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:  # a tree built from the model, too deep to walk
+        print("certbound: expression nested too deeply", file=sys.stderr)
+        return EXIT_MODEL
 
 
 def main() -> None:

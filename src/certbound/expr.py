@@ -477,6 +477,17 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
     return _Parser(text, constants).parse()
 
 
+def parse_simplified(text: str, constants: Mapping[str, float] | None = None) -> Expr:
+    """``simplify(parse(text, constants))``.  The parser recurses once per
+    parenthesis and ``simplify`` once per level of the tree, so input nested
+    deeper than the interpreter's recursion limit allows (a sum of about a
+    thousand terms, say) is a ``ParseError`` like any other bad input."""
+    try:
+        return simplify(parse(text, constants))
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+
+
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
@@ -873,6 +884,12 @@ class Program:
         self.var_order = tuple(var_order)
         self.expr = expr
         self._kernels: dict | None = None  # its shape's, from ``_shape_kernels``
+
+    @property
+    def key(self) -> tuple:
+        """Its ops and its constants by ``repr``: two programs with equal
+        keys compute the same function of their slots, bit for bit."""
+        return self.code, tuple(map(repr, self._constants))
 
     def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
         """Enclosures of the partial derivatives on the box ``dims`` (pairs),

@@ -36,8 +36,7 @@ from .expr import (
     differentiate,
     free_vars,
     is_zero,
-    parse,
-    simplify,
+    parse_simplified,
     sqr,
     sum_or_zero,
     to_text,
@@ -50,7 +49,8 @@ Partials = tuple[tuple[int, Expr], ...]  # see state_partials
 
 class ModelDef(Frozen):
     """A nonlinear system: bounded variables plus component expressions.
-    Not slotted: ``state_jacobian`` caches in the instance ``__dict__``."""
+    Not slotted: ``state_jacobian`` and ``declared`` cache in the instance
+    ``__dict__``."""
 
     def __init__(
         self, state_names: tuple[str, ...], state_bounds: tuple[Interval, ...],
@@ -118,14 +118,19 @@ class ModelDef(Frozen):
             self.state_names + self.input_names,
         )
 
+    @functools.cached_property
+    def declared(self) -> dict[str, tuple[int, Interval]]:
+        """Each variable's position in ``omega()`` and its bound, built on
+        first use."""
+        names = self.state_names + self.input_names
+        bounds = self.state_bounds + self.input_bounds
+        return {name: (k, iv) for k, (name, iv) in enumerate(zip(names, bounds))}
+
     def bound_of(self, name: str) -> Interval:
-        for names, bounds in (
-            (self.state_names, self.state_bounds),
-            (self.input_names, self.input_bounds),
-        ):
-            if name in names:
-                return bounds[names.index(name)]
-        raise MissingBounds(f"no bound declared for variable {name!r}")
+        try:
+            return self.declared[name][1]
+        except KeyError:
+            raise MissingBounds(f"no bound declared for variable {name!r}") from None
 
     def effective_G(self) -> Matrix:
         """G, or the identity when omitted (requires g == n)."""
@@ -171,7 +176,11 @@ def reduced_domain(model: ModelDef, exprs: Expr | Iterable[Expr]) -> Box:
     used: set[str] = set()
     for e in exprs:
         used |= free_vars(e)
-    return model.omega().restrict(used)
+    declared = model.declared
+    kept = sorted((declared[name][0], name) for name in used if name in declared)
+    if not kept:
+        return model.omega()
+    return Box(tuple(declared[name][1] for _, name in kept), tuple(name for _, name in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +223,7 @@ def parse_model_text(text: str) -> ModelDef:
         rhs = rhs.strip()
         if len(rhs) >= 2 and rhs[0] == '"' and rhs[-1] == '"':
             rhs = rhs[1:-1]
-        f.append(simplify(parse(rhs, constants)))
+        f.append(parse_simplified(rhs, constants))
 
     G: Matrix | None = None
     if sections["G"]:

@@ -16,7 +16,9 @@ model's partial derivatives:
 * Quadratic boundedness: one certified maximization per diagonal entry.
 
 The independent per-entry/per-row problems run one after another in a fixed
-order, so results and run statistics are deterministic.
+order, so results and run statistics are deterministic.  Within one
+constant, a problem that repeats (the same program over the same box)
+reuses its first run, which the run statistics count once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
@@ -65,15 +67,18 @@ if TYPE_CHECKING:  # importing fractions costs start-up time; functions import i
 
 
 class RunStats:
-    """Aggregate over the certified runs behind one constant."""
+    """Aggregate over the certified runs behind one constant: each of
+    ``results`` is counted in."""
 
     __slots__ = ("runs", "splits", "evals", "wall_time")
 
-    def __init__(self) -> None:
+    def __init__(self, results: Iterable[BnBResult] = ()) -> None:
         self.runs = 0
         self.splits = 0
         self.evals = 0
         self.wall_time = 0.0
+        for result in results:
+            self.absorb(result)
 
     def absorb(self, result: BnBResult) -> BnBResult:
         """Count ``result`` in and return it."""
@@ -184,11 +189,27 @@ class QBResult:
 # ---------------------------------------------------------------------------
 
 
-def _optimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, *optimizers) -> list[BnBResult]:
-    """The run of each of ``optimizers`` (``maximize`` or ``minimize``) on
-    ``e`` over the model's box reduced to the variables of ``e``, all on one
-    compiled program, so its kernels are built once.  A constant ``c``
-    needs no evaluation: each result is ``[c, c]``."""
+Runs = dict[tuple, BnBResult]
+"""The certified runs behind one constant, by search key (see
+``_optimize_expr``).  Each constant's computation starts one empty and
+reports ``RunStats(runs.values())``, so nothing is reused across constants."""
+
+
+def _optimize_expr(
+    e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs, *optimizers
+) -> list[BnBResult]:
+    """The result of each of ``optimizers`` (``maximize`` or ``minimize``)
+    on ``e`` over the model's box reduced to the variables of ``e``, all on
+    one compiled program, so its kernels are built once.  A constant ``c``
+    needs no evaluation and is no run: each result is ``[c, c]``.
+
+    A search is keyed by its optimizer, the program's ``key``, the domain's
+    endpoints (by ``repr`` in slot order, so ``0.0`` and ``-0.0`` stay
+    apart) and ``cfg``.  It runs only when its key is not yet in ``runs``;
+    a repeat gets the stored result.  The search is deterministic in what
+    the key holds, so that result is the one it would compute again, bit
+    for bit; only its final cover keeps the labels of the first run's
+    variables."""
     if isinstance(e, Const):
         return [
             BnBResult(
@@ -199,15 +220,22 @@ def _optimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, *optimizers) -> lis
         ]
     domain = reduced_domain(model, e)
     program = Program(e, domain.labels)
-    return [optimize(program.eval_point, program, domain, cfg) for optimize in optimizers]
+    search = (program.key, tuple((repr(iv.lo), repr(iv.hi)) for iv in domain.dims), cfg)
+    results = []
+    for optimize in optimizers:
+        result = runs.get((optimize, search))
+        if result is None:
+            result = runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
+        results.append(result)
+    return results
 
 
-def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    return _optimize_expr(e, model, cfg, maximize)[0]
+def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs) -> BnBResult:
+    return _optimize_expr(e, model, cfg, runs, maximize)[0]
 
 
-def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig) -> BnBResult:
-    return _optimize_expr(e, model, cfg, minimize)[0]
+def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs) -> BnBResult:
+    return _optimize_expr(e, model, cfg, runs, minimize)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +249,19 @@ def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     optimization run, a constant derivative ``c`` gives [c, c]; all other
     entries maximize/minimize over the box reduced to the variables the
     derivative actually uses."""
-    stats = RunStats()
+    runs: Runs = {}
     eps_optimal = True
     zero = Interval(0.0, 0.0)  # immutable, so every empty entry shares it
     entries = [[zero] * model.n for _ in range(model.g)]
     for i, partials in enumerate(model.state_jacobian):
         for j, d in partials:
-            hi_run, lo_run = _optimize_expr(d, model, cfg, maximize, minimize)
-            stats.absorb(hi_run)
-            stats.absorb(lo_run)
+            hi_run, lo_run = _optimize_expr(d, model, cfg, runs, maximize, minimize)
             eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal
             entries[i][j] = Interval(lo_run.lower, hi_run.upper)
     return JacobianBounds(
         entries=tuple(tuple(row) for row in entries),
         eps_optimal=eps_optimal,
-        stats=stats,
+        stats=RunStats(runs.values()),
     )
 
 
@@ -258,16 +284,15 @@ def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     objective = lipschitz_objective(model)
     if is_zero(objective):
         return LipschitzResult(0.0, 0.0, 0.0, True, 1, RunStats())
-    res = _maximize_expr(objective, model, cfg)
-    stats = RunStats()
-    stats.absorb(res)
+    runs: Runs = {}
+    res = _maximize_expr(objective, model, cfg, runs)
     return LipschitzResult(
         gamma=sqrt_up(max(res.upper, 0.0)),
         lower=sqrt_down(max(res.lower, 0.0)),
         gap=res.gap,
         eps_optimal=res.eps_optimal,
         case=1,
-        stats=stats,
+        stats=RunStats(runs.values()),
     )
 
 
@@ -300,13 +325,13 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     exact; each side rounds once, to its safe side, before its root."""
     from fractions import Fraction
 
-    stats = RunStats()
+    runs: Runs = {}
     upper_sum = Fraction(0)
     lower_sum = Fraction(0)
     worst_gap = 0.0
     eps_optimal = True
     for obj, count in zip(*_dedup_components(model)):
-        res = stats.absorb(_maximize_expr(obj, model, cfg))
+        res = _maximize_expr(obj, model, cfg, runs)
         upper_sum += count * Fraction(res.upper)
         lower_sum += count * Fraction(res.lower)
         worst_gap = max(worst_gap, res.gap)
@@ -317,7 +342,7 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
         gap=worst_gap,
         eps_optimal=eps_optimal,
         case=2,
-        stats=stats,
+        stats=RunStats(runs.values()),
     )
 
 
@@ -367,9 +392,8 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     )
     if total is None:
         return OSLResult(0.0, "frobenius", 0.0, 0.0, True, RunStats())
-    res = _maximize_expr(simplify(total), model, cfg)
-    stats = RunStats()
-    stats.absorb(res)
+    runs: Runs = {}
+    res = _maximize_expr(simplify(total), model, cfg, runs)
     gamma = sqrt_up(max(res.upper, 0.0))
     achieved = sqrt_down(max(res.lower, 0.0))
     return OSLResult(
@@ -378,7 +402,7 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
         lower_gamma=-gamma,
         gap=res.gap,
         eps_optimal=res.eps_optimal,
-        stats=stats,
+        stats=RunStats(runs.values()),
         gamma_s_witness=achieved,
         lower_gamma_witness=-achieved,
     )
@@ -423,9 +447,9 @@ def _osl_from_rows(
     """A row-wise OSL bound: one certified maximization per upper row and
     one minimization per lower row; the largest row maximum bounds from
     above, the smallest row minimum from below."""
-    stats = RunStats()
-    uppers = [stats.absorb(_maximize_expr(e, model, cfg)) for e in upper_exprs]
-    lowers = [stats.absorb(_minimize_expr(e, model, cfg)) for e in lower_exprs]
+    runs: Runs = {}
+    uppers = [_maximize_expr(e, model, cfg, runs) for e in upper_exprs]
+    lowers = [_minimize_expr(e, model, cfg, runs) for e in lower_exprs]
     results = uppers + lowers
     return OSLResult(
         gamma_s=max(res.upper for res in uppers),
@@ -433,7 +457,7 @@ def _osl_from_rows(
         lower_gamma=min(res.lower for res in lowers),
         gap=max(res.gap for res in results),
         eps_optimal=all(res.eps_optimal for res in results),
-        stats=stats,
+        stats=RunStats(runs.values()),
         gamma_s_witness=max(res.lower for res in uppers),
         lower_gamma_witness=min(res.upper for res in lowers),
     )
@@ -594,23 +618,22 @@ def qib(
 
     norms = _mixed_grad_sq_norms(model)
     eps_optimal = upper_res.eps_optimal and lower_res.eps_optimal
+    runs: Runs = {}
     if distributed:
-        results = [_maximize_expr(e, model, cfg) for e in norms]
+        results = [_maximize_expr(e, model, cfg, runs) for e in norms]
         gamma_m = fraction_up(sum(map(Fraction, (res.upper for res in results))))
         gamma_m_witness = fraction_down(sum(map(Fraction, (res.lower for res in results))))
-        for res in results:
-            stats.absorb(res)
-            eps_optimal = eps_optimal and res.eps_optimal
+        eps_optimal = eps_optimal and all(res.eps_optimal for res in results)
     else:
         total = expr_sum(e for e in norms if not is_zero(e))
         if total is None:
             gamma_m = gamma_m_witness = 0.0
         else:
-            res = _maximize_expr(simplify(total), model, cfg)
-            stats.absorb(res)
+            res = _maximize_expr(simplify(total), model, cfg, runs)
             eps_optimal = eps_optimal and res.eps_optimal
             gamma_m = res.upper
             gamma_m_witness = res.lower
+    stats.merge(RunStats(runs.values()))
     gamma_bar = upper_res.gamma_s
     gamma_low = lower_res.lower_gamma
     exact_q1 = Fraction(eps1) * Fraction(gamma_bar) - Fraction(eps2) * Fraction(gamma_low)
@@ -658,7 +681,7 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     scale = Const(float(model.n))
     diag = [0.0] * model.n
     witness = [0.0] * model.n
-    stats = RunStats()
+    runs: Runs = {}
     eps_optimal = True
     columns: list[list[Expr]] = [[] for _ in range(model.n)]
     for partials in model.state_jacobian:
@@ -667,15 +690,14 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     for j, terms in enumerate(columns):
         if not terms:
             continue
-        res = _maximize_expr(simplify(scale * expr_sum(terms)), model, cfg)
-        stats.absorb(res)
+        res = _maximize_expr(simplify(scale * expr_sum(terms)), model, cfg, runs)
         eps_optimal = eps_optimal and res.eps_optimal
         diag[j] = sqrt_up(max(res.upper, 0.0))
         witness[j] = sqrt_down(max(res.lower, 0.0))
     return QBResult(
         diag=tuple(diag),
         eps_optimal=eps_optimal,
-        stats=stats,
+        stats=RunStats(runs.values()),
         diag_witness=tuple(witness),
     )
 

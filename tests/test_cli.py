@@ -60,6 +60,38 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, ["lipschitz", "--model", str(bad)])
         assert code == 3 and out == ""
 
+    DEEP_SUM = "+".join(["x*y"] * 1200)
+
+    @pytest.mark.parametrize(
+        "text",
+        [DEEP_SUM, "(" * 1200 + "x" + ")" * 1200, "-" * 1200 + "x"],
+        ids=["sum", "parentheses", "negations"],
+    )
+    def test_deep_expression_is_a_bad_expr(self, capsys, text):
+        # Parsed and simplified recursively: too deep is a parse error.
+        code, out, err = run_capture(
+            capsys, ["maximize", f"--expr={text}", "--bounds", "x=[0,1];y=[0,1]"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "certbound: bad --expr: expression nested too deeply at offset 0\n"
+
+    def test_deep_sum_is_an_invalid_model(self, tmp_path, capsys):
+        model = tmp_path / "deep.nds"
+        model.write_text(f"[states]\nx = [0, 1]\ny = [0, 1]\n[f]\nf1 = {self.DEEP_SUM}\nf2 = x\n")
+        code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
+        assert (code, out) == (3, "")
+        assert err == (
+            f"certbound: invalid model {model}: expression nested too deeply at offset 0\n"
+        )
+
+    def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path, capsys):
+        # Case 1 sums the 1,021 components' squared gradient norms into one
+        # expression, deeper than the symbolic layer's recursion reaches.
+        model = str(tmp_path / "traffic_s170.nds")
+        assert run(["make-model", "traffic", "--sections", "170", "--output", model]) == 0
+        code, out, err = run_capture(capsys, ["lipschitz", "--case", "1", "--model", model])
+        assert (code, out, err) == (3, "", "certbound: expression nested too deeply\n")
+
     def test_unbounded_jacobian_entry_ends_fast(self, tmp_path):
         # df1/dx2 = x1/(2*sqrt(x2)) is unbounded on every box touching
         # x2 = 0; the run must end with exit 4 instead of bisecting that

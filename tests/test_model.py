@@ -8,7 +8,7 @@ from certbound.errors import (
     MissingBounds,
     ParseError,
 )
-from certbound.expr import differentiate, eval_real, is_zero, parse
+from certbound.expr import differentiate, eval_real, free_vars, is_zero, parse
 from certbound.intervals import Interval
 from certbound.model import grad_sq_norm, model_to_text, reduced_domain
 
@@ -223,3 +223,21 @@ class TestReducedDomain:
             f=(parse("2.0"),),
         )
         assert reduced_domain(m, m.f[0]).labels == ("x1",)
+
+    @pytest.mark.parametrize("fixture", ["traffic_s5", "generator"])
+    def test_equals_the_full_box_restricted(self, request, fixture):
+        # Every component, every partial, each pair of components, a name
+        # the model does not declare, and no name at all.
+        m = request.getfixturevalue(fixture)
+        partials = [d for row in m.state_jacobian for _, d in row]
+        groups = [[e] for e in (*m.f, *partials)] + [list(pair) for pair in zip(m.f, m.f[1:])]
+        groups += [[parse("zz + x1")], [parse("2.0")], []]
+        for exprs in groups:
+            used = set().union(*(free_vars(e) for e in exprs))
+            assert reduced_domain(m, exprs) == m.omega().restrict(used)
+
+    def test_bound_of(self):
+        m = parse_model_text(SAMPLE)
+        assert (m.bound_of("x2"), m.bound_of("u1")) == (Interval(0, 0.0265), Interval(-1, 1))
+        with pytest.raises(MissingBounds, match="'zz'"):
+            m.bound_of("zz")

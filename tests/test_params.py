@@ -12,8 +12,10 @@ from certbound.errors import (
     NecessaryConditionViolated,
     PreconditionViolated,
 )
-from certbound.expr import eval_real, parse, to_text
+from certbound.bnb import maximize, minimize
+from certbound.expr import MAX, MUL, Binary, Const, Program, Var, eval_real, parse, to_text
 from certbound.intervals import Interval
+from certbound.model import reduced_domain
 from certbound import params
 from certbound.params import (
     _maximize_expr,
@@ -39,6 +41,18 @@ RHO_C = 0.0265
 
 CFG = BnBConfig(eps_h=1e-6, eps_om=1e-9, segments=1)
 CFG_COARSE = BnBConfig(eps_h=1e-4, eps_om=1e-7, segments=1)
+
+
+def searches(model, exprs) -> set:
+    """The distinct searches behind ``exprs`` (constants need none): each
+    one's program key with its reduced box's endpoints by ``repr``."""
+    keys = set()
+    for e in exprs:
+        if not isinstance(e, Const):
+            domain = reduced_domain(model, e)
+            endpoints = tuple((repr(iv.lo), repr(iv.hi)) for iv in domain.dims)
+            keys.add((Program(e, domain.labels).key, endpoints))
+    return keys
 
 
 def small_model(texts, bounds, inputs=(), G=None, constants=None):
@@ -105,13 +119,17 @@ class TestJacobianBounds:
     def test_zero_derivatives_skip_runs(self, traffic_s1):
         jb = jacobian_bounds(traffic_s1, CFG)
         assert jb.entry(2, 7).lo == jb.entry(2, 7).hi == 0.0
+        partials = [d for row in traffic_s1.state_jacobian for _, d in row]
         nonzero = sum(
             1
             for i in range(1, traffic_s1.g + 1)
             for j in range(1, traffic_s1.n + 1)
             if jb.entry(i, j) != Interval(0.0, 0.0)
         )
-        assert jb.stats.runs == 2 * nonzero  # one max and one min per entry
+        assert nonzero == len(partials) == 13
+        # One max and one min per distinct search among the 13 nonzero
+        # entries (4 of them); the 36 zero entries run nothing.
+        assert jb.stats.runs == 2 * len(searches(traffic_s1, partials)) == 8
 
     def test_absent_state_of_a_quotient_is_exactly_zero(self):
         m = small_model(
@@ -130,8 +148,9 @@ class TestJacobianBounds:
             ("3.0", "3.0"), ("-1.0", "-1.0")
         ]
         assert linear.entry(2, 1) == alone.entry(1, 1)
-        assert linear.stats.evals == alone.stats.evals  # no evaluation for [c, c]
-        assert linear.stats.runs == alone.stats.runs + 4
+        # [c, c] takes no evaluation and is no run.
+        assert (linear.stats.runs, linear.stats.evals) == (alone.stats.runs, alone.stats.evals)
+        assert linear.stats.runs == 4  # x1*x2's two entries: one max and one min each
 
     def test_product_with_sqrt_leaves_no_quotient_debris(self):
         # d(x1*sqrt(x2))/dx1 is sqrt(x2), not sqrt(x2) + x1*(0.0/(2.0*sqrt(x2))),
@@ -139,8 +158,8 @@ class TestJacobianBounds:
         m = small_model(["x1*sqrt(x2)", "x2"], [("x1", 0, 1), ("x2", 0, 1)])
         partials = dict(m.state_jacobian[0])
         assert to_text(partials[0]) == "sqrt(x2)"
-        hi = _maximize_expr(partials[0], m, CFG)
-        lo = _minimize_expr(partials[0], m, CFG)
+        hi = _maximize_expr(partials[0], m, CFG, {})
+        lo = _minimize_expr(partials[0], m, CFG, {})
         assert lo.lower <= 0.0 <= lo.upper and hi.lower <= 1.0 <= hi.upper
         assert hi.eps_optimal and lo.eps_optimal
         assert hi.stats.evals + lo.stats.evals < 200
@@ -496,6 +515,103 @@ class TestQB:
 
 
 # ---------------------------------------------------------------------------
+# One run per distinct search within a constant
+# ---------------------------------------------------------------------------
+
+COARSE = BnBConfig(eps_h=1e-3, segments=2)
+LOOSE = BnBConfig(eps_h=10.0, eps_om=1e-3, segments=2)
+REUSED = {
+    "jacobian": jacobian_bounds,
+    "qb": qb,
+    "frobenius": osl_frobenius,
+    "gershgorin": osl_gershgorin,
+    "zeta": osl_zeta,
+}
+
+
+def _fields(result) -> dict:
+    """Every field of a constant's result but its run statistics, by ``repr``."""
+    return {name: repr(getattr(result, name)) for name in result.__slots__ if name != "stats"}
+
+
+class TestRunReuse:
+    @pytest.mark.parametrize(
+        "model_name, cfg, constants",
+        [
+            ("traffic_s1", CFG_COARSE, ("jacobian", "qb", "frobenius", "gershgorin", "zeta")),
+            ("traffic_s5", BnBConfig(), ("jacobian", "qb", "gershgorin")),
+            ("moving_object_unit", COARSE, ("jacobian", "qb", "frobenius", "gershgorin", "zeta")),
+            ("moving_object", BnBConfig(), ("jacobian", "qb")),
+            ("generator", LOOSE, ("jacobian", "gershgorin", "zeta")),
+        ],
+    )
+    def test_reuse_matches_fresh_runs(self, request, monkeypatch, model_name, cfg, constants):
+        # Against a fresh search per call of ``_optimize_expr``: every field
+        # equal by ``repr``, one run per distinct search, and the evals of
+        # each distinct search's first run.
+        model = request.getfixturevalue(model_name)
+        reused = {name: REUSED[name](model, cfg) for name in constants}
+        original = params._optimize_expr
+        asked: list[tuple] = []
+
+        def fresh(e, model, cfg, runs, *optimizers):
+            results = original(e, model, cfg, {}, *optimizers)
+            if not isinstance(e, Const):
+                (search,) = searches(model, [e])
+                asked.extend(zip(((opt, search) for opt in optimizers), results))
+            return results
+
+        monkeypatch.setattr(params, "_optimize_expr", fresh)
+        for name in constants:
+            asked.clear()
+            alone = REUSED[name](model, cfg)
+            assert _fields(reused[name]) == _fields(alone), name
+            first = dict(reversed(asked))
+            assert reused[name].stats.runs == len(first), name
+            assert reused[name].stats.evals == sum(res.stats.evals for res in first.values())
+
+    def test_traffic_jacobian_and_qb_reuse_their_runs(self, traffic_s5):
+        # 61 nonzero entries and 31 QB columns, in 4 classes each.
+        jb, q = jacobian_bounds(traffic_s5, CFG_COARSE), qb(traffic_s5, CFG_COARSE)
+        assert (jb.stats.runs, q.stats.runs) == (8, 4)
+
+    def test_signed_zero_constants_do_not_merge(self):
+        # ``simplify`` drops a zero term or factor, but a ``max`` keeps it.
+        m = small_model(["x1", "x2"], [("x1", -1, -0.5), ("x2", -1, -0.5)])
+        runs: dict = {}
+        pos = _maximize_expr(Binary(MAX, Var("x1"), Const(0.0)), m, CFG, runs)
+        neg = _maximize_expr(Binary(MAX, Var("x2"), Const(-0.0)), m, CFG, runs)
+        assert len(runs) == 2
+        assert (repr(pos.upper), repr(neg.upper)) == ("0.0", "-0.0")
+
+    def test_constants_one_ulp_apart_do_not_merge(self):
+        # Each partial is c*x1 or c*x2 over [-1, 2]: one search per constant.
+        bounds = [("x1", -1, 2), ("x2", -1, 2)]
+        c, d = 3.0, math.nextafter(3.0, 4.0)
+        apart = jacobian_bounds(small_model([f"{c!r}*x1*x2", f"{d!r}*x2*x1"], bounds), CFG)
+        alike = jacobian_bounds(small_model([f"{c!r}*x1*x2", f"{c!r}*x2*x1"], bounds), CFG)
+        assert (apart.stats.runs, alike.stats.runs) == (4, 2)
+        assert apart.entry(1, 1).hi < apart.entry(2, 2).hi
+
+    def test_signed_zero_bounds_do_not_merge(self):
+        texts = ["sqr(x1)", "sqr(x2)"]
+        apart = small_model(texts, [("x1", -0.0, 1), ("x2", 0.0, 1)])
+        alike = small_model(texts, [("x1", -0.0, 1), ("x2", -0.0, 1)])
+        jb = jacobian_bounds(apart, CFG)
+        assert jb.entry(1, 1) == jb.entry(2, 2)  # equal as floats, yet two searches
+        assert (jb.stats.runs, jacobian_bounds(alike, CFG).stats.runs) == (4, 2)
+
+    def test_maximize_and_minimize_do_not_merge(self):
+        m = small_model(["x1*x2"], [("x1", -1, 2), ("x2", 0, 1)])
+        e = Binary(MUL, Var("x1"), Var("x2"))
+        runs: dict = {}
+        hi, lo = params._optimize_expr(e, m, CFG, runs, maximize, minimize)
+        assert len(runs) == 2 and lo.lower <= -1.0 < 2.0 <= hi.upper
+        assert _maximize_expr(e, m, CFG, runs) is hi and _minimize_expr(e, m, CFG, runs) is lo
+        assert len(runs) == 2
+
+
+# ---------------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------------
 
@@ -544,7 +660,7 @@ class TestAssemblyRounding:
     def test_distributed_qib_sum_rounds_outward(self):
         m = small_model(*self.LINEAR)
         r = qib(m, CFG, eps1=0.0, eps2=0.0, distributed=True)
-        runs = [_maximize_expr(e, m, CFG) for e in _mixed_grad_sq_norms(m)]
+        runs = [_maximize_expr(e, m, CFG, {}) for e in _mixed_grad_sq_norms(m)]
         upper = sum(Fraction(res.upper) for res in runs)
         lower = sum(Fraction(res.lower) for res in runs)
         assert Fraction(r.gamma_m) >= upper > Fraction(math.nextafter(r.gamma_m, 0.0))
