@@ -4,14 +4,15 @@ Given a point objective ``h`` and a sound interval extension ``hI`` of it
 (a function from a list of ``(lo, hi)`` pairs, one per dimension, to a
 pair), the search maintains a cover: a set of boxes with pairwise disjoint
 interiors whose union still contains a maximizer.  Each box caches
-lower/upper bounds from exactly one refined interval evaluation; where that
+lower/upper bounds from at most one refined interval evaluation; where that
 evaluation fails (a divisor or square-root argument enclosure that crosses
 its domain's edge, a non-finite endpoint, or an overflow), the box keeps its
 parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
 ``hI`` also encloses the gradient (``hI.gradient(dims)``, a tuple of
 pairs), each box is first collapsed to the face where its maximum lies
 along every dimension of fixed derivative sign, and its bounds are
-tightened by the centred form (see ``_first_order``).  The search tightens
+tightened by the centred form (see ``_first_order``); a box that this
+already prunes skips the refined evaluation.  The search tightens
 the sandwich ``l <= h* <= u`` in three phases:
 
 1. repeatedly bisect the box with the greatest upper bound (drives u down),
@@ -216,22 +217,34 @@ def _first_order(
     Monotonicity test (Hansen & Walster 2004): where ``G_k >= 0`` the
     maximum of h over the box is reached on the face ``x_k = hi``, where
     ``G_k <= 0`` on ``x_k = lo``; every such dimension collapses to that
-    face.  Centred form (Ratschek & Rokne 1988): on the face, with centre
-    ``c``, ``h`` lies in ``h([c]) + sum_k G_k * (X_k - c_k)`` by the mean
-    value theorem (Lebourg's, for a locally Lipschitz h), ``h([c])`` being
-    the interval enclosure at ``c``.
+    face.  Centred form (Ratschek & Rokne 1988): on the face, with any
+    centre ``c`` in it, ``h`` lies in ``h([c]) + sum_k G_k * (X_k - c_k)``
+    by the mean value theorem (Lebourg's, for a locally Lipschitz h),
+    ``h([c])`` being the interval enclosure at ``c``.  Along a dimension
+    with ``G_k = [gl, gh]``, ``gl < 0 < gh``, the centre is Baumann's
+    (1988) ``c_k = (gh*hi - gl*lo) / (gh - gl)``, which minimizes the upper
+    bound of ``G_k * (X_k - c_k)``; where that float is not finite or falls
+    outside ``[lo, hi]``, the face's midpoint.
 
     Returns the face and that centred enclosure of h on it.  Raises
     ``IntervalError`` when the gradient or the centre does not enclose."""
     grads = gradient([(iv.lo, iv.hi) for iv in box.dims])
     dims = list(box.dims)
+    centre = []
     for k, (gl, gh) in enumerate(grads):
+        iv = dims[k]
         if gl >= 0.0:
-            dims[k] = Interval(dims[k].hi, dims[k].hi)
+            dims[k] = Interval(iv.hi, iv.hi)
+            c = iv.hi
         elif gh <= 0.0:
-            dims[k] = Interval(dims[k].lo, dims[k].lo)
+            dims[k] = Interval(iv.lo, iv.lo)
+            c = iv.lo
+        else:
+            c = (gh * iv.hi - gl * iv.lo) / (gh - gl)
+            if not (iv.lo <= c <= iv.hi and math.isfinite(c)):
+                c = iv.midpoint
+        centre.append(c)
     face = Box(tuple(dims), box.labels)
-    centre = face.midpoint()
     bound = hI([(c, c) for c in centre])
     for g, iv, c in zip(grads, dims, centre):
         if iv.lo < iv.hi:
@@ -246,10 +259,12 @@ class _Bounder:
     has), each box is first reduced by ``_first_order``: the subproblem
     keeps the face instead of the box, and its bounds are the natural
     enclosure on the face intersected with the centred form.  A gradient or
-    centre enclosure that fails skips this step for that box.  Either way
-    each box costs one refined interval evaluation (``refined_eval``: one
-    evaluation of ``hI`` per slab of the widest dimension), and ``evals``
-    counts one per box.
+    centre enclosure that fails skips this step for that box.  Then the
+    box gets one refined interval evaluation (``refined_eval``: one
+    evaluation of ``hI`` per slab of the widest dimension), unless its
+    first-order upper bound, intersected with the parent's, is already
+    below the caller's lower bound ``l``: such a box is pruned by the same
+    step anyway.  ``evals`` counts the refined evaluations.
 
     The bounds of a box split from ``parent`` are intersected with the
     parent's: those stay valid on the half (its range is a subset), so the
@@ -266,8 +281,9 @@ class _Bounder:
         self.failure: IntervalError | None = None
         self.gradient: GradientFn | None = getattr(hI, "gradient", None)
 
-    def __call__(self, box: Box, parent: Subproblem | None = None) -> Subproblem:
-        self.stats.evals += 1
+    def __call__(
+        self, box: Box, parent: Subproblem | None = None, l: float = -_INF_SENTINEL
+    ) -> Subproblem:
         lo, hi = -_INF_SENTINEL, _INF_SENTINEL
         if self.gradient is not None:
             try:
@@ -275,13 +291,15 @@ class _Bounder:
             except IntervalError:
                 pass
         dim, width = box.widest()
-        try:
-            iv = refined_eval(self.hI, box, self.segments, dim)
-        except IntervalError as exc:
-            self.failure = exc
-        else:
-            lo = max(lo, iv.lo)
-            hi = min(hi, iv.hi)
+        if parent is None or min(hi, parent.hi_bound) >= l:
+            self.stats.evals += 1
+            try:
+                iv = refined_eval(self.hI, box, self.segments, dim)
+            except IntervalError as exc:
+                self.failure = exc
+            else:
+                lo = max(lo, iv.lo)
+                hi = min(hi, iv.hi)
         if parent is not None:
             lo = max(lo, parent.lo_bound)
             hi = min(hi, parent.hi_bound)
@@ -293,7 +311,7 @@ def opt_bnb_step(
     chosen: Subproblem,
     l: float,
     h: PointFn,
-    bound: Callable[[Box, Subproblem], Subproblem],
+    bound: Callable[[Box, Subproblem, float], Subproblem],
 ) -> tuple[Subproblem, float, float, tuple[float, ...] | None]:
     """One bisection step: split ``chosen`` at the midpoint of its widest
     dimension, raise l from the midpoint of the best-lower-bound box, prune,
@@ -301,7 +319,7 @@ def opt_bnb_step(
     that improved l (if any)."""
     cover.remove(chosen)
     for half in chosen.box.split(chosen.dim):
-        cover.add(bound(half, chosen))
+        cover.add(bound(half, chosen, l))
     candidate = cover.peek_max_lo()
     witness: tuple[float, ...] | None = None
     if candidate is not None:

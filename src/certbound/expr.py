@@ -146,9 +146,15 @@ def expr_sum(terms: Iterable[Expr]) -> Expr | None:
 
 
 def sum_or_zero(terms: Iterable[Expr]) -> Expr:
-    """The simplified ``expr_sum`` of ``terms``; ``0`` when there are none."""
-    total = expr_sum(terms)
-    return simplify(total) if total is not None else ZERO
+    """``simplify(expr_sum(terms))``; ``0`` when there are none.  The sum is
+    folded term by term in one loop, with ``simplify``'s rule for ``+``,
+    instead of by recursion down the left-deep tree, so a sum of any
+    length simplifies."""
+    total = None
+    for term in terms:
+        term = simplify(term)
+        total = term if total is None else _simplified_add(total, term)
+    return ZERO if total is None else total
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -215,16 +221,11 @@ def simplify(e: Expr) -> Expr:
     assert isinstance(e, Binary)
     left = simplify(e.left)
     right = simplify(e.right)
+    if e.op == ADD:
+        return _simplified_add(left, right)
     lc = left.value if isinstance(left, Const) else None
     rc = right.value if isinstance(right, Const) else None
-    if e.op == ADD:
-        if lc == 0.0:
-            return right
-        if rc == 0.0:
-            return left
-        if lc is not None and rc is not None and math.isfinite(lc + rc):
-            return Const(lc + rc)
-    elif e.op == SUB:
+    if e.op == SUB:
         if rc == 0.0:
             return left
         if lc == 0.0:
@@ -248,6 +249,19 @@ def simplify(e: Expr) -> Expr:
         if lc is not None and rc is not None and rc != 0.0 and math.isfinite(lc / rc):
             return Const(lc / rc)
     return Binary(e.op, left, right)
+
+
+def _simplified_add(left: Expr, right: Expr) -> Expr:
+    """``simplify``'s rule for ``left + right``, both already simplified."""
+    lc = left.value if isinstance(left, Const) else None
+    rc = right.value if isinstance(right, Const) else None
+    if lc == 0.0:
+        return right
+    if rc == 0.0:
+        return left
+    if lc is not None and rc is not None and math.isfinite(lc + rc):
+        return Const(lc + rc)
+    return Binary(ADD, left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -387,13 +387,11 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Upper bound from the maximal Frobenius norm of the G-weighted
     Jacobian; always nonnegative.  The matching lower bound is its negation
     (no eigenvalue of the symmetrization can lie below it)."""
-    total = expr_sum(
-        sqr(entry) for row in build_xi(model) for entry in row if not is_zero(entry)
-    )
-    if total is None:
+    terms = [sqr(entry) for row in build_xi(model) for entry in row if not is_zero(entry)]
+    if not terms:
         return OSLResult(0.0, "frobenius", 0.0, 0.0, True, RunStats())
     runs: Runs = {}
-    res = _maximize_expr(simplify(total), model, cfg, runs)
+    res = _maximize_expr(sum_or_zero(terms), model, cfg, runs)
     gamma = sqrt_up(max(res.upper, 0.0))
     achieved = sqrt_down(max(res.lower, 0.0))
     return OSLResult(
@@ -625,11 +623,11 @@ def qib(
         gamma_m_witness = fraction_down(sum(map(Fraction, (res.lower for res in results))))
         eps_optimal = eps_optimal and all(res.eps_optimal for res in results)
     else:
-        total = expr_sum(e for e in norms if not is_zero(e))
-        if total is None:
+        terms = [e for e in norms if not is_zero(e)]
+        if not terms:
             gamma_m = gamma_m_witness = 0.0
         else:
-            res = _maximize_expr(simplify(total), model, cfg, runs)
+            res = _maximize_expr(sum_or_zero(terms), model, cfg, runs)
             eps_optimal = eps_optimal and res.eps_optimal
             gamma_m = res.upper
             gamma_m_witness = res.lower

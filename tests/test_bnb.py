@@ -2,11 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from certbound import BnBConfig
-from certbound.bnb import Cover, Subproblem, opt_bnb_step, _Bounder, BnBStats, maximize, minimize
+from certbound import bnb
+from certbound.bnb import (
+    BnBStats, Cover, Subproblem, _Bounder, _first_order, maximize, minimize, opt_bnb_step,
+)
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
 from certbound.intervals import Box, Interval
@@ -173,6 +177,99 @@ class TestFirstOrder:
         assert sub.box.dims[0] == Interval(1.0, 1.0) and sub.lo_bound <= 0.7 <= sub.hi_bound
         res = minimize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
         assert res.lower <= 0.0 <= res.upper and res.stats.evals < 200
+
+
+class CentreRecorder:
+    """``hI`` with its gradient; keeps the last point (all-degenerate box)
+    it was evaluated on, which in ``_first_order`` is the centre."""
+
+    def __init__(self, hI, gradient):
+        self.hI = hI
+        self.gradient = gradient
+        self.centre = None
+
+    def __call__(self, dims):
+        if all(lo == hi for lo, hi in dims):
+            self.centre = tuple(lo for lo, _ in dims)
+        return self.hI(dims)
+
+
+class TestBaumannCentre:
+    """``_first_order`` centres the mean-value form where it minimizes the
+    upper bound."""
+
+    def test_centre_beats_the_midpoint_on_a_hand_checked_box(self):
+        program = Program(parse("sqr(x) + y"), ("x", "y"))
+        box = Box.from_bounds([("x", -1.0, 3.0), ("y", 0.0, 1.0)])
+        hI = CentreRecorder(program, program.gradient)
+        face, _, hi = _first_order(hI, program.gradient, box)
+        # dh/dx = 2x in [-2, 6] (rounded outward) changes sign; dh/dy = 1
+        # collapses y to 1.  The centre is (6*3 - (-2)*(-1)) / (6 - (-2)).
+        (gl, gh), _ = program.gradient(pairs(box))
+        assert gl == pytest.approx(-2.0, rel=1e-15) and gh == pytest.approx(6.0, rel=1e-15)
+        assert face == Box.from_bounds([("x", -1.0, 3.0), ("y", 1.0, 1.0)])
+        (cx, cy) = hI.centre
+        assert cx == pytest.approx(2.0, rel=1e-15) and cy == 1.0
+
+        def exact_upper(c):
+            # h(c, 1) + sup [gl, gh] * ([lo, hi] - c), in rationals.
+            return c * c + 1 + max(Fraction(gh) * (3 - c), Fraction(gl) * (-1 - c))
+
+        # About 11 at the centre and 14 at the midpoint; the float bound
+        # encloses the first and stays below the second.
+        assert exact_upper(Fraction(cx)) <= Fraction(hi) < exact_upper(Fraction(1))
+        assert hi == pytest.approx(11.0, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_centre_lies_in_the_face(self, seed):
+        rng = random.Random(500 + seed)
+        program = Program(random_polynomial(rng, 2), ("x1", "x2"))
+        for _ in range(20):
+            bounds = []
+            for name in ("x1", "x2"):
+                lo = rng.uniform(-2.0, 1.0)
+                bounds.append((name, lo, lo + rng.choice([1e-9, 0.1, 2.0])))
+            box = Box.from_bounds(bounds)
+            hI = CentreRecorder(program, program.gradient)
+            face, _, _ = _first_order(hI, program.gradient, box)
+            assert all(iv.lo <= c <= iv.hi for iv, c in zip(face.dims, hI.centre))
+
+    def test_non_finite_centre_falls_back_to_the_midpoint(self):
+        # gh*hi - gl*lo overflows near 1e308, although every term of the
+        # form is finite: the midpoint keeps the form.
+        gradient = lambda dims: ((-1e8, 1e8),)
+        hI = CentreRecorder(lambda dims: (0.0, 1.0), gradient)
+        box = Box.from_bounds([("x", 1e300, 1.5e300)])
+        face, lo, hi = _first_order(hI, gradient, box)
+        assert (face, hI.centre) == (box, (box.dims[0].midpoint,))
+        assert math.isfinite(lo) and math.isfinite(hi)
+
+
+class TestSkippedRefinement:
+    """A child whose first-order upper bound is already below l gets no
+    refined evaluation and is pruned in the same step."""
+
+    def test_child_below_l_costs_no_refined_eval(self, monkeypatch):
+        calls = []
+        refined_eval = bnb.refined_eval
+
+        def counted(hI, box, segments, dim=None):
+            calls.append(box)
+            return refined_eval(hI, box, segments, dim)
+
+        monkeypatch.setattr(bnb, "refined_eval", counted)
+        program = Program(parse("x*(1 - x)"), ("x",))
+        box = Box.from_bounds([("x", 0.0, 2.0)])
+        for l, refined in ((-math.inf, 2), (0.25, 1)):  # h(0.5) = 0.25
+            stats = BnBStats()
+            bound = _Bounder(program, 4, stats)
+            root = bound(box)
+            cover = Cover([root])
+            del calls[:]
+            # [1, 2] is decreasing: its face x = 1 bounds it by h(1) = 0.
+            opt_bnb_step(cover, root, l, program.eval_point, bound)
+            assert (len(calls), stats.evals) == (refined, 1 + refined)
+            assert [s.box for s in cover.subproblems] == [Box.from_bounds([("x", 0.0, 1.0)])]
 
 
 class TestMinimize:

@@ -85,12 +85,33 @@ class TestExitCodes:
         )
 
     def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path, capsys):
+        # qb simplifies n times the sum of the squared entries of Jacobian
+        # column 1, here 1,100 terms: deeper than the symbolic layer's
+        # recursion reaches, although every line of the model is short.
+        n = 1100
+        model = tmp_path / "wide.nds"
+        model.write_text(
+            "[states]\n" + "".join(f"x{i} = [-1, 1]\n" for i in range(1, n + 1))
+            + "[f]\n" + "".join(f"f{i} = x1*x{i}\n" for i in range(1, n + 1))
+        )
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
+        assert (code, out, err) == (3, "", "certbound: expression nested too deeply\n")
+
+    def test_case1_objective_of_thousands_of_terms_is_bounded(self, tmp_path, capsys):
         # Case 1 sums the 1,021 components' squared gradient norms into one
-        # expression, deeper than the symbolic layer's recursion reaches.
+        # objective; the sum is folded in a loop, so its length is no limit.
         model = str(tmp_path / "traffic_s170.nds")
         assert run(["make-model", "traffic", "--sections", "170", "--output", model]) == 0
-        code, out, err = run_capture(capsys, ["lipschitz", "--case", "1", "--model", model])
-        assert (code, out, err) == (3, "", "certbound: expression nested too deeply\n")
+        rows = {}
+        for case in ("1", "2"):
+            code, out, err = run_capture(
+                capsys, ["lipschitz", "--case", case, "--model", model, "--format", "json"]
+            )
+            assert (code, err) == (0, "")
+            (row,) = json.loads(out)[0]["results"]
+            rows[case] = row
+        assert rows["1"]["eps_optimal"] and rows["1"]["value"] >= rows["2"]["lower"]
+        assert rows["1"]["value"] == pytest.approx(rows["2"]["value"], abs=1e-9)
 
     def test_unbounded_jacobian_entry_ends_fast(self, tmp_path):
         # df1/dx2 = x1/(2*sqrt(x2)) is unbounded on every box touching

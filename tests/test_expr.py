@@ -23,10 +23,12 @@ from certbound.expr import (
     Var,
     differentiate,
     eval_real,
+    expr_sum,
     free_vars,
     parse,
     simplify,
     structural_key,
+    sum_or_zero,
     to_text,
 )
 from certbound.intervals import Box, Interval
@@ -472,3 +474,31 @@ class TestSimplify:
         # conservative: does not collect like terms
         e = simplify(parse("x + x"))
         assert e == Binary("+", Var("x"), Var("x"))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_sum_or_zero_is_the_simplified_sum(self, seed):
+        # Terms that fold to zeros of either sign, finite and overflowing
+        # constants, and polynomials left unsimplified.
+        rng = random.Random(seed)
+        x = Var("x")
+        pool = [
+            lambda: Const(rng.choice([0.0, -0.0, 1.5, -2.0, 1e308])),
+            lambda: Binary("*", Const(0.0), x),
+            lambda: Binary("-", Const(2.0), Const(2.0)),
+            lambda: Binary("+", Const(rng.uniform(-1.0, 1.0)), Const(0.5)),
+            lambda: Unary("neg", Var(rng.choice("xy"))),
+            lambda: Binary("+", random_polynomial(rng, 2), Const(0.0)),
+        ]
+        terms = [rng.choice(pool)() for _ in range(rng.randint(1, 12))]
+        assert sum_or_zero(terms) == simplify(expr_sum(terms))
+
+    def test_sum_or_zero_of_thousands_of_terms(self):
+        # Deeper than simplify's recursion reaches; the loop folds it.
+        term = Binary("*", Var("x"), Var("x"))
+        total = sum_or_zero([term, Const(0.0)] * 3000)
+        spine = 0
+        while isinstance(total, Binary) and total.op == "+":
+            assert total.right == Unary("sqr", Var("x"))
+            total, spine = total.left, spine + 1
+        assert (total, spine) == (Unary("sqr", Var("x")), 2999)
+        assert sum_or_zero([]) == Const(0.0)

@@ -381,8 +381,8 @@ class TestOSL:
         # max; their generalized gradients give first-order bounds (1,696
         # evaluations each with zero-order bounds only).
         cfg = BnBConfig()
-        assert osl_zeta(moving_object, cfg).stats.evals == 672
-        assert osl_gershgorin(moving_object, cfg).stats.evals == 672
+        assert osl_zeta(moving_object, cfg).stats.evals == 380
+        assert osl_gershgorin(moving_object, cfg).stats.evals == 380
 
     def test_zeta_rows_are_built_as_written(self):
         m = small_model(["x2", "x1"], [("x1", -1, 1), ("x2", -1, 1)])
