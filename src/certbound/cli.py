@@ -266,10 +266,9 @@ def _cmd_maximize(args) -> list[RunReport]:
     # Search only the variables the expression uses: an unused one would be
     # bisected without tightening anything.  A constant keeps the full box.
     domain = box.restrict(used)
-    stats = params.RunStats()
     program = Program(expression, domain.labels)
-    res = stats.absorb(maximize(program.eval_point, program, domain, _cfg(args)))
-    fields = _stats_fields(res.eps_optimal, stats, res.gap)
+    res = maximize(program.eval_point, program, domain, _cfg(args))
+    fields = _stats_fields(res.eps_optimal, params.RunStats([res]), res.gap)
     row = ConstantRow("max", res.upper, lower=res.lower, **fields)
     fp = _fingerprint(f"{args.expr}|{args.bounds}".encode())
     return [_report(args, fp, [row])]

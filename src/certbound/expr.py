@@ -153,7 +153,7 @@ def sum_or_zero(terms: Iterable[Expr]) -> Expr:
     total = None
     for term in terms:
         term = simplify(term)
-        total = term if total is None else _simplified_add(total, term)
+        total = term if total is None else simplified_add(total, term)
     return ZERO if total is None else total
 
 
@@ -198,11 +198,8 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, Unary):
         arg = simplify(e.arg)
         if e.op == NEG:
-            if isinstance(arg, Const) and math.isfinite(arg.value):
-                return Const(-arg.value)
-            if isinstance(arg, Unary) and arg.op == NEG:
-                return arg.arg
-        elif isinstance(arg, Const):
+            return _simplified_neg(arg)
+        if isinstance(arg, Const):
             if e.op == SQR and math.isfinite(arg.value * arg.value):
                 return Const(arg.value * arg.value)
             if e.op == ABS and math.isfinite(arg.value):
@@ -222,28 +219,14 @@ def simplify(e: Expr) -> Expr:
     left = simplify(e.left)
     right = simplify(e.right)
     if e.op == ADD:
-        return _simplified_add(left, right)
-    lc = left.value if isinstance(left, Const) else None
-    rc = right.value if isinstance(right, Const) else None
+        return simplified_add(left, right)
     if e.op == SUB:
-        if rc == 0.0:
-            return left
-        if lc == 0.0:
-            return simplify(Unary(NEG, right))
-        if lc is not None and rc is not None and math.isfinite(lc - rc):
-            return Const(lc - rc)
-    elif e.op == MUL:
-        if lc == 0.0 or rc == 0.0:
-            return ZERO
-        if lc == 1.0:
-            return right
-        if rc == 1.0:
-            return left
-        if lc is not None and rc is not None and math.isfinite(lc * rc):
-            return Const(lc * rc)
-        if left == right:
-            return Unary(SQR, left)
-    elif e.op == DIV:
+        return simplified_sub(left, right)
+    if e.op == MUL:
+        return simplified_mul(left, right)
+    if e.op == DIV:
+        lc = left.value if isinstance(left, Const) else None
+        rc = right.value if isinstance(right, Const) else None
         if rc == 1.0:
             return left
         if lc is not None and rc is not None and rc != 0.0 and math.isfinite(lc / rc):
@@ -251,8 +234,21 @@ def simplify(e: Expr) -> Expr:
     return Binary(e.op, left, right)
 
 
-def _simplified_add(left: Expr, right: Expr) -> Expr:
-    """``simplify``'s rule for ``left + right``, both already simplified."""
+# ``simplify``'s rules for one node whose operands are already simplified.
+# They do not walk the operands again, so a long sum from ``sum_or_zero``
+# can be combined without recursing down it.
+
+
+def _simplified_neg(arg: Expr) -> Expr:
+    if isinstance(arg, Const) and math.isfinite(arg.value):
+        return Const(-arg.value)
+    if isinstance(arg, Unary) and arg.op == NEG:
+        return arg.arg
+    return Unary(NEG, arg)
+
+
+def simplified_add(left: Expr, right: Expr) -> Expr:
+    """``simplify(left + right)`` for simplified ``left`` and ``right``."""
     lc = left.value if isinstance(left, Const) else None
     rc = right.value if isinstance(right, Const) else None
     if lc == 0.0:
@@ -262,6 +258,36 @@ def _simplified_add(left: Expr, right: Expr) -> Expr:
     if lc is not None and rc is not None and math.isfinite(lc + rc):
         return Const(lc + rc)
     return Binary(ADD, left, right)
+
+
+def simplified_sub(left: Expr, right: Expr) -> Expr:
+    """``simplify(left - right)`` for simplified ``left`` and ``right``."""
+    lc = left.value if isinstance(left, Const) else None
+    rc = right.value if isinstance(right, Const) else None
+    if rc == 0.0:
+        return left
+    if lc == 0.0:
+        return _simplified_neg(right)
+    if lc is not None and rc is not None and math.isfinite(lc - rc):
+        return Const(lc - rc)
+    return Binary(SUB, left, right)
+
+
+def simplified_mul(left: Expr, right: Expr) -> Expr:
+    """``simplify(left * right)`` for simplified ``left`` and ``right``."""
+    lc = left.value if isinstance(left, Const) else None
+    rc = right.value if isinstance(right, Const) else None
+    if lc == 0.0 or rc == 0.0:
+        return ZERO
+    if lc == 1.0:
+        return right
+    if rc == 1.0:
+        return left
+    if lc is not None and rc is not None and math.isfinite(lc * rc):
+        return Const(lc * rc)
+    if left == right:
+        return Unary(SQR, left)
+    return Binary(MUL, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -898,12 +924,6 @@ class Program:
         self.var_order = tuple(var_order)
         self.expr = expr
         self._kernels: dict | None = None  # its shape's, from ``_shape_kernels``
-
-    @property
-    def key(self) -> tuple:
-        """Its ops and its constants by ``repr``: two programs with equal
-        keys compute the same function of their slots, bit for bit."""
-        return self.code, tuple(map(repr, self._constants))
 
     def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
         """Enclosures of the partial derivatives on the box ``dims`` (pairs),

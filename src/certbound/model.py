@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, MissingBounds, ParseError
 from .expr import (
@@ -167,17 +167,12 @@ def grad_sq_norm(model: ModelDef, i: int) -> Expr:
     return sum_or_zero(sqr(d) for _, d in model.state_jacobian[i - 1])
 
 
-def reduced_domain(model: ModelDef, exprs: Expr | Iterable[Expr]) -> Box:
-    """Search box restricted to the variables that actually appear
-    (declaration order preserved); falls back to the full box when nothing
-    appears, so optimization always has a domain."""
-    if isinstance(exprs, Expr):
-        exprs = [exprs]
-    used: set[str] = set()
-    for e in exprs:
-        used |= free_vars(e)
+def reduced_domain(model: ModelDef, e: Expr) -> Box:
+    """Search box restricted to the variables of ``e`` (declaration order
+    preserved); falls back to the full box when there are none, so
+    optimization always has a domain."""
     declared = model.declared
-    kept = sorted((declared[name][0], name) for name in used if name in declared)
+    kept = sorted((declared[name][0], name) for name in free_vars(e) if name in declared)
     if not kept:
         return model.omega()
     return Box(tuple(declared[name][1] for _, name in kept), tuple(name for _, name in kept))

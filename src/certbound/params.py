@@ -6,8 +6,8 @@ model's partial derivatives:
 
 * Jacobian bounds: extrema of each partial derivative.
 * Lipschitz: the squared gradient norms, either summed into one objective
-  (case 1) or maximized per component and then summed with multiplicities
-  over structurally identical components (case 2).
+  (case 1) or maximized per component and then summed (case 2), where
+  structurally identical components share one run.
 * One-sided Lipschitz: eigenvalue upper bounds for the symmetrized G-weighted
   Jacobian, via a Frobenius-norm objective, Gershgorin row sums, or the
   dimension-factor row bound.
@@ -17,8 +17,9 @@ model's partial derivatives:
 
 The independent per-entry/per-row problems run one after another in a fixed
 order, so results and run statistics are deterministic.  Within one
-constant, a problem that repeats (the same program over the same box)
-reuses its first run, which the run statistics count once.
+constant, a problem that repeats (the same function of its variables, up
+to a renaming that keeps their declaration order, over the same bounds)
+reuses its first run, compiles nothing, and is counted once.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from .expr import (
     Unary,
     Program,
     eval_real,
-    expr_sum,
     free_vars,
     is_zero,
+    simplified_add,
+    simplified_mul,
+    simplified_sub,
     simplify,
     sqr,
     structural_key_with_vars,
@@ -78,15 +81,10 @@ class RunStats:
         self.evals = 0
         self.wall_time = 0.0
         for result in results:
-            self.absorb(result)
-
-    def absorb(self, result: BnBResult) -> BnBResult:
-        """Count ``result`` in and return it."""
-        self.runs += 1
-        self.splits += result.stats.splits
-        self.evals += result.stats.evals
-        self.wall_time += result.stats.wall_time
-        return result
+            self.runs += 1
+            self.splits += result.stats.splits
+            self.evals += result.stats.evals
+            self.wall_time += result.stats.wall_time
 
     def merge(self, other: "RunStats") -> None:
         self.runs += other.runs
@@ -199,17 +197,20 @@ def _optimize_expr(
     e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs, *optimizers
 ) -> list[BnBResult]:
     """The result of each of ``optimizers`` (``maximize`` or ``minimize``)
-    on ``e`` over the model's box reduced to the variables of ``e``, all on
-    one compiled program, so its kernels are built once.  A constant ``c``
-    needs no evaluation and is no run: each result is ``[c, c]``.
+    on ``e`` over the model's box reduced to the variables of ``e``.  A
+    constant ``c`` needs no evaluation and is no run: each result is
+    ``[c, c]``.
 
-    A search is keyed by its optimizer, the program's ``key``, the domain's
-    endpoints (by ``repr`` in slot order, so ``0.0`` and ``-0.0`` stay
-    apart) and ``cfg``.  It runs only when its key is not yet in ``runs``;
-    a repeat gets the stored result.  The search is deterministic in what
-    the key holds, so that result is the one it would compute again, bit
-    for bit; only its final cover keeps the labels of the first run's
-    variables."""
+    A search is keyed, before anything is compiled, by its optimizer, the
+    key of ``structural_key_with_vars(e)``, the declaration order of its
+    variables, their bounds by ``repr`` (so ``0.0`` and ``-0.0`` stay
+    apart) and ``cfg``.  The declaration order fixes the program's variable
+    slots and the order of the reduced box, so equal keys mean equal
+    programs over equal boxes.  Only a key not yet in ``runs`` builds the
+    reduced box and one program for all the optimizers asked for, and runs
+    them; a repeat gets the stored result, which the deterministic search
+    would compute again bit for bit (only its final cover keeps the first
+    run's labels)."""
     if isinstance(e, Const):
         return [
             BnBResult(
@@ -218,16 +219,17 @@ def _optimize_expr(
             )
             for _ in optimizers
         ]
-    domain = reduced_domain(model, e)
-    program = Program(e, domain.labels)
-    search = (program.key, tuple((repr(iv.lo), repr(iv.hi)) for iv in domain.dims), cfg)
-    results = []
-    for optimize in optimizers:
-        result = runs.get((optimize, search))
-        if result is None:
-            result = runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
-        results.append(result)
-    return results
+    key, names = structural_key_with_vars(e)
+    # Each slot of the key with its bound, in declaration order.
+    declared = sorted((model.declared[name], k) for k, name in enumerate(names))
+    search = (key, tuple((k, repr(iv.lo), repr(iv.hi)) for (_, iv), k in declared), cfg)
+    missing = [optimize for optimize in optimizers if (optimize, search) not in runs]
+    if missing:
+        domain = reduced_domain(model, e)
+        program = Program(e, domain.labels)
+        for optimize in missing:
+            runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
+    return [runs[optimize, search] for optimize in optimizers]
 
 
 def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs) -> BnBResult:
@@ -296,33 +298,12 @@ def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     )
 
 
-def _dedup_components(model: ModelDef) -> tuple[list[Expr], list[int]]:
-    """Group the per-component squared gradient norms by structural identity
-    (``structural_key_with_vars``: the same numbered ops up to variable
-    renaming, AND the same bounds per variable slot); returns unique
-    objectives with multiplicities.  Components that differ only in the
-    operand order of a sum or product are not merged; each is maximized."""
-    uniques: list[Expr] = []
-    counts: list[int] = []
-    seen: dict[object, int] = {}
-    for i in range(1, model.g + 1):
-        obj = grad_sq_norm(model, i)
-        key, names = structural_key_with_vars(obj)
-        signature = (key, tuple(model.bound_of(v) for v in names))
-        if signature in seen:
-            counts[seen[signature]] += 1
-        else:
-            seen[signature] = len(uniques)
-            uniques.append(obj)
-            counts.append(1)
-    return uniques, counts
-
-
 def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
-    """Per-component maximizations over reduced boxes, deduplicated across
-    structurally identical components and recombined with multiplicities.
-    Always at least as conservative as case 1.  The weighted sums are
-    exact; each side rounds once, to its safe side, before its root."""
+    """One maximization per component over its reduced box, summed.
+    Structurally identical components (the repeated sections of a traffic
+    network) are one search of the run memo, so each class of them runs
+    once.  Always at least as conservative as case 1.  The sums are exact;
+    each side rounds once, to its safe side, before its root."""
     from fractions import Fraction
 
     runs: Runs = {}
@@ -330,10 +311,10 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     lower_sum = Fraction(0)
     worst_gap = 0.0
     eps_optimal = True
-    for obj, count in zip(*_dedup_components(model)):
-        res = _maximize_expr(obj, model, cfg, runs)
-        upper_sum += count * Fraction(res.upper)
-        lower_sum += count * Fraction(res.lower)
+    for i in range(1, model.g + 1):
+        res = _maximize_expr(grad_sq_norm(model, i), model, cfg, runs)
+        upper_sum += Fraction(res.upper)
+        lower_sum += Fraction(res.lower)
         worst_gap = max(worst_gap, res.gap)
         eps_optimal = eps_optimal and res.eps_optimal
     return LipschitzResult(
@@ -429,8 +410,8 @@ def _gershgorin_row_exprs(
     off-diagonal row sum."""
 
     def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
-        total = expr_sum(offdiag)
-        return simplify(diag + total), simplify(diag - total)
+        total = sum_or_zero(offdiag)  # ``diag`` is simplified by ``build_psi``
+        return simplified_add(diag, total), simplified_sub(diag, total)
 
     return _row_exprs(psi, spread)
 
@@ -688,7 +669,7 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     for j, terms in enumerate(columns):
         if not terms:
             continue
-        res = _maximize_expr(simplify(scale * expr_sum(terms)), model, cfg, runs)
+        res = _maximize_expr(simplified_mul(scale, sum_or_zero(terms)), model, cfg, runs)
         eps_optimal = eps_optimal and res.eps_optimal
         diag[j] = sqrt_up(max(res.upper, 0.0))
         witness[j] = sqrt_down(max(res.lower, 0.0))

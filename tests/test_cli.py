@@ -84,18 +84,41 @@ class TestExitCodes:
             f"certbound: invalid model {model}: expression nested too deeply at offset 0\n"
         )
 
-    def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path, capsys):
-        # qb simplifies n times the sum of the squared entries of Jacobian
-        # column 1, here 1,100 terms: deeper than the symbolic layer's
-        # recursion reaches, although every line of the model is short.
+    def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path):
+        # f1 is a product of 700 factors, which loads; its derivative is
+        # twice as deep (d(a*b) = da*b + a*db at every factor), deeper than
+        # the symbolic layer's recursion reaches.  A fresh process, since
+        # how deep a tree loads depends on the caller's stack.
+        model = tmp_path / "long.nds"
+        model.write_text(
+            "[states]\nx1 = [-1, 1]\nx2 = [-1, 1]\n"
+            "[f]\nf1 = " + "*".join(["x1"] * 700) + "\nf2 = x2\n"
+        )
+        src = os.path.dirname(os.path.dirname(certbound.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "certbound.cli", "lipschitz", "--case", "1", "--model", str(model)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "certbound: expression nested too deeply\n"
+        )
+
+    def test_qb_of_a_long_jacobian_column(self, tmp_path, capsys):
+        # Column 1 of the Jacobian has 1,100 entries; qb sums their squares
+        # in a loop, so the column's length is no limit.
         n = 1100
         model = tmp_path / "wide.nds"
         model.write_text(
             "[states]\n" + "".join(f"x{i} = [-1, 1]\n" for i in range(1, n + 1))
-            + "[f]\n" + "".join(f"f{i} = x1*x{i}\n" for i in range(1, n + 1))
+            + "[f]\n" + "".join(f"f{i} = 0.5*sqr(x1)\n" for i in range(1, n + 1))
         )
-        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
-        assert (code, out, err) == (3, "", "certbound: expression nested too deeply\n")
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model), "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)[0]["results"]
+        assert len(rows) == n and rows[0]["name"] == "Gamma_11" and rows[0]["eps_optimal"]
+        # n * sum of n copies of x1^2, at most n^2: the entry is n.
+        assert rows[0]["lower"] <= n <= rows[0]["value"] < n + 1e-6
+        assert all(row["value"] == 0.0 for row in rows[1:])
 
     def test_case1_objective_of_thousands_of_terms_is_bounded(self, tmp_path, capsys):
         # Case 1 sums the 1,021 components' squared gradient norms into one

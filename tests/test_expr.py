@@ -28,6 +28,7 @@ from certbound.expr import (
     parse,
     simplify,
     structural_key,
+    structural_key_with_vars,
     sum_or_zero,
     to_text,
 )
@@ -474,6 +475,30 @@ class TestSimplify:
         # conservative: does not collect like terms
         e = simplify(parse("x + x"))
         assert e == Binary("+", Var("x"), Var("x"))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_simplified_trees_are_fixed_points(self, seed):
+        # The per-node rules (``simplified_add`` and the others) take
+        # simplified operands as they are; that gives ``simplify``'s tree
+        # only because simplifying a simplified tree changes nothing.
+        # Compared by ``structural_key_with_vars``, so ``-0.0`` is not ``0.0``.
+        rng = random.Random(seed)
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.25:
+                if rng.random() < 0.5:
+                    return Const(rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e200, -1e200]))
+                return Var(rng.choice("xy"))
+            kind = rng.random()
+            if kind < 0.6:
+                return Binary(rng.choice("+-*/"), tree(depth - 1), tree(depth - 1))
+            if kind < 0.9:
+                return Unary(rng.choice(["neg", "sqr", "abs", "sqrt"]), tree(depth - 1))
+            return PowInt(tree(depth - 1), rng.randint(1, 3))
+
+        for _ in range(300):
+            once = simplify(tree(4))
+            assert structural_key_with_vars(simplify(once)) == structural_key_with_vars(once)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_sum_or_zero_is_the_simplified_sum(self, seed):

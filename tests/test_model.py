@@ -213,7 +213,7 @@ class TestReducedDomain:
 
     def test_declaration_order_preserved(self):
         m = parse_model_text(SAMPLE)
-        box = reduced_domain(m, [m.f[1], m.f[0]])
+        box = reduced_domain(m, m.f[1] + m.f[0])
         assert box.labels == ("x1", "x2")
 
     def test_constant_falls_back_to_full_box(self):
@@ -226,15 +226,14 @@ class TestReducedDomain:
 
     @pytest.mark.parametrize("fixture", ["traffic_s5", "generator"])
     def test_equals_the_full_box_restricted(self, request, fixture):
-        # Every component, every partial, each pair of components, a name
-        # the model does not declare, and no name at all.
+        # Every component, every partial, the sum of each pair of
+        # neighbouring components, a name the model does not declare, and no
+        # name at all.
         m = request.getfixturevalue(fixture)
         partials = [d for row in m.state_jacobian for _, d in row]
-        groups = [[e] for e in (*m.f, *partials)] + [list(pair) for pair in zip(m.f, m.f[1:])]
-        groups += [[parse("zz + x1")], [parse("2.0")], []]
-        for exprs in groups:
-            used = set().union(*(free_vars(e) for e in exprs))
-            assert reduced_domain(m, exprs) == m.omega().restrict(used)
+        exprs = [*m.f, *partials, *(a + b for a, b in zip(m.f, m.f[1:]))]
+        for e in exprs + [parse("zz + x1"), parse("2.0")]:
+            assert reduced_domain(m, e) == m.omega().restrict(free_vars(e))
 
     def test_bound_of(self):
         m = parse_model_text(SAMPLE)

@@ -13,7 +13,24 @@ from certbound.errors import (
     PreconditionViolated,
 )
 from certbound.bnb import maximize, minimize
-from certbound.expr import MAX, MUL, Binary, Const, Program, Var, eval_real, parse, to_text
+from certbound.expr import (
+    ABS,
+    MAX,
+    MUL,
+    Binary,
+    Const,
+    Program,
+    Unary,
+    Var,
+    eval_real,
+    expr_sum,
+    is_zero,
+    parse,
+    simplify,
+    sqr,
+    structural_key_with_vars,
+    to_text,
+)
 from certbound.intervals import Interval
 from certbound.model import reduced_domain
 from certbound import params
@@ -21,6 +38,7 @@ from certbound.params import (
     _maximize_expr,
     _mixed_grad_sq_norms,
     _minimize_expr,
+    _gershgorin_row_exprs,
     _zeta_row_exprs,
     build_psi,
     build_xi,
@@ -34,7 +52,7 @@ from certbound.params import (
     qib,
     zeta,
 )
-from conftest import osl_extremal_eigen_sampled
+from conftest import osl_extremal_eigen_sampled, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -45,13 +63,16 @@ CFG_COARSE = BnBConfig(eps_h=1e-4, eps_om=1e-7, segments=1)
 
 def searches(model, exprs) -> set:
     """The distinct searches behind ``exprs`` (constants need none): each
-    one's program key with its reduced box's endpoints by ``repr``."""
+    one's compiled ops and constants by ``repr``, with its reduced box's
+    endpoints by ``repr``."""
     keys = set()
     for e in exprs:
         if not isinstance(e, Const):
             domain = reduced_domain(model, e)
+            program = Program(e, domain.labels)
+            constants = tuple(map(repr, program._constants))
             endpoints = tuple((repr(iv.lo), repr(iv.hi)) for iv in domain.dims)
-            keys.add((Program(e, domain.labels).key, endpoints))
+            keys.add((program.code, constants, endpoints))
     return keys
 
 
@@ -514,6 +535,80 @@ class TestQB:
             assert lhs <= rhs + 1e-9
 
 
+class TestLongSums:
+    """QB columns and Gershgorin rows sum their terms in a loop, with
+    ``simplify``'s rules applied to the simplified sum, and build the tree
+    that ``simplify`` builds from the whole expression."""
+
+    @staticmethod
+    def _random_model(rng: random.Random) -> ModelDef:
+        # Components that vanish at the origin: constant multiples of a
+        # state (whose partials fold to constants, zeros among them) and
+        # products of a state with a polynomial; a component leaves out its
+        # own state now and then, so psi gets a zero diagonal.
+        n = rng.randint(1, 4)
+        names = [f"x{i + 1}" for i in range(n)]
+        f = []
+        for i in range(n):
+            pool = [name for name in names if name != names[i] or n == 1 or rng.random() < 0.5]
+            term = Const(rng.choice([0.0, -0.0, 1.0, -2.0, 0.5])) * Var(rng.choice(pool))
+            if rng.random() < 0.7:
+                term = term + Var(rng.choice(pool)) * random_polynomial(rng, n, 2)
+            f.append(term)
+        G = None
+        if rng.random() < 0.3:
+            G = tuple(tuple(rng.choice([0.0, 1.0, 0.5, -1.0]) for _ in range(n)) for _ in range(n))
+        return ModelDef(
+            state_names=tuple(names), state_bounds=(Interval(-1, 1),) * n, f=tuple(f), G=G
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_trees_are_those_of_simplify(self, monkeypatch, seed):
+        # Compared by ``structural_key_with_vars``, so ``-0.0`` is not ``0.0``.
+        m = self._random_model(random.Random(seed))
+        psi = build_psi(m)
+        for i, rows in enumerate(zip(*_gershgorin_row_exprs(psi))):
+            offdiag = [Unary(ABS, e) for j, e in enumerate(psi[i]) if j != i and not is_zero(e)]
+            total = expr_sum(offdiag)
+            expected = (
+                (psi[i][i], psi[i][i]) if total is None
+                else (simplify(psi[i][i] + total), simplify(psi[i][i] - total))
+            )
+            assert list(map(structural_key_with_vars, rows)) == list(
+                map(structural_key_with_vars, expected)
+            )
+        asked = []
+        original = params._maximize_expr
+        monkeypatch.setattr(
+            params, "_maximize_expr",
+            lambda e, model, cfg, runs: asked.append(e) or original(Const(0.0), model, cfg, runs),
+        )
+        qb(m, CFG)
+        columns = [[sqr(d) for row in m.state_jacobian for j, d in row if j == k] for k in range(m.n)]
+        expected = [simplify(Const(float(m.n)) * expr_sum(terms)) for terms in columns if terms]
+        assert list(map(structural_key_with_vars, asked)) == list(
+            map(structural_key_with_vars, expected)
+        )
+
+    def test_gershgorin_row_of_a_thousand_entries(self):
+        # Row 1 of this psi has 1,099 nonzero off-diagonal entries: more
+        # terms than ``simplify``'s recursion reaches.
+        n = 1100
+        entries = [Const(0.5) * Var(f"x{j + 1}") for j in range(n)]
+        zeros = (Const(0.0),) * (n - 1)
+        psi = (tuple(entries),) + tuple((entries[i],) + zeros for i in range(1, n))
+        uppers, lowers = _gershgorin_row_exprs(psi)
+        for row, op in ((uppers[0], "+"), (lowers[0], "-")):
+            assert isinstance(row, Binary) and (row.op, row.left) == (op, entries[0])
+            total, spine = row.right, 0
+            while isinstance(total, Binary) and total.op == "+":
+                assert total.right == Unary(ABS, entries[n - 1 - spine])
+                total, spine = total.left, spine + 1
+            assert (total, spine) == (Unary(ABS, entries[1]), n - 2)
+        # Every other row: a zero diagonal and one entry.
+        assert uppers[7] == Unary(ABS, entries[7]) and lowers[7] == Unary("neg", Unary(ABS, entries[7]))
+
+
 # ---------------------------------------------------------------------------
 # One run per distinct search within a constant
 # ---------------------------------------------------------------------------
@@ -574,6 +669,15 @@ class TestRunReuse:
         # 61 nonzero entries and 31 QB columns, in 4 classes each.
         jb, q = jacobian_bounds(traffic_s5, CFG_COARSE), qb(traffic_s5, CFG_COARSE)
         assert (jb.stats.runs, q.stats.runs) == (8, 4)
+
+    def test_a_repeated_search_compiles_nothing(self, monkeypatch, traffic_s5):
+        # The memo is looked up before the program is built, and a miss
+        # builds one program for the entry's max and min runs.
+        built = []
+        monkeypatch.setattr(params, "Program", lambda *args: built.append(args) or Program(*args))
+        jb = jacobian_bounds(traffic_s5, CFG_COARSE)
+        assert sum(map(len, traffic_s5.state_jacobian)) == 61
+        assert (len(built), jb.stats.runs) == (4, 8)
 
     def test_signed_zero_constants_do_not_merge(self):
         # ``simplify`` drops a zero term or factor, but a ``max`` keeps it.
