@@ -53,53 +53,40 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-timing", action="store_true", help="omit wall times (byte-identical reports)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="certbound",
-        description="certified bounding constants for nonlinear dynamic systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lipschitz", help="certified Lipschitz constant")
+def _lipschitz_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", type=int, choices=(1, 2), default=1)
-    _add_common(p)
 
-    p = sub.add_parser("osl", help="one-sided Lipschitz constant")
+
+def _osl_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
-    _add_common(p)
 
-    p = sub.add_parser("qib", help="quadratic inner-boundedness constants")
+
+def _qib_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
     p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
     p.add_argument("--distributed", action="store_true")
-    _add_common(p)
 
-    p = sub.add_parser("qb", help="quadratic-boundedness matrix")
-    _add_common(p)
 
-    p = sub.add_parser("jacobian", help="certified partial-derivative bounds")
-    _add_common(p)
-
-    p = sub.add_parser("maximize", help="certified maximum of an expression")
+def _maximize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", required=True)
     p.add_argument("--bounds", required=True, help='e.g. "x=[0,1];y=[-1,2]"')
-    _add_common(p)
 
-    p = sub.add_parser("baseline", help="point-sampled under-approximations")
+
+def _baseline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("halton", "corners"), default="halton")
     p.add_argument("--count", type=int, default=10000)
     p.add_argument(
         "--objective", choices=("lipschitz", "jacobian-norm"), default="lipschitz"
     )
-    _add_common(p)
 
-    p = sub.add_parser("traffic-table", help="traffic-network regression rows")
+
+def _traffic_table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sections", required=True, help="comma-separated section counts")
     p.add_argument("--case", type=int, choices=(1, 2), default=1)
-    _add_common(p)
 
-    p = sub.add_parser("make-model", help="emit a built-in model file")
+
+def _make_model_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=("traffic", "moving-object", "generator"))
     p.add_argument("--sections", type=int, default=5)
     p.add_argument("--radius", type=float, default=5.0)
@@ -110,6 +97,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
+
+# Each command's help and the arguments of its own, in the order the usage
+# lists the commands.  All but ``make-model`` take the common ones too.
+_COMMANDS: dict[str, tuple[str, Callable | None]] = {
+    "lipschitz": ("certified Lipschitz constant", _lipschitz_arguments),
+    "osl": ("one-sided Lipschitz constant", _osl_arguments),
+    "qib": ("quadratic inner-boundedness constants", _qib_arguments),
+    "qb": ("quadratic-boundedness matrix", None),
+    "jacobian": ("certified partial-derivative bounds", None),
+    "maximize": ("certified maximum of an expression", _maximize_arguments),
+    "baseline": ("point-sampled under-approximations", _baseline_arguments),
+    "traffic-table": ("traffic-network regression rows", _traffic_table_arguments),
+    "make-model": ("emit a built-in model file", _make_model_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a command, only
+    that command's subparser is built, which parses its arguments and
+    prints its help and usage errors exactly as the full parser would;
+    otherwise every command's is."""
+    parser = argparse.ArgumentParser(
+        prog="certbound",
+        description="certified bounding constants for nonlinear dynamic systems",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        # The top-level usage, which an unrecognized argument prints, still
+        # lists every command.
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if add_arguments is not None:
+            add_arguments(p)
+        if name != "make-model":
+            _add_common(p)
     return parser
 
 
@@ -363,7 +388,7 @@ _HANDLERS: dict[str, Callable] = {
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:

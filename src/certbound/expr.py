@@ -145,16 +145,23 @@ def expr_sum(terms: Iterable[Expr]) -> Expr | None:
     return functools.reduce(operator.add, terms) if terms else None
 
 
-def sum_or_zero(terms: Iterable[Expr]) -> Expr:
-    """``simplify(expr_sum(terms))``; ``0`` when there are none.  The sum is
-    folded term by term in one loop, with ``simplify``'s rule for ``+``,
-    instead of by recursion down the left-deep tree, so a sum of any
-    length simplifies."""
+def simplified_sum(terms: Iterable[Expr]) -> Expr:
+    """``simplify(expr_sum(terms))`` for simplified ``terms``; ``0`` when
+    there are none.  The terms are folded one by one with ``simplify``'s
+    rule for ``+`` (``simplified_add``) and not walked, so a sum of any
+    length costs one rule per term."""
     total = None
     for term in terms:
-        term = simplify(term)
         total = term if total is None else simplified_add(total, term)
     return ZERO if total is None else total
+
+
+def sum_or_zero(terms: Iterable[Expr]) -> Expr:
+    """``simplify(expr_sum(terms))``; ``0`` when there are none.  Each term
+    is simplified and the results summed by ``simplified_sum``, in one
+    loop rather than by recursion down the left-deep tree, so a sum of any
+    length simplifies."""
+    return simplified_sum(map(simplify, terms))
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -193,58 +200,51 @@ def is_zero(e: Expr) -> bool:
 
 
 def simplify(e: Expr) -> Expr:
+    """``e`` with the rule for its kind of node applied at every node, from
+    the leaves up: ``simplified_unary``, ``simplified_pow`` and the rules
+    for the binary operators.  A simplified tree is a fixed point."""
     if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Unary):
-        arg = simplify(e.arg)
-        if e.op == NEG:
-            return _simplified_neg(arg)
-        if isinstance(arg, Const):
-            if e.op == SQR and math.isfinite(arg.value * arg.value):
-                return Const(arg.value * arg.value)
-            if e.op == ABS and math.isfinite(arg.value):
-                return Const(abs(arg.value))
-        return Unary(e.op, arg)
+        return simplified_unary(e.op, simplify(e.arg))
     if isinstance(e, PowInt):
-        base = simplify(e.base)
-        if e.exponent == 1:
-            return base
-        if isinstance(base, Const):
-            try:
-                return Const(base.value**e.exponent)
-            except OverflowError:
-                pass  # no float holds the power
-        return PowInt(base, e.exponent)
-    assert isinstance(e, Binary)
+        return simplified_pow(simplify(e.base), e.exponent)
     left = simplify(e.left)
     right = simplify(e.right)
-    if e.op == ADD:
-        return simplified_add(left, right)
-    if e.op == SUB:
-        return simplified_sub(left, right)
-    if e.op == MUL:
-        return simplified_mul(left, right)
-    if e.op == DIV:
-        lc = left.value if isinstance(left, Const) else None
-        rc = right.value if isinstance(right, Const) else None
-        if rc == 1.0:
-            return left
-        if lc is not None and rc is not None and rc != 0.0 and math.isfinite(lc / rc):
-            return Const(lc / rc)
-    return Binary(e.op, left, right)
+    rule = _BINARY_RULES.get(e.op)
+    return Binary(e.op, left, right) if rule is None else rule(left, right)
 
 
 # ``simplify``'s rules for one node whose operands are already simplified.
-# They do not walk the operands again, so a long sum from ``sum_or_zero``
-# can be combined without recursing down it.
+# They do not walk the operands again, so a derivative or a long sum built
+# from simplified parts with them is simplified without another walk.
 
 
-def _simplified_neg(arg: Expr) -> Expr:
-    if isinstance(arg, Const) and math.isfinite(arg.value):
-        return Const(-arg.value)
-    if isinstance(arg, Unary) and arg.op == NEG:
+def simplified_unary(op: str, arg: Expr) -> Expr:
+    """``simplify(Unary(op, arg))`` for a simplified ``arg``."""
+    if isinstance(arg, Const):
+        value = arg.value
+        if op == NEG and math.isfinite(value):
+            return Const(-value)
+        if op == SQR and math.isfinite(value * value):
+            return Const(value * value)
+        if op == ABS and math.isfinite(value):
+            return Const(abs(value))
+    elif op == NEG and isinstance(arg, Unary) and arg.op == NEG:
         return arg.arg
-    return Unary(NEG, arg)
+    return Unary(op, arg)
+
+
+def simplified_pow(base: Expr, exponent: int) -> Expr:
+    """``simplify(PowInt(base, exponent))`` for a simplified ``base``."""
+    if exponent == 1:
+        return base
+    if isinstance(base, Const):
+        try:
+            return Const(base.value**exponent)
+        except OverflowError:
+            pass  # no float holds the power
+    return PowInt(base, exponent)
 
 
 def simplified_add(left: Expr, right: Expr) -> Expr:
@@ -267,7 +267,7 @@ def simplified_sub(left: Expr, right: Expr) -> Expr:
     if rc == 0.0:
         return left
     if lc == 0.0:
-        return _simplified_neg(right)
+        return simplified_unary(NEG, right)
     if lc is not None and rc is not None and math.isfinite(lc - rc):
         return Const(lc - rc)
     return Binary(SUB, left, right)
@@ -290,6 +290,22 @@ def simplified_mul(left: Expr, right: Expr) -> Expr:
     return Binary(MUL, left, right)
 
 
+def simplified_div(left: Expr, right: Expr) -> Expr:
+    """``simplify(left / right)`` for simplified ``left`` and ``right``."""
+    lc = left.value if isinstance(left, Const) else None
+    rc = right.value if isinstance(right, Const) else None
+    if rc == 1.0:
+        return left
+    if lc is not None and rc is not None and rc != 0.0 and math.isfinite(lc / rc):
+        return Const(lc / rc)
+    return Binary(DIV, left, right)
+
+
+_BINARY_RULES = {
+    ADD: simplified_add, SUB: simplified_sub, MUL: simplified_mul, DIV: simplified_div,
+}
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
@@ -309,45 +325,57 @@ def provably_nonnegative(e: Expr) -> bool:
 
 
 def differentiate(e: Expr, v: str) -> Expr:
-    """Symbolic partial derivative with respect to variable ``v``; exactly
-    ``0`` for every subtree in which ``v`` does not occur, so no debris such
-    as ``0/sqrt(y)`` is left behind."""
+    """Symbolic partial derivative of ``e`` with respect to variable ``v``;
+    exactly ``0`` (the object ``ZERO``) when ``v`` does not occur in
+    ``e``, and no debris such as ``0/sqrt(y)`` from the subtrees in which
+    it does not occur.
+
+    Every node of the derivative is built by ``simplify``'s rule for it
+    from simplified parts, so for a simplified ``e`` (as every model
+    component is) the result is ``simplify`` of the chain rule's tree,
+    without a walk of its own.  The parts taken from an unsimplified ``e``
+    are left as written."""
     d = _diff(e, v)
-    return ZERO if d is ZERO else simplify(d)
+    return ZERO if d is None else d
 
 
-def _diff(e: Expr, v: str) -> Expr:
-    """The derivative of ``e`` by ``v``, unsimplified; the object ``ZERO``
-    itself exactly when ``v`` does not occur in ``e``.  Each node decides
-    that from its operands' results, a ``max`` node from its free
-    variables."""
+_TWO = Const(2.0)
+
+
+def _diff(e: Expr, v: str) -> Expr | None:
+    """The simplified derivative of ``e`` by ``v`` (see ``differentiate``),
+    or ``None`` exactly when ``v`` does not occur in ``e``.  Each node
+    decides that from its operands' results, a ``max`` node from its free
+    variables.  A derivative that folds to zero although ``v`` occurs is
+    not ``None``, so a kink above it is still refused."""
     if isinstance(e, Var):
-        return ONE if e.name == v else ZERO
+        return ONE if e.name == v else None
     if isinstance(e, Const):
-        return ZERO
+        return None
     if isinstance(e, PowInt):
         db = _diff(e.base, v)
-        if db is ZERO or e.exponent == 1:
+        if db is None or e.exponent == 1:
             return db
-        inner = e.base if e.exponent == 2 else PowInt(e.base, e.exponent - 1)
-        return Binary(MUL, Binary(MUL, Const(float(e.exponent)), inner), db)
+        inner = e.base if e.exponent == 2 else simplified_pow(e.base, e.exponent - 1)
+        return simplified_mul(simplified_mul(Const(float(e.exponent)), inner), db)
     if isinstance(e, Unary):
         da = _diff(e.arg, v)
-        if da is ZERO:
-            return ZERO
-        if e.op == NEG:
-            return Unary(NEG, da)
-        if e.op == SQR:
-            return Binary(MUL, Binary(MUL, Const(2.0), e.arg), da)
-        if e.op == SQRT:
-            return Binary(DIV, da, Binary(MUL, Const(2.0), Unary(SQRT, e.arg)))
-        if e.op == SIN:
-            return Binary(MUL, Unary(COS, e.arg), da)
-        if e.op == COS:
-            return Binary(MUL, Unary(NEG, Unary(SIN, e.arg)), da)
-        if e.op == EXP:
-            return Binary(MUL, Unary(EXP, e.arg), da)
-        if e.op == ABS:
+        if da is None:
+            return None
+        op = e.op
+        if op == NEG:
+            return simplified_unary(NEG, da)
+        if op == SQR:
+            return simplified_mul(simplified_mul(_TWO, e.arg), da)
+        if op == SQRT:  # ``e`` is ``simplify(Unary(SQRT, e.arg))``
+            return simplified_div(da, simplified_mul(_TWO, e))
+        if op == SIN:
+            return simplified_mul(simplified_unary(COS, e.arg), da)
+        if op == COS:
+            return simplified_mul(simplified_unary(NEG, simplified_unary(SIN, e.arg)), da)
+        if op == EXP:
+            return simplified_mul(e, da)
+        if op == ABS:
             if provably_nonnegative(e.arg):
                 return da
             raise NonDifferentiable(
@@ -358,22 +386,21 @@ def _diff(e: Expr, v: str) -> Expr:
         # Raised before any error of the operands: the outermost kink counts.
         if v in free_vars(e):
             raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
-        return ZERO
+        return None
     dl = _diff(e.left, v)
     dr = _diff(e.right, v)
-    if dl is ZERO and dr is ZERO:
-        return ZERO
+    if dl is None and dr is None:
+        return None
+    dl = ZERO if dl is None else dl
+    dr = ZERO if dr is None else dr
     if e.op == ADD:
-        return Binary(ADD, dl, dr)
+        return simplified_add(dl, dr)
     if e.op == SUB:
-        return Binary(SUB, dl, dr)
+        return simplified_sub(dl, dr)
     if e.op == MUL:
-        return Binary(ADD, Binary(MUL, dl, e.right), Binary(MUL, e.left, dr))
-    return Binary(
-        DIV,
-        Binary(SUB, Binary(MUL, dl, e.right), Binary(MUL, e.left, dr)),
-        Unary(SQR, e.right),
-    )
+        return simplified_add(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
+    numerator = simplified_sub(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
+    return simplified_div(numerator, simplified_unary(SQR, e.right))
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +685,9 @@ def _compile(source: str):
     return scope["kernel"]
 
 
+_FINISH = object()  # on ``_postfix``'s stack: number the node below it
+
+
 def _postfix(expr: Expr, slots: dict[str, int]):
     """Ops ``(kind, arg, operands)`` in postfix order, the constants they
     index and, per op, whether it depends on a variable.  A variable
@@ -669,44 +699,61 @@ def _postfix(expr: Expr, slots: dict[str, int]):
     operands)``, and a node that several parents share is walked once.  An
     op computes what each of its occurrences in the tree would, so the
     numbering changes no result.  The walk keeps its own stack, so deep
-    trees need no recursion."""
+    trees need no recursion: an inner node is pushed back under
+    ``_FINISH`` with its children above it, left on top, and numbered once
+    they are done, its operands popped off ``done``."""
     ops: list[tuple[str, object, tuple[int, ...]]] = []
     constants: list[float] = []
     varying: list[bool] = []
     number: dict[object, int] = {}  # value key -> op index
     walked: dict[int, int] = {}  # id of a walked node -> op index
     done: list[int] = []  # op index of each finished subtree, innermost last
-    todo: list[tuple[Expr, bool]] = [(expr, False)]
+    todo: list = [expr]
+    push, pop, finished = todo.append, todo.pop, done.pop
     while todo:
-        node, expanded = todo.pop()
-        index = walked.get(id(node))
-        if index is None:
-            if isinstance(node, Const):
-                key: object = repr(node.value)
-                op: tuple[str, object, tuple[int, ...]] = (_CONST, len(constants), ())
-            elif isinstance(node, Var):
-                key = op = (_LOAD, slots.setdefault(node.name, len(slots)), ())
+        node = pop()
+        if node is _FINISH:
+            node = pop()
+            cls = type(node)
+            if cls is Binary:
+                b = finished()
+                a = finished()
+                key = op = (node.op, None, (a, b))
+                var = varying[a] or varying[b]
             else:
-                kids = _children(node)
-                if not expanded:
-                    todo.append((node, True))
-                    todo.extend((kid, False) for kid in reversed(kids))
-                    continue
-                operands = tuple(done[-len(kids):])
-                del done[-len(kids):]
-                if isinstance(node, PowInt):
-                    key = op = (_POW, node.exponent, operands)
+                a = finished()
+                key = op = (_POW, node.exponent, (a,)) if cls is PowInt else (node.op, None, (a,))
+                var = varying[a]
+        else:
+            index = walked.get(id(node))
+            if index is not None:
+                done.append(index)
+                continue
+            cls = type(node)
+            if cls is Const:
+                key = repr(node.value)
+                op = (_CONST, len(constants), ())
+                var = False
+            elif cls is Var:
+                key = op = (_LOAD, slots.setdefault(node.name, len(slots)), ())
+                var = True
+            else:
+                push(node)
+                push(_FINISH)
+                if cls is Binary:
+                    push(node.right)
+                    push(node.left)
                 else:
-                    key = op = (node.op, None, operands)
-            index = number.get(key)
-            if index is None:
-                index = number[key] = len(ops)
-                ops.append(op)
-                kind, _, operands = op
-                if kind == _CONST:
-                    constants.append(node.value)
-                varying.append(kind == _LOAD or any(varying[j] for j in operands))
-            walked[id(node)] = index
+                    push(node.base if cls is PowInt else node.arg)
+                continue
+        index = number.get(key)
+        if index is None:
+            index = number[key] = len(ops)
+            ops.append(op)
+            varying.append(var)
+            if cls is Const:
+                constants.append(node.value)
+        walked[id(node)] = index
         done.append(index)
     return tuple(ops), tuple(constants), tuple(varying)
 
@@ -914,11 +961,29 @@ class Program:
 
     __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_varying", "_kernels")
 
-    def __init__(self, expr: Expr, var_order: Sequence[str]):
+    def __init__(self, expr: Expr, var_order: Sequence[str], keyed: tuple | None = None):
+        """``expr`` compiled over ``var_order``.  Given ``keyed``, which
+        must be ``structural_key_with_vars(expr)``, the ops are those of the
+        key, with each load's slot moved from the order of first occurrence
+        to that of ``var_order``, and ``expr`` is not walked again."""
         slots = {name: i for i, name in enumerate(var_order)}
         bound = len(slots)
-        self.code, self._constants, self._varying = _postfix(expr, slots)
-        if len(slots) > bound:  # ``_postfix`` slotted a name not in ``var_order``
+        if keyed is None:
+            self.code, self._constants, self._varying = _postfix(expr, slots)
+        else:
+            (code, constants), names = keyed
+            slot = [slots.setdefault(name, len(slots)) for name in names]
+            ops: list[tuple[str, object, tuple[int, ...]]] = []
+            varying: list[bool] = []
+            for op in code:
+                kind, arg, operands = op
+                if kind == _LOAD:
+                    op = (_LOAD, slot[arg], operands)
+                ops.append(op)
+                varying.append(kind == _LOAD or any(map(varying.__getitem__, operands)))
+            self.code, self._varying = tuple(ops), tuple(varying)
+            self._constants = tuple(map(float, constants))  # ``float`` undoes ``repr``
+        if len(slots) > bound:  # a name not in ``var_order`` was slotted
             raise UnboundVariable(f"unbound variables: {sorted(list(slots)[bound:])}")
         self._pairs = tuple((x, x) for x in self._constants)
         self.var_order = tuple(var_order)

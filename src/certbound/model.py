@@ -32,13 +32,14 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, MissingBounds, ParseError
 from .expr import (
+    SQR,
     Expr,
     differentiate,
     free_vars,
     is_zero,
     parse_simplified,
-    sqr,
-    sum_or_zero,
+    simplified_sum,
+    simplified_unary,
     to_text,
 )
 from .intervals import Box, Frozen, Interval
@@ -49,7 +50,10 @@ Partials = tuple[tuple[int, Expr], ...]  # see state_partials
 
 class ModelDef(Frozen):
     """A nonlinear system: bounded variables plus component expressions.
-    Not slotted: ``state_jacobian`` and ``declared`` cache in the instance
+    The components are expected simplified, as ``parse_model_text`` and the
+    built-in models give them: their partial derivatives are built from
+    their subtrees as they stand (see ``expr.differentiate``).  Not
+    slotted: ``state_jacobian`` and ``declared`` cache in the instance
     ``__dict__``."""
 
     def __init__(
@@ -164,7 +168,7 @@ def grad_sq_norm(model: ModelDef, i: int) -> Expr:
     the sum over state variables of the squared partial derivatives."""
     if not 1 <= i <= model.g:
         raise DimensionMismatch(f"component index {i} outside 1..{model.g}")
-    return sum_or_zero(sqr(d) for _, d in model.state_jacobian[i - 1])
+    return simplified_sum(simplified_unary(SQR, d) for _, d in model.state_jacobian[i - 1])
 
 
 def reduced_domain(model: ModelDef, e: Expr) -> Box:

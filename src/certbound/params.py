@@ -41,6 +41,7 @@ from .expr import (
     MAX,
     MUL,
     NEG,
+    SQR,
     SUB,
     Binary,
     Const,
@@ -53,10 +54,9 @@ from .expr import (
     simplified_add,
     simplified_mul,
     simplified_sub,
-    simplify,
-    sqr,
+    simplified_sum,
+    simplified_unary,
     structural_key_with_vars,
-    sum_or_zero,
 )
 from .intervals import Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
 from .model import ModelDef, grad_sq_norm, reduced_domain, state_partials
@@ -207,10 +207,10 @@ def _optimize_expr(
     apart) and ``cfg``.  The declaration order fixes the program's variable
     slots and the order of the reduced box, so equal keys mean equal
     programs over equal boxes.  Only a key not yet in ``runs`` builds the
-    reduced box and one program for all the optimizers asked for, and runs
-    them; a repeat gets the stored result, which the deterministic search
-    would compute again bit for bit (only its final cover keeps the first
-    run's labels)."""
+    reduced box and one program for all the optimizers asked for, from the
+    key's walk, and runs them; a repeat gets the stored result, which the
+    deterministic search would compute again bit for bit (only its final
+    cover keeps the first run's labels)."""
     if isinstance(e, Const):
         return [
             BnBResult(
@@ -219,14 +219,15 @@ def _optimize_expr(
             )
             for _ in optimizers
         ]
-    key, names = structural_key_with_vars(e)
+    keyed = structural_key_with_vars(e)
+    key, names = keyed
     # Each slot of the key with its bound, in declaration order.
     declared = sorted((model.declared[name], k) for k, name in enumerate(names))
     search = (key, tuple((k, repr(iv.lo), repr(iv.hi)) for (_, iv), k in declared), cfg)
     missing = [optimize for optimize in optimizers if (optimize, search) not in runs]
     if missing:
         domain = reduced_domain(model, e)
-        program = Program(e, domain.labels)
+        program = Program(e, domain.labels, keyed)
         for optimize in missing:
             runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
     return [runs[optimize, search] for optimize in optimizers]
@@ -277,7 +278,7 @@ def lipschitz_objective(model: ModelDef) -> Expr:
     of case 1 and of the sampled Lipschitz baseline.  ``0`` when no
     component depends on a state."""
     terms = (grad_sq_norm(model, i) for i in range(1, model.g + 1))
-    return sum_or_zero([t for t in terms if not is_zero(t)])
+    return simplified_sum([t for t in terms if not is_zero(t)])
 
 
 def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
@@ -341,8 +342,8 @@ def build_xi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
         for weight, partials in zip(weights, model.state_jacobian):
             if weight != 0.0:
                 for j, d in partials:
-                    terms[j].append(d if weight == 1.0 else Const(weight) * d)
-        rows.append(tuple(sum_or_zero(column) for column in terms))
+                    terms[j].append(simplified_mul(Const(weight), d))
+        rows.append(tuple(simplified_sum(column) for column in terms))
     return tuple(rows)
 
 
@@ -351,10 +352,9 @@ def build_psi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
     transpose, entrywise."""
     xi = build_xi(model)
     n = len(xi)
+    half = Const(0.5)
     return tuple(
-        tuple(
-            simplify(Const(0.5) * (xi[i][j] + xi[j][i])) for j in range(n)
-        )
+        tuple(simplified_mul(half, simplified_add(xi[i][j], xi[j][i])) for j in range(n))
         for i in range(n)
     )
 
@@ -368,11 +368,14 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Upper bound from the maximal Frobenius norm of the G-weighted
     Jacobian; always nonnegative.  The matching lower bound is its negation
     (no eigenvalue of the symmetrization can lie below it)."""
-    terms = [sqr(entry) for row in build_xi(model) for entry in row if not is_zero(entry)]
+    terms = [
+        simplified_unary(SQR, entry) for row in build_xi(model) for entry in row
+        if not is_zero(entry)
+    ]
     if not terms:
         return OSLResult(0.0, "frobenius", 0.0, 0.0, True, RunStats())
     runs: Runs = {}
-    res = _maximize_expr(sum_or_zero(terms), model, cfg, runs)
+    res = _maximize_expr(simplified_sum(terms), model, cfg, runs)
     gamma = sqrt_up(max(res.upper, 0.0))
     achieved = sqrt_down(max(res.lower, 0.0))
     return OSLResult(
@@ -389,14 +392,14 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
 
 def _row_exprs(psi: tuple[tuple[Expr, ...], ...], spread) -> tuple[list[Expr], list[Expr]]:
     """Upper and lower row objectives: ``spread(diagonal, offdiag)`` of the
-    absolute nonzero off-diagonal entries of each row, in column order; the
-    diagonal alone for a row without any.  The absolute values wrap
-    already-differentiated entries, so nothing here is ever differentiated
-    again."""
+    nonzero off-diagonal entries of each row, in column order; the diagonal
+    alone for a row without any.  ``spread`` takes their absolute values,
+    which wrap already-differentiated entries, so nothing here is ever
+    differentiated again."""
     uppers: list[Expr] = []
     lowers: list[Expr] = []
     for i, row in enumerate(psi):
-        offdiag = [Unary(ABS, e) for j, e in enumerate(row) if j != i and not is_zero(e)]
+        offdiag = [e for j, e in enumerate(row) if j != i and not is_zero(e)]
         upper, lower = spread(row[i], offdiag) if offdiag else (row[i], row[i])
         uppers.append(upper)
         lowers.append(lower)
@@ -407,10 +410,11 @@ def _gershgorin_row_exprs(
     psi: tuple[tuple[Expr, ...], ...]
 ) -> tuple[list[Expr], list[Expr]]:
     """Row objectives: diagonal plus (upper) / minus (lower) the absolute
-    off-diagonal row sum."""
+    off-diagonal row sum, built by ``simplify``'s rules from the simplified
+    entries of ``build_psi``."""
 
     def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
-        total = sum_or_zero(offdiag)  # ``diag`` is simplified by ``build_psi``
+        total = simplified_sum(simplified_unary(ABS, e) for e in offdiag)
         return simplified_add(diag, total), simplified_sub(diag, total)
 
     return _row_exprs(psi, spread)
@@ -511,7 +515,8 @@ def _zeta_row_exprs(
     written."""
 
     def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
-        gap = functools.reduce(lambda a, b: Binary(MAX, a, b), offdiag)
+        absolute = [Unary(ABS, e) for e in offdiag]
+        gap = functools.reduce(lambda a, b: Binary(MAX, a, b), absolute)
         return Const(zn) * gap + diag, Const(-zn) * gap + diag
 
     return _row_exprs(psi, spread)
@@ -547,10 +552,8 @@ OSL_ESTIMATORS = {
 def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
     """The G-weighted component functions (one per state)."""
     return tuple(
-        sum_or_zero([
-            fj if weight == 1.0 else Const(weight) * fj
-            for weight, fj in zip(row, model.f)
-            if weight != 0.0
+        simplified_sum([
+            simplified_mul(Const(weight), fj) for weight, fj in zip(row, model.f) if weight != 0.0
         ])
         for row in model.effective_G()
     )
@@ -558,7 +561,9 @@ def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
 
 def _mixed_grad_sq_norms(model: ModelDef) -> list[Expr]:
     return [
-        sum_or_zero([sqr(d) for _, d in state_partials(xi_i, model.state_names)])
+        simplified_sum(
+            [simplified_unary(SQR, d) for _, d in state_partials(xi_i, model.state_names)]
+        )
         for xi_i in mixed_components(model)
     ]
 
@@ -608,7 +613,7 @@ def qib(
         if not terms:
             gamma_m = gamma_m_witness = 0.0
         else:
-            res = _maximize_expr(sum_or_zero(terms), model, cfg, runs)
+            res = _maximize_expr(simplified_sum(terms), model, cfg, runs)
             eps_optimal = eps_optimal and res.eps_optimal
             gamma_m = res.upper
             gamma_m_witness = res.lower
@@ -665,11 +670,11 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     columns: list[list[Expr]] = [[] for _ in range(model.n)]
     for partials in model.state_jacobian:
         for j, d in partials:
-            columns[j].append(sqr(d))
+            columns[j].append(simplified_unary(SQR, d))
     for j, terms in enumerate(columns):
         if not terms:
             continue
-        res = _maximize_expr(simplified_mul(scale, sum_or_zero(terms)), model, cfg, runs)
+        res = _maximize_expr(simplified_mul(scale, simplified_sum(terms)), model, cfg, runs)
         eps_optimal = eps_optimal and res.eps_optimal
         diag[j] = sqrt_up(max(res.upper, 0.0))
         witness[j] = sqrt_down(max(res.lower, 0.0))

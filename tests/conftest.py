@@ -13,7 +13,35 @@ from certbound import ModelDef
 from certbound.baselines import halton_points_in_box
 from certbound.bnb import Cover
 from certbound.eigen import jacobi_eigenvalues
-from certbound.expr import Const, Expr, PowInt, Program, Var, parse, simplify
+from certbound.errors import NonDifferentiable
+from certbound.expr import (
+    ABS,
+    ADD,
+    COS,
+    DIV,
+    EXP,
+    MAX,
+    MUL,
+    NEG,
+    ONE,
+    SIN,
+    SQR,
+    SQRT,
+    SUB,
+    ZERO,
+    Binary,
+    Const,
+    Expr,
+    PowInt,
+    Program,
+    Unary,
+    Var,
+    free_vars,
+    parse,
+    provably_nonnegative,
+    simplify,
+    to_text,
+)
 from certbound.intervals import Box, Interval, refined_eval
 from certbound.models import (
     GeneratorConfig,
@@ -255,6 +283,61 @@ def dense_max(
         if point and box_contains(box, point):
             best = max(best, h(point))
     return best
+
+
+def chain_rule_derivative(e: Expr, v: str) -> Expr:
+    """The derivative of ``e`` by ``v`` as the chain rule writes it,
+    unsimplified: ``ZERO`` itself exactly when ``v`` does not occur in
+    ``e``, and the same ``NonDifferentiable`` errors, in the same order, as
+    ``expr.differentiate``.  ``simplify`` of it is the tree that
+    ``differentiate`` builds for a simplified ``e``."""
+    if isinstance(e, Var):
+        return ONE if e.name == v else ZERO
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, PowInt):
+        db = chain_rule_derivative(e.base, v)
+        if db is ZERO or e.exponent == 1:
+            return db
+        inner = e.base if e.exponent == 2 else PowInt(e.base, e.exponent - 1)
+        return Binary(MUL, Binary(MUL, Const(float(e.exponent)), inner), db)
+    if isinstance(e, Unary):
+        da = chain_rule_derivative(e.arg, v)
+        if da is ZERO:
+            return ZERO
+        if e.op == NEG:
+            return Unary(NEG, da)
+        if e.op == SQR:
+            return Binary(MUL, Binary(MUL, Const(2.0), e.arg), da)
+        if e.op == SQRT:
+            return Binary(DIV, da, Binary(MUL, Const(2.0), Unary(SQRT, e.arg)))
+        if e.op == SIN:
+            return Binary(MUL, Unary(COS, e.arg), da)
+        if e.op == COS:
+            return Binary(MUL, Unary(NEG, Unary(SIN, e.arg)), da)
+        if e.op == EXP:
+            return Binary(MUL, Unary(EXP, e.arg), da)
+        assert e.op == ABS
+        if provably_nonnegative(e.arg):
+            return da
+        raise NonDifferentiable(f"cannot differentiate abs({to_text(e.arg)}): sign not certified")
+    if e.op == MAX:
+        if v in free_vars(e):
+            raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
+        return ZERO
+    dl = chain_rule_derivative(e.left, v)
+    dr = chain_rule_derivative(e.right, v)
+    if dl is ZERO and dr is ZERO:
+        return ZERO
+    if e.op in (ADD, SUB):
+        return Binary(e.op, dl, dr)
+    if e.op == MUL:
+        return Binary(ADD, Binary(MUL, dl, e.right), Binary(MUL, e.left, dr))
+    return Binary(
+        DIV,
+        Binary(SUB, Binary(MUL, dl, e.right), Binary(MUL, e.left, dr)),
+        Unary(SQR, e.right),
+    )
 
 
 def gershgorin_upper(a) -> float:

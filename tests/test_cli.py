@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import certbound
-from certbound.cli import run
+from certbound.cli import _COMMANDS, build_parser, run
 from certbound.report import ConstantRow, RunReport, ReportFieldError, emit_table
 from conftest import report_from_dict
 
@@ -84,24 +84,73 @@ class TestExitCodes:
             f"certbound: invalid model {model}: expression nested too deeply at offset 0\n"
         )
 
+    @staticmethod
+    def _fresh_run(argv):
+        """``certbound`` in a fresh process: how deep a tree loads and
+        differentiates depends on the caller's stack."""
+        src = os.path.dirname(os.path.dirname(certbound.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "certbound.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    WIDE_ROW = 1100
+
+    @classmethod
+    def _wide_row_model(cls, tmp_path) -> str:
+        # One state and 1,100 components f_i = 0.5*sqr(x1), which an
+        # all-ones [G] row mixes into one sum of 1,100 terms.
+        n = cls.WIDE_ROW
+        model = tmp_path / "wide_row.nds"
+        model.write_text(
+            "[states]\nx1 = [-1, 1]\n[f]\n"
+            + "".join(f"f{i} = 0.5*sqr(x1)\n" for i in range(1, n + 1))
+            + "[G]\n" + " ".join(["1"] * n) + "\n"
+        )
+        return str(model)
+
     def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path):
+        # qib differentiates the mixed component, a sum 1,100 terms deep,
+        # and differentiation recurses once per level of the tree.
+        proc = self._fresh_run(
+            ["qib", "--eps1", "1", "--eps2", "1", "--model", self._wide_row_model(tmp_path)]
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "certbound: expression nested too deeply\n"
+        )
+
+    @pytest.mark.parametrize("estimator", ["gershgorin", "frobenius"])
+    def test_osl_of_a_long_g_row(self, tmp_path, capsys, estimator):
+        # xi_11 and psi_11 are sums of 1,100 terms x1, built and squared by
+        # simplify's rules without walking them: gamma_s is 1,100.
+        model = self._wide_row_model(tmp_path)
+        code, out, err = run_capture(
+            capsys, ["osl", "--estimator", estimator, "--model", model, "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)[0]["results"][0]
+        assert row["name"] == "gamma_s" and row["eps_optimal"]
+        assert row["lower"] <= self.WIDE_ROW <= row["value"] < self.WIDE_ROW + 1e-6
+
+    def test_derivative_deeper_than_its_function(self, tmp_path):
         # f1 is a product of 700 factors, which loads; its derivative is
-        # twice as deep (d(a*b) = da*b + a*db at every factor), deeper than
-        # the symbolic layer's recursion reaches.  A fresh process, since
-        # how deep a tree loads depends on the caller's stack.
+        # twice as deep (d(a*b) = da*b + a*db at every factor), but it is
+        # built simplified in the walk down f1 and never walked again.
         model = tmp_path / "long.nds"
         model.write_text(
             "[states]\nx1 = [-1, 1]\nx2 = [-1, 1]\n"
             "[f]\nf1 = " + "*".join(["x1"] * 700) + "\nf2 = x2\n"
         )
-        src = os.path.dirname(os.path.dirname(certbound.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "certbound.cli", "lipschitz", "--case", "1", "--model", str(model)],
-            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        proc = self._fresh_run(
+            ["lipschitz", "--case", "1", "--model", str(model), "--format", "json"]
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            3, "", "certbound: expression nested too deeply\n"
-        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = json.loads(proc.stdout)[0]["results"][0]
+        # The gradients (700*x1^699, 0) and (0, 1): the constant is
+        # sqrt(700^2 + 1) = 700.000714...
+        assert row["name"] == "gamma_l1" and row["eps_optimal"]
+        assert row["lower"] ** 2 <= 700**2 + 1 <= row["value"] ** 2
+        assert row["value"] - row["lower"] < 1e-6
 
     def test_qb_of_a_long_jacobian_column(self, tmp_path, capsys):
         # Column 1 of the Jacobian has 1,100 entries; qb sums their squares
@@ -244,6 +293,32 @@ class TestExitCodes:
     def test_diagnostics_never_on_stdout(self, capsys):
         code, out, err = run_capture(capsys, ["osl", "--model", "/nope.nds"])
         assert out == "" and err != ""
+
+
+class TestParser:
+    @staticmethod
+    def _parse(parser, argv, capsys):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+        raise AssertionError(f"{argv} parsed")
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("extra", [["--help"], ["--no-such-flag"], ["--format", "xml"]])
+    def test_one_command_parser_prints_what_the_full_one_does(self, capsys, command, extra):
+        # Help, an argument the top-level usage reports and one that the
+        # command's usage reports: the same bytes and exit code.
+        argv = [command, *extra]
+        assert self._parse(build_parser(command), argv, capsys) == self._parse(
+            build_parser(), argv, capsys
+        )
+
+    def test_one_command_parser_has_one_subparser(self):
+        sub = build_parser("qb")._subparsers._group_actions[0]
+        assert list(sub.choices) == ["qb"]
+        assert list(build_parser("bogus")._subparsers._group_actions[0].choices) == list(_COMMANDS)
 
 
 class TestCommands:

@@ -44,9 +44,11 @@ from certbound.expr import (
     expr_sum,
     free_vars,
     parse,
+    simplify,
+    structural_key_with_vars,
 )
 from certbound.intervals import Box, Interval, iv_cos, iv_sin, pair_pow, refined_eval
-from conftest import pairs, point_interval
+from conftest import chain_rule_derivative, pairs, point_interval
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
@@ -247,6 +249,104 @@ def test_derivative_is_exactly_zero_where_the_variable_is_absent(seed, shared):
                 assert isinstance(d, Const) and repr(d.value) == "0.0"
                 absent += 1
     assert absent > 50 and raised > 50
+
+
+def _derivative_or_error(derive, e: Expr, v: str):
+    """The key of ``derive(e, v)``, or the class and message it raises."""
+    try:
+        return structural_key_with_vars(derive(e, v))
+    except NonDifferentiable as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_derivative_is_the_simplified_chain_rule(seed, shared):
+    # On a simplified tree, ``differentiate`` builds in its one walk the
+    # tree that ``simplify`` makes of the chain rule's (compared by key, so
+    # -0.0 is not 0.0), and refuses the same kink with the same message.
+    rng = random.Random(400 + seed)
+    raised = built = 0
+    for _ in range(150):
+        e = simplify(random_tree(rng, 5, [] if shared else None))
+        for v in NAMES:
+            got = _derivative_or_error(differentiate, e, v)
+            want = _derivative_or_error(lambda e, v: simplify(chain_rule_derivative(e, v)), e, v)
+            assert got == want
+            if v not in free_vars(e):
+                assert differentiate(e, v) is expr_module.ZERO
+            elif got[0] is NonDifferentiable:
+                raised += 1
+            else:
+                built += 1
+    assert raised > 30 and built > 50
+
+
+def _postfix_reference(e: Expr, slots: dict[str, int]):
+    """``expr._postfix`` as a recursive walk: operands left to right, a node
+    numbered after them."""
+    ops: list = []
+    constants: list[float] = []
+    varying: list[bool] = []
+    number: dict = {}
+    walked: dict[int, int] = {}
+
+    def visit(node: Expr) -> int:
+        if id(node) in walked:
+            return walked[id(node)]
+        if isinstance(node, Const):
+            key, op = repr(node.value), ("const", len(constants), ())
+        elif isinstance(node, Var):
+            key = op = ("load", slots.setdefault(node.name, len(slots)), ())
+        elif isinstance(node, Binary):
+            key = op = (node.op, None, (visit(node.left), visit(node.right)))
+        elif isinstance(node, Unary):
+            key = op = (node.op, None, (visit(node.arg),))
+        else:
+            key = op = ("pow", node.exponent, (visit(node.base),))
+        index = number.get(key)
+        if index is None:
+            index = number[key] = len(ops)
+            ops.append(op)
+            if op[0] == "const":
+                constants.append(node.value)
+            varying.append(op[0] == "load" or any(varying[j] for j in op[2]))
+        walked[id(node)] = index
+        return index
+
+    visit(e)
+    return tuple(ops), tuple(constants), tuple(varying)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_postfix_matches_a_recursive_walk(seed):
+    # Shared nodes and equal copies, repeated constants, 0.0 and -0.0; the
+    # constants compared by ``repr``, and the slots given to new names too.
+    rng = random.Random(500 + seed)
+    for _ in range(200):
+        e = random_tree(rng, 6, [])
+        for declared in ((), NAMES[2:0:-1]):
+            slots = {name: k for k, name in enumerate(declared)}
+            ref_slots = dict(slots)
+            code, constants, varying = expr_module._postfix(e, slots)
+            ref_code, ref_constants, ref_varying = _postfix_reference(e, ref_slots)
+            assert (code, varying, slots) == (ref_code, ref_varying, ref_slots)
+            assert list(map(repr, constants)) == list(map(repr, ref_constants))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_program_from_its_key_is_the_program_walked(seed):
+    # The key's ops, with each load moved to its slot in ``var_order``.
+    rng = random.Random(600 + seed)
+    for _ in range(200):
+        e = random_tree(rng, 5, [])
+        order = rng.sample(NAMES, len(NAMES))
+        walked = Program(e, order)
+        keyed = Program(e, order, structural_key_with_vars(e))
+        assert (keyed.code, keyed._varying) == (walked.code, walked._varying)
+        assert list(map(repr, keyed._constants)) == list(map(repr, walked._constants))
+    e = parse("x0*y + z")
+    assert outcome(Program, e, ["x0"]) == outcome(Program, e, ["x0"], structural_key_with_vars(e))
 
 
 # ---------------------------------------------------------------------------

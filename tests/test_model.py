@@ -8,9 +8,11 @@ from certbound.errors import (
     MissingBounds,
     ParseError,
 )
+from certbound import expr
 from certbound.expr import differentiate, eval_real, free_vars, is_zero, parse
 from certbound.intervals import Interval
 from certbound.model import grad_sq_norm, model_to_text, reduced_domain
+from certbound.models import TrafficConfig, build_traffic
 
 DELTA = 31.3 / (500.0 * 0.053)
 
@@ -147,6 +149,14 @@ class TestStateJacobian:
 
     def test_built_once(self, traffic_s1):
         assert traffic_s1.state_jacobian is traffic_s1.state_jacobian
+
+    def test_built_without_simplify(self, monkeypatch):
+        # Each partial is built simplified in the walk down its component.
+        m, _ = build_traffic(TrafficConfig(sections=20))
+        calls = []
+        simplify = expr.simplify
+        monkeypatch.setattr(expr, "simplify", lambda e: calls.append(e) or simplify(e))
+        assert sum(map(len, m.state_jacobian)) > 200 and calls == []
 
     def test_quotient_has_no_entry_for_an_absent_state(self):
         m = ModelDef(

@@ -33,6 +33,7 @@ from certbound.expr import (
 )
 from certbound.intervals import Interval
 from certbound.model import reduced_domain
+from certbound import expr as expr_module
 from certbound import params
 from certbound.params import (
     _maximize_expr,
@@ -45,6 +46,7 @@ from certbound.params import (
     jacobian_bounds,
     lipschitz_case1,
     lipschitz_case2,
+    lipschitz_objective,
     osl_frobenius,
     osl_gershgorin,
     osl_zeta,
@@ -669,6 +671,16 @@ class TestRunReuse:
         # 61 nonzero entries and 31 QB columns, in 4 classes each.
         jb, q = jacobian_bounds(traffic_s5, CFG_COARSE), qb(traffic_s5, CFG_COARSE)
         assert (jb.stats.runs, q.stats.runs) == (8, 4)
+
+    def test_a_search_walks_its_objective_once(self, monkeypatch, traffic_s5):
+        # The key's walk gives the program too, its loads re-slotted.
+        walked = []
+        postfix = expr_module._postfix
+        monkeypatch.setattr(
+            expr_module, "_postfix", lambda e, slots: walked.append(e) or postfix(e, slots)
+        )
+        res = lipschitz_case1(traffic_s5, CFG_COARSE)
+        assert res.stats.runs == 1 and walked == [lipschitz_objective(traffic_s5)]
 
     def test_a_repeated_search_compiles_nothing(self, monkeypatch, traffic_s5):
         # The memo is looked up before the program is built, and a miss
