@@ -12,8 +12,11 @@ parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
 pairs), each box is first collapsed to the face where its maximum lies
 along every dimension of fixed derivative sign, and its bounds are
 tightened by the centred form (see ``_first_order``); a box that this
-already prunes skips the refined evaluation.  The search tightens
-the sandwich ``l <= h* <= u`` in three phases:
+already prunes skips the refined evaluation.  A box is bisected, and its
+refined evaluation sliced, along its dimension of greatest smear ``width_k
+* |G_k|`` (Ratz & Csendes 1995), or along its widest dimension where there
+is no gradient enclosure.  The search tightens the sandwich ``l <= h* <=
+u`` in three phases:
 
 1. repeatedly bisect the box with the greatest upper bound (drives u down),
 2. once that box is no longer splittable, bisect splittable boxes with the
@@ -48,8 +51,9 @@ _INF_SENTINEL = float("inf")
 class Subproblem(Frozen):
     """A cover box with cached objective bounds: lo_bound <= h <= hi_bound
     on the box.  ``order`` is the insertion counter used to break ties
-    deterministically; ``width`` and ``dim`` are the box's width and its
-    widest dimension (``box.widest()``), computed once."""
+    deterministically; ``dim`` is the one dimension along which the box's
+    refined evaluation was sliced and along which it is split (see
+    ``_Bounder``), and ``width`` is that dimension's width."""
 
     __slots__ = ("box", "lo_bound", "hi_bound", "order", "width", "dim")
 
@@ -66,8 +70,8 @@ class Subproblem(Frozen):
 
 
 def _splittable(sub: Subproblem, eps_om: float) -> bool:
-    """Whether ``sub``'s box may be bisected: its widest dimension is wider
-    than ``eps_om`` and its midpoint, where ``Box.split`` cuts, lies
+    """Whether ``sub``'s box may be bisected: its dimension ``sub.dim`` is
+    wider than ``eps_om`` and its midpoint, where ``Box.split`` cuts, lies
     strictly inside (two adjacent floats have no float between them)."""
     iv = sub.box.dims[sub.dim]
     return sub.width > eps_om and iv.lo < iv.midpoint < iv.hi
@@ -100,10 +104,11 @@ class Cover:
         ]
 
     def add(self, sub: Subproblem) -> None:
-        # Ties break toward the wider box, then the earlier insertion; but
-        # among infinite upper bounds toward the narrower box, so that phase
-        # 1 bisects one failing box down to ``eps_om``, where the run must
-        # end unbounded, instead of every failing box breadth-first.
+        # Ties break toward the greater ``width`` (that of the split
+        # dimension), then the earlier insertion; but among infinite upper
+        # bounds toward the smaller ``width``, so that phase 1 bisects one
+        # failing box down to ``eps_om``, where the run must end unbounded,
+        # instead of every failing box breadth-first.
         self._alive[sub.order] = sub
         neg_width = -sub.width
         hi_tie = sub.width if sub.hi_bound == _INF_SENTINEL else neg_width
@@ -148,7 +153,8 @@ class Cover:
 
 
 def _selection_key(s: Subproblem, primary: float) -> tuple[float, float, float]:
-    # Ties: larger box first, then earlier insertion.
+    # Ties: greater ``width`` (of the split dimension) first, then earlier
+    # insertion.
     return (primary, s.width, -s.order)
 
 
@@ -157,7 +163,7 @@ class BnBConfig(Frozen):
 
     eps_h: target width of the objective sandwich.
     eps_om: minimum splittable box width.
-    segments: widest-dimension slabs per interval bound evaluation.
+    segments: slabs per interval bound evaluation, along the split dimension.
     max_steps: hard cap on bisections (safety valve, not part of the method).
     """
 
@@ -208,7 +214,7 @@ class BnBResult:
 
 def _first_order(
     hI: IntervalFn, gradient: GradientFn, box: Box
-) -> tuple[Box, float, float]:
+) -> tuple[Box, float, float, Sequence[tuple[float, float]]]:
     """First-order reduction of ``box`` for maximization, from the
     enclosures ``G_k`` of the partial derivatives on it (of Clarke's
     generalized gradient where h has kinks), which ``gradient`` gives as
@@ -226,8 +232,9 @@ def _first_order(
     bound of ``G_k * (X_k - c_k)``; where that float is not finite or falls
     outside ``[lo, hi]``, the face's midpoint.
 
-    Returns the face and that centred enclosure of h on it.  Raises
-    ``IntervalError`` when the gradient or the centre does not enclose."""
+    Returns the face, that centred enclosure of h on it and the gradient
+    enclosures.  Raises ``IntervalError`` when the gradient or the centre
+    does not enclose."""
     grads = gradient([(iv.lo, iv.hi) for iv in box.dims])
     dims = list(box.dims)
     centre = []
@@ -249,7 +256,27 @@ def _first_order(
     for g, iv, c in zip(grads, dims, centre):
         if iv.lo < iv.hi:
             bound = pair_add(bound, pair_mul(g, pair_sub((iv.lo, iv.hi), (c, c))))
-    return face, bound[0], bound[1]
+    return face, bound[0], bound[1], grads
+
+
+def _greatest_smear(
+    box: Box, grads: Sequence[tuple[float, float]], eps_om: float
+) -> int | None:
+    """The dimension ``k`` of greatest smear ``width_k * max(-gl_k, gh_k)``
+    (Ratz & Csendes 1995), the first among equals, where ``[gl_k, gh_k]``
+    encloses the partial derivative on the box; ``None`` when no dimension
+    may be split (``_splittable``'s test: wider than ``eps_om``, with the
+    midpoint strictly inside).  A collapsed dimension has width 0, so a dead
+    one (``G_k = [0, 0]``) is never picked."""
+    best = None
+    most = -1.0
+    for k, (iv, (gl, gh)) in enumerate(zip(box.dims, grads)):
+        width = iv.width
+        if width > eps_om and iv.lo < iv.midpoint < iv.hi:
+            smear = width * (gh if gh > -gl else -gl)
+            if smear > most:
+                best, most = k, smear
+    return best
 
 
 class _Bounder:
@@ -259,10 +286,13 @@ class _Bounder:
     has), each box is first reduced by ``_first_order``: the subproblem
     keeps the face instead of the box, and its bounds are the natural
     enclosure on the face intersected with the centred form.  A gradient or
-    centre enclosure that fails skips this step for that box.  Then the
-    box gets one refined interval evaluation (``refined_eval``: one
-    evaluation of ``hI`` per slab of the widest dimension), unless its
-    first-order upper bound, intersected with the parent's, is already
+    centre enclosure that fails skips this step for that box.  The
+    subproblem's ``dim`` is then the face's dimension of greatest smear
+    (``_greatest_smear``, among the dimensions wider than ``eps_om``), or
+    the box's widest dimension where there is no gradient enclosure or no
+    such dimension.  Then the box gets one refined interval evaluation
+    (``refined_eval``: one evaluation of ``hI`` per slab of ``dim``), unless
+    its first-order upper bound, intersected with the parent's, is already
     below the caller's lower bound ``l``: such a box is pruned by the same
     step anyway.  ``evals`` counts the refined evaluations.
 
@@ -273,10 +303,11 @@ class _Bounder:
     fails with an ``IntervalError`` counts as ``[-inf, +inf]``, so the box
     keeps its parent's bounds; ``failure`` holds the last such error."""
 
-    def __init__(self, hI: IntervalFn, segments: int, stats: BnBStats):
+    def __init__(self, hI: IntervalFn, segments: int, stats: BnBStats, eps_om: float = 0.0):
         self.hI = hI
         self.segments = segments
         self.stats = stats
+        self.eps_om = eps_om
         self.counter = itertools.count()
         self.failure: IntervalError | None = None
         self.gradient: GradientFn | None = getattr(hI, "gradient", None)
@@ -285,12 +316,18 @@ class _Bounder:
         self, box: Box, parent: Subproblem | None = None, l: float = -_INF_SENTINEL
     ) -> Subproblem:
         lo, hi = -_INF_SENTINEL, _INF_SENTINEL
+        dim = None
         if self.gradient is not None:
             try:
-                box, lo, hi = _first_order(self.hI, self.gradient, box)
+                box, lo, hi, grads = _first_order(self.hI, self.gradient, box)
             except IntervalError:
                 pass
-        dim, width = box.widest()
+            else:
+                dim = _greatest_smear(box, grads, self.eps_om)
+        if dim is None:
+            dim, width = box.widest()
+        else:
+            width = box.dims[dim].width
         if parent is None or min(hi, parent.hi_bound) >= l:
             self.stats.evals += 1
             try:
@@ -313,10 +350,10 @@ def opt_bnb_step(
     h: PointFn,
     bound: Callable[[Box, Subproblem, float], Subproblem],
 ) -> tuple[Subproblem, float, float, tuple[float, ...] | None]:
-    """One bisection step: split ``chosen`` at the midpoint of its widest
-    dimension, raise l from the midpoint of the best-lower-bound box, prune,
-    and return the new incumbent (greatest upper bound), l, u and the point
-    that improved l (if any)."""
+    """One bisection step: split ``chosen`` at the midpoint of its dimension
+    ``chosen.dim``, raise l from the midpoint of the best-lower-bound box,
+    prune, and return the new incumbent (greatest upper bound), l, u and the
+    point that improved l (if any)."""
     cover.remove(chosen)
     for half in chosen.box.split(chosen.dim):
         cover.add(bound(half, chosen, l))
@@ -343,14 +380,16 @@ def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
     ``hI`` must be a valid interval extension of ``h`` on the domain (the
     expression layer provides this).
 
-    The domain should contain only dimensions the objective depends on:
-    a dead dimension is still bisected (it can be the widest), which
-    multiplies boxes with identical bounds instead of tightening anything.
-    Callers working from expressions get this for free via domain reduction.
+    The domain should contain only dimensions the objective depends on.
+    Where ``hI`` encloses the gradient, a dead dimension (``G_k = [0, 0]``)
+    collapses and is never split; without a gradient it is still bisected
+    (it can be the widest), which multiplies boxes with identical bounds
+    instead of tightening anything.  Callers working from expressions get
+    this for free via domain reduction.
     """
     stats = BnBStats()
     start = time.perf_counter()
-    bound = _Bounder(hI, cfg.segments, stats)
+    bound = _Bounder(hI, cfg.segments, stats, cfg.eps_om)
     cover = Cover()
     try:
         root = bound(domain)

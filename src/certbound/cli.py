@@ -368,8 +368,11 @@ def _cmd_make_model(args) -> int:
         model = _built_model(args)
     text = model_to_text(model)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _ModelError(f"cannot write model: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK

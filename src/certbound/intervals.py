@@ -29,16 +29,20 @@ own tie rule: keep the first of equal values, replace only on a strict
 ``<`` (least) or ``>`` (greatest).  So signed zeros and NaN come out as the
 builtins give them.
 
-The trigonometric extensions ``iv_sin`` / ``iv_cos`` bracket sin and cos by
-truncated Maclaurin partial sums of the fixed degree ``SERIES_DEGREE``,
-whose tails are sign-controlled on ``[-pi, pi]``; arguments outside the
-handled subdomains fall back to the trivial enclosure ``[-1, 1]``, so both
-functions are total.
+The trigonometric extensions ``iv_sin`` / ``iv_cos`` reduce each endpoint
+by a multiple of ``pi/2`` in exact integer arithmetic and bracket sin and
+cos of the remainder by consecutive Maclaurin partial sums, so a point
+argument gets an enclosure a few ulps wide; an interval gets the hull of
+its endpoints' enclosures, widened to 1 or -1 where a critical point may
+lie inside.  Beyond ``|x| = TRIG_ARG_LIMIT`` (``2**20``), and on an interval
+at least ``2*pi`` wide, both fall back to the trivial enclosure ``[-1, 1]``,
+so both functions are total.
 
 A :class:`Box` is a product of intervals, one per named variable; it is the
 search-space object bisected by the optimizer.  ``refined_eval`` sharpens an
 interval function (a list of pairs in, one per dimension; a pair out) by
-slicing the widest dimension into equal slabs and hulling their enclosures.
+slicing one dimension (the optimizer's split dimension, by default the
+widest) into equal slabs and hulling their enclosures.
 """
 
 from __future__ import annotations
@@ -62,13 +66,6 @@ def _down(x: float) -> float:
 
 def _up(x: float) -> float:
     return _nextafter(x, _INF)
-
-
-# Two-sided enclosure of pi at native precision.  math.pi is the nearest
-# double to pi; stepping one ulp in each direction is sound regardless of
-# which side it lies on.
-PI_LO = _down(math.pi)
-PI_HI = _up(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -315,57 +312,87 @@ def pair_exp(a: tuple[float, float]) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# sin / cos extensions via bracketing Maclaurin partial sums
+# sin / cos: argument reduction and bracketing Maclaurin partial sums
 # ---------------------------------------------------------------------------
+#
+# A point ``x`` is reduced to ``x = q*pi/2 + r``, with ``r`` enclosed by a
+# pair and ``|r| <= pi/4`` up to a rounding margin.  ``pi/2`` is the
+# double-double ``_HALF_PI + t``, where the tail ``t`` lies within one ulp
+# of ``_HALF_PI_TAIL`` (a test checks it against 60 digits of pi).  Every
+# quantity of the reduction times ``2**106`` is an integer: ``_HALF_PI``
+# and ``x`` (``q`` is nonzero only for ``|x| > 1/2``) have ulps of at
+# least ``2**-53`` and the tail's bounds have ulps of ``2**-106``.  So ``r``
+# is bounded in exact integer arithmetic, and only its two conversions to
+# float round, outward.  ``sin(x)`` is then ``+-sin(r)`` or ``+-cos(r)``
+# by the quadrant ``q mod 4``; ``cos(x)`` is ``sin(x + pi/2)``, the same
+# table at ``q + 1``.
 
-SERIES_DEGREE = 4  # the degree of the partial sums that bound sin and cos
+_HALF_PI = math.pi / 2  # exact: halving
+_HALF_PI_TAIL = 6.123233995736766e-17  # the float nearest pi/2 - _HALF_PI
+_SCALE = 2**106
+_HALF_PI_LO = int(_HALF_PI * 2.0**106) + int(_down(_HALF_PI_TAIL) * 2.0**106)
+_HALF_PI_HI = int(_HALF_PI * 2.0**106) + int(_up(_HALF_PI_TAIL) * 2.0**106)
+
+# Beyond this magnitude, and on an interval at least 2*pi wide, sin and cos
+# are enclosed by [-1, 1].  Up to it, the tail's uncertainty puts at most
+# q * 2.5e-32 < 2e-26 into r.
+TRIG_ARG_LIMIT = 2.0**20
+_TWO_PI_HI = _up(2.0 * math.pi)  # above 2*pi: math.pi is below pi
+
+# A series stops at its first term below this in magnitude: that term
+# bounds the gap between the two partial sums that bracket the value.
+_TERM_FLOOR = 2.0**-60
+# The divisors of the series' terms: term k of sin is term k-1 times
+# -r^2 / (2k*(2k+1)), of cos times -r^2 / ((2k-1)*2k).  At |r| <= pi/4
+# sin stops after 9 terms and cos after 10.
+_SIN_DIVISORS = tuple(float(2 * k * (2 * k + 1)) for k in range(1, 13))
+_COS_DIVISORS = tuple(float((2 * k - 1) * 2 * k) for k in range(1, 13))
+
+
+def _exact_down(n: int) -> float:
+    """The greatest float ``<= n / 2**106``."""
+    x = n / _SCALE  # correctly rounded; the comparison below is exact
+    return _down(x) if x * 2.0**106 > n else x
+
+
+def _exact_up(n: int) -> float:
+    """The least float ``>= n / 2**106``."""
+    x = n / _SCALE
+    return _up(x) if x * 2.0**106 < n else x
 
 
 def _series_bounds(
-    x: float, first: float, step: Callable[[int], int], m: int
+    a: float, b: float, first: tuple[float, float], divisors: tuple[float, ...]
 ) -> tuple[float, float]:
-    """Hull of the partial sums ``S_m`` and ``S_{m+1}`` of the alternating
-    series whose term ``k`` is ``-(term_{k-1} * x^2) / step(k)``, starting
-    from ``first``; every operation is outward rounded."""
-    x2 = pair_sqr((x, x))
-    t = s = (first, first)
-    bounds = []
-    for k in range(1, m + 2):
-        denom = float(step(k))
-        pl, ph = pair_mul(t, x2)
-        t = pair_div((-ph, -pl), (denom, denom))
-        s = pair_add(s, t)
-        if k >= m:
-            bounds.append(s)
-    (ml, mh), (nl, nh) = bounds
-    return min(ml, nl), max(mh, nh)
-
-
-# The series bounds are cached: a branch-and-bound evaluates sin and cos at
-# the same box endpoints again and again (the gradient on the box, the
-# slabs of its face).  ``0.0`` and ``-0.0`` share an entry; their bounds are
-# the same.
-
-
-@functools.lru_cache(maxsize=1024)
-def _sin_series_bounds(x: float) -> tuple[float, float]:
-    """Bounds for sin(x) valid on |x| <= PI_HI, from partial sums of the
-    Maclaurin series.  The tail after the first kept term is alternating with
-    decreasing magnitude on this range, so consecutive partial sums bracket
-    the true value."""
-    if x < 0.0:
-        lo, hi = _sin_series_bounds(-x)
-        return -hi, -lo
-    m = max(1, (SERIES_DEGREE - 1) // 2)  # index of last kept series term
-    return _series_bounds(x, x, lambda k: 2 * k * (2 * k + 1), m)
-
-
-@functools.lru_cache(maxsize=1024)
-def _cos_series_bounds(x: float) -> tuple[float, float]:
-    """Bounds for cos(x) valid on |x| <= PI_HI; see ``_sin_series_bounds``."""
-    x = abs(x)
-    m = max(1, SERIES_DEGREE // 2)
-    return _series_bounds(x, 1.0, lambda k: (2 * k - 1) * (2 * k), m)
+    """Bounds on the alternating series ``sum_k (-1)^k m_k`` with ``m_0`` in
+    ``first`` (of nonnegative bounds) and ``m_k = m_{k-1} * r^2 /
+    divisors[k-1]``, for every ``r`` with ``a <= |r| <= b``, ``0 <= a <=
+    b``: the hull of its partial sums ``S_{m-1}`` and ``S_m``, where ``m_m``
+    is the first term below ``_TERM_FLOOR``.  On the reduced range the
+    terms after ``m_0`` decrease, so the value lies between the two sums, in
+    ``S_m + hull(0, -(-1)^m m_m)``.  The magnitudes' lower bounds come from
+    ``a`` and their upper bounds from ``b``, each operation rounded outward;
+    the terms are summed from the smallest, so that most roundings are at
+    their small scale."""
+    down, up = -_INF, _INF
+    a2 = max(0.0, _nextafter(a * a, down))
+    b2 = _nextafter(b * b, up)
+    lo, hi = first
+    terms = []
+    negative = True
+    for d in divisors:
+        lo = _nextafter(_nextafter(lo * a2, down) / d, down)
+        hi = _nextafter(_nextafter(hi * b2, up) / d, up)
+        terms.append((-hi, -lo) if negative else (lo, hi))
+        negative = not negative
+        if hi < _TERM_FLOOR:
+            break
+    tlo, thi = terms[-1]
+    slo, shi = min(0.0, -thi), max(0.0, -tlo)
+    for tlo, thi in reversed(terms):
+        slo = _nextafter(slo + tlo, down)
+        shi = _nextafter(shi + thi, up)
+    return _nextafter(first[0] + slo, down), _nextafter(first[1] + shi, up)
 
 
 def _clamp_unit(lo: float, hi: float) -> tuple[float, float]:
@@ -375,44 +402,89 @@ def _clamp_unit(lo: float, hi: float) -> tuple[float, float]:
     raise _invalid(lo, hi)
 
 
-def pair_sin(a: tuple[float, float]) -> tuple[float, float]:
-    """Interval extension of sin from the piecewise monotonicity case table.
+# The point bounds are cached: a branch-and-bound evaluates sin and cos at
+# the same box endpoints again and again (the gradient on the box, the
+# slabs of its face), and the gradient of one needs the other at the same
+# points.  ``0.0`` and ``-0.0`` share an entry; their bounds are the same.
 
-    Handled subdomains: the increasing lobe ``[-pi/2, pi/2]``, the decreasing
-    lobe ``[pi/2, pi]``, the peak-spanning half period ``[0, pi]`` and its
-    mirrored negative counterpart.  Anything else returns ``[-1, 1]``.
-    """
+
+@functools.lru_cache(maxsize=2048)
+def _wave_point(x: float) -> tuple[tuple[float, float], tuple[float, float], int, int]:
+    """``(sin x, cos x, up, down)`` for ``|x| <= TRIG_ARG_LIMIT``: pairs
+    that enclose ``sin x`` and ``cos x``, the least ``up`` and the greatest
+    ``down`` such that ``up*pi/2 >= x >= down*pi/2`` may hold.  With ``x =
+    q*pi/2 + r``, ``r`` enclosed by ``[rl, rh]`` (``|rl|, |rh| <= pi/4 +
+    1e-9``), ``up`` is ``q`` unless ``r`` is surely positive and ``down``
+    is ``q`` unless it is surely negative."""
+    if not x:  # exact: sin 0 = 0 and cos 0 = 1
+        return (x, x), (1.0, 1.0), 0, 0
+    q = round(x / _HALF_PI)
+    if q:
+        n = int(x * 2.0**106)  # exact
+        hi_pi, lo_pi = (_HALF_PI_HI, _HALF_PI_LO) if q > 0 else (_HALF_PI_LO, _HALF_PI_HI)
+        rl, rh = _exact_down(n - q * hi_pi), _exact_up(n - q * lo_pi)
+    else:
+        rl = rh = x
+    # sin is odd and cos even: both are bounded from |r| in [a, b].
+    if rl >= 0.0:
+        a, b = rl, rh
+        s = _series_bounds(a, b, (a, b), _SIN_DIVISORS)
+    elif rh <= 0.0:
+        a, b = -rh, -rl
+        s = _series_bounds(a, b, (a, b), _SIN_DIVISORS)
+        s = (-s[1], -s[0])
+    else:
+        a, b = 0.0, max(-rl, rh)
+        s = _series_bounds(a, b, (a, b), _SIN_DIVISORS)
+        s = (-s[1], s[1])
+    c = _series_bounds(a, b, (1.0, 1.0), _COS_DIVISORS)
+    # sin(q*pi/2 + r) for q = 0, 1, 2, 3 (mod 4); cos(x) is sin(x + pi/2).
+    cycle = (s, c, (-s[1], -s[0]), (-c[1], -c[0]))
+    return (
+        _clamp_unit(*cycle[q % 4]), _clamp_unit(*cycle[(q + 1) % 4]),
+        q if rl <= 0.0 else q + 1, q if rh >= 0.0 else q - 1,
+    )
+
+
+def _unit_wave(a: tuple[float, float], shift: int) -> tuple[float, float]:
+    """Interval extension of ``x -> sin(x + shift*pi/2)``, ``shift`` 0 or
+    1: the hull of the bounds at the endpoints, widened to 1 (to -1) where a
+    maximizer (minimizer) ``k*pi/2``, ``k = 1 - shift`` (``3 - shift``) mod
+    4, may lie in the interval, that is, where such a ``k`` lies between
+    ``up`` of ``lo`` and ``down`` of ``hi`` (see ``_wave_point``)."""
     lo, hi = a
-    half_lo = PI_LO / 2  # exact: division by two
-    half_hi = PI_HI / 2
-    if -half_lo <= lo and hi <= half_lo:
-        return _clamp_unit(_sin_series_bounds(lo)[0], _sin_series_bounds(hi)[1])
-    if half_hi <= lo and hi <= PI_LO:
-        return _clamp_unit(_sin_series_bounds(hi)[0], _sin_series_bounds(lo)[1])
-    if 0.0 <= lo and hi <= PI_LO:
-        return _clamp_unit(
-            min(_sin_series_bounds(lo)[0], _sin_series_bounds(hi)[0]), 1.0
-        )
-    if -PI_LO <= lo and hi <= 0.0:
-        nlo, nhi = pair_sin((-hi, -lo))
-        return -nhi, -nlo
-    return -1.0, 1.0
+    if not (-TRIG_ARG_LIMIT <= lo and hi <= TRIG_ARG_LIMIT and hi - lo < _TWO_PI_HI):
+        return -1.0, 1.0
+    left = _wave_point(lo)
+    if lo == hi:
+        return left[shift]
+    right = _wave_point(hi)
+    rlo, rhi = left[shift]
+    blo, bhi = right[shift]
+    if blo < rlo:
+        rlo = blo
+    if bhi > rhi:
+        rhi = bhi
+    first = left[2]
+    span = right[3] - first
+    if span >= 0:
+        if (1 - shift - first) % 4 <= span:
+            rhi = 1.0
+        if (3 - shift - first) % 4 <= span:
+            rlo = -1.0
+    return rlo, rhi
+
+
+def pair_sin(a: tuple[float, float]) -> tuple[float, float]:
+    """Interval extension of sin, a few ulps wide on a point argument (see
+    ``_unit_wave``); ``[-1, 1]`` beyond ``TRIG_ARG_LIMIT`` and on an
+    interval at least ``2*pi`` wide."""
+    return _unit_wave(a, 0)
 
 
 def pair_cos(a: tuple[float, float]) -> tuple[float, float]:
-    """Interval extension of cos; same case-table construction as
-    ``pair_sin``."""
-    lo, hi = a
-    half_lo = PI_LO / 2
-    if 0.0 <= lo and hi <= PI_LO:
-        return _clamp_unit(_cos_series_bounds(hi)[0], _cos_series_bounds(lo)[1])
-    if -PI_LO <= lo and hi <= 0.0:
-        return pair_cos((-hi, -lo))
-    if -half_lo <= lo and hi <= half_lo:
-        return _clamp_unit(
-            min(_cos_series_bounds(lo)[0], _cos_series_bounds(hi)[0]), 1.0
-        )
-    return -1.0, 1.0
+    """Interval extension of cos; see ``pair_sin``."""
+    return _unit_wave(a, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +733,11 @@ def slab_cuts(iv: Interval, segments: int) -> list[float]:
 
 def refined_eval(fn: Callable, box: Box, segments: int, dim: int | None = None) -> Interval:
     """Evaluate the interval function ``fn`` on ``box`` after slicing its
-    widest dimension into ``segments`` equal slabs; return the hull of the
-    slab enclosures.  Each slab is one evaluation of ``fn``, on one list of
-    pairs whose sliced entry is overwritten for each slab.  A caller that
-    knows ``box.widest_dim()`` already may pass it as ``dim``.
+    dimension ``dim`` (by default ``box.widest_dim()``) into ``segments``
+    equal slabs; return the hull of the slab enclosures.  Each slab is one
+    evaluation of ``fn``, on one list of pairs whose sliced entry is
+    overwritten for each slab.  The optimizer passes the dimension it
+    splits, that of greatest smear.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.

@@ -58,8 +58,8 @@ from .expr import (
     simplified_unary,
     structural_key_with_vars,
 )
-from .intervals import Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
-from .model import ModelDef, grad_sq_norm, reduced_domain, state_partials
+from .intervals import Box, Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
+from .model import ModelDef, grad_sq_norm, state_partials
 
 if TYPE_CHECKING:  # importing fractions costs start-up time; functions import it
     from fractions import Fraction
@@ -226,7 +226,11 @@ def _optimize_expr(
     search = (key, tuple((k, repr(iv.lo), repr(iv.hi)) for (_, iv), k in declared), cfg)
     missing = [optimize for optimize in optimizers if (optimize, search) not in runs]
     if missing:
-        domain = reduced_domain(model, e)
+        # The reduced box: the key's variables in declaration order.
+        domain = (
+            Box(tuple(iv for (_, iv), _ in declared), tuple(names[k] for _, k in declared))
+            if declared else model.omega()
+        )
         program = Program(e, domain.labels, keyed)
         for optimize in missing:
             runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)

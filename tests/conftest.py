@@ -193,9 +193,28 @@ def report_from_dict(data: dict) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def dec_sin(x: float, digits: int = 40) -> Decimal:
-    """High-precision sine of a float via the Maclaurin series in Decimal
-    arithmetic (sufficient for |x| <= 30)."""
+def dec_pi(digits: int = 60) -> Decimal:
+    """pi to about ``digits`` digits, by Machin's formula
+    ``pi = 16*atan(1/5) - 4*atan(1/239)`` in Decimal arithmetic."""
+    getcontext().prec = digits + 10
+
+    def atan_inv(n: int) -> Decimal:
+        x = Decimal(1) / n
+        term = total = x
+        k = 1
+        limit = Decimal(10) ** -(digits + 5)
+        while abs(term) > limit:
+            term = -term * x * x
+            total += term / (2 * k + 1)
+            k += 1
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def dec_sin(x: float | Decimal, digits: int = 40) -> Decimal:
+    """High-precision sine of a float (or a Decimal) via the Maclaurin
+    series in Decimal arithmetic (sufficient for |x| <= 30)."""
     getcontext().prec = digits + 20
     xd = Decimal(x)
     term = xd
@@ -209,7 +228,7 @@ def dec_sin(x: float, digits: int = 40) -> Decimal:
     return total
 
 
-def dec_cos(x: float, digits: int = 40) -> Decimal:
+def dec_cos(x: float | Decimal, digits: int = 40) -> Decimal:
     getcontext().prec = digits + 20
     xd = Decimal(x)
     term = Decimal(1)

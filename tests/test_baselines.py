@@ -67,15 +67,12 @@ class TestSampleMax:
 
 
 class TestUnderApproximation:
-    # The trig objective runs at a loose tolerance: series-based sin/cos
-    # enclosures have an irreducible pointwise width, so the sandwich cannot
-    # close below it no matter how finely boxes shrink.
     @pytest.mark.parametrize(
         "text,bounds,eps_h",
         [
             ("x*(1 - x)", [("x", 0.0, 1.0)], 1e-6),
             ("x^2 - y^2", [("x", -1.0, 2.0), ("y", -1.0, 1.0)], 1e-6),
-            ("sin(x)*cos(y)", [("x", -1.2, 1.2), ("y", 0.0, 1.5)], 0.05),
+            ("sin(x)*cos(y)", [("x", -1.2, 1.2), ("y", 0.0, 1.5)], 1e-6),
         ],
     )
     @pytest.mark.parametrize("method", ["halton", "corners"])

@@ -9,7 +9,8 @@ import pytest
 from certbound import BnBConfig
 from certbound import bnb
 from certbound.bnb import (
-    BnBStats, Cover, Subproblem, _Bounder, _first_order, maximize, minimize, opt_bnb_step,
+    BnBStats, Cover, Subproblem, _Bounder, _first_order, _greatest_smear, maximize, minimize,
+    opt_bnb_step,
 )
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
@@ -179,6 +180,66 @@ class TestFirstOrder:
         assert res.lower <= 0.0 <= res.upper and res.stats.evals < 200
 
 
+class TestGreatestSmear:
+    """The split and the slabs go along the dimension of greatest
+    ``width_k * max(-gl_k, gh_k)``, among those ``_splittable`` accepts."""
+
+    def test_smear_beats_width_on_a_hand_checked_box(self):
+        # dh/dx = 2x in [-4, 4] over width 4: smear 16.  dh/dy = 20y in
+        # [-20, 20] over width 2: smear 40.  So y, though x is the wider.
+        program = Program(parse("sqr(x) + 10*sqr(y)"), ("x", "y"))
+        box = Box.from_bounds([("x", -2.0, 2.0), ("y", -1.0, 1.0)])
+        assert box.widest() == (0, 4.0)
+        sub = _Bounder(program, 1, BnBStats())(box)
+        assert (sub.box, sub.dim, sub.width) == (box, 1, 2.0)
+        cover = Cover([sub])
+        opt_bnb_step(cover, sub, -math.inf, program.eval_point, _Bounder(program, 1, BnBStats()))
+        # Split along y, each half collapses to its outer face y = -1 or 1.
+        faces = sorted((s.box.dims[1].lo, s.box.dims[1].hi) for s in cover.subproblems)
+        assert faces == [(-1.0, -1.0), (1.0, 1.0)]
+        assert {s.box.dims[0] for s in cover.subproblems} == {box.dims[0]}
+
+    def test_without_a_gradient_the_widest_dimension(self):
+        program = Program(parse("sqr(x) + 10*sqr(y)"), ("x", "y"))
+        box = Box.from_bounds([("x", -2.0, 2.0), ("y", -1.0, 1.0)])
+        sub = _Bounder(lambda dims: program(dims), 1, BnBStats())(box)
+        assert (sub.dim, sub.width) == (0, 4.0)
+
+    def test_a_failed_gradient_enclosure_gives_the_widest_dimension(self):
+        # d sqrt(x)/dx is not enclosed at x = 0; with it, y would win.
+        program = Program(parse("sqrt(x) + 10*sqr(y)"), ("x", "y"))
+        box = Box.from_bounds([("x", 0.0, 4.0), ("y", -1.0, 1.0)])
+        sub = _Bounder(program, 1, BnBStats())(box)
+        assert (sub.box, sub.dim, sub.width) == (box, 0, 4.0)
+
+    def test_never_a_dimension_narrower_than_eps_om(self):
+        # y has by far the greatest smear (about 2e-3 * 2e5 against 2 * 2).
+        program = Program(parse("sqr(x) + 1e8*sqr(y)"), ("x", "y"))
+        box = Box.from_bounds([("x", -1.0, 1.0), ("y", -1e-3, 1e-3)])
+        assert _Bounder(program, 1, BnBStats(), 1e-4)(box).dim == 1
+        assert _Bounder(program, 1, BnBStats(), 1e-2)(box).dim == 0
+        # No dimension wider than eps_om: the widest, which is not splittable.
+        sub = _Bounder(program, 1, BnBStats(), 10.0)(box)
+        assert (sub.dim, sub.width) == (0, 2.0) and not bnb._splittable(sub, 10.0)
+        res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-3, eps_om=1e-2))
+        widths = {s.box.dims[1].width for s in res.final_cover.subproblems}
+        assert widths <= {0.0, 2e-3}
+
+    def test_ties_go_to_the_first_dimension_and_collapsed_ones_never_win(self):
+        box = Box.from_bounds([("x", 0.0, 2.0), ("y", 0.0, 1.0), ("z", 1.0, 1.0)])
+        assert _greatest_smear(box, [(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == 0
+        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == 1
+        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 1.0) == 0
+        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 2.0) is None
+
+    def test_trig_with_a_kink_closes_the_gap(self):
+        # The widest-dimension split with degree-4 sin/cos never closes it.
+        program = Program(parse("sin(x)*cos(y) + 0.1*abs(x-y)"), ("x", "y"))
+        box = Box.from_bounds([("x", -3.0, 3.0), ("y", -3.0, 3.0)])
+        res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-4, max_steps=2000))
+        assert res.eps_optimal and res.lower <= res.upper
+
+
 class CentreRecorder:
     """``hI`` with its gradient; keeps the last point (all-degenerate box)
     it was evaluated on, which in ``_first_order`` is the centre."""
@@ -202,7 +263,7 @@ class TestBaumannCentre:
         program = Program(parse("sqr(x) + y"), ("x", "y"))
         box = Box.from_bounds([("x", -1.0, 3.0), ("y", 0.0, 1.0)])
         hI = CentreRecorder(program, program.gradient)
-        face, _, hi = _first_order(hI, program.gradient, box)
+        face, _, hi, _ = _first_order(hI, program.gradient, box)
         # dh/dx = 2x in [-2, 6] (rounded outward) changes sign; dh/dy = 1
         # collapses y to 1.  The centre is (6*3 - (-2)*(-1)) / (6 - (-2)).
         (gl, gh), _ = program.gradient(pairs(box))
@@ -231,7 +292,7 @@ class TestBaumannCentre:
                 bounds.append((name, lo, lo + rng.choice([1e-9, 0.1, 2.0])))
             box = Box.from_bounds(bounds)
             hI = CentreRecorder(program, program.gradient)
-            face, _, _ = _first_order(hI, program.gradient, box)
+            face, _, _, _ = _first_order(hI, program.gradient, box)
             assert all(iv.lo <= c <= iv.hi for iv, c in zip(face.dims, hI.centre))
 
     def test_non_finite_centre_falls_back_to_the_midpoint(self):
@@ -240,7 +301,7 @@ class TestBaumannCentre:
         gradient = lambda dims: ((-1e8, 1e8),)
         hI = CentreRecorder(lambda dims: (0.0, 1.0), gradient)
         box = Box.from_bounds([("x", 1e300, 1.5e300)])
-        face, lo, hi = _first_order(hI, gradient, box)
+        face, lo, hi, _ = _first_order(hI, gradient, box)
         assert (face, hI.centre) == (box, (box.dims[0].midpoint,))
         assert math.isfinite(lo) and math.isfinite(hi)
 

@@ -50,6 +50,13 @@ class TestExitCodes:
         assert out == ""
         assert "certbound:" in err
 
+    @pytest.mark.parametrize("target", ["missing-dir/x.nds", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_model_output_is_a_model_error(self, tmp_path, capsys, target):
+        output = str(tmp_path / target)
+        code, out, err = run_capture(capsys, ["make-model", "traffic", "--output", output])
+        assert (code, out) == (3, "")
+        assert err.startswith("certbound: cannot write model: ") and err.count("\n") == 1
+
     def test_model_error_missing_flag(self, capsys):
         code, _, err = run_capture(capsys, ["lipschitz"])
         assert code == 3 and "requires --model" in err

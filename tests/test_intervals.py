@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from certbound import intervals
 from certbound.intervals import (
+    TRIG_ARG_LIMIT,
     Box,
     Interval,
     _invalid,
@@ -15,10 +18,12 @@ from certbound.intervals import (
     fraction_up,
     iv_cos,
     iv_sin,
+    pair_cos,
     pair_div,
     pair_mul,
     pair_pow,
     pair_scale,
+    pair_sin,
     pair_sqr,
     refined_eval,
     slab_cuts,
@@ -33,7 +38,7 @@ from certbound.errors import (
     ParseError,
 )
 from certbound.expr import PowInt, Var, parse
-from conftest import dec_cos, dec_sin, encloses, point_interval
+from conftest import dec_cos, dec_pi, dec_sin, encloses, point_interval
 
 
 def approx_encloses(iv: Interval, value: float, slack: float = 0.0) -> bool:
@@ -340,7 +345,7 @@ class TestTrig:
             s = iv_sin(Interval(lo, hi))
             c = iv_cos(Interval(lo, hi))
             for k in range(15):
-                x = lo + (hi - lo) * k / 14
+                x = min(lo + (hi - lo) * k / 14, hi)  # rounding may step past hi
                 assert s.lo <= math.sin(x) <= s.hi
                 assert c.lo <= math.cos(x) <= c.hi
 
@@ -349,6 +354,104 @@ class TestTrig:
             for f in (iv_sin, iv_cos):
                 r = f(Interval(lo, hi))
                 assert -1.0 <= r.lo <= r.hi <= 1.0
+
+
+PI = dec_pi(60)
+
+# sin and cos with their oracles; ``peak(k)`` is the value at the critical
+# point ``k*pi/2`` (a maximizer or minimizer), ``None`` where there is none.
+WAVES = [
+    (pair_sin, dec_sin, lambda k: None if k % 2 == 0 else (1 if k % 4 == 1 else -1)),
+    (pair_cos, dec_cos, lambda k: None if k % 2 else (1 if k % 4 == 0 else -1)),
+]
+
+
+def dec_wave(oracle, x: float) -> Decimal:
+    """``oracle`` at ``x``, after removing a multiple of ``2*pi`` exactly
+    enough for the series."""
+    m = round(Decimal(x) / (2 * PI))
+    return oracle(Decimal(x) - m * 2 * PI)
+
+
+def assert_encloses_wave(wave, lo: float, hi: float, samples) -> None:
+    """``[lo, hi]``'s enclosure contains the exact value at every sample and
+    at every critical point in the interval: zero tolerance."""
+    fn, oracle, peak = wave
+    rlo, rhi = fn((lo, hi))
+    assert -1.0 <= rlo <= rhi <= 1.0
+    for x in samples:
+        assert Decimal(rlo) <= dec_wave(oracle, x) <= Decimal(rhi), (fn, lo, hi, x)
+    k = math.ceil(Decimal(lo) / (PI / 2))
+    while k * PI / 2 <= Decimal(hi):
+        if peak(k) is not None:
+            assert rlo <= peak(k) <= rhi, (fn, lo, hi, k)
+        k += 1
+
+
+class TestTrigOracle:
+    """sin and cos against high-precision Decimal values, with no slack."""
+
+    def test_half_pi_tail_is_within_one_ulp(self):
+        tail = Fraction(PI / 2) - Fraction(math.pi / 2)
+        t = intervals._HALF_PI_TAIL
+        assert Fraction(math.nextafter(t, 0.0)) < tail < Fraction(math.nextafter(t, 1.0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_points_are_enclosed_and_narrow(self, seed):
+        rng = random.Random(700 + seed)
+        for x in [rng.uniform(-30.0, 30.0) for _ in range(300)] + [0.0, -0.0, 3.0, 1e-300]:
+            for wave in WAVES:
+                assert_encloses_wave(wave, x, x, [x])
+                lo, hi = wave[0]((x, x))
+                assert hi - lo <= 1e-13, (x, lo, hi)
+
+    @pytest.mark.parametrize("wave", WAVES, ids=["sin", "cos"])
+    def test_within_three_ulps_of_half_pi_multiples(self, wave):
+        for k in range(-19, 20):
+            xs = [float(k * PI / 2)]
+            for _ in range(3):
+                xs.insert(0, math.nextafter(xs[0], -math.inf))
+                xs.append(math.nextafter(xs[-1], math.inf))
+            for i, lo in enumerate(xs):
+                for hi in xs[i:]:
+                    assert_encloses_wave(wave, lo, hi, {lo, hi})
+            point = wave[0]((xs[3], xs[3]))
+            assert point[1] - point[0] <= 1e-13, (k, point)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_intervals_enclose_sampled_and_critical_values(self, seed):
+        rng = random.Random(800 + seed)
+        for _ in range(150):
+            lo = rng.uniform(-30.0, 30.0)
+            hi = lo + rng.choice([1e-12, 1e-6, 0.1, 1.0, 3.0, 6.28]) * rng.random()
+            samples = [lo, hi] + [rng.uniform(lo, hi) for _ in range(4)]
+            for wave in WAVES:
+                assert_encloses_wave(wave, lo, hi, samples)
+
+    def test_large_arguments_up_to_the_limit(self):
+        rng = random.Random(9)
+        xs = [rng.uniform(-TRIG_ARG_LIMIT, TRIG_ARG_LIMIT) for _ in range(40)]
+        for x in xs + [TRIG_ARG_LIMIT, -TRIG_ARG_LIMIT]:
+            for wave in WAVES:
+                assert_encloses_wave(wave, x, x, [x])
+                assert_encloses_wave(wave, x, x + 1.0, [x, x + 0.5, x + 1.0])
+                lo, hi = wave[0]((x, x))
+                assert hi - lo <= 1e-13, (x, lo, hi)
+
+    def test_critical_points_widen_to_one(self):
+        assert pair_sin((1.5, 1.6))[1] == 1.0 and pair_sin((4.6, 4.8))[0] == -1.0
+        assert pair_cos((-0.1, 0.1))[1] == 1.0 and pair_cos((3.1, 3.2))[0] == -1.0
+        # Narrower than 2*pi, so not the fallback: cos has no maximizer here.
+        lo, hi = pair_cos((0.1, 6.2))
+        assert lo == -1.0 and hi < 1.0
+
+    def test_trivial_enclosure_only_when_wide_or_far(self):
+        two_pi = float(2 * PI)
+        for fn in (pair_sin, pair_cos):
+            assert fn((0.5, 0.5 + two_pi)) == (-1.0, 1.0)
+            assert fn((-3.0, 10.0)) == (-1.0, 1.0)
+            beyond = math.nextafter(TRIG_ARG_LIMIT, math.inf)
+            assert fn((beyond, beyond)) == fn((-beyond, -beyond)) == (-1.0, 1.0)
 
 
 class TestBox:

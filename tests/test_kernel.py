@@ -776,6 +776,6 @@ def test_first_order_step_builds_only_the_face(monkeypatch):
     program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
     box = Box.from_bounds([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
-    face, lo, hi = _first_order(program, program.gradient, box)
+    face, lo, hi, _ = _first_order(program, program.gradient, box)
     assert counts == {"Box": 1, "Interval": 0}
     assert face == box and lo <= hi

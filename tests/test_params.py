@@ -34,6 +34,7 @@ from certbound.expr import (
 from certbound.intervals import Interval
 from certbound.model import reduced_domain
 from certbound import expr as expr_module
+from certbound import model as model_module
 from certbound import params
 from certbound.params import (
     _maximize_expr,
@@ -404,8 +405,8 @@ class TestOSL:
         # max; their generalized gradients give first-order bounds (1,696
         # evaluations each with zero-order bounds only).
         cfg = BnBConfig()
-        assert osl_zeta(moving_object, cfg).stats.evals == 380
-        assert osl_gershgorin(moving_object, cfg).stats.evals == 380
+        assert osl_zeta(moving_object, cfg).stats.evals == 310
+        assert osl_gershgorin(moving_object, cfg).stats.evals == 310
 
     def test_zeta_rows_are_built_as_written(self):
         m = small_model(["x2", "x1"], [("x1", -1, 1), ("x2", -1, 1)])
@@ -673,12 +674,18 @@ class TestRunReuse:
         assert (jb.stats.runs, q.stats.runs) == (8, 4)
 
     def test_a_search_walks_its_objective_once(self, monkeypatch, traffic_s5):
-        # The key's walk gives the program too, its loads re-slotted.
+        # The key's walk gives the program too, its loads re-slotted, and
+        # the key's variables give the reduced box: no ``free_vars`` walk.
         walked = []
         postfix = expr_module._postfix
         monkeypatch.setattr(
             expr_module, "_postfix", lambda e, slots: walked.append(e) or postfix(e, slots)
         )
+        free_vars = expr_module.free_vars
+        for module in (expr_module, model_module):
+            monkeypatch.setattr(
+                module, "free_vars", lambda e: walked.append(("free_vars", e)) or free_vars(e)
+            )
         res = lipschitz_case1(traffic_s5, CFG_COARSE)
         assert res.stats.runs == 1 and walked == [lipschitz_objective(traffic_s5)]
 
