@@ -98,21 +98,6 @@ def _make_model_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
-# Each command's help and the arguments of its own, in the order the usage
-# lists the commands.  All but ``make-model`` take the common ones too.
-_COMMANDS: dict[str, tuple[str, Callable | None]] = {
-    "lipschitz": ("certified Lipschitz constant", _lipschitz_arguments),
-    "osl": ("one-sided Lipschitz constant", _osl_arguments),
-    "qib": ("quadratic inner-boundedness constants", _qib_arguments),
-    "qb": ("quadratic-boundedness matrix", None),
-    "jacobian": ("certified partial-derivative bounds", None),
-    "maximize": ("certified maximum of an expression", _maximize_arguments),
-    "baseline": ("point-sampled under-approximations", _baseline_arguments),
-    "traffic-table": ("traffic-network regression rows", _traffic_table_arguments),
-    "make-model": ("emit a built-in model file", _make_model_arguments),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  When ``command`` names a command, only
     that command's subparser is built, which parses its arguments and
@@ -127,7 +112,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # The top-level usage, which an unrecognized argument prints, still
         # lists every command.
         sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
@@ -378,15 +363,22 @@ def _cmd_make_model(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS: dict[str, Callable] = {
-    "lipschitz": _cmd_lipschitz,
-    "osl": _cmd_osl,
-    "qib": _cmd_qib,
-    "qb": _cmd_qb,
-    "jacobian": _cmd_jacobian,
-    "maximize": _cmd_maximize,
-    "baseline": _cmd_baseline,
-    "traffic-table": _cmd_traffic_table,
+# Each command's help, the arguments of its own and its handler, in the
+# order the usage lists the commands.  All but ``make-model`` take the
+# common arguments too, and their handlers return the reports to print;
+# ``make-model``'s returns the exit code.
+_COMMANDS: dict[str, tuple[str, Callable | None, Callable]] = {
+    "lipschitz": ("certified Lipschitz constant", _lipschitz_arguments, _cmd_lipschitz),
+    "osl": ("one-sided Lipschitz constant", _osl_arguments, _cmd_osl),
+    "qib": ("quadratic inner-boundedness constants", _qib_arguments, _cmd_qib),
+    "qb": ("quadratic-boundedness matrix", None, _cmd_qb),
+    "jacobian": ("certified partial-derivative bounds", None, _cmd_jacobian),
+    "maximize": ("certified maximum of an expression", _maximize_arguments, _cmd_maximize),
+    "baseline": ("point-sampled under-approximations", _baseline_arguments, _cmd_baseline),
+    "traffic-table": (
+        "traffic-network regression rows", _traffic_table_arguments, _cmd_traffic_table
+    ),
+    "make-model": ("emit a built-in model file", _make_model_arguments, _cmd_make_model),
 }
 
 
@@ -398,9 +390,10 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     args._argv = list(argv)
     try:
+        handle = _COMMANDS[args.command][2]
         if args.command == "make-model":
-            return _cmd_make_model(args)
-        reports = _HANDLERS[args.command](args)
+            return handle(args)
+        reports = handle(args)
         for report in reports:
             report.validate()
             if args.no_timing:

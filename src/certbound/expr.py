@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,26 +51,11 @@ class Expr(Frozen):
     def __add__(self, other) -> "Expr":
         return Binary(ADD, self, as_expr(other))
 
-    def __radd__(self, other) -> "Expr":
-        return Binary(ADD, as_expr(other), self)
-
     def __sub__(self, other) -> "Expr":
         return Binary(SUB, self, as_expr(other))
 
-    def __rsub__(self, other) -> "Expr":
-        return Binary(SUB, as_expr(other), self)
-
     def __mul__(self, other) -> "Expr":
         return Binary(MUL, self, as_expr(other))
-
-    def __rmul__(self, other) -> "Expr":
-        return Binary(MUL, as_expr(other), self)
-
-    def __truediv__(self, other) -> "Expr":
-        return Binary(DIV, self, as_expr(other))
-
-    def __rtruediv__(self, other) -> "Expr":
-        return Binary(DIV, as_expr(other), self)
 
     def __neg__(self) -> "Expr":
         return Unary(NEG, self)
@@ -137,31 +121,17 @@ def sqr(e: Expr) -> Expr:
     return Unary(SQR, as_expr(e))
 
 
-def expr_sum(terms: Iterable[Expr]) -> Expr | None:
-    """Left-associative sum ``((t1 + t2) + t3) + ...`` of ``terms``, or
-    ``None`` when there are none.  The association order is part of the
-    written form, so it fixes the enclosures."""
-    terms = list(terms)
-    return functools.reduce(operator.add, terms) if terms else None
-
-
 def simplified_sum(terms: Iterable[Expr]) -> Expr:
-    """``simplify(expr_sum(terms))`` for simplified ``terms``; ``0`` when
-    there are none.  The terms are folded one by one with ``simplify``'s
-    rule for ``+`` (``simplified_add``) and not walked, so a sum of any
-    length costs one rule per term."""
+    """``simplify`` of the left-associative sum ``((t1 + t2) + t3) + ...``
+    of simplified ``terms``; ``0`` when there are none.  The association
+    order is part of the written form, so it fixes the enclosures.  The
+    terms are folded one by one with ``simplify``'s rule for ``+``
+    (``simplified_add``) and not walked, so a sum of any length costs one
+    rule per term."""
     total = None
     for term in terms:
         total = term if total is None else simplified_add(total, term)
     return ZERO if total is None else total
-
-
-def sum_or_zero(terms: Iterable[Expr]) -> Expr:
-    """``simplify(expr_sum(terms))``; ``0`` when there are none.  Each term
-    is simplified and the results summed by ``simplified_sum``, in one
-    loop rather than by recursion down the left-deep tree, so a sum of any
-    length simplifies."""
-    return simplified_sum(map(simplify, terms))
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:

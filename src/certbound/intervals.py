@@ -18,9 +18,9 @@ The scalar helpers ``fraction_up``/``fraction_down`` and
 assembly of certified constants (square roots, weighted sums) uses them.
 
 Every operation is defined once, on ``(lo, hi)`` tuples of floats (the
-``pair_*`` functions); the :class:`Interval` methods wrap them, and the
-compiled kernels of ``expr.Program`` call them directly.  ``pair_scale`` is
-the one specialised product: ``pair_mul`` by a finite point, bit for bit,
+``pair_*`` functions), which the compiled kernels of ``expr.Program`` call;
+an :class:`Interval` is only a validated ``[lo, hi]`` record.  ``pair_scale``
+is the one specialised product: ``pair_mul`` by a finite point, bit for bit,
 from two products instead of four; a test pins the two together.
 
 The hot functions pick the least and greatest candidate endpoint by
@@ -29,7 +29,7 @@ own tie rule: keep the first of equal values, replace only on a strict
 ``<`` (least) or ``>`` (greatest).  So signed zeros and NaN come out as the
 builtins give them.
 
-The trigonometric extensions ``iv_sin`` / ``iv_cos`` reduce each endpoint
+The trigonometric extensions ``pair_sin`` / ``pair_cos`` reduce each endpoint
 by a multiple of ``pi/2`` in exact integer arithmetic and bracket sin and
 cos of the remainder by consecutive Maclaurin partial sums, so a point
 argument gets an enclosure a few ulps wide; an interval gets the hull of
@@ -41,15 +41,15 @@ so both functions are total.
 A :class:`Box` is a product of intervals, one per named variable; it is the
 search-space object bisected by the optimizer.  ``refined_eval`` sharpens an
 interval function (a list of pairs in, one per dimension; a pair out) by
-slicing one dimension (the optimizer's split dimension, by default the
-widest) into equal slabs and hulling their enclosures.
+slicing one dimension (the optimizer's split dimension) into equal slabs
+and hulling their enclosures.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection
 
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
 
@@ -74,12 +74,12 @@ def _up(x: float) -> float:
 #
 # Each ``pair_*`` function takes and returns intervals as ``(lo, hi)``
 # tuples of floats (a scalar factor or exponent as a plain number).  They
-# are the one definition of every operation's rounding: the ``Interval``
-# methods below and the compiled kernels of ``expr.Program`` both call
-# them.  A result that ``Interval(lo, hi)`` would reject raises the same
-# ``IntervalError`` here.  The hottest ones call ``math.nextafter``
-# directly instead of through ``_down``/``_up``, and test a float operand
-# for an exact zero by its truth value (``0.0`` and ``-0.0`` are false).
+# are the one definition of every operation's rounding: the compiled
+# kernels of ``expr.Program`` call them.  A result that ``Interval(lo, hi)``
+# would reject raises the same ``IntervalError`` here.  The hottest ones
+# call ``math.nextafter`` directly instead of through ``_down``/``_up``, and
+# test a float operand for an exact zero by its truth value (``0.0`` and
+# ``-0.0`` are false).
 
 
 def _invalid(lo: float, hi: float) -> IntervalError:
@@ -560,7 +560,8 @@ class Frozen:
 
 
 class Interval(Frozen):
-    """Closed real interval with finite endpoints, ``lo <= hi``."""
+    """Closed real interval with finite endpoints, ``lo <= hi``: a
+    validated record; its arithmetic is the ``pair_*`` functions."""
 
     __slots__ = ("lo", "hi")
 
@@ -584,41 +585,11 @@ class Interval(Frozen):
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    # -- arithmetic (outward rounded) ------------------------------------
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_add((self.lo, self.hi), (other.lo, other.hi)))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_sub((self.lo, self.hi), (other.lo, other.hi)))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_mul((self.lo, self.hi), (other.lo, other.hi)))
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        return Interval(*pair_div((self.lo, self.hi), (other.lo, other.hi)))
-
-    # -- elementary functions --------------------------------------------
-
-    def sqr(self) -> "Interval":
-        return Interval(*pair_sqr((self.lo, self.hi)))
-
-    def abs(self) -> "Interval":
-        return Interval(*pair_abs((self.lo, self.hi)))
-
-    def sqrt(self) -> "Interval":
-        return Interval(*pair_sqrt((self.lo, self.hi)))
-
-    def exp(self) -> "Interval":
-        return Interval(*pair_exp((self.lo, self.hi)))
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
+# The benchmark's tracer wraps these two; its traced CI leg needs them.
 def iv_sin(a: Interval) -> Interval:
     """Interval extension of sin; see ``pair_sin``."""
     return Interval(*pair_sin((a.lo, a.hi)))
@@ -650,13 +621,6 @@ class Box(Frozen):
     def __repr__(self) -> str:
         return f"Box(dims={self.dims!r}, labels={self.labels!r})"
 
-    @classmethod
-    def from_bounds(cls, bounds: Sequence[tuple[str, float, float]]) -> "Box":
-        return cls(
-            tuple(Interval(lo, hi) for _, lo, hi in bounds),
-            tuple(name for name, _, _ in bounds),
-        )
-
     def __len__(self) -> int:
         return len(self.dims)
 
@@ -667,6 +631,8 @@ class Box(Frozen):
         return widths.index(width), width
 
     def widest_dim(self) -> int:
+        """The first dimension of greatest width (the benchmark's tracer
+        reads it)."""
         return self.widest()[0]
 
     def midpoint(self) -> tuple[float, ...]:
@@ -678,11 +644,6 @@ class Box(Frozen):
         if which == "hi":
             return tuple(iv.hi for iv in self.dims)
         raise ValueError(f"corner must be 'lo' or 'hi', got {which!r}")
-
-    def replace_dim(self, index: int, iv: Interval) -> "Box":
-        dims = list(self.dims)
-        dims[index] = iv
-        return Box(tuple(dims), self.labels)
 
     def split(self, dim: int) -> tuple["Box", "Box"]:
         """Bisect along ``dim`` at its midpoint; the halves cover the box
@@ -696,9 +657,10 @@ class Box(Frozen):
             raise DegenerateSplit(
                 f"split point {point} not strictly inside {iv} (dimension {dim})"
             )
+        head, tail = self.dims[:dim], self.dims[dim + 1:]
         return (
-            self.replace_dim(dim, Interval(iv.lo, point)),
-            self.replace_dim(dim, Interval(point, iv.hi)),
+            Box((*head, Interval(iv.lo, point), *tail), self.labels),
+            Box((*head, Interval(point, iv.hi), *tail), self.labels),
         )
 
     def restrict(self, names: Collection[str]) -> "Box":
@@ -731,21 +693,18 @@ def slab_cuts(iv: Interval, segments: int) -> list[float]:
     return cuts
 
 
-def refined_eval(fn: Callable, box: Box, segments: int, dim: int | None = None) -> Interval:
+def refined_eval(fn: Callable, box: Box, segments: int, dim: int) -> Interval:
     """Evaluate the interval function ``fn`` on ``box`` after slicing its
-    dimension ``dim`` (by default ``box.widest_dim()``) into ``segments``
-    equal slabs; return the hull of the slab enclosures.  Each slab is one
-    evaluation of ``fn``, on one list of pairs whose sliced entry is
-    overwritten for each slab.  The optimizer passes the dimension it
-    splits, that of greatest smear.
+    dimension ``dim`` into ``segments`` equal slabs; return the hull of the
+    slab enclosures.  Each slab is one evaluation of ``fn``, on one list of
+    pairs whose sliced entry is overwritten for each slab.  The optimizer
+    passes the dimension it splits, that of greatest smear.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
     """
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
-    if dim is None:
-        dim = box.widest_dim()
     dims = [(iv.lo, iv.hi) for iv in box.dims]
     iv = box.dims[dim]
     if segments == 1 or iv.width <= 0.0:

@@ -130,12 +130,6 @@ class ModelDef(Frozen):
         bounds = self.state_bounds + self.input_bounds
         return {name: (k, iv) for k, (name, iv) in enumerate(zip(names, bounds))}
 
-    def bound_of(self, name: str) -> Interval:
-        try:
-            return self.declared[name][1]
-        except KeyError:
-            raise MissingBounds(f"no bound declared for variable {name!r}") from None
-
     def effective_G(self) -> Matrix:
         """G, or the identity when omitted (requires g == n)."""
         if self.G is not None:
@@ -175,11 +169,7 @@ def reduced_domain(model: ModelDef, e: Expr) -> Box:
     """Search box restricted to the variables of ``e`` (declaration order
     preserved); falls back to the full box when there are none, so
     optimization always has a domain."""
-    declared = model.declared
-    kept = sorted((declared[name][0], name) for name in free_vars(e) if name in declared)
-    if not kept:
-        return model.omega()
-    return Box(tuple(declared[name][1] for _, name in kept), tuple(name for _, name in kept))
+    return model.omega().restrict(free_vars(e))
 
 
 # ---------------------------------------------------------------------------

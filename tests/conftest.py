@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
@@ -131,7 +133,7 @@ def corpus_expressions() -> list[tuple[Expr, Box]]:
     out = []
     for text, constants, bounds in cases:
         e = simplify(parse(text, constants))
-        out.append((e, Box.from_bounds([(n, iv.lo, iv.hi) for n, iv in bounds])))
+        out.append((e, Box(tuple(iv for _, iv in bounds), tuple(n for n, _ in bounds))))
     return out
 
 
@@ -149,11 +151,26 @@ def model_component_expressions(*models: ModelDef) -> list[tuple[Expr, Box]]:
 # ---------------------------------------------------------------------------
 
 
+def expr_sum(terms) -> Expr | None:
+    """The left-associative sum ``((t1 + t2) + t3) + ...`` of ``terms`` as
+    written, or ``None`` when there are none."""
+    terms = list(terms)
+    return functools.reduce(operator.add, terms) if terms else None
+
+
+def make_box(bounds) -> Box:
+    """The box of ``(name, lo, hi)`` entries, in their order."""
+    return Box(
+        tuple(Interval(lo, hi) for _, lo, hi in bounds),
+        tuple(name for name, _, _ in bounds),
+    )
+
+
 def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
     """Interval extension of ``e`` over ``box``, its variables named by the
     box's labels; with ``segments > 1`` the widest dimension is sliced and
     the slab enclosures hulled."""
-    return refined_eval(Program(e, box.labels), box, segments)
+    return refined_eval(Program(e, box.labels), box, segments, box.widest_dim())
 
 
 def pairs(box: Box) -> list[tuple[float, float]]:
@@ -164,11 +181,6 @@ def pairs(box: Box) -> list[tuple[float, float]]:
 
 def encloses(outer: Interval, inner: Interval) -> bool:
     return outer.lo <= inner.lo and inner.hi <= outer.hi
-
-
-def point_interval(x: float) -> Interval:
-    """The degenerate interval ``[x, x]``."""
-    return Interval(x, x)
 
 
 def box_contains(box: Box, point) -> bool:

@@ -16,7 +16,7 @@ from certbound.baselines import sample_max
 from certbound.bnb import maximize
 from certbound.eigen import jacobi_eigenvalues
 from certbound.expr import Program, free_vars, simplify
-from certbound.intervals import Box, Interval, iv_cos, iv_sin
+from certbound.intervals import pair_cos, pair_sin
 from certbound.model import ModelDef, grad_sq_norm, reduced_domain
 from certbound.params import (
     jacobian_bounds,
@@ -34,7 +34,7 @@ from conftest import (
     dec_sin,
     dense_max,
     gershgorin_upper,
-    point_interval,
+    make_box,
     random_points,
     random_polynomial,
     row_gap_upper,
@@ -181,7 +181,7 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator, 
         for name in used:
             lo = rng.uniform(-2.0, 0.5)
             bounds.append((name, lo, lo + rng.uniform(0.5, 2.5)))
-        domain = Box.from_bounds(bounds)
+        domain = make_box(bounds)
         program = Program(e, domain.labels)
         cfg = BnBConfig(eps_h=1e-5, eps_om=1e-9, segments=2, max_steps=15000)
         _sandwich_check(program, domain, cfg, sandwich_trace)
@@ -205,7 +205,7 @@ def test_criterion_06_sandwich_suite(traffic_s1, moving_object_unit, generator, 
         ("x^2 - y^2 + 0.5*x*y", [("x", -2.0, 1.0), ("y", -1.0, 1.0)], 1e-6),
         ("abs(x - 0.25) + 0.1*y", [("x", -1.0, 1.0), ("y", 0.0, 1.0)], 1e-6),
     ):
-        domain = Box.from_bounds(bounds)
+        domain = make_box(bounds)
         program = Program(simplify(parse(text)), domain.labels)
         cfg = BnBConfig(eps_h=eps, eps_om=1e-10, segments=1, max_steps=20000)
         _sandwich_check(program, domain, cfg, sandwich_trace)
@@ -239,10 +239,10 @@ def test_criterion_07_enclosure_suite(traffic_s1, moving_object, generator):
     args = [rng.uniform(-10.0, 10.0) for _ in range(1000)]
     assert sum(1 for x in args if abs(x) > math.pi) > 100
     for x in args:
-        s = iv_sin(point_interval(x))
-        c = iv_cos(point_interval(x))
-        assert s.lo <= float(dec_sin(x)) <= s.hi
-        assert c.lo <= float(dec_cos(x)) <= c.hi
+        slo, shi = pair_sin((x, x))
+        clo, chi = pair_cos((x, x))
+        assert slo <= float(dec_sin(x)) <= shi
+        assert clo <= float(dec_cos(x)) <= chi
     verdict(7, f"{checked} point enclosures plus 1000 trig reference values")
 
 

@@ -14,6 +14,7 @@ from certbound.expr import Program, parse, simplify
 from certbound.intervals import Box, Interval
 from certbound.model import grad_sq_norm, reduced_domain
 from certbound.params import lipschitz_case1
+from conftest import make_box
 
 
 class TestHalton:
@@ -36,13 +37,13 @@ class TestHalton:
 
 class TestSampleMax:
     def test_corners_quadratic(self):
-        box = Box.from_bounds([("x", -1, 1)])
+        box = make_box([("x", -1, 1)])
         rep = sample_max(lambda p: p[0] ** 2, box, 10, method="corners")
         assert rep.best_value == pytest.approx(1.0)
         assert abs(rep.best_point[0]) == 1.0
 
     def test_deterministic(self):
-        box = Box.from_bounds([("x", 0, 1), ("y", 0, 1)])
+        box = make_box([("x", 0, 1), ("y", 0, 1)])
 
         def h(p):
             return p[0] * (1 - p[0]) * p[1]
@@ -53,11 +54,11 @@ class TestSampleMax:
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
-            sample_max(lambda p: 0.0, Box.from_bounds([("x", 0, 1)]), 5, method="sobol")
+            sample_max(lambda p: 0.0, make_box([("x", 0, 1)]), 5, method="sobol")
 
     def test_corner_cap_large_dimension(self):
         # ``count`` caps the enumeration, whatever the number of corners.
-        box = Box.from_bounds([(f"x{i}", 0, 1) for i in range(40)])
+        box = make_box([(f"x{i}", 0, 1) for i in range(40)])
         seen = []
         rep = sample_max(lambda p: seen.append(p) or sum(p), box, 10, method="corners")
         assert rep.samples == len(seen) == 10
@@ -78,7 +79,7 @@ class TestUnderApproximation:
     @pytest.mark.parametrize("method", ["halton", "corners"])
     def test_never_exceeds_certified_upper(self, text, bounds, eps_h, method):
         e = simplify(parse(text))
-        box = Box.from_bounds(bounds)
+        box = make_box(bounds)
         program = Program(e, box.labels)
         rep = sample_max(program.eval_point, box, 800, method=method)
         res = maximize(

@@ -14,8 +14,8 @@ from certbound.bnb import (
 )
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
-from certbound.intervals import Box, Interval
-from conftest import box_contains, dense_max, pairs, random_polynomial
+from certbound.intervals import Interval
+from conftest import box_contains, dense_max, make_box, pairs, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -23,7 +23,7 @@ RHO_C = 0.0265
 
 def expr_objective(text, bounds, constants=None):
     e = parse(text, constants)
-    box = Box.from_bounds(bounds)
+    box = make_box(bounds)
     program = Program(e, box.labels)
     return program.eval_point, lambda dims: program.eval_interval(dims), box
 
@@ -93,7 +93,7 @@ class TestMaximize:
                 raise ZeroDivisionError("synthetic failure")
             return lo, hi
 
-        box = Box.from_bounds([("x", 0.0, 4.0)])
+        box = make_box([("x", 0.0, 4.0)])
         with pytest.raises(EvaluationError, match="objective evaluation failed: synthetic failure"):
             maximize(h, hI, box, BnBConfig(eps_h=1e-9, eps_om=1e-12, segments=1))
 
@@ -112,7 +112,7 @@ class TestMaximize:
 
     def test_subproblem_caches_width_and_widest_dim(self):
         _, hI, _ = expr_objective("x + y", [("x", 0.0, 1.0), ("y", 0.0, 1.0)])
-        box = Box.from_bounds([("x", 0.0, 1.0), ("y", -2.0, 2.0)])
+        box = make_box([("x", 0.0, 1.0), ("y", -2.0, 2.0)])
         sub = _Bounder(hI, 4, BnBStats())(box)
         assert (sub.width, sub.dim) == (4.0, 1)
 
@@ -121,7 +121,7 @@ class TestFirstOrder:
     """Bounds from the gradient programs of a compiled objective."""
 
     def program_objective(self, text, bounds):
-        box = Box.from_bounds(bounds)
+        box = make_box(bounds)
         program = Program(parse(text), box.labels)
         return program, box
 
@@ -173,7 +173,7 @@ class TestFirstOrder:
         program, box = self.program_objective("abs(x - 0.3)", [("x", 0.0, 1.0)])
         assert program.gradient(pairs(box)) == ((-1.0, 1.0),)
         assert _Bounder(program, 1, BnBStats())(box).box == box  # straddles the kink
-        half = Box.from_bounds([("x", 0.5, 1.0)])
+        half = make_box([("x", 0.5, 1.0)])
         sub = _Bounder(program, 1, BnBStats())(half)
         assert sub.box.dims[0] == Interval(1.0, 1.0) and sub.lo_bound <= 0.7 <= sub.hi_bound
         res = minimize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
@@ -188,7 +188,7 @@ class TestGreatestSmear:
         # dh/dx = 2x in [-4, 4] over width 4: smear 16.  dh/dy = 20y in
         # [-20, 20] over width 2: smear 40.  So y, though x is the wider.
         program = Program(parse("sqr(x) + 10*sqr(y)"), ("x", "y"))
-        box = Box.from_bounds([("x", -2.0, 2.0), ("y", -1.0, 1.0)])
+        box = make_box([("x", -2.0, 2.0), ("y", -1.0, 1.0)])
         assert box.widest() == (0, 4.0)
         sub = _Bounder(program, 1, BnBStats())(box)
         assert (sub.box, sub.dim, sub.width) == (box, 1, 2.0)
@@ -201,21 +201,21 @@ class TestGreatestSmear:
 
     def test_without_a_gradient_the_widest_dimension(self):
         program = Program(parse("sqr(x) + 10*sqr(y)"), ("x", "y"))
-        box = Box.from_bounds([("x", -2.0, 2.0), ("y", -1.0, 1.0)])
+        box = make_box([("x", -2.0, 2.0), ("y", -1.0, 1.0)])
         sub = _Bounder(lambda dims: program(dims), 1, BnBStats())(box)
         assert (sub.dim, sub.width) == (0, 4.0)
 
     def test_a_failed_gradient_enclosure_gives_the_widest_dimension(self):
         # d sqrt(x)/dx is not enclosed at x = 0; with it, y would win.
         program = Program(parse("sqrt(x) + 10*sqr(y)"), ("x", "y"))
-        box = Box.from_bounds([("x", 0.0, 4.0), ("y", -1.0, 1.0)])
+        box = make_box([("x", 0.0, 4.0), ("y", -1.0, 1.0)])
         sub = _Bounder(program, 1, BnBStats())(box)
         assert (sub.box, sub.dim, sub.width) == (box, 0, 4.0)
 
     def test_never_a_dimension_narrower_than_eps_om(self):
         # y has by far the greatest smear (about 2e-3 * 2e5 against 2 * 2).
         program = Program(parse("sqr(x) + 1e8*sqr(y)"), ("x", "y"))
-        box = Box.from_bounds([("x", -1.0, 1.0), ("y", -1e-3, 1e-3)])
+        box = make_box([("x", -1.0, 1.0), ("y", -1e-3, 1e-3)])
         assert _Bounder(program, 1, BnBStats(), 1e-4)(box).dim == 1
         assert _Bounder(program, 1, BnBStats(), 1e-2)(box).dim == 0
         # No dimension wider than eps_om: the widest, which is not splittable.
@@ -226,7 +226,7 @@ class TestGreatestSmear:
         assert widths <= {0.0, 2e-3}
 
     def test_ties_go_to_the_first_dimension_and_collapsed_ones_never_win(self):
-        box = Box.from_bounds([("x", 0.0, 2.0), ("y", 0.0, 1.0), ("z", 1.0, 1.0)])
+        box = make_box([("x", 0.0, 2.0), ("y", 0.0, 1.0), ("z", 1.0, 1.0)])
         assert _greatest_smear(box, [(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == 0
         assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == 1
         assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 1.0) == 0
@@ -235,7 +235,7 @@ class TestGreatestSmear:
     def test_trig_with_a_kink_closes_the_gap(self):
         # The widest-dimension split with degree-4 sin/cos never closes it.
         program = Program(parse("sin(x)*cos(y) + 0.1*abs(x-y)"), ("x", "y"))
-        box = Box.from_bounds([("x", -3.0, 3.0), ("y", -3.0, 3.0)])
+        box = make_box([("x", -3.0, 3.0), ("y", -3.0, 3.0)])
         res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-4, max_steps=2000))
         assert res.eps_optimal and res.lower <= res.upper
 
@@ -261,14 +261,14 @@ class TestBaumannCentre:
 
     def test_centre_beats_the_midpoint_on_a_hand_checked_box(self):
         program = Program(parse("sqr(x) + y"), ("x", "y"))
-        box = Box.from_bounds([("x", -1.0, 3.0), ("y", 0.0, 1.0)])
+        box = make_box([("x", -1.0, 3.0), ("y", 0.0, 1.0)])
         hI = CentreRecorder(program, program.gradient)
         face, _, hi, _ = _first_order(hI, program.gradient, box)
         # dh/dx = 2x in [-2, 6] (rounded outward) changes sign; dh/dy = 1
         # collapses y to 1.  The centre is (6*3 - (-2)*(-1)) / (6 - (-2)).
         (gl, gh), _ = program.gradient(pairs(box))
         assert gl == pytest.approx(-2.0, rel=1e-15) and gh == pytest.approx(6.0, rel=1e-15)
-        assert face == Box.from_bounds([("x", -1.0, 3.0), ("y", 1.0, 1.0)])
+        assert face == make_box([("x", -1.0, 3.0), ("y", 1.0, 1.0)])
         (cx, cy) = hI.centre
         assert cx == pytest.approx(2.0, rel=1e-15) and cy == 1.0
 
@@ -290,7 +290,7 @@ class TestBaumannCentre:
             for name in ("x1", "x2"):
                 lo = rng.uniform(-2.0, 1.0)
                 bounds.append((name, lo, lo + rng.choice([1e-9, 0.1, 2.0])))
-            box = Box.from_bounds(bounds)
+            box = make_box(bounds)
             hI = CentreRecorder(program, program.gradient)
             face, _, _, _ = _first_order(hI, program.gradient, box)
             assert all(iv.lo <= c <= iv.hi for iv, c in zip(face.dims, hI.centre))
@@ -300,7 +300,7 @@ class TestBaumannCentre:
         # form is finite: the midpoint keeps the form.
         gradient = lambda dims: ((-1e8, 1e8),)
         hI = CentreRecorder(lambda dims: (0.0, 1.0), gradient)
-        box = Box.from_bounds([("x", 1e300, 1.5e300)])
+        box = make_box([("x", 1e300, 1.5e300)])
         face, lo, hi, _ = _first_order(hI, gradient, box)
         assert (face, hI.centre) == (box, (box.dims[0].midpoint,))
         assert math.isfinite(lo) and math.isfinite(hi)
@@ -320,7 +320,7 @@ class TestSkippedRefinement:
 
         monkeypatch.setattr(bnb, "refined_eval", counted)
         program = Program(parse("x*(1 - x)"), ("x",))
-        box = Box.from_bounds([("x", 0.0, 2.0)])
+        box = make_box([("x", 0.0, 2.0)])
         for l, refined in ((-math.inf, 2), (0.25, 1)):  # h(0.5) = 0.25
             stats = BnBStats()
             bound = _Bounder(program, 4, stats)
@@ -330,7 +330,7 @@ class TestSkippedRefinement:
             # [1, 2] is decreasing: its face x = 1 bounds it by h(1) = 0.
             opt_bnb_step(cover, root, l, program.eval_point, bound)
             assert (len(calls), stats.evals) == (refined, 1 + refined)
-            assert [s.box for s in cover.subproblems] == [Box.from_bounds([("x", 0.0, 1.0)])]
+            assert [s.box for s in cover.subproblems] == [make_box([("x", 0.0, 1.0)])]
 
 
 class TestMinimize:
@@ -391,7 +391,7 @@ class TestStep:
 
     def test_upper_bound_ties_break_by_width(self):
         def sub(hi, width, order):
-            box = Box.from_bounds([("x", 0.0, width)])
+            box = make_box([("x", 0.0, width)])
             return Subproblem(box, -math.inf, hi, order, width, 0)
 
         # Finite ties go to the wider box, infinite ones to the narrower.
@@ -418,7 +418,7 @@ class TestStep:
         h, hI, _ = expr_objective("x", [("x", 1.0, 1.0)])
         stats = BnBStats()
         bound = _Bounder(hI, 1, stats)
-        degenerate = bound(Box.from_bounds([("x", 1.0, 1.0)]))
+        degenerate = bound(make_box([("x", 1.0, 1.0)]))
         cover = Cover([degenerate])
         with pytest.raises(DegenerateSplit):
             opt_bnb_step(cover, degenerate, -math.inf, h, bound)
@@ -440,7 +440,7 @@ class TestProperties:
         for name in used:
             lo = rng.uniform(-2.0, 0.5)
             bounds.append((name, lo, lo + rng.uniform(0.5, 2.5)))
-        box = Box.from_bounds(bounds)
+        box = make_box(bounds)
         program = Program(e, box.labels)
         cfg = BnBConfig(eps_h=1e-6, eps_om=1e-9, segments=2, max_steps=20000)
         res = maximize(

@@ -23,20 +23,21 @@ from certbound.expr import (
     Var,
     differentiate,
     eval_real,
-    expr_sum,
     free_vars,
     parse,
+    simplified_sum,
     simplify,
     structural_key,
     structural_key_with_vars,
-    sum_or_zero,
     to_text,
 )
-from certbound.intervals import Box, Interval
+from certbound.intervals import Interval
 from conftest import (
     corpus_expressions,
     encloses,
     eval_interval,
+    expr_sum,
+    make_box,
     random_points,
     random_polynomial,
 )
@@ -300,12 +301,12 @@ class TestEval:
         assert eval_real(parse("x1^2 - x2^2"), {"x1": 3, "x2": 1}) == pytest.approx(8.0)
 
     def test_eval_interval_square(self):
-        r = eval_interval(parse("x1^2"), Box.from_bounds([("x1", -2, 1)]))
+        r = eval_interval(parse("x1^2"), make_box([("x1", -2, 1)]))
         assert r.lo == 0.0 and r.hi == pytest.approx(4.0)
 
     def test_eval_interval_gradient_norm_bound(self):
         e = parse("c*(x1^2 + x2^2 + x3^2)", {"c": 4 * DELTA**2})
-        box = Box.from_bounds([(f"x{i}", 0.0, 0.0265) for i in (1, 2, 3)])
+        box = make_box([(f"x{i}", 0.0, 0.0265) for i in (1, 2, 3)])
         r = eval_interval(e, box)
         assert r.hi == pytest.approx(12 * DELTA**2 * 0.0265**2, rel=1e-4)
 
@@ -313,7 +314,7 @@ class TestEval:
         with pytest.raises(UnboundVariable):
             eval_real(parse("x1 + x2"), {"x1": 1.0})
         with pytest.raises(UnboundVariable):
-            eval_interval(parse("x1 + x2"), Box.from_bounds([("x1", 0, 1)]))
+            eval_interval(parse("x1 + x2"), make_box([("x1", 0, 1)]))
         with pytest.raises(UnboundVariable) as info:
             Program(parse("z*x + y"), ["x"])
         assert str(info.value) == "unbound variables: ['y', 'z']"  # sorted
@@ -323,7 +324,7 @@ class TestEval:
             for point in random_points(box, 40, seed=17):
                 value = eval_real(e, dict(zip(box.labels, point)))
                 iv = eval_interval(
-                    e, Box.from_bounds([(n, x, x) for n, x in zip(box.labels, point)])
+                    e, make_box([(n, x, x) for n, x in zip(box.labels, point)])
                 )
                 assert iv.lo <= value <= iv.hi
 
@@ -337,7 +338,7 @@ class TestEval:
                     lo = rng.uniform(iv.lo, iv.hi)
                     hi = rng.uniform(lo, iv.hi)
                     subs.append((name, lo, hi))
-                sub = Box.from_bounds(subs)
+                sub = make_box(subs)
                 enclosure = eval_interval(e, sub)
                 for point in random_points(sub, 10, seed=rng.randint(0, 10**6)):
                     value = eval_real(e, dict(zip(sub.labels, point)))
@@ -345,7 +346,7 @@ class TestEval:
 
     def test_refined_eval_interval_subset(self):
         e = parse("x1*(1 - x1)")
-        box = Box.from_bounds([("x1", 0, 1)])
+        box = make_box([("x1", 0, 1)])
         plain = eval_interval(e, box, segments=1)
         fine = eval_interval(e, box, segments=10)
         assert encloses(plain, fine)
@@ -502,7 +503,8 @@ class TestSimplify:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_sum_or_zero_is_the_simplified_sum(self, seed):
-        # Terms that fold to zeros of either sign, finite and overflowing
+        # ``simplified_sum`` of simplified terms is the simplified written
+        # sum, or zero when there are none.  Terms that fold to zeros of either sign, finite and overflowing
         # constants, and polynomials left unsimplified.
         rng = random.Random(seed)
         x = Var("x")
@@ -515,15 +517,15 @@ class TestSimplify:
             lambda: Binary("+", random_polynomial(rng, 2), Const(0.0)),
         ]
         terms = [rng.choice(pool)() for _ in range(rng.randint(1, 12))]
-        assert sum_or_zero(terms) == simplify(expr_sum(terms))
+        assert simplified_sum(map(simplify, terms)) == simplify(expr_sum(terms))
 
     def test_sum_or_zero_of_thousands_of_terms(self):
         # Deeper than simplify's recursion reaches; the loop folds it.
         term = Binary("*", Var("x"), Var("x"))
-        total = sum_or_zero([term, Const(0.0)] * 3000)
+        total = simplified_sum(map(simplify, [term, Const(0.0)] * 3000))
         spine = 0
         while isinstance(total, Binary) and total.op == "+":
             assert total.right == Unary("sqr", Var("x"))
             total, spine = total.left, spine + 1
         assert (total, spine) == (Unary("sqr", Var("x")), 2999)
-        assert sum_or_zero([]) == Const(0.0)
+        assert simplified_sum([]) == Const(0.0)

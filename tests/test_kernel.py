@@ -1,7 +1,7 @@
 """The compiled kernels of ``expr.Program`` against a reference evaluator.
 
-The reference composes ``Interval`` methods and ``iv_sin``/``iv_cos`` node by
-node over the tree, and slices boxes slab by slab.  The kernels, which work on
+The reference composes the ``pair_*`` functions of ``intervals`` node by node
+over the tree, and slices boxes slab by slab.  The kernels, which work on
 ``(lo, hi)`` pairs, must agree with it exactly: the same endpoints by
 ``repr`` (signed zeros count), and the same exception class and message where
 evaluation fails.
@@ -41,14 +41,30 @@ from certbound.expr import (
     Unary,
     Var,
     differentiate,
-    expr_sum,
     free_vars,
     parse,
     simplify,
     structural_key_with_vars,
 )
-from certbound.intervals import Box, Interval, iv_cos, iv_sin, pair_pow, refined_eval
-from conftest import chain_rule_derivative, pairs, point_interval
+from certbound.intervals import (
+    Box,
+    Interval,
+    pair_abs,
+    pair_add,
+    pair_cos,
+    pair_div,
+    pair_exp,
+    pair_max,
+    pair_mul,
+    pair_point,
+    pair_pow,
+    pair_sin,
+    pair_sqr,
+    pair_sqrt,
+    pair_sub,
+    refined_eval,
+)
+from conftest import chain_rule_derivative, expr_sum, make_box, pairs
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
@@ -60,49 +76,46 @@ BINARY = ("+", "-", "*", "/", MAX)
 # ---------------------------------------------------------------------------
 
 
-def _ref_node(e: Expr, env: dict[str, Interval]) -> Interval:
+_REF_UNARY = {
+    ABS: pair_abs, SQR: pair_sqr, SQRT: pair_sqrt, EXP: pair_exp, SIN: pair_sin, COS: pair_cos
+}
+_REF_BINARY = {"+": pair_add, "-": pair_sub, "*": pair_mul, "/": pair_div, MAX: pair_max}
+
+
+def _neg(a: tuple[float, float]) -> tuple[float, float]:
+    return -a[1], -a[0]
+
+
+def _ref_node(e: Expr, env: dict[str, tuple[float, float]]) -> tuple[float, float]:
     if isinstance(e, Const):
-        return Interval(e.value, e.value)
+        return pair_point(e.value)
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, PowInt):
-        base = _ref_node(e.base, env)
-        return Interval(*pair_pow((base.lo, base.hi), e.exponent))
+        return pair_pow(_ref_node(e.base, env), e.exponent)
     if isinstance(e, Unary):
         a = _ref_node(e.arg, env)
         if e.op == NEG:
-            return -a
-        if e.op == SIN:
-            return iv_sin(a)
-        if e.op == COS:
-            return iv_cos(a)
-        return {ABS: a.abs, SQR: a.sqr, SQRT: a.sqrt, EXP: a.exp}[e.op]()
-    left = _ref_node(e.left, env)
-    right = _ref_node(e.right, env)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == MAX:
-        return Interval(max(left.lo, right.lo), max(left.hi, right.hi))
-    return left / right
+            return _neg(a)
+        return _REF_UNARY[e.op](a)
+    return _REF_BINARY[e.op](_ref_node(e.left, env), _ref_node(e.right, env))
 
 
-def ref_interval(e: Expr, box: Box) -> Interval:
+def _ref_pairs(e: Expr, labels, dims: list[tuple[float, float]]) -> tuple[float, float]:
     try:
-        return _ref_node(e, dict(zip(box.labels, box.dims)))
+        return _ref_node(e, dict(zip(labels, dims)))
     except OverflowError as exc:
         raise IntervalError(f"interval evaluation overflow: {exc}") from exc
 
 
-def ref_refined(e: Expr, box: Box, segments: int) -> Interval:
-    def fn(dims):
-        iv = ref_interval(e, Box(tuple(Interval(*pair) for pair in dims), box.labels))
-        return iv.lo, iv.hi
+def ref_interval(e: Expr, box: Box) -> tuple[float, float]:
+    return _ref_pairs(e, box.labels, pairs(box))
 
-    return refined_eval(fn, box, segments)
+
+def ref_refined(e: Expr, box: Box, segments: int) -> Interval:
+    """The reference sliced along the widest dimension."""
+    fn = functools.partial(_ref_pairs, e, box.labels)
+    return refined_eval(fn, box, segments, box.widest_dim())
 
 
 def _ref_point_node(e: Expr, env: dict[str, float]) -> float:
@@ -201,7 +214,7 @@ def random_box(rng: random.Random) -> Box:
         elif rng.random() < 0.2:
             a, b = rng.choice([0.0, -0.0]), abs(b)
         bounds.append((name, a, b))
-    return Box.from_bounds(bounds)
+    return make_box(bounds)
 
 
 def test_random_trees_cover_every_op():
@@ -367,14 +380,20 @@ def test_interval_kernel_matches_reference(seed):
             assert outcome(program, pairs(box)) == expected, (str(e), box)
             failures += isinstance(expected[0], type)
             segments = rng.choice([2, 3, 10])
-            assert outcome(refined_eval, program, box, segments) == outcome(
+            dim = box.widest_dim()
+            assert outcome(refined_eval, program, box, segments, dim) == outcome(
                 ref_refined, e, box, segments
             ), (str(e), box, segments)
             # ``minimize`` maximizes ``_Negated(program)``: its sliced
             # enclosure is the negated one, signed zeros included.
             for segments in (1, 3):
-                assert outcome(refined_eval, _Negated(program), box, segments) == outcome(
-                    lambda: -refined_eval(program, box, segments)
+
+                def negated(segments=segments):
+                    iv = refined_eval(program, box, segments, dim)
+                    return _neg((iv.lo, iv.hi))
+
+                assert outcome(refined_eval, _Negated(program), box, segments, dim) == outcome(
+                    negated
                 ), (str(e), box, segments)
     assert failures > 0  # the error paths were reached
 
@@ -394,7 +413,7 @@ X = ("x",)
 
 
 def _box(lo: float, hi: float) -> Box:
-    return Box.from_bounds([("x", lo, hi)])
+    return make_box([("x", lo, hi)])
 
 
 @pytest.mark.parametrize(
@@ -439,7 +458,7 @@ def test_slabs_never_evaluate_the_whole_box():
     program = Program(e, X)
     with pytest.raises(DivisionByZeroInterval):
         program(pairs(box))
-    refined = refined_eval(program, box, 10)
+    refined = refined_eval(program, box, 10, 0)
     assert refined.lo <= 0.5 and 1.0 <= refined.hi
     assert repr(refined) == repr(ref_refined(e, box, 10))
 
@@ -450,11 +469,11 @@ def test_slabs_never_evaluate_the_whole_box():
 
 
 def _point_enclosure(program, point):
-    """The interval kernel at ``point``, as an ``Interval``: it encloses the
-    exact value there, which a float evaluation may miss by its rounding.
-    ``None`` where the objective is undefined."""
+    """The interval kernel at ``point``: it encloses the exact value there,
+    which a float evaluation may miss by its rounding.  ``None`` where the
+    objective is undefined."""
     try:
-        return Interval(*program([(x, x) for x in point]))
+        return program([(x, x) for x in point])
     except IntervalError:
         return None
 
@@ -493,13 +512,13 @@ def test_first_order_bounds_contain_sampled_values(seed):
                 for point in points:
                     value = _point_enclosure(program, point)
                     if value is not None:
-                        lo, hi = sorted((sign * value.lo, sign * value.hi))
+                        lo, hi = sorted((sign * value[0], sign * value[1]))
                         assert sub.lo_bound <= hi and lo <= sub.hi_bound, (str(e), box, point)
                 for _ in range(20):
                     point = tuple(sampler.uniform(iv.lo, iv.hi) for iv in box.dims)
                     value = _point_enclosure(program, point)
                     if value is not None:
-                        lo = min(sign * value.lo, sign * value.hi)
+                        lo = min(sign * value[0], sign * value[1])
                         assert lo <= sub.hi_bound, (str(e), box, point)
     assert collapsed > 0 and tightened > 0  # both first-order steps were taken
 
@@ -512,7 +531,8 @@ def _quotient(program, point, other, k):
     if a is None or b is None:
         return None
     try:
-        return (b - a) / (point_interval(other[k]) - point_interval(point[k]))
+        step = pair_sub((other[k], other[k]), (point[k], point[k]))
+        return pair_div(pair_sub(b, a), step)
     except IntervalError:  # the step rounds to an interval around 0
         return None
 
@@ -563,7 +583,7 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
                                 enclosure = _quotient(program, point, other, k)
                             quotients += enclosure is not None
                         if enclosure is not None:
-                            lo, hi = sorted((sign * enclosure.lo, sign * enclosure.hi))
+                            lo, hi = sorted((sign * enclosure[0], sign * enclosure[1]))
                             assert g[0] <= hi and lo <= g[1], (str(e), box, point, k)
     assert symbolic > 1000 and quotients > 1000
 
@@ -579,7 +599,7 @@ def test_deep_sum_compiles_and_evaluates():
     values = [1.0 + i / 7 for i in range(5000)]
     assert program.eval_point(values) == functools.reduce(lambda a, b: a + b, values)
     dims = [(v, v + 0.5) for v in values]
-    total = functools.reduce(Interval.__add__, (Interval(*pair) for pair in dims))
+    total = functools.reduce(pair_add, dims)
     assert outcome(program.eval_interval, dims) == outcome(lambda: total)
 
 
@@ -652,8 +672,8 @@ def test_each_kernel_is_one_function(monkeypatch):
     assert sorted(source.count("\n") for source in compiled) == [215, 245, 245]
 
 
-ONE = Interval(1.0, 1.0)
-ZERO = Interval(0.0, 0.0)
+ONE = (1.0, 1.0)
+ZERO = (0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -661,10 +681,10 @@ ZERO = Interval(0.0, 0.0)
     [
         # The reverse pass reads the result's own value: the interval kernel
         # returns it once, and the reverse pass takes it as one parameter.
-        # The reference is the ``Interval`` formulas of the derivatives.
-        ("exp(x)", lambda x, y: (x.exp(), ZERO)),
-        ("sqrt(x)", lambda x, y: (ONE / (Interval(2.0, 2.0) * x.sqrt()), ZERO)),
-        ("x/y", lambda x, y: (ONE / y, -((x / y) / y))),
+        # The reference is the pair formulas of the derivatives.
+        ("exp(x)", lambda x, y: (pair_exp(x), ZERO)),
+        ("sqrt(x)", lambda x, y: (pair_div(ONE, pair_mul((2.0, 2.0), pair_sqrt(x))), ZERO)),
+        ("x/y", lambda x, y: (pair_div(ONE, y), _neg(pair_div(pair_div(x, y), y)))),
         # No statement of the reverse pass: its outputs are source text.
         ("x", lambda x, y: (ONE, ZERO)),
         ("2.5", lambda x, y: (ZERO, ZERO)),
@@ -677,7 +697,7 @@ def test_gradient_hand_off_matches_reference(text, reference):
     for dims in [[(0.5, 2.0), (1.0, 3.0)], [(1.0, 1.0), (-4.0, -0.25)], [(0.25, 9.0), (2.0, 2.0)]]:
         # no value besides the result
         assert len(forward(dims, program._constants, program._pairs)) == 1
-        expected = [(g.lo, g.hi) for g in reference(*(Interval(*pair) for pair in dims))]
+        expected = reference(*dims)
         assert list(map(repr, program.gradient(dims))) == list(map(repr, expected)), dims
 
 
@@ -762,10 +782,10 @@ def _count_inits(monkeypatch, *classes) -> dict[str, int]:
 def test_refined_eval_builds_no_box_and_one_interval(monkeypatch):
     # The slabs are pairs in one list: the hull is the only object built.
     program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
-    box = Box.from_bounds([("x", 0.0, 2.0), ("y", -1.0, 1.0)])
+    box = make_box([("x", 0.0, 2.0), ("y", -1.0, 1.0)])
     expected = repr(ref_refined(program.expr, box, 10))
     counts = _count_inits(monkeypatch, Box, Interval)
-    refined = refined_eval(program, box, 10)
+    refined = refined_eval(program, box, 10, box.widest_dim())
     assert counts == {"Box": 0, "Interval": 1}
     assert repr(refined) == expected
 
@@ -774,7 +794,7 @@ def test_first_order_step_builds_only_the_face(monkeypatch):
     # The gradient, the centre and the centred form are pairs.  Where no
     # derivative has a fixed sign, the face is a Box of the same Intervals.
     program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
-    box = Box.from_bounds([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
+    box = make_box([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
     face, lo, hi, _ = _first_order(program, program.gradient, box)
     assert counts == {"Box": 1, "Interval": 0}

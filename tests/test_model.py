@@ -245,8 +245,8 @@ class TestReducedDomain:
         for e in exprs + [parse("zz + x1"), parse("2.0")]:
             assert reduced_domain(m, e) == m.omega().restrict(free_vars(e))
 
-    def test_bound_of(self):
+    def test_declared_positions_and_bounds(self):
         m = parse_model_text(SAMPLE)
-        assert (m.bound_of("x2"), m.bound_of("u1")) == (Interval(0, 0.0265), Interval(-1, 1))
-        with pytest.raises(MissingBounds, match="'zz'"):
-            m.bound_of("zz")
+        assert m.declared["x2"] == (1, Interval(0, 0.0265))
+        assert m.declared["u1"] == (2, Interval(-1, 1))
+        assert "zz" not in m.declared

@@ -23,7 +23,6 @@ from certbound.expr import (
     Unary,
     Var,
     eval_real,
-    expr_sum,
     is_zero,
     parse,
     simplify,
@@ -55,7 +54,7 @@ from certbound.params import (
     qib,
     zeta,
 )
-from conftest import osl_extremal_eigen_sampled, random_polynomial
+from conftest import expr_sum, osl_extremal_eigen_sampled, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265

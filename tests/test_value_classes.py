@@ -19,11 +19,12 @@ from certbound.expr import ABS, ADD, NEG, SQR, Binary, Const, PowInt, Unary, Var
 from certbound.intervals import Box, Interval
 from certbound.models import GeneratorConfig, MovingObjectConfig, TrafficConfig
 from certbound.report import ConstantRow, RunReport
+from conftest import make_box
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 X, Y = Var("x"), Var("y")
-BOX = Box.from_bounds([("x", 0.0, 1.0), ("y", -2.0, 2.0)])
+BOX = make_box([("x", 0.0, 1.0), ("y", -2.0, 2.0)])
 
 FROZEN = [
     (Interval(0.0, 1.0), "lo"),
@@ -80,9 +81,9 @@ EQUALITY = [
     (Interval(-0.0, 1.0), Interval(0.0, 1.0), True),
     (Interval(0.0, 1.0), Interval(0.0, 2.0), False),
     (Interval(0.0, 1.0), (0.0, 1.0), False),
-    (BOX, Box.from_bounds([("x", 0.0, 1.0), ("y", -2.0, 2.0)]), True),
+    (BOX, make_box([("x", 0.0, 1.0), ("y", -2.0, 2.0)]), True),
     (BOX, Box(BOX.dims, ("x", "z")), False),
-    (BOX, BOX.replace_dim(1, Interval(-2.0, 1.0)), False),
+    (BOX, Box((BOX.dims[0], Interval(-2.0, 1.0)), BOX.labels), False),
     (Const(0.0), Const(-0.0), True),
     (Const(1.0), Const(2.0), False),
     (Const(1.0), Var("x"), False),
@@ -109,7 +110,7 @@ def test_simplify_squares_a_product_of_equal_distinct_variables():
 
 
 def test_zero_width_split_message():
-    box = Box.from_bounds([("x", 1.0, 1.0), ("y", 0.0, 2.0)])
+    box = make_box([("x", 1.0, 1.0), ("y", 0.0, 2.0)])
     with pytest.raises(DegenerateSplit) as info:
         box.split(0)
     assert str(info.value) == (
