@@ -3,7 +3,10 @@
 Expressions are immutable trees over named variables.  The same tree supports
 point evaluation (floats), interval evaluation (sound enclosures via
 :mod:`certbound.intervals`) and symbolic differentiation, so an objective and
-its interval extension always come from one source.
+its interval extension always come from one source.  A ``Program`` evaluates
+a tree by straight-line kernels of one statement per operation, which run
+from a tape at first and are compiled once they have run ``_HOT_RUNS``
+times; both tiers make the same calls, so no result depends on the tier.
 
 Simplification is deliberately conservative: constant folding, 0/1
 identities and ``x*x -> sqr(x)`` only.  A constant folds only to a finite
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -575,22 +579,30 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation
+# Kernels: run from a tape, compiled once hot
 # ---------------------------------------------------------------------------
 #
 # A Program numbers the values of the tree into ops in postfix order (see
-# ``_postfix``) and generates straight-line Python from them: one statement
-# per op, with constants and variables read in place by the ops that use
-# them.  The interval kernel works on ``(lo, hi)`` pairs and calls the
-# ``pair_*`` functions of ``intervals`` (``v2 = pair_mul(v0, v1)``); the
-# point kernel uses plain float arithmetic.  Each statement binds one name,
-# and each kernel is one compiled function.
+# ``_postfix``) and turns them into straight-line statements: one per op,
+# with constants and variables read in place by the ops that use them.  The
+# interval kernel works on ``(lo, hi)`` pairs and calls the ``pair_*``
+# functions of ``intervals`` (``v2 = pair_mul(v0, v1)``); the point kernel
+# uses plain float arithmetic.  Each statement binds one name.
+#
+# Two tiers run the same statements.  A kernel of a new shape runs them from
+# a tape (``_tape``): a tuple of steps, each a function and the slots of its
+# operands in one list of values.  Once the kernel has run ``_HOT_RUNS``
+# times, its statements are rendered as the source of one Python function,
+# compiled, and installed in place of the tape.  Both tiers call the same
+# functions on the same operands in the same order, so they give the same
+# values and raise the same exceptions, and no result depends on the tier.
 #
 # Kernels are cached by program shape (see ``_shape_kernels``): the ops,
 # the constants that are not finite and the number of variable slots.
-# Constant values are not part of the source: they are passed in at call
+# Constant values are not part of the statements: they are passed in at call
 # time, so programs that differ only in their constants, such as the
-# hundreds of Jacobian entries of one model, share one generated kernel.
+# hundreds of Jacobian entries of one model, share one kernel, and one count
+# of its runs.
 #
 # Gradient: the adjoint kernel encloses every partial derivative on a box in
 # one forward and one reverse pass over the ops (Griewank & Walther,
@@ -600,48 +612,88 @@ def to_text(e: Expr) -> str:
 # pass (``_reverse_statements``) reads; the reverse pass takes them as
 # parameters under the same local names.
 
-_CONST, _LOAD, _POW = "const", "load", "pow"
-# Operands given as source text: the adjoints known to be exactly 1 or -1,
-# and an exact zero.
-_ONE, _MINUS_ONE, _ZERO_PAIR = "(1.0, 1.0)", "(-1.0, -1.0)", "(0.0, 0.0)"
+# The runs after which a kernel is compiled: about the run count at which
+# the tape's extra time has paid for a compile.  Measured with CPython 3.11
+# (``timeit``, best of 5): ``compile()`` costs 8-10 µs per statement, and a
+# tape run costs ~0.07 µs per statement more than a compiled one, so the
+# interval, reverse and point kernels of the traffic s5 case-1 objective
+# (243, 213 and 243 statements) break even after 80-140 runs, and those of
+# 6-11 statements (``x*y - sqr(x)*y + 3*x``) after 50-75.  Compiling at the
+# break-even point costs at most twice what the better tier would have
+# taken, whatever a kernel's run count turns out to be.
+_HOT_RUNS = 64
 
-# Right-hand side of each op's statement; ``{0}``, ``{1}`` are the
-# operands' pairs (pair kernel) or values (point kernel), ``{arg}`` the
-# op's argument.  ``pair_point`` rejects a non-finite constant.
+_CONST, _LOAD, _POW = "const", "load", "pow"
+
+# An operand of a statement is the index of an earlier statement of the same
+# kernel, or a pair ``(area, key)`` read in place: ``("d", k)`` is variable
+# ``k``, ``("c", k)`` the float of constant ``k`` and ``("p", k)`` its pair,
+# ``("v", i)`` the parameter ``v{i}`` of the reverse pass, and ``("=", x)``
+# the literal ``x``, such as the adjoints known to be exactly 1 or -1, and an
+# exact zero.
+_ONE, _MINUS_ONE, _ZERO_PAIR = ("=", (1.0, 1.0)), ("=", (-1.0, -1.0)), ("=", (0.0, 0.0))
+
+
+def _same(x):
+    return x
+
+
+def _negated_pair(a):
+    return -a[1], -a[0]
+
+
+def _square(x):
+    return x * x
+
+
+def _call(function, arity: int = 1) -> tuple:
+    """The right-hand side that calls ``function`` on ``arity`` operands."""
+    return f"{function.__name__}({', '.join(map('{{{}}}'.format, range(arity)))})", function
+
+
+# The right-hand side of each op's statement: its source template, in which
+# ``{0}``, ``{1}``, ... stand for the operands, and the function that a tape
+# calls on them, which computes what the template does.  The argument of a
+# constant (``("c", k)``), of a load (``("d", k)``) and of a power (the
+# exponent, a literal) is its last operand.  ``pair_point`` rejects a
+# non-finite constant.
 _PAIR_RHS = {
-    _CONST: "pair_point(c[{arg}])",
-    _LOAD: "d[{arg}]",
-    NEG: "(-{0}[1], -{0}[0])",
-    ADD: "pair_add({0}, {1})",
-    SUB: "pair_sub({0}, {1})",
-    MUL: "pair_mul({0}, {1})",
-    DIV: "pair_div({0}, {1})",
-    MAX: "pair_max({0}, {1})",
-    ABS: "pair_abs({0})",
-    SQR: "pair_sqr({0})",
-    SQRT: "pair_sqrt({0})",
-    EXP: "pair_exp({0})",
-    SIN: "pair_sin({0})",
-    COS: "pair_cos({0})",
-    _POW: "pair_pow({0}, {arg})",
+    _CONST: _call(intervals.pair_point),
+    _LOAD: ("{0}", _same),
+    NEG: ("(-{0}[1], -{0}[0])", _negated_pair),
+    ADD: _call(intervals.pair_add, 2),
+    SUB: _call(intervals.pair_sub, 2),
+    MUL: _call(intervals.pair_mul, 2),
+    DIV: _call(intervals.pair_div, 2),
+    MAX: _call(intervals.pair_max, 2),
+    ABS: _call(intervals.pair_abs),
+    SQR: _call(intervals.pair_sqr),
+    SQRT: _call(intervals.pair_sqrt),
+    EXP: _call(intervals.pair_exp),
+    SIN: _call(intervals.pair_sin),
+    COS: _call(intervals.pair_cos),
+    _POW: _call(intervals.pair_pow, 2),
 }
 _POINT_RHS = {
-    _CONST: "c[{arg}]",
-    _LOAD: "d[{arg}]",
-    NEG: "-{0}",
-    ADD: "{0} + {1}",
-    SUB: "{0} - {1}",
-    MUL: "{0} * {1}",
-    DIV: "{0} / {1}",
-    MAX: "max({0}, {1})",
-    ABS: "abs({0})",
-    SQR: "{0} * {0}",
-    SQRT: "sqrt({0})",
-    EXP: "exp({0})",
-    SIN: "sin({0})",
-    COS: "cos({0})",
-    _POW: "{0} ** {arg}",
+    _CONST: ("{0}", _same),
+    _LOAD: ("{0}", _same),
+    NEG: ("-{0}", operator.neg),
+    ADD: ("{0} + {1}", operator.add),
+    SUB: ("{0} - {1}", operator.sub),
+    MUL: ("{0} * {1}", operator.mul),
+    DIV: ("{0} / {1}", operator.truediv),
+    MAX: _call(max, 2),
+    ABS: _call(abs),
+    SQR: ("{0} * {0}", _square),
+    SQRT: _call(math.sqrt),
+    EXP: _call(math.exp),
+    SIN: _call(math.sin),
+    COS: _call(math.cos),
+    _POW: ("{0} ** {1}", operator.pow),
 }
+_SCALE = _call(intervals.pair_scale, 2)
+_ABS_ADJOINT = _call(intervals.pair_abs_adjoint, 2)
+_MAX_ADJOINT = _call(intervals.pair_max_adjoint, 3)
 _KERNEL_GLOBALS = {
     name: value for name, value in vars(intervals).items() if name.startswith("pair_")
 }
@@ -749,11 +801,12 @@ def structural_key(e: Expr) -> tuple:
 def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> dict:
     """The kernels that every program of one shape shares: its ops
     ``code``, the indices of its non-finite constants (the only property of
-    the constants that the generated source depends on, see
-    ``_statements``) and its number ``n`` of variable slots (the reverse
-    pass has one output per slot).  The point kernel is stored under
-    ``False``, the interval kernel and its reverse pass under ``True``,
-    each generated on first use; the 256 most recent shapes are kept."""
+    the constants that the statements depend on, see ``_statements``) and
+    its number ``n`` of variable slots (the reverse pass has one output per
+    slot).  The point kernel is stored under ``False``, the interval kernel
+    and its reverse pass under ``True``, as a list of the two; each is built
+    on first use and replaced by its compiled form once hot (see ``_tape``).
+    The 256 most recent shapes are kept."""
     return {}
 
 
@@ -779,11 +832,11 @@ def _scale_points(stmts) -> list:
     of four."""
     scaled = []
     for stmt in stmts:
-        template, arg, operands = stmt
-        if template == _PAIR_RHS[MUL]:
+        rhs, operands = stmt
+        if rhs is _PAIR_RHS[MUL]:
             for side, x in enumerate(operands):
-                if type(x) is str and x.startswith("p["):
-                    stmt = ("pair_scale({0}, {1})", arg, ("c" + x[1:], operands[1 - side]))
+                if type(x) is tuple and x[0] == "p":
+                    stmt = (_SCALE, (("c", x[1]), operands[1 - side]))
                     break
         scaled.append(stmt)
     return scaled
@@ -793,20 +846,95 @@ def _source(params: str, stmts, outputs, first: int = 0) -> str:
     """Source of ``def kernel(params)``, which runs ``stmts`` and returns
     the tuple of ``outputs``.
 
-    A statement ``(template, arg, operands)`` assigns
-    ``template.format(*operands, arg=arg)`` to its name (``v{first + i}``
-    for the ``i``-th).  An operand, like an output, is the index of an
-    earlier statement or source text."""
+    A statement ``(rhs, operands)`` assigns the template ``rhs[0]``, filled
+    in with its operands, to its name (``v{first + i}`` for the ``i``-th).
+    An operand, like an output, is the index of an earlier statement, or
+    read in place (see ``_ONE``)."""
 
-    def ref(j) -> str:
-        return f"v{first + j}" if type(j) is int else j
+    def ref(x) -> str:
+        if type(x) is int:
+            return f"v{first + x}"
+        area, key = x
+        return repr(key) if area == "=" else f"v{key}" if area == "v" else f"{area}[{key}]"
 
     lines = [
-        f"v{first + i} = " + template.format(*map(ref, ops), arg=arg)
-        for i, (template, arg, ops) in enumerate(stmts)
+        f"v{first + i} = " + rhs[0].format(*map(ref, ops)) for i, (rhs, ops) in enumerate(stmts)
     ]
     lines.append("return (" + "".join(ref(j) + ", " for j in outputs) + ")")
     return f"def kernel({params}):\n    " + "\n    ".join(lines) + "\n"
+
+
+def _tape(home, key, sizes: Sequence[int], stmts, outputs, first: int = 0, kept=()):
+    """The kernel that ``_source`` makes of ``stmts`` and ``outputs``, run
+    from a tape until it has run ``_HOT_RUNS`` times; then it is compiled
+    and stored as ``home[key]``, where the tape was.  Its parameters are
+    the sequences ``d``, ``c`` and, for the interval kernels, ``p``, of
+    ``sizes``, then ``v{i}`` for each ``i`` of ``kept``.
+
+    The tape runs ``stmts`` over one list of values: the entries of the
+    sequences, the other parameters, the literals, then each statement's
+    value in turn.  A step ``(function, a, b)`` appends ``function`` of the
+    values at the slots ``a`` and ``b``, or of the value at ``a`` alone when
+    ``b`` is ``None``, or of those at the slots ``b`` when ``a`` is
+    ``None``: the call, or the arithmetic, that the statement's source
+    makes, on the same operands.  Branching on the arity, instead of
+    unpacking a tuple of slots in each step, cuts the time that the tape
+    takes beyond the compiled kernel by four fifths."""
+    params = ", ".join(["d", "c", "p"][: len(sizes)] + [f"v{i}" for i in kept])
+    slot: dict = {}
+    width = 0
+    for area, size in zip("dcp", sizes):
+        slot.update(((area, k), width + k) for k in range(size))
+        width += size
+    for i in kept:
+        slot["v", i] = width
+        width += 1
+    literals: dict[str, int] = {}  # by ``repr``, so that ``2`` and ``2.0`` stay apart
+    values: list = []
+    for x in (*(x for _, ops in stmts for x in ops), *outputs):
+        if type(x) is tuple and x[0] == "=" and repr(x[1]) not in literals:
+            literals[repr(x[1])] = width + len(values)
+            values.append(x[1])
+    constant = tuple(values)
+    start = width + len(constant)
+
+    def place(x) -> int:
+        if type(x) is int:
+            return start + x
+        return literals[repr(x[1])] if x[0] == "=" else slot[x]
+
+    steps = []
+    for rhs, ops in stmts:
+        if len(ops) == 2:
+            steps.append((rhs[1], place(ops[0]), place(ops[1])))
+        elif len(ops) == 1:
+            steps.append((rhs[1], place(ops[0]), None))
+        else:
+            steps.append((rhs[1], None, tuple(map(place, ops))))
+    steps = tuple(steps)
+    results = tuple(map(place, outputs))
+    runs = 0
+
+    def kernel(d, c, p=(), *parameters):
+        nonlocal runs
+        runs += 1
+        if runs == _HOT_RUNS:
+            home[key] = _compile(_source(params, stmts, outputs, first))
+        vals = [*d, *c, *p, *parameters]
+        if len(vals) != width:
+            raise TypeError(f"the kernel takes {width} values, got {len(vals)}")
+        vals += constant
+        append = vals.append
+        for function, a, b in steps:
+            if b is None:
+                append(function(vals[a]))
+            elif a is None:
+                append(function(*map(vals.__getitem__, b)))
+            else:
+                append(function(vals[a], vals[b]))
+        return tuple(map(vals.__getitem__, results))
+
+    return kernel
 
 
 def _reverse_statements(code, varying, n: int):
@@ -822,8 +950,8 @@ def _reverse_statements(code, varying, n: int):
     and an op's adjoint is the sum of what it receives.  At a kink the local
     partial derivative is Clarke's generalized one, enclosed by
     ``pair_abs_adjoint`` and ``pair_max_adjoint``.  An adjoint known to be
-    exactly 1 or -1 is kept as text, so multiplying by it costs neither a
-    statement nor a rounding, and equal statements are emitted once."""
+    exactly 1 or -1 is kept as a literal, so multiplying by it costs neither
+    a statement nor a rounding, and equal statements are emitted once."""
     rev: list = []
     emitted: dict[tuple, int] = {}
     read: set[int] = set()
@@ -834,10 +962,10 @@ def _reverse_statements(code, varying, n: int):
         read.add(j)
         return -1 - j
 
-    def emit(template: str, *operands, arg=None) -> int:
-        """The statement ``(template, arg, operands)``: a new one unless
-        an equal one is there already."""
-        stmt = (template, arg, operands)
+    def emit(rhs, *operands) -> int:
+        """The statement ``(rhs, operands)``: a new one unless an equal one
+        is there already."""
+        stmt = (rhs, operands)
         index = emitted.get(stmt)
         if index is None:
             index = emitted[stmt] = len(rev)
@@ -847,8 +975,8 @@ def _reverse_statements(code, varying, n: int):
     def neg(x):
         if x is _ONE or x is _MINUS_ONE:
             return _MINUS_ONE if x is _ONE else _ONE
-        if type(x) is int and x >= 0 and rev[x][0] == _PAIR_RHS[NEG]:
-            return rev[x][2][0]  # -(-y) is y
+        if type(x) is int and x >= 0 and rev[x][0] is _PAIR_RHS[NEG]:
+            return rev[x][1][0]  # -(-y) is y
         return emit(_PAIR_RHS[NEG], x)
 
     def times(x, y):
@@ -857,7 +985,7 @@ def _reverse_statements(code, varying, n: int):
         return emit(_PAIR_RHS[MUL], x, y)
 
     def scaled(k: float, x):
-        return emit("pair_scale({arg}, {0})", x, arg=k)
+        return emit(_SCALE, ("=", k), x)
 
     ops = {op: i for i, op in enumerate(code)}
 
@@ -865,7 +993,9 @@ def _reverse_statements(code, varying, n: int):
         """The value of ``kind`` applied to op ``j``'s: an op's if there is
         one (``sin(x)`` next to ``cos(x)``), else a new statement."""
         i = ops.get((kind, arg, (j,)))
-        return value(i) if i is not None else emit(_PAIR_RHS[kind], value(j), arg=arg)
+        if i is not None:
+            return value(i)
+        return emit(_PAIR_RHS[kind], value(j), *(() if arg is None else (("=", arg),)))
 
     def send(j: int, x) -> None:
         adjoint[j] = emit(_PAIR_RHS[ADD], adjoint[j], x) if j in adjoint else x
@@ -892,11 +1022,10 @@ def _reverse_statements(code, varying, n: int):
             if varying[b]:
                 send(b, neg(emit(_PAIR_RHS[DIV], times(g, value(i)), value(b))))
         elif kind == MAX:
-            share = "pair_max_adjoint({0}, {1}, {2})"
             if varying[a]:
-                send(a, emit(share, value(a), value(b), g))
+                send(a, emit(_MAX_ADJOINT, value(a), value(b), g))
             if varying[b]:
-                send(b, emit(share, value(b), value(a), g))
+                send(b, emit(_MAX_ADJOINT, value(b), value(a), g))
         elif kind == NEG or (kind == _POW and arg == 1):
             send(a, neg(g) if kind == NEG else g)
         elif kind == SQR or kind == _POW and arg == 2:
@@ -912,14 +1041,15 @@ def _reverse_statements(code, varying, n: int):
         elif kind == COS:
             send(a, neg(times(g, apply(SIN, a))))
         elif kind == ABS:
-            send(a, emit("pair_abs_adjoint({0}, {1})", value(a), g))
+            send(a, emit(_ABS_ADJOINT, value(a), g))
     loads = {arg: i for i, (kind, arg, _) in enumerate(code) if kind == _LOAD}
     return rev, [adjoint.get(loads.get(k), _ZERO_PAIR) for k in range(n)], read
 
 
 class Program:
-    """Expression compiled to straight-line kernels for repeated point and
-    interval evaluation.
+    """Expression turned into straight-line kernels for repeated point and
+    interval evaluation, each run from a tape and compiled once hot (see
+    ``_tape``).
 
     ``code`` holds the numbered ops in postfix order (see ``_postfix``).
     Calling the program on a list of ``(lo, hi)`` pairs, one per variable
@@ -977,8 +1107,7 @@ class Program:
 
     def _kernel(self, pair: bool):
         """The point kernel, or the interval kernel and its reverse pass;
-        generated and compiled on first use by a program of the same
-        shape."""
+        built on first use by a program of the same shape."""
         kernels = self._kernels
         if kernels is None:
             nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
@@ -986,34 +1115,45 @@ class Program:
             self._kernels = kernels
         kernel = kernels.get(pair)
         if kernel is None:
-            kernel = kernels[pair] = self._generate(pair)
+            kernel = kernels[pair] = self._generate(pair, kernels)
         return kernel
 
-    def _generate(self, pair: bool):
-        """Compile the point kernel ``kernel(d, c)``, or the interval kernel
-        ``kernel(d, c, p)`` and its reverse pass: ``d`` holds the variables'
-        values or pairs, ``c`` the constants and ``p`` their pairs.  An
-        operand is read from the name of its op's statement, or else in
-        place: a load from ``d``, a constant from ``p`` or ``c``."""
+    def _generate(self, pair: bool, kernels: dict):
+        """The point kernel ``kernel(d, c)``, to be stored as
+        ``kernels[False]``, or the list of the interval kernel
+        ``kernel(d, c, p)`` and its reverse pass; each is a tape that puts
+        its compiled form in its place once hot.  ``d`` holds the
+        variables' values or pairs, ``c`` the constants and ``p`` their
+        pairs.  An operand is read from the name of its op's statement, or
+        else in place: a load from ``d``, a constant from ``p`` or ``c``."""
         code = self.code
         run = _statements(code, self._constants, pair)
         position = {op: i for i, op in enumerate(run)}
 
-        def ref(j: int) -> str:
+        def ref(j: int):
             i = position.get(j)
             if i is not None:
-                return f"v{i}"
+                return i
             kind, arg, _ = code[j]
-            return f"d[{arg}]" if kind == _LOAD else f"p[{arg}]" if pair else f"c[{arg}]"
+            return ("d" if kind == _LOAD else "p" if pair else "c", arg)
+
+        def operands(kind: str, arg, ops) -> tuple:
+            if kind == _CONST:
+                return (("c", arg),)
+            if kind == _LOAD:
+                return (("d", arg),)
+            refs = tuple(map(ref, ops))
+            return (*refs, ("=", arg)) if kind == _POW else refs
 
         table = _PAIR_RHS if pair else _POINT_RHS
         stmts = [
-            (table[kind], arg, tuple(map(ref, operands)))
-            for kind, arg, operands in (code[op] for op in run)
+            (table[kind], operands(kind, arg, ops))
+            for kind, arg, ops in (code[op] for op in run)
         ]
         root = len(stmts) - 1
+        sizes = (len(self.var_order), len(self._constants))
         if not pair:
-            return _compile(_source("d, c", stmts, [root]))
+            return _tape(kernels, False, sizes, stmts, [root])
         rev, grads, read = _reverse_statements(code, self._varying, len(self.var_order))
         # The result, then each other statement that the reverse pass reads;
         # a name listed twice would be a duplicate parameter.
@@ -1021,14 +1161,19 @@ class Program:
 
         def place(x):
             """A reverse-pass operand as ``_source`` takes it: op ``j``'s
-            value (``-1 - j``) is read as the interval kernel reads it."""
-            return ref(-1 - x) if type(x) is int and x < 0 else x
+            value (``-1 - j``) is read as the interval kernel reads it, the
+            value of a statement from its parameter."""
+            if type(x) is not int or x >= 0:
+                return x
+            x = ref(-1 - x)
+            return ("v", x) if type(x) is int else x
 
-        rev = [(template, arg, tuple(map(place, ops))) for template, arg, ops in rev]
-        params = ", ".join(["d, c, p", *(f"v{i}" for i in kept)])
-        forward = _source("d, c, p", _scale_points(stmts), kept)
-        reverse = _source(params, _scale_points(rev), map(place, grads), len(stmts))
-        return _compile(forward), _compile(reverse)
+        rev = _scale_points([(rhs, tuple(map(place, ops))) for rhs, ops in rev])
+        sizes += sizes[1:]
+        both = [None, None]
+        both[0] = _tape(both, 0, sizes, _scale_points(stmts), kept)
+        both[1] = _tape(both, 1, sizes, rev, list(map(place, grads)), len(stmts), kept)
+        return both
 
     def eval_point(self, values: Sequence[float]) -> float:
         kernel = self._kernel(False)

@@ -178,27 +178,33 @@ def _copy(e: Expr) -> Expr:
     return Binary(e.op, _copy(e.left), _copy(e.right))
 
 
-def random_tree(rng: random.Random, depth: int, pool: list[Expr] | None = None) -> Expr:
+def random_tree(
+    rng: random.Random, depth: int, pool: list[Expr] | None = None, extra: tuple = ()
+) -> Expr:
     """A random tree.  With a ``pool`` (the subtrees drawn so far), a
     subtree is now and then one drawn before, as the same node or as an
-    equal copy, so that value numbering merges it."""
+    equal copy, so that value numbering merges it.  The constants are drawn
+    from a fixed list, to which ``extra`` adds its values."""
     if pool and rng.random() < 0.15:
         e = rng.choice(pool)
         return e if rng.random() < 0.5 else _copy(e)
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.35:
-            e: Expr = Const(rng.choice([0.0, -0.0, 1.0, 2.0, 0.5, -3.0, rng.uniform(-4, 4)]))
+            e: Expr = Const(
+                rng.choice([0.0, -0.0, 1.0, 2.0, 0.5, -3.0, rng.uniform(-4, 4), *extra])
+            )
         else:
             e = Var(rng.choice(NAMES))
     else:
         kind = rng.random()
         if kind < 0.45:
             op = rng.choice(BINARY)
-            e = Binary(op, random_tree(rng, depth - 1, pool), random_tree(rng, depth - 1, pool))
+            left = random_tree(rng, depth - 1, pool, extra)
+            e = Binary(op, left, random_tree(rng, depth - 1, pool, extra))
         elif kind < 0.9:
-            e = Unary(rng.choice(UNARY), random_tree(rng, depth - 1, pool))
+            e = Unary(rng.choice(UNARY), random_tree(rng, depth - 1, pool, extra))
         else:
-            e = PowInt(random_tree(rng, depth - 1, pool), rng.randint(1, 5))
+            e = PowInt(random_tree(rng, depth - 1, pool, extra), rng.randint(1, 5))
     if pool is not None:
         pool.append(e)
     return e
@@ -594,13 +600,16 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
 
 
 def test_deep_sum_compiles_and_evaluates():
+    # From the tape, then from the compiled kernels.
     names = [f"x{i}" for i in range(5000)]
     program = Program(expr_sum(Var(n) for n in names), names)
     values = [1.0 + i / 7 for i in range(5000)]
-    assert program.eval_point(values) == functools.reduce(lambda a, b: a + b, values)
     dims = [(v, v + 0.5) for v in values]
     total = functools.reduce(pair_add, dims)
-    assert outcome(program.eval_interval, dims) == outcome(lambda: total)
+    for _ in range(expr_module._HOT_RUNS + 1):
+        assert program.eval_point(values) == functools.reduce(lambda a, b: a + b, values)
+        assert outcome(program.eval_interval, dims) == outcome(lambda: total)
+    assert _compiled(program._kernel(False)) and _compiled(program._kernel(True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +667,128 @@ def _count_compiles(monkeypatch) -> list[str]:
     return compiled
 
 
-def test_each_kernel_is_one_function(monkeypatch):
-    # The case-1 objective of traffic s5 (461 ops) has the longest kernels of
-    # the benchmark: 243 interval and 213 reverse statements.
+def _heat(program: Program, values, dims) -> None:
+    """Run each kernel of the program's shape ``_HOT_RUNS`` times through
+    ``eval_point`` and ``gradient``, which runs the interval kernel and, where
+    that succeeds, the reverse pass.  A run that fails counts too."""
+    for _ in range(expr_module._HOT_RUNS):
+        for call, arg in ((program.eval_point, values), (program.gradient, dims)):
+            try:
+                call(arg)
+            except (EvaluationError, IntervalError):
+                pass
+
+
+def _compiled(kernel) -> bool:
+    return kernel.__code__.co_filename == "<certbound kernel>"
+
+
+def _case1_s5():
     from certbound.bnb import BnBConfig
     from certbound.models import TrafficConfig, build_traffic
     from certbound.params import lipschitz_case1
 
     model, _ = build_traffic(TrafficConfig(sections=5))
+
+    def job() -> tuple:
+        """The certified numbers, without the timings."""
+        res = lipschitz_case1(model, BnBConfig())
+        return res.gamma, res.lower, res.gap, res.eps_optimal, res.stats.evals
+
+    return job
+
+
+def test_each_kernel_is_one_function(monkeypatch):
+    # The case-1 objective of traffic s5 (461 ops) has the longest kernels of
+    # the benchmark: 243 interval and 213 reverse statements.  One run of the
+    # job leaves them cold, so it is repeated until each is compiled; every
+    # repeat certifies the same constant.
+    job = _case1_s5()
     expr_module._shape_kernels.cache_clear()
     compiled = _count_compiles(monkeypatch)
-    lipschitz_case1(model, BnBConfig())
+    first = job()
+    for _ in range(expr_module._HOT_RUNS):
+        if len(compiled) == 3:
+            break
+        assert job() == first
     assert sorted(source.count("\n") for source in compiled) == [215, 245, 245]
+    assert job() == first and len(compiled) == 3
+
+
+def test_a_cold_job_compiles_nothing(monkeypatch):
+    # The benchmark's case-1 job runs each of its kernels three times.
+    job = _case1_s5()
+    expr_module._shape_kernels.cache_clear()
+    compiled = _count_compiles(monkeypatch)
+    job()
+    assert compiled == []
+
+
+def test_each_kernel_is_compiled_once_when_hot(monkeypatch):
+    program = Program(parse("x*y - sqr(x)*y + 3*x + 0.375*sin(y)"), ("x", "y"))
+    expr_module._shape_kernels.cache_clear()
+    compiled = _count_compiles(monkeypatch)
+    values, dims = [0.5, -1.0], [(0.0, 1.0), (-1.0, 2.0)]
+    cold = [outcome(program.eval_point, values), outcome(program.gradient, dims)]
+    for _ in range(expr_module._HOT_RUNS - 2):
+        program.eval_point(values)
+        program.gradient(dims)
+    assert compiled == []  # each kernel has run _HOT_RUNS - 1 times
+    assert outcome(program.eval_point, values) == cold[0]
+    assert [source.split("\n")[0] for source in compiled] == ["def kernel(d, c):"]
+    assert outcome(program.gradient, dims) == cold[1]
+    assert len(compiled) == 3
+    assert compiled[1].startswith("def kernel(d, c, p):\n")
+    assert compiled[2].startswith("def kernel(d, c, p, v")
+    for _ in range(3 * expr_module._HOT_RUNS):
+        program.eval_point(values)
+        program.eval_interval(dims)
+        program.gradient(dims)
+    assert len(compiled) == 3
+    assert _compiled(program._kernel(False)) and all(map(_compiled, program._kernel(True)))
+    assert [outcome(program.eval_point, values), outcome(program.gradient, dims)] == cold
+
+
+def _wild_box(rng: random.Random) -> Box:
+    """A random box, now and then scaled far enough that products, powers
+    and ``exp`` overflow."""
+    box = random_box(rng)
+    scale = rng.choice([1.0, 1.0, 1.0, 1e80, 1e160, 800.0])
+    return make_box([(name, iv.lo * scale, iv.hi * scale) for name, iv in zip(NAMES, box.dims)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tape_and_compiled_kernel_agree(seed, monkeypatch):
+    # Random trees over every op, with infinite, NaN and huge constants, on
+    # boxes with zero-containing divisors and overflowing ranges: the point
+    # kernel, the interval kernel and the gradient give the same endpoints
+    # by ``repr`` and the same errors by class and message from the tape as
+    # once compiled.
+    rng = random.Random(1000 + seed)
+    compiled = _count_compiles(monkeypatch)
+    hot = failures = 0
+    for _ in range(60):
+        e = random_tree(rng, rng.randint(1, 6), [], (math.inf, -math.inf, math.nan, 1e300))
+        program = Program(e, NAMES)
+        boxes = [pairs(_wild_box(rng)) for _ in range(3)]
+        points = [[rng.choice([0.0, -0.0, 1e200, 800.0, rng.uniform(-4, 4)]) for _ in NAMES]]
+        points.append([iv[0] for iv in boxes[0]])
+
+        def outcomes() -> list:
+            return [outcome(program.eval_point, values) for values in points] + [
+                outcome(call, dims) for dims in boxes for call in (program, program.gradient)
+            ]
+
+        expr_module._shape_kernels.cache_clear()
+        del compiled[:]
+        cold = outcomes()
+        assert compiled == []
+        defined = [dims for dims in boxes if not isinstance(outcome(program, dims)[0], type)]
+        _heat(program, points[0], defined[0] if defined else boxes[0])
+        assert outcomes() == cold, str(e)
+        hot += len(compiled) == 3
+        failures += sum(isinstance(x[0], type) for x in cold)
+    assert hot > 40 and failures > 40
 
 
 ONE = (1.0, 1.0)
@@ -702,26 +821,45 @@ def test_gradient_hand_off_matches_reference(text, reference):
 
 
 def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
+    # The Jacobian, QB and case-2 jobs run each kernel a few times, so they
+    # compile nothing; the hyperbola maximization runs its kernels hundreds
+    # of times and compiles them during its cold run, so its warm run starts
+    # on compiled kernels.
     from certbound.cli import run
 
     compiled = _count_compiles(monkeypatch)
     model = str(tmp_path / "traffic_s5.nds")
     assert run(["make-model", "traffic", "--sections", "5", "--output", model]) == 0
-    for job in (["jacobian"], ["qb"], ["lipschitz", "--case", "2"]):
+    hyperbola = [
+        "maximize", "--expr", "x*y - x*x*y*y", "--bounds", "x=[0,2];y=[0,2]",
+        "--segments", "1", "--eps-h", "5e-3",
+    ]
+    for job in (
+        ["jacobian", "--model", model], ["qb", "--model", model],
+        ["lipschitz", "--case", "2", "--model", model], hyperbola,
+    ):
         expr_module._shape_kernels.cache_clear()
         printed, counts = [], []
         for _ in ("cold", "warm"):
-            assert run([*job, "--model", model, "--format", "json", "--no-timing"]) == 0
+            assert run([*job, "--format", "json", "--no-timing"]) == 0
             printed.append(capsys.readouterr().out)
             counts.append(len(compiled))
         assert printed[0] == printed[1] and printed[0].startswith("[")
-        assert counts[0] > 0 and counts[1] == counts[0]  # the warm run compiles nothing
+        if job is hyperbola:
+            assert counts[0] > 0 and counts[1] == counts[0]  # the warm run compiles nothing
+        else:
+            assert counts[0] == 0
         compiled.clear()
 
 
 def _pair_calls(program: Program, reverse: bool) -> set[str]:
-    """The ``pair_*`` functions that the interval kernel (or its reverse pass) calls."""
+    """The ``pair_*`` functions that the compiled interval kernel (or its
+    reverse pass) calls, once the gradient has run often enough."""
+    dims = [(0.5, 1.5)] * len(program.var_order)
+    for _ in range(expr_module._HOT_RUNS):
+        program.gradient(dims)
     kernel = program._kernel(True)[reverse]
+    assert _compiled(kernel)
     return {name for name in kernel.__code__.co_names if name.startswith("pair_")}
 
 
@@ -745,13 +883,20 @@ def test_product_of_variables_uses_pair_mul():
 
 def test_every_interval_statement_binds_one_name(monkeypatch):
     # Each statement of an interval kernel or its reverse pass assigns one
-    # pair to one name, e.g. ``v7 = pair_mul(v3, v5)``.
+    # pair to one name, e.g. ``v7 = pair_mul(v3, v5)``.  The gradient runs
+    # often enough to compile each program's interval kernel, and its
+    # reverse pass where the interval kernel succeeds on the box.
     expr_module._shape_kernels.cache_clear()
     compiled = _count_compiles(monkeypatch)
     rng = random.Random(5)
+    dims = [(0.5, 1.5)] * len(NAMES)
     for _ in range(60):
         program = Program(random_tree(rng, rng.randint(1, 6), []), NAMES)
-        program._kernel(True)
+        for _ in range(expr_module._HOT_RUNS):
+            try:
+                program.gradient(dims)
+            except IntervalError:
+                pass
     statements = 0
     for source in compiled:
         (kernel,) = ast.parse(source).body
