@@ -9,26 +9,30 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import math
 import sys
 from typing import Callable, Sequence
 
-from . import baselines, params
+from . import params
 from .bnb import BnBConfig, maximize
 from .errors import CertboundError, ParseError
 from .expr import Program, free_vars, parse_simplified
 from .intervals import Box, Interval
-from .model import ModelDef, load_model, model_to_text, parse_interval, reduced_domain
-from .models import (
-    GeneratorConfig,
-    MovingObjectConfig,
-    TrafficConfig,
-    build_generator,
-    build_moving_object,
-    build_traffic,
-)
+from .model import ModelDef, model_to_text, parse_interval, parse_model_text, reduced_domain
 from .report import ConstantRow, RunReport, emit_table
+
+# Every CLI job is a fresh process that pays its imports, so a module that
+# only some commands use (``baselines``, ``models``) is imported by those
+# commands' handlers.  The fingerprint takes CPython's builtin SHA-256
+# (``_sha2`` from 3.12, ``_sha256`` before): ``hashlib`` would load OpenSSL,
+# about 3 ms of each job's start-up, to hash one small file.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,7 +45,7 @@ class _ModelError(CertboundError):
 
 
 def _fingerprint(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return _sha256(data).hexdigest()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -145,10 +149,12 @@ def _load_model(args) -> tuple[ModelDef, str]:
     try:
         with open(args.model, "rb") as fh:
             data = fh.read()
-        with _model_errors(f"invalid model {args.model}"):
-            model = load_model(args.model)
     except OSError as exc:
         raise _ModelError(f"cannot read model: {exc}") from exc
+    # The model is parsed from the bytes that are fingerprinted: a file
+    # replaced after this read cannot lend the report its fingerprint.
+    with _model_errors(f"invalid model {args.model}"):
+        model = parse_model_text(data.decode("utf-8-sig"))
     return model, _fingerprint(data)
 
 
@@ -285,6 +291,8 @@ def _cmd_maximize(args) -> list[RunReport]:
 
 
 def _cmd_baseline(args) -> list[RunReport]:
+    from . import baselines
+
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     model, fp = _load_model(args)
@@ -309,6 +317,8 @@ def _cmd_baseline(args) -> list[RunReport]:
 
 
 def _cmd_traffic_table(args) -> list[RunReport]:
+    from . import models
+
     with _model_errors("bad --sections"):
         section_counts = [int(tok) for tok in args.sections.split(",") if tok.strip()]
     if not section_counts:
@@ -316,17 +326,19 @@ def _cmd_traffic_table(args) -> list[RunReport]:
     reports = []
     for s in section_counts:
         with _model_errors("invalid model parameters"):
-            model, _ = build_traffic(TrafficConfig(sections=s))
+            model, _ = models.build_traffic(models.TrafficConfig(sections=s))
         fp = _fingerprint(model_to_text(model).encode())
         reports.append(_report(args, fp, [_lipschitz_row(args, model)], label=str(model.n)))
     return reports
 
 
 def _built_model(args) -> ModelDef:
+    from . import models
+
     if args.kind == "traffic":
-        return build_traffic(TrafficConfig(sections=args.sections))[0]
+        return models.build_traffic(models.TrafficConfig(sections=args.sections))[0]
     if args.kind == "moving-object":
-        return build_moving_object(MovingObjectConfig(r=args.radius))
+        return models.build_moving_object(models.MovingObjectConfig(r=args.radius))
     if not args.state_bounds or not args.input_bounds:
         raise ValueError("generator needs --state-bounds and --input-bounds")
     alphas = (1.0,) * 6
@@ -334,8 +346,8 @@ def _built_model(args) -> ModelDef:
         alphas = tuple(float(tok) for tok in args.alphas.split(","))
         if len(alphas) != 6:
             raise ValueError("--alphas needs six comma-separated values")
-    return build_generator(
-        GeneratorConfig(
+    return models.build_generator(
+        models.GeneratorConfig(
             alpha1=alphas[0],
             alpha3=alphas[1],
             alpha4=alphas[2],

@@ -5,7 +5,7 @@ with box bounds, a vector of expressions, and an optional mixing matrix G
 applied to that vector.  The admissible region is the product box of all
 variable bounds (states first, then inputs).
 
-Text format (UTF-8, ``#`` comments)::
+Text format (UTF-8, with or without a BOM; ``#`` comments)::
 
     [constants]
     delta = 1.18113
@@ -19,7 +19,8 @@ Text format (UTF-8, ``#`` comments)::
     1 0
     0 1
 
-Constants are substituted while expressions are parsed.  ``[inputs]``,
+Each constant is assigned once, and is substituted while expressions are
+parsed.  The i-th line of ``[f]`` is named ``f<i>``.  ``[inputs]``,
 ``[G]`` and ``[constants]`` may be omitted; an omitted G means the identity
 (which requires as many components as states wherever G is actually used).
 """
@@ -199,6 +200,8 @@ def parse_model_text(text: str) -> ModelDef:
     constants: dict[str, float] = {}
     for lineno, line in sections["constants"]:
         name, value = _split_assignment(line, lineno)
+        if name in constants:
+            raise ParseError(f"constant {name} assigned again on line {lineno}", 0)
         constants[name] = _parse_float(value, lineno)
 
     states = [_parse_bound_line(line, lineno) for lineno, line in sections["states"]]
@@ -207,8 +210,10 @@ def parse_model_text(text: str) -> ModelDef:
         raise MissingBounds("model file declares no [states]")
 
     f: list[Expr] = []
-    for lineno, line in sections["f"]:
-        _, rhs = _split_assignment(line, lineno)
+    for i, (lineno, line) in enumerate(sections["f"], start=1):
+        name, rhs = _split_assignment(line, lineno)
+        if name != f"f{i}":
+            raise ParseError(f"component {i} is named {name} on line {lineno}, not f{i}", 0)
         rhs = rhs.strip()
         if len(rhs) >= 2 and rhs[0] == '"' and rhs[-1] == '"':
             rhs = rhs[1:-1]
@@ -232,7 +237,7 @@ def parse_model_text(text: str) -> ModelDef:
 
 
 def load_model(path: str) -> ModelDef:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_model_text(fh.read())
 
 

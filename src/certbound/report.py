@@ -10,7 +10,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
@@ -85,6 +84,8 @@ class RunReport:
 
 def to_json(reports: Sequence[RunReport]) -> str:
     """Always an array, one object per report, keys sorted."""
+    import json  # only ``--format json`` runs pay for it
+
     payload = [r.to_dict() for r in reports]
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -1,5 +1,8 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import builtins
+import hashlib
+import importlib
 import json
 import math
 import os
@@ -9,6 +12,7 @@ import sys
 import pytest
 
 import certbound
+from certbound import cli
 from certbound.cli import _COMMANDS, build_parser, run
 from certbound.report import ConstantRow, RunReport, ReportFieldError, emit_table
 from conftest import report_from_dict
@@ -66,6 +70,27 @@ class TestExitCodes:
         bad.write_text("[states]\nx1 = [0, 1]\n[f]\nf1 = sin(x1\n")
         code, out, err = run_capture(capsys, ["lipschitz", "--model", str(bad)])
         assert code == 3 and out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf2 = x1\nf1 = x2*x2\n",
+             "component 1 is named f2 on line 5, not f1"),
+            ("[states]\nx1 = [0, 1]\n[f]\nf1 = x1\nf1 = x1\n",
+             "component 2 is named f1 on line 5, not f2"),
+            ("[constants]\na = 1\na = 2\n[states]\nx1 = [0, 1]\n[f]\nf1 = a*x1\n",
+             "constant a assigned again on line 3"),
+        ],
+        ids=["components-out-of-order", "repeated-component", "repeated-constant"],
+    )
+    def test_misnamed_model_lines_are_model_errors(self, tmp_path, capsys, text, message):
+        # Each of these files used to load: its components in file order,
+        # whatever their names, and each constant at its last value.
+        model = tmp_path / "misnamed.nds"
+        model.write_text(text)
+        code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
+        assert (code, out) == (3, "")
+        assert err == f"certbound: invalid model {model}: {message} at offset 0\n"
 
     DEEP_SUM = "+".join(["x*y"] * 1200)
 
@@ -621,6 +646,82 @@ class TestDeterminism:
             json.loads(out1)[0]["model_fingerprint"]
             != json.loads(out2)[0]["model_fingerprint"]
         )
+
+
+FINGERPRINT_INPUTS = [b"", b"abc", bytes(range(256)) * 5 + b"tail"]
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("data", FINGERPRINT_INPUTS, ids=["empty", "short", "multi-block"])
+    def test_is_the_sha256_of_the_bytes(self, data):
+        assert cli._fingerprint(data) == hashlib.sha256(data).hexdigest()
+
+    def test_falls_back_to_hashlib_without_the_builtin_module(self, monkeypatch):
+        try:
+            with monkeypatch.context() as m:
+                m.setitem(sys.modules, "_sha2", None)
+                m.setitem(sys.modules, "_sha256", None)
+                importlib.reload(cli)
+                assert cli._sha256 is hashlib.sha256
+                for data in FINGERPRINT_INPUTS:
+                    assert cli._fingerprint(data) == hashlib.sha256(data).hexdigest()
+        finally:
+            importlib.reload(cli)
+        assert cli._sha256 is not hashlib.sha256
+
+    def test_model_with_a_byte_order_mark(self, tmp_path, capsys):
+        # The fingerprint is of the file's bytes, the mark included.
+        data = b"\xef\xbb\xbf[states]\nx1 = [0, 1]\n[f]\nf1 = x1*x1\n"
+        model = tmp_path / "bom.nds"
+        model.write_bytes(data)
+        code, out, err = run_capture(capsys, ["lipschitz", "--model", str(model), "--no-timing"])
+        assert (code, err) == (0, "")
+        (report,) = json.loads(out)
+        assert report["model_fingerprint"] == hashlib.sha256(data).hexdigest()
+        assert report["results"][0]["value"] == pytest.approx(2.0)
+
+    def test_model_file_is_opened_once(self, model_files, monkeypatch, capsys):
+        # The report's fingerprint is of the bytes that were parsed: a file
+        # replaced between two reads cannot mix two models.
+        path = model_files["traffic1"]
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, err = run_capture(capsys, ["lipschitz", "--model", path, "--no-timing"])
+        assert (code, err) == (0, "")
+        assert opened.count(path) == 1
+
+
+# Modules that a CLI job of the Lipschitz command must not load: OpenSSL
+# (through hashlib), the modules of other commands, exact arithmetic and,
+# with a text report, json.
+NOT_LOADED = (
+    "_hashlib", "certbound.baselines", "certbound.eigen", "certbound.models",
+    "fractions", "decimal", "json",
+)
+
+
+def test_lipschitz_job_loads_only_what_it_runs(model_files):
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import certbound.cli\n"
+        "code = certbound.cli.run(sys.argv[2:])\n"
+        "print(code, *sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - before)))\n"
+    )
+    argv = ["lipschitz", "--case", "1", "--model", model_files["traffic1"], "--format", "text"]
+    src = os.path.dirname(os.path.dirname(certbound.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, ",".join(NOT_LOADED), *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 class TestReportModule:

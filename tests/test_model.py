@@ -2,7 +2,7 @@
 
 import pytest
 
-from certbound import ModelDef, parse_model_text
+from certbound import ModelDef, load_model, parse_model_text
 from certbound.errors import (
     DimensionMismatch,
     MissingBounds,
@@ -92,6 +92,28 @@ class TestTextFormat:
     def test_content_before_section(self):
         with pytest.raises(ParseError):
             parse_model_text("x1 = [0, 1]\n")
+
+    def test_components_out_of_order_name_their_line(self):
+        # Read in file order, f2's expression would be reported as df1/dx1.
+        text = "[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf2 = x1\nf1 = x2*x2\n"
+        with pytest.raises(ParseError, match="component 1 is named f2 on line 5, not f1"):
+            parse_model_text(text)
+
+    def test_repeated_component_names_its_line(self):
+        # A second f1 line would add a component that the file does not name.
+        text = "[states]\nx1 = [0, 1]\n[f]\nf1 = x1\nf1 = x1\n"
+        with pytest.raises(ParseError, match="component 2 is named f1 on line 5, not f2"):
+            parse_model_text(text)
+
+    def test_constant_is_assigned_once(self):
+        text = "[constants]\na = 1\na = 2\n[states]\nx1 = [0, 1]\n[f]\nf1 = a*x1\n"
+        with pytest.raises(ParseError, match="constant a assigned again on line 3"):
+            parse_model_text(text)
+
+    def test_file_with_a_byte_order_mark_loads(self, tmp_path):
+        path = tmp_path / "bom.nds"
+        path.write_bytes(b"\xef\xbb\xbf" + SAMPLE.encode())
+        assert load_model(str(path)) == parse_model_text(SAMPLE)
 
 
 class TestModelDef:
