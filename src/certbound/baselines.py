@@ -66,9 +66,7 @@ def halton(dim: int, count: int) -> Iterator[tuple[float, ...]]:
 
 
 def _map_into(box: Box, unit: Sequence[float]) -> tuple[float, ...]:
-    return tuple(
-        iv.lo + (iv.hi - iv.lo) * u for iv, u in zip(box.dims, unit)
-    )
+    return tuple(lo + (hi - lo) * u for (lo, hi), u in zip(box.pairs, unit))
 
 
 def halton_points_in_box(box: Box, count: int) -> Iterator[tuple[float, ...]]:
@@ -80,10 +78,7 @@ def _corner_points(box: Box, count: int) -> Iterator[tuple[float, ...]]:
     """The first ``count`` vertices of ``box``, in mask order: bit ``k`` of
     the mask picks the upper end of dimension ``k``."""
     for mask in range(min(2 ** len(box), count)):
-        yield tuple(
-            iv.hi if (mask >> k) & 1 else iv.lo
-            for k, iv in enumerate(box.dims)
-        )
+        yield tuple(hi if (mask >> k) & 1 else lo for k, (lo, hi) in enumerate(box.pairs))
 
 
 def sample_max(

@@ -1,8 +1,8 @@
 """Interval branch-and-bound for global maximization.
 
 Given a point objective ``h`` and a sound interval extension ``hI`` of it
-(a function from a list of ``(lo, hi)`` pairs, one per dimension, to a
-pair), the search maintains a cover: a set of boxes with pairwise disjoint
+(a function from a sequence of ``(lo, hi)`` pairs, one per dimension, to a
+pair), the search maintains a cover: a set of boxes of pairs with disjoint
 interiors whose union still contains a maximizer.  Each box caches
 lower/upper bounds from at most one refined interval evaluation; where that
 evaluation fails (a divisor or square-root argument enclosure that crosses
@@ -16,7 +16,8 @@ already prunes skips the refined evaluation.  A box is bisected, and its
 refined evaluation sliced, along its dimension of greatest smear ``width_k
 * |G_k|`` (Ratz & Csendes 1995), or along its widest dimension where there
 is no gradient enclosure.  The search tightens the sandwich ``l <= h* <=
-u`` in three phases:
+u`` in three phases, each bisection followed by a probe of the midpoint of
+the box with the greatest lower bound (unless the previous step probed it):
 
 1. repeatedly bisect the box with the greatest upper bound (drives u down),
 2. once that box is no longer splittable, bisect splittable boxes with the
@@ -39,7 +40,8 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .errors import CertboundError, EvaluationError, IntervalError
-from .intervals import Box, Frozen, Interval, pair_add, pair_mul, pair_sub, refined_eval
+from .intervals import Box, Frozen, midpoint, pair_add, pair_mul, pair_sub, refined_eval
+from .intervals import unchecked_box
 
 PointFn = Callable[[Sequence[float]], float]
 IntervalFn = Callable[[Sequence[tuple[float, float]]], tuple[float, float]]
@@ -73,8 +75,8 @@ def _splittable(sub: Subproblem, eps_om: float) -> bool:
     """Whether ``sub``'s box may be bisected: its dimension ``sub.dim`` is
     wider than ``eps_om`` and its midpoint, where ``Box.split`` cuts, lies
     strictly inside (two adjacent floats have no float between them)."""
-    iv = sub.box.dims[sub.dim]
-    return sub.width > eps_om and iv.lo < iv.midpoint < iv.hi
+    lo, hi = sub.box.pairs[sub.dim]
+    return sub.width > eps_om and lo < midpoint(lo, hi) < hi
 
 
 class Cover:
@@ -99,9 +101,7 @@ class Cover:
 
     @property
     def subproblems(self) -> list[Subproblem]:
-        return [
-            s for s in self._alive.values() if s.hi_bound >= self._watermark
-        ]
+        return [s for s in self._alive.values() if s.hi_bound >= self._watermark]
 
     def add(self, sub: Subproblem) -> None:
         # Ties break toward the greater ``width`` (that of the split
@@ -145,17 +145,20 @@ class Cover:
     def peek_max_hi(self) -> Subproblem | None:
         return self._peek(self._hi_heap, None)
 
+    def incumbent(self) -> Subproblem:
+        """The box of greatest upper bound; the cover is never empty."""
+        sub = self.peek_max_hi()
+        if sub is None:
+            raise EvaluationError(
+                "cover emptied: interval extension inconsistent with point objective"
+            )
+        return sub
+
     def peek_max_lo(self) -> Subproblem | None:
         return self._peek(self._lo_heap, None)
 
     def peek_max_lo_splittable(self, eps_om: float) -> Subproblem | None:
         return self._peek(self._lo_split_heap, eps_om)
-
-
-def _selection_key(s: Subproblem, primary: float) -> tuple[float, float, float]:
-    # Ties: greater ``width`` (of the split dimension) first, then earlier
-    # insertion.
-    return (primary, s.width, -s.order)
 
 
 class BnBConfig(Frozen):
@@ -233,49 +236,51 @@ def _first_order(
     outside ``[lo, hi]``, the face's midpoint.
 
     Returns the face, that centred enclosure of h on it and the gradient
-    enclosures.  Raises ``IntervalError`` when the gradient or the centre
-    does not enclose."""
-    grads = gradient([(iv.lo, iv.hi) for iv in box.dims])
-    dims = list(box.dims)
-    centre = []
-    for k, (gl, gh) in enumerate(grads):
-        iv = dims[k]
-        if gl >= 0.0:
-            dims[k] = Interval(iv.hi, iv.hi)
-            c = iv.hi
-        elif gh <= 0.0:
-            dims[k] = Interval(iv.lo, iv.lo)
-            c = iv.lo
+    enclosures.  The face is ``box`` itself, the same object, when no
+    dimension of positive width collapses (a dimension of zero width is
+    left as it is).  Raises ``IntervalError`` when the gradient or the
+    centre does not enclose."""
+    pairs = box.pairs
+    grads = gradient(pairs)
+    face = None  # the face's pairs, a list from the first collapse on
+    centre = []  # the centre as a degenerate box
+    for k, ((lo, hi), (gl, gh)) in enumerate(zip(pairs, grads)):
+        if gl >= 0.0 or gh <= 0.0:
+            c = hi if gl >= 0.0 else lo
+            if lo < hi:
+                face = face or list(pairs)
+                face[k] = (c, c)
         else:
-            c = (gh * iv.hi - gl * iv.lo) / (gh - gl)
-            if not (iv.lo <= c <= iv.hi and math.isfinite(c)):
-                c = iv.midpoint
-        centre.append(c)
-    face = Box(tuple(dims), box.labels)
-    bound = hI([(c, c) for c in centre])
-    for g, iv, c in zip(grads, dims, centre):
-        if iv.lo < iv.hi:
-            bound = pair_add(bound, pair_mul(g, pair_sub((iv.lo, iv.hi), (c, c))))
-    return face, bound[0], bound[1], grads
+            c = (gh * hi - gl * lo) / (gh - gl)
+            if not (lo <= c <= hi and math.isfinite(c)):
+                c = midpoint(lo, hi)
+        centre.append((c, c))
+    if face:
+        box = unchecked_box(tuple(face), box.labels)
+    bound = hI(centre)
+    for g, pair, c in zip(grads, box.pairs, centre):
+        if pair[0] < pair[1]:
+            bound = pair_add(bound, pair_mul(g, pair_sub(pair, c)))
+    return box, bound[0], bound[1], grads
 
 
 def _greatest_smear(
     box: Box, grads: Sequence[tuple[float, float]], eps_om: float
-) -> int | None:
+) -> tuple[int, float] | None:
     """The dimension ``k`` of greatest smear ``width_k * max(-gl_k, gh_k)``
-    (Ratz & Csendes 1995), the first among equals, where ``[gl_k, gh_k]``
-    encloses the partial derivative on the box; ``None`` when no dimension
-    may be split (``_splittable``'s test: wider than ``eps_om``, with the
-    midpoint strictly inside).  A collapsed dimension has width 0, so a dead
-    one (``G_k = [0, 0]``) is never picked."""
+    (Ratz & Csendes 1995), the first among equals, and ``width_k``, where
+    ``[gl_k, gh_k]`` encloses the partial derivative on the box; ``None``
+    when no dimension may be split (``_splittable``'s test: wider than
+    ``eps_om``, with the midpoint strictly inside).  A collapsed dimension
+    has width 0, so a dead one (``G_k = [0, 0]``) is never picked."""
     best = None
     most = -1.0
-    for k, (iv, (gl, gh)) in enumerate(zip(box.dims, grads)):
-        width = iv.width
-        if width > eps_om and iv.lo < iv.midpoint < iv.hi:
+    for k, ((lo, hi), (gl, gh)) in enumerate(zip(box.pairs, grads)):
+        width = hi - lo
+        if width > eps_om and lo < midpoint(lo, hi) < hi:
             smear = width * (gh if gh > -gl else -gl)
             if smear > most:
-                best, most = k, smear
+                best, most = (k, width), smear
     return best
 
 
@@ -294,7 +299,8 @@ class _Bounder:
     (``refined_eval``: one evaluation of ``hI`` per slab of ``dim``), unless
     its first-order upper bound, intersected with the parent's, is already
     below the caller's lower bound ``l``: such a box is pruned by the same
-    step anyway.  ``evals`` counts the refined evaluations.
+    step anyway.  ``evals`` counts the refined evaluations (a ``Program``
+    serves that of an uncollapsed, unsliced box from the gradient's pass).
 
     The bounds of a box split from ``parent`` are intersected with the
     parent's: those stay valid on the half (its range is a subset), so the
@@ -316,27 +322,24 @@ class _Bounder:
         self, box: Box, parent: Subproblem | None = None, l: float = -_INF_SENTINEL
     ) -> Subproblem:
         lo, hi = -_INF_SENTINEL, _INF_SENTINEL
-        dim = None
+        split = None
         if self.gradient is not None:
             try:
                 box, lo, hi, grads = _first_order(self.hI, self.gradient, box)
             except IntervalError:
                 pass
             else:
-                dim = _greatest_smear(box, grads, self.eps_om)
-        if dim is None:
-            dim, width = box.widest()
-        else:
-            width = box.dims[dim].width
+                split = _greatest_smear(box, grads, self.eps_om)
+        dim, width = split or box.widest()
         if parent is None or min(hi, parent.hi_bound) >= l:
             self.stats.evals += 1
             try:
-                iv = refined_eval(self.hI, box, self.segments, dim)
+                rlo, rhi = refined_eval(self.hI, box, self.segments, dim)
             except IntervalError as exc:
                 self.failure = exc
             else:
-                lo = max(lo, iv.lo)
-                hi = min(hi, iv.hi)
+                lo = max(lo, rlo)
+                hi = min(hi, rhi)
         if parent is not None:
             lo = max(lo, parent.lo_bound)
             hi = min(hi, parent.hi_bound)
@@ -344,34 +347,30 @@ class _Bounder:
 
 
 def opt_bnb_step(
-    cover: Cover,
-    chosen: Subproblem,
-    l: float,
-    h: PointFn,
-    bound: Callable[[Box, Subproblem, float], Subproblem],
-) -> tuple[Subproblem, float, float, tuple[float, ...] | None]:
+    cover: Cover, chosen: Subproblem, l: float, h: PointFn,
+    bound: Callable[[Box, Subproblem, float], Subproblem], probed: int = -1,
+) -> tuple[Subproblem, float, float, tuple[float, ...] | None, int]:
     """One bisection step: split ``chosen`` at the midpoint of its dimension
     ``chosen.dim``, raise l from the midpoint of the best-lower-bound box,
-    prune, and return the new incumbent (greatest upper bound), l, u and the
-    point that improved l (if any)."""
+    prune, and return the new incumbent (greatest upper bound), l, u, the
+    point that improved l (if any) and the ``order`` of the box probed.
+    The probe is skipped when that box is ``probed``, the one the previous
+    step probed: l never falls, so the same value cannot raise it."""
     cover.remove(chosen)
     for half in chosen.box.split(chosen.dim):
         cover.add(bound(half, chosen, l))
     candidate = cover.peek_max_lo()
     witness: tuple[float, ...] | None = None
-    if candidate is not None:
+    if candidate is not None and candidate.order != probed:
+        probed = candidate.order
         mid = candidate.box.midpoint()
         value = h(mid)
         if value > l:
             l = value
             witness = mid
     cover.prune(l)
-    incumbent = cover.peek_max_hi()
-    if incumbent is None:
-        raise EvaluationError(
-            "cover emptied: interval extension inconsistent with point objective"
-        )
-    return incumbent, l, incumbent.hi_bound, witness
+    incumbent = cover.incumbent()
+    return incumbent, l, incumbent.hi_bound, witness, probed
 
 
 def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResult:
@@ -398,12 +397,9 @@ def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
         l = h(mid)
         witness = tuple(mid)
         cover.prune(l)
-        incumbent = cover.peek_max_hi()
-        if incumbent is None:
-            raise EvaluationError(
-                "cover emptied: interval extension inconsistent with point objective"
-            )
+        incumbent = cover.incumbent()
         u = incumbent.hi_bound
+        probed = -1  # the order of the box whose midpoint was probed last
 
         # Phase 1: shrink u by splitting the incumbent.
         while (
@@ -412,7 +408,7 @@ def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
             and stats.splits < cfg.max_steps
         ):
             stats.splits += 1
-            incumbent, l, u, w = opt_bnb_step(cover, incumbent, l, h, bound)
+            incumbent, l, u, w, probed = opt_bnb_step(cover, incumbent, l, h, bound, probed)
             if w is not None:
                 witness = w
         # The incumbent can no longer be split (or the step cap is hit) and
@@ -430,20 +426,21 @@ def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
             if chosen is None:
                 break
             stats.splits += 1
-            incumbent, l, u, w = opt_bnb_step(cover, chosen, l, h, bound)
+            incumbent, l, u, w, probed = opt_bnb_step(cover, chosen, l, h, bound, probed)
             if w is not None:
                 witness = w
 
-        # Phase 3: corner evaluations, most promising boxes first.
+        # Phase 3: corner evaluations, most promising boxes first; ties go
+        # to the greater ``width`` (of the split dimension), then the earlier
+        # insertion.
         if u - l > cfg.eps_h:
             snapshot = sorted(
-                cover.subproblems, key=lambda s: _selection_key(s, s.hi_bound),
-                reverse=True,
+                cover.subproblems, key=lambda s: (s.hi_bound, s.width, -s.order), reverse=True
             )
             for sub in snapshot:
                 if sub.hi_bound < l:
                     continue  # already pruned
-                for corner in (sub.box.corner("lo"), sub.box.corner("hi")):
+                for corner in sub.box.corners():
                     value = h(corner)
                     if value > l:
                         l = value
@@ -457,14 +454,7 @@ def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
         raise EvaluationError(f"objective evaluation failed: {exc}") from exc
 
     stats.wall_time = time.perf_counter() - start
-    return BnBResult(
-        lower=l,
-        upper=u,
-        eps_optimal=u - l <= cfg.eps_h,
-        final_cover=cover,
-        stats=stats,
-        lower_witness=witness,
-    )
+    return BnBResult(l, u, u - l <= cfg.eps_h, cover, stats, witness)
 
 
 class _Negated:
@@ -487,10 +477,5 @@ def minimize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
     swap the negated bounds back."""
     res = maximize(lambda xs: -h(xs), _Negated(hI), domain, cfg)
     return BnBResult(
-        lower=-res.upper,
-        upper=-res.lower,
-        eps_optimal=res.eps_optimal,
-        final_cover=res.final_cover,
-        stats=res.stats,
-        lower_witness=res.lower_witness,
+        -res.upper, -res.lower, res.eps_optimal, res.final_cover, res.stats, res.lower_witness
     )

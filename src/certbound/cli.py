@@ -266,7 +266,7 @@ def _bounds_box(text: str) -> Box:
             bounds[name] = parse_interval(spec)
     if not bounds:
         raise _ModelError("empty bounds specification")
-    return Box(tuple(bounds.values()), tuple(bounds))
+    return Box([(iv.lo, iv.hi) for iv in bounds.values()], tuple(bounds))
 
 
 def _cmd_maximize(args) -> list[RunReport]:

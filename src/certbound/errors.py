@@ -26,10 +26,10 @@ class DegenerateSplit(CertboundError):
 
 
 class ParseError(CertboundError):
-    """Expression or model text does not conform to the grammar."""
+    """Text that does not conform to the grammar, at ``offset`` if any."""
 
-    def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
-        detail = f"{message} at offset {offset}"
+    def __init__(self, message: str, offset: int | None = None, expected: tuple[str, ...] = ()):
+        detail = message if offset is None else f"{message} at offset {offset}"
         if expected:
             detail += " (expected " + " | ".join(expected) + ")"
         super().__init__(detail)

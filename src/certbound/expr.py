@@ -526,7 +526,7 @@ def parse_simplified(text: str, constants: Mapping[str, float] | None = None) ->
     try:
         return simplify(parse(text, constants))
     except RecursionError:
-        raise ParseError("expression nested too deeply", 0) from None
+        raise ParseError("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +602,8 @@ def to_text(e: Expr) -> str:
 # Constant values are not part of the statements: they are passed in at call
 # time, so programs that differ only in their constants, such as the
 # hundreds of Jacobian entries of one model, share one kernel, and one count
-# of its runs.
+# of its runs.  Each program holds its shape's list of kernels, replaced in
+# place as they are generated and compiled: an evaluation is one call.
 #
 # Gradient: the adjoint kernel encloses every partial derivative on a box in
 # one forward and one reverse pass over the ops (Griewank & Walther,
@@ -711,10 +712,9 @@ _FINISH = object()  # on ``_postfix``'s stack: number the node below it
 
 
 def _postfix(expr: Expr, slots: dict[str, int]):
-    """Ops ``(kind, arg, operands)`` in postfix order, the constants they
-    index and, per op, whether it depends on a variable.  A variable
-    missing from ``slots`` gets the next free slot, so an empty ``slots``
-    numbers the variables by first occurrence.
+    """Ops ``(kind, arg, operands)`` in postfix order and the constants
+    they index.  A variable missing from ``slots`` gets the next free slot,
+    so an empty ``slots`` numbers the variables by first occurrence.
 
     Values are numbered: equal constants (by ``repr``, so ``0.0`` and
     ``-0.0`` stay apart) are one op, so are ops of equal ``(kind, arg,
@@ -726,7 +726,6 @@ def _postfix(expr: Expr, slots: dict[str, int]):
     they are done, its operands popped off ``done``."""
     ops: list[tuple[str, object, tuple[int, ...]]] = []
     constants: list[float] = []
-    varying: list[bool] = []
     number: dict[object, int] = {}  # value key -> op index
     walked: dict[int, int] = {}  # id of a walked node -> op index
     done: list[int] = []  # op index of each finished subtree, innermost last
@@ -741,11 +740,9 @@ def _postfix(expr: Expr, slots: dict[str, int]):
                 b = finished()
                 a = finished()
                 key = op = (node.op, None, (a, b))
-                var = varying[a] or varying[b]
             else:
                 a = finished()
                 key = op = (_POW, node.exponent, (a,)) if cls is PowInt else (node.op, None, (a,))
-                var = varying[a]
         else:
             index = walked.get(id(node))
             if index is not None:
@@ -755,10 +752,8 @@ def _postfix(expr: Expr, slots: dict[str, int]):
             if cls is Const:
                 key = repr(node.value)
                 op = (_CONST, len(constants), ())
-                var = False
             elif cls is Var:
                 key = op = (_LOAD, slots.setdefault(node.name, len(slots)), ())
-                var = True
             else:
                 push(node)
                 push(_FINISH)
@@ -772,12 +767,19 @@ def _postfix(expr: Expr, slots: dict[str, int]):
         if index is None:
             index = number[key] = len(ops)
             ops.append(op)
-            varying.append(var)
             if cls is Const:
                 constants.append(node.value)
         walked[id(node)] = index
         done.append(index)
-    return tuple(ops), tuple(constants), tuple(varying)
+    return tuple(ops), tuple(constants)
+
+
+def _varying(code) -> list[bool]:
+    """Per op of ``code``, whether it depends on a variable."""
+    varying: list[bool] = []
+    for kind, _, operands in code:
+        varying.append(kind == _LOAD or any(map(varying.__getitem__, operands)))
+    return varying
 
 
 def structural_key_with_vars(e: Expr) -> tuple[tuple, tuple[str, ...]]:
@@ -788,7 +790,7 @@ def structural_key_with_vars(e: Expr) -> tuple[tuple, tuple[str, ...]]:
     Equal keys mean the same function up to renaming the variables.
     Operand order counts: ``x + y`` and ``y + x`` get different keys."""
     names: dict[str, int] = {}
-    code, constants, _ = _postfix(e, names)
+    code, constants = _postfix(e, names)
     return (code, tuple(map(repr, constants))), tuple(names)
 
 
@@ -798,30 +800,39 @@ def structural_key(e: Expr) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> dict:
-    """The kernels that every program of one shape shares: its ops
-    ``code``, the indices of its non-finite constants (the only property of
-    the constants that the statements depend on, see ``_statements``) and
-    its number ``n`` of variable slots (the reverse pass has one output per
-    slot).  The point kernel is stored under ``False``, the interval kernel
-    and its reverse pass under ``True``, as a list of the two; each is built
-    on first use and replaced by its compiled form once hot (see ``_tape``).
-    The 256 most recent shapes are kept."""
-    return {}
+def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> list:
+    """The point kernel, the interval kernel and its reverse pass of one
+    shape: the ops ``code``, the indices ``nonfinite`` of the non-finite
+    constants (see ``_statements``) and the number ``n`` of variable slots.
+    Each entry starts as a stub that generates its kernel (the interval
+    kernel and its reverse pass together) in its place, then runs it.  The
+    256 most recent shapes are kept."""
+
+    def stub(index: int):
+        def build(*args):
+            if kernels[index] is build:
+                part = slice(1, 3) if index else slice(0, 1)
+                kernels[part] = _generate(code, nonfinite, n, index > 0, kernels)
+            return kernels[index](*args)
+
+        return build
+
+    kernels = [stub(0), stub(1), stub(2)]
+    return kernels
 
 
-def _statements(code, constants, pair: bool) -> list[int]:
+def _statements(code, nonfinite: tuple[int, ...], pair: bool) -> list[int]:
     """The ops that get a statement of their own.  A constant or load is
     read in place by the op that uses it, unless it is the result, or a
-    non-finite constant, which the interval kernel must reject in its
-    turn."""
+    non-finite constant (its index in ``nonfinite``), which the interval
+    kernel must reject in its turn."""
     last = len(code) - 1
     return [
         i
         for i in range(len(code))
         if code[i][0] not in (_CONST, _LOAD)
         or i == last
-        or (pair and code[i][0] == _CONST and not math.isfinite(constants[code[i][1]]))
+        or (pair and code[i][0] == _CONST and code[i][1] in nonfinite)
     ]
 
 
@@ -1046,20 +1057,82 @@ def _reverse_statements(code, varying, n: int):
     return rev, [adjoint.get(loads.get(k), _ZERO_PAIR) for k in range(n)], read
 
 
+def _generate(code, nonfinite: tuple[int, ...], n: int, pair: bool, kernels: list):
+    """The list of the point kernel ``kernel(d, c)``, to be stored as
+    ``kernels[0]``, or of the interval kernel ``kernel(d, c, p)`` and its
+    reverse pass, to be stored as ``kernels[1:3]``, for the shape of
+    ``_shape_kernels``; each is a tape that puts its compiled form in its
+    place once hot.  ``d`` holds the variables' values or pairs, ``c`` the
+    constants and ``p`` their pairs.  An operand is read from the name of
+    its op's statement, or else in place: a load from ``d``, a constant
+    from ``p`` or ``c``."""
+    run = _statements(code, nonfinite, pair)
+    position = {op: i for i, op in enumerate(run)}
+
+    def ref(j: int):
+        i = position.get(j)
+        if i is not None:
+            return i
+        kind, arg, _ = code[j]
+        return ("d" if kind == _LOAD else "p" if pair else "c", arg)
+
+    def operands(kind: str, arg, ops) -> tuple:
+        if kind == _CONST:
+            return (("c", arg),)
+        if kind == _LOAD:
+            return (("d", arg),)
+        refs = tuple(map(ref, ops))
+        return (*refs, ("=", arg)) if kind == _POW else refs
+
+    table = _PAIR_RHS if pair else _POINT_RHS
+    stmts = [
+        (table[kind], operands(kind, arg, ops))
+        for kind, arg, ops in (code[op] for op in run)
+    ]
+    root = len(stmts) - 1
+    sizes = (n, sum(kind == _CONST for kind, _, _ in code))
+    if not pair:
+        return [_tape(kernels, 0, sizes, stmts, [root])]
+    rev, grads, read = _reverse_statements(code, _varying(code), n)
+    # The result, then each other statement that the reverse pass reads;
+    # a name listed twice would be a duplicate parameter.
+    kept = [root, *sorted({position[j] for j in read if j in position} - {root})]
+
+    def place(x):
+        """A reverse-pass operand as ``_source`` takes it: op ``j``'s
+        value (``-1 - j``) is read as the interval kernel reads it, the
+        value of a statement from its parameter."""
+        if type(x) is not int or x >= 0:
+            return x
+        x = ref(-1 - x)
+        return ("v", x) if type(x) is int else x
+
+    rev = _scale_points([(rhs, tuple(map(place, ops))) for rhs, ops in rev])
+    sizes += sizes[1:]
+    return [
+        _tape(kernels, 1, sizes, _scale_points(stmts), kept),
+        _tape(kernels, 2, sizes, rev, list(map(place, grads)), len(stmts), kept),
+    ]
+
+
 class Program:
     """Expression turned into straight-line kernels for repeated point and
     interval evaluation, each run from a tape and compiled once hot (see
     ``_tape``).
 
     ``code`` holds the numbered ops in postfix order (see ``_postfix``).
-    Calling the program on a list of ``(lo, hi)`` pairs, one per variable
-    of ``var_order``, gives its enclosure there as a pair, so a program is
-    itself an interval function for ``intervals.refined_eval``.
+    Calling the program on a sequence of ``(lo, hi)`` pairs, one per
+    variable of ``var_order``, gives its enclosure there as a pair, so a
+    program is itself an interval function for ``intervals.refined_eval``.
     ``gradient(dims)`` encloses the partial derivatives there, from which
     the branch-and-bound takes first-order bounds.
+
+    ``eval_interval`` on the very tuple that the last ``gradient`` call's
+    forward pass ran on serves that pass's value: the tuple cannot change,
+    and the reference held keeps its id from reuse.  A list is never kept.
     """
 
-    __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_varying", "_kernels")
+    __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_kernels", "_last")
 
     def __init__(self, expr: Expr, var_order: Sequence[str], keyed: tuple | None = None):
         """``expr`` compiled over ``var_order``.  Given ``keyed``, which
@@ -1069,26 +1142,22 @@ class Program:
         slots = {name: i for i, name in enumerate(var_order)}
         bound = len(slots)
         if keyed is None:
-            self.code, self._constants, self._varying = _postfix(expr, slots)
+            self.code, self._constants = _postfix(expr, slots)
         else:
             (code, constants), names = keyed
             slot = [slots.setdefault(name, len(slots)) for name in names]
-            ops: list[tuple[str, object, tuple[int, ...]]] = []
-            varying: list[bool] = []
-            for op in code:
-                kind, arg, operands = op
-                if kind == _LOAD:
-                    op = (_LOAD, slot[arg], operands)
-                ops.append(op)
-                varying.append(kind == _LOAD or any(map(varying.__getitem__, operands)))
-            self.code, self._varying = tuple(ops), tuple(varying)
+            self.code = tuple(
+                (_LOAD, slot[op[1]], op[2]) if op[0] == _LOAD else op for op in code
+            )
             self._constants = tuple(map(float, constants))  # ``float`` undoes ``repr``
         if len(slots) > bound:  # a name not in ``var_order`` was slotted
             raise UnboundVariable(f"unbound variables: {sorted(list(slots)[bound:])}")
         self._pairs = tuple((x, x) for x in self._constants)
         self.var_order = tuple(var_order)
         self.expr = expr
-        self._kernels: dict | None = None  # its shape's, from ``_shape_kernels``
+        nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
+        self._kernels = _shape_kernels(self.code, nonfinite, len(self.var_order))
+        self._last = (None, None)  # a tuple of pairs and the forward pass's value there
 
     def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
         """Enclosures of the partial derivatives on the box ``dims`` (pairs),
@@ -1098,94 +1167,27 @@ class Program:
         the mean value theorem holds with them in Lebourg's form.  A
         variable the expression does not contain gets exactly ``(0.0,
         0.0)``.  Raises ``IntervalError`` where an enclosure fails."""
-        forward, reverse = self._kernel(True)
-        c, p = self._constants, self._pairs
+        kernels, c, p = self._kernels, self._constants, self._pairs
         try:
-            return reverse(dims, c, p, *forward(dims, c, p))
+            forward = kernels[1](dims, c, p)
+            if type(dims) is tuple:
+                self._last = (dims, forward[0])
+            return kernels[2](dims, c, p, *forward)
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
 
-    def _kernel(self, pair: bool):
-        """The point kernel, or the interval kernel and its reverse pass;
-        built on first use by a program of the same shape."""
-        kernels = self._kernels
-        if kernels is None:
-            nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
-            kernels = _shape_kernels(self.code, nonfinite, len(self.var_order))
-            self._kernels = kernels
-        kernel = kernels.get(pair)
-        if kernel is None:
-            kernel = kernels[pair] = self._generate(pair, kernels)
-        return kernel
-
-    def _generate(self, pair: bool, kernels: dict):
-        """The point kernel ``kernel(d, c)``, to be stored as
-        ``kernels[False]``, or the list of the interval kernel
-        ``kernel(d, c, p)`` and its reverse pass; each is a tape that puts
-        its compiled form in its place once hot.  ``d`` holds the
-        variables' values or pairs, ``c`` the constants and ``p`` their
-        pairs.  An operand is read from the name of its op's statement, or
-        else in place: a load from ``d``, a constant from ``p`` or ``c``."""
-        code = self.code
-        run = _statements(code, self._constants, pair)
-        position = {op: i for i, op in enumerate(run)}
-
-        def ref(j: int):
-            i = position.get(j)
-            if i is not None:
-                return i
-            kind, arg, _ = code[j]
-            return ("d" if kind == _LOAD else "p" if pair else "c", arg)
-
-        def operands(kind: str, arg, ops) -> tuple:
-            if kind == _CONST:
-                return (("c", arg),)
-            if kind == _LOAD:
-                return (("d", arg),)
-            refs = tuple(map(ref, ops))
-            return (*refs, ("=", arg)) if kind == _POW else refs
-
-        table = _PAIR_RHS if pair else _POINT_RHS
-        stmts = [
-            (table[kind], operands(kind, arg, ops))
-            for kind, arg, ops in (code[op] for op in run)
-        ]
-        root = len(stmts) - 1
-        sizes = (len(self.var_order), len(self._constants))
-        if not pair:
-            return _tape(kernels, False, sizes, stmts, [root])
-        rev, grads, read = _reverse_statements(code, self._varying, len(self.var_order))
-        # The result, then each other statement that the reverse pass reads;
-        # a name listed twice would be a duplicate parameter.
-        kept = [root, *sorted({position[j] for j in read if j in position} - {root})]
-
-        def place(x):
-            """A reverse-pass operand as ``_source`` takes it: op ``j``'s
-            value (``-1 - j``) is read as the interval kernel reads it, the
-            value of a statement from its parameter."""
-            if type(x) is not int or x >= 0:
-                return x
-            x = ref(-1 - x)
-            return ("v", x) if type(x) is int else x
-
-        rev = _scale_points([(rhs, tuple(map(place, ops))) for rhs, ops in rev])
-        sizes += sizes[1:]
-        both = [None, None]
-        both[0] = _tape(both, 0, sizes, _scale_points(stmts), kept)
-        both[1] = _tape(both, 1, sizes, rev, list(map(place, grads)), len(stmts), kept)
-        return both
-
     def eval_point(self, values: Sequence[float]) -> float:
-        kernel = self._kernel(False)
         try:
-            return kernel(values, self._constants)[0]
+            return self._kernels[0](values, self._constants)[0]
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
 
     def eval_interval(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
-        kernel = self._kernel(True)[0]
+        last = self._last
+        if dims is last[0]:
+            return last[1]
         try:
-            return kernel(dims, self._constants, self._pairs)[0]
+            return self._kernels[1](dims, self._constants, self._pairs)[0]
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
 

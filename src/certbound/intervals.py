@@ -18,8 +18,9 @@ The scalar helpers ``fraction_up``/``fraction_down`` and
 assembly of certified constants (square roots, weighted sums) uses them.
 
 Every operation is defined once, on ``(lo, hi)`` tuples of floats (the
-``pair_*`` functions), which the compiled kernels of ``expr.Program`` call;
-an :class:`Interval` is only a validated ``[lo, hi]`` record.  ``pair_scale``
+``pair_*`` functions), which the compiled kernels of ``expr.Program`` call.
+The search works on pairs end to end; an :class:`Interval` is a validated
+``[lo, hi]`` record for model bounds and reports.  ``pair_scale``
 is the one specialised product: ``pair_mul`` by a finite point, bit for bit,
 from two products instead of four; a test pins the two together.
 
@@ -38,18 +39,19 @@ lie inside.  Beyond ``|x| = TRIG_ARG_LIMIT`` (``2**20``), and on an interval
 at least ``2*pi`` wide, both fall back to the trivial enclosure ``[-1, 1]``,
 so both functions are total.
 
-A :class:`Box` is a product of intervals, one per named variable; it is the
-search-space object bisected by the optimizer.  ``refined_eval`` sharpens an
-interval function (a list of pairs in, one per dimension; a pair out) by
+A :class:`Box` holds one pair per named variable; it is the search-space
+object bisected by the optimizer.  Its ``dims`` (``Interval`` records) and
+``widest_dim`` are read by the benchmark's tracer only.  ``refined_eval``
+sharpens an interval function (pairs in, one per dimension; a pair out) by
 slicing one dimension (the optimizer's split dimension) into equal slabs
-and hulling their enclosures.
+and hulling their enclosures, and returns a pair.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Collection
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
 
@@ -559,9 +561,16 @@ class Frozen:
         return hash(self._fields())
 
 
+def midpoint(lo: float, hi: float) -> float:
+    """The float nearest ``(lo + hi) / 2``; ``lo/2 + hi/2`` where ``lo + hi``
+    overflows."""
+    m = 0.5 * (lo + hi)
+    return m if -_INF < m < _INF else 0.5 * lo + 0.5 * hi
+
+
 class Interval(Frozen):
-    """Closed real interval with finite endpoints, ``lo <= hi``: a
-    validated record; its arithmetic is the ``pair_*`` functions."""
+    """Closed real interval with finite endpoints, ``lo <= hi``: a validated
+    record for model bounds and reports; its arithmetic is ``pair_*``."""
 
     __slots__ = ("lo", "hi")
 
@@ -574,16 +583,6 @@ class Interval(Frozen):
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if -_INF < m < _INF:
-            return m
-        return 0.5 * self.lo + 0.5 * self.hi  # lo + hi overflows
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -606,61 +605,66 @@ def iv_cos(a: Interval) -> Interval:
 
 
 class Box(Frozen):
-    """Product of intervals, one per named variable."""
+    """Product of closed intervals, one ``(lo, hi)`` pair of floats per
+    named variable.  The pairs are checked here, where a box is built from
+    model or CLI bounds, and not again in its halves and faces."""
 
-    __slots__ = ("dims", "labels")
+    __slots__ = ("pairs", "labels")
 
-    def __init__(self, dims: tuple[Interval, ...], labels: tuple[str, ...]) -> None:
-        if not dims:
-            raise IntervalError("box must have at least one dimension")
-        if len(dims) != len(labels):
-            raise IntervalError(f"{len(dims)} dimensions but {len(labels)} labels")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, pairs: Sequence[tuple[float, float]], labels: Sequence[str]) -> None:
+        pairs = tuple((lo, hi) for lo, hi in pairs)
+        if not pairs or len(pairs) != len(labels):
+            raise IntervalError(f"box of {len(pairs)} dimensions and {len(labels)} labels")
+        for lo, hi in pairs:
+            if not -_INF < lo <= hi < _INF:
+                raise _invalid(lo, hi)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "labels", tuple(labels))
 
     def __repr__(self) -> str:
-        return f"Box(dims={self.dims!r}, labels={self.labels!r})"
+        return f"Box(pairs={self.pairs!r}, labels={self.labels!r})"
 
     def __len__(self) -> int:
-        return len(self.dims)
+        return len(self.pairs)
+
+    @property
+    def dims(self) -> tuple[Interval, ...]:
+        """The pairs as ``Interval`` records, built on each read.  Only the
+        benchmark's tracer reads them; the search reads ``pairs``."""
+        return tuple(Interval(lo, hi) for lo, hi in self.pairs)
 
     def widest(self) -> tuple[int, float]:
         """The first dimension of greatest width, and that width."""
-        widths = [iv.width for iv in self.dims]
+        widths = [hi - lo for lo, hi in self.pairs]
         width = max(widths)
         return widths.index(width), width
 
     def widest_dim(self) -> int:
-        """The first dimension of greatest width (the benchmark's tracer
-        reads it)."""
+        """The first dimension of greatest width; only the tracer reads it."""
         return self.widest()[0]
 
     def midpoint(self) -> tuple[float, ...]:
-        return tuple(iv.midpoint for iv in self.dims)
+        return tuple(midpoint(lo, hi) for lo, hi in self.pairs)
 
-    def corner(self, which: str) -> tuple[float, ...]:
-        if which == "lo":
-            return tuple(iv.lo for iv in self.dims)
-        if which == "hi":
-            return tuple(iv.hi for iv in self.dims)
-        raise ValueError(f"corner must be 'lo' or 'hi', got {which!r}")
+    def corners(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The lower corner and the upper corner."""
+        return tuple(zip(*self.pairs))
 
     def split(self, dim: int) -> tuple["Box", "Box"]:
         """Bisect along ``dim`` at its midpoint; the halves cover the box
         with disjoint interiors.  Splitting a zero-width dimension, or one
         of two adjacent floats (no float strictly inside), is an error."""
-        iv = self.dims[dim]
-        if iv.width <= 0.0:
-            raise DegenerateSplit(f"dimension {dim} of {self} has zero width")
-        point = iv.midpoint
-        if not (iv.lo < point < iv.hi):
+        pairs = self.pairs
+        lo, hi = pairs[dim]
+        point = midpoint(lo, hi)
+        if not lo < point < hi:
             raise DegenerateSplit(
-                f"split point {point} not strictly inside {iv} (dimension {dim})"
+                f"dimension {dim} of {self}: split point {point} not strictly inside"
             )
-        head, tail = self.dims[:dim], self.dims[dim + 1:]
+        head, tail = pairs[:dim], pairs[dim + 1:]
         return (
-            Box((*head, Interval(iv.lo, point), *tail), self.labels),
-            Box((*head, Interval(point, iv.hi), *tail), self.labels),
+            unchecked_box((*head, (lo, point), *tail), self.labels),
+            unchecked_box((*head, (point, hi), *tail), self.labels),
         )
 
     def restrict(self, names: Collection[str]) -> "Box":
@@ -669,14 +673,23 @@ class Box(Frozen):
         keep = [k for k, label in enumerate(self.labels) if label in names]
         if not keep:
             return self
-        return Box(tuple(self.dims[k] for k in keep), tuple(self.labels[k] for k in keep))
+        pairs, labels = self.pairs, self.labels
+        return unchecked_box(tuple(pairs[k] for k in keep), tuple(labels[k] for k in keep))
 
 
-def slab_cuts(iv: Interval, segments: int) -> list[float]:
-    """The ``segments + 1`` nondecreasing cut points that slice ``iv`` into
-    equal slabs, from ``iv.lo`` to ``iv.hi``.  Where the width overflows,
-    each cut is the weighted mean of the endpoints instead."""
-    lo, hi = iv.lo, iv.hi
+def unchecked_box(pairs: tuple[tuple[float, float], ...], labels: tuple[str, ...]) -> Box:
+    """The ``Box`` of pairs taken from a checked one, such as its halves."""
+    box = object.__new__(Box)
+    object.__setattr__(box, "pairs", pairs)
+    object.__setattr__(box, "labels", labels)
+    return box
+
+
+def slab_cuts(pair: tuple[float, float], segments: int) -> list[float]:
+    """The ``segments + 1`` nondecreasing cut points that slice ``pair`` into
+    equal slabs, from its lower to its upper end.  Where the width
+    overflows, each cut is the weighted mean of the endpoints instead."""
+    lo, hi = pair
     width = hi - lo
     c = lo
     cuts = [lo]
@@ -693,24 +706,29 @@ def slab_cuts(iv: Interval, segments: int) -> list[float]:
     return cuts
 
 
-def refined_eval(fn: Callable, box: Box, segments: int, dim: int) -> Interval:
+def refined_eval(fn: Callable, box: Box, segments: int, dim: int) -> tuple[float, float]:
     """Evaluate the interval function ``fn`` on ``box`` after slicing its
     dimension ``dim`` into ``segments`` equal slabs; return the hull of the
-    slab enclosures.  Each slab is one evaluation of ``fn``, on one list of
-    pairs whose sliced entry is overwritten for each slab.  The optimizer
-    passes the dimension it splits, that of greatest smear.
+    slab enclosures as a pair.  Each slab is one evaluation of ``fn``, on
+    one list of pairs whose sliced entry is overwritten for each slab.  The
+    optimizer passes the dimension it splits, that of greatest smear.
+
+    Unsliced (one segment, or ``dim`` of zero width), ``fn`` gets the box's
+    own tuple ``box.pairs``: a ``Program`` whose gradient has just run its
+    forward pass on that tuple serves the value it computed then.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
     """
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
-    dims = [(iv.lo, iv.hi) for iv in box.dims]
-    iv = box.dims[dim]
-    if segments == 1 or iv.width <= 0.0:
-        return Interval(*fn(dims))
-    cuts = slab_cuts(iv, segments)
+    pairs = box.pairs
+    pair = pairs[dim]
+    if segments == 1 or not pair[0] < pair[1]:
+        return fn(pairs)
+    dims = list(pairs)
     lo, hi = _INF, -_INF
+    cuts = slab_cuts(pair, segments)
     for left, right in zip(cuts, cuts[1:]):
         dims[dim] = (left, right)
         slo, shi = fn(dims)
@@ -718,4 +736,4 @@ def refined_eval(fn: Callable, box: Box, segments: int, dim: int) -> Interval:
             lo = slo
         if shi > hi:
             hi = shi
-    return Interval(lo, hi)
+    return lo, hi

@@ -119,7 +119,7 @@ class ModelDef(Frozen):
     def omega(self) -> Box:
         """Full admissible box: states first, then inputs."""
         return Box(
-            self.state_bounds + self.input_bounds,
+            [(iv.lo, iv.hi) for iv in self.state_bounds + self.input_bounds],
             self.state_names + self.input_names,
         )
 
@@ -190,18 +190,18 @@ def parse_model_text(text: str) -> ModelDef:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in _SECTIONS:
-                raise ParseError(f"unknown section [{name}] on line {lineno}", 0, _SECTIONS)
+                raise ParseError(f"unknown section [{name}] on line {lineno}", expected=_SECTIONS)
             current = name
             continue
         if current is None:
-            raise ParseError(f"content before any section on line {lineno}", 0)
+            raise ParseError(f"content before any section on line {lineno}")
         sections[current].append((lineno, line))
 
     constants: dict[str, float] = {}
     for lineno, line in sections["constants"]:
         name, value = _split_assignment(line, lineno)
         if name in constants:
-            raise ParseError(f"constant {name} assigned again on line {lineno}", 0)
+            raise ParseError(f"constant {name} assigned again on line {lineno}")
         constants[name] = _parse_float(value, lineno)
 
     states = [_parse_bound_line(line, lineno) for lineno, line in sections["states"]]
@@ -213,7 +213,7 @@ def parse_model_text(text: str) -> ModelDef:
     for i, (lineno, line) in enumerate(sections["f"], start=1):
         name, rhs = _split_assignment(line, lineno)
         if name != f"f{i}":
-            raise ParseError(f"component {i} is named {name} on line {lineno}, not f{i}", 0)
+            raise ParseError(f"component {i} is named {name} on line {lineno}, not f{i}")
         rhs = rhs.strip()
         if len(rhs) >= 2 and rhs[0] == '"' and rhs[-1] == '"':
             rhs = rhs[1:-1]
@@ -262,11 +262,11 @@ def model_to_text(model: ModelDef) -> str:
 
 def _split_assignment(line: str, lineno: int) -> tuple[str, str]:
     if "=" not in line:
-        raise ParseError(f"expected 'name = value' on line {lineno}", 0, ("=",))
+        raise ParseError(f"expected 'name = value' on line {lineno}", expected=("=",))
     name, value = line.split("=", 1)
     name = name.strip()
     if not name.isidentifier():
-        raise ParseError(f"bad identifier {name!r} on line {lineno}", 0)
+        raise ParseError(f"bad identifier {name!r} on line {lineno}")
     return name, value.strip()
 
 
@@ -274,9 +274,9 @@ def _parse_float(token: str, lineno: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"bad number {token!r} on line {lineno}", 0) from None
+        raise ParseError(f"bad number {token!r} on line {lineno}") from None
     if not math.isfinite(value):
-        raise ParseError(f"non-finite number {token!r} on line {lineno}", 0)
+        raise ParseError(f"non-finite number {token!r} on line {lineno}")
     return value
 
 
@@ -285,7 +285,7 @@ def _parse_bound_line(line: str, lineno: int) -> tuple[str, Interval]:
     try:
         return name, parse_interval(value)
     except ValueError as exc:
-        raise ParseError(f"{exc} on line {lineno}", 0) from None
+        raise ParseError(f"{exc} on line {lineno}") from None
 
 
 def parse_interval(text: str) -> Interval:

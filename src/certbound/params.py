@@ -228,7 +228,7 @@ def _optimize_expr(
     if missing:
         # The reduced box: the key's variables in declaration order.
         domain = (
-            Box(tuple(iv for (_, iv), _ in declared), tuple(names[k] for _, k in declared))
+            Box([(iv.lo, iv.hi) for (_, iv), _ in declared], [names[k] for _, k in declared])
             if declared else model.omega()
         )
         program = Program(e, domain.labels, keyed)
@@ -656,7 +656,7 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
             "model must have no input variables", f"has {model.m}"
         )
     for name, iv in zip(model.state_names, model.state_bounds):
-        if not iv.contains(0.0):
+        if not iv.lo <= 0.0 <= iv.hi:
             raise PreconditionViolated(
                 "domain must contain the origin", f"{name} in {iv}"
             )

@@ -133,7 +133,7 @@ def corpus_expressions() -> list[tuple[Expr, Box]]:
     out = []
     for text, constants, bounds in cases:
         e = simplify(parse(text, constants))
-        out.append((e, Box(tuple(iv for _, iv in bounds), tuple(n for n, _ in bounds))))
+        out.append((e, Box([(iv.lo, iv.hi) for _, iv in bounds], [n for n, _ in bounds])))
     return out
 
 
@@ -160,23 +160,21 @@ def expr_sum(terms) -> Expr | None:
 
 def make_box(bounds) -> Box:
     """The box of ``(name, lo, hi)`` entries, in their order."""
-    return Box(
-        tuple(Interval(lo, hi) for _, lo, hi in bounds),
-        tuple(name for name, _, _ in bounds),
-    )
+    return Box([(lo, hi) for _, lo, hi in bounds], [name for name, _, _ in bounds])
 
 
 def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
     """Interval extension of ``e`` over ``box``, its variables named by the
     box's labels; with ``segments > 1`` the widest dimension is sliced and
     the slab enclosures hulled."""
-    return refined_eval(Program(e, box.labels), box, segments, box.widest_dim())
+    return Interval(*refined_eval(Program(e, box.labels), box, segments, box.widest()[0]))
 
 
 def pairs(box: Box) -> list[tuple[float, float]]:
-    """The ``(lo, hi)`` pairs of ``box``'s dimensions: the argument of an
-    interval function."""
-    return [(iv.lo, iv.hi) for iv in box.dims]
+    """The ``(lo, hi)`` pairs of ``box``'s dimensions, as a list: the
+    argument of an interval function, which no program serves a kept
+    value for."""
+    return list(box.pairs)
 
 
 def encloses(outer: Interval, inner: Interval) -> bool:
@@ -184,8 +182,8 @@ def encloses(outer: Interval, inner: Interval) -> bool:
 
 
 def box_contains(box: Box, point) -> bool:
-    return len(point) == len(box.dims) and all(
-        iv.contains(x) for iv, x in zip(box.dims, point)
+    return len(point) == len(box) and all(
+        lo <= x <= hi for (lo, hi), x in zip(box.pairs, point)
     )
 
 
@@ -257,7 +255,7 @@ def dec_cos(x: float | Decimal, digits: int = 40) -> Decimal:
 def random_points(box: Box, count: int, seed: int) -> list[tuple[float, ...]]:
     rng = random.Random(seed)
     return [
-        tuple(rng.uniform(iv.lo, iv.hi) for iv in box.dims) for _ in range(count)
+        tuple(rng.uniform(lo, hi) for lo, hi in box.pairs) for _ in range(count)
     ]
 
 
@@ -291,10 +289,10 @@ def dense_max(
     per_dim = {1: 400, 2: 60, 3: 18, 4: 10}.get(dim, 6)
     best = -math.inf
     grid_axes = [
-        [iv.lo + (iv.hi - iv.lo) * k / (per_dim - 1) for k in range(per_dim)]
-        if iv.width > 0
-        else [iv.lo]
-        for iv in box.dims
+        [lo + (hi - lo) * k / (per_dim - 1) for k in range(per_dim)]
+        if hi > lo
+        else [lo]
+        for lo, hi in box.pairs
     ]
 
     def rec(prefix: list[float], axis: int) -> None:

@@ -110,7 +110,7 @@ class TestUnderApproximation:
 
 def jacobian_norm_at(model, point):
     """The sampled norm on the zero-width box at ``point``: its one sample."""
-    at = Box(tuple(Interval(x, x) for x in point), model.omega().labels)
+    at = Box([(x, x) for x in point], model.omega().labels)
     return jacobian_norm_sampled(model, at, count=1).best_value
 
 

@@ -14,7 +14,6 @@ from certbound.bnb import (
 )
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
-from certbound.intervals import Interval
 from conftest import box_contains, dense_max, make_box, pairs, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
@@ -130,7 +129,7 @@ class TestFirstOrder:
     def test_monotone_objective_collapses_to_the_maximizing_vertex(self):
         program, box = self.program_objective("x + 2*y", [("x", 0.0, 1.0), ("y", -1.0, 1.0)])
         sub = _Bounder(program, 10, BnBStats())(box)
-        assert sub.box.corner("lo") == sub.box.corner("hi") == (1.0, 1.0)
+        assert sub.box.corners() == ((1.0, 1.0), (1.0, 1.0))
         assert (sub.width, sub.lo_bound <= 3.0 <= sub.hi_bound) == (0.0, True)
         res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
         assert (res.stats.evals, res.stats.splits, res.eps_optimal) == (1, 0, True)
@@ -145,7 +144,7 @@ class TestFirstOrder:
     def test_dead_dimension_collapses(self):
         program, box = self.program_objective("x*(1 - x)", [("x", 0.0, 1.0), ("y", -5.0, 5.0)])
         sub = _Bounder(program, 1, BnBStats())(box)
-        assert sub.box.dims[1] == Interval(5.0, 5.0) and sub.box.dims[0] == box.dims[0]
+        assert sub.box.pairs[1] == (5.0, 5.0) and sub.box.pairs[0] == box.pairs[0]
 
     def test_centred_form_tightens_a_mixed_sign_box(self):
         program, box = self.program_objective(
@@ -177,7 +176,7 @@ class TestFirstOrder:
         assert _Bounder(program, 1, BnBStats())(box).box == box  # straddles the kink
         half = make_box([("x", 0.5, 1.0)])
         sub = _Bounder(program, 1, BnBStats())(half)
-        assert sub.box.dims[0] == Interval(1.0, 1.0) and sub.lo_bound <= 0.7 <= sub.hi_bound
+        assert sub.box.pairs[0] == (1.0, 1.0) and sub.lo_bound <= 0.7 <= sub.hi_bound
         res = minimize(program.eval_point, program, box, BnBConfig(eps_h=1e-9))
         assert res.lower <= 0.0 <= res.upper and res.stats.evals < 200
 
@@ -197,9 +196,9 @@ class TestGreatestSmear:
         cover = Cover([sub])
         opt_bnb_step(cover, sub, -math.inf, program.eval_point, _Bounder(program, 1, BnBStats()))
         # Split along y, each half collapses to its outer face y = -1 or 1.
-        faces = sorted((s.box.dims[1].lo, s.box.dims[1].hi) for s in cover.subproblems)
+        faces = sorted(s.box.pairs[1] for s in cover.subproblems)
         assert faces == [(-1.0, -1.0), (1.0, 1.0)]
-        assert {s.box.dims[0] for s in cover.subproblems} == {box.dims[0]}
+        assert {s.box.pairs[0] for s in cover.subproblems} == {box.pairs[0]}
 
     def test_without_a_gradient_the_widest_dimension(self):
         program = Program(parse("sqr(x) + 10*sqr(y)"), ("x", "y"))
@@ -224,14 +223,14 @@ class TestGreatestSmear:
         sub = _Bounder(program, 1, BnBStats(), 10.0)(box)
         assert (sub.dim, sub.width) == (0, 2.0) and not bnb._splittable(sub, 10.0)
         res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-3, eps_om=1e-2))
-        widths = {s.box.dims[1].width for s in res.final_cover.subproblems}
+        widths = {hi - lo for lo, hi in (s.box.pairs[1] for s in res.final_cover.subproblems)}
         assert widths <= {0.0, 2e-3}
 
     def test_ties_go_to_the_first_dimension_and_collapsed_ones_never_win(self):
         box = make_box([("x", 0.0, 2.0), ("y", 0.0, 1.0), ("z", 1.0, 1.0)])
-        assert _greatest_smear(box, [(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == 0
-        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == 1
-        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 1.0) == 0
+        assert _greatest_smear(box, [(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == (0, 2.0)
+        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == (1, 1.0)
+        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 1.0) == (0, 2.0)
         assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 2.0) is None
 
     def test_trig_with_a_kink_closes_the_gap(self):
@@ -295,7 +294,7 @@ class TestBaumannCentre:
             box = make_box(bounds)
             hI = CentreRecorder(program, program.gradient)
             face, _, _, _ = _first_order(hI, program.gradient, box)
-            assert all(iv.lo <= c <= iv.hi for iv, c in zip(face.dims, hI.centre))
+            assert all(lo <= c <= hi for (lo, hi), c in zip(face.pairs, hI.centre))
 
     def test_non_finite_centre_falls_back_to_the_midpoint(self):
         # gh*hi - gl*lo overflows near 1e308, although every term of the
@@ -304,7 +303,7 @@ class TestBaumannCentre:
         hI = CentreRecorder(lambda dims: (0.0, 1.0), gradient)
         box = make_box([("x", 1e300, 1.5e300)])
         face, lo, hi, _ = _first_order(hI, gradient, box)
-        assert (face, hI.centre) == (box, (box.dims[0].midpoint,))
+        assert (face, hI.centre) == (box, box.midpoint())
         assert math.isfinite(lo) and math.isfinite(hi)
 
 
@@ -368,9 +367,10 @@ class TestStep:
     def test_split_prune_semantics(self):
         h, bound, cover = self.make_linear()
         chosen = cover.subproblems[0]
-        incumbent, l, u, witness = opt_bnb_step(cover, chosen, -math.inf, h, bound)
+        incumbent, l, u, witness, probed = opt_bnb_step(cover, chosen, -math.inf, h, bound)
         # halves [0,2] and [2,4]; upper half keeps the maximum
-        assert incumbent.box.dims[0].lo == pytest.approx(2.0)
+        assert incumbent.box.pairs[0][0] == pytest.approx(2.0)
+        assert probed == incumbent.order
         assert u == pytest.approx(4.0, abs=1e-9)
         assert l >= 3.0 - 1e-12  # midpoint of the best-lower-bound half
         # lower half has sup 2 < l, so it must be pruned
@@ -386,10 +386,26 @@ class TestStep:
         l = -math.inf
         chosen = cover.subproblems[0]
         for _ in range(40):
-            chosen, l, u, _ = opt_bnb_step(cover, chosen, l, h, bound)
+            chosen, l, u, _, _ = opt_bnb_step(cover, chosen, l, h, bound)
             assert all(s.hi_bound >= l for s in cover.subproblems)
             if chosen.box.widest()[1] <= 1e-9:
                 break
+
+    def test_a_box_probed_last_is_not_probed_again(self):
+        # Splitting the incumbent often leaves the best-lower-bound box as
+        # it was; its midpoint's value cannot raise l a second time.
+        box = make_box([("x", 0.0, 2.0), ("y", 0.0, 2.0)])
+        program = Program(parse("1.0*x*y - 1.0*x*x*y*y"), box.labels)
+        calls = []
+
+        def counted(xs):
+            calls.append(tuple(xs))
+            return program.eval_point(xs)
+
+        res = maximize(counted, program, box, BnBConfig(eps_h=5e-3, segments=1))
+        assert (res.lower, res.stats.evals) == (0.25, 375)
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+        assert len(calls) == 50  # 225 when every step probes
 
     def test_upper_bound_ties_break_by_width(self):
         def sub(hi, width, order):

@@ -90,7 +90,7 @@ class TestExitCodes:
         model.write_text(text)
         code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
         assert (code, out) == (3, "")
-        assert err == f"certbound: invalid model {model}: {message} at offset 0\n"
+        assert err == f"certbound: invalid model {model}: {message}\n"
 
     DEEP_SUM = "+".join(["x*y"] * 1200)
 
@@ -105,7 +105,7 @@ class TestExitCodes:
             capsys, ["maximize", f"--expr={text}", "--bounds", "x=[0,1];y=[0,1]"]
         )
         assert (code, out) == (3, "")
-        assert err == "certbound: bad --expr: expression nested too deeply at offset 0\n"
+        assert err == "certbound: bad --expr: expression nested too deeply\n"
 
     def test_deep_sum_is_an_invalid_model(self, tmp_path, capsys):
         model = tmp_path / "deep.nds"
@@ -113,8 +113,39 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
         assert (code, out) == (3, "")
         assert err == (
-            f"certbound: invalid model {model}: expression nested too deeply at offset 0\n"
+            f"certbound: invalid model {model}: expression nested too deeply\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[constants]\na = 1\na = 2\n[states]\nx1 = [0, 1]\n[f]\nf1 = a*x1\n",
+             "constant a assigned again on line 3"),
+            ("[states]\nx1 = [0, 1]\n[f]\nf2 = x1\n", "component 1 is named f2 on line 4, not f1"),
+        ],
+        ids=["constant", "component"],
+    )
+    def test_a_line_error_ends_with_its_line(self, tmp_path, capsys, text, message):
+        # An error about a whole line has no offset to name.
+        model = tmp_path / "line.nds"
+        model.write_text(text)
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
+        assert (code, out, err) == (3, "", f"certbound: invalid model {model}: {message}\n")
+
+    def test_600_parentheses_end_with_the_depth(self, capsys):
+        text = "(" * 600 + "x" + ")" * 600
+        code, out, err = run_capture(
+            capsys, ["maximize", "--expr", text, "--bounds", "x=[0,1]"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "certbound: bad --expr: expression nested too deeply\n"
+
+    def test_a_tokenizer_error_keeps_its_offset(self, tmp_path, capsys):
+        model = tmp_path / "char.nds"
+        model.write_text("[states]\nx1 = [0, 1]\n[f]\nf1 = x1 $ 2\n")
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
+        assert (code, out) == (3, "")
+        assert err == f"certbound: invalid model {model}: unexpected character '$' at offset 3\n"
 
     @staticmethod
     def _fresh_run(argv):

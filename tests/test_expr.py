@@ -201,8 +201,8 @@ class TestDifferentiate:
         for point in random_points(box, 1100, seed=case):
             # stay inside the box so sqrt/abs arguments remain valid
             if any(
-                point[slots[n]] - step < iv.lo or point[slots[n]] + step > iv.hi
-                for n, iv in zip(box.labels, box.dims)
+                point[slots[n]] - step < lo or point[slots[n]] + step > hi
+                for n, (lo, hi) in zip(box.labels, box.pairs)
                 if n in names
             ):
                 continue
@@ -334,9 +334,9 @@ class TestEval:
             for _ in range(20):
                 # random sub-box, then random points inside it
                 subs = []
-                for name, iv in zip(box.labels, box.dims):
-                    lo = rng.uniform(iv.lo, iv.hi)
-                    hi = rng.uniform(lo, iv.hi)
+                for name, (box_lo, box_hi) in zip(box.labels, box.pairs):
+                    lo = rng.uniform(box_lo, box_hi)
+                    hi = rng.uniform(lo, box_hi)
                     subs.append((name, lo, hi))
                 sub = make_box(subs)
                 enclosure = eval_interval(e, sub)

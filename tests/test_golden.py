@@ -72,6 +72,12 @@ CASES = {
         "maximize", "--expr", "x*y - x*x*y*y", "--bounds", "x=[0,2];y=[0,2]",
         "--segments", "1", "--eps-h", "2e-2",
     ],
+    # The benchmark's continuum-maximize job at seed 0: a hyperbola of
+    # maximizers, whose boxes mostly collapse nothing and are not sliced.
+    "maximize-hyperbola": [
+        "maximize", "--expr", "1.0*x*y - 1.0*x*x*y*y", "--bounds", "x=[0,2];y=[0,2]",
+        "--segments", "1", "--eps-h", "5e-3",
+    ],
     "baseline-lipschitz": ["baseline", "--count", "200", "--model", "{traffic1}"],
     "baseline-jacobian-norm": [
         "baseline", "--objective", "jacobian-norm", "--count", "200", "--model", "{moving1}",

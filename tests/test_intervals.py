@@ -16,6 +16,7 @@ from certbound.intervals import (
     _invalid,
     fraction_down,
     fraction_up,
+    midpoint,
     pair_abs,
     pair_add,
     pair_cos,
@@ -467,23 +468,37 @@ class TestBox:
         [(1e308, 1.7e308, 1.35e308), (-1.7e308, -1e308, -1.35e308), (1e308, 1e308, 1e308)],
     )
     def test_midpoint_where_the_sum_overflows(self, lo, hi, mid):
-        assert Interval(lo, hi).midpoint == mid
+        assert midpoint(lo, hi) == mid
+        assert make_box([("x", lo, hi)]).midpoint() == (mid,)
 
     def test_split_where_the_sum_overflows(self):
         left, right = make_box([("x", 1e308, 1.7e308)]).split(0)
-        assert left.dims[0] == Interval(1e308, 1.35e308)
-        assert right.dims[0] == Interval(1.35e308, 1.7e308)
+        assert left.pairs == ((1e308, 1.35e308),)
+        assert right.pairs == ((1.35e308, 1.7e308),)
 
     def test_split(self):
         b = make_box([("x", 0, 4), ("y", 0, 1)])
         left, right = b.split(0)
-        assert left.dims[0] == Interval(0, 2) and right.dims[0] == Interval(2, 4)
-        assert left.dims[1] == right.dims[1] == Interval(0, 1)
+        assert left.pairs == ((0.0, 2.0), (0.0, 1.0)) and right.pairs == ((2.0, 4.0), (0.0, 1.0))
+        assert left.labels == right.labels == b.labels
+        assert left.pairs[1] is right.pairs[1] is b.pairs[1]
 
     def test_split_default_midpoint(self):
         b = make_box([("x", 0, 4)])
         left, right = b.split(0)
-        assert left.dims[0].hi == right.dims[0].lo == 2.0
+        assert left.pairs[0][1] == right.pairs[0][0] == 2.0
+
+    def test_dims_are_the_pairs_as_intervals(self):
+        b = make_box([("x", 0, 4), ("y", -1.5, 1)])
+        assert b.dims == (Interval(0.0, 4.0), Interval(-1.5, 1.0))
+        assert b.dims[1].width == 2.5
+
+    @pytest.mark.parametrize(
+        "pair", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_pairs_are_validated(self, pair):
+        with pytest.raises(IntervalError):
+            Box([(0.0, 1.0), pair], ("x", "y"))
 
     def test_width_is_max_dim(self):
         b = make_box([("x", 0, 4), ("y", 0, 1)])
@@ -493,7 +508,7 @@ class TestBox:
     def test_restrict_keeps_box_order(self):
         b = make_box([("x", 0, 4), ("y", 0, 1), ("z", 2, 3)])
         r = b.restrict({"z", "x", "w"})
-        assert r.labels == ("x", "z") and r.dims == (b.dims[0], b.dims[2])
+        assert r.labels == ("x", "z") and r.pairs == (b.pairs[0], b.pairs[2])
 
     def test_restrict_to_nothing_keeps_whole_box(self):
         b = make_box([("x", 0, 4), ("y", 0, 1)])
@@ -508,12 +523,11 @@ class TestBox:
 
     def test_corners(self):
         b = make_box([("x", 0, 4), ("y", -1, 1)])
-        assert b.corner("lo") == (0.0, -1.0)
-        assert b.corner("hi") == (4.0, 1.0)
+        assert b.corners() == ((0.0, -1.0), (4.0, 1.0))
 
     def test_labels_required(self):
         with pytest.raises(IntervalError):
-            Box((Interval(0, 1),), ())
+            Box(((0.0, 1.0),), ())
 
 
 class TestRefinedEval:
@@ -525,34 +539,35 @@ class TestRefinedEval:
     def test_single_segment_is_plain(self):
         b = make_box([("x", 0, 1)])
         r = refined_eval(self._parabola, b, 1, 0)
-        assert r.lo <= 0.0 and r.hi >= 1.0 - 1e-12
+        assert r == self._parabola(b.pairs) and r[0] <= 0.0 and r[1] >= 1.0 - 1e-12
 
     def test_ten_segments_tighter_and_enclosing(self):
         b = make_box([("x", 0, 1)])
         plain = refined_eval(self._parabola, b, 1, 0)
         refined = refined_eval(self._parabola, b, 10, 0)
-        assert encloses(plain, refined)
-        assert refined.hi >= 0.25  # still encloses the true maximum
-        assert refined.hi <= 0.31  # and is much tighter than the plain hull
+        assert encloses(Interval(*plain), Interval(*refined))
+        assert refined[1] >= 0.25  # still encloses the true maximum
+        assert refined[1] <= 0.31  # and is much tighter than the plain hull
 
     def test_degenerate_box(self):
         b = make_box([("x", 0.3, 0.3)])
         for k in (1, 4, 10):
-            assert refined_eval(self._parabola, b, k, 0).width <= 1e-12
+            lo, hi = refined_eval(self._parabola, b, k, 0)
+            assert hi - lo <= 1e-12
 
     def test_cuts_are_the_equal_slab_formula(self):
         rng = random.Random(11)
         for _ in range(200):
             lo = rng.uniform(-5, 5)
-            iv = Interval(lo, lo + rng.uniform(0.0, 3))
+            hi = lo + rng.uniform(0.0, 3)
             for segments in (1, 2, 3, 10):
-                cuts = [iv.lo]
+                cuts = [lo]
                 for k in range(1, segments):
-                    cuts.append(min(max(iv.lo + iv.width * (k / segments), cuts[-1]), iv.hi))
-                assert slab_cuts(iv, segments) == cuts + [iv.hi]
+                    cuts.append(min(max(lo + (hi - lo) * (k / segments), cuts[-1]), hi))
+                assert slab_cuts((lo, hi), segments) == cuts + [hi]
 
     def test_cuts_where_the_width_overflows(self):
-        cuts = slab_cuts(Interval(-1e308, 1.7e308), 4)
+        cuts = slab_cuts((-1e308, 1.7e308), 4)
         assert cuts[0] == -1e308 and cuts[-1] == 1.7e308
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert cuts[2] == pytest.approx(0.35e308)
@@ -573,9 +588,9 @@ class TestRefinedEval:
             b = make_box(
                 [("x", lo1, lo1 + rng.uniform(0.1, 2)), ("y", lo2, lo2 + rng.uniform(0.1, 2))]
             )
-            plain = refined_eval(fn, b, 1, 0)
+            plain = Interval(*refined_eval(fn, b, 1, 0))
             for segments in (2, 5, 10):
-                assert encloses(plain, refined_eval(fn, b, segments, b.widest_dim()))
+                assert encloses(plain, Interval(*refined_eval(fn, b, segments, b.widest()[0])))
 
     def test_inclusion_isotonicity(self):
         def fn(x: tuple[float, float]) -> tuple[float, float]:

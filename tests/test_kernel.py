@@ -16,8 +16,9 @@ import random
 
 import pytest
 
+from certbound import bnb as bnb_module
 from certbound import expr as expr_module
-from certbound.bnb import BnBStats, _Bounder, _first_order, _Negated
+from certbound.bnb import BnBConfig, BnBStats, _Bounder, _first_order, _Negated, maximize, minimize
 from certbound.errors import (
     DivisionByZeroInterval,
     EvaluationError,
@@ -112,10 +113,10 @@ def ref_interval(e: Expr, box: Box) -> tuple[float, float]:
     return _ref_pairs(e, box.labels, pairs(box))
 
 
-def ref_refined(e: Expr, box: Box, segments: int) -> Interval:
+def ref_refined(e: Expr, box: Box, segments: int) -> tuple[float, float]:
     """The reference sliced along the widest dimension."""
     fn = functools.partial(_ref_pairs, e, box.labels)
-    return refined_eval(fn, box, segments, box.widest_dim())
+    return refined_eval(fn, box, segments, box.widest()[0])
 
 
 def _ref_point_node(e: Expr, env: dict[str, float]) -> float:
@@ -347,9 +348,10 @@ def test_postfix_matches_a_recursive_walk(seed):
         for declared in ((), NAMES[2:0:-1]):
             slots = {name: k for k, name in enumerate(declared)}
             ref_slots = dict(slots)
-            code, constants, varying = expr_module._postfix(e, slots)
+            code, constants = expr_module._postfix(e, slots)
             ref_code, ref_constants, ref_varying = _postfix_reference(e, ref_slots)
-            assert (code, varying, slots) == (ref_code, ref_varying, ref_slots)
+            assert (code, slots) == (ref_code, ref_slots)
+            assert tuple(expr_module._varying(code)) == ref_varying
             assert list(map(repr, constants)) == list(map(repr, ref_constants))
 
 
@@ -362,7 +364,7 @@ def test_program_from_its_key_is_the_program_walked(seed):
         order = rng.sample(NAMES, len(NAMES))
         walked = Program(e, order)
         keyed = Program(e, order, structural_key_with_vars(e))
-        assert (keyed.code, keyed._varying) == (walked.code, walked._varying)
+        assert keyed.code == walked.code and keyed._kernels is walked._kernels
         assert list(map(repr, keyed._constants)) == list(map(repr, walked._constants))
     e = parse("x0*y + z")
     assert outcome(Program, e, ["x0"]) == outcome(Program, e, ["x0"], structural_key_with_vars(e))
@@ -386,7 +388,7 @@ def test_interval_kernel_matches_reference(seed):
             assert outcome(program, pairs(box)) == expected, (str(e), box)
             failures += isinstance(expected[0], type)
             segments = rng.choice([2, 3, 10])
-            dim = box.widest_dim()
+            dim = box.widest()[0]
             assert outcome(refined_eval, program, box, segments, dim) == outcome(
                 ref_refined, e, box, segments
             ), (str(e), box, segments)
@@ -395,8 +397,7 @@ def test_interval_kernel_matches_reference(seed):
             for segments in (1, 3):
 
                 def negated(segments=segments):
-                    iv = refined_eval(program, box, segments, dim)
-                    return _neg((iv.lo, iv.hi))
+                    return _neg(refined_eval(program, box, segments, dim))
 
                 assert outcome(refined_eval, _Negated(program), box, segments, dim) == outcome(
                     negated
@@ -465,7 +466,7 @@ def test_slabs_never_evaluate_the_whole_box():
     with pytest.raises(DivisionByZeroInterval):
         program(pairs(box))
     refined = refined_eval(program, box, 10, 0)
-    assert refined.lo <= 0.5 and 1.0 <= refined.hi
+    assert refined[0] <= 0.5 and 1.0 <= refined[1]
     assert repr(refined) == repr(ref_refined(e, box, 10))
 
 
@@ -498,30 +499,28 @@ def test_first_order_bounds_contain_sampled_values(seed):
         for _ in range(3):
             box = random_box(rng)
             if rng.random() < 0.5:  # narrower boxes, where the centred form wins
-                box = Box(
-                    tuple(Interval(iv.lo, min(iv.hi, iv.lo + 0.3)) for iv in box.dims), NAMES
-                )
+                box = Box([(lo, min(hi, lo + 0.3)) for lo, hi in box.pairs], NAMES)
             segments = rng.choice([1, 3])
             for hI, sign in ((program, 1.0), (_Negated(program), -1.0)):
                 sub = _Bounder(hI, segments, BnBStats())(box)
                 assert all(
-                    b.lo <= f.lo <= f.hi <= b.hi for f, b in zip(sub.box.dims, box.dims)
+                    b[0] <= f[0] <= f[1] <= b[1] for f, b in zip(sub.box.pairs, box.pairs)
                 )
                 plain = _Bounder(lambda dims: hI(dims), segments, BnBStats())(sub.box)
                 collapsed += sub.box != box
                 tightened += sub.lo_bound > plain.lo_bound or sub.hi_bound < plain.hi_bound
                 points = [
-                    tuple(sampler.uniform(iv.lo, iv.hi) for iv in sub.box.dims)
+                    tuple(sampler.uniform(lo, hi) for lo, hi in sub.box.pairs)
                     for _ in range(20)
                 ]
-                points += [sub.box.corner("lo"), sub.box.corner("hi")]
+                points += sub.box.corners()
                 for point in points:
                     value = _point_enclosure(program, point)
                     if value is not None:
                         lo, hi = sorted((sign * value[0], sign * value[1]))
                         assert sub.lo_bound <= hi and lo <= sub.hi_bound, (str(e), box, point)
                 for _ in range(20):
-                    point = tuple(sampler.uniform(iv.lo, iv.hi) for iv in box.dims)
+                    point = tuple(sampler.uniform(lo, hi) for lo, hi in box.pairs)
                     value = _point_enclosure(program, point)
                     if value is not None:
                         lo = min(sign * value[0], sign * value[1])
@@ -564,9 +563,7 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
         for _ in range(3):
             box = random_box(rng)
             if rng.random() < 0.5:
-                box = Box(
-                    tuple(Interval(iv.lo, min(iv.hi, iv.lo + 0.3)) for iv in box.dims), NAMES
-                )
+                box = Box([(lo, min(hi, lo + 0.3)) for lo, hi in box.pairs], NAMES)
             for hI, sign in ((program, 1.0), (_Negated(program), -1.0)):
                 try:
                     grads = hI.gradient(pairs(box))
@@ -576,14 +573,14 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
                     if name not in free_vars(e):
                         assert grads[k] == (0.0, 0.0)
                 for _ in range(8):
-                    point = tuple(sampler.uniform(iv.lo, iv.hi) for iv in box.dims)
+                    point = tuple(sampler.uniform(lo, hi) for lo, hi in box.pairs)
                     for k, g in enumerate(grads):
                         if partials is not None:
                             enclosure = _point_enclosure(partials[k], point)
                             symbolic += enclosure is not None
                         else:
                             other = list(point)
-                            other[k] = sampler.choice([box.dims[k].lo, box.dims[k].hi])
+                            other[k] = sampler.choice(box.pairs[k])
                             enclosure = None
                             if other[k] != point[k]:
                                 enclosure = _quotient(program, point, other, k)
@@ -609,7 +606,7 @@ def test_deep_sum_compiles_and_evaluates():
     for _ in range(expr_module._HOT_RUNS + 1):
         assert program.eval_point(values) == functools.reduce(lambda a, b: a + b, values)
         assert outcome(program.eval_interval, dims) == outcome(lambda: total)
-    assert _compiled(program._kernel(False)) and _compiled(program._kernel(True)[0])
+    assert _compiled(program._kernels[0]) and _compiled(program._kernels[1])
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +616,7 @@ def test_deep_sum_compiles_and_evaluates():
 def test_programs_of_one_shape_share_compiled_kernels():
     a = Program(parse("2*x*x + 1"), X)
     b = Program(parse("3*x*x + 5"), X)
-    assert a.code == b.code
-    for pair in (False, True):
-        assert a._kernel(pair) is b._kernel(pair)
+    assert a.code == b.code and a._kernels is b._kernels
     assert a.eval_interval([(1.0, 1.0)]) != b.eval_interval([(1.0, 1.0)])
     assert a.eval_point([1.0]) == 3.0 and b.eval_point([1.0]) == 8.0
 
@@ -639,8 +634,8 @@ def test_a_nonfinite_constant_makes_another_shape(finite_first):
     results = {id(program): outcome(program, pairs(box)) for program in first}
     assert results[id(infinite)] == (IntervalError, "non-finite endpoint in [inf, inf]")
     assert results[id(finite)] == outcome(ref_interval, finite.expr, box)
-    for pair in (False, True):
-        assert finite._kernel(pair) is not infinite._kernel(pair)
+    assert finite._kernels is not infinite._kernels
+    assert finite._kernels[1] is not infinite._kernels[1]
 
 
 def test_an_extra_variable_slot_makes_another_shape():
@@ -745,7 +740,7 @@ def test_each_kernel_is_compiled_once_when_hot(monkeypatch):
         program.eval_interval(dims)
         program.gradient(dims)
     assert len(compiled) == 3
-    assert _compiled(program._kernel(False)) and all(map(_compiled, program._kernel(True)))
+    assert all(map(_compiled, program._kernels))
     assert [outcome(program.eval_point, values), outcome(program.gradient, dims)] == cold
 
 
@@ -754,7 +749,7 @@ def _wild_box(rng: random.Random) -> Box:
     and ``exp`` overflow."""
     box = random_box(rng)
     scale = rng.choice([1.0, 1.0, 1.0, 1e80, 1e160, 800.0])
-    return make_box([(name, iv.lo * scale, iv.hi * scale) for name, iv in zip(NAMES, box.dims)])
+    return make_box([(name, lo * scale, hi * scale) for name, (lo, hi) in zip(NAMES, box.pairs)])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -812,19 +807,19 @@ ZERO = (0.0, 0.0)
 def test_gradient_hand_off_matches_reference(text, reference):
     expr_module._shape_kernels.cache_clear()
     program = Program(parse(text), ("x", "y"))
-    forward, _ = program._kernel(True)
     for dims in [[(0.5, 2.0), (1.0, 3.0)], [(1.0, 1.0), (-4.0, -0.25)], [(0.25, 9.0), (2.0, 2.0)]]:
         # no value besides the result
-        assert len(forward(dims, program._constants, program._pairs)) == 1
+        assert len(program._kernels[1](dims, program._constants, program._pairs)) == 1
         expected = reference(*dims)
         assert list(map(repr, program.gradient(dims))) == list(map(repr, expected)), dims
 
 
 def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
     # The Jacobian, QB and case-2 jobs run each kernel a few times, so they
-    # compile nothing; the hyperbola maximization runs its kernels hundreds
-    # of times and compiles them during its cold run, so its warm run starts
-    # on compiled kernels.
+    # compile nothing.  The hyperbola maximization runs its interval kernel
+    # and its reverse pass hundreds of times, and compiles both during its
+    # cold run; it runs its point kernel 48 times a run (a probe is skipped
+    # where it cannot raise l), so it compiles that one during its warm run.
     from certbound.cli import run
 
     compiled = _count_compiles(monkeypatch)
@@ -846,7 +841,10 @@ def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatc
             counts.append(len(compiled))
         assert printed[0] == printed[1] and printed[0].startswith("[")
         if job is hyperbola:
-            assert counts[0] > 0 and counts[1] == counts[0]  # the warm run compiles nothing
+            assert counts == [2, 3]
+            assert compiled[0].startswith("def kernel(d, c, p):")  # cold
+            assert compiled[1].startswith("def kernel(d, c, p, v")  # cold
+            assert compiled[2].startswith("def kernel(d, c):")  # warm
         else:
             assert counts[0] == 0
         compiled.clear()
@@ -858,7 +856,7 @@ def _pair_calls(program: Program, reverse: bool) -> set[str]:
     dims = [(0.5, 1.5)] * len(program.var_order)
     for _ in range(expr_module._HOT_RUNS):
         program.gradient(dims)
-    kernel = program._kernel(True)[reverse]
+    kernel = program._kernels[1 + reverse]
     assert _compiled(kernel)
     return {name for name in kernel.__code__.co_names if name.startswith("pair_")}
 
@@ -924,23 +922,116 @@ def _count_inits(monkeypatch, *classes) -> dict[str, int]:
     return counts
 
 
-def test_refined_eval_builds_no_box_and_one_interval(monkeypatch):
-    # The slabs are pairs in one list: the hull is the only object built.
+def test_refined_eval_builds_no_box_and_no_interval(monkeypatch):
+    # The slabs are pairs in one list, and the hull is a pair.
     program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
     box = make_box([("x", 0.0, 2.0), ("y", -1.0, 1.0)])
     expected = repr(ref_refined(program.expr, box, 10))
     counts = _count_inits(monkeypatch, Box, Interval)
-    refined = refined_eval(program, box, 10, box.widest_dim())
-    assert counts == {"Box": 0, "Interval": 1}
+    refined = refined_eval(program, box, 10, 0)
+    assert counts == {"Box": 0, "Interval": 0}
     assert repr(refined) == expected
+
+
+def _count_faces(monkeypatch) -> list:
+    """The pairs of each face box that ``_first_order`` builds from now on."""
+    faces: list = []
+    build = bnb_module.unchecked_box
+    monkeypatch.setattr(
+        bnb_module, "unchecked_box", lambda pairs, labels: faces.append(pairs) or build(pairs, labels)
+    )
+    return faces
 
 
 def test_first_order_step_builds_only_the_face(monkeypatch):
     # The gradient, the centre and the centred form are pairs.  Where no
-    # derivative has a fixed sign, the face is a Box of the same Intervals.
+    # derivative has a fixed sign, the face is the box itself; where one
+    # has, the face is one new Box.
     program = Program(parse("x*y - sqr(x)*y"), ("x", "y"))
     box = make_box([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
+    faces = _count_faces(monkeypatch)
     face, lo, hi, _ = _first_order(program, program.gradient, box)
-    assert counts == {"Box": 1, "Interval": 0}
-    assert face == box and lo <= hi
+    assert face is box and lo <= hi
+    assert (counts, faces) == ({"Box": 0, "Interval": 0}, [])
+    # Of x*y - sqr(x), d/dy = x > 0 where x is in [0.25, 0.75]: y
+    # collapses to its upper end.
+    program = Program(parse("x*y - sqr(x)"), ("x", "y"))
+    box = make_box([("x", 0.25, 0.75), ("y", 0.5, 1.0)])
+    counts = _count_inits(monkeypatch, Box, Interval)
+    face, lo, hi, _ = _first_order(program, program.gradient, box)
+    assert face.pairs == ((0.25, 0.75), (1.0, 1.0)) and face.labels is box.labels
+    assert (counts, faces) == ({"Box": 0, "Interval": 0}, [face.pairs])
+
+
+@pytest.mark.parametrize("search", [maximize, minimize])
+def test_a_search_builds_no_interval(monkeypatch, search):
+    program = Program(parse("x*y - x*x*y*y + 0.375*sin(y)"), ("x", "y"))
+    box = make_box([("x", 0.0, 2.0), ("y", -1.0, 1.0)])
+    counts = _count_inits(monkeypatch, Interval)
+    res = search(program.eval_point, program, box, BnBConfig(eps_h=1e-6, segments=3))
+    assert res.stats.splits > 0 and counts == {"Interval": 0}
+
+
+# ---------------------------------------------------------------------------
+# The forward pass's value, kept for the box it ran on
+# ---------------------------------------------------------------------------
+
+
+HYPERBOLA = "1.0*x*y - 1.0*x*x*y*y"
+
+
+def test_a_kept_value_is_the_value_of_a_fresh_run():
+    program = Program(parse("x*y - sqr(x)*y + 0.375*sin(y)"), ("x", "y"))
+    dims = ((0.25, 0.75), (-1.0, 1.0))
+    program.gradient(dims)
+    served = program.eval_interval(dims)
+    assert program.eval_interval(dims) is served  # a kernel run builds a new pair
+    fresh = Program(program.expr, ("x", "y")).eval_interval(list(dims))
+    assert repr(served) == repr(fresh) == repr(ref_interval(program.expr, make_box(
+        [("x", 0.25, 0.75), ("y", -1.0, 1.0)]
+    )))
+    # An equal tuple that is another object is evaluated afresh.
+    again = program.eval_interval(tuple(list(dims)))
+    assert again is not served and repr(again) == repr(served)
+
+
+def test_a_list_never_gets_the_kept_value():
+    # The slab loop overwrites one entry of its list for each slab.
+    program = Program(parse(HYPERBOLA), ("x", "y"))
+    dims = [(0.0, 2.0), (0.0, 2.0)]
+    whole = program.eval_interval(tuple(dims))
+    program.gradient(dims)
+    dims[0] = (0.0, 0.2)
+    sliced = program.eval_interval(dims)
+    assert repr(sliced) == repr(Program(parse(HYPERBOLA), ("x", "y")).eval_interval(dims))
+    assert sliced != whole
+    # Nor does a list equal to a tuple whose value is kept.
+    kept = ((0.0, 2.0), (0.0, 2.0))
+    program.gradient(kept)
+    assert program.eval_interval(list(kept)) is not program.eval_interval(kept)
+
+
+def test_a_search_runs_the_kernel_once_for_an_unsliced_box():
+    # Of the hyperbola's 375 refined evaluations, 367 are of boxes that
+    # collapse nothing and are not sliced: the gradient's forward pass on
+    # the box gives their value.  Compiled first, so that the kernel list
+    # keeps the counting wrapper.
+    program = Program(parse(HYPERBOLA), ("x", "y"))
+    _heat(program, [0.5, 0.5], [(0.0, 1.0), (0.0, 1.0)])
+    kernels = program._kernels
+    forward = kernels[1]
+    runs = [0]
+
+    def counted(*args):
+        runs[0] += 1
+        return forward(*args)
+
+    kernels[1] = counted
+    try:
+        box = make_box([("x", 0.0, 2.0), ("y", 0.0, 2.0)])
+        res = maximize(program.eval_point, program, box, BnBConfig(eps_h=5e-3, segments=1))
+    finally:
+        kernels[1] = forward
+    assert (res.lower, res.stats.evals) == (0.25, 375)
+    assert runs[0] == 906  # 1,273 when each refined evaluation runs the kernel

@@ -157,7 +157,7 @@ class TestModelDef:
         m = parse_model_text(SAMPLE)
         omega = m.omega()
         assert omega.labels == ("x1", "x2", "u1")
-        assert omega.dims[2] == Interval(-1, 1)
+        assert omega.pairs[2] == (-1.0, 1.0)
 
 
 class TestStateJacobian:

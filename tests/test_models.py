@@ -143,8 +143,8 @@ def _check_gradients(model, seed: int, samples: int = 40) -> None:
         derivs = {name: differentiate(fi, name) for name in names}
         for _ in range(samples):
             env = {
-                label: rng.uniform(iv.lo + step, max(iv.lo + step, iv.hi - step))
-                for label, iv in zip(omega.labels, omega.dims)
+                label: rng.uniform(lo + step, max(lo + step, hi - step))
+                for label, (lo, hi) in zip(omega.labels, omega.pairs)
             }
             for name in names:
                 hi = dict(env, **{name: env[name] + step})

@@ -73,7 +73,7 @@ def searches(model, exprs) -> set:
             domain = reduced_domain(model, e)
             program = Program(e, domain.labels)
             constants = tuple(map(repr, program._constants))
-            endpoints = tuple((repr(iv.lo), repr(iv.hi)) for iv in domain.dims)
+            endpoints = tuple((repr(lo), repr(hi)) for lo, hi in domain.pairs)
             keys.add((program.code, constants, endpoints))
     return keys
 

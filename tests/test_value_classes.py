@@ -28,7 +28,7 @@ BOX = make_box([("x", 0.0, 1.0), ("y", -2.0, 2.0)])
 
 FROZEN = [
     (Interval(0.0, 1.0), "lo"),
-    (BOX, "dims"),
+    (BOX, "pairs"),
     (Subproblem(BOX, 0.0, 1.0, 0, 4.0, 1), "hi_bound"),
     (BnBConfig(), "segments"),
     (Const(1.0), "value"),
@@ -82,8 +82,8 @@ EQUALITY = [
     (Interval(0.0, 1.0), Interval(0.0, 2.0), False),
     (Interval(0.0, 1.0), (0.0, 1.0), False),
     (BOX, make_box([("x", 0.0, 1.0), ("y", -2.0, 2.0)]), True),
-    (BOX, Box(BOX.dims, ("x", "z")), False),
-    (BOX, Box((BOX.dims[0], Interval(-2.0, 1.0)), BOX.labels), False),
+    (BOX, Box(BOX.pairs, ("x", "z")), False),
+    (BOX, Box((BOX.pairs[0], (-2.0, 1.0)), BOX.labels), False),
     (Const(0.0), Const(-0.0), True),
     (Const(1.0), Const(2.0), False),
     (Const(1.0), Var("x"), False),
@@ -114,8 +114,8 @@ def test_zero_width_split_message():
     with pytest.raises(DegenerateSplit) as info:
         box.split(0)
     assert str(info.value) == (
-        "dimension 0 of Box(dims=([1.0, 1.0], [0.0, 2.0]), labels=('x', 'y')) "
-        "has zero width"
+        "dimension 0 of Box(pairs=((1.0, 1.0), (0.0, 2.0)), labels=('x', 'y')): "
+        "split point 1.0 not strictly inside"
     )
 
 
