@@ -244,9 +244,8 @@ def _cmd_jacobian(args) -> list[RunReport]:
     rows = []
     # One row per entry of the sparse Jacobian; an identically-zero
     # derivative has no entry and no run.
-    for i, partials in enumerate(model.state_jacobian, start=1):
-        for j, _ in partials:
-            iv = r.entry(i, j + 1)
+    for i, entries in enumerate(r.entries, start=1):
+        for j, iv in entries:
             fields = _stats_fields(r.eps_optimal, r.stats, iv.width)
             rows.append(ConstantRow(f"df{i}/dx{j + 1}", iv.hi, lower=iv.lo, **fields))
     return [_report(args, fp, rows)]

@@ -1128,8 +1128,9 @@ class Program:
     the branch-and-bound takes first-order bounds.
 
     ``eval_interval`` on the very tuple that the last ``gradient`` call's
-    forward pass ran on serves that pass's value: the tuple cannot change,
-    and the reference held keeps its id from reuse.  A list is never kept.
+    forward pass ran on serves that pass's value, or raises its error
+    again: the tuple cannot change, and the reference held keeps its id
+    from reuse.  A list is never kept.
     """
 
     __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_kernels", "_last")
@@ -1157,7 +1158,7 @@ class Program:
         self.expr = expr
         nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
         self._kernels = _shape_kernels(self.code, nonfinite, len(self.var_order))
-        self._last = (None, None)  # a tuple of pairs and the forward pass's value there
+        self._last = (None, None)  # a tuple of pairs and the forward pass's value or error there
 
     def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
         """Enclosures of the partial derivatives on the box ``dims`` (pairs),
@@ -1167,14 +1168,16 @@ class Program:
         the mean value theorem holds with them in Lebourg's form.  A
         variable the expression does not contain gets exactly ``(0.0,
         0.0)``.  Raises ``IntervalError`` where an enclosure fails."""
-        kernels, c, p = self._kernels, self._constants, self._pairs
+        kept = type(dims) is tuple
         try:
-            forward = kernels[1](dims, c, p)
-            if type(dims) is tuple:
-                self._last = (dims, forward[0])
-            return kernels[2](dims, c, p, *forward)
-        except OverflowError as exc:
-            raise IntervalError(f"interval evaluation overflow: {exc}") from exc
+            forward = self._run(1, dims)
+        except IntervalError as exc:
+            if kept:
+                self._last = (dims, exc)
+            raise
+        if kept:
+            self._last = (dims, forward[0])
+        return self._run(2, dims, *forward)
 
     def eval_point(self, values: Sequence[float]) -> float:
         try:
@@ -1183,11 +1186,18 @@ class Program:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
 
     def eval_interval(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
-        last = self._last
-        if dims is last[0]:
-            return last[1]
+        kept, value = self._last
+        if dims is kept:
+            if isinstance(value, IntervalError):
+                raise value
+            return value
+        return self._run(1, dims)[0]
+
+    def _run(self, kernel: int, dims: Sequence[tuple[float, float]], *forward) -> tuple:
+        """The interval kernel (1) or, given its results, the reverse pass (2)
+        on ``dims``."""
         try:
-            return self._kernels[1](dims, self._constants, self._pairs)[0]
+            return self._kernels[kernel](dims, self._constants, self._pairs, *forward)
         except OverflowError as exc:
             raise IntervalError(f"interval evaluation overflow: {exc}") from exc
 

@@ -29,16 +29,17 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 from .errors import DimensionMismatch, MissingBounds, ParseError
 from .expr import (
     SQR,
+    Const,
     Expr,
     differentiate,
     free_vars,
     is_zero,
     parse_simplified,
+    simplified_mul,
     simplified_sum,
     simplified_unary,
     to_text,
@@ -46,7 +47,7 @@ from .expr import (
 from .intervals import Box, Frozen, Interval
 
 Matrix = tuple[tuple[float, ...], ...]
-Partials = tuple[tuple[int, Expr], ...]  # see state_partials
+Partials = tuple[tuple[int, Expr], ...]  # a sparse row: (column, entry), no is_zero entry
 
 
 class ModelDef(Frozen):
@@ -54,8 +55,8 @@ class ModelDef(Frozen):
     The components are expected simplified, as ``parse_model_text`` and the
     built-in models give them: their partial derivatives are built from
     their subtrees as they stand (see ``expr.differentiate``).  Not
-    slotted: ``state_jacobian`` and ``declared`` cache in the instance
-    ``__dict__``."""
+    slotted: ``state_jacobian``, ``weighted_jacobian`` and ``declared``
+    cache in the instance ``__dict__``."""
 
     def __init__(
         self, state_names: tuple[str, ...], state_bounds: tuple[Interval, ...],
@@ -100,9 +101,40 @@ class ModelDef(Frozen):
     @functools.cached_property
     def state_jacobian(self) -> tuple[Partials, ...]:
         """Sparse state Jacobian, built on first use: for each component,
-        its partial derivatives by the states that are not identically zero
-        (see ``state_partials``)."""
-        return tuple(state_partials(fi, self.state_names) for fi in self.f)
+        its partial derivatives ``(j, df_i/dx_j)`` that are not ``is_zero``,
+        in state order.  A component is differentiated only by the states
+        that occur in it: any other partial is exactly 0."""
+        rows = []
+        for fi in self.f:
+            states = sorted(j for j, _ in map(self.declared.get, free_vars(fi)) if j < self.n)
+            partials = ((j, differentiate(fi, self.state_names[j])) for j in states)
+            rows.append(tuple((j, d) for j, d in partials if not is_zero(d)))
+        return tuple(rows)
+
+    @functools.cached_property
+    def weighted_jacobian(self) -> tuple[Partials, ...]:
+        """The G-weighted state Jacobian ``xi = G * df/dx``, sparse like
+        ``state_jacobian`` and built on first use: row ``i`` holds ``(j,
+        xi_ij)``, where ``xi_ij`` sums ``G_ik * df_k/dx_j`` over the
+        components ``k`` in order, skipping ``G_ik == 0`` and the zero
+        partials, by ``simplify``'s rules.  An omitted G is the identity
+        (which needs g == n): ``xi`` is then ``state_jacobian`` itself."""
+        if self.G is None:
+            if self.g != self.n:
+                raise DimensionMismatch(
+                    f"implicit identity G needs g == n, got g={self.g}, n={self.n}"
+                )
+            return self.state_jacobian
+        rows = []
+        for weights in self.G:
+            columns: dict[int, list[Expr]] = {}
+            for weight, partials in zip(weights, self.state_jacobian):
+                if weight != 0.0:
+                    for j, d in partials:
+                        columns.setdefault(j, []).append(simplified_mul(Const(weight), d))
+            entries = ((j, simplified_sum(columns[j])) for j in sorted(columns))
+            rows.append(tuple((j, e) for j, e in entries if not is_zero(e)))
+        return tuple(rows)
 
     @property
     def n(self) -> int:
@@ -130,32 +162,6 @@ class ModelDef(Frozen):
         names = self.state_names + self.input_names
         bounds = self.state_bounds + self.input_bounds
         return {name: (k, iv) for k, (name, iv) in enumerate(zip(names, bounds))}
-
-    def effective_G(self) -> Matrix:
-        """G, or the identity when omitted (requires g == n)."""
-        if self.G is not None:
-            return self.G
-        if self.g != self.n:
-            raise DimensionMismatch(
-                f"implicit identity G needs g == n, got g={self.g}, n={self.n}"
-            )
-        return tuple(
-            tuple(1.0 if i == j else 0.0 for j in range(self.n))
-            for i in range(self.n)
-        )
-
-
-def state_partials(e: Expr, state_names: Sequence[str]) -> Partials:
-    """The partial derivatives of ``e`` that are not ``is_zero``, as
-    ``(j, de/dx_j)`` in the order of ``state_names``.  Only the states that
-    occur in ``e`` are differentiated by: any other partial is exactly 0."""
-    present = free_vars(e)
-    partials = (
-        (j, differentiate(e, name))
-        for j, name in enumerate(state_names)
-        if name in present
-    )
-    return tuple((j, d) for j, d in partials if not is_zero(d))
 
 
 def grad_sq_norm(model: ModelDef, i: int) -> Expr:

@@ -48,6 +48,7 @@ from .expr import (
     Expr,
     Unary,
     Program,
+    ZERO,
     eval_real,
     free_vars,
     is_zero,
@@ -59,7 +60,7 @@ from .expr import (
     structural_key_with_vars,
 )
 from .intervals import Box, Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
-from .model import ModelDef, grad_sq_norm, state_partials
+from .model import ModelDef, Partials, grad_sq_norm
 
 if TYPE_CHECKING:  # importing fractions costs start-up time; functions import it
     from fractions import Fraction
@@ -94,17 +95,19 @@ class RunStats:
 
 
 class JacobianBounds:
+    """Row ``i`` of ``entries`` holds ``(j, enclosure)`` for each partial
+    derivative of component ``i`` in ``ModelDef.state_jacobian``: the
+    others are identically zero."""
+
     __slots__ = ("entries", "eps_optimal", "stats")
 
     def __init__(
-        self, entries: tuple[tuple[Interval, ...], ...], eps_optimal: bool, stats: RunStats
+        self, entries: tuple[tuple[tuple[int, Interval], ...], ...], eps_optimal: bool,
+        stats: RunStats,
     ) -> None:
-        self.entries = entries  # g rows, n columns
+        self.entries = entries
         self.eps_optimal = eps_optimal
         self.stats = stats
-
-    def entry(self, i: int, j: int) -> Interval:
-        return self.entries[i - 1][j - 1]
 
 
 class LipschitzResult:
@@ -252,21 +255,22 @@ def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs) -> BnBR
 
 def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
     """Certified enclosure of every partial derivative over the admissible
-    box.  Entries whose derivative is identically zero are [0, 0] with no
+    box.  A derivative that is identically zero has no entry and no
     optimization run, a constant derivative ``c`` gives [c, c]; all other
     entries maximize/minimize over the box reduced to the variables the
     derivative actually uses."""
     runs: Runs = {}
     eps_optimal = True
-    zero = Interval(0.0, 0.0)  # immutable, so every empty entry shares it
-    entries = [[zero] * model.n for _ in range(model.g)]
-    for i, partials in enumerate(model.state_jacobian):
+    entries = []
+    for partials in model.state_jacobian:
+        row = []
         for j, d in partials:
             hi_run, lo_run = _optimize_expr(d, model, cfg, runs, maximize, minimize)
             eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal
-            entries[i][j] = Interval(lo_run.lower, hi_run.upper)
+            row.append((j, Interval(lo_run.lower, hi_run.upper)))
+        entries.append(tuple(row))
     return JacobianBounds(
-        entries=tuple(tuple(row) for row in entries),
+        entries=tuple(entries),
         eps_optimal=eps_optimal,
         stats=RunStats(runs.values()),
     )
@@ -337,30 +341,26 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
 # ---------------------------------------------------------------------------
 
 
-def build_xi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
-    """n-by-n matrix of expressions: row i, column j holds the G-weighted sum
-    of the partial derivatives of the components with respect to state j."""
-    rows: list[tuple[Expr, ...]] = []
-    for weights in model.effective_G():
-        terms: list[list[Expr]] = [[] for _ in range(model.n)]
-        for weight, partials in zip(weights, model.state_jacobian):
-            if weight != 0.0:
-                for j, d in partials:
-                    terms[j].append(simplified_mul(Const(weight), d))
-        rows.append(tuple(simplified_sum(column) for column in terms))
-    return tuple(rows)
-
-
-def build_psi(model: ModelDef) -> tuple[tuple[Expr, ...], ...]:
-    """Symmetrized G-weighted Jacobian: half the sum of the matrix and its
-    transpose, entrywise."""
-    xi = build_xi(model)
-    n = len(xi)
+def build_psi(model: ModelDef) -> tuple[Partials, ...]:
+    """Symmetrized G-weighted Jacobian ``psi = (xi + xi^T) / 2``, sparse
+    like ``model.weighted_jacobian``: row ``i`` holds ``(j, 0.5*(xi_ij +
+    xi_ji))`` for the diagonal, always, and for each other column ``j``
+    where ``xi_ij`` or ``xi_ji`` is not zero and the entry is not either."""
+    xi = model.weighted_jacobian
+    transposed: list[dict[int, Expr]] = [{} for _ in xi]
+    for i, row in enumerate(xi):
+        for j, e in row:
+            transposed[j][i] = e
     half = Const(0.5)
-    return tuple(
-        tuple(simplified_mul(half, simplified_add(xi[i][j], xi[j][i])) for j in range(n))
-        for i in range(n)
-    )
+    rows = []
+    for i, row in enumerate(xi):
+        own, other = dict(row), transposed[i]
+        entries = (
+            (j, simplified_mul(half, simplified_add(own.get(j, ZERO), other.get(j, ZERO))))
+            for j in sorted(own.keys() | other.keys() | {i})
+        )
+        rows.append(tuple((j, e) for j, e in entries if j == i or not is_zero(e)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +372,7 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Upper bound from the maximal Frobenius norm of the G-weighted
     Jacobian; always nonnegative.  The matching lower bound is its negation
     (no eigenvalue of the symmetrization can lie below it)."""
-    terms = [
-        simplified_unary(SQR, entry) for row in build_xi(model) for entry in row
-        if not is_zero(entry)
-    ]
+    terms = [simplified_unary(SQR, e) for row in model.weighted_jacobian for _, e in row]
     if not terms:
         return OSLResult(0.0, "frobenius", 0.0, 0.0, True, RunStats())
     runs: Runs = {}
@@ -394,25 +391,24 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     )
 
 
-def _row_exprs(psi: tuple[tuple[Expr, ...], ...], spread) -> tuple[list[Expr], list[Expr]]:
-    """Upper and lower row objectives: ``spread(diagonal, offdiag)`` of the
-    nonzero off-diagonal entries of each row, in column order; the diagonal
-    alone for a row without any.  ``spread`` takes their absolute values,
-    which wrap already-differentiated entries, so nothing here is ever
-    differentiated again."""
+def _row_exprs(psi: tuple[Partials, ...], spread) -> tuple[list[Expr], list[Expr]]:
+    """Upper and lower row objectives of ``build_psi``'s rows:
+    ``spread(diagonal, offdiag)`` of the nonzero off-diagonal entries of
+    each row, in column order; the diagonal alone for a row without any.
+    ``spread`` takes their absolute values, which wrap already-differentiated
+    entries, so nothing here is ever differentiated again."""
     uppers: list[Expr] = []
     lowers: list[Expr] = []
     for i, row in enumerate(psi):
-        offdiag = [e for j, e in enumerate(row) if j != i and not is_zero(e)]
-        upper, lower = spread(row[i], offdiag) if offdiag else (row[i], row[i])
+        diag = next(e for j, e in row if j == i)
+        offdiag = [e for j, e in row if j != i]
+        upper, lower = spread(diag, offdiag) if offdiag else (diag, diag)
         uppers.append(upper)
         lowers.append(lower)
     return uppers, lowers
 
 
-def _gershgorin_row_exprs(
-    psi: tuple[tuple[Expr, ...], ...]
-) -> tuple[list[Expr], list[Expr]]:
+def _gershgorin_row_exprs(psi: tuple[Partials, ...]) -> tuple[list[Expr], list[Expr]]:
     """Row objectives: diagonal plus (upper) / minus (lower) the absolute
     off-diagonal row sum, built by ``simplify``'s rules from the simplified
     entries of ``build_psi``."""
@@ -509,9 +505,7 @@ def _fold_constant(e: Expr, round_value) -> Expr:
         return e
 
 
-def _zeta_row_exprs(
-    psi: tuple[tuple[Expr, ...], ...], zn: float
-) -> tuple[list[Expr], list[Expr]]:
+def _zeta_row_exprs(psi: tuple[Partials, ...], zn: float) -> tuple[list[Expr], list[Expr]]:
     """Row objectives ``(+-zn) * max(max(|psi_ij1|, |psi_ij2|), ...) +
     psi_ii``, the maximum folded left over the row's nonzero off-diagonal
     entries.  Built without ``simplify``: a factor ``1.0`` (n = 2) or a
@@ -553,25 +547,6 @@ OSL_ESTIMATORS = {
 }
 
 
-def mixed_components(model: ModelDef) -> tuple[Expr, ...]:
-    """The G-weighted component functions (one per state)."""
-    return tuple(
-        simplified_sum([
-            simplified_mul(Const(weight), fj) for weight, fj in zip(row, model.f) if weight != 0.0
-        ])
-        for row in model.effective_G()
-    )
-
-
-def _mixed_grad_sq_norms(model: ModelDef) -> list[Expr]:
-    return [
-        simplified_sum(
-            [simplified_unary(SQR, d) for _, d in state_partials(xi_i, model.state_names)]
-        )
-        for xi_i in mixed_components(model)
-    ]
-
-
 def qib(
     model: ModelDef,
     cfg: BnBConfig,
@@ -604,7 +579,11 @@ def qib(
         stats.merge(lower_res.stats)
     stats.merge(upper_res.stats)
 
-    norms = _mixed_grad_sq_norms(model)
+    # The gradient of the G-weighted component i is row i of xi.
+    norms = [
+        simplified_sum(simplified_unary(SQR, e) for _, e in row)
+        for row in model.weighted_jacobian
+    ]
     eps_optimal = upper_res.eps_optimal and lower_res.eps_optimal
     runs: Runs = {}
     if distributed:

@@ -389,16 +389,27 @@ def row_gap_upper(a, zeta: float) -> float:
     )
 
 
+def jacobian_entry(jb, i: int, j: int) -> Interval:
+    """The enclosure of ``df_i/dx_j`` (1-based) in the sparse rows of
+    ``params.jacobian_bounds``; ``[0, 0]`` where the partial is identically
+    zero and so has no entry."""
+    return dict(jb.entries[i - 1]).get(j - 1, Interval(0.0, 0.0))
+
+
 def osl_extremal_eigen_sampled(model: ModelDef, count: int = 1000) -> tuple[float, float]:
     """Sampled (non-certified) extremal eigenvalues of the symmetrized
     G-weighted Jacobian over the admissible box: a lower bound on the
     largest eigenvalue and an upper bound on the smallest."""
     domain = model.omega()
-    programs = [[Program(entry, domain.labels) for entry in row] for row in build_psi(model)]
+    rows = [[(j, Program(e, domain.labels)) for j, e in row] for row in build_psi(model)]
     hi = -math.inf
     lo = math.inf
     for point in halton_points_in_box(domain, count):
-        eigs = jacobi_eigenvalues([[p.eval_point(point) for p in row] for row in programs])
+        matrix = [[0.0] * model.n for _ in rows]
+        for values, row in zip(matrix, rows):
+            for j, program in row:
+                values[j] = program.eval_point(point)
+        eigs = jacobi_eigenvalues(matrix)
         lo = min(lo, eigs[0])
         hi = max(hi, eigs[-1])
     return hi, lo

@@ -173,14 +173,33 @@ class TestExitCodes:
         return str(model)
 
     def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path):
-        # qib differentiates the mixed component, a sum 1,100 terms deep,
-        # and differentiation recurses once per level of the tree.
-        proc = self._fresh_run(
-            ["qib", "--eps1", "1", "--eps2", "1", "--model", self._wide_row_model(tmp_path)]
+        # f1 loads: simplify recurses once per level of its 600-factor
+        # product.  Differentiating it refuses abs of an argument of
+        # uncertified sign, with the argument's text, and printing recurses
+        # twice per level: too deep, so the job ends in the one line.
+        model = tmp_path / "deep_abs.nds"
+        model.write_text(
+            "[states]\nx1 = [-1, 1]\nx2 = [-1, 1]\n"
+            "[f]\nf1 = abs(x2 - " + "*".join(["x1"] * 600) + ")\nf2 = x2\n"
         )
+        proc = self._fresh_run(["jacobian", "--model", str(model)])
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", "certbound: expression nested too deeply\n"
         )
+
+    def test_qib_of_a_long_g_row(self, tmp_path, capsys):
+        # The gradient of the mixed component is row 1 of xi, a sum of 1,100
+        # terms x1 that nothing walks recursively: gamma_m is 1,100^2.
+        code, out, err = run_capture(
+            capsys,
+            ["qib", "--eps1", "1", "--eps2", "1", "--model", self._wide_row_model(tmp_path),
+             "--format", "json"],
+        )
+        assert (code, err) == (0, "")
+        rows = {row["name"]: row for row in json.loads(out)[0]["results"]}
+        gamma_m = rows["gamma_m"]
+        assert gamma_m["eps_optimal"]
+        assert gamma_m["lower"] <= self.WIDE_ROW**2 <= gamma_m["value"]
 
     @pytest.mark.parametrize("estimator", ["gershgorin", "frobenius"])
     def test_osl_of_a_long_g_row(self, tmp_path, capsys, estimator):

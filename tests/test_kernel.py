@@ -1035,3 +1035,52 @@ def test_a_search_runs_the_kernel_once_for_an_unsliced_box():
         kernels[1] = forward
     assert (res.lower, res.stats.evals) == (0.25, 375)
     assert runs[0] == 906  # 1,273 when each refined evaluation runs the kernel
+
+
+def test_a_failing_forward_pass_is_not_run_again():
+    # sqrt(x)/y has no enclosure on a box that touches y = 0.  The error of
+    # the gradient's forward pass on such a box is raised again for its
+    # refined evaluation, instead of a second run of the kernel.
+    program = Program(parse("sqrt(x)/y + x"), ("x", "y"))
+    _heat(program, [0.5, 0.5], [(0.5, 1.0), (0.5, 1.0)])
+    kernels = program._kernels
+    forward = kernels[1]
+    runs = [0, 0]
+
+    def counted(*args):
+        runs[0] += 1
+        try:
+            return forward(*args)
+        except IntervalError:
+            runs[1] += 1
+            raise
+
+    kernels[1] = counted
+    try:
+        box = make_box([("x", 0.0, 1.0), ("y", 0.0, 1.0)])
+        with pytest.raises(EvaluationError) as caught:
+            maximize(program.eval_point, program, box, BnBConfig(eps_om=1e-3, segments=1))
+    finally:
+        kernels[1] = forward
+    assert str(caught.value) == (
+        "unbounded enclosure: the objective's interval enclosure fails on a box of width"
+        " 0.0009765625: divisor [0.0, 0.0009765625] contains zero"
+    )
+    assert runs == [41, 31]  # [72, 62] when a failing box runs the kernel twice
+
+
+def test_a_kept_error_is_raised_again_for_its_tuple_only():
+    program = Program(parse("sqrt(x)/y + x"), ("x", "y"))
+    kept = ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(IntervalError) as first:
+        program.gradient(kept)
+    with pytest.raises(IntervalError) as again:
+        program.eval_interval(kept)
+    assert again.value is first.value
+    with pytest.raises(IntervalError) as rerun:
+        program.eval_interval(list(kept))
+    assert rerun.value is not first.value and str(rerun.value) == str(first.value)
+    # A value kept after the error replaces it.
+    fine = ((0.5, 1.0), (0.5, 1.0))
+    program.gradient(fine)
+    assert program.eval_interval(fine) == program.eval_interval(list(fine))

@@ -150,8 +150,8 @@ class TestModelDef:
             state_bounds=(Interval(0, 1), Interval(0, 1)),
             f=(parse("x1*x2"),),
         )
-        with pytest.raises(DimensionMismatch):
-            m.effective_G()
+        with pytest.raises(DimensionMismatch, match="implicit identity G needs g == n"):
+            m.weighted_jacobian
 
     def test_omega_orders_states_then_inputs(self):
         m = parse_model_text(SAMPLE)

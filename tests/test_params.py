@@ -17,14 +17,20 @@ from certbound.expr import (
     ABS,
     MAX,
     MUL,
+    SQR,
+    ZERO,
     Binary,
     Const,
     Program,
     Unary,
     Var,
+    differentiate,
     eval_real,
     is_zero,
     parse,
+    simplified_mul,
+    simplified_sum,
+    simplified_unary,
     simplify,
     sqr,
     structural_key_with_vars,
@@ -32,17 +38,16 @@ from certbound.expr import (
 )
 from certbound.intervals import Interval
 from certbound.model import reduced_domain
+from certbound.models import TrafficConfig, build_traffic
 from certbound import expr as expr_module
 from certbound import model as model_module
 from certbound import params
 from certbound.params import (
     _maximize_expr,
-    _mixed_grad_sq_norms,
     _minimize_expr,
     _gershgorin_row_exprs,
     _zeta_row_exprs,
     build_psi,
-    build_xi,
     jacobian_bounds,
     lipschitz_case1,
     lipschitz_case2,
@@ -54,7 +59,7 @@ from certbound.params import (
     qib,
     zeta,
 )
-from conftest import expr_sum, osl_extremal_eigen_sampled, random_polynomial
+from conftest import expr_sum, jacobian_entry, osl_extremal_eigen_sampled, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -135,21 +140,25 @@ class TestJacobianBounds:
     def test_traffic_segment_derivative(self, traffic_s1):
         jb = jacobian_bounds(traffic_s1, CFG)
         # first mainline segment: d f2 / d x2 = 2*delta*x2 on [0, rho_c]
-        iv = jb.entry(2, 2)
+        iv = jacobian_entry(jb, 2, 2)
         assert iv.lo == pytest.approx(0.0, abs=1e-6)
         assert iv.hi == pytest.approx(2 * DELTA * RHO_C, abs=1e-6)
 
     def test_zero_derivatives_skip_runs(self, traffic_s1):
         jb = jacobian_bounds(traffic_s1, CFG)
-        assert jb.entry(2, 7).lo == jb.entry(2, 7).hi == 0.0
+        assert jacobian_entry(jb, 2, 7).lo == jacobian_entry(jb, 2, 7).hi == 0.0
         partials = [d for row in traffic_s1.state_jacobian for _, d in row]
         nonzero = sum(
             1
             for i in range(1, traffic_s1.g + 1)
             for j in range(1, traffic_s1.n + 1)
-            if jb.entry(i, j) != Interval(0.0, 0.0)
+            if jacobian_entry(jb, i, j) != Interval(0.0, 0.0)
         )
         assert nonzero == len(partials) == 13
+        # The entries are sparse, in the places of the state Jacobian's.
+        assert [[j for j, _ in row] for row in jb.entries] == [
+            [j for j, _ in row] for row in traffic_s1.state_jacobian
+        ]
         # One max and one min per distinct search among the 13 nonzero
         # entries (4 of them); the 36 zero entries run nothing.
         assert jb.stats.runs == 2 * len(searches(traffic_s1, partials)) == 8
@@ -159,7 +168,7 @@ class TestJacobianBounds:
             ["x1/(1 + x2^2)"], [("x1", 0, 1), ("x2", 0, 1), ("x3", 0, 1)]
         )
         jb = jacobian_bounds(m, CFG)
-        entry = jb.entry(1, 3)
+        entry = jacobian_entry(jb, 1, 3)
         assert (repr(entry.lo), repr(entry.hi)) == ("0.0", "0.0")
         assert jb.stats.runs == 4  # x1 and x2 only
 
@@ -167,10 +176,9 @@ class TestJacobianBounds:
         bounds = [("x1", -1, 2), ("x2", 0, 1)]
         linear = jacobian_bounds(small_model(["3*x1 - x2", "x1*x2"], bounds), CFG)
         alone = jacobian_bounds(small_model(["x1*x2"], bounds), CFG)
-        assert [(repr(linear.entry(1, j).lo), repr(linear.entry(1, j).hi)) for j in (1, 2)] == [
-            ("3.0", "3.0"), ("-1.0", "-1.0")
-        ]
-        assert linear.entry(2, 1) == alone.entry(1, 1)
+        first = [jacobian_entry(linear, 1, j) for j in (1, 2)]
+        assert [(repr(iv.lo), repr(iv.hi)) for iv in first] == [("3.0", "3.0"), ("-1.0", "-1.0")]
+        assert jacobian_entry(linear, 2, 1) == jacobian_entry(alone, 1, 1)
         # [c, c] takes no evaluation and is no run.
         assert (linear.stats.runs, linear.stats.evals) == (alone.stats.runs, alone.stats.evals)
         assert linear.stats.runs == 4  # x1*x2's two entries: one max and one min each
@@ -205,19 +213,17 @@ class TestJacobianBounds:
 
     def test_moving_object_entry(self, moving_object):
         jb = jacobian_bounds(moving_object, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1))
-        iv = jb.entry(1, 1)  # range of -3*x1^2 - x2^2 over [-5, 5]^2
+        iv = jacobian_entry(jb, 1, 1)  # range of -3*x1^2 - x2^2 over [-5, 5]^2
         assert iv.lo == pytest.approx(-100.0, abs=1e-3)
         assert iv.hi == pytest.approx(0.0, abs=1e-3)
 
     def test_sampled_derivatives_enclosed(self, moving_object):
-        from certbound.expr import differentiate
-
         jb = jacobian_bounds(moving_object, CFG_COARSE)
         rng = random.Random(3)
         for i in (1, 2):
             for j, name in enumerate(moving_object.state_names, start=1):
                 d = differentiate(moving_object.f[i - 1], name)
-                iv = jb.entry(i, j)
+                iv = jacobian_entry(jb, i, j)
                 for _ in range(200):
                     point = {
                         "x1": rng.uniform(-5, 5),
@@ -271,9 +277,58 @@ class TestLipschitz:
 # ---------------------------------------------------------------------------
 
 
+def dense(rows, n: int) -> list[list]:
+    """The n-by-n matrix of a sparse one: ``ZERO`` where a row has no entry."""
+    matrix = [[ZERO] * n for _ in rows]
+    for row, entries in zip(matrix, rows):
+        for j, e in entries:
+            row[j] = e
+    return matrix
+
+
+def _weights(model: ModelDef):
+    """G, or the identity written out when it is omitted."""
+    if model.G is not None:
+        return model.G
+    return tuple(tuple(float(i == k) for k in range(model.g)) for i in range(model.n))
+
+
+def reference_xi(model: ModelDef) -> list[list]:
+    """The dense G-weighted Jacobian, entry by entry over every (weight,
+    partial) pair, each component differentiated by every state name."""
+    rows = []
+    for weights in _weights(model):
+        terms: list[list] = [[] for _ in range(model.n)]
+        for weight, fk in zip(weights, model.f):
+            if weight != 0.0:
+                for j, name in enumerate(model.state_names):
+                    d = differentiate(fk, name)
+                    if not is_zero(d):
+                        terms[j].append(simplified_mul(Const(weight), d))
+        rows.append([simplified_sum(column) for column in terms])
+    return rows
+
+
+def reference_mixed_grad_sq_norms(model: ModelDef) -> list:
+    """The squared gradient norm of each G-weighted component, got by
+    differentiating the component by every state name."""
+    norms = []
+    for weights in _weights(model):
+        mixed = simplified_sum(
+            [simplified_mul(Const(w), fk) for w, fk in zip(weights, model.f) if w != 0.0]
+        )
+        partials = (differentiate(mixed, name) for name in model.state_names)
+        norms.append(simplified_sum([simplified_unary(SQR, d) for d in partials if not is_zero(d)]))
+    return norms
+
+
+def keys(exprs) -> list:
+    return [structural_key_with_vars(e) for e in exprs]
+
+
 class TestXiPsi:
     def test_moving_object_entries(self, moving_object):
-        xi = build_xi(moving_object)
+        xi = dense(moving_object.weighted_jacobian, 2)
         rng = random.Random(8)
         expect = {
             (0, 0): lambda x1, x2: -3 * x1**2 - x2**2,
@@ -293,32 +348,145 @@ class TestXiPsi:
             [("x1", -1, 1), ("x2", -1, 1)],
             G=((0.0, 0.0), (0.0, 0.0)),
         )
-        xi = build_xi(m)
-        assert all(
-            eval_real(xi[i][j], {"x1": 0.3, "x2": 0.4}) == 0.0
-            for i in range(2)
-            for j in range(2)
-        )
+        assert m.weighted_jacobian == ((), ())
+        # psi keeps its zero diagonal only.
+        assert build_psi(m) == (((0, ZERO),), ((1, ZERO),))
 
     def test_linear_map_constant_xi(self):
         m = small_model(
             ["2*x1 + x2", "x1 + 2*x2"], [("x1", -1, 1), ("x2", -1, 1)]
         )
-        xi = build_xi(m)
-        values = [
-            [eval_real(xi[i][j], {"x1": 0.5, "x2": -0.25}) for j in range(2)]
-            for i in range(2)
-        ]
-        assert values == [[2.0, 1.0], [1.0, 2.0]]
+        assert m.weighted_jacobian == (
+            ((0, Const(2.0)), (1, Const(1.0))), ((0, Const(1.0)), (1, Const(2.0)))
+        )
+
+    def test_omitted_G_is_the_state_jacobian(self, moving_object):
+        assert moving_object.weighted_jacobian is moving_object.state_jacobian
 
     def test_psi_symmetric(self, moving_object):
-        psi = build_psi(moving_object)
+        psi = dense(build_psi(moving_object), 2)
         rng = random.Random(5)
         for _ in range(50):
             env = {"x1": rng.uniform(-5, 5), "x2": rng.uniform(-5, 5)}
             assert eval_real(psi[0][1], env) == pytest.approx(
                 eval_real(psi[1][0], env)
             )
+
+    def test_psi_rows_are_sparse(self):
+        # xi's rows 2 and 3 are (1, 0, 0) and (-1, 0, 0), so psi_21 is
+        # 0.5*(1 + x1) and psi_22 is 0, which stays as the diagonal, while
+        # psi_13 = psi_31 = 0.5*(1 - 1) folds to 0 and is left out.
+        m = small_model(
+            ["x1*x2 + x3", "x1", "-x1"], [("x1", -1, 1), ("x2", -1, 1), ("x3", -1, 1)]
+        )
+        psi = build_psi(m)
+        assert [[j for j, _ in row] for row in psi] == [[0, 1], [0, 1], [2]]
+        assert [to_text(e) for _, e in psi[1]] == ["0.5*(1.0 + x1)", "0.0"]
+
+
+class TestReferenceTrees:
+    """``weighted_jacobian``, ``build_psi`` and ``qib``'s mixed-gradient
+    norms are, tree for tree, the dense G-weighted Jacobian, its dense
+    symmetrization and the gradient norms got by differentiating each
+    G-weighted component by every state."""
+
+    @staticmethod
+    def _random_model(rng: random.Random) -> ModelDef:
+        # Polynomials in the states and inputs, now and then of a single
+        # state or a constant; a G with zero weights and, sometimes, a zero
+        # column, whose component count may differ from the state count; or
+        # no G and as many components as states.
+        n, m = rng.randint(1, 4), rng.randint(0, 2)
+        states = [f"x{i + 1}" for i in range(n)]
+        inputs = [f"u{i + 1}" for i in range(m)]
+        G = None if rng.random() < 0.25 else ()
+        g = n if G is None else rng.randint(1, 5)
+        f = []
+        for _ in range(g):
+            kind = rng.random()
+            if kind < 0.1:
+                f.append(Const(rng.choice([0.0, 2.5])))
+            elif kind < 0.3:
+                f.append(Const(rng.choice([1.0, -2.0, 0.5])) * Var(rng.choice(states)))
+            else:
+                term = random_polynomial(rng, n, 3)
+                if inputs:
+                    term = simplify(term + Var(rng.choice(inputs)) * Var(rng.choice(states)))
+                f.append(term)
+        if G is not None:
+            zero_column = rng.randrange(g) if rng.random() < 0.5 else -1
+            G = tuple(
+                tuple(
+                    0.0 if k == zero_column else rng.choice([0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+                    for k in range(g)
+                )
+                for _ in range(n)
+            )
+        return ModelDef(
+            state_names=tuple(states), state_bounds=(Interval(-1, 1),) * n, f=tuple(f),
+            input_names=tuple(inputs), input_bounds=(Interval(-0.5, 0.5),) * m, G=G,
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_weighted_jacobian_is_the_dense_xi(self, seed):
+        m = self._random_model(random.Random(seed))
+        reference = reference_xi(m)
+        assert [[j for j, _ in row] for row in m.weighted_jacobian] == [
+            [j for j, e in enumerate(row) if not is_zero(e)] for row in reference
+        ]
+        assert [keys(e for _, e in row) for row in m.weighted_jacobian] == [
+            keys(e for e in row if not is_zero(e)) for row in reference
+        ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_psi_is_the_dense_psi(self, seed):
+        m = self._random_model(random.Random(seed))
+        xi = reference_xi(m)
+        half = Const(0.5)
+        reference = [
+            [simplify(half * (xi[i][j] + xi[j][i])) for j in range(m.n)] for i in range(m.n)
+        ]
+        assert [keys(e for _, e in row) for row in build_psi(m)] == [
+            keys(e for j, e in enumerate(row) if j == i or not is_zero(e))
+            for i, row in enumerate(reference)
+        ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_qib_norms_are_those_of_the_mixed_components(self, monkeypatch, seed):
+        m = self._random_model(random.Random(seed))
+        asked = []
+        original = params._maximize_expr
+        monkeypatch.setattr(
+            params, "_maximize_expr",
+            lambda e, model, cfg, runs: asked.append(e) or original(Const(0.0), model, cfg, runs),
+        )
+        reference = reference_mixed_grad_sq_norms(m)
+        # The Gershgorin bound asks one maximization per row first.
+        qib(m, CFG, eps1=1.0, eps2=1.0, distributed=True)
+        assert keys(asked[m.n:]) == keys(reference)
+        asked.clear()
+        qib(m, CFG, eps1=1.0, eps2=1.0)
+        joint = [e for e in reference if not is_zero(e)]
+        assert keys(asked[m.n:]) == (keys([simplified_sum(joint)]) if joint else [])
+
+    def test_psi_is_linear_in_the_nonzeros(self, monkeypatch):
+        # Traffic s170: n = 1,021 states and a Jacobian with 2,041 nonzero
+        # entries, of which psi makes 3,061.  A dense psi adds all n^2 =
+        # 1,042,441 pairs.
+        m, _ = build_traffic(TrafficConfig(sections=170))
+        nonzeros = sum(map(len, m.weighted_jacobian))
+        calls = [0]
+        original = params.simplified_add
+
+        def counted(left, right):
+            calls[0] += 1
+            return original(left, right)
+
+        monkeypatch.setattr(params, "simplified_add", counted)
+        monkeypatch.setattr(expr_module, "simplified_add", counted)
+        psi = build_psi(m)
+        assert len(psi) == m.n == 1021
+        assert calls[0] <= 2 * nonzeros + m.n
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +736,8 @@ class TestLongSums:
     def test_trees_are_those_of_simplify(self, monkeypatch, seed):
         # Compared by ``structural_key_with_vars``, so ``-0.0`` is not ``0.0``.
         m = self._random_model(random.Random(seed))
-        psi = build_psi(m)
-        for i, rows in enumerate(zip(*_gershgorin_row_exprs(psi))):
+        psi = dense(build_psi(m), m.n)
+        for i, rows in enumerate(zip(*_gershgorin_row_exprs(build_psi(m)))):
             offdiag = [Unary(ABS, e) for j, e in enumerate(psi[i]) if j != i and not is_zero(e)]
             total = expr_sum(offdiag)
             expected = (
@@ -597,8 +765,9 @@ class TestLongSums:
         # terms than ``simplify``'s recursion reaches.
         n = 1100
         entries = [Const(0.5) * Var(f"x{j + 1}") for j in range(n)]
-        zeros = (Const(0.0),) * (n - 1)
-        psi = (tuple(entries),) + tuple((entries[i],) + zeros for i in range(1, n))
+        psi = (tuple(enumerate(entries)),) + tuple(
+            ((0, entries[i]), (i, ZERO)) for i in range(1, n)
+        )
         uppers, lowers = _gershgorin_row_exprs(psi)
         for row, op in ((uppers[0], "+"), (lowers[0], "-")):
             assert isinstance(row, Binary) and (row.op, row.left) == (op, entries[0])
@@ -713,14 +882,15 @@ class TestRunReuse:
         apart = jacobian_bounds(small_model([f"{c!r}*x1*x2", f"{d!r}*x2*x1"], bounds), CFG)
         alike = jacobian_bounds(small_model([f"{c!r}*x1*x2", f"{c!r}*x2*x1"], bounds), CFG)
         assert (apart.stats.runs, alike.stats.runs) == (4, 2)
-        assert apart.entry(1, 1).hi < apart.entry(2, 2).hi
+        assert jacobian_entry(apart, 1, 1).hi < jacobian_entry(apart, 2, 2).hi
 
     def test_signed_zero_bounds_do_not_merge(self):
         texts = ["sqr(x1)", "sqr(x2)"]
         apart = small_model(texts, [("x1", -0.0, 1), ("x2", 0.0, 1)])
         alike = small_model(texts, [("x1", -0.0, 1), ("x2", -0.0, 1)])
         jb = jacobian_bounds(apart, CFG)
-        assert jb.entry(1, 1) == jb.entry(2, 2)  # equal as floats, yet two searches
+        # Equal as floats, yet two searches.
+        assert jacobian_entry(jb, 1, 1) == jacobian_entry(jb, 2, 2)
         assert (jb.stats.runs, jacobian_bounds(alike, CFG).stats.runs) == (4, 2)
 
     def test_maximize_and_minimize_do_not_merge(self):
@@ -782,7 +952,7 @@ class TestAssemblyRounding:
     def test_distributed_qib_sum_rounds_outward(self):
         m = small_model(*self.LINEAR)
         r = qib(m, CFG, eps1=0.0, eps2=0.0, distributed=True)
-        runs = [_maximize_expr(e, m, CFG, {}) for e in _mixed_grad_sq_norms(m)]
+        runs = [_maximize_expr(e, m, CFG, {}) for e in reference_mixed_grad_sq_norms(m)]
         upper = sum(Fraction(res.upper) for res in runs)
         lower = sum(Fraction(res.lower) for res in runs)
         assert Fraction(r.gamma_m) >= upper > Fraction(math.nextafter(r.gamma_m, 0.0))

@@ -23,7 +23,7 @@ from certbound.params import (
     osl_zeta,
     qib,
 )
-from conftest import random_polynomial
+from conftest import jacobian_entry, random_polynomial
 
 # Loose tolerance and a tight step cap: certificates are valid at any
 # tolerance, and this suite checks validity, not tightness.
@@ -92,5 +92,5 @@ def test_certified_constants_dominate_samples(seed):
         for i in range(model.g):
             for j in range(model.n):
                 value = deriv_programs[i][j].eval_point(x)
-                entry = jb.entries[i][j]
+                entry = jacobian_entry(jb, i + 1, j + 1)
                 assert entry.lo - 1e-9 <= value <= entry.hi + 1e-9
