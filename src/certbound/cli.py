@@ -420,9 +420,6 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"certbound: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:  # a tree built from the model, too deep to walk
-        print("certbound: expression nested too deeply", file=sys.stderr)
-        return EXIT_MODEL
 
 
 def main() -> None:

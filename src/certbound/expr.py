@@ -8,6 +8,10 @@ a tree by straight-line kernels of one statement per operation, which run
 from a tape at first and are compiled once they have run ``_HOT_RUNS``
 times; both tiers make the same calls, so no result depends on the tier.
 
+Every question about a whole tree (simplify, differentiate, print, hash,
+number into ops) is answered by one ``walk`` on an explicit stack, and the
+parser and equality keep explicit stacks too, so no depth is refused.
+
 Simplification is deliberately conservative: constant folding, 0/1
 identities and ``x*x -> sqr(x)`` only.  A constant folds only to a finite
 float: a folded overflow or NaN would be taken as exact and bound nothing,
@@ -66,6 +70,22 @@ class Expr(Frozen):
 
     def __str__(self) -> str:
         return to_text(self)
+
+    def __eq__(self, other: object) -> bool:
+        """Compared pair by pair of nodes from a stack, to the first difference."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if _head(a) != _head(b):
+                    return False
+                pairs += zip(_children(a), _children(b))
+        return True
+
+    def __hash__(self) -> int:
+        return walk(self, lambda e, hashes: hash((*_head(e), *hashes)))
 
 
 class Const(Expr):
@@ -139,29 +159,63 @@ def simplified_sum(terms: Iterable[Expr]) -> Expr:
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Binary):
+    cls = type(e)
+    if cls is Binary:
         return (e.left, e.right)
-    if isinstance(e, Unary):
+    if cls is Unary:
         return (e.arg,)
-    if isinstance(e, PowInt):
+    if cls is PowInt:
         return (e.base,)
     return ()
 
 
+def _head(e: Expr) -> tuple:
+    """The class of ``e`` and its one field that is not a node."""
+    cls = type(e)
+    if cls is Binary or cls is Unary:
+        return (cls, e.op)
+    if cls is PowInt:
+        return (cls, e.exponent)
+    return (cls, e.value) if cls is Const else (cls, e.name)
+
+
+def walk(root: Expr, leave, children=_children):
+    """What ``leave(node, results)`` gives for ``root``, where ``results``
+    lists what it gave for ``children(node)``, the operands that a question
+    needs: children first, left to right, and a shared node once (by
+    ``id``).  The stack is explicit, so depth needs no recursion: an inner
+    node goes back under the length of ``done``, its children above it, and
+    is left once their results lie on ``done`` from that length on."""
+    memo: dict[int, object] = {}  # id of a node left -> its result
+    done, todo = [], [root]
+    push, pop, out = todo.append, todo.pop, done.append
+    while todo:
+        node = pop()
+        if type(node) is int:
+            results = done[node:]
+            del done[node:]
+            node = pop()
+        else:
+            result = memo.get(id(node), memo)
+            if result is not memo:
+                out(result)
+                continue
+            results = children(node)  # none for a leaf
+            if results:
+                push(node)
+                push(len(done))
+                todo += reversed(results)
+                continue
+        result = memo[id(node)] = leave(node, results)
+        out(result)
+    return done[0]
+
+
 def free_vars(e: Expr) -> frozenset[str]:
-    """The variable names of ``e``; a node that several parents share is
-    walked once."""
-    out: set[str] = set()
-    walked: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif id(node) not in walked:
-            walked.add(id(node))
-            stack.extend(_children(node))
-    return frozenset(out)
+    """The variable names of ``e``."""
+    names: list[str] = []
+    walk(e, lambda node, _: names.append(node.name) if type(node) is Var else None)
+    return frozenset(names)
 
 
 def is_zero(e: Expr) -> bool:
@@ -177,16 +231,19 @@ def simplify(e: Expr) -> Expr:
     """``e`` with the rule for its kind of node applied at every node, from
     the leaves up: ``simplified_unary``, ``simplified_pow`` and the rules
     for the binary operators.  A simplified tree is a fixed point."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Unary):
-        return simplified_unary(e.op, simplify(e.arg))
-    if isinstance(e, PowInt):
-        return simplified_pow(simplify(e.base), e.exponent)
-    left = simplify(e.left)
-    right = simplify(e.right)
-    rule = _BINARY_RULES.get(e.op)
-    return Binary(e.op, left, right) if rule is None else rule(left, right)
+    return walk(e, _simplified)
+
+
+def _simplified(e: Expr, operands: list[Expr]) -> Expr:
+    cls = type(e)
+    if cls is Unary:
+        return simplified_unary(e.op, operands[0])
+    if cls is PowInt:
+        return simplified_pow(operands[0], e.exponent)
+    if cls is Binary:
+        rule = _BINARY_RULES.get(e.op)
+        return Binary(e.op, *operands) if rule is None else rule(*operands)
+    return e
 
 
 # ``simplify``'s rules for one node whose operands are already simplified.
@@ -287,15 +344,24 @@ _BINARY_RULES = {
 
 def provably_nonnegative(e: Expr) -> bool:
     """Syntactic certificate that an expression is >= 0 on its whole domain."""
-    if isinstance(e, Const):
+    return walk(e, _nonnegative, _sign_operands)
+
+
+def _sign_operands(e: Expr) -> tuple[Expr, ...]:
+    if type(e) is Binary and e.op in (ADD, MUL, DIV):
+        return (e.left, e.right)
+    return (e.base,) if type(e) is PowInt and e.exponent % 2 else ()
+
+
+def _nonnegative(e: Expr, operands: list[bool]) -> bool:
+    if type(e) is Const:
         return e.value >= 0.0
-    if isinstance(e, Unary):
+    if type(e) is Unary:
         return e.op in (SQR, ABS, EXP, SQRT)
-    if isinstance(e, PowInt):
-        return e.exponent % 2 == 0 or provably_nonnegative(e.base)
-    if isinstance(e, Binary) and e.op in (ADD, MUL, DIV):
-        return provably_nonnegative(e.left) and provably_nonnegative(e.right)
-    return False
+    return (type(e) is PowInt or type(e) is Binary and e.op in (ADD, MUL, DIV)) and all(operands)
+
+
+_TWO = Const(2.0)
 
 
 def differentiate(e: Expr, v: str) -> Expr:
@@ -308,73 +374,69 @@ def differentiate(e: Expr, v: str) -> Expr:
     from simplified parts, so for a simplified ``e`` (as every model
     component is) the result is ``simplify`` of the chain rule's tree,
     without a walk of its own.  The parts taken from an unsimplified ``e``
-    are left as written."""
-    d = _diff(e, v)
-    return ZERO if d is None else d
+    are left as written.
 
+    Each node's derivative comes from its operands': ``None`` exactly when
+    ``v`` does not occur in it (so a kink above a derivative that folds to
+    zero is still refused), or ``(kink,)`` for the first ``abs`` of
+    uncertified sign or ``max`` that a walk from the root, left operand
+    first, meets: a ``max`` before the kinks below it."""
 
-_TWO = Const(2.0)
-
-
-def _diff(e: Expr, v: str) -> Expr | None:
-    """The simplified derivative of ``e`` by ``v`` (see ``differentiate``),
-    or ``None`` exactly when ``v`` does not occur in ``e``.  Each node
-    decides that from its operands' results, a ``max`` node from its free
-    variables.  A derivative that folds to zero although ``v`` occurs is
-    not ``None``, so a kink above it is still refused."""
-    if isinstance(e, Var):
-        return ONE if e.name == v else None
-    if isinstance(e, Const):
-        return None
-    if isinstance(e, PowInt):
-        db = _diff(e.base, v)
-        if db is None or e.exponent == 1:
-            return db
-        inner = e.base if e.exponent == 2 else simplified_pow(e.base, e.exponent - 1)
-        return simplified_mul(simplified_mul(Const(float(e.exponent)), inner), db)
-    if isinstance(e, Unary):
-        da = _diff(e.arg, v)
-        if da is None:
+    def leave(e: Expr, ds: list):
+        cls = type(e)
+        if cls is Var:
+            return ONE if e.name == v else None
+        if cls is Const:
             return None
-        op = e.op
-        if op == NEG:
-            return simplified_unary(NEG, da)
-        if op == SQR:
-            return simplified_mul(simplified_mul(_TWO, e.arg), da)
-        if op == SQRT:  # ``e`` is ``simplify(Unary(SQRT, e.arg))``
-            return simplified_div(da, simplified_mul(_TWO, e))
-        if op == SIN:
-            return simplified_mul(simplified_unary(COS, e.arg), da)
-        if op == COS:
-            return simplified_mul(simplified_unary(NEG, simplified_unary(SIN, e.arg)), da)
-        if op == EXP:
-            return simplified_mul(e, da)
-        if op == ABS:
-            if provably_nonnegative(e.arg):
-                return da
-            raise NonDifferentiable(
-                f"cannot differentiate abs({to_text(e.arg)}): sign not certified"
-            )
-    assert isinstance(e, Binary)
-    if e.op == MAX:
-        # Raised before any error of the operands: the outermost kink counts.
-        if v in free_vars(e):
-            raise NonDifferentiable(f"cannot differentiate {to_text(e)}: not smooth")
-        return None
-    dl = _diff(e.left, v)
-    dr = _diff(e.right, v)
-    if dl is None and dr is None:
-        return None
-    dl = ZERO if dl is None else dl
-    dr = ZERO if dr is None else dr
-    if e.op == ADD:
-        return simplified_add(dl, dr)
-    if e.op == SUB:
-        return simplified_sub(dl, dr)
-    if e.op == MUL:
-        return simplified_add(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
-    numerator = simplified_sub(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
-    return simplified_div(numerator, simplified_unary(SQR, e.right))
+        if cls is Binary and e.op == MAX:
+            return None if ds[0] is None and ds[1] is None else (e,)
+        for d in ds:
+            if type(d) is tuple:
+                return d
+        if cls is PowInt:
+            db = ds[0]
+            if db is None or e.exponent == 1:
+                return db
+            inner = e.base if e.exponent == 2 else simplified_pow(e.base, e.exponent - 1)
+            return simplified_mul(simplified_mul(Const(float(e.exponent)), inner), db)
+        if cls is Unary:
+            da = ds[0]
+            if da is None:
+                return None
+            op = e.op
+            if op == NEG:
+                return simplified_unary(NEG, da)
+            if op == SQR:
+                return simplified_mul(simplified_mul(_TWO, e.arg), da)
+            if op == SQRT:  # ``e`` is ``simplify(Unary(SQRT, e.arg))``
+                return simplified_div(da, simplified_mul(_TWO, e))
+            if op == SIN:
+                return simplified_mul(simplified_unary(COS, e.arg), da)
+            if op == COS:
+                return simplified_mul(simplified_unary(NEG, simplified_unary(SIN, e.arg)), da)
+            if op == EXP:
+                return simplified_mul(e, da)
+            return da if provably_nonnegative(e.arg) else (e,)  # ``abs``
+        dl, dr = ds
+        if dl is None and dr is None:
+            return None
+        dl = ZERO if dl is None else dl
+        dr = ZERO if dr is None else dr
+        if e.op == ADD:
+            return simplified_add(dl, dr)
+        if e.op == SUB:
+            return simplified_sub(dl, dr)
+        if e.op == MUL:
+            return simplified_add(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
+        numerator = simplified_sub(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
+        return simplified_div(numerator, simplified_unary(SQR, e.right))
+
+    d = walk(e, leave)
+    if type(d) is tuple:
+        kink = d[0]
+        why = "sign not certified" if kink.op == ABS else "not smooth"
+        raise NonDifferentiable(f"cannot differentiate {to_text(kink)}: {why}")
+    return ZERO if d is None else d
 
 
 # ---------------------------------------------------------------------------
@@ -396,137 +458,98 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            offset = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", offset)
-        if m.lastgroup is None:
-            break
+            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         yield m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
         pos = m.end()
     yield "end", "", len(text)
 
 
-class _Parser:
-    def __init__(self, text: str, constants: Mapping[str, float] | None):
-        self.text = text
-        self.tokens = list(_tokenize(text))
-        self.index = 0
-        self.constants = dict(constants or {})
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_op(self, symbol: str) -> None:
-        kind, value, offset = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"found {value or 'end of input'!r}", offset, (symbol,))
-        self.advance()
-
-    def parse(self) -> Expr:
-        e = self.sum_expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {value!r}", offset, ("end of input",))
-        return e
-
-    def sum_expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Binary(ADD if value == "+" else SUB, e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = Binary(MUL if value == "*" else DIV, e, rhs)
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Unary(NEG, self.factor())
-        if kind == "op" and value == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, offset = self.peek()
-            if kind != "number" or not re.fullmatch(r"\d+", value) or int(value) < 1:
-                raise ParseError(
-                    f"found {value or 'end of input'!r}",
-                    offset,
-                    ("positive integer exponent",),
-                )
-            self.advance()
-            return PowInt(base, int(value))
-        return base
-
-    def atom(self) -> Expr:
-        kind, value, offset = self.advance()
-        if kind == "number":
-            return Const(float(value))
-        if kind == "ident":
-            nxt_kind, nxt_value, _ = self.peek()
-            if nxt_kind == "op" and nxt_value == "(":
-                if value not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", offset, _FUNCTIONS)
-                self.advance()
-                arg = self.sum_expr()
-                if value == MAX:
-                    self.expect_op(",")
-                    e: Expr = Binary(MAX, arg, self.sum_expr())
-                else:
-                    e = Unary(value, arg)
-                self.expect_op(")")
-                return e
-            if value in self.constants:
-                return Const(float(self.constants[value]))
-            return Var(value)
-        if kind == "op" and value == "(":
-            e = self.sum_expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(
-            f"found {value or 'end of input'!r}",
-            offset,
-            ("number", "identifier", "("),
-        )
+_BINARY_PRECEDENCE = {ADD: 1, SUB: 1, MUL: 2, DIV: 2}
 
 
 def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
-    """Parse an expression; named constants are substituted during parsing."""
-    return _Parser(text, constants).parse()
+    """Parse an expression; named constants are substituted during parsing.
+    One loop over two stacks, so any nesting parses: ``operands`` holds the
+    left operands of the binary operators on ``pending``, which also holds
+    the signs (``neg``) before an operand and the open brackets: ``(``, a
+    function's name, and ``max`` then ``,`` for the operands of a ``max``."""
+    constants = constants or {}
+    tokens = list(_tokenize(text))
+    operands: list[Expr] = []
+    pending: list[str] = []
+    i = 0
+    while True:
+        # An operand: signs and opening brackets, then an atom.
+        kind, value, offset = tokens[i]
+        i += 1
+        if value in ("+", "-", "("):
+            if value != "+":
+                pending.append(NEG if value == "-" else value)
+            continue
+        if kind == "ident" and tokens[i][:2] == ("op", "("):
+            if value not in _FUNCTIONS:
+                raise ParseError(f"unknown function {value!r}", offset, _FUNCTIONS)
+            pending.append(value)
+            i += 1
+            continue
+        if kind == "number":
+            e = Const(float(value))
+        elif kind == "ident":
+            e = Const(float(constants[value])) if value in constants else Var(value)
+        else:
+            raise ParseError(
+                f"found {value or 'end of input'!r}", offset, ("number", "identifier", "(")
+            )
+        # After an atom: its power and signs, then a binary operator, or the
+        # end of the innermost bracket, which closes into an atom again.
+        while True:
+            kind, value, offset = tokens[i]
+            if value == "^":
+                kind, value, offset = tokens[i + 1]
+                try:
+                    exponent = int(value) if kind == "number" and re.fullmatch(r"\d+", value) else 0
+                except ValueError:  # more digits than ``int`` converts
+                    raise ParseError(f"exponent too long: {len(value)} digits", offset) from None
+                if exponent < 1:
+                    raise ParseError(
+                        f"found {value or 'end of input'!r}", offset, ("positive integer exponent",)
+                    )
+                e = PowInt(e, exponent)
+                i += 2
+                kind, value, offset = tokens[i]
+            while pending and pending[-1] == NEG:
+                pending.pop()
+                e = Unary(NEG, e)
+            precedence = _BINARY_PRECEDENCE.get(value, 0)
+            while pending and _BINARY_PRECEDENCE.get(pending[-1], 0) >= max(precedence, 1):
+                e = Binary(pending.pop(), operands.pop(), e)
+            if precedence:
+                operands.append(e)
+                pending.append(value)
+                i += 1
+                break
+            if not pending:
+                if kind != "end":
+                    raise ParseError(f"trailing input {value!r}", offset, ("end of input",))
+                return e
+            bracket = pending.pop()
+            closing = "," if bracket == MAX else ")"
+            if kind != "op" or value != closing:
+                raise ParseError(f"found {value or 'end of input'!r}", offset, (closing,))
+            i += 1
+            if bracket == MAX:
+                operands.append(e)
+                pending.append(",")
+                break
+            if bracket == ",":
+                e = Binary(MAX, operands.pop(), e)
+            elif bracket != "(":
+                e = Unary(bracket, e)
 
 
 def parse_simplified(text: str, constants: Mapping[str, float] | None = None) -> Expr:
-    """``simplify(parse(text, constants))``.  The parser recurses once per
-    parenthesis and ``simplify`` once per level of the tree, so input nested
-    deeper than the interpreter's recursion limit allows (a sum of about a
-    thousand terms, say) is a ``ParseError`` like any other bad input."""
-    try:
-        return simplify(parse(text, constants))
-    except RecursionError:
-        raise ParseError("expression nested too deeply") from None
+    """``simplify(parse(text, constants))``: how models and ``--expr`` are read."""
+    return simplify(parse(text, constants))
 
 
 # ---------------------------------------------------------------------------
@@ -550,32 +573,45 @@ def _prec(e: Expr) -> int:
     return _PREC_ATOM
 
 
-def _wrap(e: Expr, parent_prec: int) -> str:
-    text = to_text(e)
-    return f"({text})" if _prec(e) < parent_prec else text
-
-
 def to_text(e: Expr) -> str:
     """Render an expression in the input grammar; parses back to the same tree
-    (after canonical simplification)."""
-    if isinstance(e, Const):
+    (after canonical simplification).  The pieces are joined once."""
+    pieces: list[str] = []
+    todo = [walk(e, _text)]
+    while todo:
+        text = todo.pop()
+        if type(text) is str:
+            pieces.append(text)
+        else:
+            todo += reversed(text)
+    return "".join(pieces)
+
+
+def _text(e: Expr, texts: list):
+    """The text of ``e``, a string or a tuple of texts, from its operands'."""
+    cls = type(e)
+    if cls is Const:
         return repr(e.value)
-    if isinstance(e, Var):
+    if cls is Var:
         return e.name
-    if isinstance(e, PowInt):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    if isinstance(e, Unary):
+    if cls is PowInt:
+        return (_wrap(e.base, texts[0], _PREC_ATOM), f"^{e.exponent}")
+    if cls is Unary:
         if e.op == NEG:
-            return "-" + _wrap(e.arg, _PREC_NEG + 1)
-        return f"{e.op}({to_text(e.arg)})"
-    assert isinstance(e, Binary)
+            return ("-", _wrap(e.arg, texts[0], _PREC_NEG + 1))
+        return (e.op, "(", texts[0], ")")
+    left, right = texts
     if e.op == MAX:
-        return f"max({to_text(e.left)}, {to_text(e.right)})"
+        return ("max(", left, ", ", right, ")")
     # Right operands always take parens at equal precedence so the printed
     # form reparses to the identical tree (the parser is left-associative).
     if e.op in (ADD, SUB):
-        return f"{_wrap(e.left, _PREC_ADD)} {e.op} {_wrap(e.right, _PREC_ADD + 1)}"
-    return f"{_wrap(e.left, _PREC_MUL)}{e.op}{_wrap(e.right, _PREC_MUL + 1)}"
+        return (_wrap(e.left, left, _PREC_ADD), f" {e.op} ", _wrap(e.right, right, _PREC_ADD + 1))
+    return (_wrap(e.left, left, _PREC_MUL), e.op, _wrap(e.right, right, _PREC_MUL + 1))
+
+
+def _wrap(e: Expr, text, parent_prec: int):
+    return ("(", text, ")") if _prec(e) < parent_prec else text
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +744,6 @@ def _compile(source: str):
     return scope["kernel"]
 
 
-_FINISH = object()  # on ``_postfix``'s stack: number the node below it
-
-
 def _postfix(expr: Expr, slots: dict[str, int]):
     """Ops ``(kind, arg, operands)`` in postfix order and the constants
     they index.  A variable missing from ``slots`` gets the next free slot,
@@ -720,57 +753,30 @@ def _postfix(expr: Expr, slots: dict[str, int]):
     ``-0.0`` stay apart) are one op, so are ops of equal ``(kind, arg,
     operands)``, and a node that several parents share is walked once.  An
     op computes what each of its occurrences in the tree would, so the
-    numbering changes no result.  The walk keeps its own stack, so deep
-    trees need no recursion: an inner node is pushed back under
-    ``_FINISH`` with its children above it, left on top, and numbered once
-    they are done, its operands popped off ``done``."""
+    numbering changes no result."""
     ops: list[tuple[str, object, tuple[int, ...]]] = []
     constants: list[float] = []
     number: dict[object, int] = {}  # value key -> op index
-    walked: dict[int, int] = {}  # id of a walked node -> op index
-    done: list[int] = []  # op index of each finished subtree, innermost last
-    todo: list = [expr]
-    push, pop, finished = todo.append, todo.pop, done.pop
-    while todo:
-        node = pop()
-        if node is _FINISH:
-            node = pop()
-            cls = type(node)
-            if cls is Binary:
-                b = finished()
-                a = finished()
-                key = op = (node.op, None, (a, b))
-            else:
-                a = finished()
-                key = op = (_POW, node.exponent, (a,)) if cls is PowInt else (node.op, None, (a,))
+
+    def leave(node: Expr, operands: list[int]) -> int:
+        cls = type(node)
+        if cls is Const:
+            key, op = repr(node.value), (_CONST, len(constants), ())
+        elif cls is Var:
+            key = op = (_LOAD, slots.setdefault(node.name, len(slots)), ())
+        elif cls is PowInt:
+            key = op = (_POW, node.exponent, tuple(operands))
         else:
-            index = walked.get(id(node))
-            if index is not None:
-                done.append(index)
-                continue
-            cls = type(node)
-            if cls is Const:
-                key = repr(node.value)
-                op = (_CONST, len(constants), ())
-            elif cls is Var:
-                key = op = (_LOAD, slots.setdefault(node.name, len(slots)), ())
-            else:
-                push(node)
-                push(_FINISH)
-                if cls is Binary:
-                    push(node.right)
-                    push(node.left)
-                else:
-                    push(node.base if cls is PowInt else node.arg)
-                continue
+            key = op = (node.op, None, tuple(operands))
         index = number.get(key)
         if index is None:
             index = number[key] = len(ops)
             ops.append(op)
             if cls is Const:
                 constants.append(node.value)
-        walked[id(node)] = index
-        done.append(index)
+        return index
+
+    walk(expr, leave)
     return tuple(ops), tuple(constants)
 
 

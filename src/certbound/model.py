@@ -33,12 +33,14 @@ import math
 from .errors import DimensionMismatch, MissingBounds, ParseError
 from .expr import (
     SQR,
+    ZERO,
     Const,
     Expr,
     differentiate,
     free_vars,
     is_zero,
     parse_simplified,
+    simplified_add,
     simplified_mul,
     simplified_sum,
     simplified_unary,
@@ -55,8 +57,9 @@ class ModelDef(Frozen):
     The components are expected simplified, as ``parse_model_text`` and the
     built-in models give them: their partial derivatives are built from
     their subtrees as they stand (see ``expr.differentiate``).  Not
-    slotted: ``state_jacobian``, ``weighted_jacobian`` and ``declared``
-    cache in the instance ``__dict__``."""
+    slotted: ``component_vars`` (each component's variable names) and,
+    built on first use, ``state_jacobian``, ``weighted_jacobian``,
+    ``symmetrized_jacobian`` and ``declared`` live in the ``__dict__``."""
 
     def __init__(
         self, state_names: tuple[str, ...], state_bounds: tuple[Interval, ...],
@@ -74,8 +77,9 @@ class ModelDef(Frozen):
             raise DimensionMismatch("duplicate variable names")
         if not f:
             raise DimensionMismatch("model needs at least one component")
-        for i, e in enumerate(f):
-            extra = free_vars(e) - declared
+        component_vars = tuple(map(free_vars, f))
+        for i, names in enumerate(component_vars):
+            extra = names - declared
             if extra:
                 raise DimensionMismatch(
                     f"component {i + 1} uses undeclared variables {sorted(extra)}"
@@ -93,6 +97,7 @@ class ModelDef(Frozen):
         store(self, "input_names", input_names)
         store(self, "input_bounds", input_bounds)
         store(self, "G", G)
+        store(self, "component_vars", component_vars)
 
     def _fields(self) -> tuple:
         return (self.state_names, self.state_bounds, self.f,
@@ -105,8 +110,8 @@ class ModelDef(Frozen):
         in state order.  A component is differentiated only by the states
         that occur in it: any other partial is exactly 0."""
         rows = []
-        for fi in self.f:
-            states = sorted(j for j, _ in map(self.declared.get, free_vars(fi)) if j < self.n)
+        for fi, names in zip(self.f, self.component_vars):
+            states = sorted(j for j, _ in map(self.declared.get, names) if j < self.n)
             partials = ((j, differentiate(fi, self.state_names[j])) for j in states)
             rows.append(tuple((j, d) for j, d in partials if not is_zero(d)))
         return tuple(rows)
@@ -134,6 +139,27 @@ class ModelDef(Frozen):
                         columns.setdefault(j, []).append(simplified_mul(Const(weight), d))
             entries = ((j, simplified_sum(columns[j])) for j in sorted(columns))
             rows.append(tuple((j, e) for j, e in entries if not is_zero(e)))
+        return tuple(rows)
+
+    @functools.cached_property
+    def symmetrized_jacobian(self) -> tuple[Partials, ...]:
+        """``psi = (xi + xi^T) / 2`` of ``xi = weighted_jacobian``, sparse
+        like it: row ``i`` holds ``(j, 0.5*(xi_ij + xi_ji))`` for ``j = i``,
+        and for each other ``j`` of ``xi_ij`` or ``xi_ji`` where it is not zero."""
+        xi = self.weighted_jacobian
+        transposed: list[dict[int, Expr]] = [{} for _ in xi]
+        for i, row in enumerate(xi):
+            for j, e in row:
+                transposed[j][i] = e
+        half = Const(0.5)
+        rows = []
+        for i, row in enumerate(xi):
+            own, other = dict(row), transposed[i]
+            entries = (
+                (j, simplified_mul(half, simplified_add(own.get(j, ZERO), other.get(j, ZERO))))
+                for j in sorted(own.keys() | other.keys() | {i})
+            )
+            rows.append(tuple((j, e) for j, e in entries if j == i or not is_zero(e)))
         return tuple(rows)
 
     @property

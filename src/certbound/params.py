@@ -48,9 +48,6 @@ from .expr import (
     Expr,
     Unary,
     Program,
-    ZERO,
-    eval_real,
-    free_vars,
     is_zero,
     simplified_add,
     simplified_mul,
@@ -58,6 +55,7 @@ from .expr import (
     simplified_sum,
     simplified_unary,
     structural_key_with_vars,
+    walk,
 )
 from .intervals import Box, Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
 from .model import ModelDef, Partials, grad_sq_norm
@@ -337,33 +335,6 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
 
 
 # ---------------------------------------------------------------------------
-# G-weighted Jacobian matrices
-# ---------------------------------------------------------------------------
-
-
-def build_psi(model: ModelDef) -> tuple[Partials, ...]:
-    """Symmetrized G-weighted Jacobian ``psi = (xi + xi^T) / 2``, sparse
-    like ``model.weighted_jacobian``: row ``i`` holds ``(j, 0.5*(xi_ij +
-    xi_ji))`` for the diagonal, always, and for each other column ``j``
-    where ``xi_ij`` or ``xi_ji`` is not zero and the entry is not either."""
-    xi = model.weighted_jacobian
-    transposed: list[dict[int, Expr]] = [{} for _ in xi]
-    for i, row in enumerate(xi):
-        for j, e in row:
-            transposed[j][i] = e
-    half = Const(0.5)
-    rows = []
-    for i, row in enumerate(xi):
-        own, other = dict(row), transposed[i]
-        entries = (
-            (j, simplified_mul(half, simplified_add(own.get(j, ZERO), other.get(j, ZERO))))
-            for j in sorted(own.keys() | other.keys() | {i})
-        )
-        rows.append(tuple((j, e) for j, e in entries if j == i or not is_zero(e)))
-    return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
 # One-sided Lipschitz
 # ---------------------------------------------------------------------------
 
@@ -392,7 +363,8 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
 
 
 def _row_exprs(psi: tuple[Partials, ...], spread) -> tuple[list[Expr], list[Expr]]:
-    """Upper and lower row objectives of ``build_psi``'s rows:
+    """Upper and lower row objectives of the rows of ``psi``
+    (``ModelDef.symmetrized_jacobian``):
     ``spread(diagonal, offdiag)`` of the nonzero off-diagonal entries of
     each row, in column order; the diagonal alone for a row without any.
     ``spread`` takes their absolute values, which wrap already-differentiated
@@ -411,7 +383,7 @@ def _row_exprs(psi: tuple[Partials, ...], spread) -> tuple[list[Expr], list[Expr
 def _gershgorin_row_exprs(psi: tuple[Partials, ...]) -> tuple[list[Expr], list[Expr]]:
     """Row objectives: diagonal plus (upper) / minus (lower) the absolute
     off-diagonal row sum, built by ``simplify``'s rules from the simplified
-    entries of ``build_psi``."""
+    entries of ``psi``."""
 
     def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
         total = simplified_sum(simplified_unary(ABS, e) for e in offdiag)
@@ -449,7 +421,8 @@ def _osl_from_rows(
 def osl_gershgorin(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Row-circle bound on the extremal eigenvalues of the symmetrized
     G-weighted Jacobian."""
-    return _osl_from_rows("gershgorin", model, cfg, *_gershgorin_row_exprs(build_psi(model)))
+    rows = _gershgorin_row_exprs(model.symmetrized_jacobian)
+    return _osl_from_rows("gershgorin", model, cfg, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -479,29 +452,23 @@ _EXACT_OPS = {
 }
 
 
-def _exact_value(e: Expr) -> Fraction:
-    """The exact value of a variable-free expression over ``+ - * max abs
-    neg``; ``KeyError`` for another operation, ``ValueError`` or
-    ``OverflowError`` for a non-finite constant."""
+def _fold_constant(e: Expr, round_value) -> Expr:
+    """``e`` folded by ``+ - * max abs neg`` over finite constants to its
+    exact value, rounded by ``round_value``, for the one ``Const`` rule of
+    ``_optimize_expr``; ``e`` itself at the first node that is none of
+    these, such as a variable."""
     from fractions import Fraction
 
-    if isinstance(e, Const):
-        return Fraction(e.value)
-    if isinstance(e, Unary):
-        return _EXACT_OPS[e.op](_exact_value(e.arg))
-    assert isinstance(e, Binary)
-    return _EXACT_OPS[e.op](_exact_value(e.left), _exact_value(e.right))
+    def exact(node: Expr, values: list[Fraction]) -> Fraction:
+        if type(node) is Const and math.isfinite(node.value):
+            return Fraction(node.value)
+        if type(node) in (Unary, Binary) and node.op in _EXACT_OPS:
+            return _EXACT_OPS[node.op](*values)
+        raise LookupError(node)
 
-
-def _fold_constant(e: Expr, round_value) -> Expr:
-    """``e`` when it has a free variable; otherwise the ``Const`` of its
-    exact value rounded by ``round_value``, so that the one ``Const`` rule
-    of ``_optimize_expr`` applies to it."""
-    if free_vars(e):
-        return e
     try:
-        return Const(round_value(_exact_value(e)))
-    except (KeyError, ValueError, OverflowError):
+        return Const(round_value(walk(e, exact)))
+    except (LookupError, OverflowError):  # no exact value, or no float near it
         return e
 
 
@@ -526,7 +493,7 @@ def osl_zeta(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     value, rounded up for an upper row and down for a lower one."""
     if model.n < 2:
         raise InvalidDimension("row-gap bound needs at least two states")
-    uppers, lowers = _zeta_row_exprs(build_psi(model), zeta(model.n))
+    uppers, lowers = _zeta_row_exprs(model.symmetrized_jacobian, zeta(model.n))
     return _osl_from_rows(
         "zeta",
         model,
@@ -639,8 +606,10 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
             raise PreconditionViolated(
                 "domain must contain the origin", f"{name} in {iv}"
             )
-    origin = {name: 0.0 for name in model.state_names}
-    norm0 = math.hypot(*(eval_real(fi, origin) for fi in model.f))
+    norm0 = math.hypot(*(  # f(0), each component over its variables in name order
+        Program(fi, names).eval_point([0.0] * len(names))
+        for fi, names in zip(model.f, map(sorted, model.component_vars))
+    ))
     if not norm0 <= _QB_ORIGIN_TOL:  # NaN fails too
         raise PreconditionViolated(
             "components must vanish at the origin", f"|f(0)| = {norm0:.3e}"

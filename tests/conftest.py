@@ -53,7 +53,6 @@ from certbound.models import (
     build_moving_object,
     build_traffic,
 )
-from certbound.params import build_psi
 from certbound.report import ConstantRow, RunReport
 
 # ---------------------------------------------------------------------------
@@ -401,7 +400,8 @@ def osl_extremal_eigen_sampled(model: ModelDef, count: int = 1000) -> tuple[floa
     G-weighted Jacobian over the admissible box: a lower bound on the
     largest eigenvalue and an upper bound on the smallest."""
     domain = model.omega()
-    rows = [[(j, Program(e, domain.labels)) for j, e in row] for row in build_psi(model)]
+    psi = model.symmetrized_jacobian
+    rows = [[(j, Program(e, domain.labels)) for j, e in row] for row in psi]
     hi = -math.inf
     lo = math.inf
     for point in halton_points_in_box(domain, count):

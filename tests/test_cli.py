@@ -93,28 +93,71 @@ class TestExitCodes:
         assert err == f"certbound: invalid model {model}: {message}\n"
 
     DEEP_SUM = "+".join(["x*y"] * 1200)
+    LONG_SUM = "+".join(["x*y"] * 450)
 
     @pytest.mark.parametrize(
-        "text",
-        [DEEP_SUM, "(" * 1200 + "x" + ")" * 1200, "-" * 1200 + "x"],
+        "text, offset, expected",
+        [
+            (DEEP_SUM + "+", len(DEEP_SUM) + 1, "number | identifier | ("),
+            ("(" * 1200 + "x" + ")" * 1199, 2400, ")"),
+            ("-" * 1200, 1200, "number | identifier | ("),
+        ],
         ids=["sum", "parentheses", "negations"],
     )
-    def test_deep_expression_is_a_bad_expr(self, capsys, text):
-        # Parsed and simplified recursively: too deep is a parse error.
+    def test_deep_expression_is_a_bad_expr(self, capsys, text, offset, expected):
+        # A deep input with a defect at its end gets the error that a
+        # shallow one gets, at the defect.
         code, out, err = run_capture(
             capsys, ["maximize", f"--expr={text}", "--bounds", "x=[0,1];y=[0,1]"]
         )
         assert (code, out) == (3, "")
-        assert err == "certbound: bad --expr: expression nested too deeply\n"
+        assert err == (
+            "certbound: bad --expr: found 'end of input'"
+            f" at offset {offset} (expected {expected})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, maximum",
+        [
+            (DEEP_SUM, 1200.0),
+            ("(" * 1200 + "x" + ")" * 1200, 1.0),
+            ("-" * 1200 + "x", 1.0),
+            (f"({LONG_SUM})*({LONG_SUM})", 450.0**2),
+        ],
+        ids=["sum", "parentheses", "negations", "square-of-a-sum"],
+    )
+    def test_deep_expression_is_maximized(self, capsys, text, maximum):
+        # No walk of the symbolic layer recurses, so no depth is refused.
+        # The square's factors are compared node by node to make it sqr(...).
+        code, out, err = run_capture(
+            capsys,
+            ["maximize", f"--expr={text}", "--bounds", "x=[0,1];y=[0,1]", "--format", "json"],
+        )
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)[0]["results"]
+        assert row["eps_optimal"] and row["lower"] <= maximum <= row["value"]
 
     def test_deep_sum_is_an_invalid_model(self, tmp_path, capsys):
         model = tmp_path / "deep.nds"
-        model.write_text(f"[states]\nx = [0, 1]\ny = [0, 1]\n[f]\nf1 = {self.DEEP_SUM}\nf2 = x\n")
+        model.write_text(f"[states]\nx = [0, 1]\ny = [0, 1]\n[f]\nf1 = {self.DEEP_SUM}*z\nf2 = x\n")
         code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
         assert (code, out) == (3, "")
         assert err == (
-            f"certbound: invalid model {model}: expression nested too deeply\n"
+            f"certbound: invalid model {model}: component 1 uses undeclared variables ['z']\n"
         )
+
+    def test_deep_sum_is_a_model(self, tmp_path, capsys):
+        # df1/dx is a sum of 1,200 terms y, and df1/dy one of 1,200 terms
+        # x: each ranges over [0, 1200].
+        model = tmp_path / "deep.nds"
+        model.write_text(f"[states]\nx = [0, 1]\ny = [0, 1]\n[f]\nf1 = {self.DEEP_SUM}\nf2 = x\n")
+        code, out, err = run_capture(
+            capsys, ["jacobian", "--model", str(model), "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        rows = {row["name"]: row for row in json.loads(out)[0]["results"]}
+        for name in ("df1/dx1", "df1/dx2"):
+            assert rows[name]["lower"] <= 0.0 and 1200.0 <= rows[name]["value"] < 1200.001
 
     @pytest.mark.parametrize(
         "text, message",
@@ -133,12 +176,13 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", f"certbound: invalid model {model}: {message}\n")
 
     def test_600_parentheses_end_with_the_depth(self, capsys):
-        text = "(" * 600 + "x" + ")" * 600
+        # The input ends 600 parentheses deep: the error is at its end.
+        text = "(" * 600 + "x" + ")" * 599
         code, out, err = run_capture(
             capsys, ["maximize", "--expr", text, "--bounds", "x=[0,1]"]
         )
         assert (code, out) == (3, "")
-        assert err == "certbound: bad --expr: expression nested too deeply\n"
+        assert err == "certbound: bad --expr: found 'end of input' at offset 1200 (expected ))\n"
 
     def test_a_tokenizer_error_keeps_its_offset(self, tmp_path, capsys):
         model = tmp_path / "char.nds"
@@ -146,16 +190,6 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
         assert (code, out) == (3, "")
         assert err == f"certbound: invalid model {model}: unexpected character '$' at offset 3\n"
-
-    @staticmethod
-    def _fresh_run(argv):
-        """``certbound`` in a fresh process: how deep a tree loads and
-        differentiates depends on the caller's stack."""
-        src = os.path.dirname(os.path.dirname(certbound.__file__))
-        return subprocess.run(
-            [sys.executable, "-m", "certbound.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        )
 
     WIDE_ROW = 1100
 
@@ -172,19 +206,20 @@ class TestExitCodes:
         )
         return str(model)
 
-    def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path):
-        # f1 loads: simplify recurses once per level of its 600-factor
-        # product.  Differentiating it refuses abs of an argument of
-        # uncertified sign, with the argument's text, and printing recurses
-        # twice per level: too deep, so the job ends in the one line.
+    def test_deep_objective_of_a_large_model_ends_in_one_line(self, tmp_path, capsys):
+        # f1 loads, and differentiating it refuses abs of an argument of
+        # uncertified sign, with the argument's text: a product of 600
+        # factors, the first two simplified to sqr(x1).
         model = tmp_path / "deep_abs.nds"
         model.write_text(
             "[states]\nx1 = [-1, 1]\nx2 = [-1, 1]\n"
             "[f]\nf1 = abs(x2 - " + "*".join(["x1"] * 600) + ")\nf2 = x2\n"
         )
-        proc = self._fresh_run(["jacobian", "--model", str(model)])
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            3, "", "certbound: expression nested too deeply\n"
+        code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
+        assert (code, out) == (4, "")
+        assert err == (
+            "certbound: cannot differentiate abs(x2 - sqr(x1)" + "*x1" * 598
+            + "): sign not certified\n"
         )
 
     def test_qib_of_a_long_g_row(self, tmp_path, capsys):
@@ -214,20 +249,19 @@ class TestExitCodes:
         assert row["name"] == "gamma_s" and row["eps_optimal"]
         assert row["lower"] <= self.WIDE_ROW <= row["value"] < self.WIDE_ROW + 1e-6
 
-    def test_derivative_deeper_than_its_function(self, tmp_path):
-        # f1 is a product of 700 factors, which loads; its derivative is
-        # twice as deep (d(a*b) = da*b + a*db at every factor), but it is
-        # built simplified in the walk down f1 and never walked again.
+    def test_derivative_deeper_than_its_function(self, tmp_path, capsys):
+        # f1 is a product of 700 factors; its derivative is twice as deep
+        # (d(a*b) = da*b + a*db at every factor).
         model = tmp_path / "long.nds"
         model.write_text(
             "[states]\nx1 = [-1, 1]\nx2 = [-1, 1]\n"
             "[f]\nf1 = " + "*".join(["x1"] * 700) + "\nf2 = x2\n"
         )
-        proc = self._fresh_run(
-            ["lipschitz", "--case", "1", "--model", str(model), "--format", "json"]
+        code, out, err = run_capture(
+            capsys, ["lipschitz", "--case", "1", "--model", str(model), "--format", "json"]
         )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        row = json.loads(proc.stdout)[0]["results"][0]
+        assert (code, err) == (0, "")
+        row = json.loads(out)[0]["results"][0]
         # The gradients (700*x1^699, 0) and (0, 1): the constant is
         # sqrt(700^2 + 1) = 700.000714...
         assert row["name"] == "gamma_l1" and row["eps_optimal"]

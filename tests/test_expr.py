@@ -1,10 +1,14 @@
 """Expression layer: parser, derivatives, evaluation, structural keys."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import certbound
 from certbound import BnBConfig, ModelDef, lipschitz_case2
 from certbound import expr as expr_module
 from certbound.errors import (
@@ -86,6 +90,11 @@ class TestParse:
             parse("x^2.5")
         with pytest.raises(ParseError):
             parse("x^-1")
+        # More digits than ``int`` converts by default.
+        with pytest.raises(ParseError) as err:
+            parse("x^" + "9" * 5000)
+        assert str(err.value) == "exponent too long: 5000 digits at offset 2"
+        assert err.value.offset == 2
 
     def test_constants_substituted(self):
         e = parse("d*x", {"d": 2.5})
@@ -520,7 +529,7 @@ class TestSimplify:
         assert simplified_sum(map(simplify, terms)) == simplify(expr_sum(terms))
 
     def test_sum_or_zero_of_thousands_of_terms(self):
-        # Deeper than simplify's recursion reaches; the loop folds it.
+        # The loop folds the terms one rule at a time, without walking them.
         term = Binary("*", Var("x"), Var("x"))
         total = simplified_sum(map(simplify, [term, Const(0.0)] * 3000))
         spine = 0
@@ -529,3 +538,55 @@ class TestSimplify:
             total, spine = total.left, spine + 1
         assert (total, spine) == (Unary("sqr", Var("x")), 2999)
         assert simplified_sum([]) == Const(0.0)
+
+
+# A tree 10,000 levels deep of each kind of node, written with its deepest
+# leaf given: parsed, simplified, printed and parsed again, compared,
+# hashed, differentiated and maximized on a point box by an interpreter
+# whose recursion limit is 100.
+_DEPTH_SCRIPT = """
+import sys
+from certbound.bnb import BnBConfig, maximize
+from certbound.errors import NonDifferentiable
+from certbound.expr import Program, differentiate, parse, simplify, to_text
+from certbound.intervals import Box
+
+n = 10_000
+kinds = {
+    "sum": lambda leaf: leaf + "+x" * (n - 1),
+    "right-sum": lambda leaf: "x-(" * n + leaf + ")" * n,
+    "product": lambda leaf: leaf + "*x" * (n - 1),
+    "max": lambda leaf: "max(" * n + leaf + ", y)" * n,
+    "negation": lambda leaf: "-" * n + leaf,
+    "abs": lambda leaf: "abs(" * n + leaf + ")" * n,
+    "sqrt": lambda leaf: "sqrt(" * n + leaf + ")" * n,
+    "power": lambda leaf: "(" * n + leaf + ")^2" * n,
+}
+box = Box([(0.5, 0.5), (1.0, 1.0)], ("x", "y"))
+sys.setrecursionlimit(100)
+for kind, write in kinds.items():
+    e, other = parse(write("x")), parse(write("z"))
+    s = simplify(e)
+    again = simplify(parse(to_text(s)))
+    assert s == again and hash(s) == hash(again) and e != other, kind
+    try:
+        differentiate(s, "x")
+    except NonDifferentiable as exc:
+        print(kind, str(exc)[:30])
+    program = Program(s, box.labels)
+    result = maximize(program.eval_point, program, box, BnBConfig())
+    assert result.lower <= result.upper, kind
+"""
+
+
+def test_a_deep_tree_of_each_kind_needs_no_recursion():
+    src = os.path.dirname(os.path.dirname(certbound.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEPTH_SCRIPT],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "max cannot differentiate max(max(m\n"
+        "abs cannot differentiate abs(x): s\n"
+    )
