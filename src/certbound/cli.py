@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from . import params
 from .bnb import BnBConfig, maximize
 from .errors import CertboundError, ParseError
-from .expr import Program, free_vars, parse_simplified
+from .expr import Program, parse_component
 from .intervals import Box, Interval
 from .model import ModelDef, model_to_text, parse_interval, parse_model_text, reduced_domain
 from .report import ConstantRow, RunReport, emit_table
@@ -271,10 +271,9 @@ def _bounds_box(text: str) -> Box:
 def _cmd_maximize(args) -> list[RunReport]:
     box = _bounds_box(args.bounds)
     try:
-        expression = parse_simplified(args.expr)
+        expression, used = parse_component(args.expr)
     except ParseError as exc:
         raise _ModelError(f"bad --expr: {exc}") from exc
-    used = free_vars(expression)
     unknown = used - set(box.labels)
     if unknown:
         raise _ModelError(f"--bounds missing variables {sorted(unknown)}")

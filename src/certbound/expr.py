@@ -8,9 +8,11 @@ a tree by straight-line kernels of one statement per operation, which run
 from a tape at first and are compiled once they have run ``_HOT_RUNS``
 times; both tiers make the same calls, so no result depends on the tier.
 
-Every question about a whole tree (simplify, differentiate, print, hash,
-number into ops) is answered by one ``walk`` on an explicit stack, and the
-parser and equality keep explicit stacks too, so no depth is refused.
+Every question about a whole tree (simplify, the partials, hash, number
+into ops) is answered by one ``walk`` on an explicit stack, and the parser,
+the printer and equality keep explicit stacks too, so no depth is refused.
+The parser applies ``simplify``'s rules as it builds a model component and
+collects its variable names, and one walk then gives all of its partials.
 
 Simplification is deliberately conservative: constant folding, 0/1
 identities and ``x*x -> sqr(x)`` only.  A constant folds only to a finite
@@ -52,9 +54,16 @@ _FUNCTIONS = ("abs", "cos", "exp", "max", "sin", "sqr", "sqrt")
 class Expr(Frozen):
     """Base class of the immutable nodes; construction helpers allow
     ``x * y + 2`` style assembly.  Nodes are equal when their fields are,
-    so ``simplify`` can tell ``x * x`` from ``x * y``."""
+    so ``simplify`` can tell ``x * x`` from ``x * y``.  A node is
+    immutable, so a copy of it, shallow or deep, is the node itself."""
 
     __slots__ = ()
+
+    def __copy__(self) -> "Expr":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Expr":
+        return self
 
     def __add__(self, other) -> "Expr":
         return Binary(ADD, self, as_expr(other))
@@ -241,8 +250,7 @@ def _simplified(e: Expr, operands: list[Expr]) -> Expr:
     if cls is PowInt:
         return simplified_pow(operands[0], e.exponent)
     if cls is Binary:
-        rule = _BINARY_RULES.get(e.op)
-        return Binary(e.op, *operands) if rule is None else rule(*operands)
+        return _simplified_binary(e.op, *operands)
     return e
 
 
@@ -316,7 +324,7 @@ def simplified_mul(left: Expr, right: Expr) -> Expr:
         return left
     if lc is not None and rc is not None and math.isfinite(lc * rc):
         return Const(lc * rc)
-    if left == right:
+    if type(left) is type(right) and left == right:
         return Unary(SQR, left)
     return Binary(MUL, left, right)
 
@@ -335,6 +343,12 @@ def simplified_div(left: Expr, right: Expr) -> Expr:
 _BINARY_RULES = {
     ADD: simplified_add, SUB: simplified_sub, MUL: simplified_mul, DIV: simplified_div,
 }
+
+
+def _simplified_binary(op: str, left: Expr, right: Expr) -> Expr:
+    """``simplify(Binary(op, left, right))`` for simplified operands."""
+    rule = _BINARY_RULES.get(op)
+    return Binary(op, left, right) if rule is None else rule(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -365,78 +379,99 @@ _TWO = Const(2.0)
 
 
 def differentiate(e: Expr, v: str) -> Expr:
-    """Symbolic partial derivative of ``e`` with respect to variable ``v``;
-    exactly ``0`` (the object ``ZERO``) when ``v`` does not occur in
-    ``e``, and no debris such as ``0/sqrt(y)`` from the subtrees in which
-    it does not occur.
+    """Symbolic partial derivative of ``e`` with respect to variable ``v``:
+    ``partials(e, (v,))``, and exactly ``0`` (the object ``ZERO``) when
+    ``v`` does not occur in ``e``."""
+    return partials(e, (v,)).get(v, ZERO)
 
-    Every node of the derivative is built by ``simplify``'s rule for it
-    from simplified parts, so for a simplified ``e`` (as every model
-    component is) the result is ``simplify`` of the chain rule's tree,
-    without a walk of its own.  The parts taken from an unsimplified ``e``
-    are left as written.
 
-    Each node's derivative comes from its operands': ``None`` exactly when
-    ``v`` does not occur in it (so a kink above a derivative that folds to
-    zero is still refused), or ``(kink,)`` for the first ``abs`` of
-    uncertified sign or ``max`` that a walk from the root, left operand
-    first, meets: a ``max`` before the kinks below it."""
+def partials(e: Expr, names: Sequence[str]) -> dict[str, Expr]:
+    """The partial derivative of ``e`` by each of ``names`` that occurs in
+    it, in the order of ``names``, all from one walk; a name that does not
+    occur has none (its partial is exactly ``0``), and no partial holds
+    debris such as ``0/sqrt(y)`` from the subtrees in which its variable
+    does not occur.  Raises ``NonDifferentiable`` for the first of
+    ``names`` whose partial meets a kink (see ``_partial``).
 
-    def leave(e: Expr, ds: list):
-        cls = type(e)
-        if cls is Var:
-            return ONE if e.name == v else None
-        if cls is Const:
-            return None
-        if cls is Binary and e.op == MAX:
-            return None if ds[0] is None and ds[1] is None else (e,)
-        for d in ds:
-            if type(d) is tuple:
-                return d
-        if cls is PowInt:
-            db = ds[0]
-            if db is None or e.exponent == 1:
-                return db
-            inner = e.base if e.exponent == 2 else simplified_pow(e.base, e.exponent - 1)
-            return simplified_mul(simplified_mul(Const(float(e.exponent)), inner), db)
-        if cls is Unary:
-            da = ds[0]
-            if da is None:
-                return None
-            op = e.op
-            if op == NEG:
-                return simplified_unary(NEG, da)
-            if op == SQR:
-                return simplified_mul(simplified_mul(_TWO, e.arg), da)
-            if op == SQRT:  # ``e`` is ``simplify(Unary(SQRT, e.arg))``
-                return simplified_div(da, simplified_mul(_TWO, e))
-            if op == SIN:
-                return simplified_mul(simplified_unary(COS, e.arg), da)
-            if op == COS:
-                return simplified_mul(simplified_unary(NEG, simplified_unary(SIN, e.arg)), da)
-            if op == EXP:
-                return simplified_mul(e, da)
-            return da if provably_nonnegative(e.arg) else (e,)  # ``abs``
-        dl, dr = ds
-        if dl is None and dr is None:
-            return None
-        dl = ZERO if dl is None else dl
-        dr = ZERO if dr is None else dr
-        if e.op == ADD:
-            return simplified_add(dl, dr)
-        if e.op == SUB:
-            return simplified_sub(dl, dr)
-        if e.op == MUL:
-            return simplified_add(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
-        numerator = simplified_sub(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
-        return simplified_div(numerator, simplified_unary(SQR, e.right))
+    Every node of a partial is built by ``simplify``'s rule for it from
+    simplified parts, so for a simplified ``e`` (as every model component
+    is) the result is ``simplify`` of the chain rule's tree, without a walk
+    of its own.  The parts taken from an unsimplified ``e`` are left as
+    written.
 
-    d = walk(e, leave)
-    if type(d) is tuple:
-        kink = d[0]
-        why = "sign not certified" if kink.op == ABS else "not smooth"
-        raise NonDifferentiable(f"cannot differentiate {to_text(kink)}: {why}")
-    return ZERO if d is None else d
+    Each node's partials are a dict from the names that occur in it to
+    their derivatives, made from its operands' by ``_partial`` per name."""
+    wanted = set(names)
+
+    def leave(e: Expr, parts: list[dict]) -> dict:
+        if not parts:
+            return {e.name: ONE} if type(e) is Var and e.name in wanted else _NO_PARTIALS
+        first = parts[0]
+        second = parts[1] if len(parts) == 2 else _NO_PARTIALS
+        ds = {v: _partial(e, d, second.get(v)) for v, d in first.items()}
+        for v, d in second.items():
+            if v not in first:
+                ds[v] = _partial(e, None, d)
+        return ds
+
+    ds = walk(e, leave)
+    found = {v: ds[v] for v in names if v in ds}
+    for d in found.values():
+        if type(d) is tuple:
+            kink = d[0]
+            why = "sign not certified" if kink.op == ABS else "not smooth"
+            raise NonDifferentiable(f"cannot differentiate {to_text(kink)}: {why}")
+    return found
+
+
+_NO_PARTIALS: dict = {}  # shared, never changed
+
+
+def _partial(e: Expr, da, db):
+    """The derivative of the inner node ``e`` by one variable that occurs
+    in it, from its operands': ``da`` of its first and ``db`` of its second,
+    each ``None`` when the variable does not occur there, so that a kink
+    above a derivative that folds to zero is still refused.  A kink is
+    ``(kink,)``: the first ``abs`` of uncertified sign or ``max`` that a
+    walk from the root, left operand first, meets, a ``max`` before the
+    kinks below it and an ``abs`` after those of its argument."""
+    cls = type(e)
+    if cls is Binary and e.op == MAX:
+        return (e,)
+    if type(da) is tuple:
+        return da
+    if type(db) is tuple:
+        return db
+    if cls is PowInt:
+        if e.exponent == 1:
+            return da
+        inner = e.base if e.exponent == 2 else simplified_pow(e.base, e.exponent - 1)
+        return simplified_mul(simplified_mul(Const(float(e.exponent)), inner), da)
+    if cls is Unary:
+        op = e.op
+        if op == NEG:
+            return simplified_unary(NEG, da)
+        if op == SQR:
+            return simplified_mul(simplified_mul(_TWO, e.arg), da)
+        if op == SQRT:  # ``e`` is ``simplify(Unary(SQRT, e.arg))``
+            return simplified_div(da, simplified_mul(_TWO, e))
+        if op == SIN:
+            return simplified_mul(simplified_unary(COS, e.arg), da)
+        if op == COS:
+            return simplified_mul(simplified_unary(NEG, simplified_unary(SIN, e.arg)), da)
+        if op == EXP:
+            return simplified_mul(e, da)
+        return da if provably_nonnegative(e.arg) else (e,)  # ``abs``
+    dl = ZERO if da is None else da
+    dr = ZERO if db is None else db
+    if e.op == ADD:
+        return simplified_add(dl, dr)
+    if e.op == SUB:
+        return simplified_sub(dl, dr)
+    if e.op == MUL:
+        return simplified_add(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
+    numerator = simplified_sub(simplified_mul(dl, e.right), simplified_mul(e.left, dr))
+    return simplified_div(numerator, simplified_unary(SQR, e.right))
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +500,51 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
 
 
 _BINARY_PRECEDENCE = {ADD: 1, SUB: 1, MUL: 2, DIV: 2}
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
-    """Parse an expression; named constants are substituted during parsing.
+    """Parse an expression, as written; named constants are substituted
+    during parsing."""
+    return _parse(text, constants, Unary, PowInt, Binary)[0]
+
+
+def parse_simplified(text: str, constants: Mapping[str, float] | None = None) -> Expr:
+    """``simplify(parse(text, constants))``, built without a walk (see
+    ``parse_component``)."""
+    return parse_component(text, constants)[0]
+
+
+def parse_component(
+    text: str, constants: Mapping[str, float] | None = None
+) -> tuple[Expr, frozenset[str]]:
+    """``simplify(parse(text, constants))`` and its variable names (its
+    ``free_vars``): how model components and ``--expr`` are read.  The
+    parser applies ``simplify``'s rule to each node as it builds it, so
+    neither needs a walk of the tree."""
+    return _parse(text, constants, simplified_unary, simplified_pow, _simplified_binary)
+
+
+def _parse(text: str, constants, unary, power, binary) -> tuple[Expr, frozenset[str]]:
+    """The tree of ``text``, each node built by ``unary(op, arg)``,
+    ``power(base, exponent)`` or ``binary(op, left, right)`` from its
+    operands, and its variable names.  A unary node or a power has its
+    operand's names: ``simplify``'s rules for them fold only a constant
+    operand and drop none.  A binary node has none when it is a constant,
+    its operand's when it is an operand (as a rule may return), else the
+    union of its operands' (see ``_joined``).  Each operand's names are
+    used by its parent only, so a union grows the larger of the two sets
+    in place, and a sum of any number of distinct variables takes time
+    ``n log n``.
+
     One loop over two stacks, so any nesting parses: ``operands`` holds the
-    left operands of the binary operators on ``pending``, which also holds
-    the signs (``neg``) before an operand and the open brackets: ``(``, a
-    function's name, and ``max`` then ``,`` for the operands of a ``max``."""
+    left operands of the binary operators on ``pending``, each with its
+    names, and ``pending`` also holds the signs (``neg``) before an operand
+    and the open brackets: ``(``, a function's name, and ``max`` then ``,``
+    for the operands of a ``max``."""
     constants = constants or {}
     tokens = list(_tokenize(text))
-    operands: list[Expr] = []
+    operands: list[tuple[Expr, set[str]]] = []
     pending: list[str] = []
     i = 0
     while True:
@@ -492,10 +561,15 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
             pending.append(value)
             i += 1
             continue
+        names = _NO_NAMES
         if kind == "number":
             e = Const(float(value))
         elif kind == "ident":
-            e = Const(float(constants[value])) if value in constants else Var(value)
+            if value in constants:
+                e = Const(float(constants[value]))
+            else:
+                e = Var(value)
+                names = {value}
         else:
             raise ParseError(
                 f"found {value or 'end of input'!r}", offset, ("number", "identifier", "(")
@@ -514,42 +588,53 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
                     raise ParseError(
                         f"found {value or 'end of input'!r}", offset, ("positive integer exponent",)
                     )
-                e = PowInt(e, exponent)
+                e = power(e, exponent)
                 i += 2
                 kind, value, offset = tokens[i]
             while pending and pending[-1] == NEG:
                 pending.pop()
-                e = Unary(NEG, e)
+                e = unary(NEG, e)
             precedence = _BINARY_PRECEDENCE.get(value, 0)
             while pending and _BINARY_PRECEDENCE.get(pending[-1], 0) >= max(precedence, 1):
-                e = Binary(pending.pop(), operands.pop(), e)
+                e, names = _joined(binary, pending.pop(), *operands.pop(), e, names)
             if precedence:
-                operands.append(e)
+                operands.append((e, names))
                 pending.append(value)
                 i += 1
                 break
             if not pending:
                 if kind != "end":
                     raise ParseError(f"trailing input {value!r}", offset, ("end of input",))
-                return e
+                return e, frozenset(names)
             bracket = pending.pop()
             closing = "," if bracket == MAX else ")"
             if kind != "op" or value != closing:
                 raise ParseError(f"found {value or 'end of input'!r}", offset, (closing,))
             i += 1
             if bracket == MAX:
-                operands.append(e)
+                operands.append((e, names))
                 pending.append(",")
                 break
             if bracket == ",":
-                e = Binary(MAX, operands.pop(), e)
+                e, names = _joined(binary, MAX, *operands.pop(), e, names)
             elif bracket != "(":
-                e = Unary(bracket, e)
+                e = unary(bracket, e)
 
 
-def parse_simplified(text: str, constants: Mapping[str, float] | None = None) -> Expr:
-    """``simplify(parse(text, constants))``: how models and ``--expr`` are read."""
-    return simplify(parse(text, constants))
+def _joined(binary, op: str, left: Expr, left_names, right: Expr, right_names):
+    """``binary(op, left, right)`` and its names, made from its operands'
+    sets, which are not used again."""
+    e = binary(op, left, right)
+    if type(e) is Const:
+        return e, _NO_NAMES
+    if e is left or not right_names:
+        return e, left_names
+    if e is right or not left_names:
+        return e, right_names
+    if len(left_names) < len(right_names):
+        left_names, right_names = right_names, left_names
+    left_names |= right_names
+    return e, left_names
 
 
 # ---------------------------------------------------------------------------
@@ -575,43 +660,46 @@ def _prec(e: Expr) -> int:
 
 def to_text(e: Expr) -> str:
     """Render an expression in the input grammar; parses back to the same tree
-    (after canonical simplification).  The pieces are joined once."""
+    (after canonical simplification).  The pieces are emitted into one list
+    in the order of the text, from a stack of nodes and pieces still to
+    print, and joined once."""
     pieces: list[str] = []
-    todo = [walk(e, _text)]
+    out = pieces.append
+    todo: list = [e]
     while todo:
-        text = todo.pop()
-        if type(text) is str:
-            pieces.append(text)
+        node = todo.pop()
+        cls = type(node)
+        if cls is str:
+            out(node)
+        elif cls is Const:
+            out(repr(node.value))
+        elif cls is Var:
+            out(node.name)
         else:
-            todo += reversed(text)
+            todo += reversed(_pieces(node))
     return "".join(pieces)
 
 
-def _text(e: Expr, texts: list):
-    """The text of ``e``, a string or a tuple of texts, from its operands'."""
+def _pieces(e: Expr) -> tuple:
+    """The text of the inner node ``e``: strings and its operands, in order."""
     cls = type(e)
-    if cls is Const:
-        return repr(e.value)
-    if cls is Var:
-        return e.name
     if cls is PowInt:
-        return (_wrap(e.base, texts[0], _PREC_ATOM), f"^{e.exponent}")
+        return (*_wrapped(e.base, _PREC_ATOM), f"^{e.exponent}")
     if cls is Unary:
         if e.op == NEG:
-            return ("-", _wrap(e.arg, texts[0], _PREC_NEG + 1))
-        return (e.op, "(", texts[0], ")")
-    left, right = texts
+            return ("-", *_wrapped(e.arg, _PREC_NEG + 1))
+        return (e.op, "(", e.arg, ")")
     if e.op == MAX:
-        return ("max(", left, ", ", right, ")")
+        return ("max(", e.left, ", ", e.right, ")")
     # Right operands always take parens at equal precedence so the printed
     # form reparses to the identical tree (the parser is left-associative).
     if e.op in (ADD, SUB):
-        return (_wrap(e.left, left, _PREC_ADD), f" {e.op} ", _wrap(e.right, right, _PREC_ADD + 1))
-    return (_wrap(e.left, left, _PREC_MUL), e.op, _wrap(e.right, right, _PREC_MUL + 1))
+        return (*_wrapped(e.left, _PREC_ADD), f" {e.op} ", *_wrapped(e.right, _PREC_ADD + 1))
+    return (*_wrapped(e.left, _PREC_MUL), e.op, *_wrapped(e.right, _PREC_MUL + 1))
 
 
-def _wrap(e: Expr, text, parent_prec: int):
-    return ("(", text, ")") if _prec(e) < parent_prec else text
+def _wrapped(e: Expr, parent_prec: int) -> tuple:
+    return ("(", e, ")") if _prec(e) < parent_prec else (e,)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ from .expr import (
     ZERO,
     Const,
     Expr,
-    differentiate,
     free_vars,
     is_zero,
-    parse_simplified,
+    parse_component,
+    partials,
     simplified_add,
     simplified_mul,
     simplified_sum,
@@ -56,8 +56,9 @@ class ModelDef(Frozen):
     """A nonlinear system: bounded variables plus component expressions.
     The components are expected simplified, as ``parse_model_text`` and the
     built-in models give them: their partial derivatives are built from
-    their subtrees as they stand (see ``expr.differentiate``).  Not
-    slotted: ``component_vars`` (each component's variable names) and,
+    their subtrees as they stand (see ``expr.partials``).  Not
+    slotted: ``component_vars`` (each component's variable names: given,
+    as the parser gives them, or else found by ``free_vars``) and,
     built on first use, ``state_jacobian``, ``weighted_jacobian``,
     ``symmetrized_jacobian`` and ``declared`` live in the ``__dict__``."""
 
@@ -65,6 +66,7 @@ class ModelDef(Frozen):
         self, state_names: tuple[str, ...], state_bounds: tuple[Interval, ...],
         f: tuple[Expr, ...], input_names: tuple[str, ...] = (),
         input_bounds: tuple[Interval, ...] = (), G: Matrix | None = None,
+        component_vars: tuple[frozenset[str], ...] | None = None,
     ) -> None:
         if not state_names:
             raise MissingBounds("model needs at least one state variable")
@@ -77,7 +79,8 @@ class ModelDef(Frozen):
             raise DimensionMismatch("duplicate variable names")
         if not f:
             raise DimensionMismatch("model needs at least one component")
-        component_vars = tuple(map(free_vars, f))
+        if component_vars is None:
+            component_vars = tuple(map(free_vars, f))
         for i, names in enumerate(component_vars):
             extra = names - declared
             if extra:
@@ -108,12 +111,14 @@ class ModelDef(Frozen):
         """Sparse state Jacobian, built on first use: for each component,
         its partial derivatives ``(j, df_i/dx_j)`` that are not ``is_zero``,
         in state order.  A component is differentiated only by the states
-        that occur in it: any other partial is exactly 0."""
+        that occur in it, by all of them in one walk; any other partial is
+        exactly 0, and a component without a state is not walked."""
+        column = {name: j for j, name in enumerate(self.state_names)}
         rows = []
         for fi, names in zip(self.f, self.component_vars):
-            states = sorted(j for j, _ in map(self.declared.get, names) if j < self.n)
-            partials = ((j, differentiate(fi, self.state_names[j])) for j in states)
-            rows.append(tuple((j, d) for j, d in partials if not is_zero(d)))
+            states = sorted(names & column.keys(), key=column.__getitem__)
+            ds = partials(fi, states).items() if states else ()
+            rows.append(tuple((column[name], d) for name, d in ds if not is_zero(d)))
         return tuple(rows)
 
     @functools.cached_property
@@ -242,6 +247,7 @@ def parse_model_text(text: str) -> ModelDef:
         raise MissingBounds("model file declares no [states]")
 
     f: list[Expr] = []
+    component_vars: list[frozenset[str]] = []
     for i, (lineno, line) in enumerate(sections["f"], start=1):
         name, rhs = _split_assignment(line, lineno)
         if name != f"f{i}":
@@ -249,7 +255,9 @@ def parse_model_text(text: str) -> ModelDef:
         rhs = rhs.strip()
         if len(rhs) >= 2 and rhs[0] == '"' and rhs[-1] == '"':
             rhs = rhs[1:-1]
-        f.append(parse_simplified(rhs, constants))
+        e, names = parse_component(rhs, constants)
+        f.append(e)
+        component_vars.append(names)
 
     G: Matrix | None = None
     if sections["G"]:
@@ -265,6 +273,7 @@ def parse_model_text(text: str) -> ModelDef:
         input_names=tuple(name for name, _ in inputs),
         input_bounds=tuple(iv for _, iv in inputs),
         G=G,
+        component_vars=tuple(component_vars),
     )
 
 

@@ -26,7 +26,7 @@ import math
 import warnings
 
 from .errors import MissingBounds
-from .expr import Const, Expr, Var, simplify, sqr, parse
+from .expr import Const, Expr, Var, parse_simplified, simplify, sqr
 from .intervals import Frozen, Interval
 from .model import ModelDef
 
@@ -185,7 +185,7 @@ def build_generator(cfg: GeneratorConfig) -> ModelDef:
     return ModelDef(
         state_names=("x1", "x2", "x3", "x4"),
         state_bounds=tuple(Interval(lo, hi) for lo, hi in cfg.state_bounds),
-        f=tuple(simplify(parse(text, constants)) for text in _GENERATOR_F),
+        f=tuple(parse_simplified(text, constants) for text in _GENERATOR_F),
         input_names=("u1", "u2", "u3", "u4"),
         input_bounds=tuple(Interval(lo, hi) for lo, hi in cfg.input_bounds),
     )

@@ -12,6 +12,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from certbound import ModelDef
+from certbound import expr as expr_module
 from certbound.baselines import halton_points_in_box
 from certbound.bnb import Cover
 from certbound.eigen import jacobi_eigenvalues
@@ -311,6 +312,47 @@ def dense_max(
         if point and box_contains(box, point):
             best = max(best, h(point))
     return best
+
+
+def reference_text(e: Expr) -> str:
+    """``expr.to_text`` as an earlier printer wrote it: each node's text is
+    a tuple of pieces built from its operands' by one ``walk``, and the
+    nested tuples are flattened once at the end."""
+    prec = expr_module._prec
+    add, mul, neg, atom = (
+        expr_module._PREC_ADD, expr_module._PREC_MUL, expr_module._PREC_NEG, expr_module._PREC_ATOM
+    )
+
+    def wrap(node, text, parent_prec):
+        return ("(", text, ")") if prec(node) < parent_prec else text
+
+    def leave(node, texts):
+        if isinstance(node, Const):
+            return repr(node.value)
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, PowInt):
+            return (wrap(node.base, texts[0], atom), f"^{node.exponent}")
+        if isinstance(node, Unary):
+            if node.op == NEG:
+                return ("-", wrap(node.arg, texts[0], neg + 1))
+            return (node.op, "(", texts[0], ")")
+        left, right = texts
+        if node.op == MAX:
+            return ("max(", left, ", ", right, ")")
+        if node.op in (ADD, SUB):
+            return (wrap(node.left, left, add), f" {node.op} ", wrap(node.right, right, add + 1))
+        return (wrap(node.left, left, mul), node.op, wrap(node.right, right, mul + 1))
+
+    pieces: list[str] = []
+    todo = [expr_module.walk(e, leave)]
+    while todo:
+        text = todo.pop()
+        if type(text) is str:
+            pieces.append(text)
+        else:
+            todo += reversed(text)
+    return "".join(pieces)
 
 
 def chain_rule_derivative(e: Expr, v: str) -> Expr:

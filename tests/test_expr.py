@@ -44,6 +44,7 @@ from conftest import (
     make_box,
     random_points,
     random_polynomial,
+    reference_text,
 )
 
 
@@ -422,22 +423,22 @@ class TestStructuralKey:
         assert structural_key(parse("2*x1^2")) != structural_key(parse("3*x1^2"))
 
 
+PRINTED = [
+    "x1^2 - x2^2",
+    "-2*x1*x2",
+    "sin(x1)*cos(x2) + exp(x1)/(1 + sqr(x2))",
+    "abs(x1 - 2*x2)^3",
+    "x1 - (x2 - x3)",
+    "(x1 + x2)*(x1 - x2)",
+    "-(x1 + x2)^2",
+    "x1/(x2/x3)",
+    "sqrt(x1 + 4)",
+    "max(x1, -x2)^2 - 3*max(max(abs(x1), x2/x3), 0.5)",
+]
+
+
 class TestPrintRoundTrip:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x1^2 - x2^2",
-            "-2*x1*x2",
-            "sin(x1)*cos(x2) + exp(x1)/(1 + sqr(x2))",
-            "abs(x1 - 2*x2)^3",
-            "x1 - (x2 - x3)",
-            "(x1 + x2)*(x1 - x2)",
-            "-(x1 + x2)^2",
-            "x1/(x2/x3)",
-            "sqrt(x1 + 4)",
-            "max(x1, -x2)^2 - 3*max(max(abs(x1), x2/x3), 0.5)",
-        ],
-    )
+    @pytest.mark.parametrize("text", PRINTED)
     def test_named_cases(self, text):
         e = simplify(parse(text))
         assert simplify(parse(to_text(e))) == e
@@ -451,6 +452,37 @@ class TestPrintRoundTrip:
     def test_corpus(self):
         for e, _ in corpus_expressions():
             assert simplify(parse(to_text(e))) == e
+
+
+class TestPrinter:
+    """``to_text`` writes what the reference printer writes."""
+
+    def test_corpus(self, traffic_s5, moving_object, generator):
+        exprs = [e for e, _ in corpus_expressions()]
+        for m in (traffic_s5, moving_object, generator):
+            exprs += [*m.f, *(d for row in m.state_jacobian for _, d in row)]
+        exprs += [parse(text) for text in PRINTED]
+        rng = random.Random(5)
+        exprs += [random_polynomial(rng, dim=rng.randint(1, 3)) for _ in range(60)]
+        for e in exprs:
+            assert to_text(e) == reference_text(e)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda n: "x" + "+x" * (n - 1),
+            lambda n: "x-(" * n + "x" + ")" * n,
+            lambda n: "x" + "/x" * (n - 1),
+            lambda n: "max(" * n + "x" + ", y)" * n,
+            lambda n: "-" * n + "x",
+            lambda n: "sin(" * n + "x" + ")" * n,
+            lambda n: "(" * n + "x" + ")^3" * n,
+        ],
+        ids=["sum", "right-sum", "quotient", "max", "negation", "sin", "power"],
+    )
+    def test_ten_thousand_levels(self, write):
+        e = parse(write(10_000))
+        assert to_text(e) == reference_text(e)
 
 
 class TestSimplify:

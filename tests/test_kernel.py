@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 
 import pytest
 
 from certbound import bnb as bnb_module
 from certbound import expr as expr_module
+from certbound import model as model_module
 from certbound.bnb import BnBConfig, BnBStats, _Bounder, _first_order, _Negated, maximize, minimize
 from certbound.errors import (
     DivisionByZeroInterval,
@@ -44,8 +48,12 @@ from certbound.expr import (
     differentiate,
     free_vars,
     parse,
+    parse_component,
+    parse_simplified,
+    partials,
     simplify,
     structural_key_with_vars,
+    to_text,
 )
 from certbound.intervals import (
     Box,
@@ -300,6 +308,116 @@ def test_derivative_is_the_simplified_chain_rule(seed, shared):
             else:
                 built += 1
     assert raised > 30 and built > 50
+
+
+def _partials_or_error(derive, e: Expr, names):
+    """The keys of the partials that ``derive(e, names)`` gives, or the
+    class and message it raises."""
+    try:
+        return {v: structural_key_with_vars(d) for v, d in derive(e, names).items()}
+    except NonDifferentiable as exc:
+        return type(exc), str(exc)
+
+
+def _partials_one_by_one(e: Expr, names) -> dict:
+    """``differentiate`` by each of ``names`` in turn, kept where the name
+    occurs in ``e``."""
+    present = free_vars(e)
+    return {v: differentiate(e, v) for v in names if v in present}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_partials_are_the_derivatives_one_by_one(seed, shared):
+    # One walk by every variable gives each variable's derivative, and
+    # refuses the first variable, in the order given, that meets a kink,
+    # with the message ``differentiate`` gives for it alone.
+    rng = random.Random(900 + seed)
+    raised = built = 0
+    for _ in range(120):
+        e = random_tree(rng, 5, [] if shared else None)
+        for tree in (e, simplify(e)):
+            names = [*NAMES, "absent"]
+            rng.shuffle(names)
+            got = _partials_or_error(partials, tree, names)
+            assert got == _partials_or_error(_partials_one_by_one, tree, names)
+            if type(got) is dict:
+                assert list(got) == [v for v in names if v in free_vars(tree)]
+                built += 1
+            else:
+                raised += 1
+    assert raised > 30 and built > 50
+
+
+def _parsed_both_ways(text: str, constants=None):
+    """Assert that the parser's simplified tree and its names are those of
+    ``simplify`` and ``free_vars``, and give the tree."""
+    e, names = parse_component(text, constants)
+    want = simplify(parse(text, constants))
+    assert e == want and to_text(e) == to_text(want)
+    assert structural_key_with_vars(e) == structural_key_with_vars(want)
+    assert names == free_vars(e) and parse_simplified(text, constants) == e
+    return e
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_parser_simplifies_as_it_builds(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(300):
+        _parsed_both_ways(to_text(random_tree(rng, 6, [])))
+
+
+@pytest.mark.parametrize(
+    "text, expected, names",
+    [
+        ("0*z", "0.0", ()),
+        ("(1-1)*z", "0.0", ()),
+        ("z*(2-2) + y", "y", ("y",)),
+        ("x*1 + 0/(y*y)", "x + 0.0/sqr(y)", ("x", "y")),
+        ("--z", "z", ("z",)),
+        ("0 - -z", "z", ("z",)),
+        ("(y - y)^1", "y - y", ("y",)),
+        ("max(0*z, x)", "max(0.0, x)", ("x",)),
+        ("sqr(0*z) + abs(-(0*w))", "0.0", ()),
+        ("(2*3)^2 * z^1", "36.0*z", ("z",)),
+    ],
+)
+def test_folded_operands_take_their_names_away(text, expected, names):
+    assert to_text(_parsed_both_ways(text)) == expected
+    assert parse_component(text)[1] == frozenset(names)
+
+
+def test_the_names_of_long_sums_of_distinct_variables():
+    # Each union grows the larger set in place, so these take n log n.
+    names = [f"x{i}" for i in range(5000)]
+    for text in ("+".join(names), "-(".join(names) + ")" * (len(names) - 1)):
+        e, found = parse_component(text)
+        assert found == frozenset(names) == free_vars(e)
+
+
+def test_the_parser_simplifies_every_bench_component(tmp_path, monkeypatch):
+    # Every component of the benchmark's model files, at two seeds.
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    read = []
+    parse_text = model_module.parse_component
+    monkeypatch.setattr(
+        model_module, "parse_component", lambda *args: read.append(args) or parse_text(*args)
+    )
+    for seed in (0, 1):
+        for workload in workloads.WORKLOADS:
+            workdir = tmp_path / f"{workload}-{seed}"
+            workdir.mkdir()
+            workloads.make_jobs(workload, seed, str(workdir))
+            for model_file in sorted(workdir.glob("*.nds")):
+                model = model_module.load_model(str(model_file))
+                assert model.component_vars == tuple(map(free_vars, model.f))
+    assert len(read) > 300
+    for text, constants in read:
+        _parsed_both_ways(text, constants)
 
 
 def _postfix_reference(e: Expr, slots: dict[str, int]):

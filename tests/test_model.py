@@ -180,6 +180,35 @@ class TestStateJacobian:
         monkeypatch.setattr(expr, "simplify", lambda e: calls.append(e) or simplify(e))
         assert sum(map(len, m.state_jacobian)) > 200 and calls == []
 
+    @staticmethod
+    def _walked(monkeypatch) -> list:
+        """The roots that ``expr.walk`` is called on from now on."""
+        walked = []
+        walk = expr.walk
+        monkeypatch.setattr(expr, "walk", lambda root, *a: walked.append(root) or walk(root, *a))
+        return walked
+
+    def test_one_walk_per_component(self, monkeypatch):
+        # The parser builds each component simplified, with its variable
+        # names, so loading walks no tree; then one walk of each component
+        # that holds a state gives all of its partials.
+        text = model_to_text(build_traffic(TrafficConfig(sections=20))[0])
+        walked = self._walked(monkeypatch)
+        m = parse_model_text(text)
+        assert walked == []
+        assert sum(map(len, m.state_jacobian)) > 200
+        states = set(m.state_names)
+        holding = [fi for fi, names in zip(m.f, m.component_vars) if names & states]
+        assert list(map(id, walked)) == list(map(id, holding))
+
+    def test_a_component_without_a_state_is_not_walked(self, monkeypatch):
+        m = parse_model_text(
+            "[states]\nx = [0, 1]\n[inputs]\nu = [0, 1]\n[f]\nf1 = sqr(u)\nf2 = x*u\n"
+        )
+        walked = self._walked(monkeypatch)
+        assert [[j for j, _ in row] for row in m.state_jacobian] == [[], [0]]
+        assert walked == [m.f[1]]
+
     def test_quotient_has_no_entry_for_an_absent_state(self):
         m = ModelDef(
             state_names=("x1", "x2", "x3"),

@@ -15,7 +15,9 @@ from certbound import BnBConfig, ModelDef
 from certbound.baselines import SampleReport
 from certbound.bnb import Subproblem
 from certbound.errors import DegenerateSplit
-from certbound.expr import ABS, ADD, NEG, SQR, Binary, Const, PowInt, Unary, Var, simplify
+from certbound.expr import (
+    ABS, ADD, NEG, SQR, Binary, Const, PowInt, Unary, Var, parse_simplified, simplify,
+)
 from certbound.intervals import Box, Interval
 from certbound.models import GeneratorConfig, MovingObjectConfig, TrafficConfig
 from certbound.report import ConstantRow, RunReport
@@ -69,6 +71,17 @@ def test_frozen_classes_copy_and_pickle(value, name, clone):
     other = clone(value)
     assert type(other) is type(value) and other == value
     assert getattr(other, name) == getattr(value, name)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_a_node_copies_as_itself(clone):
+    # A node is immutable, so a copy of a deep tree is the tree itself, and
+    # copying it, or a model that holds it, does not recurse down the tree.
+    e = parse_simplified("+".join(["x*y"] * 2000))
+    assert clone(e) is e
+    model = ModelDef(("x", "y"), (Interval(0.0, 1.0),) * 2, (e,))
+    other = clone(model)
+    assert other == model and other.f[0] is e
 
 
 def test_mutable_report_pickles():
