@@ -7,10 +7,10 @@ standard error only.  Exit codes: 0 success, 2 usage error, 3 model error,
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import params
@@ -46,85 +46,6 @@ class _ModelError(CertboundError):
 
 def _fingerprint(data: bytes) -> str:
     return _sha256(data).hexdigest()
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="model definition file", default=None)
-    parser.add_argument("--eps-h", type=float, default=1e-4, help="objective gap tolerance")
-    parser.add_argument("--eps-om", type=float, default=1e-7, help="minimum splittable box width")
-    parser.add_argument("--segments", type=int, default=10, help="slabs per interval bound evaluation")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--no-timing", action="store_true", help="omit wall times (byte-identical reports)")
-
-
-def _lipschitz_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--case", type=int, choices=(1, 2), default=1)
-
-
-def _osl_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
-
-
-def _qib_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--estimator", choices=params.OSL_ESTIMATORS, default="gershgorin")
-    p.add_argument("--distributed", action="store_true")
-
-
-def _maximize_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", required=True)
-    p.add_argument("--bounds", required=True, help='e.g. "x=[0,1];y=[-1,2]"')
-
-
-def _baseline_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("halton", "corners"), default="halton")
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument(
-        "--objective", choices=("lipschitz", "jacobian-norm"), default="lipschitz"
-    )
-
-
-def _traffic_table_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sections", required=True, help="comma-separated section counts")
-    p.add_argument("--case", type=int, choices=(1, 2), default=1)
-
-
-def _make_model_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=("traffic", "moving-object", "generator"))
-    p.add_argument("--sections", type=int, default=5)
-    p.add_argument("--radius", type=float, default=5.0)
-    p.add_argument("--state-bounds", default=None, help='generator: "[lo,hi];..." x4')
-    p.add_argument("--input-bounds", default=None, help='generator: "[lo,hi];..." x4')
-    p.add_argument(
-        "--alphas", default=None, help="generator: six comma-separated constants"
-    )
-    p.add_argument("--output", default=None, help="write to file instead of stdout")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``command`` names a command, only
-    that command's subparser is built, which parses its arguments and
-    prints its help and usage errors exactly as the full parser would;
-    otherwise every command's is."""
-    parser = argparse.ArgumentParser(
-        prog="certbound",
-        description="certified bounding constants for nonlinear dynamic systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    if command in _COMMANDS:
-        # The top-level usage, which an unrecognized argument prints, still
-        # lists every command.
-        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            continue
-        p = sub.add_parser(name, help=help_text)
-        if add_arguments is not None:
-            add_arguments(p)
-        if name != "make-model":
-            _add_common(p)
-    return parser
 
 
 @contextlib.contextmanager
@@ -174,9 +95,12 @@ def _stats_fields(eps_optimal: bool, stats: params.RunStats, gap: float | None =
 
 
 def _report(args, fingerprint: str, rows: list[ConstantRow], label: str = "") -> RunReport:
+    # The echoed settings are those that ``BnBConfig`` accepts, whether or
+    # not the command ran a search with them.
+    cfg = _cfg(args)
     return RunReport(
         command=" ".join(args._argv),
-        config={"eps_h": args.eps_h, "eps_om": args.eps_om, "segments": args.segments},
+        config={"eps_h": cfg.eps_h, "eps_om": cfg.eps_om, "segments": cfg.segments},
         model_fingerprint=fingerprint,
         results=rows,
         label=label,
@@ -293,6 +217,7 @@ def _cmd_baseline(args) -> list[RunReport]:
 
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    _cfg(args)  # the report echoes the tolerances: check them before sampling
     model, fp = _load_model(args)
     if args.objective == "jacobian-norm":
         rep = baselines.jacobian_norm_sampled(model, count=args.count, method=args.method)
@@ -373,32 +298,228 @@ def _cmd_make_model(args) -> int:
     return EXIT_OK
 
 
-# Each command's help, the arguments of its own and its handler, in the
-# order the usage lists the commands.  All but ``make-model`` take the
-# common arguments too, and their handlers return the reports to print;
-# ``make-model``'s returns the exit code.
-_COMMANDS: dict[str, tuple[str, Callable | None, Callable]] = {
-    "lipschitz": ("certified Lipschitz constant", _lipschitz_arguments, _cmd_lipschitz),
-    "osl": ("one-sided Lipschitz constant", _osl_arguments, _cmd_osl),
-    "qib": ("quadratic inner-boundedness constants", _qib_arguments, _cmd_qib),
-    "qb": ("quadratic-boundedness matrix", None, _cmd_qb),
-    "jacobian": ("certified partial-derivative bounds", None, _cmd_jacobian),
-    "maximize": ("certified maximum of an expression", _maximize_arguments, _cmd_maximize),
-    "baseline": ("point-sampled under-approximations", _baseline_arguments, _cmd_baseline),
-    "traffic-table": (
-        "traffic-network regression rows", _traffic_table_arguments, _cmd_traffic_table
+class _Option:
+    """One entry of a command's arguments: its ``--flag``, or the name of a
+    positional; the function that reads its text, ``bool`` for a flag that
+    takes none; its default; its choices; whether it must be given (then it
+    has no default); its help.  The handlers read it as ``args.<dest>``."""
+
+    __slots__ = ("flag", "read", "default", "choices", "required", "help", "dest")
+
+    def __init__(
+        self, flag: str, read: Callable = str, default=None, choices: tuple | None = None,
+        required: bool = False, help: str = "",
+    ) -> None:
+        self.flag = flag
+        self.read = read
+        self.default = False if read is bool else default
+        self.choices = choices
+        self.required = required or not flag.startswith("-")
+        self.help = help
+        self.dest = flag.lstrip("-").replace("-", "_")
+
+    def synopsis(self) -> str:
+        if self.read is bool:
+            return self.flag
+        metavar = self.dest.upper()
+        if self.choices is not None:
+            metavar = "{" + ",".join(map(str, self.choices)) + "}"
+        return f"{self.flag} {metavar}" if self.flag.startswith("-") else metavar
+
+
+_COMMON = (
+    _Option("--model", help="model definition file"),
+    _Option("--eps-h", float, 1e-4, help="objective gap tolerance"),
+    _Option("--eps-om", float, 1e-7, help="minimum splittable box width"),
+    _Option("--segments", int, 10, help="slabs per interval bound evaluation"),
+    _Option("--format", default="json", choices=("json", "csv", "text"), help="report format"),
+    _Option("--no-timing", bool, help="omit wall times (byte-identical reports)"),
+)
+_CASE = _Option("--case", int, 1, (1, 2), help="1: one joint maximization, 2: one per component")
+_ESTIMATOR = _Option(
+    "--estimator", default="gershgorin", choices=tuple(params.OSL_ESTIMATORS), help="OSL bound"
+)
+
+# Each command's help, its arguments and its handler, in the order the help
+# lists the commands.  All but ``make-model`` take the common arguments, and
+# their handlers return the reports to print; ``make-model``'s returns the
+# exit code.
+_COMMANDS: dict[str, tuple[str, tuple[_Option, ...], Callable]] = {
+    "lipschitz": ("certified Lipschitz constant", (_CASE, *_COMMON), _cmd_lipschitz),
+    "osl": ("one-sided Lipschitz constant", (_ESTIMATOR, *_COMMON), _cmd_osl),
+    "qib": (
+        "quadratic inner-boundedness constants",
+        (
+            _Option("--eps1", float, required=True, help="weight of the OSL upper bound"),
+            _Option("--eps2", float, required=True, help="weight of the OSL lower bound"),
+            _ESTIMATOR,
+            _Option("--distributed", bool, help="bound gamma_m by per-component maxima"),
+            *_COMMON,
+        ),
+        _cmd_qib,
     ),
-    "make-model": ("emit a built-in model file", _make_model_arguments, _cmd_make_model),
+    "qb": ("quadratic-boundedness matrix", _COMMON, _cmd_qb),
+    "jacobian": ("certified partial-derivative bounds", _COMMON, _cmd_jacobian),
+    "maximize": (
+        "certified maximum of an expression",
+        (
+            _Option("--expr", required=True, help="expression to maximize"),
+            _Option("--bounds", required=True, help='e.g. "x=[0,1];y=[-1,2]"'),
+            *_COMMON,
+        ),
+        _cmd_maximize,
+    ),
+    "baseline": (
+        "point-sampled under-approximations",
+        (
+            _Option("--method", default="halton", choices=("halton", "corners"),
+                    help="points to sample"),
+            _Option("--count", int, 10000, help="number of points"),
+            _Option("--objective", default="lipschitz", choices=("lipschitz", "jacobian-norm"),
+                    help="function to sample"),
+            *_COMMON,
+        ),
+        _cmd_baseline,
+    ),
+    "traffic-table": (
+        "traffic-network regression rows",
+        (_Option("--sections", required=True, help="comma-separated section counts"), _CASE,
+         *_COMMON),
+        _cmd_traffic_table,
+    ),
+    "make-model": (
+        "emit a built-in model file",
+        (
+            _Option("kind", choices=("traffic", "moving-object", "generator"),
+                    help="the model to build"),
+            _Option("--sections", int, 5, help="traffic: number of sections"),
+            _Option("--radius", float, 5.0, help="moving-object: radius"),
+            _Option("--state-bounds", help='generator: "[lo,hi];..." x4'),
+            _Option("--input-bounds", help='generator: "[lo,hi];..." x4'),
+            _Option("--alphas", help="generator: six comma-separated constants"),
+            _Option("--output", help="write to file instead of stdout"),
+        ),
+        _cmd_make_model,
+    ),
 }
+_HELP_FLAGS = ("-h", "--help")
+
+
+class _UsageError(Exception):
+    """A command line that ``_COMMANDS`` does not accept: exit 2."""
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: certbound <command> [options]"
+    required = [opt.synopsis() for opt in _COMMANDS[command][1] if opt.required]
+    return " ".join(["usage: certbound", command, *required, "[options]"])
+
+
+def _help(command: str | None) -> str:
+    """The help of one command, from its entry in ``_COMMANDS``, or, for
+    ``None``, the list of commands."""
+    if command is None:
+        about = "certified bounding constants for nonlinear dynamic systems"
+        heading = "commands"
+        entries = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+        footer = ["", 'Run "certbound <command> --help" for the options of a command.']
+    else:
+        about, options, _ = _COMMANDS[command]
+        heading = "options"
+        entries = [("-h, --help", "show this help and exit")]
+        for opt in options:
+            note = ""
+            if opt.required:
+                note = " (required)"
+            elif opt.default is not None and opt.read is not bool:
+                note = f" (default: {opt.default})"
+            entries.append((opt.synopsis(), opt.help + note))
+        footer = []
+    lines = [_usage(command), "", about, "", f"{heading}:"]
+    for left, text in entries:
+        if len(left) > 24:
+            lines.append(f"  {left}")
+            left = ""
+        lines.append(f"  {left:<24}  {text}")
+    return "\n".join(lines + footer) + "\n"
+
+
+def _value(opt: _Option, text: str):
+    """The value of ``opt`` written as ``text``."""
+    try:
+        value = opt.read(text)
+    except ValueError:
+        raise _UsageError(
+            f"argument {opt.flag}: invalid {opt.read.__name__} value: {text!r}"
+        ) from None
+    if opt.choices is not None and value not in opt.choices:
+        choices = ", ".join(map(repr, opt.choices))
+        raise _UsageError(f"argument {opt.flag}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse_args(argv: Sequence[str]):
+    """The command and its arguments read from ``argv[1:]`` against its
+    entry in ``_COMMANDS``, or ``None`` once help has been printed.
+
+    An option takes its value as ``--flag value`` or ``--flag=value``, and
+    the last of a repeated one wins.  A value may begin with ``-``, but a
+    token that begins with ``--`` is always an option.  Raises
+    ``_UsageError``."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP_FLAGS:
+        sys.stdout.write(_help(None))
+        return None
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = _COMMANDS[command][1]
+    by_flag = {opt.flag: opt for opt in options}
+    positionals = [opt for opt in options if not opt.flag.startswith("-")]
+    values = {opt.dest: opt.default for opt in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            sys.stdout.write(_help(command))
+            return None
+        if token.startswith("--"):
+            flag, eq, text = token.partition("=")
+            opt = by_flag.get(flag)
+            if opt is None:
+                raise _UsageError(f"unrecognized arguments: {token}")
+            if opt.read is bool:
+                if eq:
+                    raise _UsageError(f"argument {flag}: takes no value")
+                values[opt.dest] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("--"):
+                    raise _UsageError(f"argument {flag}: expected one argument")
+        elif positionals:
+            opt, text = positionals.pop(0), token
+        else:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        values[opt.dest] = _value(opt, text)
+    missing = [opt.flag for opt in options if opt.required and values[opt.dest] is None]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(command=command, _argv=list(argv), **values)
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    args._argv = list(argv)
+        args = _parse_args(argv)
+    except _UsageError as exc:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        prog = "certbound" if command is None else f"certbound {command}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
+        return EXIT_USAGE
+    if args is None:
+        return EXIT_OK
     try:
         handle = _COMMANDS[args.command][2]
         if args.command == "make-model":

@@ -15,6 +15,14 @@ from typing import Sequence
 
 from .errors import CertboundError
 
+# Strings are quoted by the C function that ``json`` itself uses; a CLI job
+# does not import ``json`` (~2 ms), whose encoder is pure Python with an
+# indent.  Without ``_json``, ``json.encoder`` gives its Python version.
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
+
 
 class ReportFieldError(CertboundError):
     """A report field is NaN or infinite; the run must abort instead."""
@@ -82,12 +90,41 @@ class RunReport:
         return out
 
 
-def to_json(reports: Sequence[RunReport]) -> str:
-    """Always an array, one object per report, keys sorted."""
-    import json  # only ``--format json`` runs pay for it
+def _encode(x, pad: str) -> str:
+    """``x``, a report field, written at indent ``pad`` as ``json.dumps(x,
+    indent=2, sort_keys=True)`` writes it: dicts, lists, strings, ints,
+    finite floats, bools and ``None``."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ReportFieldError(f"report field is {x!r}")
+        return float.__repr__(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return _quote(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{inner}{_quote(k)}: {_encode(x[k], inner)}" for k in sorted(x)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _encode(v, inner) for v in x) + f"\n{pad}]"
+    raise TypeError(f"report field of type {type(x).__name__} is not JSON")
 
-    payload = [r.to_dict() for r in reports]
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+def to_json(reports: Sequence[RunReport]) -> str:
+    """Always an array, one object per report, keys sorted, two-space
+    indent: the text of ``json.dumps(payload, indent=2, sort_keys=True)``."""
+    return _encode([r.to_dict() for r in reports], "")
 
 
 def _fmt_value(x: float | None) -> str:

@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import builtins
 import hashlib
 import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -13,8 +15,8 @@ import pytest
 
 import certbound
 from certbound import cli
-from certbound.cli import _COMMANDS, build_parser, run
-from certbound.report import ConstantRow, RunReport, ReportFieldError, emit_table
+from certbound.cli import _COMMANDS, run
+from certbound.report import ConstantRow, RunReport, ReportFieldError, emit_table, to_json
 from conftest import report_from_dict
 
 
@@ -406,35 +408,175 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "--count must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--eps-h", "nan"), ("--eps-om", "inf"), ("--segments", "0")]
+    )
+    def test_baseline_checks_the_tolerances_it_echoes(self, model_files, capsys, flag, value):
+        code, out, err = run_capture(
+            capsys, ["baseline", "--count", "4", "--model", model_files["moving1"], flag, value]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("certbound: ") and err.count("\n") == 1
+
     def test_diagnostics_never_on_stdout(self, capsys):
         code, out, err = run_capture(capsys, ["osl", "--model", "/nope.nds"])
         assert out == "" and err != ""
 
 
+def reference_parser() -> argparse.ArgumentParser:
+    """An argparse parser built from the CLI's argument table: the reference
+    that the CLI's own parser must agree with."""
+    parser = argparse.ArgumentParser(prog="certbound", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for opt in options:
+            if opt.read is bool:
+                p.add_argument(opt.flag, action="store_true")
+            elif opt.flag.startswith("-"):
+                p.add_argument(
+                    opt.flag, type=opt.read, default=opt.default, choices=opt.choices,
+                    required=opt.required,
+                )
+            else:
+                p.add_argument(opt.flag, type=opt.read, choices=opt.choices)
+    return parser
+
+
+# Texts that argparse takes as the value of an option of each type, in both
+# forms; a string that begins with "-" only after "=".
+VALUE_TEXTS = {
+    int: ["0", "3", "-2", "17", "1_000"],
+    float: ["0.5", "1e-3", "-2.5", "3", "1e4", " 2.0 "],
+    str: ["x*(1-x)", "x=[0,1];y=[-1,2]", "a b", "1,2,3"],
+}
+
+
+def random_argv(rng: random.Random, command: str) -> list[str]:
+    """A command line that argparse accepts: the required options and a
+    random share of the others, shuffled, in either form, one of them
+    possibly repeated."""
+    options = _COMMANDS[command][1]
+    chosen = [opt for opt in options if opt.required or rng.random() < 0.5]
+    flags = [opt for opt in chosen if opt.flag.startswith("-")]
+    if flags and rng.random() < 0.5:
+        chosen.append(rng.choice(flags))
+    rng.shuffle(chosen)
+    argv = [command]
+    for opt in chosen:
+        if opt.choices is not None:
+            text = str(rng.choice(opt.choices))
+        elif opt.read is not bool:
+            text = rng.choice(VALUE_TEXTS[opt.read])
+        if not opt.flag.startswith("-"):
+            argv.append(text)
+        elif opt.read is bool:
+            argv.append(opt.flag)
+        elif rng.random() < 0.5:
+            if opt.choices is None and opt.read is str and rng.random() < 0.3:
+                text = "-" + text
+            argv.append(f"{opt.flag}={text}")
+        else:
+            argv += [opt.flag, text]
+    return argv
+
+
+def usage_error(capsys, argv) -> str:
+    """The one error line of a command line that is a usage error."""
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: certbound") and "error:" not in usage
+    assert error.startswith("certbound") and ": error: " in error
+    return error
+
+
 class TestParser:
-    @staticmethod
-    def _parse(parser, argv, capsys):
-        try:
-            parser.parse_args(argv)
-        except SystemExit as exc:
-            captured = capsys.readouterr()
-            return exc.code, captured.out, captured.err
-        raise AssertionError(f"{argv} parsed")
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_reads_what_argparse_reads(self, command):
+        rng = random.Random(command)
+        reference = reference_parser()
+        for _ in range(60):
+            argv = random_argv(rng, command)
+            expected = vars(reference.parse_args(argv))
+            got = vars(cli._parse_args(argv))
+            assert got.pop("_argv") == argv
+            typed = {name: (type(v), v) for name, v in got.items()}
+            assert typed == {name: (type(v), v) for name, v in expected.items()}, argv
+
+    def test_values_may_begin_with_a_dash(self):
+        args = cli._parse_args(
+            ["qib", "--eps1", "-1", "--eps2=-inf", "--model", "-", "--estimator=zeta"]
+        )
+        assert (args.eps1, args.eps2, args.model, args.estimator) == (-1.0, -math.inf, "-", "zeta")
+        args = cli._parse_args(["maximize", "--expr", "-x*x", "--bounds", "x=[-1,1]"])
+        assert (args.expr, args.bounds) == ("-x*x", "x=[-1,1]")
+        assert cli._parse_args(["maximize", "--expr=--x", "--bounds=x=[0,1]"]).expr == "--x"
+
+    def test_the_last_of_a_repeated_option_wins(self):
+        args = cli._parse_args(["lipschitz", "--case", "2", "--segments=3", "--case=1", "--segments", "4"])
+        assert (args.case, args.segments) == (1, 4)
+
+    def test_make_model_kind_anywhere(self):
+        args = cli._parse_args(["make-model", "--sections", "3", "traffic", "--output=-"])
+        assert (args.kind, args.sections, args.output) == ("traffic", 3, "-")
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            ([], "command"),
+            (["bogus"], "'bogus'"),
+            (["lipschitz", "--case", "3"], "--case"),
+            (["lipschitz", "--format", "xml"], "--format"),
+            (["lipschitz", "--segments", "x"], "--segments"),
+            (["lipschitz", "--segments=1.5"], "--segments"),
+            (["lipschitz", "--eps-h", "abc"], "--eps-h"),
+            (["lipschitz", "--eps-h"], "--eps-h"),
+            (["lipschitz", "--eps-h", "--model", "m.nds"], "--eps-h"),
+            (["maximize", "--expr", "--bounds", "x=[0,1]"], "--expr"),
+            (["lipschitz", "--no-timing=1"], "--no-timing"),
+            (["lipschitz", "--no-such-flag"], "--no-such-flag"),
+            (["lipschitz", "--mod", "m.nds"], "--mod"),
+            (["lipschitz", "stray"], "stray"),
+            (["qb", "-x"], "-x"),
+            (["qib", "--eps1", "1"], "--eps2"),
+            (["maximize", "--bounds", "x=[0,1]"], "--expr"),
+            (["traffic-table"], "--sections"),
+            (["make-model"], "kind"),
+            (["make-model", "bogus"], "kind"),
+            (["make-model", "traffic", "generator"], "generator"),
+            (["make-model", "traffic", "--model", "m.nds"], "--model"),
+        ],
+    )
+    def test_usage_error_names_the_option(self, capsys, argv, names):
+        assert names in usage_error(capsys, argv)
+
+    def test_abbreviations_are_not_options(self, capsys):
+        # argparse took an unambiguous prefix of an option; the table does not.
+        assert "--no-tim" in usage_error(capsys, ["qb", "--no-tim"])
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_command(self, capsys, flag):
+        code, out, err = run_capture(capsys, [flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: certbound <command>")
+        for name, (help_text, _, _) in _COMMANDS.items():
+            assert f"  {name}" in out and help_text in out
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     @pytest.mark.parametrize("extra", [["--help"], ["--no-such-flag"], ["--format", "xml"]])
-    def test_one_command_parser_prints_what_the_full_one_does(self, capsys, command, extra):
-        # Help, an argument the top-level usage reports and one that the
-        # command's usage reports: the same bytes and exit code.
-        argv = [command, *extra]
-        assert self._parse(build_parser(command), argv, capsys) == self._parse(
-            build_parser(), argv, capsys
-        )
-
-    def test_one_command_parser_has_one_subparser(self):
-        sub = build_parser("qb")._subparsers._group_actions[0]
-        assert list(sub.choices) == ["qb"]
-        assert list(build_parser("bogus")._subparsers._group_actions[0].choices) == list(_COMMANDS)
+    def test_help_or_one_usage_error_of_every_command(self, capsys, command, extra):
+        if extra != ["--help"]:
+            # make-model has no --format: it is an unrecognized argument.
+            assert extra[0] in usage_error(capsys, [command, *extra])
+            return
+        # Help is printed before a missing required option is noticed.
+        code, out, err = run_capture(capsys, [command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: certbound {command}")
+        for opt in _COMMANDS[command][1]:
+            assert opt.synopsis() in out and opt.help in out
+        assert run_capture(capsys, [command, "-h"])[1] == out
 
 
 class TestCommands:
@@ -782,11 +924,12 @@ class TestFingerprint:
 
 
 # Modules that a CLI job of the Lipschitz command must not load: OpenSSL
-# (through hashlib), the modules of other commands, exact arithmetic and,
-# with a text report, json.
+# (through hashlib), the modules of other commands, exact arithmetic, and
+# the standard library's argument parser and JSON encoder with what they
+# load, whatever the report's format.
 NOT_LOADED = (
     "_hashlib", "certbound.baselines", "certbound.eigen", "certbound.models",
-    "fractions", "decimal", "json",
+    "fractions", "decimal", "json", "argparse", "gettext", "locale",
 )
 
 
@@ -798,14 +941,15 @@ def test_lipschitz_job_loads_only_what_it_runs(model_files):
         "code = certbound.cli.run(sys.argv[2:])\n"
         "print(code, *sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - before)))\n"
     )
-    argv = ["lipschitz", "--case", "1", "--model", model_files["traffic1"], "--format", "text"]
     src = os.path.dirname(os.path.dirname(certbound.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, ",".join(NOT_LOADED), *argv],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == "0"
+    for fmt in ("text", "json"):
+        argv = ["lipschitz", "--case", "1", "--model", model_files["traffic1"], "--format", fmt]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, ",".join(NOT_LOADED), *argv],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "0", fmt
 
 
 class TestReportModule:
@@ -860,3 +1004,103 @@ class TestReportModule:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_table([], "yaml")
+
+
+# Strings that JSON escapes, or writes as \u escapes of one or two code units.
+STRANGE_TEXTS = ['"', "\\", "\n", "\x00", "\x7f", "é", "😀", 'a"b\\c\nd\x00\x7fé😀']
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1, -1e-7, 123456789.0]
+
+
+def json_reference(reports) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+
+
+def synthetic_reports() -> list[RunReport]:
+    reports = [
+        RunReport(text, {"eps_h": 1e-4, "eps_om": 1e-7, "segments": 10}, "ab" * 32,
+                  [ConstantRow(text, 1.0, eps_optimal=True)], label=text)
+        for text in STRANGE_TEXTS
+    ]
+    rows = [
+        ConstantRow("f", x, lower=-x, gap=x, eps_optimal=False, subproblems=0,
+                    evals=2**64, wall_time_ms=x)
+        for x in EDGE_FLOATS
+    ]
+    reports.append(RunReport("floats", {"eps_h": 5e-324, "eps_om": 1e16, "segments": 1}, "", rows))
+    reports.append(RunReport("nulls", {}, "", [ConstantRow("n", 2.5)]))
+    reports.append(RunReport("empty", {}, "", []))
+    return reports
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lipschitz", "--case", "1", "--model", "traffic1"],
+            ["lipschitz", "--case", "2", "--model", "traffic1"],
+            ["osl", "--estimator", "frobenius", "--model", "moving1"],
+            ["osl", "--estimator", "gershgorin", "--model", "moving1"],
+            ["osl", "--estimator", "zeta", "--model", "moving1"],
+            ["qib", "--eps1", "1e4", "--eps2", "0.1", "--model", "moving1"],
+            ["qb", "--model", "moving1"],
+            ["jacobian", "--model", "traffic1"],
+            ["maximize", "--expr", "x*(1-x)", "--bounds", "x=[0,1]"],
+            ["baseline", "--count", "16", "--model", "moving1"],
+            ["baseline", "--objective", "jacobian-norm", "--count", "16", "--model", "moving1"],
+            ["traffic-table", "--sections", "1,2,3"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_reports_of_every_command(self, model_files, monkeypatch, capsys, argv):
+        # Timed, so wall_time_ms is a float too.
+        argv = [model_files.get(word, word) for word in argv]
+        emitted = []
+
+        def capture(reports, fmt):
+            emitted.append(reports)
+            return emit_table(reports, fmt)
+
+        monkeypatch.setattr(cli, "emit_table", capture)
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        (reports,) = emitted
+        assert out == json_reference(reports) + "\n"
+
+    def test_strings_floats_nulls_and_empty_results(self):
+        reports = synthetic_reports()
+        assert to_json(reports) == json_reference(reports)
+        for report in reports:
+            assert to_json([report]) == json_reference([report])
+        assert to_json([]) == "[]"
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["value", "lower", "config"])
+    def test_non_finite_float_is_refused(self, x, where):
+        row = ConstantRow("bad", 1.0)
+        report = RunReport("c", {}, "", [row])
+        if where == "config":
+            report.config["eps_h"] = x
+        else:
+            setattr(row, where, x)
+        with pytest.raises(ReportFieldError):
+            to_json([report])
+
+    def test_quotes_without_the_json_extension(self):
+        # Without CPython's _json, strings are quoted by json.encoder's Python
+        # fallback, which json.dumps then uses too.
+        script = (
+            "import sys\n"
+            "sys.modules['_json'] = None\n"
+            "import json, json.encoder\n"
+            "from certbound import report\n"
+            "assert report._quote is json.encoder.py_encode_basestring_ascii\n"
+            f"text = {ascii(''.join(STRANGE_TEXTS))}\n"
+            "r = report.RunReport(text, {}, '', [report.ConstantRow(text, 1.0)], label=text)\n"
+            "assert report.to_json([r]) == json.dumps([r.to_dict()], indent=2, sort_keys=True)\n"
+        )
+        src = os.path.dirname(os.path.dirname(certbound.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
