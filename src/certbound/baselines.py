@@ -11,7 +11,7 @@ wall-clock seeding.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .eigen import induced_two_norm
 from .errors import DomainError

@@ -36,8 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Callable, Iterable, Sequence
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Sequence
 
 from .errors import CertboundError, EvaluationError, IntervalError
 from .intervals import Box, Frozen, midpoint, pair_add, pair_mul, pair_sub, refined_eval

@@ -10,14 +10,14 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+from collections.abc import Callable, Sequence
 from types import SimpleNamespace
-from typing import Callable, Sequence
 
 from . import params
 from .bnb import BnBConfig, maximize
 from .errors import CertboundError, ParseError
 from .expr import Program, parse_component
-from .intervals import Box, Interval
+from .intervals import Box
 from .model import ModelDef, model_to_text, parse_interval, parse_model_text, reduced_domain
 from .report import ConstantRow, RunReport, emit_table
 
@@ -59,9 +59,8 @@ def _model_errors(what: str):
 
 
 def _intervals(text: str) -> tuple[tuple[float, float], ...]:
-    """The endpoints of ``[lo, hi]`` entries separated by ``;``."""
-    ivs = [parse_interval(chunk) for chunk in text.split(";") if chunk.strip()]
-    return tuple((iv.lo, iv.hi) for iv in ivs)
+    """The ``(lo, hi)`` pairs written as ``[lo, hi]`` entries separated by ``;``."""
+    return tuple(parse_interval(chunk) for chunk in text.split(";") if chunk.strip())
 
 
 def _load_model(args) -> tuple[ModelDef, str]:
@@ -169,15 +168,15 @@ def _cmd_jacobian(args) -> list[RunReport]:
     # One row per entry of the sparse Jacobian; an identically-zero
     # derivative has no entry and no run.
     for i, entries in enumerate(r.entries, start=1):
-        for j, iv in entries:
-            fields = _stats_fields(r.eps_optimal, r.stats, iv.width)
-            rows.append(ConstantRow(f"df{i}/dx{j + 1}", iv.hi, lower=iv.lo, **fields))
+        for j, (lo, hi) in entries:
+            fields = _stats_fields(r.eps_optimal, r.stats, hi - lo)
+            rows.append(ConstantRow(f"df{i}/dx{j + 1}", hi, lower=lo, **fields))
     return [_report(args, fp, rows)]
 
 
 def _bounds_box(text: str) -> Box:
     """The box written as ``name=[lo,hi]`` entries separated by ``;``."""
-    bounds: dict[str, Interval] = {}
+    bounds: dict[str, tuple[float, float]] = {}
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         name, _, spec = chunk.partition("=")
         name = name.strip()
@@ -189,7 +188,7 @@ def _bounds_box(text: str) -> Box:
             bounds[name] = parse_interval(spec)
     if not bounds:
         raise _ModelError("empty bounds specification")
-    return Box([(iv.lo, iv.hi) for iv in bounds.values()], tuple(bounds))
+    return Box(tuple(bounds.values()), tuple(bounds))
 
 
 def _cmd_maximize(args) -> list[RunReport]:

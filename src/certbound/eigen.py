@@ -8,7 +8,7 @@ eigenvalue upper bounds.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionMismatch
 

@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 import re
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -889,7 +889,8 @@ def structural_key_with_vars(e: Expr) -> tuple[tuple, tuple[str, ...]]:
 
 
 def structural_key(e: Expr) -> tuple:
-    """The key of ``structural_key_with_vars``, without the names."""
+    """The key of ``structural_key_with_vars``, without the names; kept
+    because the benchmark's tracer (``perfbench/tracer.py``) wraps it."""
     return structural_key_with_vars(e)[0]
 
 

@@ -1,10 +1,11 @@
 """Sound interval arithmetic with outward rounding, plus box utilities.
 
-An :class:`Interval` is a closed interval ``[lo, hi]`` with finite float
-endpoints.  Every arithmetic result encloses the exact real-arithmetic image
-set: each primitive that may round widens its endpoints outward by one unit
-in the last place (two for transcendental library calls), so soundness never
-depends on a settable rounding mode.
+An interval is a ``(lo, hi)`` pair of finite floats with ``lo <= hi``: a
+model's bounds, a box's dimensions and the enclosures that the search and
+the reports read are all such pairs.  Every arithmetic result encloses the
+exact real-arithmetic image set: each primitive that may round widens its
+endpoints outward by one unit in the last place (two for transcendental
+library calls), so soundness never depends on a settable rounding mode.
 
 Exact results are exempt: an endpoint of a sum or difference with an exactly
 zero operand (``x + 0``, ``x - 0``, ``0 - x``), and a zero endpoint of a
@@ -17,12 +18,14 @@ The scalar helpers ``fraction_up``/``fraction_down`` and
 ``sqrt_up``/``sqrt_down`` round a single exact value to the safe side; the
 assembly of certified constants (square roots, weighted sums) uses them.
 
-Every operation is defined once, on ``(lo, hi)`` tuples of floats (the
-``pair_*`` functions), which the compiled kernels of ``expr.Program`` call.
-The search works on pairs end to end; an :class:`Interval` is a validated
-``[lo, hi]`` record for model bounds and reports.  ``pair_scale``
-is the one specialised product: ``pair_mul`` by a finite point, bit for bit,
-from two products instead of four; a test pins the two together.
+Every operation is defined once, on pairs (the ``pair_*`` functions),
+which the compiled kernels of ``expr.Program`` call.  A :class:`Box` checks
+its pairs where it is built from model or CLI bounds; nothing else checks a
+bound.  The :class:`Interval` record, ``iv_sin``, ``iv_cos``, ``Box.dims``
+and ``Box.widest_dim`` are kept only because the benchmark's tracer
+(``perfbench/tracer.py``) reads them.  ``pair_scale`` is the one
+specialised product: ``pair_mul`` by a finite point, bit for bit, from two
+products instead of four; a test pins the two together.
 
 The hot functions pick the least and greatest candidate endpoint by
 comparison chains instead of the builtin ``min``/``max``, under CPython's
@@ -40,23 +43,19 @@ at least ``2*pi`` wide, both fall back to the trivial enclosure ``[-1, 1]``,
 so both functions are total.
 
 A :class:`Box` holds one pair per named variable; it is the search-space
-object bisected by the optimizer.  Its ``dims`` (``Interval`` records) and
-``widest_dim`` are read by the benchmark's tracer only.  ``refined_eval``
-sharpens an interval function (pairs in, one per dimension; a pair out) by
-slicing one dimension (the optimizer's split dimension) into equal slabs
-and hulling their enclosures, and returns a pair.
+object bisected by the optimizer.  ``refined_eval`` sharpens an interval
+function (pairs in, one per dimension; a pair out) by slicing one dimension
+(the optimizer's split dimension) into equal slabs and hulling their
+enclosures, and returns a pair.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
 
 from .errors import DegenerateSplit, DivisionByZeroInterval, DomainError, IntervalError
-
-if TYPE_CHECKING:  # importing fractions costs start-up time that only assembly needs
-    from fractions import Fraction
 
 _INF = math.inf
 _nextafter = math.nextafter
@@ -492,6 +491,8 @@ def pair_cos(a: tuple[float, float]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Scalars rounded to the safe side
 # ---------------------------------------------------------------------------
+# ``Fraction`` is ``fractions.Fraction``, not imported: annotations are not
+# evaluated, and only the assembly of constants pays for that import.
 
 
 def fraction_up(q: Fraction) -> float:
@@ -570,7 +571,7 @@ def midpoint(lo: float, hi: float) -> float:
 
 class Interval(Frozen):
     """Closed real interval with finite endpoints, ``lo <= hi``: a validated
-    record for model bounds and reports; its arithmetic is ``pair_*``."""
+    record that only the benchmark's tracer reads; bounds are pairs."""
 
     __slots__ = ("lo", "hi")
 

@@ -1,9 +1,9 @@
 """Nonlinear system definitions and their on-disk text format.
 
 A model is the nonlinear part of a dynamic system: state and input variables
-with box bounds, a vector of expressions, and an optional mixing matrix G
-applied to that vector.  The admissible region is the product box of all
-variable bounds (states first, then inputs).
+with ``(lo, hi)`` bounds, a vector of expressions, and an optional mixing
+matrix G applied to that vector.  The admissible region is the product box
+of all variable bounds (states first, then inputs).
 
 Text format (UTF-8, with or without a BOM; ``#`` comments)::
 
@@ -46,7 +46,7 @@ from .expr import (
     simplified_unary,
     to_text,
 )
-from .intervals import Box, Frozen, Interval
+from .intervals import Box, Frozen
 
 Matrix = tuple[tuple[float, ...], ...]
 Partials = tuple[tuple[int, Expr], ...]  # a sparse row: (column, entry), no is_zero entry
@@ -54,18 +54,21 @@ Partials = tuple[tuple[int, Expr], ...]  # a sparse row: (column, entry), no is_
 
 class ModelDef(Frozen):
     """A nonlinear system: bounded variables plus component expressions.
-    The components are expected simplified, as ``parse_model_text`` and the
+    Each bound is a ``(lo, hi)`` pair, checked once, by the ``Box`` of all
+    of them that ``omega()`` returns (``IntervalError`` for a non-finite or
+    inverted one); ``state_bounds`` and ``input_bounds`` are its pairs.  The
+    components are expected simplified, as ``parse_model_text`` and the
     built-in models give them: their partial derivatives are built from
-    their subtrees as they stand (see ``expr.partials``).  Not
-    slotted: ``component_vars`` (each component's variable names: given,
-    as the parser gives them, or else found by ``free_vars``) and,
-    built on first use, ``state_jacobian``, ``weighted_jacobian``,
+    their subtrees as they stand (see ``expr.partials``).  Not slotted:
+    ``component_vars`` (each component's variable names: given, as the
+    parser gives them, or else found by ``free_vars``), the box and, built
+    on first use, ``state_jacobian``, ``weighted_jacobian``,
     ``symmetrized_jacobian`` and ``declared`` live in the ``__dict__``."""
 
     def __init__(
-        self, state_names: tuple[str, ...], state_bounds: tuple[Interval, ...],
+        self, state_names: tuple[str, ...], state_bounds: tuple[tuple[float, float], ...],
         f: tuple[Expr, ...], input_names: tuple[str, ...] = (),
-        input_bounds: tuple[Interval, ...] = (), G: Matrix | None = None,
+        input_bounds: tuple[tuple[float, float], ...] = (), G: Matrix | None = None,
         component_vars: tuple[frozenset[str], ...] | None = None,
     ) -> None:
         if not state_names:
@@ -93,12 +96,14 @@ class ModelDef(Frozen):
                 raise DimensionMismatch(
                     f"G must be {n}x{g}, got {len(G)}x{len(G[0]) if G else 0}"
                 )
+        omega = Box((*state_bounds, *input_bounds), state_names + input_names)
         store = object.__setattr__
         store(self, "state_names", state_names)
-        store(self, "state_bounds", state_bounds)
+        store(self, "state_bounds", omega.pairs[:len(state_names)])
         store(self, "f", f)
         store(self, "input_names", input_names)
-        store(self, "input_bounds", input_bounds)
+        store(self, "input_bounds", omega.pairs[len(state_names):])
+        store(self, "_omega", omega)
         store(self, "G", G)
         store(self, "component_vars", component_vars)
 
@@ -180,19 +185,15 @@ class ModelDef(Frozen):
         return len(self.f)
 
     def omega(self) -> Box:
-        """Full admissible box: states first, then inputs."""
-        return Box(
-            [(iv.lo, iv.hi) for iv in self.state_bounds + self.input_bounds],
-            self.state_names + self.input_names,
-        )
+        """Full admissible box: states first, then inputs; built once."""
+        return self._omega
 
     @functools.cached_property
-    def declared(self) -> dict[str, tuple[int, Interval]]:
+    def declared(self) -> dict[str, tuple[int, tuple[float, float]]]:
         """Each variable's position in ``omega()`` and its bound, built on
         first use."""
-        names = self.state_names + self.input_names
-        bounds = self.state_bounds + self.input_bounds
-        return {name: (k, iv) for k, (name, iv) in enumerate(zip(names, bounds))}
+        omega = self._omega
+        return {name: (k, pair) for k, (name, pair) in enumerate(zip(omega.labels, omega.pairs))}
 
 
 def grad_sq_norm(model: ModelDef, i: int) -> Expr:
@@ -268,10 +269,10 @@ def parse_model_text(text: str) -> ModelDef:
 
     return ModelDef(
         state_names=tuple(name for name, _ in states),
-        state_bounds=tuple(iv for _, iv in states),
+        state_bounds=tuple(pair for _, pair in states),
         f=tuple(f),
         input_names=tuple(name for name, _ in inputs),
-        input_bounds=tuple(iv for _, iv in inputs),
+        input_bounds=tuple(pair for _, pair in inputs),
         G=G,
         component_vars=tuple(component_vars),
     )
@@ -285,12 +286,12 @@ def load_model(path: str) -> ModelDef:
 def model_to_text(model: ModelDef) -> str:
     """Render a model in the text format (constants already folded in)."""
     lines = ["[states]"]
-    for name, iv in zip(model.state_names, model.state_bounds):
-        lines.append(f"{name} = [{iv.lo!r}, {iv.hi!r}]")
+    for name, (lo, hi) in zip(model.state_names, model.state_bounds):
+        lines.append(f"{name} = [{lo!r}, {hi!r}]")
     if model.input_names:
         lines.append("[inputs]")
-        for name, iv in zip(model.input_names, model.input_bounds):
-            lines.append(f"{name} = [{iv.lo!r}, {iv.hi!r}]")
+        for name, (lo, hi) in zip(model.input_names, model.input_bounds):
+            lines.append(f"{name} = [{lo!r}, {hi!r}]")
     lines.append("[f]")
     for i, e in enumerate(model.f, start=1):
         lines.append(f"f{i} = {to_text(e)}")
@@ -321,7 +322,7 @@ def _parse_float(token: str, lineno: int) -> float:
     return value
 
 
-def _parse_bound_line(line: str, lineno: int) -> tuple[str, Interval]:
+def _parse_bound_line(line: str, lineno: int) -> tuple[str, tuple[float, float]]:
     name, value = _split_assignment(line, lineno)
     try:
         return name, parse_interval(value)
@@ -329,9 +330,9 @@ def _parse_bound_line(line: str, lineno: int) -> tuple[str, Interval]:
         raise ParseError(f"{exc} on line {lineno}") from None
 
 
-def parse_interval(text: str) -> Interval:
-    """The interval written ``[lo, hi]``.  Raises ``ValueError`` when the
-    text has another form, an endpoint is not a finite number, or
+def parse_interval(text: str) -> tuple[float, float]:
+    """The ``(lo, hi)`` pair written ``[lo, hi]``.  Raises ``ValueError``
+    when the text has another form, an endpoint is not a finite number, or
     ``lo > hi``."""
     text = text.strip()
     parts = text[1:-1].split(",")
@@ -342,4 +343,4 @@ def parse_interval(text: str) -> Interval:
         raise ValueError(f"endpoints must be finite in {text!r}")
     if lo > hi:
         raise ValueError(f"lower endpoint above upper in {text!r}")
-    return Interval(lo, hi)
+    return lo, hi

@@ -27,7 +27,7 @@ import warnings
 
 from .errors import MissingBounds
 from .expr import Const, Expr, Var, parse_simplified, simplify, sqr
-from .intervals import Frozen, Interval
+from .intervals import Frozen
 from .model import ModelDef
 
 
@@ -101,7 +101,7 @@ def build_traffic(cfg: TrafficConfig = TrafficConfig()) -> tuple[ModelDef, dict[
         prev_mainline = m4
 
     n = cfg.n
-    bound = Interval(0.0, cfg.rho_c)
+    bound = (0.0, cfg.rho_c)
     model = ModelDef(
         state_names=tuple(f"x{i}" for i in range(1, n + 1)),
         state_bounds=(bound,) * n,
@@ -184,10 +184,10 @@ def build_generator(cfg: GeneratorConfig) -> ModelDef:
     }
     return ModelDef(
         state_names=("x1", "x2", "x3", "x4"),
-        state_bounds=tuple(Interval(lo, hi) for lo, hi in cfg.state_bounds),
+        state_bounds=cfg.state_bounds,
         f=tuple(parse_simplified(text, constants) for text in _GENERATOR_F),
         input_names=("u1", "u2", "u3", "u4"),
-        input_bounds=tuple(Interval(lo, hi) for lo, hi in cfg.input_bounds),
+        input_bounds=cfg.input_bounds,
     )
 
 
@@ -208,7 +208,7 @@ class MovingObjectConfig(Frozen):
 def build_moving_object(cfg: MovingObjectConfig = MovingObjectConfig()) -> ModelDef:
     """Cubic radial damping in the plane on ``[-r, r]^2``; vanishes at the
     origin, so every function class applies."""
-    radius = Interval(-cfg.r, cfg.r)
+    radius = (-cfg.r, cfg.r)
     x1, x2 = Var("x1"), Var("x2")
     radial = sqr(x1) + sqr(x2)
     return ModelDef(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import TYPE_CHECKING, Iterable
+from collections.abc import Iterable
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
@@ -57,11 +57,8 @@ from .expr import (
     structural_key_with_vars,
     walk,
 )
-from .intervals import Box, Interval, fraction_down, fraction_up, sqrt_down, sqrt_up
+from .intervals import fraction_down, fraction_up, sqrt_down, sqrt_up, unchecked_box
 from .model import ModelDef, Partials, grad_sq_norm
-
-if TYPE_CHECKING:  # importing fractions costs start-up time; functions import it
-    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -93,14 +90,14 @@ class RunStats:
 
 
 class JacobianBounds:
-    """Row ``i`` of ``entries`` holds ``(j, enclosure)`` for each partial
-    derivative of component ``i`` in ``ModelDef.state_jacobian``: the
-    others are identically zero."""
+    """Row ``i`` of ``entries`` holds ``(j, (lo, hi))``, the enclosure of
+    each partial derivative of component ``i`` in
+    ``ModelDef.state_jacobian``: the others are identically zero."""
 
     __slots__ = ("entries", "eps_optimal", "stats")
 
     def __init__(
-        self, entries: tuple[tuple[tuple[int, Interval], ...], ...], eps_optimal: bool,
+        self, entries: tuple[tuple[tuple[int, tuple[float, float]], ...], ...], eps_optimal: bool,
         stats: RunStats,
     ) -> None:
         self.entries = entries
@@ -224,14 +221,14 @@ def _optimize_expr(
     key, names = keyed
     # Each slot of the key with its bound, in declaration order.
     declared = sorted((model.declared[name], k) for k, name in enumerate(names))
-    search = (key, tuple((k, repr(iv.lo), repr(iv.hi)) for (_, iv), k in declared), cfg)
+    search = (key, tuple((k, repr(lo), repr(hi)) for (_, (lo, hi)), k in declared), cfg)
     missing = [optimize for optimize in optimizers if (optimize, search) not in runs]
     if missing:
-        # The reduced box: the key's variables in declaration order.
-        domain = (
-            Box([(iv.lo, iv.hi) for (_, iv), _ in declared], [names[k] for _, k in declared])
-            if declared else model.omega()
-        )
+        # The reduced box: the key's variables in declaration order, with
+        # the pairs of the model's box, which checked them.
+        pairs = tuple(pair for (_, pair), _ in declared)
+        labels = tuple(names[k] for _, k in declared)
+        domain = unchecked_box(pairs, labels) if declared else model.omega()
         program = Program(e, domain.labels, keyed)
         for optimize in missing:
             runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
@@ -265,7 +262,7 @@ def jacobian_bounds(model: ModelDef, cfg: BnBConfig) -> JacobianBounds:
         for j, d in partials:
             hi_run, lo_run = _optimize_expr(d, model, cfg, runs, maximize, minimize)
             eps_optimal = eps_optimal and hi_run.eps_optimal and lo_run.eps_optimal
-            row.append((j, Interval(lo_run.lower, hi_run.upper)))
+            row.append((j, (lo_run.lower, hi_run.upper)))
         entries.append(tuple(row))
     return JacobianBounds(
         entries=tuple(entries),
@@ -589,31 +586,28 @@ def qib(
 # Quadratic boundedness
 # ---------------------------------------------------------------------------
 
-_QB_ORIGIN_TOL = 1e-12
-
-
 def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     """Diagonal quadratic-boundedness matrix: entry j is the square root of
     the certified maximum of n times the squared derivative column j.
     Requires an input-free model whose map vanishes at the origin of a
-    domain containing it; one certified maximization per column."""
+    domain containing it, exactly: each component's interval enclosure at
+    the origin must be ``[0, 0]``.  One certified maximization per
+    column."""
     if model.m != 0:
         raise PreconditionViolated(
             "model must have no input variables", f"has {model.m}"
         )
-    for name, iv in zip(model.state_names, model.state_bounds):
-        if not iv.lo <= 0.0 <= iv.hi:
+    for name, (lo, hi) in zip(model.state_names, model.state_bounds):
+        if not lo <= 0.0 <= hi:
             raise PreconditionViolated(
-                "domain must contain the origin", f"{name} in {iv}"
+                "domain must contain the origin", f"{name} in [{lo!r}, {hi!r}]"
             )
-    norm0 = math.hypot(*(  # f(0), each component over its variables in name order
-        Program(fi, names).eval_point([0.0] * len(names))
-        for fi, names in zip(model.f, map(sorted, model.component_vars))
-    ))
-    if not norm0 <= _QB_ORIGIN_TOL:  # NaN fails too
-        raise PreconditionViolated(
-            "components must vanish at the origin", f"|f(0)| = {norm0:.3e}"
-        )
+    for i, (fi, names) in enumerate(zip(model.f, model.component_vars), start=1):
+        lo, hi = Program(fi, names)([(0.0, 0.0)] * len(names))
+        if (lo, hi) != (0.0, 0.0):
+            raise PreconditionViolated(
+                "components must vanish at the origin", f"f{i}(0) in [{lo!r}, {hi!r}]"
+            )
     scale = Const(float(model.n))
     diag = [0.0] * model.n
     witness = [0.0] * model.n

@@ -11,7 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import CertboundError
 

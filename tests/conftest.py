@@ -45,7 +45,7 @@ from certbound.expr import (
     simplify,
     to_text,
 )
-from certbound.intervals import Box, Interval, refined_eval
+from certbound.intervals import Box, refined_eval
 from certbound.models import (
     GeneratorConfig,
     MovingObjectConfig,
@@ -109,10 +109,10 @@ def corpus_expressions() -> list[tuple[Expr, Box]]:
     """Expressions exercised by the enclosure and gradient suites, paired
     with a box over their variables."""
     delta = 31.3 / (500.0 * 0.053)
-    rho = Interval(0.0, 0.0265)
-    sym = Interval(-2.0, 2.0)
-    pos = Interval(0.1, 3.0)
-    cases: list[tuple[str, dict, list[tuple[str, Interval]]]] = [
+    rho = (0.0, 0.0265)
+    sym = (-2.0, 2.0)
+    pos = (0.1, 3.0)
+    cases: list[tuple[str, dict, list[tuple[str, tuple[float, float]]]]] = [
         ("d*x1^2", {"d": delta}, [("x1", rho)]),
         ("d*(x1^2 - x2^2)", {"d": delta}, [("x1", rho), ("x2", rho)]),
         (
@@ -121,19 +121,19 @@ def corpus_expressions() -> list[tuple[Expr, Box]]:
             [("x1", rho), ("x2", rho), ("x3", rho)],
         ),
         ("-x1*(x1^2 + x2^2)", {}, [("x1", sym), ("x2", sym)]),
-        ("x1*(1 - x1)", {}, [("x1", Interval(0.0, 1.0))]),
-        ("sin(x1)*cos(x2)", {}, [("x1", Interval(-1.2, 1.2)), ("x2", Interval(-0.5, 2.9))]),
+        ("x1*(1 - x1)", {}, [("x1", (0.0, 1.0))]),
+        ("sin(x1)*cos(x2)", {}, [("x1", (-1.2, 1.2)), ("x2", (-0.5, 2.9))]),
         ("exp(x1/4)*sqrt(x2)", {}, [("x1", sym), ("x2", pos)]),
         ("abs(x1 - x2)", {}, [("x1", sym), ("x2", sym)]),
         ("(x1 + x2)^3 - 2*x1*x2", {}, [("x1", sym), ("x2", sym)]),
-        ("cos(2*x1)*x2 + sin(2*x1)", {}, [("x1", Interval(-0.7, 0.7)), ("x2", sym)]),
+        ("cos(2*x1)*x2 + sin(2*x1)", {}, [("x1", (-0.7, 0.7)), ("x2", sym)]),
         ("x1^4 - 3*x1^2 + x1/2", {}, [("x1", sym)]),
         ("sqr(x1)*sqr(x2) + x1*x2", {}, [("x1", sym), ("x2", sym)]),
     ]
     out = []
     for text, constants, bounds in cases:
         e = simplify(parse(text, constants))
-        out.append((e, Box([(iv.lo, iv.hi) for _, iv in bounds], [n for n, _ in bounds])))
+        out.append((e, Box([pair for _, pair in bounds], [n for n, _ in bounds])))
     return out
 
 
@@ -163,11 +163,11 @@ def make_box(bounds) -> Box:
     return Box([(lo, hi) for _, lo, hi in bounds], [name for name, _, _ in bounds])
 
 
-def eval_interval(e: Expr, box: Box, segments: int = 1) -> Interval:
-    """Interval extension of ``e`` over ``box``, its variables named by the
-    box's labels; with ``segments > 1`` the widest dimension is sliced and
-    the slab enclosures hulled."""
-    return Interval(*refined_eval(Program(e, box.labels), box, segments, box.widest()[0]))
+def eval_interval(e: Expr, box: Box, segments: int = 1) -> tuple[float, float]:
+    """Interval extension of ``e`` over ``box`` as a ``(lo, hi)`` pair, its
+    variables named by the box's labels; with ``segments > 1`` the widest
+    dimension is sliced and the slab enclosures hulled."""
+    return refined_eval(Program(e, box.labels), box, segments, box.widest()[0])
 
 
 def pairs(box: Box) -> list[tuple[float, float]]:
@@ -177,8 +177,8 @@ def pairs(box: Box) -> list[tuple[float, float]]:
     return list(box.pairs)
 
 
-def encloses(outer: Interval, inner: Interval) -> bool:
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
+def encloses(outer: tuple[float, float], inner: tuple[float, float]) -> bool:
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 def box_contains(box: Box, point) -> bool:
@@ -430,11 +430,11 @@ def row_gap_upper(a, zeta: float) -> float:
     )
 
 
-def jacobian_entry(jb, i: int, j: int) -> Interval:
-    """The enclosure of ``df_i/dx_j`` (1-based) in the sparse rows of
-    ``params.jacobian_bounds``; ``[0, 0]`` where the partial is identically
-    zero and so has no entry."""
-    return dict(jb.entries[i - 1]).get(j - 1, Interval(0.0, 0.0))
+def jacobian_entry(jb, i: int, j: int) -> tuple[float, float]:
+    """The enclosure ``(lo, hi)`` of ``df_i/dx_j`` (1-based) in the sparse
+    rows of ``params.jacobian_bounds``; ``(0.0, 0.0)`` where the partial is
+    identically zero and so has no entry."""
+    return dict(jb.entries[i - 1]).get(j - 1, (0.0, 0.0))
 
 
 def osl_extremal_eigen_sampled(model: ModelDef, count: int = 1000) -> tuple[float, float]:

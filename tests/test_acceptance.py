@@ -293,8 +293,8 @@ def _model_harness(model: ModelDef, seed: int, pairs: int = 10_000):
         G = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
     def draw():
-        x = [rng.uniform(iv.lo, iv.hi) for iv in model.state_bounds]
-        u = [rng.uniform(iv.lo, iv.hi) for iv in model.input_bounds]
+        x = [rng.uniform(lo, hi) for lo, hi in model.state_bounds]
+        u = [rng.uniform(lo, hi) for lo, hi in model.input_bounds]
         return x, u
 
     def f_at(x, u):
@@ -359,10 +359,10 @@ def _check_jacobian(model, jb, seed):
         for j, name in enumerate(model.state_names, start=1):
             d = differentiate(model.f[i - 1], name)
             program = Program(d, domain.labels)
-            iv = jacobian_entry(jb, i, j)
+            lo, hi = jacobian_entry(jb, i, j)
             for point in random_points(domain, 300, seed=seed + 31 * i + j):
                 value = program.eval_point(point)
-                assert iv.lo - 1e-9 <= value <= iv.hi + 1e-9
+                assert lo - 1e-9 <= value <= hi + 1e-9
 
 
 def test_criterion_09_sampling_suite(traffic_s1, moving_object, generator):

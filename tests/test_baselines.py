@@ -11,7 +11,7 @@ from certbound.baselines import (
 from certbound.bnb import maximize
 from certbound.errors import DomainError
 from certbound.expr import Program, parse, simplify
-from certbound.intervals import Box, Interval
+from certbound.intervals import Box
 from certbound.model import grad_sq_norm, reduced_domain
 from certbound.params import lipschitz_case1
 from conftest import make_box
@@ -118,7 +118,7 @@ class TestJacobianNorm:
     def test_constant_jacobian_shift(self):
         m = ModelDef(
             state_names=("x1", "x2"),
-            state_bounds=(Interval(-1, 1), Interval(-1, 1)),
+            state_bounds=((-1, 1), (-1, 1)),
             f=(parse("x2"), parse("0*x1")),
         )
         assert jacobian_norm_at(m, (0.3, -0.4)) == pytest.approx(1.0)

@@ -356,12 +356,22 @@ class TestExitCodes:
         assert "precondition" in err
 
     def test_huge_origin_value_fails_the_qb_precondition(self, tmp_path, capsys):
-        # |f(0)| = 1e200: its square overflows, its norm does not.
         model = tmp_path / "far_origin.nds"
         model.write_text("[states]\nx1 = [-1, 1]\n[f]\nf1 = x1 + 1e200\n")
         code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
         assert code == 4 and out == ""
-        assert "components must vanish at the origin" in err and "1.000e+200" in err
+        assert err == (
+            "certbound: precondition violated: components must vanish at the origin "
+            "(f1(0) in [1e+200, 1e+200])\n"
+        )
+
+    def test_tiny_origin_value_fails_the_qb_precondition(self, tmp_path, capsys):
+        # No tolerance: f(0) = 1e-13 is not 0.
+        model = tmp_path / "near_origin.nds"
+        model.write_text("[states]\nx1 = [-1, 1]\n[f]\nf1 = x1 + 1e-13\n")
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
+        assert (code, out) == (4, "")
+        assert "components must vanish at the origin (f1(0) in [1e-13, 1e-13])" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -929,11 +939,11 @@ class TestFingerprint:
 # load, whatever the report's format.
 NOT_LOADED = (
     "_hashlib", "certbound.baselines", "certbound.eigen", "certbound.models",
-    "fractions", "decimal", "json", "argparse", "gettext", "locale",
+    "fractions", "decimal", "json", "argparse", "gettext", "locale", "typing",
 )
 
 
-def test_lipschitz_job_loads_only_what_it_runs(model_files):
+def _assert_lipschitz_job_loads_only_what_it_runs(model_files, *flags):
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -945,11 +955,21 @@ def test_lipschitz_job_loads_only_what_it_runs(model_files):
     for fmt in ("text", "json"):
         argv = ["lipschitz", "--case", "1", "--model", model_files["traffic1"], "--format", fmt]
         proc = subprocess.run(
-            [sys.executable, "-c", script, ",".join(NOT_LOADED), *argv],
+            [sys.executable, *flags, "-c", script, ",".join(NOT_LOADED), *argv],
             capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[-1] == "0", fmt
+
+
+def test_lipschitz_job_loads_only_what_it_runs(model_files):
+    _assert_lipschitz_job_loads_only_what_it_runs(model_files)
+
+
+def test_lipschitz_job_loads_only_what_it_runs_without_site(model_files):
+    # Under -S no .pth hook runs, so a module that site's hooks load first
+    # (such as typing) shows here if a job imports it.
+    _assert_lipschitz_job_loads_only_what_it_runs(model_files, "-S")
 
 
 class TestReportModule:

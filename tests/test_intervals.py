@@ -545,7 +545,7 @@ class TestRefinedEval:
         b = make_box([("x", 0, 1)])
         plain = refined_eval(self._parabola, b, 1, 0)
         refined = refined_eval(self._parabola, b, 10, 0)
-        assert encloses(Interval(*plain), Interval(*refined))
+        assert encloses(plain, refined)
         assert refined[1] >= 0.25  # still encloses the true maximum
         assert refined[1] <= 0.31  # and is much tighter than the plain hull
 
@@ -588,9 +588,9 @@ class TestRefinedEval:
             b = make_box(
                 [("x", lo1, lo1 + rng.uniform(0.1, 2)), ("y", lo2, lo2 + rng.uniform(0.1, 2))]
             )
-            plain = Interval(*refined_eval(fn, b, 1, 0))
+            plain = refined_eval(fn, b, 1, 0)
             for segments in (2, 5, 10):
-                assert encloses(plain, Interval(*refined_eval(fn, b, segments, b.widest()[0])))
+                assert encloses(plain, refined_eval(fn, b, segments, b.widest()[0]))
 
     def test_inclusion_isotonicity(self):
         def fn(x: tuple[float, float]) -> tuple[float, float]:

@@ -1,17 +1,19 @@
 """Model definitions, the text format, and gradient assembly."""
 
+import math
+
 import pytest
 
 from certbound import ModelDef, load_model, parse_model_text
 from certbound.errors import (
     DimensionMismatch,
+    IntervalError,
     MissingBounds,
     ParseError,
 )
 from certbound import expr
 from certbound.expr import differentiate, eval_real, free_vars, is_zero, parse
-from certbound.intervals import Interval
-from certbound.model import grad_sq_norm, model_to_text, reduced_domain
+from certbound.model import grad_sq_norm, model_to_text, parse_interval, reduced_domain
 from certbound.models import TrafficConfig, build_traffic
 
 DELTA = 31.3 / (500.0 * 0.053)
@@ -121,7 +123,7 @@ class TestModelDef:
         with pytest.raises(DimensionMismatch):
             ModelDef(
                 state_names=("x1",),
-                state_bounds=(Interval(0, 1),),
+                state_bounds=((0, 1),),
                 f=(parse("x1 + x9"),),
             )
 
@@ -129,9 +131,9 @@ class TestModelDef:
         with pytest.raises(DimensionMismatch):
             ModelDef(
                 state_names=("x1",),
-                state_bounds=(Interval(0, 1),),
+                state_bounds=((0, 1),),
                 input_names=("x1",),
-                input_bounds=(Interval(0, 1),),
+                input_bounds=((0, 1),),
                 f=(parse("x1"),),
             )
 
@@ -139,7 +141,7 @@ class TestModelDef:
         with pytest.raises(DimensionMismatch):
             ModelDef(
                 state_names=("x1", "x2"),
-                state_bounds=(Interval(0, 1), Interval(0, 1)),
+                state_bounds=((0, 1), (0, 1)),
                 f=(parse("x1"), parse("x2")),
                 G=((1.0,),),
             )
@@ -147,7 +149,7 @@ class TestModelDef:
     def test_implicit_identity_needs_square(self):
         m = ModelDef(
             state_names=("x1", "x2"),
-            state_bounds=(Interval(0, 1), Interval(0, 1)),
+            state_bounds=((0, 1), (0, 1)),
             f=(parse("x1*x2"),),
         )
         with pytest.raises(DimensionMismatch, match="implicit identity G needs g == n"):
@@ -158,6 +160,34 @@ class TestModelDef:
         omega = m.omega()
         assert omega.labels == ("x1", "x2", "u1")
         assert omega.pairs[2] == (-1.0, 1.0)
+
+    def test_bounds_are_the_pairs_of_one_box(self):
+        m = parse_model_text(SAMPLE)
+        assert m.omega() is m.omega()
+        assert m.state_bounds + m.input_bounds == m.omega().pairs
+        assert m.state_bounds == ((0.0, 0.0265), (0.0, 0.0265))
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ((1.0, 0.0), "inverted interval [1.0, 0.0]"),
+            ((0.0, math.inf), "non-finite endpoint in [0.0, inf]"),
+            ((math.nan, 1.0), "non-finite endpoint in [nan, 1.0]"),
+        ],
+    )
+    def test_the_box_checks_each_bound(self, bound, message):
+        # A state's bound and an input's; the message is the one that
+        # ``intervals.Interval`` gives for the same endpoints.
+        for states, inputs in (((bound,), ()), (((0.0, 1.0),), (bound,))):
+            names = ("u1",) if inputs else ()
+            with pytest.raises(IntervalError) as info:
+                ModelDef(("x1",), states, (parse("x1"),), names, inputs)
+            assert str(info.value) == message
+
+    def test_parse_interval_gives_a_pair_of_floats(self):
+        pair = parse_interval(" [0, 1e-3] ")
+        assert type(pair) is tuple and pair == (0.0, 1e-3)
+        assert [type(x) for x in pair] == [float, float]
 
 
 class TestStateJacobian:
@@ -212,7 +242,7 @@ class TestStateJacobian:
     def test_quotient_has_no_entry_for_an_absent_state(self):
         m = ModelDef(
             state_names=("x1", "x2", "x3"),
-            state_bounds=(Interval(0, 1),) * 3,
+            state_bounds=((0, 1),) * 3,
             f=(parse("x1/(1 + x2^2)"),),
         )
         assert [j for j, _ in m.state_jacobian[0]] == [0, 1]
@@ -249,7 +279,7 @@ class TestGradSqNorm:
     def test_constant_component_is_zero(self):
         m = ModelDef(
             state_names=("x1",),
-            state_bounds=(Interval(0, 1),),
+            state_bounds=((0, 1),),
             f=(parse("3.5"),),
         )
         assert eval_real(grad_sq_norm(m, 1), {"x1": 0.3}) == 0.0
@@ -257,9 +287,9 @@ class TestGradSqNorm:
     def test_inputs_not_differentiated(self):
         m = ModelDef(
             state_names=("x1",),
-            state_bounds=(Interval(0, 1),),
+            state_bounds=((0, 1),),
             input_names=("u1",),
-            input_bounds=(Interval(-2, 2),),
+            input_bounds=((-2, 2),),
             f=(parse("u1*x1"),),
         )
         g = grad_sq_norm(m, 1)
@@ -280,7 +310,7 @@ class TestReducedDomain:
     def test_constant_falls_back_to_full_box(self):
         m = ModelDef(
             state_names=("x1",),
-            state_bounds=(Interval(0, 1),),
+            state_bounds=((0, 1),),
             f=(parse("2.0"),),
         )
         assert reduced_domain(m, m.f[0]).labels == ("x1",)
@@ -298,6 +328,6 @@ class TestReducedDomain:
 
     def test_declared_positions_and_bounds(self):
         m = parse_model_text(SAMPLE)
-        assert m.declared["x2"] == (1, Interval(0, 0.0265))
-        assert m.declared["u1"] == (2, Interval(-1, 1))
+        assert m.declared["x2"] == (1, (0, 0.0265))
+        assert m.declared["u1"] == (2, (-1, 1))
         assert "zz" not in m.declared

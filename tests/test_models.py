@@ -6,7 +6,7 @@ import random
 import pytest
 
 from certbound import BnBConfig
-from certbound.errors import MissingBounds
+from certbound.errors import IntervalError, MissingBounds
 from certbound.expr import differentiate, eval_real, free_vars
 from certbound.models import (
     GeneratorConfig,
@@ -35,8 +35,7 @@ class TestTraffic:
 
     def test_bounds_are_free_flow_range(self):
         model, _ = build_traffic(TrafficConfig(sections=1))
-        for iv in model.state_bounds:
-            assert (iv.lo, iv.hi) == (0.0, 0.0265)
+        assert model.state_bounds == ((0.0, 0.0265),) * model.n
 
     def test_invalid_sections(self):
         with pytest.raises(MissingBounds):
@@ -68,6 +67,22 @@ class TestGenerator:
                     state_bounds=((-1, 1),) * 4, input_bounds=((-1, 1),) * 4
                 )
             )
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ((1.0, -1.0), "inverted interval [1.0, -1.0]"),
+            ((-math.inf, 1.0), "non-finite endpoint in [-inf, 1.0]"),
+        ],
+    )
+    def test_the_model_checks_the_bounds(self, bound, message):
+        cfg = GeneratorConfig(
+            alpha1=0.3, state_bounds=((-1.0, 1.0),) * 3 + (bound,),
+            input_bounds=((-1.0, 1.0),) * 4,
+        )
+        with pytest.raises(IntervalError) as info:
+            build_generator(cfg)
+        assert str(info.value) == message
 
     def test_constant_first_component(self, generator):
         point = {f"x{i}": 0.37 for i in range(1, 5)}
@@ -124,7 +139,7 @@ class TestMovingObject:
 
     def test_domain_radius(self):
         model = build_moving_object(MovingObjectConfig(r=2.5))
-        assert all((iv.lo, iv.hi) == (-2.5, 2.5) for iv in model.state_bounds)
+        assert model.state_bounds == ((-2.5, 2.5),) * 2
 
     def test_invalid_radius(self):
         with pytest.raises(MissingBounds):

@@ -37,7 +37,6 @@ from certbound.expr import (
     structural_key_with_vars,
     to_text,
 )
-from certbound.intervals import Interval
 from certbound.model import reduced_domain
 from certbound.models import TrafficConfig, build_traffic
 from certbound import expr as expr_module
@@ -87,10 +86,10 @@ def small_model(texts, bounds, inputs=(), G=None, constants=None):
     state_names = tuple(name for name, _, _ in bounds)
     return ModelDef(
         state_names=state_names,
-        state_bounds=tuple(Interval(lo, hi) for _, lo, hi in bounds),
+        state_bounds=tuple((lo, hi) for _, lo, hi in bounds),
         f=tuple(parse(t, constants) for t in texts),
         input_names=tuple(name for name, _, _ in inputs),
-        input_bounds=tuple(Interval(lo, hi) for _, lo, hi in inputs),
+        input_bounds=tuple((lo, hi) for _, lo, hi in inputs),
         G=G,
     )
 
@@ -140,19 +139,26 @@ class TestJacobianBounds:
     def test_traffic_segment_derivative(self, traffic_s1):
         jb = jacobian_bounds(traffic_s1, CFG)
         # first mainline segment: d f2 / d x2 = 2*delta*x2 on [0, rho_c]
-        iv = jacobian_entry(jb, 2, 2)
-        assert iv.lo == pytest.approx(0.0, abs=1e-6)
-        assert iv.hi == pytest.approx(2 * DELTA * RHO_C, abs=1e-6)
+        lo, hi = jacobian_entry(jb, 2, 2)
+        assert lo == pytest.approx(0.0, abs=1e-6)
+        assert hi == pytest.approx(2 * DELTA * RHO_C, abs=1e-6)
+
+    def test_entries_are_pairs(self, traffic_s1):
+        jb = jacobian_bounds(traffic_s1, CFG)
+        for row in jb.entries:
+            for _, pair in row:
+                assert type(pair) is tuple and [type(x) for x in pair] == [float, float]
+                assert pair[0] <= pair[1]
 
     def test_zero_derivatives_skip_runs(self, traffic_s1):
         jb = jacobian_bounds(traffic_s1, CFG)
-        assert jacobian_entry(jb, 2, 7).lo == jacobian_entry(jb, 2, 7).hi == 0.0
+        assert jacobian_entry(jb, 2, 7) == (0.0, 0.0)
         partials = [d for row in traffic_s1.state_jacobian for _, d in row]
         nonzero = sum(
             1
             for i in range(1, traffic_s1.g + 1)
             for j in range(1, traffic_s1.n + 1)
-            if jacobian_entry(jb, i, j) != Interval(0.0, 0.0)
+            if jacobian_entry(jb, i, j) != (0.0, 0.0)
         )
         assert nonzero == len(partials) == 13
         # The entries are sparse, in the places of the state Jacobian's.
@@ -168,8 +174,7 @@ class TestJacobianBounds:
             ["x1/(1 + x2^2)"], [("x1", 0, 1), ("x2", 0, 1), ("x3", 0, 1)]
         )
         jb = jacobian_bounds(m, CFG)
-        entry = jacobian_entry(jb, 1, 3)
-        assert (repr(entry.lo), repr(entry.hi)) == ("0.0", "0.0")
+        assert repr(jacobian_entry(jb, 1, 3)) == "(0.0, 0.0)"
         assert jb.stats.runs == 4  # x1 and x2 only
 
     def test_constant_entries_skip_their_runs(self):
@@ -177,7 +182,7 @@ class TestJacobianBounds:
         linear = jacobian_bounds(small_model(["3*x1 - x2", "x1*x2"], bounds), CFG)
         alone = jacobian_bounds(small_model(["x1*x2"], bounds), CFG)
         first = [jacobian_entry(linear, 1, j) for j in (1, 2)]
-        assert [(repr(iv.lo), repr(iv.hi)) for iv in first] == [("3.0", "3.0"), ("-1.0", "-1.0")]
+        assert repr(first) == "[(3.0, 3.0), (-1.0, -1.0)]"
         assert jacobian_entry(linear, 2, 1) == jacobian_entry(alone, 1, 1)
         # [c, c] takes no evaluation and is no run.
         assert (linear.stats.runs, linear.stats.evals) == (alone.stats.runs, alone.stats.evals)
@@ -213,9 +218,9 @@ class TestJacobianBounds:
 
     def test_moving_object_entry(self, moving_object):
         jb = jacobian_bounds(moving_object, BnBConfig(eps_h=1e-3, eps_om=1e-7, segments=1))
-        iv = jacobian_entry(jb, 1, 1)  # range of -3*x1^2 - x2^2 over [-5, 5]^2
-        assert iv.lo == pytest.approx(-100.0, abs=1e-3)
-        assert iv.hi == pytest.approx(0.0, abs=1e-3)
+        lo, hi = jacobian_entry(jb, 1, 1)  # range of -3*x1^2 - x2^2 over [-5, 5]^2
+        assert lo == pytest.approx(-100.0, abs=1e-3)
+        assert hi == pytest.approx(0.0, abs=1e-3)
 
     def test_sampled_derivatives_enclosed(self, moving_object):
         jb = jacobian_bounds(moving_object, CFG_COARSE)
@@ -223,14 +228,14 @@ class TestJacobianBounds:
         for i in (1, 2):
             for j, name in enumerate(moving_object.state_names, start=1):
                 d = differentiate(moving_object.f[i - 1], name)
-                iv = jacobian_entry(jb, i, j)
+                lo, hi = jacobian_entry(jb, i, j)
                 for _ in range(200):
                     point = {
                         "x1": rng.uniform(-5, 5),
                         "x2": rng.uniform(-5, 5),
                     }
                     value = eval_real(d, point)
-                    assert iv.lo - 1e-9 <= value <= iv.hi + 1e-9
+                    assert lo - 1e-9 <= value <= hi + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +428,8 @@ class TestReferenceTrees:
                 for _ in range(n)
             )
         return ModelDef(
-            state_names=tuple(states), state_bounds=(Interval(-1, 1),) * n, f=tuple(f),
-            input_names=tuple(inputs), input_bounds=(Interval(-0.5, 0.5),) * m, G=G,
+            state_names=tuple(states), state_bounds=((-1, 1),) * n, f=tuple(f),
+            input_names=tuple(inputs), input_bounds=((-0.5, 0.5),) * m, G=G,
         )
 
     @pytest.mark.parametrize("seed", range(40))
@@ -697,7 +702,20 @@ class TestQB:
 
     def test_origin_outside_domain_rejected(self):
         m = small_model(["x1^2 - 1"], [("x1", 1, 2)])
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match=r"\(x1 in \[1, 2\]\)$"):
+            qb(m, CFG)
+
+    def test_origin_test_is_exact(self):
+        # The first component whose enclosure at the origin is not [0, 0]
+        # is named, with that enclosure.
+        m = small_model(["x1", "x2 + 1e-13"], [("x1", -1, 1), ("x2", -1, 1)])
+        with pytest.raises(PreconditionViolated, match=r"\(f2\(0\) in \[1e-13, 1e-13\]\)$"):
+            qb(m, CFG)
+
+    def test_a_zero_with_a_wider_enclosure_is_refused(self):
+        # cos(0) - 1 is 0, but its enclosure at 0 is two ulps of 0 wide.
+        m = small_model(["cos(x1) - 1"], [("x1", -1, 1)])
+        with pytest.raises(PreconditionViolated, match=r"\[-5e-324, 5e-324\]"):
             qb(m, CFG)
 
     def test_sampled_inequality(self, moving_object_unit):
@@ -736,7 +754,7 @@ class TestLongSums:
         if rng.random() < 0.3:
             G = tuple(tuple(rng.choice([0.0, 1.0, 0.5, -1.0]) for _ in range(n)) for _ in range(n))
         return ModelDef(
-            state_names=tuple(names), state_bounds=(Interval(-1, 1),) * n, f=tuple(f), G=G
+            state_names=tuple(names), state_bounds=((-1, 1),) * n, f=tuple(f), G=G
         )
 
     @pytest.mark.parametrize("seed", range(30))
@@ -889,7 +907,7 @@ class TestRunReuse:
         apart = jacobian_bounds(small_model([f"{c!r}*x1*x2", f"{d!r}*x2*x1"], bounds), CFG)
         alike = jacobian_bounds(small_model([f"{c!r}*x1*x2", f"{c!r}*x2*x1"], bounds), CFG)
         assert (apart.stats.runs, alike.stats.runs) == (4, 2)
-        assert jacobian_entry(apart, 1, 1).hi < jacobian_entry(apart, 2, 2).hi
+        assert jacobian_entry(apart, 1, 1)[1] < jacobian_entry(apart, 2, 2)[1]
 
     def test_signed_zero_bounds_do_not_merge(self):
         texts = ["sqr(x1)", "sqr(x2)"]

@@ -13,7 +13,6 @@ import pytest
 
 from certbound import BnBConfig, ModelDef
 from certbound.expr import Program, differentiate
-from certbound.intervals import Interval
 from certbound.params import (
     jacobian_bounds,
     lipschitz_case1,
@@ -36,7 +35,7 @@ def _random_model(rng: random.Random) -> ModelDef | None:
     bounds = []
     for _ in range(n):
         lo = rng.uniform(-1.5, 0.3)
-        bounds.append(Interval(lo, lo + rng.uniform(0.3, 1.8)))
+        bounds.append((lo, lo + rng.uniform(0.3, 1.8)))
     f = tuple(random_polynomial(rng, n, degree=3) for _ in range(n))
     try:
         return ModelDef(state_names=names, state_bounds=tuple(bounds), f=f)
@@ -73,8 +72,8 @@ def test_certified_constants_dominate_samples(seed):
 
     sampler = random.Random(seed)
     for _ in range(400):
-        x = tuple(sampler.uniform(iv.lo, iv.hi) for iv in model.state_bounds)
-        xh = tuple(sampler.uniform(iv.lo, iv.hi) for iv in model.state_bounds)
+        x = tuple(sampler.uniform(lo, hi) for lo, hi in model.state_bounds)
+        xh = tuple(sampler.uniform(lo, hi) for lo, hi in model.state_bounds)
         fx = [p.eval_point(x) for p in programs]
         fxh = [p.eval_point(xh) for p in programs]
         df = [a - b for a, b in zip(fx, fxh)]
@@ -92,5 +91,5 @@ def test_certified_constants_dominate_samples(seed):
         for i in range(model.g):
             for j in range(model.n):
                 value = deriv_programs[i][j].eval_point(x)
-                entry = jacobian_entry(jb, i + 1, j + 1)
-                assert entry.lo - 1e-9 <= value <= entry.hi + 1e-9
+                lo, hi = jacobian_entry(jb, i + 1, j + 1)
+                assert lo - 1e-9 <= value <= hi + 1e-9

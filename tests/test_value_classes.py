@@ -38,7 +38,7 @@ FROZEN = [
     (Unary(NEG, X), "arg"),
     (Binary(ADD, X, Y), "op"),
     (PowInt(X, 3), "exponent"),
-    (ModelDef(("x",), (Interval(0.0, 1.0),), (X,)), "f"),
+    (ModelDef(("x",), ((0.0, 1.0),), (X,)), "f"),
     (TrafficConfig(), "sections"),
     (GeneratorConfig(), "alpha1"),
     (MovingObjectConfig(), "r"),
@@ -79,7 +79,7 @@ def test_a_node_copies_as_itself(clone):
     # copying it, or a model that holds it, does not recurse down the tree.
     e = parse_simplified("+".join(["x*y"] * 2000))
     assert clone(e) is e
-    model = ModelDef(("x", "y"), (Interval(0.0, 1.0),) * 2, (e,))
+    model = ModelDef(("x", "y"), ((0.0, 1.0),) * 2, (e,))
     other = clone(model)
     assert other == model and other.f[0] is e
 
