@@ -52,10 +52,12 @@ _FUNCTIONS = ("abs", "cos", "exp", "max", "sin", "sqr", "sqrt")
 
 
 class Expr(Frozen):
-    """Base class of the immutable nodes; construction helpers allow
-    ``x * y + 2`` style assembly.  Nodes are equal when their fields are,
-    so ``simplify`` can tell ``x * x`` from ``x * y``.  A node is
-    immutable, so a copy of it, shallow or deep, is the node itself."""
+    """Base class of the immutable nodes.  A tree comes from the parser
+    (``parse``, ``parse_component``), from ``simplify``'s rules or from the
+    node constructors (``Binary(ADD, x, y)``); nodes have no arithmetic
+    operators.  Nodes are equal when their fields are, so ``simplify`` can
+    tell ``x * x`` from ``x * y``.  A node is immutable, so a copy of it,
+    shallow or deep, is the node itself."""
 
     __slots__ = ()
 
@@ -64,18 +66,6 @@ class Expr(Frozen):
 
     def __deepcopy__(self, memo: dict) -> "Expr":
         return self
-
-    def __add__(self, other) -> "Expr":
-        return Binary(ADD, self, as_expr(other))
-
-    def __sub__(self, other) -> "Expr":
-        return Binary(SUB, self, as_expr(other))
-
-    def __mul__(self, other) -> "Expr":
-        return Binary(MUL, self, as_expr(other))
-
-    def __neg__(self) -> "Expr":
-        return Unary(NEG, self)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -140,18 +130,6 @@ class PowInt(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, float)):
-        return Const(float(x))
-    raise TypeError(f"cannot treat {x!r} as an expression")
-
-
-def sqr(e: Expr) -> Expr:
-    return Unary(SQR, as_expr(e))
 
 
 def simplified_sum(terms: Iterable[Expr]) -> Expr:
@@ -239,7 +217,12 @@ def is_zero(e: Expr) -> bool:
 def simplify(e: Expr) -> Expr:
     """``e`` with the rule for its kind of node applied at every node, from
     the leaves up: ``simplified_unary``, ``simplified_pow`` and the rules
-    for the binary operators.  A simplified tree is a fixed point."""
+    for the binary operators.  A simplified tree is a fixed point.
+
+    No code of the library calls it: the parser applies the same rules as
+    it builds a tree (``parse_component``).  It is kept as the reference
+    that the tests hold ``parse_component`` to, and because the
+    benchmark's tracer (``perfbench/tracer.py``) wraps it."""
     return walk(e, _simplified)
 
 
@@ -507,12 +490,6 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
     """Parse an expression, as written; named constants are substituted
     during parsing."""
     return _parse(text, constants, Unary, PowInt, Binary)[0]
-
-
-def parse_simplified(text: str, constants: Mapping[str, float] | None = None) -> Expr:
-    """``simplify(parse(text, constants))``, built without a walk (see
-    ``parse_component``)."""
-    return parse_component(text, constants)[0]
 
 
 def parse_component(

@@ -18,17 +18,30 @@ segment gets which type:
 Only the multiplicity vector (s+1, s, 2s, s, s) for types (a, b, c, d, e) is
 observable in the certified constants; the segment-to-type assignment inside
 a section is this library's convention.
+
+Every built-in model is written as the text of its components and read by
+the parser (``expr.parse_component``), as the components of a model file
+are, so a built-in model and the file that ``model_to_text`` writes for it
+hold the same trees.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 
 from .errors import MissingBounds
-from .expr import Const, Expr, Var, parse_simplified, simplify, sqr
+from .expr import parse_component
 from .intervals import Frozen
 from .model import ModelDef
+
+
+def _model(texts: Iterable[str], constants: dict[str, float], **fields) -> ModelDef:
+    """The model whose components are ``texts``, read as a model file's
+    are, with ``parse_component`` and the named ``constants``."""
+    f, component_vars = zip(*(parse_component(text, constants) for text in texts))
+    return ModelDef(f=f, component_vars=component_vars, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -70,44 +83,32 @@ class TrafficConfig(Frozen):
 def build_traffic(cfg: TrafficConfig = TrafficConfig()) -> tuple[ModelDef, dict[str, int]]:
     """Free-flow traffic model with ``6 s + 1`` states on ``[0, rho_c]^n``;
     also returns how many states carry each nonlinearity type."""
-    if cfg.sections < 1:
+    s = cfg.sections
+    if s < 1:
         raise MissingBounds("traffic model needs at least one section")
-    d = Const(cfg.delta)
-    neg_da = Const(-cfg.delta * cfg.alpha)
-    a = Const(cfg.alpha)
-    counts = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
-
-    def x(i: int) -> Expr:
-        return Var(f"x{i}")
-
-    f: list[Expr] = [simplify(d * sqr(x(1)))]  # source segment, type a
-    counts["a"] += 1
-    prev_mainline = 1
-    for section in range(cfg.sections):
+    texts = ["d*sqr(x1)"]  # source segment, type a
+    prev = "x1"
+    for section in range(s):
         base = 1 + 6 * section
-        m1, m2, m3, m4, r_on, r_off = range(base + 1, base + 7)
-        f.append(simplify(d * (sqr(x(m1)) - sqr(x(prev_mainline)))))
-        counts["c"] += 1
-        f.append(simplify(d * (sqr(x(m2)) - sqr(x(m1)) + a * sqr(x(r_on)))))
-        counts["d"] += 1
-        f.append(simplify(d * (sqr(x(m3)) - sqr(x(m2)) - sqr(x(r_off)))))
-        counts["b"] += 1
-        f.append(simplify(d * (sqr(x(m4)) - sqr(x(m3)))))
-        counts["c"] += 1
-        f.append(simplify(d * sqr(x(r_on))))
-        counts["a"] += 1
-        f.append(simplify(neg_da * sqr(x(r_off))))
-        counts["e"] += 1
-        prev_mainline = m4
-
+        m1, m2, m3, m4, r_on, r_off = (f"x{i}" for i in range(base + 1, base + 7))
+        texts += [
+            f"d*(sqr({m1}) - sqr({prev}))",  # type c
+            f"d*(sqr({m2}) - sqr({m1}) + a*sqr({r_on}))",  # type d
+            f"d*(sqr({m3}) - sqr({m2}) - sqr({r_off}))",  # type b
+            f"d*(sqr({m4}) - sqr({m3}))",  # type c
+            f"d*sqr({r_on})",  # type a
+            f"neg_da*sqr({r_off})",  # type e
+        ]
+        prev = m4
+    constants = {"d": cfg.delta, "a": cfg.alpha, "neg_da": -cfg.delta * cfg.alpha}
     n = cfg.n
     bound = (0.0, cfg.rho_c)
-    model = ModelDef(
+    model = _model(
+        texts, constants,
         state_names=tuple(f"x{i}" for i in range(1, n + 1)),
         state_bounds=(bound,) * n,
-        f=tuple(f),
     )
-    return model, counts
+    return model, {"a": s + 1, "b": s, "c": 2 * s, "d": s, "e": s}
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,10 @@ def build_generator(cfg: GeneratorConfig) -> ModelDef:
         "a8": cfg.alpha8,
         "a10": cfg.alpha10,
     }
-    return ModelDef(
+    return _model(
+        _GENERATOR_F, constants,
         state_names=("x1", "x2", "x3", "x4"),
         state_bounds=cfg.state_bounds,
-        f=tuple(parse_simplified(text, constants) for text in _GENERATOR_F),
         input_names=("u1", "u2", "u3", "u4"),
         input_bounds=cfg.input_bounds,
     )
@@ -209,10 +210,8 @@ def build_moving_object(cfg: MovingObjectConfig = MovingObjectConfig()) -> Model
     """Cubic radial damping in the plane on ``[-r, r]^2``; vanishes at the
     origin, so every function class applies."""
     radius = (-cfg.r, cfg.r)
-    x1, x2 = Var("x1"), Var("x2")
-    radial = sqr(x1) + sqr(x2)
-    return ModelDef(
+    return _model(
+        ("-x1*(sqr(x1) + sqr(x2))", "-x2*(sqr(x1) + sqr(x2))"), {},
         state_names=("x1", "x2"),
         state_bounds=(radius, radius),
-        f=(simplify(-x1 * radial), simplify(-x2 * radial)),
     )

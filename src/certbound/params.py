@@ -31,6 +31,7 @@ from collections.abc import Iterable
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
+    IntervalError,
     InvalidDimension,
     NecessaryConditionViolated,
     PreconditionViolated,
@@ -479,7 +480,8 @@ def _zeta_row_exprs(psi: tuple[Partials, ...], zn: float) -> tuple[list[Expr], l
     def spread(diag: Expr, offdiag: list[Expr]) -> tuple[Expr, Expr]:
         absolute = [Unary(ABS, e) for e in offdiag]
         gap = functools.reduce(lambda a, b: Binary(MAX, a, b), absolute)
-        return Const(zn) * gap + diag, Const(-zn) * gap + diag
+        upper, lower = (Binary(ADD, Binary(MUL, Const(z), gap), diag) for z in (zn, -zn))
+        return upper, lower
 
     return _row_exprs(psi, spread)
 
@@ -591,8 +593,9 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
     the certified maximum of n times the squared derivative column j.
     Requires an input-free model whose map vanishes at the origin of a
     domain containing it, exactly: each component's interval enclosure at
-    the origin must be ``[0, 0]``.  One certified maximization per
-    column."""
+    the origin must be ``[0, 0]``, and one that has no enclosure there
+    (a zero divisor, ``sqrt`` of a negative) is named as violating it.
+    One certified maximization per column."""
     if model.m != 0:
         raise PreconditionViolated(
             "model must have no input variables", f"has {model.m}"
@@ -603,7 +606,12 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
                 "domain must contain the origin", f"{name} in [{lo!r}, {hi!r}]"
             )
     for i, (fi, names) in enumerate(zip(model.f, model.component_vars), start=1):
-        lo, hi = Program(fi, names)([(0.0, 0.0)] * len(names))
+        try:
+            lo, hi = Program(fi, names)([(0.0, 0.0)] * len(names))
+        except IntervalError as exc:
+            raise PreconditionViolated(
+                "components must vanish at the origin", f"f{i}(0): {exc}"
+            ) from None
         if (lo, hi) != (0.0, 0.0):
             raise PreconditionViolated(
                 "components must vanish at the origin", f"f{i}(0) in [{lo!r}, {hi!r}]"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
@@ -155,7 +154,7 @@ def expr_sum(terms) -> Expr | None:
     """The left-associative sum ``((t1 + t2) + t3) + ...`` of ``terms`` as
     written, or ``None`` when there are none."""
     terms = list(terms)
-    return functools.reduce(operator.add, terms) if terms else None
+    return functools.reduce(lambda a, b: Binary(ADD, a, b), terms) if terms else None
 
 
 def make_box(bounds) -> Box:
@@ -275,8 +274,8 @@ def random_polynomial(rng: random.Random, dim: int, degree: int = 4) -> Expr:
             if power == 0:
                 continue
             factor = Var(name) if power == 1 else PowInt(Var(name), power)
-            monomial = monomial * factor
-        total = total + monomial
+            monomial = Binary(MUL, monomial, factor)
+        total = Binary(ADD, total, monomial)
     return simplify(total)
 
 

@@ -15,7 +15,7 @@ from certbound import BnBConfig
 from certbound.baselines import sample_max
 from certbound.bnb import maximize
 from certbound.eigen import jacobi_eigenvalues
-from certbound.expr import Program, free_vars, simplify
+from certbound.expr import ADD, Binary, Program, free_vars, simplify
 from certbound.intervals import pair_cos, pair_sin
 from certbound.model import ModelDef, grad_sq_norm, reduced_domain
 from certbound.params import (
@@ -76,7 +76,7 @@ def case1_objective(model: ModelDef):
     total = None
     for i in range(1, model.g + 1):
         term = grad_sq_norm(model, i)
-        total = term if total is None else total + term
+        total = term if total is None else Binary(ADD, total, term)
     objective = simplify(total)
     domain = reduced_domain(model, objective)
     return Program(objective, domain.labels), domain

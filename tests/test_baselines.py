@@ -10,7 +10,7 @@ from certbound.baselines import (
 )
 from certbound.bnb import maximize
 from certbound.errors import DomainError
-from certbound.expr import Program, parse, simplify
+from certbound.expr import ADD, Binary, Program, parse, simplify
 from certbound.intervals import Box
 from certbound.model import grad_sq_norm, reduced_domain
 from certbound.params import lipschitz_case1
@@ -94,7 +94,7 @@ class TestUnderApproximation:
         total = None
         for i in range(1, traffic_s1.g + 1):
             term = grad_sq_norm(traffic_s1, i)
-            total = term if total is None else total + term
+            total = term if total is None else Binary(ADD, total, term)
         objective = simplify(total)
         domain = reduced_domain(traffic_s1, objective)
         program = Program(objective, domain.labels)

@@ -374,6 +374,26 @@ class TestExitCodes:
         assert "components must vanish at the origin (f1(0) in [1e-13, 1e-13])" in err
 
     @pytest.mark.parametrize(
+        "component, reason",
+        [
+            ("1/x1", "divisor [0.0, 0.0] contains zero"),
+            ("sqrt(x1 - 1)", "sqrt of interval [-1.0, -1.0] with negative part"),
+        ],
+        ids=["zero-divisor", "negative-sqrt"],
+    )
+    def test_origin_without_an_enclosure_names_the_component(
+        self, tmp_path, capsys, component, reason
+    ):
+        model = tmp_path / "no_origin_enclosure.nds"
+        model.write_text(f"[states]\nx1 = [-1, 1]\n[f]\nf1 = {component}\n")
+        code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
+        assert (code, out) == (4, "")
+        assert err == (
+            "certbound: precondition violated: components must vanish at the origin "
+            f"(f1(0): {reason})\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["make-model", "traffic", "--sections", "0"],

@@ -34,6 +34,7 @@ from certbound.expr import (
     COS,
     EXP,
     MAX,
+    MUL,
     NEG,
     SIN,
     SQR,
@@ -49,7 +50,6 @@ from certbound.expr import (
     free_vars,
     parse,
     parse_component,
-    parse_simplified,
     partials,
     simplify,
     structural_key_with_vars,
@@ -356,7 +356,7 @@ def _parsed_both_ways(text: str, constants=None):
     want = simplify(parse(text, constants))
     assert e == want and to_text(e) == to_text(want)
     assert structural_key_with_vars(e) == structural_key_with_vars(want)
-    assert names == free_vars(e) and parse_simplified(text, constants) == e
+    assert names == free_vars(e)
     return e
 
 
@@ -569,7 +569,7 @@ def test_trig_lobes_and_fallback(text, lo, hi):
 
 
 def test_nonfinite_constant_raises_at_evaluation():
-    program = Program(Const(math.inf) * Var("x"), X)
+    program = Program(Binary(MUL, Const(math.inf), Var("x")), X)
     assert program.eval_point([2.0]) == math.inf
     expected = (IntervalError, "non-finite endpoint in [inf, inf]")
     assert outcome(ref_interval, program.expr, _box(1.0, 2.0)) == expected
@@ -744,8 +744,8 @@ def test_a_nonfinite_constant_makes_another_shape(finite_first):
     # The inf must get a statement of its own, where pair_point rejects it;
     # a finite constant is read in place.
     expr_module._shape_kernels.cache_clear()
-    finite = Program(Const(2.0) * Var("x"), X)
-    infinite = Program(Const(math.inf) * Var("x"), X)
+    finite = Program(Binary(MUL, Const(2.0), Var("x")), X)
+    infinite = Program(Binary(MUL, Const(math.inf), Var("x")), X)
     assert finite.code == infinite.code
     box = _box(1.0, 2.0)
     first = [finite, infinite] if finite_first else [infinite, finite]

@@ -12,7 +12,7 @@ from certbound.errors import (
     ParseError,
 )
 from certbound import expr
-from certbound.expr import differentiate, eval_real, free_vars, is_zero, parse
+from certbound.expr import ADD, Binary, differentiate, eval_real, free_vars, is_zero, parse
 from certbound.model import grad_sq_norm, model_to_text, parse_interval, reduced_domain
 from certbound.models import TrafficConfig, build_traffic
 
@@ -304,7 +304,7 @@ class TestReducedDomain:
 
     def test_declaration_order_preserved(self):
         m = parse_model_text(SAMPLE)
-        box = reduced_domain(m, m.f[1] + m.f[0])
+        box = reduced_domain(m, Binary(ADD, m.f[1], m.f[0]))
         assert box.labels == ("x1", "x2")
 
     def test_constant_falls_back_to_full_box(self):
@@ -322,7 +322,7 @@ class TestReducedDomain:
         # name at all.
         m = request.getfixturevalue(fixture)
         partials = [d for row in m.state_jacobian for _, d in row]
-        exprs = [*m.f, *partials, *(a + b for a, b in zip(m.f, m.f[1:]))]
+        exprs = [*m.f, *partials, *(Binary(ADD, a, b) for a, b in zip(m.f, m.f[1:]))]
         for e in exprs + [parse("zz + x1"), parse("2.0")]:
             assert reduced_domain(m, e) == m.omega().restrict(free_vars(e))
 

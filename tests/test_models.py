@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from certbound import BnBConfig
+from certbound import BnBConfig, expr, parse_model_text
 from certbound.errors import IntervalError, MissingBounds
 from certbound.expr import differentiate, eval_real, free_vars
+from certbound.model import model_to_text
 from certbound.models import (
     GeneratorConfig,
     MovingObjectConfig,
@@ -147,6 +148,40 @@ class TestMovingObject:
 
     def test_gradients_match_finite_differences(self, moving_object):
         _check_gradients(moving_object, seed=3)
+
+
+# Each built-in model, by a name for the test ids.
+BUILDS = {
+    "traffic-s1": lambda: build_traffic(TrafficConfig(sections=1))[0],
+    "traffic-s5": lambda: build_traffic(TrafficConfig(sections=5))[0],
+    "traffic-s20": lambda: build_traffic(TrafficConfig(sections=20))[0],
+    "moving-object-r1": lambda: build_moving_object(MovingObjectConfig(r=1.0)),
+    "moving-object-r5": lambda: build_moving_object(MovingObjectConfig(r=5.0)),
+    "generator": lambda: build_generator(GENERATOR_CONFIG),
+}
+
+
+class TestOneConstructionPath:
+    """A built-in model is read from the text of its components, as a model
+    file is."""
+
+    @pytest.mark.parametrize("name", ["traffic-s20", "moving-object-r5", "generator"])
+    def test_building_walks_no_tree(self, monkeypatch, name):
+        # The parser gives each component simplified, with its variable
+        # names, so neither ``simplify`` nor ``free_vars`` walks it.
+        walked = []
+        walk = expr.walk
+        monkeypatch.setattr(expr, "walk", lambda root, *a: walked.append(root) or walk(root, *a))
+        model = BUILDS[name]()
+        assert walked == [] and len(model.component_vars) == len(model.f)
+
+    @pytest.mark.parametrize(
+        "name", ["traffic-s1", "traffic-s5", "moving-object-r1", "moving-object-r5", "generator"]
+    )
+    def test_the_written_file_reads_back_as_the_model(self, name):
+        model = BUILDS[name]()
+        again = parse_model_text(model_to_text(model))
+        assert again == model and again.component_vars == model.component_vars
 
 
 def _check_gradients(model, seed: int, samples: int = 40) -> None:

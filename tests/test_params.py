@@ -16,9 +16,11 @@ from certbound.errors import (
 from certbound.bnb import maximize, minimize
 from certbound.expr import (
     ABS,
+    ADD,
     MAX,
     MUL,
     SQR,
+    SUB,
     ZERO,
     Binary,
     Const,
@@ -33,7 +35,6 @@ from certbound.expr import (
     simplified_sum,
     simplified_unary,
     simplify,
-    sqr,
     structural_key_with_vars,
     to_text,
 )
@@ -412,11 +413,12 @@ class TestReferenceTrees:
             if kind < 0.1:
                 f.append(Const(rng.choice([0.0, 2.5])))
             elif kind < 0.3:
-                f.append(Const(rng.choice([1.0, -2.0, 0.5])) * Var(rng.choice(states)))
+                f.append(Binary(MUL, Const(rng.choice([1.0, -2.0, 0.5])), Var(rng.choice(states))))
             else:
                 term = random_polynomial(rng, n, 3)
                 if inputs:
-                    term = simplify(term + Var(rng.choice(inputs)) * Var(rng.choice(states)))
+                    product = Binary(MUL, Var(rng.choice(inputs)), Var(rng.choice(states)))
+                    term = simplify(Binary(ADD, term, product))
                 f.append(term)
         if G is not None:
             zero_column = rng.randrange(g) if rng.random() < 0.5 else -1
@@ -449,7 +451,8 @@ class TestReferenceTrees:
         xi = reference_xi(m)
         half = Const(0.5)
         reference = [
-            [simplify(half * (xi[i][j] + xi[j][i])) for j in range(m.n)] for i in range(m.n)
+            [simplify(Binary(MUL, half, Binary(ADD, xi[i][j], xi[j][i]))) for j in range(m.n)]
+            for i in range(m.n)
         ]
         assert [keys(e for _, e in row) for row in m.symmetrized_jacobian] == [
             keys(e for j, e in enumerate(row) if j == i or not is_zero(e))
@@ -746,9 +749,11 @@ class TestLongSums:
         f = []
         for i in range(n):
             pool = [name for name in names if name != names[i] or n == 1 or rng.random() < 0.5]
-            term = Const(rng.choice([0.0, -0.0, 1.0, -2.0, 0.5])) * Var(rng.choice(pool))
+            weight = Const(rng.choice([0.0, -0.0, 1.0, -2.0, 0.5]))
+            term = Binary(MUL, weight, Var(rng.choice(pool)))
             if rng.random() < 0.7:
-                term = term + Var(rng.choice(pool)) * random_polynomial(rng, n, 2)
+                product = Binary(MUL, Var(rng.choice(pool)), random_polynomial(rng, n, 2))
+                term = Binary(ADD, term, product)
             f.append(term)
         G = None
         if rng.random() < 0.3:
@@ -765,9 +770,8 @@ class TestLongSums:
         for i, rows in enumerate(zip(*_gershgorin_row_exprs(m.symmetrized_jacobian))):
             offdiag = [Unary(ABS, e) for j, e in enumerate(psi[i]) if j != i and not is_zero(e)]
             total = expr_sum(offdiag)
-            expected = (
-                (psi[i][i], psi[i][i]) if total is None
-                else (simplify(psi[i][i] + total), simplify(psi[i][i] - total))
+            expected = (psi[i][i], psi[i][i]) if total is None else (
+                simplify(Binary(ADD, psi[i][i], total)), simplify(Binary(SUB, psi[i][i], total))
             )
             assert list(map(structural_key_with_vars, rows)) == list(
                 map(structural_key_with_vars, expected)
@@ -779,8 +783,12 @@ class TestLongSums:
             lambda e, model, cfg, runs: asked.append(e) or original(Const(0.0), model, cfg, runs),
         )
         qb(m, CFG)
-        columns = [[sqr(d) for row in m.state_jacobian for j, d in row if j == k] for k in range(m.n)]
-        expected = [simplify(Const(float(m.n)) * expr_sum(terms)) for terms in columns if terms]
+        columns = [
+            [Unary(SQR, d) for row in m.state_jacobian for j, d in row if j == k]
+            for k in range(m.n)
+        ]
+        scale = Const(float(m.n))
+        expected = [simplify(Binary(MUL, scale, expr_sum(terms))) for terms in columns if terms]
         assert list(map(structural_key_with_vars, asked)) == list(
             map(structural_key_with_vars, expected)
         )
@@ -789,7 +797,7 @@ class TestLongSums:
         # Row 1 of this psi has 1,099 nonzero off-diagonal entries, summed
         # one rule at a time.
         n = 1100
-        entries = [Const(0.5) * Var(f"x{j + 1}") for j in range(n)]
+        entries = [Binary(MUL, Const(0.5), Var(f"x{j + 1}")) for j in range(n)]
         psi = (tuple(enumerate(entries)),) + tuple(
             ((0, entries[i]), (i, ZERO)) for i in range(1, n)
         )

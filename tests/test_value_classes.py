@@ -16,7 +16,7 @@ from certbound.baselines import SampleReport
 from certbound.bnb import Subproblem
 from certbound.errors import DegenerateSplit
 from certbound.expr import (
-    ABS, ADD, NEG, SQR, Binary, Const, PowInt, Unary, Var, parse_simplified, simplify,
+    ABS, ADD, MUL, NEG, SQR, Binary, Const, PowInt, Unary, Var, parse_component, simplify,
 )
 from certbound.intervals import Box, Interval
 from certbound.models import GeneratorConfig, MovingObjectConfig, TrafficConfig
@@ -77,7 +77,7 @@ def test_frozen_classes_copy_and_pickle(value, name, clone):
 def test_a_node_copies_as_itself(clone):
     # A node is immutable, so a copy of a deep tree is the tree itself, and
     # copying it, or a model that holds it, does not recurse down the tree.
-    e = parse_simplified("+".join(["x*y"] * 2000))
+    e = parse_component("+".join(["x*y"] * 2000))[0]
     assert clone(e) is e
     model = ModelDef(("x", "y"), ((0.0, 1.0),) * 2, (e,))
     other = clone(model)
@@ -119,7 +119,7 @@ def test_equal_exactly_when_fields_are(a, b, equal):
 
 
 def test_simplify_squares_a_product_of_equal_distinct_variables():
-    assert simplify(Var("x") * Var("x")) == Unary(SQR, Var("x"))
+    assert simplify(Binary(MUL, Var("x"), Var("x"))) == Unary(SQR, Var("x"))
 
 
 def test_zero_width_split_message():
