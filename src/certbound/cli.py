@@ -248,7 +248,7 @@ def _cmd_traffic_table(args) -> list[RunReport]:
     reports = []
     for s in section_counts:
         with _model_errors("invalid model parameters"):
-            model, _ = models.build_traffic(models.TrafficConfig(sections=s))
+            model = models.build_traffic(s)
         fp = _fingerprint(model_to_text(model).encode())
         reports.append(_report(args, fp, [_lipschitz_row(args, model)], label=str(model.n)))
     return reports
@@ -258,27 +258,18 @@ def _built_model(args) -> ModelDef:
     from . import models
 
     if args.kind == "traffic":
-        return models.build_traffic(models.TrafficConfig(sections=args.sections))[0]
+        return models.build_traffic(args.sections)
     if args.kind == "moving-object":
-        return models.build_moving_object(models.MovingObjectConfig(r=args.radius))
+        return models.build_moving_object(args.radius)
     if not args.state_bounds or not args.input_bounds:
         raise ValueError("generator needs --state-bounds and --input-bounds")
-    alphas = (1.0,) * 6
+    alphas = ()
     if args.alphas:
         alphas = tuple(float(tok) for tok in args.alphas.split(","))
         if len(alphas) != 6:
             raise ValueError("--alphas needs six comma-separated values")
     return models.build_generator(
-        models.GeneratorConfig(
-            alpha1=alphas[0],
-            alpha3=alphas[1],
-            alpha4=alphas[2],
-            alpha6=alphas[3],
-            alpha8=alphas[4],
-            alpha10=alphas[5],
-            state_bounds=_intervals(args.state_bounds),
-            input_bounds=_intervals(args.input_bounds),
-        )
+        _intervals(args.state_bounds), _intervals(args.input_bounds), *alphas
     )
 
 

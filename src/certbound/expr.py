@@ -561,6 +561,8 @@ def _parse(text: str, constants, unary, power, binary) -> tuple[Expr, frozenset[
                     exponent = int(value) if kind == "number" and re.fullmatch(r"\d+", value) else 0
                 except ValueError:  # more digits than ``int`` converts
                     raise ParseError(f"exponent too long: {len(value)} digits", offset) from None
+                if exponent > 2**53:  # derivatives take ``float(k)``, exact up to 2**53
+                    raise ParseError("exponent too large: above 2**53", offset)
                 if exponent < 1:
                     raise ParseError(
                         f"found {value or 'end of input'!r}", offset, ("positive integer exponent",)
@@ -1275,13 +1277,3 @@ class Program:
 
     def __call__(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
         return self.eval_interval(dims)
-
-
-def eval_real(e: Expr, point: Mapping[str, float]) -> float:
-    """Evaluate at a point given as a variable->value mapping."""
-    order = sorted(free_vars(e))
-    missing = [v for v in order if v not in point]
-    if missing:
-        raise UnboundVariable(f"missing values for {missing}")
-    return Program(e, order).eval_point([float(point[v]) for v in order])
-

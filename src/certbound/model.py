@@ -236,16 +236,25 @@ def parse_model_text(text: str) -> ModelDef:
         sections[current].append((lineno, line))
 
     constants: dict[str, float] = {}
+    constant_lines: dict[str, int] = {}
     for lineno, line in sections["constants"]:
         name, value = _split_assignment(line, lineno)
         if name in constants:
             raise ParseError(f"constant {name} assigned again on line {lineno}")
         constants[name] = _parse_float(value, lineno)
+        constant_lines[name] = lineno
 
     states = [_parse_bound_line(line, lineno) for lineno, line in sections["states"]]
     inputs = [_parse_bound_line(line, lineno) for lineno, line in sections["inputs"]]
     if not states:
         raise MissingBounds("model file declares no [states]")
+    # A constant would replace the variable of its name in every component.
+    for (name, _), (lineno, _) in zip(states + inputs, sections["states"] + sections["inputs"]):
+        if name in constants:
+            raise ParseError(
+                f"constant {name} on line {constant_lines[name]} "
+                f"shadows the variable on line {lineno}"
+            )
 
     f: list[Expr] = []
     component_vars: list[frozenset[str]] = []

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import pathlib
 import random
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 
@@ -15,7 +19,7 @@ from certbound import expr as expr_module
 from certbound.baselines import halton_points_in_box
 from certbound.bnb import Cover
 from certbound.eigen import jacobi_eigenvalues
-from certbound.errors import NonDifferentiable
+from certbound.errors import NonDifferentiable, UnboundVariable
 from certbound.expr import (
     ABS,
     ADD,
@@ -45,14 +49,7 @@ from certbound.expr import (
     to_text,
 )
 from certbound.intervals import Box, refined_eval
-from certbound.models import (
-    GeneratorConfig,
-    MovingObjectConfig,
-    TrafficConfig,
-    build_generator,
-    build_moving_object,
-    build_traffic,
-)
+from certbound.models import build_generator, build_moving_object, build_traffic
 from certbound.report import ConstantRow, RunReport
 
 # ---------------------------------------------------------------------------
@@ -62,27 +59,26 @@ from certbound.report import ConstantRow, RunReport
 
 @pytest.fixture(scope="session")
 def traffic_s1() -> ModelDef:
-    model, _ = build_traffic(TrafficConfig(sections=1))
-    return model
+    return build_traffic(1)
 
 
 @pytest.fixture(scope="session")
 def traffic_s5() -> ModelDef:
-    model, _ = build_traffic(TrafficConfig(sections=5))
-    return model
+    return build_traffic(5)
 
 
 @pytest.fixture(scope="session")
 def moving_object() -> ModelDef:
-    return build_moving_object(MovingObjectConfig())
+    return build_moving_object()
 
 
 @pytest.fixture(scope="session")
 def moving_object_unit() -> ModelDef:
-    return build_moving_object(MovingObjectConfig(r=1.0))
+    return build_moving_object(1.0)
 
 
-GENERATOR_CONFIG = GeneratorConfig(
+# The generator's parameters: ``build_generator(**GENERATOR_PARAMS)``.
+GENERATOR_PARAMS = dict(
     alpha1=0.3,
     alpha3=1.2,
     alpha4=0.7,
@@ -96,7 +92,18 @@ GENERATOR_CONFIG = GeneratorConfig(
 
 @pytest.fixture(scope="session")
 def generator() -> ModelDef:
-    return build_generator(GENERATOR_CONFIG)
+    return build_generator(**GENERATOR_PARAMS)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +167,15 @@ def expr_sum(terms) -> Expr | None:
 def make_box(bounds) -> Box:
     """The box of ``(name, lo, hi)`` entries, in their order."""
     return Box([(lo, hi) for _, lo, hi in bounds], [name for name, _, _ in bounds])
+
+
+def eval_real(e: Expr, point: Mapping[str, float]) -> float:
+    """Evaluate at a point given as a variable->value mapping."""
+    order = sorted(free_vars(e))
+    missing = [v for v in order if v not in point]
+    if missing:
+        raise UnboundVariable(f"missing values for {missing}")
+    return Program(e, order).eval_point([float(point[v]) for v in order])
 
 
 def eval_interval(e: Expr, box: Box, segments: int = 1) -> tuple[float, float]:

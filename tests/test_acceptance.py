@@ -66,10 +66,9 @@ def traffic_case1(traffic_s1, traffic_s5, traffic_s10):
 
 @pytest.fixture(scope="session")
 def traffic_s10():
-    from certbound.models import TrafficConfig, build_traffic
+    from certbound.models import build_traffic
 
-    model, _ = build_traffic(TrafficConfig(sections=10))
-    return model
+    return build_traffic(10)
 
 
 def case1_objective(model: ModelDef):

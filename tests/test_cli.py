@@ -82,12 +82,20 @@ class TestExitCodes:
              "component 2 is named f1 on line 5, not f2"),
             ("[constants]\na = 1\na = 2\n[states]\nx1 = [0, 1]\n[f]\nf1 = a*x1\n",
              "constant a assigned again on line 3"),
+            ("[constants]\nx1 = 2\n[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = x1*x2\n",
+             "constant x1 on line 2 shadows the variable on line 4"),
+            ("[states]\nx1 = [0, 1]\n[inputs]\nu1 = [0, 1]\n[constants]\nu1 = 3\n[f]\nf1 = x1*u1\n",
+             "constant u1 on line 6 shadows the variable on line 4"),
         ],
-        ids=["components-out-of-order", "repeated-component", "repeated-constant"],
+        ids=[
+            "components-out-of-order", "repeated-component", "repeated-constant",
+            "shadowed-state", "shadowed-input",
+        ],
     )
     def test_misnamed_model_lines_are_model_errors(self, tmp_path, capsys, text, message):
         # Each of these files used to load: its components in file order,
-        # whatever their names, and each constant at its last value.
+        # whatever their names, each constant at its last value, and a
+        # constant in place of the declared variable of its name.
         model = tmp_path / "misnamed.nds"
         model.write_text(text)
         code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
@@ -338,6 +346,26 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("certbound:")
 
+    BIG_EXPONENT = "1" + "0" * 320
+
+    def test_an_exponent_above_2_53_in_a_model_is_a_model_error(self, tmp_path, capsys):
+        # Its derivative's coefficient ``float(k)`` would not be exact; here
+        # it overflowed, and ``jacobian`` died with a traceback (exit 1).
+        model = tmp_path / "big_exponent.nds"
+        model.write_text(f"[states]\nx1 = [0, 1]\n[f]\nf1 = x1^{self.BIG_EXPONENT}\n")
+        code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
+        assert (code, out) == (3, "")
+        assert err == (
+            f"certbound: invalid model {model}: exponent too large: above 2**53 at offset 3\n"
+        )
+
+    def test_an_exponent_above_2_53_in_an_expr_is_a_model_error(self, capsys):
+        # This one failed where it was evaluated (exit 4).
+        argv = ["maximize", "--expr", f"x^{self.BIG_EXPONENT}", "--bounds", "x=[0,1]"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "certbound: bad --expr: exponent too large: above 2**53 at offset 2\n"
+
     def test_overflowing_constant_power_in_a_model(self, tmp_path, capsys):
         model = tmp_path / "huge.nds"
         model.write_text("[states]\nx1 = [0, 1]\n[f]\nf1 = 1e200^2*x1\n")
@@ -407,6 +435,9 @@ class TestExitCodes:
              "--input-bounds", "[0,1];[0,1];[0,1];[0,1]"],
             ["make-model", "generator", "--state-bounds", "[0,1];[0,1];[0,1];[0,1]",
              "--input-bounds", "[0,1];[0,1];[0,1];[0,1]", "--alphas", "a,1,1,1,1,1"],
+            ["make-model", "generator", "--state-bounds", "[-1,1];[-1,1];[-1,1];[-1,1]",
+             "--input-bounds", "[0,1];[0,1];[0,1];[0,1]", "--alphas", "inf,1,1,1,1,2"],
+            ["make-model", "traffic", "--sections", "-3"],
         ],
     )
     def test_bad_model_parameters_are_model_errors(self, capsys, argv):

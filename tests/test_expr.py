@@ -26,7 +26,6 @@ from certbound.expr import (
     Unary,
     Var,
     differentiate,
-    eval_real,
     free_vars,
     parse,
     simplified_sum,
@@ -39,6 +38,7 @@ from conftest import (
     corpus_expressions,
     encloses,
     eval_interval,
+    eval_real,
     expr_sum,
     make_box,
     random_points,
@@ -95,6 +95,11 @@ class TestParse:
             parse("x^" + "9" * 5000)
         assert str(err.value) == "exponent too long: 5000 digits at offset 2"
         assert err.value.offset == 2
+        # Above 2**53, ``float(k)`` of an exponent is not always exact.
+        assert parse(f"x^{2**53}") == PowInt(Var("x"), 2**53)
+        with pytest.raises(ParseError) as err:
+            parse(f"x + x^{2**53 + 1}")
+        assert str(err.value) == "exponent too large: above 2**53 at offset 6"
 
     def test_constants_substituted(self):
         e = parse("d*x", {"d": 2.5})

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import ast
 import functools
-import importlib.util
 import math
-import pathlib
 import random
-import sys
 
 import pytest
 
@@ -395,13 +392,8 @@ def test_the_names_of_long_sums_of_distinct_variables():
         assert found == frozenset(names) == free_vars(e)
 
 
-def test_the_parser_simplifies_every_bench_component(tmp_path, monkeypatch):
+def test_the_parser_simplifies_every_bench_component(tmp_path, monkeypatch, workloads):
     # Every component of the benchmark's model files, at two seeds.
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
     read = []
     parse_text = model_module.parse_component
     monkeypatch.setattr(
@@ -798,10 +790,10 @@ def _compiled(kernel) -> bool:
 
 def _case1_s5():
     from certbound.bnb import BnBConfig
-    from certbound.models import TrafficConfig, build_traffic
+    from certbound.models import build_traffic
     from certbound.params import lipschitz_case1
 
-    model, _ = build_traffic(TrafficConfig(sections=5))
+    model = build_traffic(5)
 
     def job() -> tuple:
         """The certified numbers, without the timings."""

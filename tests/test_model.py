@@ -12,9 +12,10 @@ from certbound.errors import (
     ParseError,
 )
 from certbound import expr
-from certbound.expr import ADD, Binary, differentiate, eval_real, free_vars, is_zero, parse
+from certbound.expr import ADD, Binary, differentiate, free_vars, is_zero, parse
 from certbound.model import grad_sq_norm, model_to_text, parse_interval, reduced_domain
-from certbound.models import TrafficConfig, build_traffic
+from certbound.models import build_traffic
+from conftest import eval_real
 
 DELTA = 31.3 / (500.0 * 0.053)
 
@@ -204,7 +205,7 @@ class TestStateJacobian:
 
     def test_built_without_simplify(self, monkeypatch):
         # Each partial is built simplified in the walk down its component.
-        m, _ = build_traffic(TrafficConfig(sections=20))
+        m = build_traffic(20)
         calls = []
         simplify = expr.simplify
         monkeypatch.setattr(expr, "simplify", lambda e: calls.append(e) or simplify(e))
@@ -222,7 +223,7 @@ class TestStateJacobian:
         # The parser builds each component simplified, with its variable
         # names, so loading walks no tree; then one walk of each component
         # that holds a state gives all of its partials.
-        text = model_to_text(build_traffic(TrafficConfig(sections=20))[0])
+        text = model_to_text(build_traffic(20))
         walked = self._walked(monkeypatch)
         m = parse_model_text(text)
         assert walked == []

@@ -28,7 +28,6 @@ from certbound.expr import (
     Unary,
     Var,
     differentiate,
-    eval_real,
     is_zero,
     parse,
     simplified_mul,
@@ -39,7 +38,7 @@ from certbound.expr import (
     to_text,
 )
 from certbound.model import reduced_domain
-from certbound.models import TrafficConfig, build_traffic
+from certbound.models import build_traffic
 from certbound import expr as expr_module
 from certbound import model as model_module
 from certbound import params
@@ -59,7 +58,9 @@ from certbound.params import (
     qib,
     zeta,
 )
-from conftest import expr_sum, jacobian_entry, osl_extremal_eigen_sampled, random_polynomial
+from conftest import (
+    eval_real, expr_sum, jacobian_entry, osl_extremal_eigen_sampled, random_polynomial,
+)
 
 DELTA = 31.3 / (500.0 * 0.053)
 RHO_C = 0.0265
@@ -481,7 +482,7 @@ class TestReferenceTrees:
         # Traffic s170: n = 1,021 states and a Jacobian with 2,041 nonzero
         # entries, of which psi makes 3,061.  A dense psi adds all n^2 =
         # 1,042,441 pairs.
-        m, _ = build_traffic(TrafficConfig(sections=170))
+        m = build_traffic(170)
         nonzeros = sum(map(len, m.weighted_jacobian))
         calls = [0]
         original = model_module.simplified_add

@@ -19,7 +19,6 @@ from certbound.expr import (
     ABS, ADD, MUL, NEG, SQR, Binary, Const, PowInt, Unary, Var, parse_component, simplify,
 )
 from certbound.intervals import Box, Interval
-from certbound.models import GeneratorConfig, MovingObjectConfig, TrafficConfig
 from certbound.report import ConstantRow, RunReport
 from conftest import make_box
 
@@ -39,9 +38,6 @@ FROZEN = [
     (Binary(ADD, X, Y), "op"),
     (PowInt(X, 3), "exponent"),
     (ModelDef(("x",), ((0.0, 1.0),), (X,)), "f"),
-    (TrafficConfig(), "sections"),
-    (GeneratorConfig(), "alpha1"),
-    (MovingObjectConfig(), "r"),
     (SampleReport(1.0, (0.5,), 3, "halton"), "best_value"),
 ]
 
