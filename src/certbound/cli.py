@@ -1,14 +1,19 @@
 """Command-line interface.
 
 Reports go to standard output in the chosen format; diagnostics go to
-standard error only.  Exit codes: 0 success, 2 usage error, 3 model error,
-4 computation error.
+standard error only.  Exit codes: 0 success, 1 output that cannot be
+written, 2 usage error, 3 model error, 4 computation error.
+
+``run(argv)`` runs one command line and returns its exit code.  ``main()``
+runs the process's own and then ends the process (see there), so Python
+callers use ``run()``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
@@ -35,6 +40,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_COMPUTE = 4
@@ -42,6 +48,27 @@ EXIT_COMPUTE = 4
 
 class _ModelError(CertboundError):
     pass
+
+
+class _OutputError(Exception):
+    """Standard output cannot take what a command writes: exit 1."""
+
+
+def _write_out(text: str) -> None:
+    """Write ``text`` to standard output.  Raises ``_OutputError`` if it is
+    closed or the write fails."""
+    if sys.stdout is None:
+        raise _OutputError("standard output is closed")
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+def _cannot_write(reason) -> int:
+    """Say on standard error why the output was not written; exit 1."""
+    print(f"certbound: cannot write output: {reason}", file=sys.stderr)
+    return EXIT_OUTPUT
 
 
 def _fingerprint(data: bytes) -> str:
@@ -284,7 +311,7 @@ def _cmd_make_model(args) -> int:
         except OSError as exc:
             raise _ModelError(f"cannot write model: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write_out(text)
     return EXIT_OK
 
 
@@ -461,7 +488,7 @@ def _parse_args(argv: Sequence[str]):
         raise _UsageError("the following arguments are required: command")
     command = argv[0]
     if command in _HELP_FLAGS:
-        sys.stdout.write(_help(None))
+        _write_out(_help(None))
         return None
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
@@ -473,7 +500,7 @@ def _parse_args(argv: Sequence[str]):
     tokens = iter(argv[1:])
     for token in tokens:
         if token in _HELP_FLAGS:
-            sys.stdout.write(_help(command))
+            _write_out(_help(command))
             return None
         if token.startswith("--"):
             flag, eq, text = token.partition("=")
@@ -501,16 +528,12 @@ def _parse_args(argv: Sequence[str]):
 
 
 def run(argv: Sequence[str]) -> int:
+    """Run the command line ``argv`` (without the program name) and return
+    its exit code."""
     try:
         args = _parse_args(argv)
-    except _UsageError as exc:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        prog = "certbound" if command is None else f"certbound {command}"
-        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
-        return EXIT_USAGE
-    if args is None:
-        return EXIT_OK
-    try:
+        if args is None:
+            return EXIT_OK
         handle = _COMMANDS[args.command][2]
         if args.command == "make-model":
             return handle(args)
@@ -519,8 +542,15 @@ def run(argv: Sequence[str]) -> int:
             report.validate()
             if args.no_timing:
                 report.strip_timing()
-        sys.stdout.write(emit_table(reports, args.format) + "\n")
+        _write_out(emit_table(reports, args.format) + "\n")
         return EXIT_OK
+    except _UsageError as exc:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        prog = "certbound" if command is None else f"certbound {command}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
+        return EXIT_USAGE
+    except _OutputError as exc:
+        return _cannot_write(exc)
     except _ModelError as exc:
         print(f"certbound: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -533,7 +563,28 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the process's command line, flush its output and end the process
+    with the exit code through ``os._exit``: the interpreter's teardown
+    (module cleanup, the last garbage collections, ``atexit`` handlers) has
+    nothing left to do for a job and would take a few milliseconds.  Under
+    development mode (``-X dev``) the process ends through ``sys.exit``, so
+    a warning raised at shutdown still shows.  Python callers use
+    ``run()``."""
+    code = run(sys.argv[1:])
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_OUTPUT:  # else ``run`` has said so for the write
+            code = _cannot_write(exc)
+        # What the failed write left buffered goes nowhere, so that the
+        # interpreter's flush at shutdown cannot fail on it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if sys.flags.dev_mode:
+        sys.exit(code)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,11 @@ product of nonzero factors that underflows to ``±0`` is not exact, so it
 still steps.  Without the exemption a zero partial derivative encloses as
 ``[-5e-324, ...]`` and never passes a sign test.
 
-The scalar helpers ``fraction_up``/``fraction_down`` and
-``sqrt_up``/``sqrt_down`` round a single exact value to the safe side; the
-assembly of certified constants (square roots, weighted sums) uses them.
+The scalar helpers ``ratio_up``/``ratio_down`` and ``sqrt_up``/``sqrt_down``
+round a single exact value to the safe side: an integer ratio, such as a
+sum of floats over a common power-of-two denominator, or a square root.
+The assembly of certified constants (square roots, weighted sums) uses
+them.
 
 Every operation is defined once, on pairs (the ``pair_*`` functions),
 which the compiled kernels of ``expr.Program`` call.  A :class:`Box` checks
@@ -491,20 +493,24 @@ def pair_cos(a: tuple[float, float]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Scalars rounded to the safe side
 # ---------------------------------------------------------------------------
-# ``Fraction`` is ``fractions.Fraction``, not imported: annotations are not
-# evaluated, and only the assembly of constants pays for that import.
+# An exact value is the ratio ``n / d`` of two integers, ``d > 0``.  CPython
+# divides two integers with correct rounding, and raises ``OverflowError``
+# past the largest float, as ``float(fractions.Fraction(n, d))`` does; one
+# comparison of integers then says on which side of ``n / d`` the float lies.
 
 
-def fraction_up(q: Fraction) -> float:
-    """The least float ``>= q``."""
-    x = float(q)  # correctly rounded; comparisons with a float are exact
-    return _up(x) if q > x else x
+def ratio_up(n: int, d: int) -> float:
+    """The least float ``>= n / d``, for ``d > 0``."""
+    x = n / d
+    xn, xd = x.as_integer_ratio()
+    return _up(x) if n * xd > xn * d else x
 
 
-def fraction_down(q: Fraction) -> float:
-    """The greatest float ``<= q``."""
-    x = float(q)
-    return _down(x) if q < x else x
+def ratio_down(n: int, d: int) -> float:
+    """The greatest float ``<= n / d``, for ``d > 0``."""
+    x = n / d
+    xn, xd = x.as_integer_ratio()
+    return _down(x) if n * xd < xn * d else x
 
 
 def _square_minus(r: float, x: float) -> int:

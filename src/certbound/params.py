@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterable
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
@@ -58,8 +57,20 @@ from .expr import (
     structural_key_with_vars,
     walk,
 )
-from .intervals import fraction_down, fraction_up, sqrt_down, sqrt_up, unchecked_box
+from .intervals import ratio_down, ratio_up, sqrt_down, sqrt_up, unchecked_box
 from .model import ModelDef, Partials, grad_sq_norm
+
+# Every finite float is an integer multiple of ``2**-1074``, the least
+# subnormal, so a sum of floats is exact in these units, and a product of two
+# in units of ``2**-2148``: exact arithmetic needs integers only.
+_ULPS = 1 << 1074
+
+
+def _ulps(x: float) -> int:
+    """``x`` in units of ``2**-1074``, exactly, for finite ``x``."""
+    n, d = x.as_integer_ratio()
+    return n * (_ULPS // d)
+
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -309,22 +320,19 @@ def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     network) are one search of the run memo, so each class of them runs
     once.  Always at least as conservative as case 1.  The sums are exact;
     each side rounds once, to its safe side, before its root."""
-    from fractions import Fraction
-
     runs: Runs = {}
-    upper_sum = Fraction(0)
-    lower_sum = Fraction(0)
+    upper_sum = lower_sum = 0  # in units of 2**-1074
     worst_gap = 0.0
     eps_optimal = True
     for i in range(1, model.g + 1):
         res = _maximize_expr(grad_sq_norm(model, i), model, cfg, runs)
-        upper_sum += Fraction(res.upper)
-        lower_sum += Fraction(res.lower)
+        upper_sum += _ulps(res.upper)
+        lower_sum += _ulps(res.lower)
         worst_gap = max(worst_gap, res.gap)
         eps_optimal = eps_optimal and res.eps_optimal
     return LipschitzResult(
-        gamma=sqrt_up(max(fraction_up(upper_sum), 0.0)),
-        lower=sqrt_down(max(fraction_down(lower_sum), 0.0)),
+        gamma=sqrt_up(max(ratio_up(upper_sum, _ULPS), 0.0)),
+        lower=sqrt_down(max(ratio_down(lower_sum, _ULPS), 0.0)),
         gap=worst_gap,
         eps_optimal=eps_optimal,
         case=2,
@@ -444,28 +452,38 @@ def zeta(n: int) -> float:
     return float(n - 1)
 
 
+def _ratio_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    (an, ad), (bn, bd) = a, b
+    d = max(ad, bd)  # each denominator is a power of two, so d is a multiple of both
+    return an * (d // ad) + bn * (d // bd), d
+
+
+# The operations of ``_fold_constant`` on exact ratios ``(n, d)``.
 _EXACT_OPS = {
-    ADD: operator.add, SUB: operator.sub, MUL: operator.mul, MAX: max,
-    ABS: abs, NEG: operator.neg,
+    ADD: _ratio_add,
+    SUB: lambda a, b: _ratio_add(a, (-b[0], b[1])),
+    MUL: lambda a, b: (a[0] * b[0], a[1] * b[1]),
+    MAX: lambda a, b: b if b[0] * a[1] > a[0] * b[1] else a,
+    ABS: lambda a: (abs(a[0]), a[1]),
+    NEG: lambda a: (-a[0], a[1]),
 }
 
 
 def _fold_constant(e: Expr, round_value) -> Expr:
     """``e`` folded by ``+ - * max abs neg`` over finite constants to its
-    exact value, rounded by ``round_value``, for the one ``Const`` rule of
-    ``_optimize_expr``; ``e`` itself at the first node that is none of
-    these, such as a variable."""
-    from fractions import Fraction
+    exact value ``n / d``, rounded by ``round_value(n, d)``, for the one
+    ``Const`` rule of ``_optimize_expr``; ``e`` itself at the first node
+    that is none of these, such as a variable."""
 
-    def exact(node: Expr, values: list[Fraction]) -> Fraction:
+    def exact(node: Expr, values: list[tuple[int, int]]) -> tuple[int, int]:
         if type(node) is Const and math.isfinite(node.value):
-            return Fraction(node.value)
+            return node.value.as_integer_ratio()
         if type(node) in (Unary, Binary) and node.op in _EXACT_OPS:
             return _EXACT_OPS[node.op](*values)
         raise LookupError(node)
 
     try:
-        return Const(round_value(walk(e, exact)))
+        return Const(round_value(*walk(e, exact)))
     except (LookupError, OverflowError):  # no exact value, or no float near it
         return e
 
@@ -497,8 +515,8 @@ def osl_zeta(model: ModelDef, cfg: BnBConfig) -> OSLResult:
         "zeta",
         model,
         cfg,
-        [_fold_constant(e, fraction_up) for e in uppers],
-        [_fold_constant(e, fraction_down) for e in lowers],
+        [_fold_constant(e, ratio_up) for e in uppers],
+        [_fold_constant(e, ratio_down) for e in lowers],
     )
 
 
@@ -530,8 +548,6 @@ def qib(
     maxima (cheaper, more conservative).  ``gamma_q1``, that sum and its
     witness are rounded to the safe side of their exact values.
     """
-    from fractions import Fraction
-
     if not (0.0 <= eps1 < math.inf and 0.0 <= eps2 < math.inf):
         raise PreconditionViolated("eps1, eps2 finite and >= 0", f"got {eps1}, {eps2}")
     if osl_estimator not in OSL_ESTIMATORS:
@@ -554,8 +570,8 @@ def qib(
     runs: Runs = {}
     if distributed:
         results = [_maximize_expr(e, model, cfg, runs) for e in norms]
-        gamma_m = fraction_up(sum(map(Fraction, (res.upper for res in results))))
-        gamma_m_witness = fraction_down(sum(map(Fraction, (res.lower for res in results))))
+        gamma_m = ratio_up(sum(_ulps(res.upper) for res in results), _ULPS)
+        gamma_m_witness = ratio_down(sum(_ulps(res.lower) for res in results), _ULPS)
         eps_optimal = eps_optimal and all(res.eps_optimal for res in results)
     else:
         terms = [e for e in norms if not is_zero(e)]
@@ -569,9 +585,10 @@ def qib(
     stats.merge(RunStats(runs.values()))
     gamma_bar = upper_res.gamma_s
     gamma_low = lower_res.lower_gamma
-    exact_q1 = Fraction(eps1) * Fraction(gamma_bar) - Fraction(eps2) * Fraction(gamma_low)
+    # In units of 2**-2148.
+    exact_q1 = _ulps(eps1) * _ulps(gamma_bar) - _ulps(eps2) * _ulps(gamma_low)
     return QIBResult(
-        gamma_q1=fraction_up(exact_q1 + Fraction(gamma_m)),
+        gamma_q1=ratio_up(exact_q1 + _ulps(gamma_m) * _ULPS, _ULPS * _ULPS),
         gamma_q2=eps2 - eps1,
         eps1=eps1,
         eps2=eps2,
@@ -649,13 +666,11 @@ def qib_to_lipschitz(gamma_q1: float, gamma_q2: float) -> float:
     """Lipschitz constant implied by a pair of inner-boundedness constants,
     the square root of ``2*gamma_q1 + gamma_q2^2`` rounded up.  The radicand
     being negative certifies that no such function exists."""
-    from fractions import Fraction
-
-    radicand = 2 * Fraction(gamma_q1) + Fraction(gamma_q2) ** 2
+    radicand = 2 * _ulps(gamma_q1) * _ULPS + _ulps(gamma_q2) ** 2  # in units of 2**-2148
     if radicand < 0:
         raise NecessaryConditionViolated(
-            f"2*{gamma_q1} + |{gamma_q2}|^2 = {float(radicand)} < 0: "
+            f"2*{gamma_q1} + |{gamma_q2}|^2 = {radicand / (_ULPS * _ULPS)} < 0: "
             "no inner-bounded function admits these constants"
         )
-    return sqrt_up(fraction_up(radicand))
+    return sqrt_up(ratio_up(radicand, _ULPS * _ULPS))
 

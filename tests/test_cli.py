@@ -984,17 +984,17 @@ class TestFingerprint:
         assert opened.count(path) == 1
 
 
-# Modules that a CLI job of the Lipschitz command must not load: OpenSSL
-# (through hashlib), the modules of other commands, exact arithmetic, and
-# the standard library's argument parser and JSON encoder with what they
+# Modules that the CLI jobs below must not load: OpenSSL (through hashlib),
+# the modules of other commands, exact arithmetic (integers do the exact sums),
+# and the standard library's argument parser and JSON encoder with what they
 # load, whatever the report's format.
 NOT_LOADED = (
     "_hashlib", "certbound.baselines", "certbound.eigen", "certbound.models",
-    "fractions", "decimal", "json", "argparse", "gettext", "locale", "typing",
+    "fractions", "decimal", "numbers", "json", "argparse", "gettext", "locale", "typing",
 )
 
 
-def _assert_lipschitz_job_loads_only_what_it_runs(model_files, *flags):
+def _assert_jobs_load_only_what_they_run(model_files, *flags):
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -1003,24 +1003,126 @@ def _assert_lipschitz_job_loads_only_what_it_runs(model_files, *flags):
         "print(code, *sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(certbound.__file__))
-    for fmt in ("text", "json"):
-        argv = ["lipschitz", "--case", "1", "--model", model_files["traffic1"], "--format", fmt]
+    traffic, moving = model_files["traffic1"], model_files["moving"]
+    jobs = [
+        ["lipschitz", "--case", "1", "--model", traffic, "--format", "text"],
+        ["lipschitz", "--case", "1", "--model", traffic, "--format", "json"],
+        # Each of these rounds an exact sum or fold to a float.
+        ["osl", "--estimator", "zeta", "--model", moving],
+        ["qib", "--eps1", "1e4", "--eps2", "0.1", "--model", moving],
+        ["lipschitz", "--case", "2", "--model", traffic],
+    ]
+    for argv in jobs:
         proc = subprocess.run(
             [sys.executable, *flags, "-c", script, ",".join(NOT_LOADED), *argv],
             capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.splitlines()[-1] == "0", fmt
+        assert proc.stdout.splitlines()[-1] == "0", argv
 
 
 def test_lipschitz_job_loads_only_what_it_runs(model_files):
-    _assert_lipschitz_job_loads_only_what_it_runs(model_files)
+    _assert_jobs_load_only_what_they_run(model_files)
 
 
 def test_lipschitz_job_loads_only_what_it_runs_without_site(model_files):
     # Under -S no .pth hook runs, so a module that site's hooks load first
     # (such as typing) shows here if a job imports it.
-    _assert_lipschitz_job_loads_only_what_it_runs(model_files, "-S")
+    _assert_jobs_load_only_what_they_run(model_files, "-S")
+
+
+def _python_child(args, dev: bool, close_stdout: bool = False, **kwargs):
+    """``python args`` in a child, under ``-X dev`` or not (then without
+    ``PYTHONDEVMODE``, which a test run may pass on), with its standard
+    output closed or as ``kwargs`` give it."""
+    src = os.path.dirname(os.path.dirname(certbound.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDEVMODE"}
+    env["PYTHONPATH"] = src
+    command = [sys.executable, *(["-X", "dev"] if dev else []), *args]
+    if close_stdout:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    return subprocess.run(command, env=env, timeout=60, **kwargs)
+
+
+def _cli_child(argv, dev: bool, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m certbound.cli argv`` in a child; see ``_python_child``."""
+    return _python_child(["-m", "certbound.cli", *argv], dev, **kwargs)
+
+
+class TestProcessExit:
+    """``main`` flushes the output and ends the process with ``os._exit``,
+    except in development mode; a child prints what ``run`` does."""
+
+    @pytest.mark.parametrize(
+        "expected, argv",
+        [
+            (0, ["lipschitz", "--model", "{traffic1}", "--format", "text", "--no-timing"]),
+            (2, ["lipschitz", "--bogus"]),
+            (3, ["lipschitz", "--model", "{traffic1}.missing"]),
+            (4, ["maximize", "--expr", "1/(x-x)", "--bounds", "x=[0,10]"]),
+        ],
+    )
+    def test_a_child_prints_what_run_prints(self, expected, argv, model_files, capsys, tmp_path):
+        argv = [arg.format(**model_files) for arg in argv]
+        code, out, err = run_capture(capsys, argv)
+        assert code == expected
+        for dev in (False, True):
+            piped = _cli_child(argv, dev, capture_output=True)
+            assert (piped.returncode, piped.stdout, piped.stderr) == (
+                code, out.encode(), err.encode()
+            ), dev
+            path = tmp_path / f"out-{dev}"
+            with open(path, "wb") as fh:
+                to_file = _cli_child(argv, dev, stdout=fh, stderr=subprocess.PIPE)
+            assert (to_file.returncode, path.read_bytes(), to_file.stderr) == (
+                code, out.encode(), err.encode()
+            ), dev
+
+    @pytest.mark.parametrize("dev", [False, True])
+    def test_atexit_handlers_run_in_development_mode_only(self, dev):
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
+            "from certbound.cli import main\n"
+            "sys.argv = ['certbound', '--help']\n"
+            "main()\n"
+        )
+        proc = _python_child(["-c", script], dev, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: certbound")
+        assert proc.stderr == ("atexit handler ran\n" if dev else "")
+
+    WRITERS = [
+        ["lipschitz", "--model", "{traffic1}", "--format", "json"],
+        ["make-model", "traffic"],
+    ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("dev", [False, True])
+    @pytest.mark.parametrize("argv", WRITERS)
+    def test_a_full_device_ends_in_one_line(self, argv, dev, model_files):
+        # A traceback with exit 1 before, from the write of the output.
+        argv = [arg.format(**model_files) for arg in argv]
+        with open("/dev/full", "wb") as full:
+            proc = _cli_child(argv, dev, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "certbound: cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("dev", [False, True])
+    @pytest.mark.parametrize("argv", [*WRITERS, ["--help"]])
+    def test_a_closed_stdout_ends_in_one_line(self, argv, dev, model_files):
+        # An AttributeError traceback with exit 1 before: ``sys.stdout`` is None.
+        argv = [arg.format(**model_files) for arg in argv]
+        proc = _cli_child(argv, dev, close_stdout=True, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "certbound: cannot write output: standard output is closed\n"
+
+    @pytest.mark.parametrize("dev", [False, True])
+    def test_a_model_written_to_a_file_needs_no_stdout(self, dev, tmp_path):
+        path = tmp_path / "traffic.nds"
+        proc = _cli_child(["make-model", "traffic", "--output", str(path)], dev,
+                          close_stdout=True, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert path.read_text().startswith("[")
 
 
 class TestReportModule:

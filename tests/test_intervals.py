@@ -14,8 +14,6 @@ from certbound.intervals import (
     Box,
     Interval,
     _invalid,
-    fraction_down,
-    fraction_up,
     midpoint,
     pair_abs,
     pair_add,
@@ -28,6 +26,8 @@ from certbound.intervals import (
     pair_sin,
     pair_sqr,
     pair_sqrt,
+    ratio_down,
+    ratio_up,
     pair_sub,
     refined_eval,
     slab_cuts,
@@ -257,12 +257,38 @@ class TestSafeScalars:
 
     def test_fractions_round_to_the_nearest_safe_float(self):
         third = Fraction(1, 3)
-        assert Fraction(fraction_down(third)) < third < Fraction(fraction_up(third))
-        assert math.nextafter(fraction_down(third), 1.0) == fraction_up(third)
-        assert fraction_up(Fraction(3, 4)) == fraction_down(Fraction(3, 4)) == 0.75
-        tiny = Fraction(1, 10**400)
-        assert (fraction_down(tiny), fraction_up(tiny)) == (0.0, 5e-324)
-        assert (fraction_down(-tiny), fraction_up(-tiny)) == (-5e-324, -0.0)
+        assert Fraction(ratio_down(1, 3)) < third < Fraction(ratio_up(1, 3))
+        assert math.nextafter(ratio_down(1, 3), 1.0) == ratio_up(1, 3)
+        assert ratio_up(3, 4) == ratio_down(3, 4) == 0.75
+        tiny = 10**400
+        assert (ratio_down(1, tiny), ratio_up(1, tiny)) == (0.0, 5e-324)
+        assert (ratio_down(-1, tiny), ratio_up(-1, tiny)) == (-5e-324, -0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ratios_round_as_fractions_do(self, seed):
+        # The reference rounds through ``float(Fraction)``: the same bits, the
+        # same signed zero and the same OverflowError.
+        def reference(n, d):
+            q = Fraction(n, d)
+            x = float(q)
+            up = math.nextafter(x, math.inf) if q > x else x
+            down = math.nextafter(x, -math.inf) if q < x else x
+            return repr(up), repr(down)
+
+        rng = random.Random(seed)
+        cases = [(0, 1), (-1, 10**400), (1, 10**400), (10**400, 3), (-(10**400), 3)]
+        for _ in range(2000):
+            n = rng.randrange(-(10 ** rng.randint(1, 400)), 10 ** rng.randint(1, 400))
+            cases.append((n, rng.randrange(1, 10 ** rng.randint(1, 400))))
+        for n, d in cases:
+            try:
+                expected = reference(n, d)
+            except OverflowError:
+                for rounded in (ratio_up, ratio_down):
+                    with pytest.raises(OverflowError):
+                        rounded(n, d)
+                continue
+            assert (repr(ratio_up(n, d)), repr(ratio_down(n, d))) == expected, (n, d)
 
 
 class TestElementary:
