@@ -12,7 +12,9 @@ zero operand (``x + 0``, ``x - 0``, ``0 - x``), and a zero endpoint of a
 product that only zero factors produce, is exact and is not stepped.  A
 product of nonzero factors that underflows to ``±0`` is not exact, so it
 still steps.  Without the exemption a zero partial derivative encloses as
-``[-5e-324, ...]`` and never passes a sign test.
+``[-5e-324, ...]`` and never passes a sign test.  For the same reason an odd
+power keeps its base's known sign: the endpoint of ``x**k`` on the side of
+zero is clamped to ``0.0`` when it would step past it.
 
 The scalar helpers ``ratio_up``/``ratio_down`` and ``sqrt_up``/``sqrt_down``
 round a single exact value to the safe side: an integer ratio, such as a
@@ -288,6 +290,10 @@ def pair_pow(a: tuple[float, float], k: int) -> tuple[float, float]:
     if k % 2 == 1:
         rlo = _down(_down(lo**k))
         rhi = _up(_up(hi**k))
+        if lo >= 0.0:  # an odd power keeps its base's known sign
+            rlo = max(rlo, 0.0)
+        if hi <= 0.0:
+            rhi = min(rhi, 0.0)
     else:
         x, y = abs(lo), abs(hi)
         if x > y:

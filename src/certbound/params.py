@@ -15,6 +15,12 @@ model's partial derivatives:
   certified maximum of the squared gradient norms of the mixed components.
 * Quadratic boundedness: one certified maximization per diagonal entry.
 
+Lipschitz (both cases), Frobenius OSL, the QIB maximum and each QB entry
+sum certified maxima of squared norms through one function,
+``_summed_maxima``: the sums are exact, and each side rounds once, to its
+safe side.  A constant objective, such as the ``0`` of a map without a
+state, is no run.
+
 The independent per-entry/per-row problems run one after another in a fixed
 order, so results and run statistics are deterministic.  Within one
 constant, a problem that repeats (the same function of its variables, up
@@ -48,7 +54,6 @@ from .expr import (
     Expr,
     Unary,
     Program,
-    is_zero,
     simplified_add,
     simplified_mul,
     simplified_sub,
@@ -81,22 +86,19 @@ class RunStats:
     """Aggregate over the certified runs behind one constant: each of
     ``results`` is counted in."""
 
-    __slots__ = ("runs", "splits", "evals", "wall_time")
+    __slots__ = ("runs", "evals", "wall_time")
 
     def __init__(self, results: Iterable[BnBResult] = ()) -> None:
         self.runs = 0
-        self.splits = 0
         self.evals = 0
         self.wall_time = 0.0
         for result in results:
             self.runs += 1
-            self.splits += result.stats.splits
             self.evals += result.stats.evals
             self.wall_time += result.stats.wall_time
 
     def merge(self, other: "RunStats") -> None:
         self.runs += other.runs
-        self.splits += other.splits
         self.evals += other.evals
         self.wall_time += other.wall_time
 
@@ -118,16 +120,15 @@ class JacobianBounds:
 
 
 class LipschitzResult:
-    __slots__ = ("gamma", "lower", "gap", "eps_optimal", "case", "stats")
+    __slots__ = ("gamma", "lower", "gap", "eps_optimal", "stats")
 
     def __init__(
-        self, gamma: float, lower: float, gap: float, eps_optimal: bool, case: int, stats: RunStats
+        self, gamma: float, lower: float, gap: float, eps_optimal: bool, stats: RunStats
     ) -> None:
         self.gamma = gamma
         self.lower = lower
         self.gap = gap
         self.eps_optimal = eps_optimal
-        self.case = case
         self.stats = stats
 
 
@@ -158,19 +159,16 @@ class OSLResult:
 
 class QIBResult:
     __slots__ = (
-        "gamma_q1", "gamma_q2", "eps1", "eps2", "gamma_m", "osl_upper", "osl_lower",
-        "eps_optimal", "stats", "gamma_m_witness",
+        "gamma_q1", "gamma_q2", "gamma_m", "osl_upper", "osl_lower", "eps_optimal", "stats",
+        "gamma_m_witness",
     )
 
     def __init__(
-        self, gamma_q1: float, gamma_q2: float, eps1: float, eps2: float, gamma_m: float,
-        osl_upper: float, osl_lower: float, eps_optimal: bool, stats: RunStats,
-        gamma_m_witness: float = 0.0,
+        self, gamma_q1: float, gamma_q2: float, gamma_m: float, osl_upper: float,
+        osl_lower: float, eps_optimal: bool, stats: RunStats, gamma_m_witness: float = 0.0,
     ) -> None:
         self.gamma_q1 = gamma_q1
         self.gamma_q2 = gamma_q2
-        self.eps1 = eps1
-        self.eps2 = eps2
         self.gamma_m = gamma_m
         self.osl_upper = osl_upper
         self.osl_lower = osl_lower
@@ -255,6 +253,22 @@ def _minimize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs) -> BnBR
     return _optimize_expr(e, model, cfg, runs, minimize)[0]
 
 
+def _summed_maxima(
+    objectives: Iterable[Expr], model: ModelDef, cfg: BnBConfig, runs: Runs
+) -> tuple[float, float, float, bool]:
+    """The certified maxima of ``objectives``, summed: the exact sum of
+    their upper bounds rounded up, that of their lower bounds rounded down,
+    the widest gap (``0.0`` at least) and whether every run met ``eps_h``.
+    A constant objective ``c`` adds ``c`` to both sums and is no run."""
+    results = [_maximize_expr(e, model, cfg, runs) for e in objectives]
+    return (
+        ratio_up(sum(_ulps(res.upper) for res in results), _ULPS),
+        ratio_down(sum(_ulps(res.lower) for res in results), _ULPS),
+        max([0.0] + [res.gap for res in results]),
+        all(res.eps_optimal for res in results),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Bounded Jacobian
 # ---------------------------------------------------------------------------
@@ -292,52 +306,31 @@ def lipschitz_objective(model: ModelDef) -> Expr:
     """The summed squared gradient norms of all components: the objective
     of case 1 and of the sampled Lipschitz baseline.  ``0`` when no
     component depends on a state."""
-    terms = (grad_sq_norm(model, i) for i in range(1, model.g + 1))
-    return simplified_sum([t for t in terms if not is_zero(t)])
+    return simplified_sum(grad_sq_norm(model, i) for i in range(1, model.g + 1))
+
+
+def _lipschitz(objectives: Iterable[Expr], model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
+    """The square roots of the summed certified maxima of ``objectives``."""
+    runs: Runs = {}
+    upper, lower, gap, eps_optimal = _summed_maxima(objectives, model, cfg, runs)
+    return LipschitzResult(
+        sqrt_up(max(upper, 0.0)), sqrt_down(max(lower, 0.0)), gap, eps_optimal,
+        RunStats(runs.values()),
+    )
 
 
 def lipschitz_case1(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     """One joint maximization of the summed squared gradient norms; the
     constant is the square root of the certified maximum."""
-    objective = lipschitz_objective(model)
-    if is_zero(objective):
-        return LipschitzResult(0.0, 0.0, 0.0, True, 1, RunStats())
-    runs: Runs = {}
-    res = _maximize_expr(objective, model, cfg, runs)
-    return LipschitzResult(
-        gamma=sqrt_up(max(res.upper, 0.0)),
-        lower=sqrt_down(max(res.lower, 0.0)),
-        gap=res.gap,
-        eps_optimal=res.eps_optimal,
-        case=1,
-        stats=RunStats(runs.values()),
-    )
+    return _lipschitz([lipschitz_objective(model)], model, cfg)
 
 
 def lipschitz_case2(model: ModelDef, cfg: BnBConfig) -> LipschitzResult:
     """One maximization per component over its reduced box, summed.
     Structurally identical components (the repeated sections of a traffic
     network) are one search of the run memo, so each class of them runs
-    once.  Always at least as conservative as case 1.  The sums are exact;
-    each side rounds once, to its safe side, before its root."""
-    runs: Runs = {}
-    upper_sum = lower_sum = 0  # in units of 2**-1074
-    worst_gap = 0.0
-    eps_optimal = True
-    for i in range(1, model.g + 1):
-        res = _maximize_expr(grad_sq_norm(model, i), model, cfg, runs)
-        upper_sum += _ulps(res.upper)
-        lower_sum += _ulps(res.lower)
-        worst_gap = max(worst_gap, res.gap)
-        eps_optimal = eps_optimal and res.eps_optimal
-    return LipschitzResult(
-        gamma=sqrt_up(max(ratio_up(upper_sum, _ULPS), 0.0)),
-        lower=sqrt_down(max(ratio_down(lower_sum, _ULPS), 0.0)),
-        gap=worst_gap,
-        eps_optimal=eps_optimal,
-        case=2,
-        stats=RunStats(runs.values()),
-    )
+    once.  Always at least as conservative as case 1."""
+    return _lipschitz((grad_sq_norm(model, i) for i in range(1, model.g + 1)), model, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +342,21 @@ def osl_frobenius(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Upper bound from the maximal Frobenius norm of the G-weighted
     Jacobian; always nonnegative.  The matching lower bound is its negation
     (no eigenvalue of the symmetrization can lie below it)."""
-    terms = [simplified_unary(SQR, e) for row in model.weighted_jacobian for _, e in row]
-    if not terms:
-        return OSLResult(0.0, "frobenius", 0.0, 0.0, True, RunStats())
+    terms = (simplified_unary(SQR, e) for row in model.weighted_jacobian for _, e in row)
     runs: Runs = {}
-    res = _maximize_expr(simplified_sum(terms), model, cfg, runs)
-    gamma = sqrt_up(max(res.upper, 0.0))
-    achieved = sqrt_down(max(res.lower, 0.0))
+    upper, lower, gap, eps_optimal = _summed_maxima([simplified_sum(terms)], model, cfg, runs)
+    gamma = sqrt_up(max(upper, 0.0))
+    achieved = sqrt_down(max(lower, 0.0))
+    # ``0.0 - x``, not ``-x``: the bounds of a zero map are ``0.0``, not ``-0.0``.
     return OSLResult(
         gamma_s=gamma,
         estimator="frobenius",
-        lower_gamma=-gamma,
-        gap=res.gap,
-        eps_optimal=res.eps_optimal,
+        lower_gamma=0.0 - gamma,
+        gap=gap,
+        eps_optimal=eps_optimal,
         stats=RunStats(runs.values()),
         gamma_s_witness=achieved,
-        lower_gamma_witness=-achieved,
+        lower_gamma_witness=0.0 - achieved,
     )
 
 
@@ -566,22 +558,11 @@ def qib(
         simplified_sum(simplified_unary(SQR, e) for _, e in row)
         for row in model.weighted_jacobian
     ]
-    eps_optimal = upper_res.eps_optimal and lower_res.eps_optimal
     runs: Runs = {}
-    if distributed:
-        results = [_maximize_expr(e, model, cfg, runs) for e in norms]
-        gamma_m = ratio_up(sum(_ulps(res.upper) for res in results), _ULPS)
-        gamma_m_witness = ratio_down(sum(_ulps(res.lower) for res in results), _ULPS)
-        eps_optimal = eps_optimal and all(res.eps_optimal for res in results)
-    else:
-        terms = [e for e in norms if not is_zero(e)]
-        if not terms:
-            gamma_m = gamma_m_witness = 0.0
-        else:
-            res = _maximize_expr(simplified_sum(terms), model, cfg, runs)
-            eps_optimal = eps_optimal and res.eps_optimal
-            gamma_m = res.upper
-            gamma_m_witness = res.lower
+    gamma_m, gamma_m_witness, _, eps_optimal = _summed_maxima(
+        norms if distributed else [simplified_sum(norms)], model, cfg, runs
+    )
+    eps_optimal = eps_optimal and upper_res.eps_optimal and lower_res.eps_optimal
     stats.merge(RunStats(runs.values()))
     gamma_bar = upper_res.gamma_s
     gamma_low = lower_res.lower_gamma
@@ -590,8 +571,6 @@ def qib(
     return QIBResult(
         gamma_q1=ratio_up(exact_q1 + _ulps(gamma_m) * _ULPS, _ULPS * _ULPS),
         gamma_q2=eps2 - eps1,
-        eps1=eps1,
-        eps2=eps2,
         gamma_m=gamma_m,
         osl_upper=gamma_bar,
         osl_lower=gamma_low,
@@ -634,26 +613,20 @@ def qb(model: ModelDef, cfg: BnBConfig) -> QBResult:
                 "components must vanish at the origin", f"f{i}(0) in [{lo!r}, {hi!r}]"
             )
     scale = Const(float(model.n))
-    diag = [0.0] * model.n
-    witness = [0.0] * model.n
     runs: Runs = {}
-    eps_optimal = True
     columns: list[list[Expr]] = [[] for _ in range(model.n)]
     for partials in model.state_jacobian:
         for j, d in partials:
             columns[j].append(simplified_unary(SQR, d))
-    for j, terms in enumerate(columns):
-        if not terms:
-            continue
-        res = _maximize_expr(simplified_mul(scale, simplified_sum(terms)), model, cfg, runs)
-        eps_optimal = eps_optimal and res.eps_optimal
-        diag[j] = sqrt_up(max(res.upper, 0.0))
-        witness[j] = sqrt_down(max(res.lower, 0.0))
+    maxima = [
+        _summed_maxima([simplified_mul(scale, simplified_sum(terms))], model, cfg, runs)
+        for terms in columns
+    ]
     return QBResult(
-        diag=tuple(diag),
-        eps_optimal=eps_optimal,
+        diag=tuple(sqrt_up(max(upper, 0.0)) for upper, _, _, _ in maxima),
+        eps_optimal=all(optimal for _, _, _, optimal in maxima),
         stats=RunStats(runs.values()),
-        diag_witness=tuple(witness),
+        diag_witness=tuple(sqrt_down(max(lower, 0.0)) for _, lower, _, _ in maxima),
     )
 
 

@@ -54,6 +54,16 @@ class TestMaximize:
         assert res.upper == pytest.approx(0.25, abs=1e-4)
         assert box_contains(box, res.lower_witness)
 
+    def test_huge_power_collapses_to_its_end(self):
+        # The derivative 2**40 * x^(2**40 - 1) encloses as nonnegative
+        # although its lower end underflows, so the box collapses to x = 1
+        # instead of being bisected until the cap.
+        program = Program(parse(f"x^{2**40}"), ("x",))
+        box = make_box([("x", 0.0, 1.0)])
+        res = maximize(program.eval_point, program, box, BnBConfig(max_steps=1000))
+        assert res.eps_optimal and res.stats.splits <= 40
+        assert res.lower == 1.0 <= res.upper
+
     def test_max_steps_cap(self):
         h, hI, box = expr_objective("x*(1 - x)", [("x", 0.0, 1.0)])
         cfg = BnBConfig(eps_h=1e-12, eps_om=1e-15, segments=1, max_steps=5)

@@ -758,6 +758,61 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)[0]["results"][0]["value"] == 2.0
 
+    # The rows ``name value lower gap`` of each squared-norm constant, as the
+    # report writes them, on an identically zero map and on a linear one.
+    # Each objective is a constant: every row has 0 subproblems and 0 evals.
+    SQUARED_NORM_ROWS = {
+        ("0*x1", "0*x2"): {
+            "lipschitz --case 1": ["gamma_l1 0.0 0.0 0.0"],
+            "lipschitz --case 2": ["gamma_l2 0.0 0.0 0.0"],
+            "osl --estimator frobenius": ["gamma_s 0.0 0.0 0.0", "gamma_lower 0.0 0.0 0.0"],
+            "qb": ["Gamma_11 0.0 0.0 null", "Gamma_22 0.0 0.0 null"],
+            "qib": [
+                "gamma_q1 0.0 null null", "gamma_q2 -0.5 null null", "gamma_m 0.0 0.0 null",
+                "osl_upper 0.0 null null", "osl_lower 0.0 null null",
+            ],
+        },
+        ("2*x1", "-x2"): {
+            "lipschitz --case 1": ["gamma_l1 2.23606797749979 2.2360679774997894 0.0"],
+            "lipschitz --case 2": ["gamma_l2 2.23606797749979 2.2360679774997894 0.0"],
+            "osl --estimator frobenius": [
+                "gamma_s 2.23606797749979 2.2360679774997894 0.0",
+                "gamma_lower -2.23606797749979 -2.2360679774997894 0.0",
+            ],
+            "qb": [
+                "Gamma_11 2.8284271247461903 2.82842712474619 null",
+                "Gamma_22 1.4142135623730951 1.414213562373095 null",
+            ],
+            "qib": [
+                "gamma_q1 7.5 null null", "gamma_q2 -0.5 null null", "gamma_m 5.0 5.0 null",
+                "osl_upper 2.0 null null", "osl_lower -1.0 null null",
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize("f", list(SQUARED_NORM_ROWS), ids=["zero", "linear"])
+    @pytest.mark.parametrize(
+        "command",
+        ["lipschitz --case 1", "lipschitz --case 2", "osl --estimator frobenius", "qb", "qib",
+         "qib --distributed"],
+    )
+    def test_squared_norm_constants_of_constant_objectives(self, tmp_path, capsys, f, command):
+        model = tmp_path / "m.nds"
+        model.write_text(f"[states]\nx1 = [-1, 1]\nx2 = [-1, 1]\n[f]\nf1 = {f[0]}\nf2 = {f[1]}\n")
+        argv = command.split() + ["--model", str(model), "--format", "json", "--no-timing"]
+        if command.startswith("qib"):
+            argv += ["--eps1", "1", "--eps2", "0.5"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        # Numbers are read as the text the report writes, so -0.0 is not 0.0.
+        rows = json.loads(out, parse_float=str)[0]["results"]
+        assert all((r["subproblems"], r["evals"], r["eps_optimal"]) == (0, 0, True) for r in rows)
+        text = [
+            " ".join("null" if r[k] is None else r[k] for k in ("name", "value", "lower", "gap"))
+            for r in rows
+        ]
+        assert text == self.SQUARED_NORM_ROWS[f][command.replace(" --distributed", "")]
+
     def test_lipschitz_case2_traffic(self, model_files, capsys):
         code, out, _ = run_capture(
             capsys,

@@ -309,6 +309,21 @@ class TestElementary:
         lo, hi = pair_pow((-2.0, 1.0), 4)
         assert lo == 0.0 and hi == pytest.approx(16.0)
 
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            ((0.0, 1.0), (0.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0))),
+            ((-1.0, -0.0), (math.nextafter(math.nextafter(-1.0, -2.0), -2.0), 0.0)),
+        ],
+    )
+    def test_pow_int_odd_keeps_the_sign_of_its_base(self, a, expected):
+        # The zero endpoint is exact: it is not stepped past zero.
+        assert list(map(repr, pair_pow(a, 3))) == list(map(repr, expected))
+
+    def test_pow_int_odd_underflow_stays_nonnegative(self):
+        lo, hi = pair_pow((0.5, 1.0), 2**40 - 1)  # 0.5**k underflows to 0.0
+        assert (repr(lo), hi) == ("0.0", math.nextafter(math.nextafter(1.0, 2.0), 2.0))
+
     def test_pow_int_invalid(self):
         # Exponents below 1 never reach ``pair_pow``: the tree rejects them.
         with pytest.raises(DomainError):

@@ -475,8 +475,9 @@ class TestReferenceTrees:
         assert keys(asked[m.n:]) == keys(reference)
         asked.clear()
         qib(m, CFG, eps1=1.0, eps2=1.0)
+        # One joint objective, ``0`` when every norm is: a constant is no run.
         joint = [e for e in reference if not is_zero(e)]
-        assert keys(asked[m.n:]) == (keys([simplified_sum(joint)]) if joint else [])
+        assert keys(asked[m.n:]) == keys([simplified_sum(joint)])
 
     def test_psi_is_linear_in_the_nonzeros(self, monkeypatch):
         # Traffic s170: n = 1,021 states and a Jacobian with 2,041 nonzero
@@ -521,7 +522,7 @@ class TestOSL:
         m = small_model(["0*x1", "0*x2"], [("x1", -1, 1), ("x2", -1, 1)])
         r = osl_frobenius(m, CFG)
         assert r.gamma_s == 0.0 and r.eps_optimal
-        assert r.stats.runs == 0  # identically-zero matrix short-circuits
+        assert r.stats.runs == 0  # its objective is the constant 0, which is no run
 
     def test_frobenius_negative_identity(self):
         m = small_model(["-x1", "-x2"], [("x1", -1, 1), ("x2", -1, 1)])
@@ -789,7 +790,11 @@ class TestLongSums:
             for k in range(m.n)
         ]
         scale = Const(float(m.n))
-        expected = [simplify(Binary(MUL, scale, expr_sum(terms))) for terms in columns if terms]
+        # A column without terms asks for the constant ``0``, which is no run.
+        expected = [
+            simplify(Binary(MUL, scale, expr_sum(terms))) if terms else Const(0.0)
+            for terms in columns
+        ]
         assert list(map(structural_key_with_vars, asked)) == list(
             map(structural_key_with_vars, expected)
         )
