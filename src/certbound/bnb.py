@@ -162,18 +162,20 @@ class Cover:
 
 
 class BnBConfig(Frozen):
-    """Optimizer knobs.
+    """Optimizer knobs.  These defaults are the CLI's too.
 
     eps_h: target width of the objective sandwich.
     eps_om: minimum splittable box width.
     segments: slabs per interval bound evaluation, along the split dimension.
+        The default, 5, is where the bench jobs' ``evals`` stop falling:
+        more slabs cost kernel runs and save no box.
     max_steps: hard cap on bisections (safety valve, not part of the method).
     """
 
     __slots__ = ("eps_h", "eps_om", "segments", "max_steps")
 
     def __init__(
-        self, eps_h: float = 1e-4, eps_om: float = 1e-7, segments: int = 10,
+        self, eps_h: float = 1e-4, eps_om: float = 1e-7, segments: int = 5,
         max_steps: int = 10_000_000,
     ) -> None:
         if not all(math.isfinite(x) and x > 0 for x in (eps_h, eps_om)):

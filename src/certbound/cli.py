@@ -344,11 +344,12 @@ class _Option:
         return f"{self.flag} {metavar}" if self.flag.startswith("-") else metavar
 
 
+_DEFAULT = BnBConfig()
 _COMMON = (
     _Option("--model", help="model definition file"),
-    _Option("--eps-h", float, 1e-4, help="objective gap tolerance"),
-    _Option("--eps-om", float, 1e-7, help="minimum splittable box width"),
-    _Option("--segments", int, 10, help="slabs per interval bound evaluation"),
+    _Option("--eps-h", float, _DEFAULT.eps_h, help="objective gap tolerance"),
+    _Option("--eps-om", float, _DEFAULT.eps_om, help="minimum splittable box width"),
+    _Option("--segments", int, _DEFAULT.segments, help="slabs per interval bound evaluation"),
     _Option("--format", default="json", choices=("json", "csv", "text"), help="report format"),
     _Option("--no-timing", bool, help="omit wall times (byte-identical reports)"),
 )

@@ -1,7 +1,9 @@
 """Branch-and-bound engine: sandwich, monotonicity, pruning, termination."""
 
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from certbound.bnb import (
     BnBStats, Cover, Subproblem, _Bounder, _first_order, _greatest_smear, maximize, minimize,
     opt_bnb_step,
 )
+from certbound.cli import run
 from certbound.errors import DegenerateSplit, EvaluationError
 from certbound.expr import Program, parse
 from conftest import box_contains, dense_max, make_box, pairs, random_polynomial
@@ -79,11 +82,23 @@ class TestMaximize:
         with pytest.raises(ValueError, match="finite and positive"):
             BnBConfig(**tolerance)
 
-    def test_config_is_frozen(self):
+    def test_config_is_frozen(self, capsys):
         cfg = BnBConfig()
         with pytest.raises(AttributeError):
             cfg.segments = 0
-        assert cfg.segments == 10
+        defaults = {"eps_h": cfg.eps_h, "eps_om": cfg.eps_om, "segments": cfg.segments}
+        assert defaults == {"eps_h": 1e-4, "eps_om": 1e-7, "segments": 5}
+        # The CLI states no default of its own: its help and a default run's
+        # ``config`` echo both read ``BnBConfig()``.
+        assert run(["maximize", "--help"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            found = re.match(r"\s+--(eps-h|eps-om|segments) \S+ .*\(default: (\S+)\)$", line)
+            if found:
+                printed[found[1].replace("-", "_")] = float(found[2])
+        assert printed == defaults
+        assert run(["maximize", "--expr", "x", "--bounds", "x=[0,1]", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["config"] == defaults
 
     def test_constant_objective_immediate(self):
         h, hI, box = expr_objective("7.5", [("x", 0.0, 1.0)])

@@ -499,6 +499,63 @@ class TestTrigOracle:
             assert fn((beyond, beyond)) == fn((-beyond, -beyond)) == (-1.0, 1.0)
 
 
+def floats_below(x: float, count: int) -> list[float]:
+    """``x`` and the ``count - 1`` floats below it."""
+    xs = [x]
+    while len(xs) < count:
+        xs.append(math.nextafter(xs[-1], -math.inf))
+    return xs
+
+
+class TestOutwardSteps:
+    """Outward rounding steps, each seen by an exact reference: a test here
+    fails once a step it covers rounds to nearest instead.  Not covered, as
+    no enclosure can show them: the three steps of ``_series_bounds``' upper
+    term bound, any two of which cover the third's half ulp."""
+
+    def test_sqrt_brackets_non_squares(self):
+        # sqrt(2) and the subnormal's root round up to nearest, sqrt(3) and
+        # sqrt(0.1) down: each end of the pair needs its step.
+        values = [2.0, 3.0, 0.1, 1e-310]
+        assert any(math.sqrt(x) > sqrt_down(x) for x in values)
+        assert any(math.sqrt(x) < sqrt_up(x) for x in values)
+        for x in values:
+            lo, hi = pair_sqrt((x, x))
+            assert lo <= sqrt_down(x) and sqrt_up(x) <= hi, x
+
+    def test_half_pi_bracket_clears_pi_over_two(self):
+        # Each end lies more than half a unit of 2**-106 from pi/2, so the
+        # bracket holds whichever way the nearest tail was rounded.
+        scaled = Fraction(PI / 2) * 2**106
+        assert scaled - intervals._HALF_PI_LO > Fraction(1, 2)
+        assert intervals._HALF_PI_HI - scaled > Fraction(1, 2)
+
+    def test_two_pi_bound_is_above_two_pi(self):
+        assert Fraction(intervals._TWO_PI_HI) > 2 * Fraction(PI)
+
+    @pytest.mark.parametrize("n", [
+        2**60, 2**60 + 1, 2**60 + 255, -(2**60 + 1), -(2**60 + 255), 3 * 2**106, 7,
+    ])
+    def test_exact_conversions_are_the_nearest_safe_floats(self, n):
+        exact = Fraction(n, 2**106)
+        down, up = intervals._exact_down(n), intervals._exact_up(n)
+        assert Fraction(down) <= exact < Fraction(math.nextafter(down, math.inf))
+        assert Fraction(math.nextafter(up, -math.inf)) < exact <= Fraction(up)
+
+    def test_series_bounds_at_the_edges_of_the_reduced_range(self):
+        # The reduced argument reaches pi/4 + 1e-9.  There the terms are
+        # largest against the sum, so the sum's own last step is needed:
+        # the slack of the terms' steps no longer covers its rounding.
+        edge = float(PI / 4)
+        points = floats_below(edge + 1e-9, 64) + floats_below(edge, 64)
+        points += [0.5, 2.0**-30, 1e-300, 5e-324, 0.0]
+        for r in points:
+            slo, shi = intervals._series_bounds(r, r, (r, r), intervals._SIN_DIVISORS)
+            assert Decimal(slo) <= dec_sin(r) <= Decimal(shi), r
+            clo, chi = intervals._series_bounds(r, r, (1.0, 1.0), intervals._COS_DIVISORS)
+            assert Decimal(clo) <= dec_cos(r) <= Decimal(chi), r
+
+
 class TestBox:
     def test_midpoint(self):
         b = make_box([("x", 1, 3), ("y", 0, 2)])

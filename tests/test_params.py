@@ -1016,5 +1016,15 @@ class TestQIBToLipschitz:
         value = qib_to_lipschitz(1.5, 0.0)  # the root of exactly 3
         assert Fraction(value) ** 2 >= 3 > Fraction(math.nextafter(value, 0.0)) ** 2
         assert value > math.sqrt(3.0)
-        value = qib_to_lipschitz(0.1, -0.3)  # a radicand that is no float
-        assert Fraction(value) ** 2 >= 2 * Fraction(0.1) + Fraction(0.3) ** 2
+
+    @pytest.mark.parametrize(
+        "gamma_q1, gamma_q2", [(0.1, -0.3), (0.2, 1.0), (1.1, 0.1), (0.001, 0.01)]
+    )
+    def test_radicand_rounds_up_before_the_root(self, gamma_q1, gamma_q2):
+        # Radicands that are no float; for all but the first, the nearest
+        # float is so far below that its root, rounded up, is too small.
+        n1, d1 = gamma_q1.as_integer_ratio()
+        n2, d2 = gamma_q2.as_integer_ratio()
+        n, d = qib_to_lipschitz(gamma_q1, gamma_q2).as_integer_ratio()
+        # value^2 >= 2*gamma_q1 + gamma_q2^2, in integers
+        assert n * n * d1 * d2 * d2 >= (2 * n1 * d2 * d2 + n2 * n2 * d1) * d * d
