@@ -19,10 +19,9 @@ from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from . import params
-from .bnb import BnBConfig, maximize
+from .bnb import BnBConfig
 from .errors import CertboundError, ParseError
 from .expr import Program, parse_component
-from .intervals import Box
 from .model import ModelDef, model_to_text, parse_interval, parse_model_text, reduced_domain
 from .report import ConstantRow, RunReport, emit_table
 
@@ -201,8 +200,8 @@ def _cmd_jacobian(args) -> list[RunReport]:
     return [_report(args, fp, rows)]
 
 
-def _bounds_box(text: str) -> Box:
-    """The box written as ``name=[lo,hi]`` entries separated by ``;``."""
+def _bounds(text: str) -> dict[str, tuple[float, float]]:
+    """The bounds written as ``name=[lo,hi]`` entries separated by ``;``."""
     bounds: dict[str, tuple[float, float]] = {}
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         name, _, spec = chunk.partition("=")
@@ -215,24 +214,24 @@ def _bounds_box(text: str) -> Box:
             bounds[name] = parse_interval(spec)
     if not bounds:
         raise _ModelError("empty bounds specification")
-    return Box(tuple(bounds.values()), tuple(bounds))
+    return bounds
 
 
 def _cmd_maximize(args) -> list[RunReport]:
-    box = _bounds_box(args.bounds)
+    bounds = _bounds(args.bounds)
     try:
         expression, used = parse_component(args.expr)
     except ParseError as exc:
         raise _ModelError(f"bad --expr: {exc}") from exc
-    unknown = used - set(box.labels)
+    unknown = used - bounds.keys()
     if unknown:
         raise _ModelError(f"--bounds missing variables {sorted(unknown)}")
-    # Search only the variables the expression uses: an unused one would be
-    # bisected without tightening anything.  A constant keeps the full box.
-    domain = box.restrict(used)
-    program = Program(expression, domain.labels)
-    res = maximize(program.eval_point, program, domain, _cfg(args))
-    fields = _stats_fields(res.eps_optimal, params.RunStats([res]), res.gap)
+    # A model of one component whose states are the bounded variables: the
+    # search runs over those the expression uses, and a constant is no run.
+    model = ModelDef(tuple(bounds), tuple(bounds.values()), (expression,), component_vars=(used,))
+    runs: params.Runs = {}
+    res = params._maximize_expr(expression, model, _cfg(args), runs)
+    fields = _stats_fields(res.eps_optimal, params.RunStats(runs.values()), res.gap)
     row = ConstantRow("max", res.upper, lower=res.lower, **fields)
     fp = _fingerprint(f"{args.expr}|{args.bounds}".encode())
     return [_report(args, fp, [row])]

@@ -700,12 +700,12 @@ def _wrapped(e: Expr, parent_prec: int) -> tuple:
 # functions on the same operands in the same order, so they give the same
 # values and raise the same exceptions, and no result depends on the tier.
 #
-# Kernels are cached by program shape (see ``_shape_kernels``): the ops,
-# the constants that are not finite and the number of variable slots.
-# Constant values are not part of the statements: they are passed in at call
-# time, so programs that differ only in their constants, such as the
-# hundreds of Jacobian entries of one model, share one kernel, and one count
-# of its runs.  Each program holds its shape's list of kernels, replaced in
+# Kernels are cached by program shape (see ``_shape_kernels``): the ops and
+# the number of variable slots.  Constant values are not part of the
+# statements: every constant is finite (``Program`` refuses another) and read
+# in place from the values passed in at call time, so programs that differ
+# only in their constants, such as the hundreds of Jacobian entries of one
+# model, share one kernel, and one count of its runs.  Each program holds its shape's list of kernels, replaced in
 # place as they are generated and compiled: an evaluation is one call.
 #
 # Gradient: the adjoint kernel encloses every partial derivative on a box in
@@ -758,11 +758,10 @@ def _call(function, arity: int = 1) -> tuple:
 # The right-hand side of each op's statement: its source template, in which
 # ``{0}``, ``{1}``, ... stand for the operands, and the function that a tape
 # calls on them, which computes what the template does.  The argument of a
-# constant (``("c", k)``), of a load (``("d", k)``) and of a power (the
-# exponent, a literal) is its last operand.  ``pair_point`` rejects a
-# non-finite constant.
+# constant (``("c", k)`` or ``("p", k)``), of a load (``("d", k)``) and of a
+# power (the exponent, a literal) is its last operand.
 _PAIR_RHS = {
-    _CONST: _call(intervals.pair_point),
+    _CONST: ("{0}", _same),
     _LOAD: ("{0}", _same),
     NEG: ("(-{0}[1], -{0}[0])", _negated_pair),
     ADD: _call(intervals.pair_add, 2),
@@ -874,11 +873,10 @@ def structural_key(e: Expr) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> list:
+def _shape_kernels(code, n: int) -> list:
     """The point kernel, the interval kernel and its reverse pass of one
-    shape: the ops ``code``, the indices ``nonfinite`` of the non-finite
-    constants (see ``_statements``) and the number ``n`` of variable slots.
-    Each entry starts as a stub that generates its kernel (the interval
+    shape: the ops ``code`` and the number ``n`` of variable slots.  Each
+    entry starts as a stub that generates its kernel (the interval
     kernel and its reverse pass together) in its place, then runs it.  The
     256 most recent shapes are kept."""
 
@@ -886,7 +884,7 @@ def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> list:
         def build(*args):
             if kernels[index] is build:
                 part = slice(1, 3) if index else slice(0, 1)
-                kernels[part] = _generate(code, nonfinite, n, index > 0, kernels)
+                kernels[part] = _generate(code, n, index > 0, kernels)
             return kernels[index](*args)
 
         return build
@@ -895,19 +893,11 @@ def _shape_kernels(code, nonfinite: tuple[int, ...], n: int) -> list:
     return kernels
 
 
-def _statements(code, nonfinite: tuple[int, ...], pair: bool) -> list[int]:
+def _statements(code) -> list[int]:
     """The ops that get a statement of their own.  A constant or load is
-    read in place by the op that uses it, unless it is the result, or a
-    non-finite constant (its index in ``nonfinite``), which the interval
-    kernel must reject in its turn."""
+    read in place by the op that uses it, unless it is the result."""
     last = len(code) - 1
-    return [
-        i
-        for i in range(len(code))
-        if code[i][0] not in (_CONST, _LOAD)
-        or i == last
-        or (pair and code[i][0] == _CONST and code[i][1] in nonfinite)
-    ]
+    return [i for i in range(len(code)) if code[i][0] not in (_CONST, _LOAD) or i == last]
 
 
 def _scale_points(stmts) -> list:
@@ -1131,7 +1121,7 @@ def _reverse_statements(code, varying, n: int):
     return rev, [adjoint.get(loads.get(k), _ZERO_PAIR) for k in range(n)], read
 
 
-def _generate(code, nonfinite: tuple[int, ...], n: int, pair: bool, kernels: list):
+def _generate(code, n: int, pair: bool, kernels: list):
     """The list of the point kernel ``kernel(d, c)``, to be stored as
     ``kernels[0]``, or of the interval kernel ``kernel(d, c, p)`` and its
     reverse pass, to be stored as ``kernels[1:3]``, for the shape of
@@ -1140,21 +1130,22 @@ def _generate(code, nonfinite: tuple[int, ...], n: int, pair: bool, kernels: lis
     constants and ``p`` their pairs.  An operand is read from the name of
     its op's statement, or else in place: a load from ``d``, a constant
     from ``p`` or ``c``."""
-    run = _statements(code, nonfinite, pair)
+    run = _statements(code)
     position = {op: i for i, op in enumerate(run)}
+
+    def in_place(kind: str, arg) -> tuple:
+        return ("d" if kind == _LOAD else "p" if pair else "c", arg)
 
     def ref(j: int):
         i = position.get(j)
         if i is not None:
             return i
         kind, arg, _ = code[j]
-        return ("d" if kind == _LOAD else "p" if pair else "c", arg)
+        return in_place(kind, arg)
 
     def operands(kind: str, arg, ops) -> tuple:
-        if kind == _CONST:
-            return (("c", arg),)
-        if kind == _LOAD:
-            return (("d", arg),)
+        if kind in (_CONST, _LOAD):
+            return (in_place(kind, arg),)
         refs = tuple(map(ref, ops))
         return (*refs, ("=", arg)) if kind == _POW else refs
 
@@ -1213,7 +1204,10 @@ class Program:
         """``expr`` compiled over ``var_order``.  Given ``keyed``, which
         must be ``structural_key_with_vars(expr)``, the ops are those of the
         key, with each load's slot moved from the order of first occurrence
-        to that of ``var_order``, and ``expr`` is not walked again."""
+        to that of ``var_order``, and ``expr`` is not walked again.  Raises
+        ``UnboundVariable`` for a variable outside ``var_order``, and
+        ``IntervalError`` for a constant that is not finite: no kernel could
+        enclose it."""
         slots = {name: i for i, name in enumerate(var_order)}
         bound = len(slots)
         if keyed is None:
@@ -1227,11 +1221,13 @@ class Program:
             self._constants = tuple(map(float, constants))  # ``float`` undoes ``repr``
         if len(slots) > bound:  # a name not in ``var_order`` was slotted
             raise UnboundVariable(f"unbound variables: {sorted(list(slots)[bound:])}")
+        for x in self._constants:
+            if not math.isfinite(x):
+                raise IntervalError(f"non-finite constant {x!r}")
         self._pairs = tuple((x, x) for x in self._constants)
         self.var_order = tuple(var_order)
         self.expr = expr
-        nonfinite = tuple(i for i, x in enumerate(self._constants) if not math.isfinite(x))
-        self._kernels = _shape_kernels(self.code, nonfinite, len(self.var_order))
+        self._kernels = _shape_kernels(self.code, len(self.var_order))
         self._last = (None, None)  # a tuple of pairs and the forward pass's value or error there
 
     def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:

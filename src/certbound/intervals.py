@@ -94,12 +94,6 @@ def _invalid(lo: float, hi: float) -> IntervalError:
     return IntervalError(f"inverted interval [{lo}, {hi}]")
 
 
-def pair_point(x: float) -> tuple[float, float]:
-    if -_INF < x < _INF:
-        return x, x
-    raise _invalid(x, x)
-
-
 def pair_add(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
     (al, ah), (bl, bh) = a, b
     lo = al + bl

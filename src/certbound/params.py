@@ -18,8 +18,8 @@ model's partial derivatives:
 Lipschitz (both cases), Frobenius OSL, the QIB maximum and each QB entry
 sum certified maxima of squared norms through one function,
 ``_summed_maxima``: the sums are exact, and each side rounds once, to its
-safe side.  A constant objective, such as the ``0`` of a map without a
-state, is no run.
+safe side.  An objective without variables, such as the ``0`` of a map
+without a state, is no run (see ``_constant_bounds``).
 
 The independent per-entry/per-row problems run one after another in a fixed
 order, so results and run statistics are deterministic.  Within one
@@ -36,6 +36,7 @@ from collections.abc import Iterable
 
 from .bnb import BnBConfig, BnBResult, BnBStats, Cover, maximize, minimize
 from .errors import (
+    EvaluationError,
     IntervalError,
     InvalidDimension,
     NecessaryConditionViolated,
@@ -62,7 +63,7 @@ from .expr import (
     structural_key_with_vars,
     walk,
 )
-from .intervals import ratio_down, ratio_up, sqrt_down, sqrt_up, unchecked_box
+from .intervals import ratio_down, ratio_up, sqrt_down, sqrt_up
 from .model import ModelDef, Partials, grad_sq_norm
 
 # Every finite float is an integer multiple of ``2**-1074``, the least
@@ -201,13 +202,62 @@ Runs = dict[tuple, BnBResult]
 reports ``RunStats(runs.values())``, so nothing is reused across constants."""
 
 
+def _ratio_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    (an, ad), (bn, bd) = a, b
+    d = max(ad, bd)  # each denominator is a power of two, so d is a multiple of both
+    return an * (d // ad) + bn * (d // bd), d
+
+
+# The operations that ``_constant_bounds`` folds exactly, on ratios ``(n, d)``.
+_EXACT_OPS = {
+    ADD: _ratio_add,
+    SUB: lambda a, b: _ratio_add(a, (-b[0], b[1])),
+    MUL: lambda a, b: (a[0] * b[0], a[1] * b[1]),
+    MAX: lambda a, b: b if b[0] * a[1] > a[0] * b[1] else a,
+    ABS: lambda a: (abs(a[0]), a[1]),
+    NEG: lambda a: (-a[0], a[1]),
+}
+
+
+def _constant_bounds(e: Expr) -> tuple[float, float]:
+    """The value of the variable-free ``e`` rounded down and up.  A finite
+    ``Const`` is its own value (so ``-0.0`` stays), a tree of ``+ - * max
+    abs neg`` over finite constants its exact value ``n / d`` by
+    ``ratio_down`` and ``ratio_up``, and any other tree the enclosure of
+    its program, whose kernel rounds each op outward.  Raises
+    ``EvaluationError`` where there is no enclosure."""
+    if type(e) is Const and math.isfinite(e.value):
+        return e.value, e.value
+
+    def exact(node: Expr, values: list[tuple[int, int]]) -> tuple[int, int]:
+        if type(node) is Const and math.isfinite(node.value):
+            return node.value.as_integer_ratio()
+        if type(node) in (Unary, Binary) and node.op in _EXACT_OPS:
+            return _EXACT_OPS[node.op](*values)
+        raise LookupError(node)
+
+    try:
+        n, d = walk(e, exact)
+        lo, hi = ratio_down(n, d), ratio_up(n, d)
+        if -math.inf < lo and hi < math.inf:
+            return lo, hi
+    except (LookupError, OverflowError):  # no exact value, or no float near it
+        pass
+    try:
+        return Program(e, ())(())
+    except IntervalError as exc:
+        raise EvaluationError(f"objective evaluation failed: {exc}") from exc
+
+
 def _optimize_expr(
     e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs, *optimizers
 ) -> list[BnBResult]:
     """The result of each of ``optimizers`` (``maximize`` or ``minimize``)
-    on ``e`` over the model's box reduced to the variables of ``e``.  A
-    constant ``c`` needs no evaluation and is no run: each result is
-    ``[c, c]``.
+    on ``e`` over the model's box reduced to the variables of ``e``.
+
+    An ``e`` without variables is no run and has no search: each result is
+    ``_constant_bounds(e)``, and its ``eps_optimal`` says, as a search's
+    does, whether that gap is at most ``eps_h``.
 
     A search is keyed, before anything is compiled, by its optimizer, the
     key of ``structural_key_with_vars(e)``, the declaration order of its
@@ -219,26 +269,18 @@ def _optimize_expr(
     key's walk, and runs them; a repeat gets the stored result, which the
     deterministic search would compute again bit for bit (only its final
     cover keeps the first run's labels)."""
-    if isinstance(e, Const):
-        return [
-            BnBResult(
-                lower=e.value, upper=e.value, eps_optimal=True, final_cover=Cover(),
-                stats=BnBStats(), lower_witness=(),
-            )
-            for _ in optimizers
-        ]
     keyed = structural_key_with_vars(e)
     key, names = keyed
+    if not names:
+        lo, hi = _constant_bounds(e)
+        done = BnBResult(lo, hi, hi - lo <= cfg.eps_h, Cover(), BnBStats(), ())
+        return [done for _ in optimizers]
     # Each slot of the key with its bound, in declaration order.
     declared = sorted((model.declared[name], k) for k, name in enumerate(names))
     search = (key, tuple((k, repr(lo), repr(hi)) for (_, (lo, hi)), k in declared), cfg)
     missing = [optimize for optimize in optimizers if (optimize, search) not in runs]
     if missing:
-        # The reduced box: the key's variables in declaration order, with
-        # the pairs of the model's box, which checked them.
-        pairs = tuple(pair for (_, pair), _ in declared)
-        labels = tuple(names[k] for _, k in declared)
-        domain = unchecked_box(pairs, labels) if declared else model.omega()
+        domain = model.omega().restrict(names)
         program = Program(e, domain.labels, keyed)
         for optimize in missing:
             runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
@@ -259,7 +301,8 @@ def _summed_maxima(
     """The certified maxima of ``objectives``, summed: the exact sum of
     their upper bounds rounded up, that of their lower bounds rounded down,
     the widest gap (``0.0`` at least) and whether every run met ``eps_h``.
-    A constant objective ``c`` adds ``c`` to both sums and is no run."""
+    An objective without variables adds each of its sides to the matching
+    sum and is no run."""
     results = [_maximize_expr(e, model, cfg, runs) for e in objectives]
     return (
         ratio_up(sum(_ulps(res.upper) for res in results), _ULPS),
@@ -444,42 +487,6 @@ def zeta(n: int) -> float:
     return float(n - 1)
 
 
-def _ratio_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    (an, ad), (bn, bd) = a, b
-    d = max(ad, bd)  # each denominator is a power of two, so d is a multiple of both
-    return an * (d // ad) + bn * (d // bd), d
-
-
-# The operations of ``_fold_constant`` on exact ratios ``(n, d)``.
-_EXACT_OPS = {
-    ADD: _ratio_add,
-    SUB: lambda a, b: _ratio_add(a, (-b[0], b[1])),
-    MUL: lambda a, b: (a[0] * b[0], a[1] * b[1]),
-    MAX: lambda a, b: b if b[0] * a[1] > a[0] * b[1] else a,
-    ABS: lambda a: (abs(a[0]), a[1]),
-    NEG: lambda a: (-a[0], a[1]),
-}
-
-
-def _fold_constant(e: Expr, round_value) -> Expr:
-    """``e`` folded by ``+ - * max abs neg`` over finite constants to its
-    exact value ``n / d``, rounded by ``round_value(n, d)``, for the one
-    ``Const`` rule of ``_optimize_expr``; ``e`` itself at the first node
-    that is none of these, such as a variable."""
-
-    def exact(node: Expr, values: list[tuple[int, int]]) -> tuple[int, int]:
-        if type(node) is Const and math.isfinite(node.value):
-            return node.value.as_integer_ratio()
-        if type(node) in (Unary, Binary) and node.op in _EXACT_OPS:
-            return _EXACT_OPS[node.op](*values)
-        raise LookupError(node)
-
-    try:
-        return Const(round_value(*walk(e, exact)))
-    except (LookupError, OverflowError):  # no exact value, or no float near it
-        return e
-
-
 def _zeta_row_exprs(psi: tuple[Partials, ...], zn: float) -> tuple[list[Expr], list[Expr]]:
     """Row objectives ``(+-zn) * max(max(|psi_ij1|, |psi_ij2|), ...) +
     psi_ii``, the maximum folded left over the row's nonzero off-diagonal
@@ -498,18 +505,13 @@ def _zeta_row_exprs(psi: tuple[Partials, ...], zn: float) -> tuple[list[Expr], l
 
 def osl_zeta(model: ModelDef, cfg: BnBConfig) -> OSLResult:
     """Row bound with the dimension factor times the largest absolute
-    off-diagonal entry.  A row without free variables folds to its exact
-    value, rounded up for an upper row and down for a lower one."""
+    off-diagonal entry.  A row without free variables is its exact value
+    (``_constant_bounds``): rounded up on the certified side, down on the
+    witness side of an upper row, and the other way round for a lower one."""
     if model.n < 2:
         raise InvalidDimension("row-gap bound needs at least two states")
     uppers, lowers = _zeta_row_exprs(model.symmetrized_jacobian, zeta(model.n))
-    return _osl_from_rows(
-        "zeta",
-        model,
-        cfg,
-        [_fold_constant(e, ratio_up) for e in uppers],
-        [_fold_constant(e, ratio_down) for e in lowers],
-    )
+    return _osl_from_rows("zeta", model, cfg, uppers, lowers)
 
 
 # ---------------------------------------------------------------------------

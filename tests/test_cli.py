@@ -751,12 +751,23 @@ class TestCommands:
         assert code == 4 and out == ""
         assert "unbounded enclosure" in err and "not strictly inside" not in err
 
-    def test_maximize_constant_keeps_full_box(self, capsys):
+    def test_maximize_constant_is_no_run(self, capsys):
+        # ``maximize`` runs through ``params``, where an objective without
+        # variables is its own value: no subproblem and no evaluation.
         code, out, _ = run_capture(
             capsys, ["maximize", "--expr", "2", "--bounds", "x=[0,1]", "--no-timing"]
         )
         assert code == 0
-        assert json.loads(out)[0]["results"][0]["value"] == 2.0
+        row = json.loads(out)[0]["results"][0]
+        assert (row["value"], row["lower"], row["gap"], row["eps_optimal"]) == (2.0, 2.0, 0.0, True)
+        assert (row["subproblems"], row["evals"]) == (0, 0)
+
+    def test_maximize_nonfinite_constant_is_refused(self, capsys):
+        # Refused where its program is built, before any search.
+        code, out, err = run_capture(
+            capsys, ["maximize", "--expr", "x*1e999", "--bounds", "x=[0,10]"]
+        )
+        assert (code, out, err) == (4, "", "certbound: non-finite constant inf\n")
 
     # The rows ``name value lower gap`` of each squared-norm constant, as the
     # report writes them, on an identically zero map and on a linear one.

@@ -576,6 +576,12 @@ class TestOSL:
         assert r.stats.evals == 0
         assert Fraction(r.gamma_s) > exact_hi > Fraction(math.nextafter(r.gamma_s, 0.0))
         assert Fraction(r.lower_gamma) < exact_lo < Fraction(math.nextafter(r.lower_gamma, 2.0))
+        # The witnesses lie on the other side of the exact rows.
+        assert Fraction(r.gamma_s_witness) <= exact_hi
+        assert Fraction(r.lower_gamma_witness) >= exact_lo
+        assert (r.gamma_s_witness, r.lower_gamma_witness) == (
+            math.nextafter(r.gamma_s, 0.0), math.nextafter(r.lower_gamma, 2.0)
+        )
 
     def test_zeta_row_with_a_power_is_not_folded(self):
         # 1e200^2 has no float, so simplify leaves it a power, and the
@@ -940,6 +946,58 @@ class TestRunReuse:
         assert len(runs) == 2 and lo.lower <= -1.0 < 2.0 <= hi.upper
         assert _maximize_expr(e, m, CFG, runs) is hi and _minimize_expr(e, m, CFG, runs) is lo
         assert len(runs) == 2
+
+
+class TestConstantObjectives:
+    """An objective without variables is no run: its result is its value
+    rounded down and up, and ``eps_optimal`` says whether that gap is at
+    most ``eps_h``."""
+
+    MODEL = small_model(["x1"], [("x1", 0, 1)])
+
+    def results(self, e, cfg=CFG):
+        runs: dict = {}
+        hi, lo = params._optimize_expr(e, self.MODEL, cfg, runs, maximize, minimize)
+        assert runs == {} and hi.stats.evals == lo.stats.evals == 0
+        assert (hi.lower, hi.upper, hi.eps_optimal) == (lo.lower, lo.upper, lo.eps_optimal)
+        return hi
+
+    def test_a_const_keeps_its_own_value(self):
+        res = self.results(Const(-0.0))
+        assert (repr(res.lower), repr(res.upper), res.eps_optimal) == ("-0.0", "-0.0", True)
+
+    @pytest.mark.parametrize(
+        "e, exact",
+        [
+            (Binary(ADD, Const(0.1), Const(0.7)), Fraction(0.1) + Fraction(0.7)),
+            (Binary(MUL, Const(-1.0), Unary(ABS, Const(0.1))), -Fraction(0.1)),
+            (Binary(MAX, Const(-1.0), Binary(SUB, Const(0.1), Const(-0.2))),
+             Fraction(0.1) + Fraction(0.2)),
+        ],
+    )
+    def test_an_exact_tree_rounds_outward(self, e, exact):
+        res = self.results(e)
+        assert Fraction(res.lower) <= exact <= Fraction(res.upper)
+        assert res.upper == math.nextafter(res.lower, math.inf) or res.lower == res.upper
+
+    def test_eps_optimal_is_the_gap_against_eps_h(self):
+        # 0.1 * 0.1 is no float: the gap is one ulp, ~1.7e-18.
+        inexact = Binary(MUL, Const(0.1), Const(0.1))
+        assert self.results(inexact).eps_optimal
+        tight = BnBConfig(eps_h=1e-300)
+        assert not self.results(inexact, tight).eps_optimal
+        assert self.results(Binary(MUL, Const(0.5), Const(0.5)), tight).eps_optimal
+
+    def test_other_ops_take_the_kernel_enclosure(self):
+        res = self.results(Unary("sqrt", Const(2.0)))
+        assert Fraction(res.lower) ** 2 <= 2 <= Fraction(res.upper) ** 2
+
+    @pytest.mark.parametrize(
+        "e", [Binary("/", Const(1.0), Const(0.0)), Const(math.inf), Const(math.nan)]
+    )
+    def test_no_enclosure_is_an_evaluation_error(self, e):
+        with pytest.raises(EvaluationError):
+            params._optimize_expr(e, self.MODEL, CFG, {}, maximize)
 
 
 # ---------------------------------------------------------------------------
