@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterator, Sequence
 from .eigen import induced_two_norm
 from .errors import DomainError
 from .expr import Program
-from .intervals import Box, Frozen
+from .intervals import Box, Frozen, slot_setters
 from .model import ModelDef
 
 PointFn = Callable[[Sequence[float]], float]
@@ -28,11 +28,13 @@ class SampleReport(Frozen):
     def __init__(
         self, best_value: float, best_point: tuple[float, ...], samples: int, method: str
     ) -> None:
-        store = object.__setattr__
-        store(self, "best_value", best_value)
-        store(self, "best_point", best_point)
-        store(self, "samples", samples)
-        store(self, "method", method)
+        _set_best_value(self, best_value)
+        _set_best_point(self, best_point)
+        _set_samples(self, samples)
+        _set_method(self, method)
+
+
+_set_best_value, _set_best_point, _set_samples, _set_method = slot_setters(SampleReport)
 
 
 def _primes(count: int) -> list[int]:

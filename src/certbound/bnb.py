@@ -11,10 +11,11 @@ parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
 ``hI`` also encloses the gradient (``hI.gradient(dims)``, a tuple of
 pairs), each box is first collapsed to the face where its maximum lies
 along every dimension of fixed derivative sign, and its bounds are
-tightened by the centred form (see ``_first_order``); a box that this
-already prunes skips the refined evaluation.  A box is bisected, and its
-refined evaluation sliced, along its dimension of greatest smear ``width_k
-* |G_k|`` (Ratz & Csendes 1995), or along its widest dimension where there
+tightened by the centred form, in one walk over its dimensions that also
+picks the split (see ``_first_order``); a box that this already prunes
+skips the refined evaluation.  A box is bisected, and its refined
+evaluation sliced, along its dimension of greatest smear ``width_k *
+|G_k|`` (Ratz & Csendes 1995), or along its widest dimension where there
 is no gradient enclosure.  The search tightens the sandwich ``l <= h* <=
 u`` in three phases, each bisection followed by a probe of the midpoint of
 the box with the greatest lower bound (unless the previous step probed it):
@@ -41,7 +42,7 @@ from heapq import heappop, heappush
 
 from .errors import CertboundError, EvaluationError, IntervalError
 from .intervals import Box, Frozen, midpoint, pair_add, pair_mul, pair_sub, refined_eval
-from .intervals import unchecked_box
+from .intervals import slot_setters, unchecked_box
 
 PointFn = Callable[[Sequence[float]], float]
 IntervalFn = Callable[[Sequence[tuple[float, float]]], tuple[float, float]]
@@ -62,13 +63,15 @@ class Subproblem(Frozen):
     def __init__(
         self, box: Box, lo_bound: float, hi_bound: float, order: int, width: float, dim: int
     ) -> None:
-        store = object.__setattr__
-        store(self, "box", box)
-        store(self, "lo_bound", lo_bound)
-        store(self, "hi_bound", hi_bound)
-        store(self, "order", order)
-        store(self, "width", width)
-        store(self, "dim", dim)
+        _set_box(self, box)
+        _set_lo_bound(self, lo_bound)
+        _set_hi_bound(self, hi_bound)
+        _set_order(self, order)
+        _set_width(self, width)
+        _set_dim(self, dim)
+
+
+_set_box, _set_lo_bound, _set_hi_bound, _set_order, _set_width, _set_dim = slot_setters(Subproblem)
 
 
 def _splittable(sub: Subproblem, eps_om: float) -> bool:
@@ -182,11 +185,13 @@ class BnBConfig(Frozen):
             raise ValueError("eps_h and eps_om must be finite and positive")
         if segments < 1 or max_steps < 1:
             raise ValueError("segments and max_steps must be >= 1")
-        store = object.__setattr__
-        store(self, "eps_h", eps_h)
-        store(self, "eps_om", eps_om)
-        store(self, "segments", segments)
-        store(self, "max_steps", max_steps)
+        _set_eps_h(self, eps_h)
+        _set_eps_om(self, eps_om)
+        _set_segments(self, segments)
+        _set_max_steps(self, max_steps)
+
+
+_set_eps_h, _set_eps_om, _set_segments, _set_max_steps = slot_setters(BnBConfig)
 
 
 class BnBStats:
@@ -218,12 +223,12 @@ class BnBResult:
 
 
 def _first_order(
-    hI: IntervalFn, gradient: GradientFn, box: Box
-) -> tuple[Box, float, float, Sequence[tuple[float, float]]]:
+    hI: IntervalFn, gradient: GradientFn, box: Box, eps_om: float
+) -> tuple[Box, float, float, tuple[int, float] | None]:
     """First-order reduction of ``box`` for maximization, from the
     enclosures ``G_k`` of the partial derivatives on it (of Clarke's
     generalized gradient where h has kinks), which ``gradient`` gives as
-    pairs.
+    pairs, in one walk over the dimensions.
 
     Monotonicity test (Hansen & Walster 2004): where ``G_k >= 0`` the
     maximum of h over the box is reached on the face ``x_k = hi``, where
@@ -231,21 +236,29 @@ def _first_order(
     face.  Centred form (Ratschek & Rokne 1988): on the face, with any
     centre ``c`` in it, ``h`` lies in ``h([c]) + sum_k G_k * (X_k - c_k)``
     by the mean value theorem (Lebourg's, for a locally Lipschitz h),
-    ``h([c])`` being the interval enclosure at ``c``.  Along a dimension
-    with ``G_k = [gl, gh]``, ``gl < 0 < gh``, the centre is Baumann's
-    (1988) ``c_k = (gh*hi - gl*lo) / (gh - gl)``, which minimizes the upper
-    bound of ``G_k * (X_k - c_k)``; where that float is not finite or falls
-    outside ``[lo, hi]``, the face's midpoint.
+    ``h([c])`` being the interval enclosure at ``c``; only the dimensions
+    where ``G_k = [gl, gh]`` straddles 0 (``gl < 0 < gh``) and the face has
+    positive width add a term other than 0.  Along such a dimension the
+    centre is Baumann's (1988) ``c_k = (gh*hi - gl*lo) / (gh - gl)``, which
+    minimizes the upper bound of ``G_k * (X_k - c_k)``; where that float
+    falls outside ``[lo, hi]`` (as a NaN or an overflow does), the
+    midpoint.  The split is the dimension ``k`` of greatest smear
+    ``width_k * max(-gl_k, gh_k)`` (Ratz & Csendes 1995), the first among
+    equals, among those terms' dimensions that ``_splittable``'s test
+    accepts (wider than ``eps_om``, with the midpoint strictly inside).
 
-    Returns the face, that centred enclosure of h on it and the gradient
-    enclosures.  The face is ``box`` itself, the same object, when no
-    dimension of positive width collapses (a dimension of zero width is
-    left as it is).  Raises ``IntervalError`` when the gradient or the
-    centre does not enclose."""
+    Returns the face, that centred enclosure of h on it and the split
+    ``(k, width_k)``, ``None`` where no dimension may be split.  The face
+    is ``box`` itself, the same object, when no dimension of positive width
+    collapses; it is built once the enclosures have succeeded.  Raises
+    ``IntervalError`` when the gradient or the centre does not enclose."""
     pairs = box.pairs
     grads = gradient(pairs)
     face = None  # the face's pairs, a list from the first collapse on
     centre = []  # the centre as a degenerate box
+    straddling = []  # the dimensions that the centred form sums over
+    split = None
+    most = -1.0
     for k, ((lo, hi), (gl, gh)) in enumerate(zip(pairs, grads)):
         if gl >= 0.0 or gh <= 0.0:
             c = hi if gl >= 0.0 else lo
@@ -254,36 +267,21 @@ def _first_order(
                 face[k] = (c, c)
         else:
             c = (gh * hi - gl * lo) / (gh - gl)
-            if not (lo <= c <= hi and math.isfinite(c)):
+            if not lo <= c <= hi:
                 c = midpoint(lo, hi)
+            if lo < hi:
+                straddling.append(k)
+                width = hi - lo
+                smear = width * (gh if gh > -gl else -gl)
+                if smear > most and width > eps_om and lo < midpoint(lo, hi) < hi:
+                    split, most = (k, width), smear
         centre.append((c, c))
+    bound = hI(centre)
+    for k in straddling:
+        bound = pair_add(bound, pair_mul(grads[k], pair_sub(pairs[k], centre[k])))
     if face:
         box = unchecked_box(tuple(face), box.labels)
-    bound = hI(centre)
-    for g, pair, c in zip(grads, box.pairs, centre):
-        if pair[0] < pair[1]:
-            bound = pair_add(bound, pair_mul(g, pair_sub(pair, c)))
-    return box, bound[0], bound[1], grads
-
-
-def _greatest_smear(
-    box: Box, grads: Sequence[tuple[float, float]], eps_om: float
-) -> tuple[int, float] | None:
-    """The dimension ``k`` of greatest smear ``width_k * max(-gl_k, gh_k)``
-    (Ratz & Csendes 1995), the first among equals, and ``width_k``, where
-    ``[gl_k, gh_k]`` encloses the partial derivative on the box; ``None``
-    when no dimension may be split (``_splittable``'s test: wider than
-    ``eps_om``, with the midpoint strictly inside).  A collapsed dimension
-    has width 0, so a dead one (``G_k = [0, 0]``) is never picked."""
-    best = None
-    most = -1.0
-    for k, ((lo, hi), (gl, gh)) in enumerate(zip(box.pairs, grads)):
-        width = hi - lo
-        if width > eps_om and lo < midpoint(lo, hi) < hi:
-            smear = width * (gh if gh > -gl else -gl)
-            if smear > most:
-                best, most = (k, width), smear
-    return best
+    return box, bound[0], bound[1], split
 
 
 class _Bounder:
@@ -293,9 +291,9 @@ class _Bounder:
     has), each box is first reduced by ``_first_order``: the subproblem
     keeps the face instead of the box, and its bounds are the natural
     enclosure on the face intersected with the centred form.  A gradient or
-    centre enclosure that fails skips this step for that box.  The
-    subproblem's ``dim`` is then the face's dimension of greatest smear
-    (``_greatest_smear``, among the dimensions wider than ``eps_om``), or
+    centre enclosure that fails skips this step for that box, which stays
+    whole.  The subproblem's ``dim`` is the split that the same step chose
+    (the dimension of greatest smear among those wider than ``eps_om``), or
     the box's widest dimension where there is no gradient enclosure or no
     such dimension.  Then the box gets one refined interval evaluation
     (``refined_eval``: one evaluation of ``hI`` per slab of ``dim``), unless
@@ -303,6 +301,8 @@ class _Bounder:
     below the caller's lower bound ``l``: such a box is pruned by the same
     step anyway.  ``evals`` counts the refined evaluations (a ``Program``
     serves that of an uncollapsed, unsliced box from the gradient's pass).
+    Beside those kernel runs, bounding a box costs one walk over its
+    dimensions and builds no ``Box`` but the face.
 
     The bounds of a box split from ``parent`` are intersected with the
     parent's: those stay valid on the half (its range is a subset), so the
@@ -327,24 +327,31 @@ class _Bounder:
         split = None
         if self.gradient is not None:
             try:
-                box, lo, hi, grads = _first_order(self.hI, self.gradient, box)
+                box, lo, hi, split = _first_order(self.hI, self.gradient, box, self.eps_om)
             except IntervalError:
                 pass
-            else:
-                split = _greatest_smear(box, grads, self.eps_om)
         dim, width = split or box.widest()
-        if parent is None or min(hi, parent.hi_bound) >= l:
+        if parent is None:
+            plo, phi = -_INF_SENTINEL, _INF_SENTINEL
+        else:
+            plo, phi = parent.lo_bound, parent.hi_bound
+        # A bound gives way only to a strictly tighter one, the tie rule of
+        # ``max``/``min``, so signed zeros come out as those give them.
+        if parent is None or (phi if phi < hi else hi) >= l:
             self.stats.evals += 1
             try:
                 rlo, rhi = refined_eval(self.hI, box, self.segments, dim)
             except IntervalError as exc:
                 self.failure = exc
             else:
-                lo = max(lo, rlo)
-                hi = min(hi, rhi)
-        if parent is not None:
-            lo = max(lo, parent.lo_bound)
-            hi = min(hi, parent.hi_bound)
+                if rlo > lo:
+                    lo = rlo
+                if rhi < hi:
+                    hi = rhi
+        if plo > lo:
+            lo = plo
+        if phi < hi:
+            hi = phi
         return Subproblem(box, lo, hi, next(self.counter), width, dim)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     UnboundVariable,
 )
 from . import intervals
-from .intervals import Frozen
+from .intervals import Frozen, slot_setters
 
 # ---------------------------------------------------------------------------
 # AST
@@ -91,31 +91,31 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        object.__setattr__(self, "value", value)
+        _set_value(self, value)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
+        _set_name(self, name)
 
 
 class Unary(Expr):
     __slots__ = ("op", "arg")
 
     def __init__(self, op: str, arg: Expr) -> None:
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "arg", arg)
+        _set_unary_op(self, op)
+        _set_arg(self, arg)
 
 
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_binary_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class PowInt(Expr):
@@ -124,9 +124,14 @@ class PowInt(Expr):
     def __init__(self, base: Expr, exponent: int) -> None:
         if not isinstance(exponent, int) or exponent < 1:
             raise DomainError(f"integer exponent must be >= 1, got {exponent!r}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        _set_base(self, base)
+        _set_exponent(self, exponent)
 
+
+(_set_value,), (_set_name,) = slot_setters(Const), slot_setters(Var)
+_set_unary_op, _set_arg = slot_setters(Unary)
+_set_binary_op, _set_left, _set_right = slot_setters(Binary)
+_set_base, _set_exponent = slot_setters(PowInt)
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -488,7 +493,8 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
     """Parse an expression, as written; named constants are substituted
-    during parsing."""
+    during parsing.  A number literal that is no finite float, such as
+    ``1e999``, is a ``ParseError`` at its offset."""
     return _parse(text, constants, Unary, PowInt, Binary)[0]
 
 
@@ -540,7 +546,10 @@ def _parse(text: str, constants, unary, power, binary) -> tuple[Expr, frozenset[
             continue
         names = _NO_NAMES
         if kind == "number":
-            e = Const(float(value))
+            x = float(value)
+            if not math.isfinite(x):  # such as 1e999: no kernel could enclose it
+                raise ParseError(f"non-finite number {value!r}", offset)
+            e = Const(x)
         elif kind == "ident":
             if value in constants:
                 e = Const(float(constants[value]))
@@ -1180,6 +1189,11 @@ def _generate(code, n: int, pair: bool, kernels: list):
     ]
 
 
+def _overflow(exc: OverflowError) -> IntervalError:
+    """The error of an interval kernel that overflowed."""
+    return IntervalError(f"interval evaluation overflow: {exc}")
+
+
 class Program:
     """Expression turned into straight-line kernels for repeated point and
     interval evaluation, each run from a tape and compiled once hot (see
@@ -1196,6 +1210,11 @@ class Program:
     forward pass ran on serves that pass's value, or raises its error
     again: the tuple cannot change, and the reference held keeps its id
     from reuse.  A list is never kept.
+
+    Each method calls its kernels itself, one frame per run; an interval
+    kernel's ``OverflowError`` becomes an ``IntervalError``.  A call of the
+    program goes through ``eval_interval``, which the benchmark's tracer
+    wraps.
     """
 
     __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_kernels", "_last")
@@ -1240,14 +1259,20 @@ class Program:
         0.0)``.  Raises ``IntervalError`` where an enclosure fails."""
         kept = type(dims) is tuple
         try:
-            forward = self._run(1, dims)
+            try:
+                forward = self._kernels[1](dims, self._constants, self._pairs)
+            except OverflowError as exc:
+                raise _overflow(exc) from exc
         except IntervalError as exc:
             if kept:
                 self._last = (dims, exc)
             raise
         if kept:
             self._last = (dims, forward[0])
-        return self._run(2, dims, *forward)
+        try:
+            return self._kernels[2](dims, self._constants, self._pairs, *forward)
+        except OverflowError as exc:
+            raise _overflow(exc) from exc
 
     def eval_point(self, values: Sequence[float]) -> float:
         try:
@@ -1261,15 +1286,10 @@ class Program:
             if isinstance(value, IntervalError):
                 raise value
             return value
-        return self._run(1, dims)[0]
-
-    def _run(self, kernel: int, dims: Sequence[tuple[float, float]], *forward) -> tuple:
-        """The interval kernel (1) or, given its results, the reverse pass (2)
-        on ``dims``."""
         try:
-            return self._kernels[kernel](dims, self._constants, self._pairs, *forward)
+            return self._kernels[1](dims, self._constants, self._pairs)[0]
         except OverflowError as exc:
-            raise IntervalError(f"interval evaluation overflow: {exc}") from exc
+            raise _overflow(exc) from exc
 
     def __call__(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
         return self.eval_interval(dims)

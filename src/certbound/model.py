@@ -97,15 +97,11 @@ class ModelDef(Frozen):
                     f"G must be {n}x{g}, got {len(G)}x{len(G[0]) if G else 0}"
                 )
         omega = Box((*state_bounds, *input_bounds), state_names + input_names)
-        store = object.__setattr__
-        store(self, "state_names", state_names)
-        store(self, "state_bounds", omega.pairs[:len(state_names)])
-        store(self, "f", f)
-        store(self, "input_names", input_names)
-        store(self, "input_bounds", omega.pairs[len(state_names):])
-        store(self, "_omega", omega)
-        store(self, "G", G)
-        store(self, "component_vars", component_vars)
+        vars(self).update(
+            state_names=state_names, state_bounds=omega.pairs[:len(state_names)], f=f,
+            input_names=input_names, input_bounds=omega.pairs[len(state_names):],
+            _omega=omega, G=G, component_vars=component_vars,
+        )
 
     def _fields(self) -> tuple:
         return (self.state_names, self.state_bounds, self.f,

@@ -11,12 +11,12 @@ import pytest
 from certbound import BnBConfig
 from certbound import bnb
 from certbound.bnb import (
-    BnBStats, Cover, Subproblem, _Bounder, _first_order, _greatest_smear, maximize, minimize,
-    opt_bnb_step,
+    BnBStats, Cover, Subproblem, _Bounder, _first_order, maximize, minimize, opt_bnb_step,
 )
 from certbound.cli import run
-from certbound.errors import DegenerateSplit, EvaluationError
+from certbound.errors import DegenerateSplit, EvaluationError, IntervalError
 from certbound.expr import Program, parse
+from certbound.intervals import midpoint, pair_add, pair_mul, pair_sub, unchecked_box
 from conftest import box_contains, dense_max, make_box, pairs, random_polynomial
 
 DELTA = 31.3 / (500.0 * 0.053)
@@ -253,10 +253,16 @@ class TestGreatestSmear:
 
     def test_ties_go_to_the_first_dimension_and_collapsed_ones_never_win(self):
         box = make_box([("x", 0.0, 2.0), ("y", 0.0, 1.0), ("z", 1.0, 1.0)])
-        assert _greatest_smear(box, [(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == (0, 2.0)
-        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == (1, 1.0)
-        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 1.0) == (0, 2.0)
-        assert _greatest_smear(box, [(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 2.0) is None
+
+        def split(grads, eps_om):
+            return _first_order(lambda dims: (0.0, 0.0), lambda dims: grads, box, eps_om)[3]
+
+        assert split([(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == (0, 2.0)
+        assert split([(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == (1, 1.0)
+        assert split([(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 1.0) == (0, 2.0)
+        assert split([(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 2.0) is None
+        # x collapses (its derivative is positive): y, though x has more smear.
+        assert split([(1.0, 9.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == (1, 1.0)
 
     def test_trig_with_a_kink_closes_the_gap(self):
         # The widest-dimension split with degree-4 sin/cos never closes it.
@@ -264,6 +270,111 @@ class TestGreatestSmear:
         box = make_box([("x", -3.0, 3.0), ("y", -3.0, 3.0)])
         res = maximize(program.eval_point, program, box, BnBConfig(eps_h=1e-4, max_steps=2000))
         assert res.eps_optimal and res.lower <= res.upper
+
+
+def reference_first_order(hI, gradient, box):
+    """The first-order step in two walks: collapse each monotone dimension
+    and choose the centre, then sum the centred form over the face's
+    dimensions of positive width.  Returns the face (``box`` itself where
+    nothing collapses), the bounds and the gradient enclosures."""
+    pairs = box.pairs
+    grads = gradient(pairs)
+    face = None
+    centre = []
+    for k, ((lo, hi), (gl, gh)) in enumerate(zip(pairs, grads)):
+        if gl >= 0.0 or gh <= 0.0:
+            c = hi if gl >= 0.0 else lo
+            if lo < hi:
+                face = face or list(pairs)
+                face[k] = (c, c)
+        else:
+            c = (gh * hi - gl * lo) / (gh - gl)
+            if not (lo <= c <= hi and math.isfinite(c)):
+                c = midpoint(lo, hi)
+        centre.append((c, c))
+    if face:
+        box = unchecked_box(tuple(face), box.labels)
+    bound = hI(centre)
+    for g, pair, c in zip(grads, box.pairs, centre):
+        if pair[0] < pair[1]:
+            bound = pair_add(bound, pair_mul(g, pair_sub(pair, c)))
+    return box, bound[0], bound[1], grads
+
+
+def reference_greatest_smear(box, grads, eps_om):
+    """The dimension ``k`` of greatest smear ``width_k * max(-gl_k, gh_k)``
+    of the face ``box``, the first among equals, and ``width_k``; ``None``
+    when no dimension is wider than ``eps_om`` with its midpoint strictly
+    inside."""
+    best = None
+    most = -1.0
+    for k, ((lo, hi), (gl, gh)) in enumerate(zip(box.pairs, grads)):
+        width = hi - lo
+        if width > eps_om and lo < midpoint(lo, hi) < hi:
+            smear = width * (gh if gh > -gl else -gl)
+            if smear > most:
+                best, most = (k, width), smear
+    return best
+
+
+class TestOnePass:
+    """``_first_order`` collapses, centres and picks the split in one walk
+    over the dimensions, with the results of the two-walk reference: the
+    step, then the greatest smear on its face."""
+
+    LOWS = (0.0, -1.0, 1.0, -0.0, 1e300, -1e308)
+    WIDTHS = (0.0, 0.5, 1.0, 2.0, 1e-7, "ulp", 2e308)
+    GRADS = (
+        (-1.0, 1.0), (-2.0, 0.5), (-0.5, 2.0), (-1.0, 1.0), (0.0, 0.0), (-0.0, 3.0),
+        (0.0, 1.0), (-1.0, 0.0), (1.0, 2.0), (-2.0, -1.0), (-1e300, 1e300), (-4.0, 4.0),
+    )
+    EPS_OM = (0.0, 1e-7, 0.5, 1.0, 2.0)
+
+    @staticmethod
+    def interval(dims):
+        return sum(lo for lo, _ in dims) - 1.0, sum(hi for _, hi in dims) + 1.0
+
+    def random_case(self, rng):
+        bounds, grads = [], []
+        for k in range(rng.randint(1, 5)):
+            lo, width = rng.choice(self.LOWS), rng.choice(self.WIDTHS)
+            if width == "ulp":  # two adjacent floats: no midpoint inside
+                hi = math.nextafter(lo, math.inf)
+            else:
+                hi = min(lo + width, 1e308)
+            bounds.append((f"x{k}", lo, hi))
+            grads.append(rng.choice(self.GRADS))
+        return make_box(bounds), tuple(grads), rng.choice(self.EPS_OM)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_face_bounds_and_split_as_the_two_walks(self, seed):
+        rng = random.Random(900 + seed)
+        seen = {"collapsed": 0, "whole": 0, "no split": 0, "tie": 0, "failed": 0}
+        for _ in range(500):
+            box, grads, eps_om = self.random_case(rng)
+            gradient = lambda dims, grads=grads: grads
+            try:
+                face, lo, hi, _ = reference_first_order(self.interval, gradient, box)
+                expected = (face, lo, hi, reference_greatest_smear(face, grads, eps_om))
+            except IntervalError as exc:
+                expected = exc
+            try:
+                got = _first_order(self.interval, gradient, box, eps_om)
+            except IntervalError as exc:
+                got = exc
+            assert repr(got) == repr(expected), (box, grads, eps_om)
+            if isinstance(got, IntervalError):
+                seen["failed"] += 1
+                continue
+            assert (got[0] is box) == (expected[0] is box)
+            seen["whole" if got[0] is box else "collapsed"] += 1
+            seen["no split"] += got[3] is None
+            smears = [
+                (hi - lo) * max(-gl, gh) for (lo, hi), (gl, gh) in zip(face.pairs, grads)
+                if hi - lo > eps_om and lo < midpoint(lo, hi) < hi
+            ]
+            seen["tie"] += len(smears) > 1 and smears.count(max(smears)) > 1
+        assert min(seen.values()) > 0, seen
 
 
 class CentreRecorder:
@@ -289,7 +400,7 @@ class TestBaumannCentre:
         program = Program(parse("sqr(x) + y"), ("x", "y"))
         box = make_box([("x", -1.0, 3.0), ("y", 0.0, 1.0)])
         hI = CentreRecorder(program, program.gradient)
-        face, _, hi, _ = _first_order(hI, program.gradient, box)
+        face, _, hi, _ = _first_order(hI, program.gradient, box, 0.0)
         # dh/dx = 2x in [-2, 6] (rounded outward) changes sign; dh/dy = 1
         # collapses y to 1.  The centre is (6*3 - (-2)*(-1)) / (6 - (-2)).
         (gl, gh), _ = program.gradient(pairs(box))
@@ -318,7 +429,7 @@ class TestBaumannCentre:
                 bounds.append((name, lo, lo + rng.choice([1e-9, 0.1, 2.0])))
             box = make_box(bounds)
             hI = CentreRecorder(program, program.gradient)
-            face, _, _, _ = _first_order(hI, program.gradient, box)
+            face, _, _, _ = _first_order(hI, program.gradient, box, 0.0)
             assert all(lo <= c <= hi for (lo, hi), c in zip(face.pairs, hI.centre))
 
     def test_non_finite_centre_falls_back_to_the_midpoint(self):
@@ -327,7 +438,7 @@ class TestBaumannCentre:
         gradient = lambda dims: ((-1e8, 1e8),)
         hI = CentreRecorder(lambda dims: (0.0, 1.0), gradient)
         box = make_box([("x", 1e300, 1.5e300)])
-        face, lo, hi, _ = _first_order(hI, gradient, box)
+        face, lo, hi, _ = _first_order(hI, gradient, box, 0.0)
         assert (face, hI.centre) == (box, box.midpoint())
         assert math.isfinite(lo) and math.isfinite(hi)
 

@@ -1046,7 +1046,7 @@ def test_first_order_step_builds_only_the_face(monkeypatch):
     box = make_box([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
     faces = _count_faces(monkeypatch)
-    face, lo, hi, _ = _first_order(program, program.gradient, box)
+    face, lo, hi, _ = _first_order(program, program.gradient, box, 0.0)
     assert face is box and lo <= hi
     assert (counts, faces) == ({"Box": 0, "Interval": 0}, [])
     # Of x*y - sqr(x), d/dy = x > 0 where x is in [0.25, 0.75]: y
@@ -1054,7 +1054,7 @@ def test_first_order_step_builds_only_the_face(monkeypatch):
     program = Program(parse("x*y - sqr(x)"), ("x", "y"))
     box = make_box([("x", 0.25, 0.75), ("y", 0.5, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
-    face, lo, hi, _ = _first_order(program, program.gradient, box)
+    face, lo, hi, _ = _first_order(program, program.gradient, box, 0.0)
     assert face.pairs == ((0.25, 0.75), (1.0, 1.0)) and face.labels is box.labels
     assert (counts, faces) == ({"Box": 0, "Interval": 0}, [face.pairs])
 
@@ -1179,3 +1179,39 @@ def test_a_kept_error_is_raised_again_for_its_tuple_only():
     fine = ((0.5, 1.0), (0.5, 1.0))
     program.gradient(fine)
     assert program.eval_interval(fine) == program.eval_interval(list(fine))
+
+
+def test_an_overflow_of_the_forward_pass_is_kept_for_its_tuple_only():
+    # ``gradient`` calls the interval kernel itself: the kernel's
+    # OverflowError becomes the IntervalError that the tuple keeps, and
+    # ``eval_interval`` raises that error again without a kernel run.
+    program = Program(parse("x^3"), ("x",))
+    _heat(program, [0.5], [(0.0, 1.0)])
+    kernels = program._kernels
+    forward = kernels[1]
+    runs = [0]
+
+    def counted(*args):
+        runs[0] += 1
+        return forward(*args)
+
+    kernels[1] = counted
+    try:
+        kept = ((1e200, 1e200),)
+        with pytest.raises(IntervalError) as first:
+            program.gradient(kept)
+        assert str(first.value) == "interval evaluation overflow: (34, 'Numerical result out of range')"
+        assert type(first.value.__cause__) is OverflowError and runs == [1]
+        with pytest.raises(IntervalError) as again:
+            program.eval_interval(kept)
+        assert again.value is first.value and runs == [1]
+        # A list is never kept: each call runs the kernel and raises afresh.
+        dims = list(kept)
+        with pytest.raises(IntervalError) as listed:
+            program.gradient(dims)
+        with pytest.raises(IntervalError) as rerun:
+            program.eval_interval(dims)
+        assert runs == [3] and rerun.value is not listed.value is not first.value
+        assert str(rerun.value) == str(listed.value) == str(first.value)
+    finally:
+        kernels[1] = forward
