@@ -325,44 +325,36 @@ class TestExitCodes:
         assert proc.returncode == 4 and proc.stdout == ""
         assert "unbounded enclosure" in proc.stderr
 
-    @pytest.mark.parametrize(
-        "expr",
-        [
-            "1e200^2*x", "(1e200^2)^2", "exp(1000)+x", "1/(x-x)", "x^400",
-            "1/sqr(1e200)", "1/(1e200*1e200) + 0*x",
-        ],
-    )
-    def test_overflow_and_division_end_in_one_message(self, expr):
+    OVERFLOWS = [
+        ("1e200^2*x", 4), ("(1e200^2)^2", 4), ("x*1e999", 3), ("exp(1000)+x", 4),
+        ("1/(x-x)", 4), ("x^400", 4), ("1/sqr(1e200)", 4), ("1/(1e200*1e200) + 0*x", 4),
+    ]
+
+    @pytest.mark.parametrize("expr, exit_code", OVERFLOWS, ids=[e for e, _ in OVERFLOWS])
+    def test_overflow_and_division_end_in_one_message(self, expr, exit_code):
         # A constant expression that no float holds (a power, a square, a
         # product) is left unfolded, so it fails at evaluation like the other
         # overflows: exit 4, one line.  Folded to inf, ``1/inf`` would print
-        # a maximum of 0, below the true 1e-400.
+        # a maximum of 0, below the true 1e-400.  A literal that no float
+        # holds is refused by the tokenizer: exit 3, one line.
         src = os.path.dirname(os.path.dirname(certbound.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "certbound.cli", "maximize", "--expr", expr, "--bounds", "x=[0,10]"],
             capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
         )
-        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.returncode == exit_code and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("certbound:")
 
-    @pytest.mark.parametrize("where", ["expr", "model"])
-    def test_a_nonfinite_literal_is_a_parse_error(self, tmp_path, capsys, where):
+    def test_a_nonfinite_literal_in_a_model_is_a_parse_error(self, tmp_path, capsys):
         # A literal that no float holds is refused by the tokenizer at its
         # offset, as the same value in [constants] is refused on its line:
         # left to evaluation, it fails with a message that names no input.
-        if where == "expr":
-            argv = ["maximize", "--expr", "x*1e999", "--bounds", "x=[0,10]"]
-            prefix = "bad --expr"
-        else:
-            model = tmp_path / "huge_literal.nds"
-            model.write_text("[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = 1e999*x1*x2\nf2 = x1\n")
-            argv = ["jacobian", "--model", str(model)]
-            prefix = f"invalid model {model}"
-        code, out, err = run_capture(capsys, argv)
-        offset = 2 if where == "expr" else 0
+        model = tmp_path / "huge_literal.nds"
+        model.write_text("[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = 1e999*x1*x2\nf2 = x1\n")
+        code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
         assert (code, out) == (3, "")
-        assert err == f"certbound: {prefix}: non-finite number '1e999' at offset {offset}\n"
+        assert err == f"certbound: invalid model {model}: non-finite number '1e999' at offset 0\n"
 
     BIG_EXPONENT = "1" + "0" * 320
 
@@ -768,6 +760,13 @@ class TestCommands:
         )
         assert code == 4 and out == ""
         assert "unbounded enclosure" in err and "not strictly inside" not in err
+
+    def test_maximize_nonfinite_constant_is_refused(self, capsys):
+        # Refused by the tokenizer at its offset, before any program is built.
+        code, out, err = run_capture(
+            capsys, ["maximize", "--expr", "x*1e999", "--bounds", "x=[0,10]"]
+        )
+        assert (code, out, err) == (3, "", "certbound: bad --expr: non-finite number '1e999' at offset 2\n")
 
     def test_maximize_constant_is_no_run(self, capsys):
         # ``maximize`` runs through ``params``, where an objective without
