@@ -8,12 +8,12 @@ lower/upper bounds from at most one refined interval evaluation; where that
 evaluation fails (a divisor or square-root argument enclosure that crosses
 its domain's edge, a non-finite endpoint, or an overflow), the box keeps its
 parent's bounds, ``[-inf, +inf]`` at the root, and bisection goes on.  When
-``hI`` also encloses the gradient (``hI.gradient(dims)``, a tuple of
-pairs), each box is first collapsed to the face where its maximum lies
-along every dimension of fixed derivative sign, and its bounds are
-tightened by the centred form, in one walk over its dimensions that also
-picks the split (see ``_first_order``); a box that this already prunes
-skips the refined evaluation.  A box is bisected, and its refined
+``hI`` also encloses the gradient (``hI.gradient(dims)``, which returns
+h's enclosure and a tuple of pairs), each box is first collapsed to the
+face where its maximum lies along every dimension of fixed derivative sign,
+and its bounds are tightened by the centred form, in one walk over its
+dimensions that also picks the split (see ``_first_order``); a box that
+this already prunes skips the refined evaluation.  A box is bisected, and its refined
 evaluation sliced, along its dimension of greatest smear ``width_k *
 |G_k|`` (Ratz & Csendes 1995), or along its widest dimension where there
 is no gradient enclosure.  The search tightens the sandwich ``l <= h* <=
@@ -46,7 +46,7 @@ from .intervals import slot_setters, unchecked_box
 
 PointFn = Callable[[Sequence[float]], float]
 IntervalFn = Callable[[Sequence[tuple[float, float]]], tuple[float, float]]
-GradientFn = Callable[[Sequence[tuple[float, float]]], Sequence[tuple[float, float]]]
+GradientFn = Callable[[Sequence[tuple[float, float]]], tuple[tuple[float, float], Sequence]]
 
 _INF_SENTINEL = float("inf")
 
@@ -224,11 +224,12 @@ class BnBResult:
 
 def _first_order(
     hI: IntervalFn, gradient: GradientFn, box: Box, eps_om: float
-) -> tuple[Box, float, float, tuple[int, float] | None]:
+) -> tuple[Box, float, float, tuple[int, float] | None, tuple[float, float] | None]:
     """First-order reduction of ``box`` for maximization, from the
     enclosures ``G_k`` of the partial derivatives on it (of Clarke's
     generalized gradient where h has kinks), which ``gradient`` gives as
-    pairs, in one walk over the dimensions.
+    pairs after the enclosure of h on the box, in one walk over the
+    dimensions.
 
     Monotonicity test (Hansen & Walster 2004): where ``G_k >= 0`` the
     maximum of h over the box is reached on the face ``x_k = hi``, where
@@ -247,13 +248,15 @@ def _first_order(
     equals, among those terms' dimensions that ``_splittable``'s test
     accepts (wider than ``eps_om``, with the midpoint strictly inside).
 
-    Returns the face, that centred enclosure of h on it and the split
-    ``(k, width_k)``, ``None`` where no dimension may be split.  The face
-    is ``box`` itself, the same object, when no dimension of positive width
-    collapses; it is built once the enclosures have succeeded.  Raises
-    ``IntervalError`` when the gradient or the centre does not enclose."""
+    Returns the face, that centred enclosure of h on it, the split ``(k,
+    width_k)``, ``None`` where no dimension may be split, and the enclosure
+    of h that ``gradient`` gave on the face, ``None`` where the face is
+    another box.  The face is ``box`` itself, the same object, when no
+    dimension of positive width collapses; it is built once the enclosures
+    have succeeded.  Raises ``IntervalError`` when the gradient or the
+    centre does not enclose."""
     pairs = box.pairs
-    grads = gradient(pairs)
+    whole, grads = gradient(pairs)
     face = None  # the face's pairs, a list from the first collapse on
     centre = []  # the centre as a degenerate box
     straddling = []  # the dimensions that the centred form sums over
@@ -280,8 +283,8 @@ def _first_order(
     for k in straddling:
         bound = pair_add(bound, pair_mul(grads[k], pair_sub(pairs[k], centre[k])))
     if face:
-        box = unchecked_box(tuple(face), box.labels)
-    return box, bound[0], bound[1], split
+        return unchecked_box(tuple(face), box.labels), bound[0], bound[1], split, None
+    return box, bound[0], bound[1], split, whole
 
 
 class _Bounder:
@@ -299,8 +302,10 @@ class _Bounder:
     (``refined_eval``: one evaluation of ``hI`` per slab of ``dim``), unless
     its first-order upper bound, intersected with the parent's, is already
     below the caller's lower bound ``l``: such a box is pruned by the same
-    step anyway.  ``evals`` counts the refined evaluations (a ``Program``
-    serves that of an uncollapsed, unsliced box from the gradient's pass).
+    step anyway.  ``evals`` counts the refined evaluations.  The enclosure
+    that the gradient's forward pass gave on a box that collapsed nothing
+    is handed to ``refined_eval``, which returns it for an unsliced box
+    instead of evaluating ``hI`` again.
     Beside those kernel runs, bounding a box costs one walk over its
     dimensions and builds no ``Box`` but the face.
 
@@ -324,10 +329,10 @@ class _Bounder:
         self, box: Box, parent: Subproblem | None = None, l: float = -_INF_SENTINEL
     ) -> Subproblem:
         lo, hi = -_INF_SENTINEL, _INF_SENTINEL
-        split = None
+        split = whole = None
         if self.gradient is not None:
             try:
-                box, lo, hi, split = _first_order(self.hI, self.gradient, box, self.eps_om)
+                box, lo, hi, split, whole = _first_order(self.hI, self.gradient, box, self.eps_om)
             except IntervalError:
                 pass
         dim, width = split or box.widest()
@@ -340,7 +345,7 @@ class _Bounder:
         if parent is None or (phi if phi < hi else hi) >= l:
             self.stats.evals += 1
             try:
-                rlo, rhi = refined_eval(self.hI, box, self.segments, dim)
+                rlo, rhi = refined_eval(self.hI, box, self.segments, dim, whole)
             except IntervalError as exc:
                 self.failure = exc
             else:
@@ -468,13 +473,18 @@ def maximize(h: PointFn, hI: IntervalFn, domain: Box, cfg: BnBConfig) -> BnBResu
 
 class _Negated:
     """The interval function ``-hI``.  Where ``hI`` encloses its gradient,
-    this encloses the negated one."""
+    this gives the negated enclosure and the negated gradient."""
 
     def __init__(self, hI: IntervalFn):
         self.hI = hI
         gradient = getattr(hI, "gradient", None)
         if gradient is not None:
-            self.gradient = lambda dims: tuple((-gh, -gl) for gl, gh in gradient(dims))
+
+            def negated(dims):
+                (lo, hi), grads = gradient(dims)
+                return (-hi, -lo), tuple((-gh, -gl) for gl, gh in grads)
+
+            self.gradient = negated
 
     def __call__(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
         lo, hi = self.hI(dims)

@@ -1004,10 +1004,7 @@ def _tape(home, key, sizes: Sequence[int], stmts, outputs, first: int = 0, kept=
         runs += 1
         if runs == _HOT_RUNS:
             home[key] = _compile(_source(params, stmts, outputs, first))
-        vals = [*d, *c, *p, *parameters]
-        if len(vals) != width:
-            raise TypeError(f"the kernel takes {width} values, got {len(vals)}")
-        vals += constant
+        vals = [*d, *c, *p, *parameters, *constant]
         append = vals.append
         for function, a, b in steps:
             if b is None:
@@ -1203,21 +1200,19 @@ class Program:
     Calling the program on a sequence of ``(lo, hi)`` pairs, one per
     variable of ``var_order``, gives its enclosure there as a pair, so a
     program is itself an interval function for ``intervals.refined_eval``.
-    ``gradient(dims)`` encloses the partial derivatives there, from which
-    the branch-and-bound takes first-order bounds.
+    ``gradient(dims)`` returns that enclosure together with those of the
+    partial derivatives there, from which the branch-and-bound takes
+    first-order bounds.  A program keeps no result between calls: each
+    answer is a function of the arguments alone, on either kernel tier.
 
-    ``eval_interval`` on the very tuple that the last ``gradient`` call's
-    forward pass ran on serves that pass's value, or raises its error
-    again: the tuple cannot change, and the reference held keeps its id
-    from reuse.  A list is never kept.
-
-    Each method calls its kernels itself, one frame per run; an interval
-    kernel's ``OverflowError`` becomes an ``IntervalError``.  A call of the
-    program goes through ``eval_interval``, which the benchmark's tracer
-    wraps.
+    Each method checks the number of its arguments, one per variable, and
+    then calls its kernels itself, one frame per run; a wrong number raises
+    ``UnboundVariable`` (``_miscount``), and an interval kernel's
+    ``OverflowError`` becomes an ``IntervalError``.  A call of the program
+    goes through ``eval_interval``, which the benchmark's tracer wraps.
     """
 
-    __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_kernels", "_last")
+    __slots__ = ("code", "var_order", "expr", "_constants", "_pairs", "_kernels")
 
     def __init__(self, expr: Expr, var_order: Sequence[str], keyed: tuple | None = None):
         """``expr`` compiled over ``var_order``.  Given ``keyed``, which
@@ -1247,45 +1242,41 @@ class Program:
         self.var_order = tuple(var_order)
         self.expr = expr
         self._kernels = _shape_kernels(self.code, len(self.var_order))
-        self._last = (None, None)  # a tuple of pairs and the forward pass's value or error there
 
-    def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-        """Enclosures of the partial derivatives on the box ``dims`` (pairs),
-        one pair per variable of ``var_order``, from one pass of the adjoint
-        kernel: the whole interval kernel, then the reverse pass.  At a kink
-        of ``abs`` or ``max`` they enclose Clarke's generalized gradient, so
-        the mean value theorem holds with them in Lebourg's form.  A
-        variable the expression does not contain gets exactly ``(0.0,
-        0.0)``.  Raises ``IntervalError`` where an enclosure fails."""
-        kept = type(dims) is tuple
+    def _miscount(self, args: Sequence) -> UnboundVariable:
+        """The error of a call with other than one argument per variable."""
+        n = len(self.var_order)
+        return UnboundVariable(f"the program takes {n} values, one per variable, got {len(args)}")
+
+    def gradient(self, dims: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], tuple]:
+        """The enclosure of the expression on the box ``dims`` (pairs), the
+        same bits that ``eval_interval(dims)`` gives, and those of its
+        partial derivatives there, one pair per variable of ``var_order``,
+        from one pass of the adjoint kernel: the whole interval kernel, then
+        the reverse pass.  At a kink of ``abs`` or ``max`` the partials
+        enclose Clarke's generalized gradient, so the mean value theorem
+        holds with them in Lebourg's form.  A variable the expression does
+        not contain gets exactly ``(0.0, 0.0)``.  Raises ``IntervalError``
+        where an enclosure fails."""
+        if len(dims) != len(self.var_order):
+            raise self._miscount(dims)
         try:
-            try:
-                forward = self._kernels[1](dims, self._constants, self._pairs)
-            except OverflowError as exc:
-                raise _overflow(exc) from exc
-        except IntervalError as exc:
-            if kept:
-                self._last = (dims, exc)
-            raise
-        if kept:
-            self._last = (dims, forward[0])
-        try:
-            return self._kernels[2](dims, self._constants, self._pairs, *forward)
+            forward = self._kernels[1](dims, self._constants, self._pairs)
+            return forward[0], self._kernels[2](dims, self._constants, self._pairs, *forward)
         except OverflowError as exc:
             raise _overflow(exc) from exc
 
     def eval_point(self, values: Sequence[float]) -> float:
+        if len(values) != len(self.var_order):
+            raise self._miscount(values)
         try:
             return self._kernels[0](values, self._constants)[0]
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
 
     def eval_interval(self, dims: Sequence[tuple[float, float]]) -> tuple[float, float]:
-        kept, value = self._last
-        if dims is kept:
-            if isinstance(value, IntervalError):
-                raise value
-            return value
+        if len(dims) != len(self.var_order):
+            raise self._miscount(dims)
         try:
             return self._kernels[1](dims, self._constants, self._pairs)[0]
         except OverflowError as exc:

@@ -352,18 +352,6 @@ _SIN_DIVISORS = tuple(float(2 * k * (2 * k + 1)) for k in range(1, 13))
 _COS_DIVISORS = tuple(float((2 * k - 1) * 2 * k) for k in range(1, 13))
 
 
-def _exact_down(n: int) -> float:
-    """The greatest float ``<= n / 2**106``."""
-    x = n / _SCALE  # correctly rounded; the comparison below is exact
-    return _down(x) if x * 2.0**106 > n else x
-
-
-def _exact_up(n: int) -> float:
-    """The least float ``>= n / 2**106``."""
-    x = n / _SCALE
-    return _up(x) if x * 2.0**106 < n else x
-
-
 def _series_bounds(
     a: float, b: float, first: tuple[float, float], divisors: tuple[float, ...]
 ) -> tuple[float, float]:
@@ -425,7 +413,7 @@ def _wave_point(x: float) -> tuple[tuple[float, float], tuple[float, float], int
     if q:
         n = int(x * 2.0**106)  # exact
         hi_pi, lo_pi = (_HALF_PI_HI, _HALF_PI_LO) if q > 0 else (_HALF_PI_LO, _HALF_PI_HI)
-        rl, rh = _exact_down(n - q * hi_pi), _exact_up(n - q * lo_pi)
+        rl, rh = ratio_down(n - q * hi_pi, _SCALE), ratio_up(n - q * lo_pi, _SCALE)
     else:
         rl = rh = x
     # sin is odd and cos even: both are bounded from |r| in [a, b].
@@ -728,16 +716,19 @@ def slab_cuts(pair: tuple[float, float], segments: int) -> list[float]:
     return cuts
 
 
-def refined_eval(fn: Callable, box: Box, segments: int, dim: int) -> tuple[float, float]:
+def refined_eval(
+    fn: Callable, box: Box, segments: int, dim: int, whole: tuple[float, float] | None = None
+) -> tuple[float, float]:
     """Evaluate the interval function ``fn`` on ``box`` after slicing its
     dimension ``dim`` into ``segments`` equal slabs; return the hull of the
     slab enclosures as a pair.  Each slab is one evaluation of ``fn``, on
     one list of pairs whose sliced entry is overwritten for each slab.  The
     optimizer passes the dimension it splits, that of greatest smear.
 
-    Unsliced (one segment, or ``dim`` of zero width), ``fn`` gets the box's
-    own tuple ``box.pairs``: a ``Program`` whose gradient has just run its
-    forward pass on that tuple serves the value it computed then.
+    Unsliced (one segment, or ``dim`` of zero width), the result is ``fn``
+    on the whole box: ``whole``, where the caller already holds that
+    enclosure (the optimizer does from the gradient's forward pass), or
+    else one evaluation of ``fn``.  A sliced box ignores ``whole``.
 
     For an inclusion-isotonic ``fn`` the result is contained in the
     single-shot evaluation, never wider.
@@ -747,7 +738,7 @@ def refined_eval(fn: Callable, box: Box, segments: int, dim: int) -> tuple[float
     pairs = box.pairs
     pair = pairs[dim]
     if segments == 1 or not pair[0] < pair[1]:
-        return fn(pairs)
+        return fn(pairs) if whole is None else whole
     dims = list(pairs)
     lo, hi = _INF, -_INF
     cuts = slab_cuts(pair, segments)

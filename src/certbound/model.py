@@ -261,7 +261,10 @@ def parse_model_text(text: str) -> ModelDef:
         rhs = rhs.strip()
         if len(rhs) >= 2 and rhs[0] == '"' and rhs[-1] == '"':
             rhs = rhs[1:-1]
-        e, names = parse_component(rhs, constants)
+        try:
+            e, names = parse_component(rhs, constants)
+        except ParseError as exc:
+            raise ParseError(f"{name} on line {lineno}: {exc}") from exc
         f.append(e)
         component_vars.append(names)
 

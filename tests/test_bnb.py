@@ -197,7 +197,7 @@ class TestFirstOrder:
 
     def test_kinked_objective_gets_first_order_bounds(self):
         program, box = self.program_objective("abs(x - 0.3)", [("x", 0.0, 1.0)])
-        assert program.gradient(pairs(box)) == ((-1.0, 1.0),)
+        assert program.gradient(pairs(box)) == (program(pairs(box)), ((-1.0, 1.0),))
         assert _Bounder(program, 1, BnBStats())(box).box == box  # straddles the kink
         half = make_box([("x", 0.5, 1.0)])
         sub = _Bounder(program, 1, BnBStats())(half)
@@ -255,7 +255,9 @@ class TestGreatestSmear:
         box = make_box([("x", 0.0, 2.0), ("y", 0.0, 1.0), ("z", 1.0, 1.0)])
 
         def split(grads, eps_om):
-            return _first_order(lambda dims: (0.0, 0.0), lambda dims: grads, box, eps_om)[3]
+            return _first_order(
+                lambda dims: (0.0, 0.0), lambda dims: ((0.0, 0.0), grads), box, eps_om
+            )[3]
 
         assert split([(-1.0, 1.0), (-2.0, 0.5), (-9.0, 9.0)], 0.0) == (0, 2.0)
         assert split([(-1.0, 1.0), (-3.0, 0.5), (-9.0, 9.0)], 0.0) == (1, 1.0)
@@ -276,9 +278,11 @@ def reference_first_order(hI, gradient, box):
     """The first-order step in two walks: collapse each monotone dimension
     and choose the centre, then sum the centred form over the face's
     dimensions of positive width.  Returns the face (``box`` itself where
-    nothing collapses), the bounds and the gradient enclosures."""
+    nothing collapses), the bounds, the gradient enclosures and the
+    enclosure of h that ``gradient`` gave (``None`` where the face is
+    another box)."""
     pairs = box.pairs
-    grads = gradient(pairs)
+    whole, grads = gradient(pairs)
     face = None
     centre = []
     for k, ((lo, hi), (gl, gh)) in enumerate(zip(pairs, grads)):
@@ -294,11 +298,12 @@ def reference_first_order(hI, gradient, box):
         centre.append((c, c))
     if face:
         box = unchecked_box(tuple(face), box.labels)
+        whole = None
     bound = hI(centre)
     for g, pair, c in zip(grads, box.pairs, centre):
         if pair[0] < pair[1]:
             bound = pair_add(bound, pair_mul(g, pair_sub(pair, c)))
-    return box, bound[0], bound[1], grads
+    return box, bound[0], bound[1], grads, whole
 
 
 def reference_greatest_smear(box, grads, eps_om):
@@ -352,10 +357,10 @@ class TestOnePass:
         seen = {"collapsed": 0, "whole": 0, "no split": 0, "tie": 0, "failed": 0}
         for _ in range(500):
             box, grads, eps_om = self.random_case(rng)
-            gradient = lambda dims, grads=grads: grads
+            gradient = lambda dims, grads=grads: (self.interval(dims), grads)
             try:
-                face, lo, hi, _ = reference_first_order(self.interval, gradient, box)
-                expected = (face, lo, hi, reference_greatest_smear(face, grads, eps_om))
+                face, lo, hi, _, whole = reference_first_order(self.interval, gradient, box)
+                expected = (face, lo, hi, reference_greatest_smear(face, grads, eps_om), whole)
             except IntervalError as exc:
                 expected = exc
             try:
@@ -400,10 +405,10 @@ class TestBaumannCentre:
         program = Program(parse("sqr(x) + y"), ("x", "y"))
         box = make_box([("x", -1.0, 3.0), ("y", 0.0, 1.0)])
         hI = CentreRecorder(program, program.gradient)
-        face, _, hi, _ = _first_order(hI, program.gradient, box, 0.0)
+        face, _, hi, _, _ = _first_order(hI, program.gradient, box, 0.0)
         # dh/dx = 2x in [-2, 6] (rounded outward) changes sign; dh/dy = 1
         # collapses y to 1.  The centre is (6*3 - (-2)*(-1)) / (6 - (-2)).
-        (gl, gh), _ = program.gradient(pairs(box))
+        _, ((gl, gh), _) = program.gradient(pairs(box))
         assert gl == pytest.approx(-2.0, rel=1e-15) and gh == pytest.approx(6.0, rel=1e-15)
         assert face == make_box([("x", -1.0, 3.0), ("y", 1.0, 1.0)])
         (cx, cy) = hI.centre
@@ -429,16 +434,16 @@ class TestBaumannCentre:
                 bounds.append((name, lo, lo + rng.choice([1e-9, 0.1, 2.0])))
             box = make_box(bounds)
             hI = CentreRecorder(program, program.gradient)
-            face, _, _, _ = _first_order(hI, program.gradient, box, 0.0)
+            face, *_ = _first_order(hI, program.gradient, box, 0.0)
             assert all(lo <= c <= hi for (lo, hi), c in zip(face.pairs, hI.centre))
 
     def test_non_finite_centre_falls_back_to_the_midpoint(self):
         # gh*hi - gl*lo overflows near 1e308, although every term of the
         # form is finite: the midpoint keeps the form.
-        gradient = lambda dims: ((-1e8, 1e8),)
+        gradient = lambda dims: ((0.0, 1.0), ((-1e8, 1e8),))
         hI = CentreRecorder(lambda dims: (0.0, 1.0), gradient)
         box = make_box([("x", 1e300, 1.5e300)])
-        face, lo, hi, _ = _first_order(hI, gradient, box, 0.0)
+        face, lo, hi, _, _ = _first_order(hI, gradient, box, 0.0)
         assert (face, hI.centre) == (box, box.midpoint())
         assert math.isfinite(lo) and math.isfinite(hi)
 
@@ -451,9 +456,9 @@ class TestSkippedRefinement:
         calls = []
         refined_eval = bnb.refined_eval
 
-        def counted(hI, box, segments, dim=None):
+        def counted(hI, box, segments, dim, whole=None):
             calls.append(box)
-            return refined_eval(hI, box, segments, dim)
+            return refined_eval(hI, box, segments, dim, whole)
 
         monkeypatch.setattr(bnb, "refined_eval", counted)
         program = Program(parse("x*(1 - x)"), ("x",))

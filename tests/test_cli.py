@@ -199,7 +199,23 @@ class TestExitCodes:
         model.write_text("[states]\nx1 = [0, 1]\n[f]\nf1 = x1 $ 2\n")
         code, out, err = run_capture(capsys, ["qb", "--model", str(model)])
         assert (code, out) == (3, "")
-        assert err == f"certbound: invalid model {model}: unexpected character '$' at offset 3\n"
+        assert err == (
+            f"certbound: invalid model {model}: f1 on line 4: unexpected character '$' at offset 3\n"
+        )
+
+    def test_a_component_parse_error_names_its_component_and_line(self, tmp_path, capsys):
+        # The offset is inside the component's text, so the component and
+        # its line say where that text is.
+        model = tmp_path / "truncated.nds"
+        model.write_text(
+            "# two states\n[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = x1*x2\nf2 = x1 +\n"
+        )
+        code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
+        assert (code, out) == (3, "")
+        assert err == (
+            f"certbound: invalid model {model}: f2 on line 7: found 'end of input' at offset 4"
+            " (expected number | identifier | ()\n"
+        )
 
     WIDE_ROW = 1100
 
@@ -354,7 +370,9 @@ class TestExitCodes:
         model.write_text("[states]\nx1 = [0, 1]\nx2 = [0, 1]\n[f]\nf1 = 1e999*x1*x2\nf2 = x1\n")
         code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
         assert (code, out) == (3, "")
-        assert err == f"certbound: invalid model {model}: non-finite number '1e999' at offset 0\n"
+        assert err == (
+            f"certbound: invalid model {model}: f1 on line 5: non-finite number '1e999' at offset 0\n"
+        )
 
     BIG_EXPONENT = "1" + "0" * 320
 
@@ -366,7 +384,8 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, ["jacobian", "--model", str(model)])
         assert (code, out) == (3, "")
         assert err == (
-            f"certbound: invalid model {model}: exponent too large: above 2**53 at offset 3\n"
+            f"certbound: invalid model {model}: f1 on line 4:"
+            " exponent too large: above 2**53 at offset 3\n"
         )
 
     def test_an_exponent_above_2_53_in_an_expr_is_a_model_error(self, capsys):

@@ -232,8 +232,8 @@ class TestDifferentiate:
 
 
 class TestGradient:
-    """``Program.gradient(dims)``: every partial derivative's enclosure from
-    one pass of the adjoint kernel."""
+    """``Program.gradient(dims)``: the enclosure of the expression and every
+    partial derivative's, from one pass of the adjoint kernel."""
 
     DIMS = [(0.5, 1.0), (1.0, 2.0), (-1.0, 1.0)]
 
@@ -245,11 +245,12 @@ class TestGradient:
         )
         expr_module._shape_kernels.cache_clear()
         program = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
-        gx, gy, gz = program.gradient(self.DIMS)
+        value, (gx, gy, gz) = program.gradient(self.DIMS)
+        assert value == program.eval_interval(self.DIMS)
         assert gx[0] <= 2.0 and 4.0 <= gx[1] and gx[1] - gx[0] < 2.0 + 1e-14  # y + 2x
         assert (gy, gz) == ((0.5, 1.0), (0.0, 0.0))  # x, exactly 0
         again = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))
-        assert program.gradient(self.DIMS) == again.gradient(self.DIMS) == (gx, gy, gz)
+        assert program.gradient(self.DIMS) == again.gradient(self.DIMS) == (value, (gx, gy, gz))
         assert len(plans) == 1  # built once, for both programs, by the shared cache
 
     @pytest.mark.parametrize(
@@ -272,13 +273,13 @@ class TestGradient:
         # A kink's one-sided derivatives, hulled where the box straddles it;
         # where the sign of abs's argument or the larger of max's operands
         # is fixed on the box, the derivative of that piece.
-        grads = Program(parse(text), ("x", "y")).gradient(bounds)
+        _, grads = Program(parse(text), ("x", "y")).gradient(bounds)
         assert list(grads) == expected
 
     def test_certified_abs_is_differentiable(self):
-        (lo, hi), = Program(parse("abs(sqr(x))"), ("x",)).gradient([(3.0, 3.0)])
+        _, ((lo, hi),) = Program(parse("abs(sqr(x))"), ("x",)).gradient([(3.0, 3.0)])
         assert lo <= 6.0 <= hi and hi - lo < 1e-14
-        (lo, hi), = Program(parse("abs(sqr(x))"), ("x",)).gradient([(-1.0, 2.0)])
+        _, ((lo, hi),) = Program(parse("abs(sqr(x))"), ("x",)).gradient([(-1.0, 2.0)])
         assert lo >= -2.0 - 1e-14 and hi <= 4.0 + 1e-14  # 2x, not 2x*[-1, 1]
 
     def test_failed_enclosure_raises(self):

@@ -537,8 +537,9 @@ class TestOutwardSteps:
         2**60, 2**60 + 1, 2**60 + 255, -(2**60 + 1), -(2**60 + 255), 3 * 2**106, 7,
     ])
     def test_exact_conversions_are_the_nearest_safe_floats(self, n):
+        # The scale of the argument reduction's exact remainders.
         exact = Fraction(n, 2**106)
-        down, up = intervals._exact_down(n), intervals._exact_up(n)
+        down, up = ratio_down(n, 2**106), ratio_up(n, 2**106)
         assert Fraction(down) <= exact < Fraction(math.nextafter(down, math.inf))
         assert Fraction(math.nextafter(up, -math.inf)) < exact <= Fraction(up)
 
@@ -673,6 +674,27 @@ class TestRefinedEval:
     def test_segments_validation(self):
         with pytest.raises(DomainError):
             refined_eval(self._parabola, make_box([("x", 0, 1)]), 0, 0)
+
+    def test_an_unsliced_box_returns_the_whole_enclosure_it_is_given(self):
+        # Unsliced (one segment, or a sliced dimension of zero width), the
+        # enclosure the caller holds is the result and ``fn`` is not
+        # called; a sliced box ignores it.  Each slab is one call.
+        calls = []
+
+        def fn(dims):
+            calls.append(list(dims))
+            return self._parabola(dims)
+
+        whole = (-7.0, 7.0)  # no enclosure of the parabola: returned as given
+        box = make_box([("x", 0.0, 1.0), ("y", 2.0, 2.0)])
+        for segments, dim in ((1, 0), (1, 1), (5, 1)):
+            assert refined_eval(fn, box, segments, dim, whole) is whole
+        assert calls == []
+        assert refined_eval(fn, box, 1, 0) == self._parabola(box.pairs) and len(calls) == 1
+        for given in (None, whole):
+            del calls[:]
+            refined = refined_eval(fn, box, 4, 0, given)
+            assert refined == refined_eval(self._parabola, box, 4, 0) and len(calls) == 4
 
     def test_refinement_subset_property_random(self):
         rng = random.Random(3)

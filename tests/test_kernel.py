@@ -25,6 +25,7 @@ from certbound.errors import (
     EvaluationError,
     IntervalError,
     NonDifferentiable,
+    UnboundVariable,
 )
 from certbound.expr import (
     ABS,
@@ -69,7 +70,7 @@ from certbound.intervals import (
     pair_sub,
     refined_eval,
 )
-from conftest import chain_rule_derivative, expr_sum, make_box, pairs
+from conftest import chain_rule_derivative, corpus_expressions, expr_sum, make_box, pairs
 
 NAMES = ("x0", "x1", "x2", "x3")
 UNARY = (NEG, ABS, SQR, SQRT, EXP, SIN, COS)
@@ -678,7 +679,7 @@ def test_gradient_encloses_partials_and_difference_quotients(seed):
                 box = Box([(lo, min(hi, lo + 0.3)) for lo, hi in box.pairs], NAMES)
             for hI, sign in ((program, 1.0), (_Negated(program), -1.0)):
                 try:
-                    grads = hI.gradient(pairs(box))
+                    _, grads = hI.gradient(pairs(box))
                 except IntervalError:
                     continue
                 for k, name in enumerate(NAMES):
@@ -740,11 +741,11 @@ def test_an_extra_variable_slot_makes_another_shape():
     short = Program(parse("x*x"), X)
     wide = Program(parse("x*x"), ("x", "y"))
     assert short.code == wide.code
-    (gx,) = short.gradient([(1.0, 2.0)])
-    grads = wide.gradient([(1.0, 2.0), (-1.0, 1.0)])
+    _, (gx,) = short.gradient([(1.0, 2.0)])
+    _, grads = wide.gradient([(1.0, 2.0), (-1.0, 1.0)])
     assert len(grads) == 2 and grads[0] == gx
     assert repr(grads[1]) == "(0.0, 0.0)"
-    assert len(short.gradient([(1.0, 2.0)])) == 1
+    assert len(short.gradient([(1.0, 2.0)])[1]) == 1
 
 
 def _count_compiles(monkeypatch) -> list[str]:
@@ -906,7 +907,9 @@ def test_gradient_hand_off_matches_reference(text, reference):
         # no value besides the result
         assert len(program._kernels[1](dims, program._constants, program._pairs)) == 1
         expected = reference(*dims)
-        assert list(map(repr, program.gradient(dims))) == list(map(repr, expected)), dims
+        value, grads = program.gradient(dims)
+        assert repr(value) == repr(program.eval_interval(dims))
+        assert list(map(repr, grads)) == list(map(repr, expected)), dims
 
 
 def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
@@ -1046,16 +1049,17 @@ def test_first_order_step_builds_only_the_face(monkeypatch):
     box = make_box([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
     faces = _count_faces(monkeypatch)
-    face, lo, hi, _ = _first_order(program, program.gradient, box, 0.0)
-    assert face is box and lo <= hi
+    face, lo, hi, _, whole = _first_order(program, program.gradient, box, 0.0)
+    assert face is box and lo <= hi and whole == program(box.pairs)
     assert (counts, faces) == ({"Box": 0, "Interval": 0}, [])
     # Of x*y - sqr(x), d/dy = x > 0 where x is in [0.25, 0.75]: y
     # collapses to its upper end.
     program = Program(parse("x*y - sqr(x)"), ("x", "y"))
     box = make_box([("x", 0.25, 0.75), ("y", 0.5, 1.0)])
     counts = _count_inits(monkeypatch, Box, Interval)
-    face, lo, hi, _ = _first_order(program, program.gradient, box, 0.0)
+    face, lo, hi, _, whole = _first_order(program, program.gradient, box, 0.0)
     assert face.pairs == ((0.25, 0.75), (1.0, 1.0)) and face.labels is box.labels
+    assert whole is None  # that enclosure was of the box, not of its face
     assert (counts, faces) == ({"Box": 0, "Interval": 0}, [face.pairs])
 
 
@@ -1069,7 +1073,7 @@ def test_a_search_builds_no_interval(monkeypatch, search):
 
 
 # ---------------------------------------------------------------------------
-# The forward pass's value, kept for the box it ran on
+# The forward pass's value, returned by the gradient and handed on by the search
 # ---------------------------------------------------------------------------
 
 
@@ -1077,41 +1081,94 @@ HYPERBOLA = "1.0*x*y - 1.0*x*x*y*y"
 
 
 def test_a_kept_value_is_the_value_of_a_fresh_run():
+    # The enclosure that ``gradient`` returns, which the search keeps for
+    # the refined evaluation of an unsliced box, is that of a fresh run.
     program = Program(parse("x*y - sqr(x)*y + 0.375*sin(y)"), ("x", "y"))
     dims = ((0.25, 0.75), (-1.0, 1.0))
-    program.gradient(dims)
-    served = program.eval_interval(dims)
-    assert program.eval_interval(dims) is served  # a kernel run builds a new pair
+    value, _ = program.gradient(dims)
     fresh = Program(program.expr, ("x", "y")).eval_interval(list(dims))
-    assert repr(served) == repr(fresh) == repr(ref_interval(program.expr, make_box(
-        [("x", 0.25, 0.75), ("y", -1.0, 1.0)]
-    )))
-    # An equal tuple that is another object is evaluated afresh.
-    again = program.eval_interval(tuple(list(dims)))
-    assert again is not served and repr(again) == repr(served)
+    assert repr(value) == repr(fresh) == repr(program.eval_interval(dims)) == repr(ref_interval(
+        program.expr, make_box([("x", 0.25, 0.75), ("y", -1.0, 1.0)])
+    ))
 
 
-def test_a_list_never_gets_the_kept_value():
-    # The slab loop overwrites one entry of its list for each slab.
-    program = Program(parse(HYPERBOLA), ("x", "y"))
-    dims = [(0.0, 2.0), (0.0, 2.0)]
-    whole = program.eval_interval(tuple(dims))
-    program.gradient(dims)
-    dims[0] = (0.0, 0.2)
-    sliced = program.eval_interval(dims)
-    assert repr(sliced) == repr(Program(parse(HYPERBOLA), ("x", "y")).eval_interval(dims))
-    assert sliced != whole
-    # Nor does a list equal to a tuple whose value is kept.
-    kept = ((0.0, 2.0), (0.0, 2.0))
-    program.gradient(kept)
-    assert program.eval_interval(list(kept)) is not program.eval_interval(kept)
+def _inner_box(rng: random.Random, box: Box) -> Box:
+    """A random box inside ``box``, now and then with a degenerate
+    dimension or a signed zero at an end."""
+    bounds = []
+    for name, (lo, hi) in zip(box.labels, box.pairs):
+        a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+        if rng.random() < 0.15:
+            b = a
+        elif lo <= 0.0 <= hi and rng.random() < 0.3:  # the end nearer 0 becomes a zero
+            zero = rng.choice([0.0, -0.0])
+            a, b = (zero, b) if b >= 0.0 else (a, zero)
+        bounds.append((name, a, b))
+    return make_box(bounds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_gradient_returns_the_enclosure_of_eval_interval(seed):
+    # On random trees over every op (abs, max, sin and cos among them) and
+    # on the corpus expressions, on boxes with signed zeros and degenerate
+    # dimensions, from the tape and once compiled: the enclosure that
+    # ``gradient`` returns has the ``repr`` of ``eval_interval``'s and of
+    # a fresh program's, and that of ``_Negated`` is its negation.
+    rng = random.Random(1300 + seed)
+    cases = [(random_tree(rng, rng.randint(1, 5), [], (-0.0,)), make_box(
+        [(name, -4.0, 4.0) for name in NAMES]
+    )) for _ in range(40)]
+    cases += corpus_expressions()
+    compared = {False: 0, True: 0}
+    for e, domain in cases:
+        expr_module._shape_kernels.cache_clear()
+        program = Program(e, domain.labels)
+        boxes = [pairs(_inner_box(rng, domain)) for _ in range(4)]
+        for hot in (False, True):
+            for dims in boxes:
+                try:
+                    value, _ = program.gradient(dims)
+                except IntervalError:
+                    continue
+                fresh = Program(e, domain.labels).eval_interval(list(dims))
+                assert repr(value) == repr(program.eval_interval(dims)) == repr(fresh), str(e)
+                negated, _ = _Negated(program).gradient(dims)
+                assert repr(negated) == repr((-value[1], -value[0]))
+                compared[hot] += _compiled(program._kernels[1]) == hot
+            _heat(program, [lo for lo, _ in boxes[0]], boxes[0])
+    assert min(compared.values()) > 80, compared
+
+
+@pytest.mark.parametrize("method", ["eval_interval", "gradient", "eval_point"])
+def test_a_wrong_number_of_arguments_is_refused_on_both_tiers(method):
+    # The compiled kernel reads its arguments by position, so it cannot
+    # tell the pairs of a wider box from the right ones: the count is
+    # checked before either tier runs, with one error for both.
+    expr_module._shape_kernels.cache_clear()
+    program = Program(parse("x3*x5"), ("x3", "x5"))
+    call = getattr(program, method)
+    point = method == "eval_point"
+    right = [1.5, -6.5] if point else [(1.0, 2.0), (-7.0, -6.0)]
+    wrong = {n: (right * 2)[:n] for n in (1, 3, 4)}
+
+    def refusals() -> list:
+        return [outcome(call, args) for args in wrong.values()]
+
+    expected = [
+        (UnboundVariable, f"the program takes 2 values, one per variable, got {n}") for n in wrong
+    ]
+    assert refusals() == expected  # before any run
+    cold = outcome(call, right)
+    _heat(program, [1.5, -6.5], [(1.0, 2.0), (-7.0, -6.0)])
+    assert all(map(_compiled, program._kernels))
+    assert refusals() == expected and outcome(call, right) == cold
 
 
 def test_a_search_runs_the_kernel_once_for_an_unsliced_box():
     # Of the hyperbola's 375 refined evaluations, 367 are of boxes that
-    # collapse nothing and are not sliced: the gradient's forward pass on
-    # the box gives their value.  Compiled first, so that the kernel list
-    # keeps the counting wrapper.
+    # collapse nothing and are not sliced: the enclosure that the
+    # gradient's forward pass returned on the box is their value.
+    # Compiled first, so that the kernel list keeps the counting wrapper.
     program = Program(parse(HYPERBOLA), ("x", "y"))
     _heat(program, [0.5, 0.5], [(0.0, 1.0), (0.0, 1.0)])
     kernels = program._kernels
@@ -1132,10 +1189,11 @@ def test_a_search_runs_the_kernel_once_for_an_unsliced_box():
     assert runs[0] == 906  # 1,273 when each refined evaluation runs the kernel
 
 
-def test_a_failing_forward_pass_is_not_run_again():
-    # sqrt(x)/y has no enclosure on a box that touches y = 0.  The error of
-    # the gradient's forward pass on such a box is raised again for its
-    # refined evaluation, instead of a second run of the kernel.
+def test_a_failing_forward_pass_runs_again_for_its_refined_evaluation():
+    # sqrt(x)/y has no enclosure on a box that touches y = 0, and its
+    # gradient none where x = 0.  A box whose gradient fails hands no value
+    # on, so its refined evaluation runs the interval kernel again: the
+    # one case where a search runs that kernel twice on one box.
     program = Program(parse("sqrt(x)/y + x"), ("x", "y"))
     _heat(program, [0.5, 0.5], [(0.5, 1.0), (0.5, 1.0)])
     kernels = program._kernels
@@ -1161,30 +1219,13 @@ def test_a_failing_forward_pass_is_not_run_again():
         "unbounded enclosure: the objective's interval enclosure fails on a box of width"
         " 0.0009765625: divisor [0.0, 0.0009765625] contains zero"
     )
-    assert runs == [41, 31]  # [72, 62] when a failing box runs the kernel twice
+    assert runs == [82, 62]  # 41 boxes, each failing its gradient: two runs each
 
 
-def test_a_kept_error_is_raised_again_for_its_tuple_only():
-    program = Program(parse("sqrt(x)/y + x"), ("x", "y"))
-    kept = ((0.0, 1.0), (0.0, 1.0))
-    with pytest.raises(IntervalError) as first:
-        program.gradient(kept)
-    with pytest.raises(IntervalError) as again:
-        program.eval_interval(kept)
-    assert again.value is first.value
-    with pytest.raises(IntervalError) as rerun:
-        program.eval_interval(list(kept))
-    assert rerun.value is not first.value and str(rerun.value) == str(first.value)
-    # A value kept after the error replaces it.
-    fine = ((0.5, 1.0), (0.5, 1.0))
-    program.gradient(fine)
-    assert program.eval_interval(fine) == program.eval_interval(list(fine))
-
-
-def test_an_overflow_of_the_forward_pass_is_kept_for_its_tuple_only():
-    # ``gradient`` calls the interval kernel itself: the kernel's
-    # OverflowError becomes the IntervalError that the tuple keeps, and
-    # ``eval_interval`` raises that error again without a kernel run.
+def test_an_overflow_of_the_forward_pass_is_an_interval_error():
+    # ``gradient`` and ``eval_interval`` call the interval kernel
+    # themselves: the kernel's OverflowError becomes an IntervalError, and
+    # each call runs the kernel and raises afresh.
     program = Program(parse("x^3"), ("x",))
     _heat(program, [0.5], [(0.0, 1.0)])
     kernels = program._kernels
@@ -1197,21 +1238,15 @@ def test_an_overflow_of_the_forward_pass_is_kept_for_its_tuple_only():
 
     kernels[1] = counted
     try:
-        kept = ((1e200, 1e200),)
+        dims = ((1e200, 1e200),)
         with pytest.raises(IntervalError) as first:
-            program.gradient(kept)
+            program.gradient(dims)
         assert str(first.value) == "interval evaluation overflow: (34, 'Numerical result out of range')"
         assert type(first.value.__cause__) is OverflowError and runs == [1]
         with pytest.raises(IntervalError) as again:
-            program.eval_interval(kept)
-        assert again.value is first.value and runs == [1]
-        # A list is never kept: each call runs the kernel and raises afresh.
-        dims = list(kept)
-        with pytest.raises(IntervalError) as listed:
-            program.gradient(dims)
-        with pytest.raises(IntervalError) as rerun:
             program.eval_interval(dims)
-        assert runs == [3] and rerun.value is not listed.value is not first.value
-        assert str(rerun.value) == str(listed.value) == str(first.value)
+        assert runs == [2] and again.value is not first.value
+        assert str(again.value) == str(first.value)
+        assert type(again.value.__cause__) is OverflowError
     finally:
         kernels[1] = forward
