@@ -250,11 +250,14 @@ def _first_order(
 
     Returns the face, that centred enclosure of h on it, the split ``(k,
     width_k)``, ``None`` where no dimension may be split, and the enclosure
-    of h that ``gradient`` gave on the face, ``None`` where the face is
-    another box.  The face is ``box`` itself, the same object, when no
-    dimension of positive width collapses; it is built once the enclosures
-    have succeeded.  Raises ``IntervalError`` when the gradient or the
-    centre does not enclose."""
+    of h on the face where one is at hand: the one that ``gradient`` gave,
+    where the face is ``box``, and ``h([c])``, where no dimension straddles
+    and the face is the point ``c`` (unless a dimension of zero width has
+    ends of two signs of zero, which ``c`` does not keep); else ``None``.
+    The face is ``box`` itself, the same object, when no dimension of
+    positive width collapses; it is built once the enclosures have
+    succeeded.  Raises ``IntervalError`` when the gradient or the centre
+    does not enclose."""
     pairs = box.pairs
     whole, grads = gradient(pairs)
     face = None  # the face's pairs, a list from the first collapse on
@@ -283,7 +286,8 @@ def _first_order(
     for k in straddling:
         bound = pair_add(bound, pair_mul(grads[k], pair_sub(pairs[k], centre[k])))
     if face:
-        return unchecked_box(tuple(face), box.labels), bound[0], bound[1], split, None
+        point = None if straddling or repr(face) != repr(centre) else bound
+        return unchecked_box(tuple(face), box.labels), bound[0], bound[1], split, point
     return box, bound[0], bound[1], split, whole
 
 
@@ -303,8 +307,9 @@ class _Bounder:
     its first-order upper bound, intersected with the parent's, is already
     below the caller's lower bound ``l``: such a box is pruned by the same
     step anyway.  ``evals`` counts the refined evaluations.  The enclosure
-    that the gradient's forward pass gave on a box that collapsed nothing
-    is handed to ``refined_eval``, which returns it for an unsliced box
+    of ``hI`` on the face that the same step gives (the gradient's on a box
+    that collapsed nothing, the centre's on a face that is a point) is
+    handed to ``refined_eval``, which returns it for an unsliced box
     instead of evaluating ``hI`` again.
     Beside those kernel runs, bounding a box costs one walk over its
     dimensions and builds no ``Box`` but the face.

@@ -4,7 +4,7 @@ Expressions are immutable trees over named variables.  The same tree supports
 point evaluation (floats), interval evaluation (sound enclosures via
 :mod:`certbound.intervals`) and symbolic differentiation, so an objective and
 its interval extension always come from one source.  A ``Program`` evaluates
-a tree by straight-line kernels of one statement per operation, which run
+a tree by kernels of one step per operation, built in one pass, which run
 from a tape at first and are compiled once they have run ``_HOT_RUNS``
 times; both tiers make the same calls, so no result depends on the tier.
 
@@ -695,56 +695,60 @@ def _wrapped(e: Expr, parent_prec: int) -> tuple:
 # ---------------------------------------------------------------------------
 #
 # A Program numbers the values of the tree into ops in postfix order (see
-# ``_postfix``) and turns them into straight-line statements: one per op,
-# with constants and variables read in place by the ops that use them.  The
-# interval kernel works on ``(lo, hi)`` pairs and calls the ``pair_*``
-# functions of ``intervals`` (``v2 = pair_mul(v0, v1)``); the point kernel
-# uses plain float arithmetic.  Each statement binds one name.
+# ``_postfix``), and each of its kernels is one tuple of steps built from
+# them in one pass (``_forward_steps``).  A step ``(function, a, b)`` calls
+# ``function`` on values at slots of one list, which holds the variables'
+# values ``d``, the constants ``c`` and, for the interval kernels, their
+# pairs ``p``, then the literals of the shape (``_literals``), then the
+# value of each step in turn.  A constant or a variable is read in place by
+# the steps that use it, so only the other ops get a step, and the result
+# in any case.  The interval kernel calls the ``pair_*`` functions of
+# ``intervals`` on ``(lo, hi)`` pairs; the point kernel uses plain float
+# arithmetic.
 #
-# Two tiers run the same statements.  A kernel of a new shape runs them from
-# a tape (``_tape``): a tuple of steps, each a function and the slots of its
-# operands in one list of values.  Once the kernel has run ``_HOT_RUNS``
-# times, its statements are rendered as the source of one Python function,
-# compiled, and installed in place of the tape.  Both tiers call the same
+# Two tiers run the same steps.  A kernel of a new shape runs them from a
+# tape (``_tape``).  Once it has run ``_HOT_RUNS`` times, ``_source``
+# renders them as one Python function, one statement per step, which is
+# compiled and installed in place of the tape.  Both tiers call the same
 # functions on the same operands in the same order, so they give the same
 # values and raise the same exceptions, and no result depends on the tier.
 #
 # Kernels are cached by program shape (see ``_shape_kernels``): the ops and
-# the number of variable slots.  Constant values are not part of the
-# statements: every constant is finite (``Program`` refuses another) and read
-# in place from the values passed in at call time, so programs that differ
-# only in their constants, such as the hundreds of Jacobian entries of one
-# model, share one kernel, and one count of its runs.  Each program holds its shape's list of kernels, replaced in
-# place as they are generated and compiled: an evaluation is one call.
+# the number of variable slots.  Constant values are not part of the steps:
+# every constant is finite (``Program`` refuses another) and read in place
+# from the values passed in at call time, so programs that differ only in
+# their constants, such as the hundreds of Jacobian entries of one model,
+# share one kernel, and one count of its runs.  Each program holds its
+# shape's list of kernels, each built on its first call and replaced in
+# place once compiled: an evaluation is one call.
 #
-# Gradient: the adjoint kernel encloses every partial derivative on a box in
-# one forward and one reverse pass over the ops (Griewank & Walther,
+# Gradient: the gradient kernel encloses every partial derivative on a box
+# in one forward and one reverse pass over the ops (Griewank & Walther,
 # *Evaluating Derivatives*, 2008), so its cost is that of a few evaluations
-# whatever the number of variables.  The forward pass is the whole interval
-# kernel, which returns the result followed by the values that the reverse
-# pass (``_reverse_statements``) reads; the reverse pass takes them as
-# parameters under the same local names.
+# whatever the number of variables.  Its steps are those of the interval
+# kernel, then those of the reverse pass (``_reverse_steps``), which read
+# the forward values at their slots of the same list.  It is built on the
+# shape's first gradient, so a program that is only evaluated builds no
+# reverse pass.
 
-# The runs after which a kernel is compiled: about the run count at which
+# The runs after which a kernel is compiled: below the run count at which
 # the tape's extra time has paid for a compile.  Measured with CPython 3.11
-# (``timeit``, best of 5): ``compile()`` costs 8-10 µs per statement, and a
-# tape run costs ~0.07 µs per statement more than a compiled one, so the
-# interval, reverse and point kernels of the traffic s5 case-1 objective
-# (243, 213 and 243 statements) break even after 80-140 runs, and those of
-# 6-11 statements (``x*y - sqr(x)*y + 3*x``) after 50-75.  Compiling at the
-# break-even point costs at most twice what the better tier would have
-# taken, whatever a kernel's run count turns out to be.
+# on a 2-CPU VM (``timeit``, best of 5): ``compile()`` costs 11-22 µs per
+# step, and a tape run 0.10-0.26 µs per step more than a compiled one, so
+# the point, interval and gradient kernels of the traffic s5 case-1
+# objective (243, 243 and 456 steps) break even after 100-130 runs, and
+# those of 6-13 steps (``x*y - sqr(x)*y + 3*x``) after 80-100.  Compiling
+# sooner pays where a kernel runs on: the four ``kinks-and-trig`` jobs of
+# the benchmark took 142 / 164 / 156 ms in-process (medians of 15) when
+# compiling at 64 / 256 runs / never.
 _HOT_RUNS = 64
 
 _CONST, _LOAD, _POW = "const", "load", "pow"
 
-# An operand of a statement is the index of an earlier statement of the same
-# kernel, or a pair ``(area, key)`` read in place: ``("d", k)`` is variable
-# ``k``, ``("c", k)`` the float of constant ``k`` and ``("p", k)`` its pair,
-# ``("v", i)`` the parameter ``v{i}`` of the reverse pass, and ``("=", x)``
-# the literal ``x``, such as the adjoints known to be exactly 1 or -1, and an
-# exact zero.
-_ONE, _MINUS_ONE, _ZERO_PAIR = ("=", (1.0, 1.0)), ("=", (-1.0, -1.0)), ("=", (0.0, 0.0))
+# The literals of the reverse pass: the adjoints known to be exactly 1 or
+# -1, which cost a multiplication neither a step nor a rounding, and the
+# exact zero of a variable that the expression does not contain.
+_ONE, _MINUS_ONE, _ZERO_PAIR = (1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)
 
 
 def _same(x):
@@ -759,53 +763,28 @@ def _square(x):
     return x * x
 
 
-def _call(function, arity: int = 1) -> tuple:
-    """The right-hand side that calls ``function`` on ``arity`` operands."""
-    return f"{function.__name__}({', '.join(map('{{{}}}'.format, range(arity)))})", function
-
-
-# The right-hand side of each op's statement: its source template, in which
-# ``{0}``, ``{1}``, ... stand for the operands, and the function that a tape
-# calls on them, which computes what the template does.  The argument of a
-# constant (``("c", k)`` or ``("p", k)``), of a load (``("d", k)``) and of a
-# power (the exponent, a literal) is its last operand.
-_PAIR_RHS = {
-    _CONST: ("{0}", _same),
-    _LOAD: ("{0}", _same),
-    NEG: ("(-{0}[1], -{0}[0])", _negated_pair),
-    ADD: _call(intervals.pair_add, 2),
-    SUB: _call(intervals.pair_sub, 2),
-    MUL: _call(intervals.pair_mul, 2),
-    DIV: _call(intervals.pair_div, 2),
-    MAX: _call(intervals.pair_max, 2),
-    ABS: _call(intervals.pair_abs),
-    SQR: _call(intervals.pair_sqr),
-    SQRT: _call(intervals.pair_sqrt),
-    EXP: _call(intervals.pair_exp),
-    SIN: _call(intervals.pair_sin),
-    COS: _call(intervals.pair_cos),
-    _POW: _call(intervals.pair_pow, 2),
+# The function that the step of each op calls, in the interval kernel and
+# in the point kernel.  The operands of a power are its base and its
+# exponent, a literal.
+_PAIR_FUNCTIONS = {
+    NEG: _negated_pair, ADD: intervals.pair_add, SUB: intervals.pair_sub,
+    MUL: intervals.pair_mul, DIV: intervals.pair_div, MAX: intervals.pair_max,
+    ABS: intervals.pair_abs, SQR: intervals.pair_sqr, SQRT: intervals.pair_sqrt,
+    EXP: intervals.pair_exp, SIN: intervals.pair_sin, COS: intervals.pair_cos,
+    _POW: intervals.pair_pow,
 }
-_POINT_RHS = {
-    _CONST: ("{0}", _same),
-    _LOAD: ("{0}", _same),
-    NEG: ("-{0}", operator.neg),
-    ADD: ("{0} + {1}", operator.add),
-    SUB: ("{0} - {1}", operator.sub),
-    MUL: ("{0} * {1}", operator.mul),
-    DIV: ("{0} / {1}", operator.truediv),
-    MAX: _call(max, 2),
-    ABS: _call(abs),
-    SQR: ("{0} * {0}", _square),
-    SQRT: _call(math.sqrt),
-    EXP: _call(math.exp),
-    SIN: _call(math.sin),
-    COS: _call(math.cos),
-    _POW: ("{0} ** {1}", operator.pow),
+_POINT_FUNCTIONS = {
+    NEG: operator.neg, ADD: operator.add, SUB: operator.sub, MUL: operator.mul,
+    DIV: operator.truediv, MAX: max, ABS: abs, SQR: _square, SQRT: math.sqrt,
+    EXP: math.exp, SIN: math.sin, COS: math.cos, _POW: operator.pow,
 }
-_SCALE = _call(intervals.pair_scale, 2)
-_ABS_ADJOINT = _call(intervals.pair_abs_adjoint, 2)
-_MAX_ADJOINT = _call(intervals.pair_max_adjoint, 3)
+# The source of a step that does not call its function by name, in which
+# ``{0}``, ``{1}`` stand for the operands: what the function computes.
+_TEMPLATES = {
+    _same: "{0}", _negated_pair: "(-{0}[1], -{0}[0])", _square: "{0} * {0}",
+    operator.neg: "-{0}", operator.add: "{0} + {1}", operator.sub: "{0} - {1}",
+    operator.mul: "{0} * {1}", operator.truediv: "{0} / {1}", operator.pow: "{0} ** {1}",
+}
 _KERNEL_GLOBALS = {
     name: value for name, value in vars(intervals).items() if name.startswith("pair_")
 }
@@ -883,17 +862,16 @@ def structural_key(e: Expr) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _shape_kernels(code, n: int) -> list:
-    """The point kernel, the interval kernel and its reverse pass of one
+    """The point kernel, the interval kernel and the gradient kernel of one
     shape: the ops ``code`` and the number ``n`` of variable slots.  Each
-    entry starts as a stub that generates its kernel (the interval
-    kernel and its reverse pass together) in its place, then runs it.  The
-    256 most recent shapes are kept."""
+    entry starts as a stub that builds its kernel (``_kernel``) in its
+    place on its first call, then runs it.  The 256 most recent shapes are
+    kept."""
 
     def stub(index: int):
         def build(*args):
             if kernels[index] is build:
-                part = slice(1, 3) if index else slice(0, 1)
-                kernels[part] = _generate(code, n, index > 0, kernels)
+                kernels[index] = _kernel(code, n, index, kernels)
             return kernels[index](*args)
 
         return build
@@ -902,128 +880,92 @@ def _shape_kernels(code, n: int) -> list:
     return kernels
 
 
-def _statements(code) -> list[int]:
-    """The ops that get a statement of their own.  A constant or load is
-    read in place by the op that uses it, unless it is the result."""
+def _literals(code) -> tuple:
+    """The literals that the kernels of ``code`` read, each once by
+    ``repr`` (so ``2`` and ``2.0`` stay apart): those of the reverse pass
+    and its factor ``2.0``, and per power ``x^k`` its exponent and the
+    ``k - 1`` and ``float(k)`` of its derivative."""
+    values = {repr(x): x for x in (_ONE, _MINUS_ONE, _ZERO_PAIR, 2.0)}
+    for kind, k, _ in code:
+        if kind == _POW:
+            for x in (k, k - 1, float(k)):
+                values.setdefault(repr(x), x)
+    return tuple(values.values())
+
+
+def _kernel(code, n: int, index: int, home: list):
+    """The kernel ``home[index]`` of the shape of ``_shape_kernels``, a tape
+    that puts its compiled form in its place once hot: the point kernel
+    ``kernel(d, c)`` (0), which returns the value of the expression at a
+    point, the interval kernel ``kernel(d, c, p)`` (1), which returns its
+    enclosure on a box, or the gradient kernel ``kernel(d, c, p)`` (2),
+    which returns that enclosure and the tuple of the partial derivatives'.
+    ``d`` holds the variables' values or pairs, ``c`` the constants and
+    ``p`` their pairs."""
+    pair = index > 0
+    m = sum(kind == _CONST for kind, _, _ in code)
+    sizes = (n, m, m) if pair else (n, m)
+    literals = _literals(code)
+    literal = {repr(x): sum(sizes) + i for i, x in enumerate(literals)}
+    steps, where = _forward_steps(code, n, m, pair, literal)
+    grads = None
+    if index == 2:
+        grads = _reverse_steps(code, n, m, literal, steps, where)
+    return _tape(home, index, (sizes, literals, tuple(steps), where[-1], grads))
+
+
+def _product(a: int, b: int, n: int, m: int) -> tuple:
+    """The step of the interval product of the values at the slots ``a``
+    and ``b``.  Where one of them is a constant's pair ``p[k]``, read in
+    place (so it is finite), the left one first, the step is ``pair_scale``
+    of the constant's float ``c[k]`` and the other: the bits of
+    ``pair_mul``, from two products instead of four."""
+    for k, x in ((a, b), (b, a)):
+        if n + m <= k < n + 2 * m:
+            return (intervals.pair_scale, k - m, x)
+    return (intervals.pair_mul, a, b)
+
+
+def _forward_steps(code, n: int, m: int, pair: bool, literal: dict):
+    """The steps of the interval kernel (``pair``) or the point kernel of
+    ``code``, over ``n`` variable slots and ``m`` constants, and the slot
+    of each op's value; ``literal`` holds each literal's slot by ``repr``.
+    A load reads ``d``, a constant ``p`` or ``c``, in place, and the result
+    is a step, ``_same`` of its slot where it is a load or a constant."""
+    functions = _PAIR_FUNCTIONS if pair else _POINT_FUNCTIONS
+    constants = n + m if pair else n  # the slot of ``p[0]``, or of ``c[0]``
+    start = constants + m + len(literal)  # the slot of the first step's value
+    steps: list[tuple] = []
+    where: list[int] = []
     last = len(code) - 1
-    return [i for i in range(len(code)) if code[i][0] not in (_CONST, _LOAD) or i == last]
-
-
-def _scale_points(stmts) -> list:
-    """``stmts`` of the interval kernel, with each ``pair_mul`` by a
-    constant read in place (``p[k]``, which is finite) as ``pair_scale`` of
-    its value ``c[k]``, which gives the same bits from two products instead
-    of four."""
-    scaled = []
-    for stmt in stmts:
-        rhs, operands = stmt
-        if rhs is _PAIR_RHS[MUL]:
-            for side, x in enumerate(operands):
-                if type(x) is tuple and x[0] == "p":
-                    stmt = (_SCALE, (("c", x[1]), operands[1 - side]))
-                    break
-        scaled.append(stmt)
-    return scaled
-
-
-def _source(params: str, stmts, outputs, first: int = 0) -> str:
-    """Source of ``def kernel(params)``, which runs ``stmts`` and returns
-    the tuple of ``outputs``.
-
-    A statement ``(rhs, operands)`` assigns the template ``rhs[0]``, filled
-    in with its operands, to its name (``v{first + i}`` for the ``i``-th).
-    An operand, like an output, is the index of an earlier statement, or
-    read in place (see ``_ONE``)."""
-
-    def ref(x) -> str:
-        if type(x) is int:
-            return f"v{first + x}"
-        area, key = x
-        return repr(key) if area == "=" else f"v{key}" if area == "v" else f"{area}[{key}]"
-
-    lines = [
-        f"v{first + i} = " + rhs[0].format(*map(ref, ops)) for i, (rhs, ops) in enumerate(stmts)
-    ]
-    lines.append("return (" + "".join(ref(j) + ", " for j in outputs) + ")")
-    return f"def kernel({params}):\n    " + "\n    ".join(lines) + "\n"
-
-
-def _tape(home, key, sizes: Sequence[int], stmts, outputs, first: int = 0, kept=()):
-    """The kernel that ``_source`` makes of ``stmts`` and ``outputs``, run
-    from a tape until it has run ``_HOT_RUNS`` times; then it is compiled
-    and stored as ``home[key]``, where the tape was.  Its parameters are
-    the sequences ``d``, ``c`` and, for the interval kernels, ``p``, of
-    ``sizes``, then ``v{i}`` for each ``i`` of ``kept``.
-
-    The tape runs ``stmts`` over one list of values: the entries of the
-    sequences, the other parameters, the literals, then each statement's
-    value in turn.  A step ``(function, a, b)`` appends ``function`` of the
-    values at the slots ``a`` and ``b``, or of the value at ``a`` alone when
-    ``b`` is ``None``, or of those at the slots ``b`` when ``a`` is
-    ``None``: the call, or the arithmetic, that the statement's source
-    makes, on the same operands.  Branching on the arity, instead of
-    unpacking a tuple of slots in each step, cuts the time that the tape
-    takes beyond the compiled kernel by four fifths."""
-    params = ", ".join(["d", "c", "p"][: len(sizes)] + [f"v{i}" for i in kept])
-    slot: dict = {}
-    width = 0
-    for area, size in zip("dcp", sizes):
-        slot.update(((area, k), width + k) for k in range(size))
-        width += size
-    for i in kept:
-        slot["v", i] = width
-        width += 1
-    literals: dict[str, int] = {}  # by ``repr``, so that ``2`` and ``2.0`` stay apart
-    values: list = []
-    for x in (*(x for _, ops in stmts for x in ops), *outputs):
-        if type(x) is tuple and x[0] == "=" and repr(x[1]) not in literals:
-            literals[repr(x[1])] = width + len(values)
-            values.append(x[1])
-    constant = tuple(values)
-    start = width + len(constant)
-
-    def place(x) -> int:
-        if type(x) is int:
-            return start + x
-        return literals[repr(x[1])] if x[0] == "=" else slot[x]
-
-    steps = []
-    for rhs, ops in stmts:
-        if len(ops) == 2:
-            steps.append((rhs[1], place(ops[0]), place(ops[1])))
-        elif len(ops) == 1:
-            steps.append((rhs[1], place(ops[0]), None))
+    for i, (kind, arg, operands) in enumerate(code):
+        if kind == _LOAD or kind == _CONST:
+            slot = arg if kind == _LOAD else constants + arg
+            if i < last:
+                where.append(slot)
+                continue
+            step = (_same, slot, None)
         else:
-            steps.append((rhs[1], None, tuple(map(place, ops))))
-    steps = tuple(steps)
-    results = tuple(map(place, outputs))
-    runs = 0
-
-    def kernel(d, c, p=(), *parameters):
-        nonlocal runs
-        runs += 1
-        if runs == _HOT_RUNS:
-            home[key] = _compile(_source(params, stmts, outputs, first))
-        vals = [*d, *c, *p, *parameters, *constant]
-        append = vals.append
-        for function, a, b in steps:
-            if b is None:
-                append(function(vals[a]))
-            elif a is None:
-                append(function(*map(vals.__getitem__, b)))
+            a = where[operands[0]]
+            if kind == _POW:
+                step = (functions[kind], a, literal[repr(arg)])
+            elif len(operands) == 1:
+                step = (functions[kind], a, None)
+            elif kind == MUL and pair:
+                step = _product(a, where[operands[1]], n, m)
             else:
-                append(function(vals[a], vals[b]))
-        return tuple(map(vals.__getitem__, results))
+                step = (functions[kind], a, where[operands[1]])
+        where.append(start + len(steps))
+        steps.append(step)
+    return steps, where
 
-    return kernel
 
-
-def _reverse_statements(code, varying, n: int):
-    """Statements of the reverse pass of the adjoint kernel (see
-    ``_source``), its outputs (the enclosures, on the box, of the
-    partial derivatives by the ``n`` variable slots) and the ops whose
-    values it reads.  An operand ``-1 - j`` stands for the value of op
-    ``j``, which the whole interval kernel computes on the same box.
+def _reverse_steps(code, n: int, m: int, literal: dict, steps: list, where: list) -> tuple:
+    """Appends to ``steps``, those of the interval kernel of ``code`` (see
+    ``_forward_steps``, whose arguments these are), the steps of its
+    reverse pass, and returns the slots of its outputs: the enclosures, on
+    the box, of the partial derivatives by the ``n`` variable slots.  An
+    op's value is read at its slot ``where[j]``.
 
     The pass visits the ops that depend on a variable from the result down.
     Each sends its adjoint (the enclosure of the derivative of the result
@@ -1032,55 +974,54 @@ def _reverse_statements(code, varying, n: int):
     partial derivative is Clarke's generalized one, enclosed by
     ``pair_abs_adjoint`` and ``pair_max_adjoint``.  An adjoint known to be
     exactly 1 or -1 is kept as a literal, so multiplying by it costs neither
-    a statement nor a rounding, and equal statements are emitted once."""
-    rev: list = []
+    a step nor a rounding, and equal steps are emitted once."""
+    start = n + 2 * m + len(literal)  # the slot of the first step's value
+    first = start + len(steps)  # that of the reverse pass's first step
+    one, minus_one = literal[repr(_ONE)], literal[repr(_MINUS_ONE)]
     emitted: dict[tuple, int] = {}
-    read: set[int] = set()
+    varying = _varying(code)
     root = len(code) - 1
-    adjoint: dict[int, object] = {root: _ONE} if varying[root] else {}
+    adjoint: dict[int, int] = {root: one} if varying[root] else {}
 
-    def value(j: int) -> int:
-        read.add(j)
-        return -1 - j
+    def emit(function, a, b=None) -> int:
+        """The slot of the value of the step ``(function, a, b)`` (see
+        ``_tape``): a new step unless an equal one is there already."""
+        step = (function, a, b)
+        slot = emitted.get(step)
+        if slot is None:
+            slot = emitted[step] = start + len(steps)
+            steps.append(step)
+        return slot
 
-    def emit(rhs, *operands) -> int:
-        """The statement ``(rhs, operands)``: a new one unless an equal one
-        is there already."""
-        stmt = (rhs, operands)
-        index = emitted.get(stmt)
-        if index is None:
-            index = emitted[stmt] = len(rev)
-            rev.append(stmt)
-        return index
+    def neg(x: int) -> int:
+        if x == one or x == minus_one:
+            return minus_one if x == one else one
+        if x >= first and steps[x - start][0] is _negated_pair:
+            return steps[x - start][1]  # -(-y) is y
+        return emit(_negated_pair, x)
 
-    def neg(x):
-        if x is _ONE or x is _MINUS_ONE:
-            return _MINUS_ONE if x is _ONE else _ONE
-        if type(x) is int and x >= 0 and rev[x][0] is _PAIR_RHS[NEG]:
-            return rev[x][1][0]  # -(-y) is y
-        return emit(_PAIR_RHS[NEG], x)
+    def times(x: int, y: int) -> int:
+        if x == one or x == minus_one:
+            return y if x == one else neg(y)
+        return emit(*_product(x, y, n, m))
 
-    def times(x, y):
-        if x is _ONE or x is _MINUS_ONE:
-            return y if x is _ONE else neg(y)
-        return emit(_PAIR_RHS[MUL], x, y)
-
-    def scaled(k: float, x):
-        return emit(_SCALE, ("=", k), x)
+    def scaled(k: float, x: int) -> int:
+        return emit(intervals.pair_scale, literal[repr(k)], x)
 
     ops = {op: i for i, op in enumerate(code)}
 
-    def apply(kind: str, j: int, arg=None):
+    def apply(kind: str, j: int, arg=None) -> int:
         """The value of ``kind`` applied to op ``j``'s: an op's if there is
-        one (``sin(x)`` next to ``cos(x)``), else a new statement."""
+        one (``sin(x)`` next to ``cos(x)``), else a new step."""
         i = ops.get((kind, arg, (j,)))
         if i is not None:
-            return value(i)
-        return emit(_PAIR_RHS[kind], value(j), *(() if arg is None else (("=", arg),)))
+            return where[i]
+        return emit(_PAIR_FUNCTIONS[kind], where[j], None if arg is None else literal[repr(arg)])
 
-    def send(j: int, x) -> None:
-        adjoint[j] = emit(_PAIR_RHS[ADD], adjoint[j], x) if j in adjoint else x
+    def send(j: int, x: int) -> None:
+        adjoint[j] = emit(intervals.pair_add, adjoint[j], x) if j in adjoint else x
 
+    div = intervals.pair_div
     for i in range(root, -1, -1):
         g = adjoint.get(i)
         if g is None:
@@ -1094,96 +1035,102 @@ def _reverse_statements(code, varying, n: int):
                 send(b, g if kind == ADD else neg(g))
         elif kind == MUL:
             if varying[a]:
-                send(a, times(g, value(b)))
+                send(a, times(g, where[b]))
             if varying[b]:
-                send(b, times(g, value(a)))
+                send(b, times(g, where[a]))
         elif kind == DIV:
             if varying[a]:
-                send(a, emit(_PAIR_RHS[DIV], g, value(b)))
+                send(a, emit(div, g, where[b]))
             if varying[b]:
-                send(b, neg(emit(_PAIR_RHS[DIV], times(g, value(i)), value(b))))
+                send(b, neg(emit(div, times(g, where[i]), where[b])))
         elif kind == MAX:
             if varying[a]:
-                send(a, emit(_MAX_ADJOINT, value(a), value(b), g))
+                send(a, emit(intervals.pair_max_adjoint, None, (where[a], where[b], g)))
             if varying[b]:
-                send(b, emit(_MAX_ADJOINT, value(b), value(a), g))
+                send(b, emit(intervals.pair_max_adjoint, None, (where[b], where[a], g)))
         elif kind == NEG or (kind == _POW and arg == 1):
             send(a, neg(g) if kind == NEG else g)
         elif kind == SQR or kind == _POW and arg == 2:
-            send(a, times(g, scaled(2.0, value(a))))
+            send(a, times(g, scaled(2.0, where[a])))
         elif kind == _POW:
             send(a, times(g, scaled(float(arg), apply(_POW, a, arg - 1))))
         elif kind == SQRT:
-            send(a, emit(_PAIR_RHS[DIV], g, scaled(2.0, value(i))))
+            send(a, emit(div, g, scaled(2.0, where[i])))
         elif kind == EXP:
-            send(a, times(g, value(i)))
+            send(a, times(g, where[i]))
         elif kind == SIN:
             send(a, times(g, apply(COS, a)))
         elif kind == COS:
             send(a, neg(times(g, apply(SIN, a))))
         elif kind == ABS:
-            send(a, emit(_ABS_ADJOINT, value(a), g))
+            send(a, emit(intervals.pair_abs_adjoint, where[a], g))
     loads = {arg: i for i, (kind, arg, _) in enumerate(code) if kind == _LOAD}
-    return rev, [adjoint.get(loads.get(k), _ZERO_PAIR) for k in range(n)], read
+    zero = literal[repr(_ZERO_PAIR)]
+    return tuple(adjoint.get(loads.get(k), zero) for k in range(n))
 
 
-def _generate(code, n: int, pair: bool, kernels: list):
-    """The list of the point kernel ``kernel(d, c)``, to be stored as
-    ``kernels[0]``, or of the interval kernel ``kernel(d, c, p)`` and its
-    reverse pass, to be stored as ``kernels[1:3]``, for the shape of
-    ``_shape_kernels``; each is a tape that puts its compiled form in its
-    place once hot.  ``d`` holds the variables' values or pairs, ``c`` the
-    constants and ``p`` their pairs.  An operand is read from the name of
-    its op's statement, or else in place: a load from ``d``, a constant
-    from ``p`` or ``c``."""
-    run = _statements(code)
-    position = {op: i for i, op in enumerate(run)}
+def _source(sizes: Sequence[int], literals: tuple, steps: tuple, root: int, grads) -> str:
+    """Source of ``def kernel(d, c)``, or ``(d, c, p)`` for ``sizes`` of
+    three areas, which runs ``steps`` (see ``_tape``) as one statement each,
+    ``v{i} = ...`` for the ``i``-th, and returns the value at the slot
+    ``root``, followed by the tuple of those at ``grads`` unless that is
+    ``None``.  A slot below the steps' is read in place: ``d[k]``, ``c[k]``
+    or ``p[k]``, or a literal, as its ``repr``."""
+    names = [f"{area}[{k}]" for area, size in zip("dcp", sizes) for k in range(size)]
+    names += map(repr, literals)
+    start = len(names)
+    lines = []
+    for i, (function, a, b) in enumerate(steps):
+        args = [names[x] for x in ((a,) if b is None else b if a is None else (a, b))]
+        template = _TEMPLATES.get(function)
+        rhs = template.format(*args) if template else f"{function.__name__}({', '.join(args)})"
+        lines.append(f"v{i} = {rhs}")
+        names.append(f"v{i}")
+    returned = names[root]
+    if grads is not None:
+        returned += ", (" + "".join(names[x] + ", " for x in grads) + ")"
+    lines.append("return " + returned)
+    params = ", ".join("dcp"[: len(sizes)])
+    return f"def kernel({params}):\n    " + "\n    ".join(lines) + "\n"
 
-    def in_place(kind: str, arg) -> tuple:
-        return ("d" if kind == _LOAD else "p" if pair else "c", arg)
 
-    def ref(j: int):
-        i = position.get(j)
-        if i is not None:
-            return i
-        kind, arg, _ = code[j]
-        return in_place(kind, arg)
+def _tape(home: list, key: int, form: tuple):
+    """The kernel that ``_source(*form)`` defines, where ``form`` is
+    ``(sizes, literals, steps, root, grads)``, run from a tape until it has
+    run ``_HOT_RUNS`` times; then it is compiled and stored as
+    ``home[key]``, where the tape was.
 
-    def operands(kind: str, arg, ops) -> tuple:
-        if kind in (_CONST, _LOAD):
-            return (in_place(kind, arg),)
-        refs = tuple(map(ref, ops))
-        return (*refs, ("=", arg)) if kind == _POW else refs
+    The tape runs ``steps`` over one list of values: the entries of ``d``,
+    ``c`` and, for ``sizes`` of three areas, ``p``, then the ``literals``,
+    then the value of each step in turn.  A step ``(function, a, b)``
+    appends ``function`` of the values at the slots ``a`` and ``b``, or of
+    the value at ``a`` alone when ``b`` is ``None``, or of those at the
+    slots ``b`` when ``a`` is ``None``: the call, or the arithmetic, that
+    its statement makes, on the same operands.  Branching on the arity,
+    instead of unpacking a tuple of slots in each step, cuts the time that
+    the tape takes beyond the compiled kernel by four fifths."""
+    _, literals, steps, root, grads = form
+    runs = 0
 
-    table = _PAIR_RHS if pair else _POINT_RHS
-    stmts = [
-        (table[kind], operands(kind, arg, ops))
-        for kind, arg, ops in (code[op] for op in run)
-    ]
-    root = len(stmts) - 1
-    sizes = (n, sum(kind == _CONST for kind, _, _ in code))
-    if not pair:
-        return [_tape(kernels, 0, sizes, stmts, [root])]
-    rev, grads, read = _reverse_statements(code, _varying(code), n)
-    # The result, then each other statement that the reverse pass reads;
-    # a name listed twice would be a duplicate parameter.
-    kept = [root, *sorted({position[j] for j in read if j in position} - {root})]
+    def kernel(d, c, p=()):
+        nonlocal runs
+        runs += 1
+        if runs == _HOT_RUNS:
+            home[key] = _compile(_source(*form))
+        vals = [*d, *c, *p, *literals]
+        append = vals.append
+        for function, a, b in steps:
+            if b is None:
+                append(function(vals[a]))
+            elif a is None:
+                append(function(*map(vals.__getitem__, b)))
+            else:
+                append(function(vals[a], vals[b]))
+        if grads is None:
+            return vals[root]
+        return vals[root], tuple(map(vals.__getitem__, grads))
 
-    def place(x):
-        """A reverse-pass operand as ``_source`` takes it: op ``j``'s
-        value (``-1 - j``) is read as the interval kernel reads it, the
-        value of a statement from its parameter."""
-        if type(x) is not int or x >= 0:
-            return x
-        x = ref(-1 - x)
-        return ("v", x) if type(x) is int else x
-
-    rev = _scale_points([(rhs, tuple(map(place, ops))) for rhs, ops in rev])
-    sizes += sizes[1:]
-    return [
-        _tape(kernels, 1, sizes, _scale_points(stmts), kept),
-        _tape(kernels, 2, sizes, rev, list(map(place, grads)), len(stmts), kept),
-    ]
+    return kernel
 
 
 def _overflow(exc: OverflowError) -> IntervalError:
@@ -1192,9 +1139,9 @@ def _overflow(exc: OverflowError) -> IntervalError:
 
 
 class Program:
-    """Expression turned into straight-line kernels for repeated point and
-    interval evaluation, each run from a tape and compiled once hot (see
-    ``_tape``).
+    """Expression turned into kernels for repeated point and interval
+    evaluation and for its gradient, each run from a tape and compiled once
+    hot (see ``_tape``).
 
     ``code`` holds the numbered ops in postfix order (see ``_postfix``).
     Calling the program on a sequence of ``(lo, hi)`` pairs, one per
@@ -1252,8 +1199,8 @@ class Program:
         """The enclosure of the expression on the box ``dims`` (pairs), the
         same bits that ``eval_interval(dims)`` gives, and those of its
         partial derivatives there, one pair per variable of ``var_order``,
-        from one pass of the adjoint kernel: the whole interval kernel, then
-        the reverse pass.  At a kink of ``abs`` or ``max`` the partials
+        from one run of the gradient kernel: the steps of the interval
+        kernel, then the reverse pass.  At a kink of ``abs`` or ``max`` the partials
         enclose Clarke's generalized gradient, so the mean value theorem
         holds with them in Lebourg's form.  A variable the expression does
         not contain gets exactly ``(0.0, 0.0)``.  Raises ``IntervalError``
@@ -1261,8 +1208,7 @@ class Program:
         if len(dims) != len(self.var_order):
             raise self._miscount(dims)
         try:
-            forward = self._kernels[1](dims, self._constants, self._pairs)
-            return forward[0], self._kernels[2](dims, self._constants, self._pairs, *forward)
+            return self._kernels[2](dims, self._constants, self._pairs)
         except OverflowError as exc:
             raise _overflow(exc) from exc
 
@@ -1270,7 +1216,7 @@ class Program:
         if len(values) != len(self.var_order):
             raise self._miscount(values)
         try:
-            return self._kernels[0](values, self._constants)[0]
+            return self._kernels[0](values, self._constants)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(f"point evaluation failed: {exc}") from exc
 
@@ -1278,7 +1224,7 @@ class Program:
         if len(dims) != len(self.var_order):
             raise self._miscount(dims)
         try:
-            return self._kernels[1](dims, self._constants, self._pairs)[0]
+            return self._kernels[1](dims, self._constants, self._pairs)
         except OverflowError as exc:
             raise _overflow(exc) from exc
 

@@ -199,7 +199,8 @@ class QBResult:
 Runs = dict[tuple, BnBResult]
 """The certified runs behind one constant, by search key (see
 ``_optimize_expr``).  Each constant's computation starts one empty and
-reports ``RunStats(runs.values())``, so nothing is reused across constants."""
+reports ``RunStats(runs.values())``, so nothing is reused across constants.
+It serves one constant, so one ``BnBConfig``, which is no part of a key."""
 
 
 def _ratio_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -261,14 +262,15 @@ def _optimize_expr(
 
     A search is keyed, before anything is compiled, by its optimizer, the
     key of ``structural_key_with_vars(e)``, the declaration order of its
-    variables, their bounds by ``repr`` (so ``0.0`` and ``-0.0`` stay
-    apart) and ``cfg``.  The declaration order fixes the program's variable
-    slots and the order of the reduced box, so equal keys mean equal
-    programs over equal boxes.  Only a key not yet in ``runs`` builds the
-    reduced box and one program for all the optimizers asked for, from the
-    key's walk, and runs them; a repeat gets the stored result, which the
-    deterministic search would compute again bit for bit (only its final
-    cover keeps the first run's labels)."""
+    variables and their bounds by ``repr`` (so ``0.0`` and ``-0.0`` stay
+    apart); ``runs`` serves one ``cfg``, so the key leaves it out, and each
+    key is hashed once, by one ``runs.get``.  The declaration order fixes
+    the program's variable slots and the order of the reduced box, so equal
+    keys mean equal programs over equal boxes.  Only a key not yet in
+    ``runs`` builds the reduced box and one program for all the optimizers
+    asked for, from the key's walk, and runs them; a repeat gets the stored
+    result, which the deterministic search would compute again bit for bit
+    (only its final cover keeps the first run's labels)."""
     keyed = structural_key_with_vars(e)
     key, names = keyed
     if not names:
@@ -277,14 +279,17 @@ def _optimize_expr(
         return [done for _ in optimizers]
     # Each slot of the key with its bound, in declaration order.
     declared = sorted((model.declared[name], k) for k, name in enumerate(names))
-    search = (key, tuple((k, repr(lo), repr(hi)) for (_, (lo, hi)), k in declared), cfg)
-    missing = [optimize for optimize in optimizers if (optimize, search) not in runs]
-    if missing:
+    search = (key, tuple((k, repr(lo), repr(hi)) for (_, (lo, hi)), k in declared))
+    results = [runs.get((optimize, search)) for optimize in optimizers]
+    if None in results:
         domain = model.omega().restrict(names)
         program = Program(e, domain.labels, keyed)
-        for optimize in missing:
-            runs[optimize, search] = optimize(program.eval_point, program, domain, cfg)
-    return [runs[optimize, search] for optimize in optimizers]
+        for i, optimize in enumerate(optimizers):
+            if results[i] is None:
+                results[i] = runs[optimize, search] = optimize(
+                    program.eval_point, program, domain, cfg
+                )
+    return results
 
 
 def _maximize_expr(e: Expr, model: ModelDef, cfg: BnBConfig, runs: Runs) -> BnBResult:

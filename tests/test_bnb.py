@@ -279,8 +279,9 @@ def reference_first_order(hI, gradient, box):
     and choose the centre, then sum the centred form over the face's
     dimensions of positive width.  Returns the face (``box`` itself where
     nothing collapses), the bounds, the gradient enclosures and the
-    enclosure of h that ``gradient`` gave (``None`` where the face is
-    another box)."""
+    enclosure of h on the face: the one that ``gradient`` gave where the
+    face is ``box``, ``hI`` of the face where it is a point with the bits
+    of the centre, else ``None``."""
     pairs = box.pairs
     whole, grads = gradient(pairs)
     face = None
@@ -298,7 +299,7 @@ def reference_first_order(hI, gradient, box):
         centre.append((c, c))
     if face:
         box = unchecked_box(tuple(face), box.labels)
-        whole = None
+        whole = hI(face) if repr(face) == repr(centre) else None
     bound = hI(centre)
     for g, pair, c in zip(grads, box.pairs, centre):
         if pair[0] < pair[1]:
@@ -354,7 +355,10 @@ class TestOnePass:
     @pytest.mark.parametrize("seed", range(4))
     def test_same_face_bounds_and_split_as_the_two_walks(self, seed):
         rng = random.Random(900 + seed)
-        seen = {"collapsed": 0, "whole": 0, "no split": 0, "tie": 0, "failed": 0}
+        seen = {
+            "collapsed": 0, "whole": 0, "no split": 0, "tie": 0, "failed": 0, "point": 0,
+            "point of two zeros": 0,
+        }
         for _ in range(500):
             box, grads, eps_om = self.random_case(rng)
             gradient = lambda dims, grads=grads: (self.interval(dims), grads)
@@ -373,6 +377,8 @@ class TestOnePass:
                 continue
             assert (got[0] is box) == (expected[0] is box)
             seen["whole" if got[0] is box else "collapsed"] += 1
+            if got[0] is not box and all(lo == hi for lo, hi in got[0].pairs):
+                seen["point" if got[4] is not None else "point of two zeros"] += 1
             seen["no split"] += got[3] is None
             smears = [
                 (hi - lo) * max(-gl, gh) for (lo, hi), (gl, gh) in zip(face.pairs, grads)

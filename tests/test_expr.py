@@ -233,15 +233,15 @@ class TestDifferentiate:
 
 class TestGradient:
     """``Program.gradient(dims)``: the enclosure of the expression and every
-    partial derivative's, from one pass of the adjoint kernel."""
+    partial derivative's, from one run of the gradient kernel."""
 
     DIMS = [(0.5, 1.0), (1.0, 2.0), (-1.0, 1.0)]
 
     def test_one_enclosure_per_variable(self, monkeypatch):
         plans = []
-        build = expr_module._reverse_statements
+        build = expr_module._reverse_steps
         monkeypatch.setattr(
-            expr_module, "_reverse_statements", lambda *args: plans.append(args) or build(*args)
+            expr_module, "_reverse_steps", lambda *args: plans.append(args) or build(*args)
         )
         expr_module._shape_kernels.cache_clear()
         program = Program(parse("x*y + sqr(x)"), ("x", "y", "z"))

@@ -10,7 +10,9 @@ evaluation fails.
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
+import itertools
 import math
 import random
 
@@ -748,6 +750,28 @@ def test_an_extra_variable_slot_makes_another_shape():
     assert len(short.gradient([(1.0, 2.0)])[1]) == 1
 
 
+def test_a_program_only_evaluated_builds_no_reverse_pass(monkeypatch):
+    # The gradient kernel, with its reverse pass, is built on the shape's
+    # first gradient, and only then: the point and interval kernels, cold
+    # and compiled, build none.
+    built = []
+    reverse = expr_module._reverse_steps
+    monkeypatch.setattr(
+        expr_module, "_reverse_steps", lambda *args: built.append(args) or reverse(*args)
+    )
+    expr_module._shape_kernels.cache_clear()
+    program = Program(parse("x*y - sqr(x)*y + 0.375*sin(y) + x^3"), ("x", "y"))
+    dims = [(0.25, 0.75), (-1.0, 1.0)]
+    for _ in range(expr_module._HOT_RUNS + 1):
+        program.eval_point([0.5, -1.0])
+        program.eval_interval(dims)
+    assert _compiled(program._kernels[0]) and _compiled(program._kernels[1]) and built == []
+    value, _ = program.gradient(dims)
+    assert len(built) == 1 and value == program.eval_interval(dims)
+    Program(parse("3*y*x - x^2*x"), ("x", "y")).gradient(dims)  # another shape
+    assert len(built) == 2
+
+
 def _count_compiles(monkeypatch) -> list[str]:
     """The sources that ``expr`` compiles from now on, in order."""
     compiled: list[str] = []
@@ -760,10 +784,11 @@ def _count_compiles(monkeypatch) -> list[str]:
 
 def _heat(program: Program, values, dims) -> None:
     """Run each kernel of the program's shape ``_HOT_RUNS`` times through
-    ``eval_point`` and ``gradient``, which runs the interval kernel and, where
-    that succeeds, the reverse pass.  A run that fails counts too."""
+    ``eval_point``, ``eval_interval`` and ``gradient``.  A run that fails
+    counts too."""
+    calls = ((program.eval_point, values), (program.eval_interval, dims), (program.gradient, dims))
     for _ in range(expr_module._HOT_RUNS):
-        for call, arg in ((program.eval_point, values), (program.gradient, dims)):
+        for call, arg in calls:
             try:
                 call(arg)
             except (EvaluationError, IntervalError):
@@ -791,9 +816,10 @@ def _case1_s5():
 
 def test_each_kernel_is_one_function(monkeypatch):
     # The case-1 objective of traffic s5 (461 ops) has the longest kernels of
-    # the benchmark: 243 interval and 213 reverse statements.  One run of the
-    # job leaves them cold, so it is repeated until each is compiled; every
-    # repeat certifies the same constant.
+    # the benchmark: 243 point and interval statements, and 243 + 213 in the
+    # gradient kernel, whose reverse pass follows the interval kernel's.  One
+    # run of the job leaves them cold, so it is repeated until each is
+    # compiled; every repeat certifies the same constant.
     job = _case1_s5()
     expr_module._shape_kernels.cache_clear()
     compiled = _count_compiles(monkeypatch)
@@ -802,7 +828,7 @@ def test_each_kernel_is_one_function(monkeypatch):
         if len(compiled) == 3:
             break
         assert job() == first
-    assert sorted(source.count("\n") for source in compiled) == [215, 245, 245]
+    assert sorted(source.count("\n") for source in compiled) == [245, 245, 458]
     assert job() == first and len(compiled) == 3
 
 
@@ -820,24 +846,27 @@ def test_each_kernel_is_compiled_once_when_hot(monkeypatch):
     expr_module._shape_kernels.cache_clear()
     compiled = _count_compiles(monkeypatch)
     values, dims = [0.5, -1.0], [(0.0, 1.0), (-1.0, 2.0)]
-    cold = [outcome(program.eval_point, values), outcome(program.gradient, dims)]
+    calls = ((program.eval_point, values), (program.eval_interval, dims), (program.gradient, dims))
+    cold = [outcome(call, arg) for call, arg in calls]
     for _ in range(expr_module._HOT_RUNS - 2):
-        program.eval_point(values)
-        program.gradient(dims)
+        for call, arg in calls:
+            call(arg)
     assert compiled == []  # each kernel has run _HOT_RUNS - 1 times
-    assert outcome(program.eval_point, values) == cold[0]
-    assert [source.split("\n")[0] for source in compiled] == ["def kernel(d, c):"]
-    assert outcome(program.gradient, dims) == cold[1]
-    assert len(compiled) == 3
-    assert compiled[1].startswith("def kernel(d, c, p):\n")
-    assert compiled[2].startswith("def kernel(d, c, p, v")
+    for n, (call, arg) in enumerate(calls):
+        assert outcome(call, arg) == cold[n] and len(compiled) == n + 1
+    point, interval, gradient = compiled
+    assert point.startswith("def kernel(d, c):\n") and interval.startswith("def kernel(d, c, p):\n")
+    # The gradient kernel runs the interval kernel's statements, then the
+    # reverse pass's, and returns the value and the partials.
+    body, returned = interval.rsplit("\n    return ", 1)
+    assert gradient.startswith(body + "\n") and gradient.count("\n") > interval.count("\n")
+    assert returned.count(",") == 0 and gradient.rsplit("\n    return ", 1)[1].count(",") == 3
     for _ in range(3 * expr_module._HOT_RUNS):
-        program.eval_point(values)
-        program.eval_interval(dims)
-        program.gradient(dims)
+        for call, arg in calls:
+            call(arg)
     assert len(compiled) == 3
     assert all(map(_compiled, program._kernels))
-    assert [outcome(program.eval_point, values), outcome(program.gradient, dims)] == cold
+    assert [outcome(call, arg) for call, arg in calls] == cold
 
 
 def _wild_box(rng: random.Random) -> Box:
@@ -848,18 +877,30 @@ def _wild_box(rng: random.Random) -> Box:
     return make_box([(name, lo * scale, hi * scale) for name, (lo, hi) in zip(NAMES, box.pairs)])
 
 
+# Trees, as written, for what a kernel's steps read in place or share: a
+# constant on either side and on both sides of ``*`` (``pair_scale``), powers
+# of one exponent, a result that is a load or a constant, shared subtrees,
+# and ``sin`` beside ``cos`` (the reverse pass reads the forward value).
+PLACED = (
+    "2.5*x0", "x0*0.75", "2.0*3.0", "2.0*3.0*x1 - x0*0.5*x2", "-3.0*x0*x1*4.0",
+    "x0^3 + x1^3 + (x0 + x1)^3", "x0^3 - x0^2 + x0^4*x0^3", "x0", "1.5", "-0.0",
+    "sqr(x0 + x1) + sin(x0 + x1)*(x0 + x1) - exp(x0 + x1)/(x0 + x1)",
+    "sin(x0)*cos(x0) + cos(x1) - sin(x1) + sin(x2)*x2 + cos(x3)^3",
+)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_tape_and_compiled_kernel_agree(seed, monkeypatch):
-    # Random trees over every op, with huge constants and -0.0, on boxes
-    # with zero-containing divisors and overflowing ranges: the point
-    # kernel, the interval kernel and the gradient give the same endpoints
-    # by ``repr`` and the same errors by class and message from the tape as
-    # once compiled.
+    # Random trees over every op, with huge constants and -0.0, then the
+    # trees of ``PLACED``, on boxes with zero-containing divisors and
+    # overflowing ranges: the point kernel, the interval kernel and the
+    # gradient give the same endpoints by ``repr`` and the same errors by
+    # class and message from the tape as once compiled.
     rng = random.Random(1000 + seed)
     compiled = _count_compiles(monkeypatch)
     hot = failures = 0
-    for _ in range(60):
-        e = random_tree(rng, rng.randint(1, 6), [], (1e308, -1e308, 1e300, -0.0))
+    trees = (random_tree(rng, rng.randint(1, 6), [], (1e308, -1e308, 1e300, -0.0)) for _ in range(60))
+    for e in itertools.chain(trees, map(parse, PLACED)):
         program = Program(e, NAMES)
         boxes = [pairs(_wild_box(rng)) for _ in range(3)]
         points = [[rng.choice([0.0, -0.0, 1e200, 800.0, rng.uniform(-4, 4)]) for _ in NAMES]]
@@ -879,7 +920,7 @@ def test_tape_and_compiled_kernel_agree(seed, monkeypatch):
         assert outcomes() == cold, str(e)
         hot += len(compiled) == 3
         failures += sum(isinstance(x[0], type) for x in cold)
-    assert hot > 40 and failures > 40
+    assert hot == 60 + len(PLACED) and failures > 40
 
 
 ONE = (1.0, 1.0)
@@ -889,13 +930,13 @@ ZERO = (0.0, 0.0)
 @pytest.mark.parametrize(
     "text, reference",
     [
-        # The reverse pass reads the result's own value: the interval kernel
-        # returns it once, and the reverse pass takes it as one parameter.
-        # The reference is the pair formulas of the derivatives.
+        # The reverse pass reads the result's own value, at its slot of the
+        # gradient kernel's list.  The reference is the pair formulas of the
+        # derivatives.
         ("exp(x)", lambda x, y: (pair_exp(x), ZERO)),
         ("sqrt(x)", lambda x, y: (pair_div(ONE, pair_mul((2.0, 2.0), pair_sqrt(x))), ZERO)),
         ("x/y", lambda x, y: (pair_div(ONE, y), _neg(pair_div(pair_div(x, y), y)))),
-        # No statement of the reverse pass: its outputs are source text.
+        # No step of the reverse pass: its outputs are read in place.
         ("x", lambda x, y: (ONE, ZERO)),
         ("2.5", lambda x, y: (ZERO, ZERO)),
     ],
@@ -904,8 +945,9 @@ def test_gradient_hand_off_matches_reference(text, reference):
     expr_module._shape_kernels.cache_clear()
     program = Program(parse(text), ("x", "y"))
     for dims in [[(0.5, 2.0), (1.0, 3.0)], [(1.0, 1.0), (-4.0, -0.25)], [(0.25, 9.0), (2.0, 2.0)]]:
-        # no value besides the result
-        assert len(program._kernels[1](dims, program._constants, program._pairs)) == 1
+        # the interval kernel returns the value alone, a pair
+        alone = program._kernels[1](dims, program._constants, program._pairs)
+        assert len(alone) == 2 and {type(x) for x in alone} == {float}
         expected = reference(*dims)
         value, grads = program.gradient(dims)
         assert repr(value) == repr(program.eval_interval(dims))
@@ -914,10 +956,11 @@ def test_gradient_hand_off_matches_reference(text, reference):
 
 def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatch):
     # The Jacobian, QB and case-2 jobs run each kernel a few times, so they
-    # compile nothing.  The hyperbola maximization runs its interval kernel
-    # and its reverse pass hundreds of times, and compiles both during its
-    # cold run; it runs its point kernel 48 times a run (a probe is skipped
-    # where it cannot raise l), so it compiles that one during its warm run.
+    # compile nothing.  The hyperbola maximization runs its gradient kernel
+    # and its interval kernel (on each box's centre) hundreds of times, and
+    # compiles both during its cold run, the interval kernel first; it runs
+    # its point kernel 48 times a run (a probe is skipped where it cannot
+    # raise l), so it compiles that one during its warm run.
     from certbound.cli import run
 
     compiled = _count_compiles(monkeypatch)
@@ -940,20 +983,22 @@ def test_cold_and_warm_cache_print_the_same_reports(tmp_path, capsys, monkeypatc
         assert printed[0] == printed[1] and printed[0].startswith("[")
         if job is hyperbola:
             assert counts == [2, 3]
-            assert compiled[0].startswith("def kernel(d, c, p):")  # cold
-            assert compiled[1].startswith("def kernel(d, c, p, v")  # cold
-            assert compiled[2].startswith("def kernel(d, c):")  # warm
+            interval, gradient, point = compiled
+            assert gradient.startswith("def kernel(d, c, p):") and ", (" in gradient  # cold
+            assert interval.startswith("def kernel(d, c, p):") and ", (" not in interval  # cold
+            assert point.startswith("def kernel(d, c):")  # warm
         else:
             assert counts[0] == 0
         compiled.clear()
 
 
 def _pair_calls(program: Program, reverse: bool) -> set[str]:
-    """The ``pair_*`` functions that the compiled interval kernel (or its
-    reverse pass) calls, once the gradient has run often enough."""
+    """The ``pair_*`` functions that the compiled interval kernel (or the
+    gradient kernel, which adds the reverse pass) calls, once it has run
+    often enough."""
     dims = [(0.5, 1.5)] * len(program.var_order)
     for _ in range(expr_module._HOT_RUNS):
-        program.gradient(dims)
+        program.gradient(dims) if reverse else program.eval_interval(dims)
     kernel = program._kernels[1 + reverse]
     assert _compiled(kernel)
     return {name for name in kernel.__code__.co_names if name.startswith("pair_")}
@@ -1061,6 +1106,15 @@ def test_first_order_step_builds_only_the_face(monkeypatch):
     assert face.pairs == ((0.25, 0.75), (1.0, 1.0)) and face.labels is box.labels
     assert whole is None  # that enclosure was of the box, not of its face
     assert (counts, faces) == ({"Box": 0, "Interval": 0}, [face.pairs])
+    # Where every derivative has a fixed sign, the face is a point, the
+    # centre, whose enclosure is handed on; unless a dimension of zero width
+    # has ends of two signs of zero, which the centre does not keep.
+    program = Program(parse("x*y + y"), ("x", "y"))
+    for y, handed in (((0.5, 1.0), True), ((-0.0, 0.0), False), ((0.0, 0.0), True)):
+        box = make_box([("x", 0.25, 0.75), ("y", *y)])
+        face, lo, hi, split, whole = _first_order(program, program.gradient, box, 0.0)
+        assert face.pairs == ((0.75, 0.75), (y[1], y[1]) if y[0] < y[1] else y) and split is None
+        assert repr(whole) == (repr(program(face.pairs)) if handed else "None")
 
 
 @pytest.mark.parametrize("search", [maximize, minimize])
@@ -1134,7 +1188,7 @@ def test_the_gradient_returns_the_enclosure_of_eval_interval(seed):
                 assert repr(value) == repr(program.eval_interval(dims)) == repr(fresh), str(e)
                 negated, _ = _Negated(program).gradient(dims)
                 assert repr(negated) == repr((-value[1], -value[0]))
-                compared[hot] += _compiled(program._kernels[1]) == hot
+                compared[hot] += all(map(_compiled, program._kernels[1:])) == hot
             _heat(program, [lo for lo, _ in boxes[0]], boxes[0])
     assert min(compared.values()) > 80, compared
 
@@ -1164,27 +1218,45 @@ def test_a_wrong_number_of_arguments_is_refused_on_both_tiers(method):
     assert refusals() == expected and outcome(call, right) == cold
 
 
+@contextlib.contextmanager
+def _forward_runs(program: Program):
+    """``[runs, raised]``: the runs of the forward pass while the block
+    runs, which the interval kernel and the gradient kernel both make, and
+    those of them that raised.  The kernels are compiled first, so that the
+    kernel list keeps the counting wrappers."""
+    kernels = program._kernels
+    saved = kernels[1:]
+    runs = [0, 0]
+
+    def counted(kernel):
+        def run(*args):
+            runs[0] += 1
+            try:
+                return kernel(*args)
+            except Exception:
+                runs[1] += 1
+                raise
+
+        return run
+
+    kernels[1:] = map(counted, saved)
+    try:
+        yield runs
+    finally:
+        kernels[1:] = saved
+
+
 def test_a_search_runs_the_kernel_once_for_an_unsliced_box():
     # Of the hyperbola's 375 refined evaluations, 367 are of boxes that
-    # collapse nothing and are not sliced: the enclosure that the
-    # gradient's forward pass returned on the box is their value.
-    # Compiled first, so that the kernel list keeps the counting wrapper.
+    # collapse nothing and are not sliced: the enclosure that the gradient
+    # kernel returned on the box is their value.  Its 30 faces that are
+    # points would hand on their centre's enclosure, but the first-order
+    # bound of each is below l already, so none gets a refined evaluation.
     program = Program(parse(HYPERBOLA), ("x", "y"))
     _heat(program, [0.5, 0.5], [(0.0, 1.0), (0.0, 1.0)])
-    kernels = program._kernels
-    forward = kernels[1]
-    runs = [0]
-
-    def counted(*args):
-        runs[0] += 1
-        return forward(*args)
-
-    kernels[1] = counted
-    try:
-        box = make_box([("x", 0.0, 2.0), ("y", 0.0, 2.0)])
+    box = make_box([("x", 0.0, 2.0), ("y", 0.0, 2.0)])
+    with _forward_runs(program) as runs:
         res = maximize(program.eval_point, program, box, BnBConfig(eps_h=5e-3, segments=1))
-    finally:
-        kernels[1] = forward
     assert (res.lower, res.stats.evals) == (0.25, 375)
     assert runs[0] == 906  # 1,273 when each refined evaluation runs the kernel
 
@@ -1192,61 +1264,37 @@ def test_a_search_runs_the_kernel_once_for_an_unsliced_box():
 def test_a_failing_forward_pass_runs_again_for_its_refined_evaluation():
     # sqrt(x)/y has no enclosure on a box that touches y = 0, and its
     # gradient none where x = 0.  A box whose gradient fails hands no value
-    # on, so its refined evaluation runs the interval kernel again: the
-    # one case where a search runs that kernel twice on one box.
+    # on, so its refined evaluation runs the interval kernel: the one case
+    # where a search runs the forward pass twice on one box.
     program = Program(parse("sqrt(x)/y + x"), ("x", "y"))
     _heat(program, [0.5, 0.5], [(0.5, 1.0), (0.5, 1.0)])
-    kernels = program._kernels
-    forward = kernels[1]
-    runs = [0, 0]
-
-    def counted(*args):
-        runs[0] += 1
-        try:
-            return forward(*args)
-        except IntervalError:
-            runs[1] += 1
-            raise
-
-    kernels[1] = counted
-    try:
-        box = make_box([("x", 0.0, 1.0), ("y", 0.0, 1.0)])
-        with pytest.raises(EvaluationError) as caught:
-            maximize(program.eval_point, program, box, BnBConfig(eps_om=1e-3, segments=1))
-    finally:
-        kernels[1] = forward
+    box = make_box([("x", 0.0, 1.0), ("y", 0.0, 1.0)])
+    with _forward_runs(program) as runs, pytest.raises(EvaluationError) as caught:
+        maximize(program.eval_point, program, box, BnBConfig(eps_om=1e-3, segments=1))
     assert str(caught.value) == (
         "unbounded enclosure: the objective's interval enclosure fails on a box of width"
         " 0.0009765625: divisor [0.0, 0.0009765625] contains zero"
     )
-    assert runs == [82, 62]  # 41 boxes, each failing its gradient: two runs each
+    # 41 boxes, each failing its gradient: two runs each.  The refined
+    # evaluation fails again on the 31 whose forward pass fails; on the
+    # other 10 only the reverse pass did.
+    assert runs == [82, 72]
 
 
 def test_an_overflow_of_the_forward_pass_is_an_interval_error():
-    # ``gradient`` and ``eval_interval`` call the interval kernel
-    # themselves: the kernel's OverflowError becomes an IntervalError, and
-    # each call runs the kernel and raises afresh.
+    # ``gradient`` and ``eval_interval`` call their kernels themselves: the
+    # kernel's OverflowError becomes an IntervalError, and each call runs
+    # the forward pass and raises afresh.
     program = Program(parse("x^3"), ("x",))
     _heat(program, [0.5], [(0.0, 1.0)])
-    kernels = program._kernels
-    forward = kernels[1]
-    runs = [0]
-
-    def counted(*args):
-        runs[0] += 1
-        return forward(*args)
-
-    kernels[1] = counted
-    try:
-        dims = ((1e200, 1e200),)
+    dims = ((1e200, 1e200),)
+    with _forward_runs(program) as runs:
         with pytest.raises(IntervalError) as first:
             program.gradient(dims)
         assert str(first.value) == "interval evaluation overflow: (34, 'Numerical result out of range')"
-        assert type(first.value.__cause__) is OverflowError and runs == [1]
+        assert type(first.value.__cause__) is OverflowError and runs == [1, 1]
         with pytest.raises(IntervalError) as again:
             program.eval_interval(dims)
-        assert runs == [2] and again.value is not first.value
+        assert runs == [2, 2] and again.value is not first.value
         assert str(again.value) == str(first.value)
         assert type(again.value.__cause__) is OverflowError
-    finally:
-        kernels[1] = forward

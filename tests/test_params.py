@@ -911,6 +911,18 @@ class TestRunReuse:
         assert sum(map(len, traffic_s5.state_jacobian)) == 61
         assert (len(built), jb.stats.runs) == (4, 8)
 
+    def test_a_lookup_hashes_no_config(self, monkeypatch, traffic_s5):
+        # A memo serves one constant, so one config, which is no part of a
+        # search's key: a lookup never hashes it.
+        expected = jacobian_bounds(traffic_s5, CFG_COARSE)
+
+        def refused(cfg):
+            raise AssertionError("a BnBConfig was hashed")
+
+        monkeypatch.setattr(BnBConfig, "__hash__", refused)
+        jb = jacobian_bounds(traffic_s5, CFG_COARSE)
+        assert _fields(jb) == _fields(expected) and jb.stats.runs == 8
+
     def test_signed_zero_constants_do_not_merge(self):
         # ``simplify`` drops a zero term or factor, but a ``max`` keeps it.
         m = small_model(["x1", "x2"], [("x1", -1, -0.5), ("x2", -1, -0.5)])
